@@ -15,7 +15,7 @@ Run:  python examples/distributed_word_count.py
 import random
 from collections import Counter
 
-from repro import EpochManager, Runtime
+from repro import EBRReclaimer, EpochManager, Runtime
 from repro.baselines import LockedMap
 from repro.structures import InterlockedHashTable
 
@@ -44,12 +44,14 @@ def main() -> None:
     em = EpochManager(rt)
     # aba_protection=False: headers use plain 64-bit (RDMA-able) CAS,
     # with EBR preventing snapshot-address recycling under pins.
-    table = InterlockedHashTable(rt, buckets=64, manager=em, aba_protection=False)
+    table = InterlockedHashTable(
+        rt, buckets=64, reclaimer=EBRReclaimer(rt, manager=em), aba_protection=False
+    )
 
     def count_shard(shard, tok) -> None:
         tok.pin()
         for word in shard:
-            table.update(word, lambda v: v + 1, default=0, token=tok)
+            table.update(word, lambda v: v + 1, default=0, guard=tok)
         tok.unpin()
         tok.try_reclaim()
 

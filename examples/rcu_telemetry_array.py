@@ -30,7 +30,7 @@ def main() -> None:
         # growers are fine: resize() is a CAS loop and the loser retries
         # against the winner's descriptor.
         while i >= len(buf):
-            buf.resize(len(buf) + GROW_STEP, token=tok)
+            buf.resize(len(buf) + GROW_STEP, guard=tok)
         buf.write(i, (i * 37) % 1000)  # the "reading"
         # Wait-free concurrent read path: sample a few slots.
         _ = buf.read(i // 2)

@@ -8,8 +8,8 @@ Entry points:
 * :mod:`repro.bench.figures` — programmatic drivers (used by the pytest
   benchmarks under ``benchmarks/``), thin wrappers over registered
   scenarios.
-* :mod:`repro.bench.scenarios` — scenario specs, registry, parallel grid
-  runner, regression baselines.
+* :mod:`repro.bench.scenarios` — scenario specs, registry, grid runner,
+  regression baselines.
 * :mod:`repro.bench.ablations` — the design-choice ablations from
   DESIGN.md Section 6.
 * :mod:`repro.bench.workloads` — the underlying workload generators.

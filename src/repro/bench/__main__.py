@@ -22,7 +22,7 @@ Scenario mode (see :mod:`repro.bench.scenarios` and docs/SCENARIOS.md)::
     python -m repro.bench scenarios --run topo-hier-reclaim-ebr --aggregation 8
     python -m repro.bench scenarios --run topo-hier-reclaim-ebr --policy threshold:32
     python -m repro.bench scenarios --run hotspot-zipf --cost-profile wan
-    python -m repro.bench scenarios --all --jobs 4 --out report.json
+    python -m repro.bench scenarios --all --out report.json
     python -m repro.bench scenarios --all --engine compiled
     python -m repro.bench scenarios --all --update-baselines
     python -m repro.bench scenarios --spec my_scenario.toml
@@ -76,9 +76,9 @@ Trace mode — run one scenario under the flight recorder and summarize::
     python -m repro.bench trace topo-hier-agg-ebr-w4 --out trace.json
     python -m repro.bench trace queue-churn --detail spans --engine compiled
 
-``--run`` executes named scenarios (in parallel when ``--jobs`` > 1),
-writes a JSON report with virtual-time results and per-scenario regression
-verdicts against ``benchmarks/scenario_baselines.json``, and exits
+``--run`` executes named scenarios in order, writes a JSON report with
+virtual-time results and per-scenario regression verdicts against
+``benchmarks/scenario_baselines.json``, and exits
 non-zero on any ``drift`` — virtual time is deterministic, so drift means
 behaviour changed.
 """
@@ -130,9 +130,6 @@ def scenario_main(argv: "Sequence[str] | None" = None) -> int:
         "--spec",
         metavar="PATH",
         help="run one scenario from a TOML spec file (not the registry)",
-    )
-    ap.add_argument(
-        "--jobs", type=int, default=None, help="parallel scenario runs (default: min(n, 4))"
     )
     ap.add_argument(
         "--filter",
@@ -377,7 +374,7 @@ def scenario_main(argv: "Sequence[str] | None" = None) -> int:
         sys.stdout.flush()
 
     print(f"running {len(specs)} scenario(s)...")
-    runs = scenarios.run_scenario_grid(specs, jobs=args.jobs, progress=progress)
+    runs = scenarios.run_scenario_grid(specs, progress=progress)
 
     scaled = any(r.spec.measure.ops_scale != 1.0 for r in runs)
     baselines = scenarios.load_baselines(args.baselines)

@@ -19,7 +19,7 @@ built-ins go well beyond the paper's figures — Zipf-skewed hotspot
 atomics, mixed pin/deferDelete ratios, producer-consumer churn over the
 queue and stack, combined multi-structure traffic, and degraded-network
 profiles.  ``python -m repro.bench scenarios {--list,--run,--all}`` is the
-CLI; :func:`run_scenario_grid` executes many scenarios in parallel (one
+CLI; :func:`run_scenario_grid` executes many scenarios in order (one
 worker-pool runtime per point) and :func:`build_report` aggregates the
 results into a JSON document with per-scenario regression baselines.
 
@@ -52,7 +52,6 @@ Example TOML::
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import (
@@ -706,6 +705,7 @@ def compiled_coverage(spec: ScenarioSpec) -> str:
     policy = parse_policy(topo.policy).make_epoch_policy()
     tier, _reason = compiled_plan(
         spec.workload.kind,
+        reclaimer=topo.reclaimer,
         trace=topo.trace,
         tasks_per_locale=topo.tasks_per_locale,
         reclaim_every=params.get("reclaim_every"),
@@ -776,39 +776,20 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
 def run_scenario_grid(
     specs: Sequence[ScenarioSpec],
     *,
-    jobs: Optional[int] = None,
     progress: Optional[Callable[[ScenarioRun], None]] = None,
 ) -> List[ScenarioRun]:
-    """Execute many scenarios, in parallel, one runtime per point.
+    """Execute many scenarios in spec order, one runtime per point.
 
     Each point builds (and tears down) its own worker-pool runtime —
-    scenario runs never share simulator state, so executing them
-    concurrently cannot change any virtual-time result.  ``jobs`` bounds
-    the real threads driving points (default: min(#specs, 4)); results
-    come back in spec order regardless of completion order.
+    scenario runs never share simulator state.  ``progress`` is called
+    with each run as it finishes.
     """
-    specs = list(specs)
-    if not specs:
-        return []
-    jobs = jobs if jobs is not None else min(len(specs), 4)
-    if jobs < 1:
-        raise ScenarioError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        runs = []
-        for spec in specs:
-            run = run_scenario(spec)
-            if progress is not None:
-                progress(run)
-            runs.append(run)
-        return runs
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_scenario, spec) for spec in specs]
-        runs = []
-        for fut in futures:
-            run = fut.result()
-            if progress is not None:
-                progress(run)
-            runs.append(run)
+    runs = []
+    for spec in specs:
+        run = run_scenario(spec)
+        if progress is not None:
+            progress(run)
+        runs.append(run)
     return runs
 
 

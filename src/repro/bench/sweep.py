@@ -33,7 +33,6 @@ Example::
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import itertools
 import time
@@ -135,39 +134,15 @@ class Sweep:
             comm=dict(result.comm),
         )
 
-    def execute(self, *, max_workers: Optional[int] = None) -> List[SweepRow]:
-        """Run every point; returns rows in grid order.
-
-        ``max_workers`` > 1 executes points concurrently on a thread pool.
-        Because each point's ``run`` builds (and owns) its own runtime,
-        points share no simulator state and the virtual-time results are
-        identical to a serial execution — only the wall clock changes.
-        Rows still come back in grid order; ``progress`` fires in
-        completion order.
-        """
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if max_workers is None or max_workers == 1:
-            rows: List[SweepRow] = []
-            for params in self.points():
-                row = self._run_point(params)
-                rows.append(row)
-                if self.progress is not None:
-                    self.progress(row)
-            return rows
-        all_points = list(self.points())
-        rows_by_index: List[Optional[SweepRow]] = [None] * len(all_points)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(self._run_point, params): i
-                for i, params in enumerate(all_points)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                row = fut.result()
-                rows_by_index[futures[fut]] = row
-                if self.progress is not None:
-                    self.progress(row)
-        return [row for row in rows_by_index if row is not None]
+    def execute(self) -> List[SweepRow]:
+        """Run every point in grid order; returns the rows in that order."""
+        rows: List[SweepRow] = []
+        for params in self.points():
+            row = self._run_point(params)
+            rows.append(row)
+            if self.progress is not None:
+                self.progress(row)
+        return rows
 
     @staticmethod
     def write_csv(path: str, rows: Sequence[SweepRow]) -> None:

@@ -66,13 +66,15 @@ def _phase_tier(rt: Runtime, kind: str, **shape: Any) -> str:
     Interpreted engines skip the whole machinery (no log entry — nothing
     was asked for).  Compiled engines consult
     :func:`~repro.engine.coverage.compiled_plan` with the runtime's
-    resolved trace detail plus the workload ``shape``, record the
-    effective tier on the runtime's engine log, and — under
+    reclaimer, resolved trace detail and the workload ``shape``, record
+    the effective tier on the runtime's engine log, and — under
     ``compiled-strict`` — raise on any interpreter fallback.
     """
     if not compiled_requested(rt.config.engine):
         return "interpreted"
-    tier, reason = compiled_plan(kind, trace=rt.config.trace, **shape)
+    tier, reason = compiled_plan(
+        kind, reclaimer=rt.config.reclaimer, trace=rt.config.trace, **shape
+    )
     return note_phase(rt, kind, tier, reason)
 
 
@@ -352,13 +354,14 @@ def run_epoch_workload(
         em = _reclaimer_for(rt, manager_kwargs)
 
         # Compiled lowering (docs/ENGINE.md): with one task per locale and
-        # no mid-phase ``tryReclaim`` the per-item charge stream is fixed
-        # for every scheme, so the forall replays columnar — in-task
+        # no mid-phase ``tryReclaim`` the per-item charge stream is fixed,
+        # so under EBR the forall replays columnar — in-task
         # register/unregister run for real on the replayed task clocks.
         # ``reclaim_every`` (schedule-scoped scan elections) and >1 task
         # per locale (in-forall token reuse follows real arrival order)
-        # fall back; a pin/retire-time-tracking policy takes the serial
-        # tier (real bodies, canonical pool-size-1 schedule, exact facts).
+        # fall back; other schemes and a pin/retire-time-tracking policy
+        # take the serial tier (real bodies, canonical pool-size-1
+        # schedule, exact facts).
         tier = _phase_tier(
             rt,
             "epoch",
@@ -751,11 +754,11 @@ def run_epoch_mixed(
 
         # Every scheme's pin/defer/unpin round has a fixed charge stream
         # (no mid-phase epoch/era/interval advances — reclamation is
-        # root-driven between rounds), so the rounds lower to a batch
-        # replay: EBR against the token/limbo/pool cells, hp/qsbr/ibr
-        # against the guard buffers (threshold scans run real — see
-        # repro.engine.executor).  A pin- or retire-time-tracking policy
-        # (grace — docs/POLICY.md) takes the serial tier instead: the
+        # root-driven between rounds).  EBR rounds replay against the
+        # token/limbo/pool cells and HP rounds against the guard buffers
+        # (threshold scans run real — see repro.engine.executor); QSBR
+        # and IBR rounds take the serial tier.  So does a pin- or
+        # retire-time-tracking policy (grace — docs/POLICY.md): the
         # columnar replay charges pins without calling ``pin()``, so the
         # virtual-time facts the policy's decisions read would be missing;
         # inline-serial execution runs the real bodies in the canonical
@@ -823,7 +826,6 @@ def run_epoch_mixed(
                 elif tier == "columnar":
                     run_guard_epoch_phase(
                         rt,
-                        scheme=scheme,
                         items=chunk,
                         is_write=is_write,
                         objs=objs,

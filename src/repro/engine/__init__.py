@@ -16,13 +16,12 @@ Four pieces (see docs/ENGINE.md):
   workload shape gets, the per-runtime effective-engine log, and the
   ``compiled-strict`` fallback-is-an-error enforcement.
 * :mod:`repro.engine.cache` — the cross-run compilation cache sharing
-  lowered columns across ``--repeats`` and grid-runner runtimes.
+  lowered columns across ``--repeats`` and scenario-grid runtimes.
 """
 
 from .cache import COLUMN_CACHE, CompilationCache
 from .coverage import EngineLog, compiled_plan, engine_summary, note_phase
 from .executor import (
-    NotCompilable,
     run_alloc_phase,
     run_ebr_epoch_phase,
     run_epoch_workload_phase,
@@ -39,7 +38,6 @@ from .opstream import (
 )
 
 __all__ = [
-    "NotCompilable",
     "serial_tasks",
     "run_alloc_phase",
     "run_uniform_atomic_phase",

@@ -6,12 +6,12 @@ seeded ``(seed << 20) ^ task_id`` and the executor hands out consecutive
 task ids in replay order, so two runs that agree on those inputs draw
 bit-identical columns.  That makes the columns safe to memoize *across*
 :class:`~repro.runtime.runtime.Runtime` instances — exactly what
-``--repeats`` and the parallel grid runner create: a fresh runtime per
-repetition whose lowering work was, before this cache, recomputed from
+``--repeats`` and ``scenarios --all`` create: a fresh runtime per
+repetition or point whose lowering work was, before this cache, recomputed from
 scratch every time.
 
-The cache is deliberately process-global and lock-protected (the grid
-runner lowers from worker threads) with a small LRU bound — columns for
+The cache is deliberately process-global and lock-protected (runtimes
+may be driven from several threads) with a small LRU bound — columns for
 the bench shapes are a few hundred KiB, and the bound only exists so a
 long ``scenarios --all`` sweep cannot grow without limit.  Charge
 *plans* (borrowed ServicePoint state, route rows) are **not** cached:

@@ -56,9 +56,17 @@ _KNOWN_KINDS = (
 )
 
 
+#: Reclaimer schemes whose rounds each lowering replays.  A lowering stays
+#: only where forcing its shape serial measurably slows a benchmark
+#: workload (docs/ENGINE.md, "Which lowerings stay"); every other scheme
+#: runs the same shape on the serial tier.
+_COLUMNAR_SCHEMES = {"epoch": ("ebr",), "epoch_mixed": ("ebr", "hp")}
+
+
 def compiled_plan(
     kind: str,
     *,
+    reclaimer: str = "ebr",
     trace: str = "off",
     tasks_per_locale: int = 1,
     reclaim_every: Optional[int] = None,
@@ -69,7 +77,9 @@ def compiled_plan(
 
     Returns ``(tier, reason)`` where ``tier`` is ``"columnar"``,
     ``"serial"`` or ``"interpreted"`` and ``reason`` explains an
-    interpreter fallback (None otherwise).  Pure function of the shape —
+    interpreter fallback (None otherwise).  ``reclaimer`` is the runtime's
+    scheme: the epoch rounds lower only for the schemes in
+    ``_COLUMNAR_SCHEMES``.  Pure function of the shape —
     the generators resolve the runtime's actual trace detail and policy
     wants and pass them in, the scenario lister resolves the same values
     from the spec, so the two can never disagree.
@@ -93,15 +103,15 @@ def compiled_plan(
                 "in-forall registration with >1 task/locale reuses tokens"
                 " in real-arrival order",
             )
-        if wants_pin_times or wants_retire_times:
-            # The columnar replay never calls pin()/defer_delete(), so
-            # the virtual-time facts a tracking policy reads would be
-            # missing; the serial tier runs the real bodies and records
-            # them exactly.
-            return ("serial", None)
-        return ("columnar", None)
-    if kind == "epoch_mixed":
-        if wants_pin_times or wants_retire_times:
+    if kind in _COLUMNAR_SCHEMES:
+        # The columnar replay never calls pin()/defer_delete(), so the
+        # virtual-time facts a tracking policy reads would be missing; the
+        # serial tier runs the real bodies and records them exactly.
+        if (
+            wants_pin_times
+            or wants_retire_times
+            or reclaimer not in _COLUMNAR_SCHEMES[kind]
+        ):
             return ("serial", None)
         return ("columnar", None)
     if kind in ("churn", "multi_structure"):

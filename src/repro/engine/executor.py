@@ -39,15 +39,15 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from random import Random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from ..core.limbo_list import LimboNode
 from ..runtime.clock import TaskClock
 from ..runtime.context import TaskContext, context_scope, current_context
 from ..runtime.tasking import spawn_tree_overhead
 from .cache import COLUMN_CACHE
 
 __all__ = [
-    "NotCompilable",
     "serial_tasks",
     "run_alloc_phase",
     "run_uniform_atomic_phase",
@@ -78,11 +78,6 @@ def serial_tasks(rt):
         yield
     finally:
         rt._inline_tasks = prev
-
-
-class NotCompilable(RuntimeError):
-    """Raised when a phase's charge plan cannot be lowered (caller should
-    have gated on the workload shape first — see docs/ENGINE.md)."""
 
 
 class _PointLedger:
@@ -526,6 +521,181 @@ class _InstanceLedger:
         self.inst.deferred_count += self.defer_delta
 
 
+def _split_items(items: Sequence[int], nloc: int, tpl: int) -> tuple:
+    """``forall``'s cyclic item distribution: item ``idx`` goes to locale
+    ``idx % nloc``, which runs ``min(tpl, chunk length)`` tasks over its
+    chunk.  Returns ``(per-locale chunks, tasks per locale)``."""
+    per_locale: List[List[int]] = [[] for _ in range(nloc)]
+    for idx, item in enumerate(items):
+        per_locale[idx % nloc].append(item)
+    return per_locale, [min(tpl, len(c)) for c in per_locale]
+
+
+def _ebr_replay_task(
+    items: Iterable[int],
+    is_write: Sequence[bool],
+    objs: Sequence[Any],
+    il: _InstanceLedger,
+    plans: tuple,
+    tk_plan: tuple,
+    now: float,
+    deltas: List[int],
+    record: bool,
+) -> float:
+    """Replay one task's EBR pin / [defer_delete] / unpin items from ``now``.
+
+    Per item: 3 pin charges (instance-epoch read, token write, revalidation
+    read), then for ``is_write[item]`` the deferral (2 reads + pool get +
+    limbo exchange), then 1 unpin charge — CPU-priced cache-line passes
+    against the instance epoch cell, the task's token slot (``tk_plan``) and
+    the pool/limbo heads (``plans``, from :meth:`_InstanceLedger.plans_for`).
+    Limbo and pool chains are mutated over the real nodes through ``il``.
+    Returns the task clock after its last item.
+
+    This is the engine's hottest loop (4–8 charges per item, millions of
+    items per bench run), so each plan is unpacked into locals, ``_charge``
+    is inlined at every site, and each pin/unpin serve inlines the
+    idle-point fast branch of ``_serve`` (``arrival >= next_free``: bank
+    the gap, advance ``next_free``) — the same float ops in the same order
+    — calling ``_serve`` only when the point is queued.
+    """
+    ie_plan, lm_plan, pl_plan = plans
+    ie_lat, ie_pst, ie_ps, ie_lst, ie_ls, ie_di = ie_plan
+    lm_lat, lm_pst, lm_ps, lm_lst, lm_ls, lm_di = lm_plan
+    tk_lat, tk_pst, tk_ps, tk_lst, tk_ls, tk_di = tk_plan
+    pool = il.pool
+    if pool is not None:
+        pl_lat, pl_pst, pl_ps, pl_lst, pl_ls, pl_di = pl_plan
+    for item in items:
+        # pin(): inst-epoch read, token write, revalidation read.
+        t = now + ie_lat
+        if ie_pst is not None:
+            if t >= ie_pst[0]:
+                ie_pst[2] += ie_ps
+                ie_pst[3] += 1
+                ie_pst[1] += t - ie_pst[0]
+                t += ie_ps
+                ie_pst[0] = t
+            else:
+                t = _serve(ie_pst, t, ie_ps)
+        if t >= ie_lst[0]:
+            ie_lst[2] += ie_ls
+            ie_lst[3] += 1
+            ie_lst[1] += t - ie_lst[0]
+            now = t + ie_ls
+            ie_lst[0] = now
+        else:
+            now = _serve(ie_lst, t, ie_ls)
+        t = now + tk_lat
+        if tk_pst is not None:
+            if t >= tk_pst[0]:
+                tk_pst[2] += tk_ps
+                tk_pst[3] += 1
+                tk_pst[1] += t - tk_pst[0]
+                t += tk_ps
+                tk_pst[0] = t
+            else:
+                t = _serve(tk_pst, t, tk_ps)
+        if t >= tk_lst[0]:
+            tk_lst[2] += tk_ls
+            tk_lst[3] += 1
+            tk_lst[1] += t - tk_lst[0]
+            now = t + tk_ls
+            tk_lst[0] = now
+        else:
+            now = _serve(tk_lst, t, tk_ls)
+        t = now + ie_lat
+        if ie_pst is not None:
+            if t >= ie_pst[0]:
+                ie_pst[2] += ie_ps
+                ie_pst[3] += 1
+                ie_pst[1] += t - ie_pst[0]
+                t += ie_ps
+                ie_pst[0] = t
+            else:
+                t = _serve(ie_pst, t, ie_ps)
+        if t >= ie_lst[0]:
+            ie_lst[2] += ie_ls
+            ie_lst[3] += 1
+            ie_lst[1] += t - ie_lst[0]
+            now = t + ie_ls
+            ie_lst[0] = now
+        else:
+            now = _serve(ie_lst, t, ie_ls)
+        if record:
+            deltas[ie_di] += 2
+            deltas[tk_di] += 2  # pin write + unpin write
+        if is_write[item]:
+            # defer_delete(): pinned check + epoch read ...
+            t = now + tk_lat
+            if tk_pst is not None:
+                t = _serve(tk_pst, t, tk_ps)
+            now = _serve(tk_lst, t, tk_ls)
+            t = now + ie_lat
+            if ie_pst is not None:
+                t = _serve(ie_pst, t, ie_ps)
+            now = _serve(ie_lst, t, ie_ls)
+            if record:
+                deltas[tk_di] += 1
+                deltas[ie_di] += 1
+            # ... then limbo push: pool get + head exchange.
+            if pool is not None:
+                t = now + pl_lat
+                if pl_pst is not None:
+                    t = _serve(pl_pst, t, pl_ps)
+                now = _serve(pl_lst, t, pl_ls)
+                node = il.pool_cur
+                if node is None:
+                    node = LimboNode()
+                    il.pool_alloc_delta += 1
+                    if record:
+                        deltas[pl_di] += 1
+                else:
+                    # Non-empty pool: the pop CAS is a second
+                    # charge on the pool head.
+                    t = now + pl_lat
+                    if pl_pst is not None:
+                        t = _serve(pl_pst, t, pl_ps)
+                    now = _serve(pl_lst, t, pl_ls)
+                    il.pool_cur = node.next
+                    if record:
+                        deltas[pl_di] += 2
+                node.val = objs[item]
+                node.next = None
+            else:
+                node = LimboNode()
+                node.val = objs[item]
+            t = now + lm_lat
+            if lm_pst is not None:
+                t = _serve(lm_pst, t, lm_ps)
+            now = _serve(lm_lst, t, lm_ls)
+            node.next = il.limbo_cur
+            il.limbo_cur = node
+            il.defer_delta += 1
+            if record:
+                deltas[lm_di] += 1
+        # unpin(): token write (diag counted with pin above).
+        t = now + tk_lat
+        if tk_pst is not None:
+            if t >= tk_pst[0]:
+                tk_pst[2] += tk_ps
+                tk_pst[3] += 1
+                tk_pst[1] += t - tk_pst[0]
+                t += tk_ps
+                tk_pst[0] = t
+            else:
+                t = _serve(tk_pst, t, tk_ps)
+        if t >= tk_lst[0]:
+            tk_lst[2] += tk_ls
+            tk_lst[3] += 1
+            tk_lst[1] += t - tk_lst[0]
+            now = t + tk_ls
+            tk_lst[0] = now
+        else:
+            now = _serve(tk_lst, t, tk_ls)
+    return now
+
+
 def run_ebr_epoch_phase(
     rt,
     *,
@@ -541,23 +711,15 @@ def run_ebr_epoch_phase(
     body pins, defer-deletes ``objs[item]`` when ``is_write[item]``, and
     unpins.  The charge stream per item is fixed (no mid-phase epoch
     advances — reclamation is root-driven between rounds), so the whole
-    round lowers: 3 pin charges + optional (2 reads + pool get + limbo
-    exchange) + 1 unpin charge, all CPU-priced cache-line passes against
-    the instance epoch cell, the task's token slot, and the pool/limbo
-    heads.  Limbo and pool chains are mutated over the real nodes so the
-    interpreted reclaim code sees exactly the interpreted state.
+    round lowers to :func:`_ebr_replay_task` per task against the
+    pre-registered tokens.
     """
     ctx = current_context()
     net = rt.network
     nloc = rt.num_locales
     tpl = tokens_per_locale
 
-    # ---- forall item distribution (cyclic by position) -----------------
-    data = list(items)
-    per_locale: List[List[int]] = [[] for _ in range(nloc)]
-    for idx, item in enumerate(data):
-        per_locale[idx % nloc].append(item)
-    ntasks_by_locale = [min(tpl, len(c)) if c else 0 for c in per_locale]
+    per_locale, ntasks_by_locale = _split_items(items, nloc, tpl)
     total_tasks = sum(ntasks_by_locale)
     if total_tasks == 0:
         return
@@ -566,9 +728,7 @@ def run_ebr_epoch_phase(
     t0 = ctx.clock.now if tr is not None else 0.0
     start = _forall_prologue(rt, ctx, active, total_tasks)
 
-    # ---- compile: per-instance and per-token charge plans --------------
-    from ..core.limbo_list import LimboNode
-
+    # ---- compile: per-instance charge plans ----------------------------
     ledger = _PointLedger()
     inst_ledgers: Dict[int, _InstanceLedger] = {}
     by_locale_inst: List[Optional[_InstanceLedger]] = [None] * nloc
@@ -594,154 +754,16 @@ def run_ebr_epoch_phase(
         chunk = per_locale[locale]
         ntasks = ntasks_by_locale[locale]
         il = by_locale_inst[locale]
-        ie_plan, lm_plan, pl_plan = il.plans_for(net, locale, ledger)
-        # The item loop below is the engine's hottest path (4–8 charges
-        # per item, millions of items per bench run), so each plan is
-        # unpacked into locals, ``_charge`` is inlined at every site, and
-        # each serve inlines the idle-point fast branch of ``_serve``
-        # (``arrival >= next_free``: bank the gap, advance ``next_free``)
-        # — the same float ops in the same order — calling ``_serve``
-        # only when the point is queued.
-        ie_lat, ie_pst, ie_ps, ie_lst, ie_ls, ie_di = ie_plan
-        lm_lat, lm_pst, lm_ps, lm_lst, lm_ls, lm_di = lm_plan
-        pool = il.pool
-        if pool is not None:
-            pl_lat, pl_pst, pl_ps, pl_lst, pl_ls, pl_di = pl_plan
-        deltas = diag_counts[locale]
+        plans = il.plans_for(net, locale, ledger)
         for w in range(ntasks):
             task_id = rt._next_task_id()
             tok = tokens[locale][task_id % tpl]
             used_tokens.append(tok)
             tk_plan = _narrow_plan(net, tok.local_epoch, locale, ledger)
-            tk_lat, tk_pst, tk_ps, tk_lst, tk_ls, tk_di = tk_plan
-            now = start
-            for item in chunk[w::ntasks]:
-                # pin(): inst-epoch read, token write, revalidation read.
-                t = now + ie_lat
-                if ie_pst is not None:
-                    if t >= ie_pst[0]:
-                        ie_pst[2] += ie_ps
-                        ie_pst[3] += 1
-                        ie_pst[1] += t - ie_pst[0]
-                        t += ie_ps
-                        ie_pst[0] = t
-                    else:
-                        t = _serve(ie_pst, t, ie_ps)
-                if t >= ie_lst[0]:
-                    ie_lst[2] += ie_ls
-                    ie_lst[3] += 1
-                    ie_lst[1] += t - ie_lst[0]
-                    now = t + ie_ls
-                    ie_lst[0] = now
-                else:
-                    now = _serve(ie_lst, t, ie_ls)
-                t = now + tk_lat
-                if tk_pst is not None:
-                    if t >= tk_pst[0]:
-                        tk_pst[2] += tk_ps
-                        tk_pst[3] += 1
-                        tk_pst[1] += t - tk_pst[0]
-                        t += tk_ps
-                        tk_pst[0] = t
-                    else:
-                        t = _serve(tk_pst, t, tk_ps)
-                if t >= tk_lst[0]:
-                    tk_lst[2] += tk_ls
-                    tk_lst[3] += 1
-                    tk_lst[1] += t - tk_lst[0]
-                    now = t + tk_ls
-                    tk_lst[0] = now
-                else:
-                    now = _serve(tk_lst, t, tk_ls)
-                t = now + ie_lat
-                if ie_pst is not None:
-                    if t >= ie_pst[0]:
-                        ie_pst[2] += ie_ps
-                        ie_pst[3] += 1
-                        ie_pst[1] += t - ie_pst[0]
-                        t += ie_ps
-                        ie_pst[0] = t
-                    else:
-                        t = _serve(ie_pst, t, ie_ps)
-                if t >= ie_lst[0]:
-                    ie_lst[2] += ie_ls
-                    ie_lst[3] += 1
-                    ie_lst[1] += t - ie_lst[0]
-                    now = t + ie_ls
-                    ie_lst[0] = now
-                else:
-                    now = _serve(ie_lst, t, ie_ls)
-                if record:
-                    deltas[ie_di] += 2
-                    deltas[tk_di] += 2  # pin write + unpin write
-                if is_write[item]:
-                    # defer_delete(): pinned check + epoch read ...
-                    t = now + tk_lat
-                    if tk_pst is not None:
-                        t = _serve(tk_pst, t, tk_ps)
-                    now = _serve(tk_lst, t, tk_ls)
-                    t = now + ie_lat
-                    if ie_pst is not None:
-                        t = _serve(ie_pst, t, ie_ps)
-                    now = _serve(ie_lst, t, ie_ls)
-                    if record:
-                        deltas[tk_di] += 1
-                        deltas[ie_di] += 1
-                    # ... then limbo push: pool get + head exchange.
-                    if pool is not None:
-                        t = now + pl_lat
-                        if pl_pst is not None:
-                            t = _serve(pl_pst, t, pl_ps)
-                        now = _serve(pl_lst, t, pl_ls)
-                        node = il.pool_cur
-                        if node is None:
-                            node = LimboNode()
-                            il.pool_alloc_delta += 1
-                            if record:
-                                deltas[pl_di] += 1
-                        else:
-                            # Non-empty pool: the pop CAS is a second
-                            # charge on the pool head.
-                            t = now + pl_lat
-                            if pl_pst is not None:
-                                t = _serve(pl_pst, t, pl_ps)
-                            now = _serve(pl_lst, t, pl_ls)
-                            il.pool_cur = node.next
-                            if record:
-                                deltas[pl_di] += 2
-                        node.val = objs[item]
-                        node.next = None
-                    else:
-                        node = LimboNode()
-                        node.val = objs[item]
-                    t = now + lm_lat
-                    if lm_pst is not None:
-                        t = _serve(lm_pst, t, lm_ps)
-                    now = _serve(lm_lst, t, lm_ls)
-                    node.next = il.limbo_cur
-                    il.limbo_cur = node
-                    il.defer_delta += 1
-                    if record:
-                        deltas[lm_di] += 1
-                # unpin(): token write (diag counted with pin above).
-                t = now + tk_lat
-                if tk_pst is not None:
-                    if t >= tk_pst[0]:
-                        tk_pst[2] += tk_ps
-                        tk_pst[3] += 1
-                        tk_pst[1] += t - tk_pst[0]
-                        t += tk_ps
-                        tk_pst[0] = t
-                    else:
-                        t = _serve(tk_pst, t, tk_ps)
-                if t >= tk_lst[0]:
-                    tk_lst[2] += tk_ls
-                    tk_lst[3] += 1
-                    tk_lst[1] += t - tk_lst[0]
-                    now = t + tk_ls
-                    tk_lst[0] = now
-                else:
-                    now = _serve(tk_lst, t, tk_ls)
+            now = _ebr_replay_task(
+                chunk[w::ntasks], is_write, objs, il, plans, tk_plan,
+                start, diag_counts[locale], record,
+            )
             if now > finish:
                 finish = now
 
@@ -757,44 +779,34 @@ def run_ebr_epoch_phase(
     if tr is not None:
         # Identical to the interpreted ``forall(items, body, ...)`` span
         # (cross-engine trace-equality contract, docs/OBSERVABILITY.md).
-        tr.span("forall", t0, ctx.clock.now, tasks=total_tasks, items=len(data))
+        tr.span("forall", t0, ctx.clock.now, tasks=total_tasks, items=len(items))
 
 
 # ---------------------------------------------------------------------------
-# Guard-scheme pin/defer/unpin phases (epoch_mixed under hp / qsbr / ibr)
+# Hazard-pointer pin/defer/unpin phases (epoch_mixed under hp)
 # ---------------------------------------------------------------------------
 
 
 def run_guard_epoch_phase(
     rt,
     *,
-    scheme: str,
     items: Sequence[int],
     is_write: Sequence[bool],
     objs: Sequence[Any],
     guards: List[List[Any]],
     guards_per_locale: int,
 ) -> None:
-    """Replay one round of ``run_epoch_mixed`` under a guard scheme.
+    """Replay one round of ``run_epoch_mixed`` under hazard pointers.
 
     Mirrors ``forall(items, body, task_init=bank.task_init)`` where the
     body pins, defer-deletes ``objs[item]`` when ``is_write[item]``, and
-    unpins, against pre-registered hp/qsbr/ibr guards.  Each scheme's
-    charge stream is fixed per item (reclamation is root-driven between
-    rounds, so interval tags and era caches are phase constants):
-
-    * **qsbr** — pin/unpin are free; a retire is one ``cpu_load_latency``
-      advance plus an append tagged with the manager's current interval.
-    * **hp** — same free pin/unpin (no hazard slots are published by this
-      body) and a zero-tagged retire, but crossing ``scan_threshold``
-      runs the *real* ``_scan`` under a synthetic task context: hazard
-      reads (aggregated or not), drains and frees are value-dependent
-      and charge exactly as interpreted, continuing this task's clock.
-    * **ibr** — pin is the publish/re-validate handshake (era-cache
-      read, birth write, era-cache re-read — the cache is constant
-      mid-phase, so the loop exits first try exactly as interpreted),
-      unpin one birth write, and a retire adds the charged era read that
-      tags the entry with its birth era.
+    unpins, against pre-registered HP guards.  Pin/unpin are free (no
+    hazard slots are published by this body) and a retire is one
+    ``cpu_load_latency`` advance plus a zero-tagged append, but crossing
+    ``scan_threshold`` runs the *real* ``_scan`` under a synthetic task
+    context: hazard reads (aggregated or not), drains and frees are
+    value-dependent and charge exactly as interpreted, continuing this
+    task's clock.
 
     Retired entries are appended to the **real** guard buffers, so the
     interpreted ``phase_boundary``/``try_reclaim``/``clear`` calls
@@ -802,16 +814,10 @@ def run_guard_epoch_phase(
     phase leaves.
     """
     ctx = current_context()
-    net = rt.network
     nloc = rt.num_locales
     tpl = guards_per_locale
 
-    # ---- forall item distribution (cyclic by position) -----------------
-    data = list(items)
-    per_locale: List[List[int]] = [[] for _ in range(nloc)]
-    for idx, item in enumerate(data):
-        per_locale[idx % nloc].append(item)
-    ntasks_by_locale = [min(tpl, len(c)) if c else 0 for c in per_locale]
+    per_locale, ntasks_by_locale = _split_items(items, nloc, tpl)
     total_tasks = sum(ntasks_by_locale)
     if total_tasks == 0:
         return
@@ -820,98 +826,57 @@ def run_guard_epoch_phase(
     t0 = ctx.clock.now if tr is not None else 0.0
     start = _forall_prologue(rt, ctx, active, total_tasks)
 
-    ledger = _PointLedger()
     cpu_load = rt.config.costs.cpu_load_latency
     seed_base = rt.config.seed << 20
-    diags = net.diags
-    record = diags._enabled
-    diag_counts = [[0] * 9 for _ in range(nloc)]
 
     # ---- replay: spawn-submission order ---------------------------------
     finish = start
     for locale in active:
         chunk = per_locale[locale]
         ntasks = ntasks_by_locale[locale]
-        deltas = diag_counts[locale]
         for w in range(ntasks):
             task_id = rt._next_task_id()
             guard = guards[locale][task_id % tpl]
             rec = guard._rec
             retired = guard._retired
+            threshold = rec.scan_threshold
+            tctx: Optional[TaskContext] = None
             now = start
-            if scheme == "qsbr":
-                tag = rec._interval
-                for item in chunk[w::ntasks]:
-                    if is_write[item]:
-                        now += cpu_load
-                        retired.append((objs[item], tag))
-            elif scheme == "hp":
-                threshold = rec.scan_threshold
-                tctx: Optional[TaskContext] = None
-                for item in chunk[w::ntasks]:
-                    if is_write[item]:
-                        now += cpu_load
-                        retired.append((objs[item], 0))
-                        if len(retired) >= threshold:
-                            # The threshold scan is value-dependent
-                            # (hazard reads, drains, frees) — run the
-                            # real thing on this task's clock.
-                            if tctx is None:
-                                tctx = TaskContext(
-                                    runtime=rt,
-                                    locale_id=locale,
-                                    clock=TaskClock(now),
-                                    task_id=task_id,
-                                )
-                                tctx.rng.seed(seed_base ^ task_id)
-                            tctx.clock.now = now
-                            with context_scope(tctx):
-                                rec._scan([guard])
-                            now = tctx.clock.now
-                            # The drain rebinds guard._retired; drop the
-                            # stale alias.
-                            retired = guard._retired
-            elif scheme == "ibr":
-                ec_plan = _narrow_plan(net, guard._era_cache, locale, ledger)
-                b_plan = _narrow_plan(net, guard.birth, locale, ledger)
-                ec_di = ec_plan[5]
-                b_di = b_plan[5]
-                era = guard._era_cache.peek()
-                for item in chunk[w::ntasks]:
-                    # pin(): era read, birth publish, era re-validate.
-                    now = _charge(ec_plan, now)
-                    now = _charge(b_plan, now)
-                    now = _charge(ec_plan, now)
-                    if record:
-                        deltas[ec_di] += 2
-                        deltas[b_di] += 2  # publish + the unpin clear
-                    if is_write[item]:
-                        # defer_delete(): buffer append, then the
-                        # charged era read that tags the entry.
-                        now += cpu_load
-                        now = _charge(ec_plan, now)
-                        if record:
-                            deltas[ec_di] += 1
-                        retired.append((objs[item], era))
-                    # unpin(): birth clear (diag counted with pin above).
-                    now = _charge(b_plan, now)
-            else:
-                raise NotCompilable(f"no guard replay for scheme {scheme!r}")
+            for item in chunk[w::ntasks]:
+                if is_write[item]:
+                    now += cpu_load
+                    retired.append((objs[item], 0))
+                    if len(retired) >= threshold:
+                        # The threshold scan is value-dependent (hazard
+                        # reads, drains, frees) — run the real thing on
+                        # this task's clock.
+                        if tctx is None:
+                            tctx = TaskContext(
+                                runtime=rt,
+                                locale_id=locale,
+                                clock=TaskClock(now),
+                                task_id=task_id,
+                            )
+                            tctx.rng.seed(seed_base ^ task_id)
+                        tctx.clock.now = now
+                        with context_scope(tctx):
+                            rec._scan([guard])
+                        now = tctx.clock.now
+                        # The drain rebinds guard._retired; drop the stale
+                        # alias.
+                        retired = guard._retired
             if now > finish:
                 finish = now
 
-    # ---- join + writeback ---------------------------------------------
+    # ---- join ---------------------------------------------------------
     _forall_epilogue(rt, ctx, finish)
-    ledger.writeback()
-    if record:
-        _writeback_diags(diags, diag_counts)
     if tr is not None:
-        tr.span("forall", t0, ctx.clock.now, tasks=total_tasks, items=len(data))
+        tr.span("forall", t0, ctx.clock.now, tasks=total_tasks, items=len(items))
 
 
 # ---------------------------------------------------------------------------
-# The Listing 5 workload (fig 4-7 drivers): in-task register / replay /
-# unregister, every reclaimer scheme
+# The Listing 5 workload (fig 4-7 drivers) under EBR: in-task register /
+# replay / unregister
 # ---------------------------------------------------------------------------
 
 
@@ -923,9 +888,9 @@ def run_epoch_workload_phase(
     num_objects: int,
     delete: bool,
 ) -> None:
-    """Replay ``run_epoch_workload``'s ``forall`` (one task per locale).
+    """Replay ``run_epoch_workload``'s ``forall`` (one task per locale, EBR).
 
-    The interpreted body registers a token/guard *inside* the task
+    The interpreted body registers a token *inside* the task
     (``task_init``), pins / optionally retires / unpins per item, and
     unregisters on task exit.  With one task per locale (the gated
     shape), the pool-size-1 schedule runs each task start-to-finish in
@@ -933,47 +898,37 @@ def run_epoch_workload_phase(
     replay per task:
 
     1. ``em.register()`` runs **for real** under a synthetic task
-       context (EBR's free-list pop / token construction charges, guard
-       construction is free) — the registry, token chains and stats
-       mutate exactly as interpreted;
-    2. the per-item pin/retire/unpin stream replays from charge plans
-       built against the freshly registered token's cells (EBR) or the
-       guard/era cells (hp/qsbr/ibr — hp threshold scans run real, as in
-       :func:`run_guard_epoch_phase`), with retired entries appended to
-       the real buffers/limbo chains;
+       context (the free-list pop / token construction charges) — the
+       registry, token chains and stats mutate exactly as interpreted;
+    2. the per-item pin/retire/unpin stream replays through
+       :func:`_ebr_replay_task` against the freshly registered token's
+       cells, with ``delete`` standing in for every item's write flag and
+       retired objects pushed onto the real limbo chains;
     3. borrowed state is written back, then ``unregister()`` runs for
-       real on the task's clock (EBR's token write + free-list push;
-       guard orphan adoption hands the replay-built buffers to the
-       manager).
+       real on the task's clock (token write + free-list push).
 
     Interpreted code afterwards (``em.clear()``, stats) sees exactly the
     state an interpreted phase leaves.
     """
-    from ..core.limbo_list import LimboNode
-
     ctx = current_context()
     net = rt.network
     nloc = rt.num_locales
-    scheme = rt.config.reclaimer
     if num_objects == 0:
         return
-    chunks = [list(range(lid, num_objects, nloc)) for lid in range(nloc)]
-    active = [lid for lid in range(nloc) if chunks[lid]]
+    active = list(range(min(nloc, num_objects)))
     total_tasks = len(active)
     tr = rt._tracer
     t0 = ctx.clock.now if tr is not None else 0.0
     start = _forall_prologue(rt, ctx, active, total_tasks)
 
-    cpu_load = rt.config.costs.cpu_load_latency
     seed_base = rt.config.seed << 20
     diags = net.diags
     record = diags._enabled
     diag_counts = [[0] * 9 for _ in range(nloc)]
+    is_write = [delete] * num_objects
 
     finish = start
     for lid in active:
-        chunk = chunks[lid]
-        deltas = diag_counts[lid]
         task_id = rt._next_task_id()
         tctx = TaskContext(
             runtime=rt, locale_id=lid, clock=TaskClock(start), task_id=task_id
@@ -983,107 +938,19 @@ def run_epoch_workload_phase(
         # -- 1. real registration on the task's clock --------------------
         with context_scope(tctx):
             tok = em.register()
-        now = tctx.clock.now
 
         # -- 2. columnar replay of the pin/retire/unpin stream -----------
         ledger = _PointLedger()
-        if scheme == "ebr":
-            il = _InstanceLedger(tok._inst)
-            ie_plan, lm_plan, pl_plan = il.plans_for(net, lid, ledger)
-            ie_di = ie_plan[5]
-            lm_di = lm_plan[5]
-            pool = il.pool
-            if pool is not None:
-                pl_di = pl_plan[5]
-            tk_plan = _narrow_plan(net, tok.local_epoch, lid, ledger)
-            tk_di = tk_plan[5]
-            for item in chunk:
-                now = _charge(ie_plan, now)
-                now = _charge(tk_plan, now)
-                now = _charge(ie_plan, now)
-                if record:
-                    deltas[ie_di] += 2
-                    deltas[tk_di] += 2  # pin write + unpin write
-                if delete:
-                    now = _charge(tk_plan, now)
-                    now = _charge(ie_plan, now)
-                    if record:
-                        deltas[tk_di] += 1
-                        deltas[ie_di] += 1
-                    if pool is not None:
-                        now = _charge(pl_plan, now)
-                        node = il.pool_cur
-                        if node is None:
-                            node = LimboNode()
-                            il.pool_alloc_delta += 1
-                            if record:
-                                deltas[pl_di] += 1
-                        else:
-                            now = _charge(pl_plan, now)
-                            il.pool_cur = node.next
-                            if record:
-                                deltas[pl_di] += 2
-                        node.val = objs[item]
-                        node.next = None
-                    else:
-                        node = LimboNode()
-                        node.val = objs[item]
-                    now = _charge(lm_plan, now)
-                    node.next = il.limbo_cur
-                    il.limbo_cur = node
-                    il.defer_delta += 1
-                    if record:
-                        deltas[lm_di] += 1
-                now = _charge(tk_plan, now)
-            il.writeback()
-        elif scheme == "qsbr":
-            if delete:
-                retired = tok._retired
-                tag = tok._rec._interval
-                for item in chunk:
-                    now += cpu_load
-                    retired.append((objs[item], tag))
-        elif scheme == "hp":
-            if delete:
-                rec = tok._rec
-                retired = tok._retired
-                threshold = rec.scan_threshold
-                for item in chunk:
-                    now += cpu_load
-                    retired.append((objs[item], 0))
-                    if len(retired) >= threshold:
-                        tctx.clock.now = now
-                        with context_scope(tctx):
-                            rec._scan([tok])
-                        now = tctx.clock.now
-                        # The drain rebinds tok._retired; drop the stale
-                        # alias.
-                        retired = tok._retired
-        elif scheme == "ibr":
-            ec_plan = _narrow_plan(net, tok._era_cache, lid, ledger)
-            b_plan = _narrow_plan(net, tok.birth, lid, ledger)
-            ec_di = ec_plan[5]
-            b_di = b_plan[5]
-            era = tok._era_cache.peek()
-            retired = tok._retired
-            for item in chunk:
-                now = _charge(ec_plan, now)
-                now = _charge(b_plan, now)
-                now = _charge(ec_plan, now)
-                if record:
-                    deltas[ec_di] += 2
-                    deltas[b_di] += 2
-                if delete:
-                    now += cpu_load
-                    now = _charge(ec_plan, now)
-                    if record:
-                        deltas[ec_di] += 1
-                    retired.append((objs[item], era))
-                now = _charge(b_plan, now)
-        else:
-            raise NotCompilable(f"no epoch replay for reclaimer {scheme!r}")
+        il = _InstanceLedger(tok._inst)
+        now = _ebr_replay_task(
+            range(lid, num_objects, nloc), is_write, objs, il,
+            il.plans_for(net, lid, ledger),
+            _narrow_plan(net, tok.local_epoch, lid, ledger),
+            tctx.clock.now, diag_counts[lid], record,
+        )
 
         # -- 3. writeback, then real unregistration ----------------------
+        il.writeback()
         ledger.writeback()
         tctx.clock.now = now
         with context_scope(tctx):

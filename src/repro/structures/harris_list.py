@@ -30,7 +30,6 @@ from ..atomics.integer import AtomicUInt64
 from ..core.token import Token
 from ..memory.address import NIL, GlobalAddress, is_nil
 from ..memory.compression import compress, decompress
-from ._compat import _deprecated_alias
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.runtime import Runtime
@@ -145,11 +144,8 @@ class LockFreeOrderedList:
         key: Any,
         value: Any = None,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> bool:
         """Insert ``key`` (with ``value``); False if already present."""
-        guard = _deprecated_alias("guard", "token", guard, token)
         rt = self._rt
         while True:
             prev_cell, cur_addr, _, cur_node = self._find(key, guard)
@@ -170,11 +166,8 @@ class LockFreeOrderedList:
         self,
         key: Any,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> bool:
         """Logically then physically remove ``key``; False if absent."""
-        guard = _deprecated_alias("guard", "token", guard, token)
         while True:
             prev_cell, cur_addr, next_addr, cur_node = self._find(key, guard)
             if cur_node is None or cur_node.key != key:
@@ -196,17 +189,14 @@ class LockFreeOrderedList:
         self,
         key: Any,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> bool:
         """Wait-free-ish read-only membership test (no helping, no CAS).
 
         ``guard`` is only needed under hazard-pointer reclamation, where
         read-only traversals must protect the nodes they dereference;
         region-based schemes (EBR/QSBR/IBR) cover the traversal through
-        the caller's pinned guard.  ``token=`` is the deprecated alias.
+        the caller's pinned guard.
         """
-        guard = _deprecated_alias("guard", "token", guard, token)
         sentinel = object()
         return self.get(key, sentinel, guard=guard) is not sentinel
 
@@ -215,8 +205,6 @@ class LockFreeOrderedList:
         key: Any,
         default: Any = None,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> Any:
         """Return the value stored under ``key`` (read-only traversal).
 
@@ -227,7 +215,6 @@ class LockFreeOrderedList:
         address-only check would admit freed successors), so — exactly as
         in Michael's algorithm — HP readers help unlink what they pass.
         """
-        guard = _deprecated_alias("guard", "token", guard, token)
         if guard is not None and guard.needs_protect:
             _, _, _, cur_node = self._find(key, guard)
             if cur_node is not None and cur_node.key == key:

@@ -29,11 +29,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple
 
 from ..core.atomic_object import AtomicObject
-from ..core.epoch_manager import EpochManager
 from ..core.token import Token
 from ..memory.address import NIL, is_nil
-from ..reclaim import EBRReclaimer, default_reclaimer
-from ._compat import _deprecated_alias
+from ..reclaim import default_reclaimer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.runtime import Runtime
@@ -70,12 +68,9 @@ class InterlockedHashTable:
         When omitted the table asks
         :func:`repro.reclaim.default_reclaimer` for whatever scheme the
         runtime is configured for — the one shared default-construction
-        factory — and owns it (``destroy()`` tears it down).
-    manager:
-        Deprecated alias of ``reclaimer``: share an existing
-        :class:`EpochManager` (wrapped in an :class:`EBRReclaimer`
-        adapter, not owned).  Emits a :class:`DeprecationWarning`;
-        mutually exclusive with ``reclaimer``.
+        factory — and owns it (``destroy()`` tears it down).  To share a
+        bare :class:`EpochManager`, pass
+        ``EBRReclaimer(runtime, manager=em)``.
     """
 
     def __init__(
@@ -83,7 +78,6 @@ class InterlockedHashTable:
         runtime: "Runtime",
         *,
         buckets: int = 64,
-        manager: Optional[EpochManager] = None,
         reclaimer=None,
         aba_protection: bool = True,
     ) -> None:
@@ -92,19 +86,10 @@ class InterlockedHashTable:
         while n < max(1, buckets):
             n <<= 1
         self._nbuckets = n
-        effective = _deprecated_alias("reclaimer", "manager", reclaimer, manager)
-        self._owns_reclaimer = effective is None
-        if effective is None:
-            self.reclaimer = default_reclaimer(runtime)
-        elif effective is manager:
-            # Legacy spelling shared a bare EpochManager: wrap it in the
-            # EBR adapter (not owned), exactly as before the rename.
-            self.reclaimer = EBRReclaimer(runtime, manager=manager)
-        else:
-            self.reclaimer = effective
-        #: The underlying EpochManager when the scheme is EBR (legacy
-        #: accessor kept for callers that shared a manager), else None.
-        self.manager = getattr(self.reclaimer, "manager", None)
+        self._owns_reclaimer = reclaimer is None
+        self.reclaimer = (
+            default_reclaimer(runtime) if reclaimer is None else reclaimer
+        )
         #: With ``aba_protection=False`` headers use plain 64-bit CASes —
         #: the RDMA fast path — relying on EBR to prevent snapshot-address
         #: recycling (operations must then run under a pinned token).
@@ -168,17 +153,13 @@ class InterlockedHashTable:
         key: Any,
         default: Any = None,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> Any:
         """Look up ``key``: one header read + one snapshot fetch.
 
         ``guard`` is only needed under hazard-pointer reclamation, where
         the snapshot must be protected before the fetch; region-based
-        schemes cover readers through their pinned guard.  ``token=`` is
-        the deprecated alias.
+        schemes cover readers through their pinned guard.
         """
-        guard = _deprecated_alias("guard", "token", guard, token)
         h = _stable_hash(key)
         header = self._headers[self._bucket_of(h)]
         _, addr = self._load_header_protected(header, guard)
@@ -194,11 +175,8 @@ class InterlockedHashTable:
         self,
         key: Any,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> bool:
         """Membership test (wait-free)."""
-        guard = _deprecated_alias("guard", "token", guard, token)
         sentinel = object()
         return self.get(key, sentinel, guard=guard) is not sentinel
 
@@ -244,11 +222,8 @@ class InterlockedHashTable:
         key: Any,
         value: Any,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> bool:
         """Insert or update; returns True when a *new* key was added."""
-        guard = _deprecated_alias("guard", "token", guard, token)
         h = _stable_hash(key)
         header = self._headers[self._bucket_of(h)]
 
@@ -269,11 +244,8 @@ class InterlockedHashTable:
         self,
         key: Any,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> bool:
         """Delete ``key``; returns True when it was present."""
-        guard = _deprecated_alias("guard", "token", guard, token)
         h = _stable_hash(key)
         header = self._headers[self._bucket_of(h)]
 
@@ -292,8 +264,6 @@ class InterlockedHashTable:
         fn,
         default: Any = None,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> Any:
         """Atomically apply ``fn(old_value_or_default) -> new_value``.
 
@@ -301,7 +271,6 @@ class InterlockedHashTable:
         ``table.update(k, lambda v: v + 1, default=0)``).  Returns the new
         value.
         """
-        guard = _deprecated_alias("guard", "token", guard, token)
         h = _stable_hash(key)
         header = self._headers[self._bucket_of(h)]
 

@@ -39,7 +39,6 @@ from ..core.atomic_object import AtomicObject
 from ..core.token import Token
 from ..errors import EmptyStructureError
 from ..memory.address import NIL, GlobalAddress, is_nil
-from ._compat import _deprecated_alias
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.runtime import Runtime
@@ -115,17 +114,14 @@ class LockFreeQueue:
         self,
         value: Any,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> None:
         """Append ``value`` (lock-free; helps a lagging tail forward).
 
         ``guard`` is accepted for interface symmetry (an enqueue retires
         nothing); in the plain-CAS mode the *caller* is responsible for
         operating under a pinned guard so deferred reclamation can stand
-        in for ABA protection.  ``token=`` is the deprecated alias.
+        in for ABA protection.
         """
-        guard = _deprecated_alias("guard", "token", guard, token)
         rt = self._rt
         protecting = guard is not None and guard.needs_protect
         node = QueueNode(rt, value, rt.here(), self.aba_protection)
@@ -154,16 +150,13 @@ class LockFreeQueue:
     def dequeue(
         self,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> Any:
         """Remove and return the oldest value.
 
         Raises :class:`EmptyStructureError` when the queue is empty.  The
         retired dummy node is deferred through ``guard`` when given (else
-        leaked, which is safe).  ``token=`` is the deprecated alias.
+        leaked, which is safe).
         """
-        guard = _deprecated_alias("guard", "token", guard, token)
         rt = self._rt
         protecting = guard is not None and guard.needs_protect
         while True:
@@ -198,11 +191,8 @@ class LockFreeQueue:
     def try_dequeue(
         self,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> Optional[Any]:
         """Dequeue, returning ``None`` instead of raising on empty."""
-        guard = _deprecated_alias("guard", "token", guard, token)
         try:
             return self.dequeue(guard)
         except EmptyStructureError:
@@ -218,11 +208,8 @@ class LockFreeQueue:
     def drain(
         self,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> List[Any]:
         """Dequeue everything (quiescent helper)."""
-        guard = _deprecated_alias("guard", "token", guard, token)
         out: List[Any] = []
         while True:
             v = self.try_dequeue(guard)

@@ -38,7 +38,6 @@ from ..core.atomic_object import AtomicObject
 from ..core.token import Token
 from ..errors import StructureError
 from ..memory.address import GlobalAddress, is_nil
-from ._compat import _deprecated_alias
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.runtime import Runtime
@@ -172,16 +171,13 @@ class RCUArray:
         self,
         index: int,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> Any:
         """Load element ``index`` (wait-free: no loops, no CAS).
 
         ``guard`` is only consulted under hazard-pointer reclamation
         (descriptor + block protection); region-based schemes need none
-        here.  ``token=`` is the deprecated alias.
+        here.
         """
-        guard = _deprecated_alias("guard", "token", guard, token)
         _, block_addr, off = self._locate_protected(index, guard)
         block = self._rt.deref(block_addr)
         return block[off]
@@ -191,8 +187,6 @@ class RCUArray:
         index: int,
         value: Any,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> None:
         """Store element ``index`` (wait-free).
 
@@ -200,7 +194,6 @@ class RCUArray:
         *structure* (the descriptor), not individual elements, exactly as
         in the RCUArray paper.
         """
-        guard = _deprecated_alias("guard", "token", guard, token)
         _, block_addr, off = self._locate_protected(index, guard)
         block = self._rt.deref(block_addr)
         ctx_charge = self._rt.network
@@ -221,17 +214,14 @@ class RCUArray:
         self,
         new_length: int,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> None:
         """Grow or shrink to ``new_length`` (lock-free RCU publication).
 
         Surviving blocks are shared between the old and new descriptors;
         dropped blocks and the old descriptor are retired through
         ``guard`` (or leaked safely without one).  Concurrent readers keep
-        a consistent view throughout.  ``token=`` is the deprecated alias.
+        a consistent view throughout.
         """
-        guard = _deprecated_alias("guard", "token", guard, token)
         if new_length < 0:
             raise ValueError("new_length must be >= 0")
         rt = self._rt
@@ -272,11 +262,8 @@ class RCUArray:
         self,
         value: Any,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> int:
         """Append one element; returns its index (resize + write)."""
-        guard = _deprecated_alias("guard", "token", guard, token)
         while True:
             desc = self._descriptor(guard)
             idx = desc.length

@@ -34,7 +34,6 @@ from ..core.atomic_object import AtomicObject
 from ..core.token import Token
 from ..errors import EmptyStructureError
 from ..memory.address import NIL, GlobalAddress, is_nil
-from ._compat import _deprecated_alias
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.runtime import Runtime
@@ -122,8 +121,6 @@ class LockFreeStack:
     def pop(
         self,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> Any:
         """Pop the top value; raises :class:`EmptyStructureError` when empty.
 
@@ -132,10 +129,8 @@ class LockFreeStack:
         leaks — or, with ``unsafe_free=True``, is freed immediately
         (use-after-free fuel for the tests that motivate deferred
         reclamation).  Hazard-pointer guards additionally get the
-        protect/validate handshake before the dereference.  ``token=`` is
-        the deprecated alias of ``guard=``.
+        protect/validate handshake before the dereference.
         """
-        guard = _deprecated_alias("guard", "token", guard, token)
         rt = self._rt
         protecting = guard is not None and guard.needs_protect
         if self.aba_protection:
@@ -173,11 +168,8 @@ class LockFreeStack:
     def try_pop(
         self,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> Optional[Any]:
         """Pop, returning ``None`` instead of raising on empty."""
-        guard = _deprecated_alias("guard", "token", guard, token)
         try:
             return self.pop(guard)
         except EmptyStructureError:
@@ -210,11 +202,8 @@ class LockFreeStack:
     def drain(
         self,
         guard: Optional[Token] = None,
-        *,
-        token: Optional[Token] = None,
     ) -> List[Any]:
         """Pop everything (quiescent helper for tests/teardown)."""
-        guard = _deprecated_alias("guard", "token", guard, token)
         out: List[Any] = []
         while True:
             v = self.try_pop(guard)

@@ -89,9 +89,9 @@ class TestScenarioEquivalence:
 
     @pytest.mark.parametrize("scheme", RECLAIMER_SCHEMES)
     def test_all_reclaimers(self, scheme):
-        # epoch_mixed under every scheme: EBR and the scan-based schemes
-        # all take the compiled replay now (hp/qsbr/ibr via the guard
-        # lowering in run_guard_epoch_phase).
+        # epoch_mixed under every scheme: EBR and HP rounds replay
+        # columnar (run_ebr_epoch_phase / run_guard_epoch_phase), QSBR
+        # and IBR rounds run the real bodies on the serial tier.
         name = f"reclaim-hotspot-{scheme}"
         interpreted = _run_scenario(name, "interpreted")
         compiled = _run_scenario(name, "compiled")
@@ -111,8 +111,8 @@ class TestScenarioEquivalence:
 
 
 class TestReclaimerMatrix:
-    """Bit-identity pins for the fig4-7 epoch lowering and the guard
-    epoch rounds: every reclaimer x pool size x trace detail."""
+    """Bit-identity pins for the fig4-7 epoch workload and the epoch_mixed
+    rounds, lowered or serial: every reclaimer x pool size x trace detail."""
 
     @pytest.mark.parametrize("trace", ["off", "spans"])
     @pytest.mark.parametrize("pool", [1, 2, 4, 8])
@@ -152,10 +152,10 @@ class TestReclaimerMatrix:
     def test_hp_threshold_scans_fire_mid_phase(self):
         # >= scan_threshold retirements per guard: the value-dependent
         # hazard scan runs for real inside the replay, on the task clock.
-        kwargs = dict(ops_per_task=200, remote_percent=50, delete=True)
+        kwargs = dict(ops_per_task=200, write_percent=100, remote_percent=50)
         cfg = dict(num_locales=4, reclaimer="hp")
-        a = _run_workload(run_epoch_workload, kwargs, "interpreted", **cfg)
-        b = _run_workload(run_epoch_workload, kwargs, "compiled", **cfg)
+        a = _run_workload(run_epoch_mixed, kwargs, "interpreted", **cfg)
+        b = _run_workload(run_epoch_mixed, kwargs, "compiled", **cfg)
         assert a == b
         # The scans actually fired (800 retirements, threshold 128).
         assert a[3]["em"]["scans"] > 0
@@ -334,7 +334,7 @@ class TestStrictMode:
 
     def test_strict_passes_on_lowered_shape(self):
         kwargs = dict(ops_per_task=24, remote_percent=50, delete=True)
-        cfg = dict(num_locales=4, reclaimer="qsbr")
+        cfg = dict(num_locales=4, reclaimer="ebr")
         a = _run_workload(run_epoch_workload, kwargs, "interpreted", **cfg)
         b = _run_workload(run_epoch_workload, kwargs, "compiled-strict", **cfg)
         assert a == b
@@ -347,6 +347,14 @@ class TestStrictMode:
             run_producer_consumer, kwargs, "compiled-strict", **cfg
         )
         assert a == b
+
+    @pytest.mark.parametrize("scheme", ["qsbr", "ibr"])
+    def test_strict_runs_unlowered_schemes_serial(self, scheme):
+        spec = scenarios.get_scenario(f"reclaim-hotspot-{scheme}")
+        spec = spec.with_topology(engine="compiled-strict")
+        run = scenarios.run_scenario(spec.with_measure(ops_scale=0.25))
+        assert run.engine["effective"] == "compiled"
+        assert run.engine["phases"] == {"serial": 1}
 
     def test_strict_raises_on_fallback_shape(self):
         # Mid-phase tryReclaim elections are schedule-scoped: no lowering.
@@ -444,7 +452,29 @@ class TestEngineReporting:
         # Pin-time-tracking policies need the serial tier (columnar
         # replay records no per-pin facts).
         assert cov["policy-sweep-hier-grace"] == "serial"
+        # Only the EBR and HP epoch rounds lower; QSBR/IBR run serial.
+        assert cov["reclaim-hotspot-ebr"] == "columnar"
+        assert cov["reclaim-hotspot-hp"] == "columnar"
+        assert cov["reclaim-hotspot-qsbr"] == "serial"
+        assert cov["reclaim-hotspot-ibr"] == "serial"
         assert set(cov.values()) <= {"columnar", "serial", "interpreted"}
+
+    @pytest.mark.parametrize(
+        "kind, scheme, tier",
+        [
+            ("epoch_mixed", "ebr", "columnar"),
+            ("epoch_mixed", "hp", "columnar"),
+            ("epoch_mixed", "qsbr", "serial"),
+            ("epoch_mixed", "ibr", "serial"),
+            ("epoch", "ebr", "columnar"),
+            ("epoch", "hp", "serial"),
+            ("epoch", "qsbr", "serial"),
+            ("epoch", "ibr", "serial"),
+        ],
+    )
+    def test_epoch_tier_by_scheme(self, kind, scheme, tier):
+        # The tier table docs/ENGINE.md "Which lowerings stay" justifies.
+        assert compiled_plan(kind, reclaimer=scheme) == (tier, None)
 
 
 class TestColumnLowerings:

@@ -126,9 +126,9 @@ class TestReclamation:
         def main():
             lst = LockFreeOrderedList(rt)
             tok = em.register()
-            lst.insert(7, token=None)
+            lst.insert(7, guard=None)
             tok.pin()
-            assert lst.remove(7, token=tok)
+            assert lst.remove(7, guard=tok)
             tok.unpin()
             assert em.pending_count() >= 1
             em.clear()
@@ -144,10 +144,10 @@ class TestReclamation:
                 lst.insert(k)
             tok = em.register()
             tok.pin()
-            lst.remove(1, token=tok)
-            lst.remove(2, token=tok)
+            lst.remove(1, guard=tok)
+            lst.remove(2, guard=tok)
             # A later insert traverses and must not trip over marked nodes.
-            assert lst.insert(10, token=tok)
+            assert lst.insert(10, guard=tok)
             tok.unpin()
             assert lst.unsafe_keys() == [0, 3, 10]
             em.clear()
@@ -162,7 +162,7 @@ class TestConcurrent:
 
             def body(i, tok):
                 tok.pin()
-                assert lst.insert(i, i * 10, token=tok)
+                assert lst.insert(i, i * 10, guard=tok)
                 tok.unpin()
 
             rt.forall(range(200), body, task_init=em.register)
@@ -183,7 +183,7 @@ class TestConcurrent:
             def body(i, tok):
                 key = i % 50  # 4+ tasks race per key
                 tok.pin()
-                if lst.insert(key, token=tok):
+                if lst.insert(key, guard=tok):
                     with lock:
                         wins.append(key)
                 tok.unpin()
@@ -204,9 +204,9 @@ class TestConcurrent:
             def body(i, tok):
                 tok.pin()
                 if i % 2 == 0:
-                    lst.remove(i % 100, token=tok)
+                    lst.remove(i % 100, guard=tok)
                 else:
-                    lst.insert(100 + i, token=tok)
+                    lst.insert(100 + i, guard=tok)
                 tok.unpin()
 
             rt.forall(range(200), body, task_init=em.register)
@@ -231,7 +231,7 @@ class TestConcurrent:
 
             def body(i, tok):
                 tok.pin()
-                if lst.remove(i % 40, token=tok):
+                if lst.remove(i % 40, guard=tok):
                     with lock:
                         removed.append(i % 40)
                 tok.unpin()

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.core import EpochManager
+from repro.reclaim import EBRReclaimer
 from repro.structures import InterlockedHashTable
 
 
@@ -17,7 +18,7 @@ def em(rt):
 
 @pytest.fixture
 def table(rt, em):
-    return InterlockedHashTable(rt, buckets=16, manager=em)
+    return InterlockedHashTable(rt, buckets=16, reclaimer=EBRReclaimer(rt, manager=em))
 
 
 class TestMapSemantics:
@@ -94,11 +95,11 @@ class TestMapSemantics:
         rt.run(main)
 
     def test_bucket_count_rounds_to_power_of_two(self, rt, em):
-        t = InterlockedHashTable(rt, buckets=20, manager=em)
+        t = InterlockedHashTable(rt, buckets=20, reclaimer=EBRReclaimer(rt, manager=em))
         assert t.bucket_count == 32
 
     def test_buckets_distributed_cyclically(self, rt, em):
-        t = InterlockedHashTable(rt, buckets=16, manager=em)
+        t = InterlockedHashTable(rt, buckets=16, reclaimer=EBRReclaimer(rt, manager=em))
         homes = {h.home for h in t._headers}
         assert homes == set(range(rt.num_locales))
 
@@ -109,7 +110,7 @@ class TestMapSemantics:
 class TestResizeAndDestroy:
     def test_resize_preserves_contents(self, rt, em):
         def main():
-            t = InterlockedHashTable(rt, buckets=4, manager=em)
+            t = InterlockedHashTable(rt, buckets=4, reclaimer=EBRReclaimer(rt, manager=em))
             for i in range(50):
                 t.put(i, i * i)
             t.resize(64)
@@ -123,12 +124,12 @@ class TestResizeAndDestroy:
     def test_destroy_frees_snapshots(self, rt):
         def main():
             t = InterlockedHashTable(rt, buckets=8)
-            tok = t.manager.register()
+            tok = t.reclaimer.register()
             tok.pin()
             for i in range(20):
                 # With a token, replaced snapshots retire via the manager;
                 # destroy() then drains both the headers and the manager.
-                t.put(i, i, token=tok)
+                t.put(i, i, guard=tok)
             tok.unpin()
             tok.unregister()
             before = sum(loc.heap.live_count for loc in rt.locales)
@@ -145,8 +146,8 @@ class TestReclamation:
         def main():
             tok = em.register()
             tok.pin()
-            table.put("k", 1, token=tok)
-            table.put("k", 2, token=tok)  # retires the first snapshot
+            table.put("k", 1, guard=tok)
+            table.put("k", 2, guard=tok)  # retires the first snapshot
             tok.unpin()
             assert em.pending_count() >= 1
             em.clear()
@@ -168,7 +169,7 @@ class TestConcurrent:
         def main():
             def body(i, tok):
                 tok.pin()
-                table.put(i, i, token=tok)
+                table.put(i, i, guard=tok)
                 tok.unpin()
 
             rt.forall(range(300), body, task_init=em.register)
@@ -185,7 +186,7 @@ class TestConcurrent:
         def main():
             def body(i, tok):
                 tok.pin()
-                table.update("counter", lambda v: v + 1, default=0, token=tok)
+                table.update("counter", lambda v: v + 1, default=0, guard=tok)
                 tok.unpin()
 
             rt.forall(range(256), body, task_init=em.register)
@@ -202,9 +203,9 @@ class TestConcurrent:
             def body(i, tok):
                 tok.pin()
                 if i % 2 == 0:
-                    table.remove(i % 100, token=tok)
+                    table.remove(i % 100, guard=tok)
                 else:
-                    table.put(1000 + i, i, token=tok)
+                    table.put(1000 + i, i, guard=tok)
                 tok.unpin()
 
             rt.forall(range(200), body, task_init=em.register)
@@ -221,12 +222,12 @@ class TestConcurrent:
 
         def main():
             t = InterlockedHashTable(
-                rt, buckets=8, manager=em, aba_protection=False
+                rt, buckets=8, reclaimer=EBRReclaimer(rt, manager=em), aba_protection=False
             )
 
             def body(i, tok):
                 tok.pin()
-                t.update("hot", lambda v: v + 1, default=0, token=tok)
+                t.update("hot", lambda v: v + 1, default=0, guard=tok)
                 tok.unpin()
                 if i % 64 == 0:
                     tok.try_reclaim()
@@ -248,7 +249,7 @@ class TestConcurrent:
             def body(i, tok):
                 tok.pin()
                 if i % 4 == 0:
-                    table.put("k", i, token=tok)
+                    table.put("k", i, guard=tok)
                 else:
                     v = table.get("k")
                     if not (isinstance(v, int) and 0 <= v < 400):

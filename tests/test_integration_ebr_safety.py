@@ -25,7 +25,7 @@ import pytest
 
 from repro.core import EpochManager
 from repro.errors import UseAfterFreeError
-from repro.reclaim import RECLAIMER_SCHEMES, make_reclaimer
+from repro.reclaim import RECLAIMER_SCHEMES, EBRReclaimer, make_reclaimer
 from repro.runtime import Runtime
 from repro.structures import (
     InterlockedHashTable,
@@ -212,20 +212,22 @@ class TestCrossStructureIntegration:
             st = LockFreeStack(rt)
             q = LockFreeQueue(rt)
             lst = LockFreeOrderedList(rt)
-            table = InterlockedHashTable(rt, buckets=16, manager=em)
+            table = InterlockedHashTable(
+                rt, buckets=16, reclaimer=EBRReclaimer(rt, manager=em)
+            )
 
             def body(i, tok):
                 tok.pin()
                 st.push(i)
                 q.enqueue(i, tok)
-                lst.insert(i, token=tok)
-                table.update("total", lambda v: v + 1, default=0, token=tok)
+                lst.insert(i, guard=tok)
+                table.update("total", lambda v: v + 1, default=0, guard=tok)
                 tok.unpin()
                 if i % 3 == 0:
                     tok.pin()
                     st.try_pop(tok)
                     q.try_dequeue(tok)
-                    lst.remove(i - 3, token=tok)
+                    lst.remove(i - 3, guard=tok)
                     tok.unpin()
                 if i % 100 == 0:
                     tok.try_reclaim()
@@ -387,8 +389,8 @@ class TestCrossSchemeSafety:
             def body(i, guard):
                 guard.pin()
                 table.update("total", lambda v: v + 1, default=0,
-                             token=guard)
-                assert table.get("total", token=guard) >= 1
+                             guard=guard)
+                assert table.get("total", guard=guard) >= 1
                 guard.unpin()
 
             rt.forall(range(300), body, task_init=rec.register)
@@ -409,10 +411,10 @@ class TestCrossSchemeSafety:
 
             def body(i, guard):
                 guard.pin()
-                lst.insert(i, i * 10, token=guard)
+                lst.insert(i, i * 10, guard=guard)
                 if i % 3 == 0 and i >= 3:
-                    lst.remove(i - 3, token=guard)
-                lst.contains(i, token=guard)
+                    lst.remove(i - 3, guard=guard)
+                lst.contains(i, guard=guard)
                 guard.unpin()
 
             rt.forall(range(200), body, task_init=rec.register,

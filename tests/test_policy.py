@@ -16,10 +16,6 @@ Four layers, mirroring the subsystem's contract:
   the engaged ``fixed``/``static`` default exactly reproduces the
   shipped baselines, and the adaptive sweep scenario beats its static
   twin on virtual time (the claim its baseline records).
-
-The deprecation-alias tests for the ``token=`` → ``guard=`` and
-``manager=`` → ``reclaimer=`` renames live here too: the rename shipped
-in the same API redesign.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from repro.bench.scenarios import (
     load_baselines,
     run_scenario,
 )
-from repro.core import EpochManager
 from repro.policy import (
     AdaptiveWindowPolicy,
     DecayEpochPolicy,
@@ -46,7 +41,6 @@ from repro.policy import (
     parse_policy,
 )
 from repro.runtime.axes import MACHINE_AXES, MachineAxes, axis_spec, parse_axis
-from repro.structures import InterlockedHashTable, LockFreeStack
 
 BASELINES = "benchmarks/scenario_baselines.json"
 
@@ -386,67 +380,3 @@ class TestEndToEnd:
         gated = run_scenario(base)
         assert gated.result.extra["em"]["policy_deferrals"] > 0
         assert gated.result.extra["em"]["reclaims"] < fixed.result.extra["em"]["reclaims"]
-
-
-# ----------------------------------------------------------------------
-# deprecation aliases (the same API redesign's rename)
-# ----------------------------------------------------------------------
-class TestDeprecationAliases:
-    def test_structures_token_alias_warns_and_works(self, rt):
-        def main():
-            em = EpochManager(rt)
-            stack = LockFreeStack(rt)
-            stack.push(1)
-            tok = em.register()
-            tok.pin()
-            with pytest.warns(DeprecationWarning, match="'token'.*'guard'"):
-                assert stack.pop(token=tok) == 1
-            tok.unpin()
-            tok.unregister()
-            em.destroy()
-
-        rt.run(main)
-
-    def test_guard_spelling_is_silent(self, rt, recwarn):
-        def main():
-            em = EpochManager(rt)
-            stack = LockFreeStack(rt)
-            stack.push(2)
-            tok = em.register()
-            tok.pin()
-            assert stack.pop(guard=tok) == 2
-            tok.unpin()
-            tok.unregister()
-            em.destroy()
-
-        rt.run(main)
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_both_spellings_rejected(self, rt):
-        def main():
-            em = EpochManager(rt)
-            stack = LockFreeStack(rt)
-            stack.push(3)
-            tok = em.register()
-            tok.pin()
-            with pytest.raises(TypeError, match="deprecated alias"):
-                stack.pop(tok, token=tok)
-            tok.unpin()
-            tok.unregister()
-            em.destroy()
-
-        rt.run(main)
-
-    def test_hash_table_manager_alias_warns_and_wraps(self, rt):
-        em = EpochManager(rt)
-        with pytest.warns(DeprecationWarning, match="'manager'.*'reclaimer'"):
-            table = InterlockedHashTable(rt, buckets=8, manager=em)
-        assert table.manager is em  # legacy accessor still works
-
-    def test_hash_table_both_spellings_rejected(self, rt):
-        from repro.reclaim import EBRReclaimer
-
-        em = EpochManager(rt)
-        rec = EBRReclaimer(rt, manager=em)
-        with pytest.raises(TypeError, match="deprecated alias"):
-            InterlockedHashTable(rt, manager=em, reclaimer=rec)

@@ -98,7 +98,7 @@ class TestResize:
             arr = RCUArray(rt, 8, block_size=4)
             tok = em.register()
             tok.pin()
-            arr.resize(4, token=tok)  # drops one block + old descriptor
+            arr.resize(4, guard=tok)  # drops one block + old descriptor
             tok.unpin()
             assert em.pending_count() >= 2
             em.clear()
@@ -116,7 +116,7 @@ class TestResize:
             arr.write(1, "keep")
             tok = em.register()
             tok.pin()
-            arr.resize(12, token=tok)  # grows: all old blocks survive
+            arr.resize(12, guard=tok)  # grows: all old blocks survive
             tok.unpin()
             em.clear()
             assert arr.read(1) == "keep"
@@ -163,7 +163,7 @@ class TestConcurrent:
                 tok.pin()
                 try:
                     if i % 16 == 0:
-                        arr.resize(64 + (i % 64), token=tok)
+                        arr.resize(64 + (i % 64), guard=tok)
                     else:
                         v = arr.read(i % 32)  # always within bounds
                         if not (v == 0 or isinstance(v, int)):

@@ -420,9 +420,9 @@ class TestHazardPointers:
             lst = LockFreeOrderedList(rt)
             guard = rec.register()
             guard.pin()
-            lst.insert(1, token=guard)
-            lst.insert(2, token=guard)
-            lst.insert(3, token=guard)
+            lst.insert(1, guard=guard)
+            lst.insert(2, guard=guard)
+            lst.insert(3, guard=guard)
             # Stage a logically-deleted-but-not-unlinked node 2, as if a
             # remover stalled between its two phases.
             addr1, _ = _unpack(lst._head_node.next.peek())
@@ -436,7 +436,7 @@ class TestHazardPointers:
             # A traversal past node 2 helps unlink it.  Afterwards the
             # final window is (prev=node1, cur=node3): BOTH must still be
             # hazard-protected, in different slots.
-            assert lst.insert(4, token=guard)
+            assert lst.insert(4, guard=guard)
             hazards = {cell.peek() for cell in guard.slots}
             assert compress(addr1) in hazards  # the predecessor survived
             assert compress(addr3) in hazards
@@ -456,13 +456,13 @@ class TestHazardPointers:
             reader = rec.register()
             writer = rec.register()
             reader.pin()
-            arr.write(7, "tail", token=reader)
+            arr.write(7, "tail", guard=reader)
             # Reader resolves index 7 and (post-handshake) holds hazards
             # on the descriptor and its block; a concurrent shrink drops
             # that block and its threshold-1 scan runs immediately.
-            assert arr.read(7, token=reader) == "tail"
+            assert arr.read(7, guard=reader) == "tail"
             writer.pin()
-            arr.resize(2, token=writer)
+            arr.resize(2, guard=writer)
             writer.unpin()
             # The dropped block was retired but must still be pending:
             # the reader's slot-1 hazard names it.
@@ -680,7 +680,7 @@ class TestFactoryPlumbing:
             guard = table.reclaimer.register()
             guard.pin()
             table.put("k", 1, guard)
-            assert table.get("k", token=guard) == 1
+            assert table.get("k", guard=guard) == 1
             guard.unpin()
             table.destroy()
 

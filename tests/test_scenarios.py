@@ -2,7 +2,7 @@
 
 Covers the validation surface (unknown keys, bad network names,
 non-positive locale counts, bad workload parameters), TOML loading, the
-registry, the parallel grid runner, report/baseline aggregation, and the
+registry, the grid runner, report/baseline aggregation, and the
 determinism contract: a named scenario's virtual results are bit-identical
 across repeated runs and across worker-pool sizes.
 """
@@ -309,27 +309,17 @@ class TestExecution:
             assert result.elapsed > 0, kind
             assert result.operations > 0, kind
 
-    def test_grid_runs_in_parallel_and_preserves_order(self):
+    def test_grid_preserves_order_and_fires_progress(self):
         specs = [_mini("hotspot-zipf"), _mini("paper-atomic-mix")]
         seen = []
-        runs = run_scenario_grid(specs, jobs=2, progress=seen.append)
+        runs = run_scenario_grid(specs, progress=seen.append)
         assert [r.spec.name for r in runs] == ["hotspot-zipf", "paper-atomic-mix"]
-        assert len(seen) == 2
-        serial = run_scenario_grid(specs, jobs=1)
-        assert [r.result.elapsed for r in runs] == [
-            r.result.elapsed for r in serial
-        ]
-
-    def test_grid_rejects_bad_jobs(self):
-        with pytest.raises(ScenarioError):
-            run_scenario_grid([_mini("hotspot-zipf")], jobs=0)
+        assert seen == runs
 
 
 class TestReporting:
     def test_report_shape_and_baseline_verdicts(self, tmp_path):
-        runs = run_scenario_grid(
-            [_mini("hotspot-zipf"), _mini("paper-atomic-mix")], jobs=2
-        )
+        runs = run_scenario_grid([_mini("hotspot-zipf"), _mini("paper-atomic-mix")])
         # Record the first as a baseline; leave the second "new"; then
         # corrupt the first to show "drift".
         baselines = {"hotspot-zipf": baseline_entry(runs[0])}

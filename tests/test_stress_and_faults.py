@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import AtomicObject, EpochManager
 from repro.errors import DoubleFreeError, MemoryError_
+from repro.reclaim import EBRReclaimer
 from repro.runtime import Runtime
 from repro.structures import InterlockedHashTable, LockFreeQueue, LockFreeStack
 
@@ -86,17 +87,17 @@ class TestHotContention:
     def test_hash_table_mixed_churn_with_reclaim(self, rt):
         def main():
             em = EpochManager(rt)
-            t = InterlockedHashTable(rt, buckets=8, manager=em)
+            t = InterlockedHashTable(rt, buckets=8, reclaimer=EBRReclaimer(rt, manager=em))
 
             def body(i, tok):
                 tok.pin()
                 k = i % 25
                 if i % 3 == 0:
-                    t.put(k, i, token=tok)
+                    t.put(k, i, guard=tok)
                 elif i % 3 == 1:
                     t.get(k)
                 else:
-                    t.remove(k, token=tok)
+                    t.remove(k, guard=tok)
                 tok.unpin()
                 if i % 100 == 0:
                     tok.try_reclaim()

@@ -70,40 +70,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             Sweep.write_csv(str(tmp_path / "x.csv"), [])
 
-    def test_parallel_execute_matches_serial(self):
-        """max_workers changes wall time only: same rows, same order."""
-        s = Sweep("t", {"x": [1, 2, 3, 4]}, _fake_run)
-        serial = s.execute()
-        parallel = s.execute(max_workers=3)
-        assert [r.params for r in parallel] == [r.params for r in serial]
-        assert [r.elapsed for r in parallel] == [r.elapsed for r in serial]
-        assert [r.comm for r in parallel] == [r.comm for r in serial]
-
-    def test_parallel_execute_fires_progress_per_point(self):
-        seen = []
-        s = Sweep("t", {"x": [1, 2, 3]}, _fake_run, progress=seen.append)
-        s.execute(max_workers=2)
-        assert len(seen) == 3
-
-    def test_parallel_execute_rejects_bad_worker_count(self):
-        s = Sweep("t", {"x": [1]}, _fake_run)
-        with pytest.raises(ValueError):
-            s.execute(max_workers=0)
-
-    def test_parallel_execute_with_real_runtimes(self):
-        """Scenario-style usage: one runtime per point, concurrent points."""
-        s = Sweep(
-            "mini-par",
-            {"locales": [1, 2], "net": ["ugni", "none"]},
-            lambda p: run_epoch_workload(
-                Runtime(num_locales=p["locales"], network=p["net"]),
-                ops_per_task=8,
-            ),
-        )
-        serial = s.execute()
-        parallel = s.execute(max_workers=4)
-        assert [r.elapsed for r in parallel] == [r.elapsed for r in serial]
-
     def test_end_to_end_with_real_workload(self):
         """A miniature real sweep: two locale counts, one net."""
         s = Sweep(
