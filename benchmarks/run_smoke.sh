@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
-# Wall-clock smoke gate: tier-1 suite + engine wall-clock benchmark.
+# Smoke gate: tier-1 suite, engine-equivalence check, benchmark smoke run.
 #
 # Run from the repo root:
 #
 #     bash benchmarks/run_smoke.sh
 #
-# Writes BENCH_wallclock.json at the repo root so each PR leaves a perf
-# data point behind (virtual-time correctness is enforced; wall-clock
-# speedup is recorded for the trajectory).  The benchmark measures both
-# execution engines (interpreted and compiled — docs/ENGINE.md) and
-# fails if they diverge on virtual results; the scenario check then
-# re-verifies every registered baseline under ``compiled-strict`` —
-# the registry is fully lowered, so any interpreter fallback is a
-# regression and fails the gate outright.
+# bench_wallclock.py writes BENCH_wallclock.json at the repo root; it
+# runs both execution engines (interpreted and compiled —
+# docs/ENGINE.md) and fails if they diverge on virtual results.  The
+# repository benchmark's smoke run (benchmarks/e2e/run.py --smoke) then
+# checks the virtual results of every pinned job — the scenario
+# registry, the locale-scale shapes, the Fig 3/6/7 driver grids and the
+# election workloads — against benchmarks/e2e/references.json, and exits
+# 1 on any mismatch.  The scenario check last re-verifies every
+# registered baseline under ``compiled-strict`` — the registry is fully
+# lowered, so any interpreter fallback is a regression and fails the
+# gate outright.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -48,6 +51,10 @@ for name in ("reclaim_sparse", "reclaim_dense", "fig7_readonly"):
     )
     print(f"{name}: compiled-vs-interpreted {speedup:.2f}x, no fallbacks")
 EOF
+
+echo
+echo "== repository benchmark smoke run (pinned virtual results) =="
+python3 benchmarks/e2e/run.py --smoke
 
 echo
 echo "== scenario baselines under compiled-strict (zero fallbacks) =="

@@ -17,23 +17,24 @@ from repro.structures import RCUArray
 rt = Runtime(num_locales=4, network="ugni", tasks_per_locale=2)
 
 SAMPLES = 512
-GROW_STEP = 64
+
+
+def reading(i: int) -> int:
+    return (i * 37) % 1000
 
 
 def main() -> None:
     em = EpochManager(rt)
-    buf = RCUArray(rt, GROW_STEP, block_size=16, fill=0)
+    buf = RCUArray(rt, block_size=16, fill=0)
+    slots = [None] * SAMPLES
 
     def ingest(i: int, tok) -> None:
         tok.pin()
-        # Grow the buffer when the next sample would not fit.  Racing
-        # growers are fine: resize() is a CAS loop and the loser retries
-        # against the winner's descriptor.
-        while i >= len(buf):
-            buf.resize(len(buf) + GROW_STEP, guard=tok)
-        buf.write(i, (i * 37) % 1000)  # the "reading"
-        # Wait-free concurrent read path: sample a few slots.
-        _ = buf.read(i // 2)
+        # append() grows the buffer by one slot from the descriptor its
+        # CAS checks, so racing appenders each get their own slot.
+        slot = slots[i] = buf.append(reading(i), guard=tok)
+        # Wait-free concurrent read path: sample an earlier slot.
+        _ = buf.read(slot // 2)
         tok.unpin()
         if i % 128 == 0:
             tok.try_reclaim()
@@ -42,9 +43,11 @@ def main() -> None:
         rt.forall(range(SAMPLES), ingest, task_init=em.register)
         em.clear()
 
-    data = buf.snapshot()[:SAMPLES]
-    expected = [(i * 37) % 1000 for i in range(SAMPLES)]
-    assert data == expected, "every reading must land in its slot"
+    data = buf.snapshot()
+    assert sorted(slots) == list(range(SAMPLES)), "every sample got its own slot"
+    assert all(data[slots[i]] == reading(i) for i in range(SAMPLES)), (
+        "every reading must land in its slot"
+    )
     print(f"ingested {SAMPLES} readings across {rt.num_locales} locales"
           f" in {t.elapsed*1e3:.3f} ms virtual")
     print(f"final length {len(buf)}, max reading {max(data)}")

@@ -5,13 +5,12 @@ Four pieces (see docs/ENGINE.md):
 * :mod:`repro.engine.opstream` — the columnar IR: lowering a task's fixed
   op stream into per-op target columns ahead of the run.
 * :mod:`repro.engine.executor` — the replay engine.  The *columnar* tier
-  borrows every ``ServicePoint`` on the phase's routes into plain lists,
-  replays the spawn-submission (pool-size-1) schedule with the
-  ``serve_locked`` recurrence inlined, and writes reservations, diag
-  stripes and reclaim state back at phase exit; the *serial* tier runs
-  real task bodies inline in the same canonical schedule for
-  value-dependent phases.  Bit-identical to the interpreter by
-  construction; wall-clock only.
+  replays the spawn-submission (pool-size-1) schedule on the root task
+  between ``forall`` joins — where no other thread runs, so it charges
+  the real service points, cells, reclaim chains and diag stripe in
+  place, without locks; the *serial* tier runs real task bodies inline
+  in the same canonical schedule for value-dependent phases.
+  Bit-identical to the interpreter by construction; wall-clock only.
 * :mod:`repro.engine.coverage` — the one predicate deciding which tier a
   workload shape gets, the per-runtime effective-engine log, and the
   ``compiled-strict`` fallback-is-an-error enforcement.

@@ -14,7 +14,7 @@ The cache is deliberately process-global and lock-protected (runtimes
 may be driven from several threads) with a small LRU bound — columns for
 the bench shapes are a few hundred KiB, and the bound only exists so a
 long ``scenarios --all`` sweep cannot grow without limit.  Charge
-*plans* (borrowed ServicePoint state, route rows) are **not** cached:
+*plans* (the runtime's service points, route rows) are **not** cached:
 they alias live runtime objects and are cheap to rebuild; only the
 RNG-derived columns — the dominant lowering cost — are shared.
 

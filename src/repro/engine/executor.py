@@ -11,27 +11,22 @@ spawn-submission order, with the same per-task clocks, RNG seeds, task
 ids and charge sequences, is just another legal schedule and produces
 bit-identical virtual time, comm totals and reclaim stats.  The payoff is
 that the serial replay needs **no locks, no TLS lookups, no per-op
-dispatch**: every ``ServicePoint`` involved in the phase is borrowed into
-a plain ``[next_free, idle_bank, busy_delta, served_delta]`` list, the
-``serve_locked`` float recurrence is inlined into the replay loop
-(float-op for float-op — same operations, same order, same rounding), and
-diagnostics are restored with whole-array counter adds at phase exit.
+dispatch**: it charges the real service points through
+``ServicePoint.serve_locked`` (the hottest sites inline its recurrence
+float-op for float-op — same operations, same order, same rounding), and
+counts diagnostics straight into the root thread's stripe.
 
-Borrow discipline
+Mutating in place
 -----------------
 A phase executor runs *on the root task* between ``forall`` joins, so no
-other thread can touch the borrowed points, the limbo chains, or the
-token epoch slots while it runs.  All mutated state — point reservations,
-diag stripes, limbo/pool chains, token slots, ``deferred_count`` — is
-written back before the executor returns; interpreted code (root-driven
-``tryReclaim`` between rounds, ``clear()`` at the end) then operates on
-exactly the state an interpreted phase would have left.
-
-``ServicePoint.busy_time`` is restored as one aggregate float add per
-point (``served`` is an exact integer add).  Interpreted accumulation
-order of ``busy_time`` is itself real-schedule-dependent, so it was never
-part of the bit-identity contract — elapsed virtual time, comm totals and
-reclaim stats are, and those round-trip exactly.
+other thread can touch the service points, cells, limbo chains or token
+epoch slots while it runs; the replay mutates all of them directly,
+without their locks.  The replay keeps no private copy of that state,
+so real code may run mid-phase (the Listing 5 replay's in-task
+``register``/``unregister``, HP threshold scans) and sees exactly the
+state the interpreted schedule would.  Every serve updates the point's
+``busy_time`` and ``served`` in spawn order too, so they match the
+interpreted inline schedule bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from random import Random
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..core.limbo_list import LimboNode
-from ..runtime.clock import TaskClock
+from ..runtime.clock import ServicePoint, TaskClock
 from ..runtime.context import TaskContext, context_scope, current_context
 from ..runtime.tasking import spawn_tree_overhead
 from .cache import COLUMN_CACHE
@@ -80,66 +75,6 @@ def serial_tasks(rt):
         rt._inline_tasks = prev
 
 
-class _PointLedger:
-    """Borrowed ``ServicePoint`` states for one compiled phase.
-
-    Each borrowed point becomes a ``[next_free, idle_bank, busy_delta,
-    served_delta]`` list the replay loops mutate without locking;
-    :meth:`writeback` restores the reservation state and applies the
-    accumulated busy/served deltas under the point's own lock.
-    """
-
-    __slots__ = ("_by_id", "_entries")
-
-    def __init__(self) -> None:
-        self._by_id: Dict[int, list] = {}
-        self._entries: List[tuple] = []
-
-    def state(self, point) -> list:
-        key = id(point)
-        st = self._by_id.get(key)
-        if st is None:
-            st = [point.next_free, point.idle_bank, 0.0, 0]
-            self._by_id[key] = st
-            self._entries.append((point, st))
-        return st
-
-    def writeback(self) -> None:
-        for point, st in self._entries:
-            with point._lock:
-                point.next_free = st[0]
-                point.idle_bank = st[1]
-                point.busy_time += st[2]
-                point.served += st[3]
-
-
-def _serve(st: list, arrival: float, service: float) -> float:
-    """``ServicePoint.serve_locked`` over a borrowed state list.
-
-    Same float operations in the same order as the interpreted body (keep
-    in sync with :meth:`repro.runtime.clock.ServicePoint.serve_locked`);
-    busy/served land in the delta slots for aggregate writeback.
-    """
-    st[2] += service
-    st[3] += 1
-    next_free = st[0]
-    if arrival >= next_free:
-        st[1] += arrival - next_free
-        st[0] = finish = arrival + service
-        return finish
-    bank = st[1]
-    if bank >= service:
-        st[1] = bank - service
-        return arrival + service
-    st[1] = 0.0
-    finish = next_free + (service - bank)
-    floor = arrival + service
-    if finish < floor:
-        finish = floor
-    st[0] = finish
-    return finish
-
-
 def _forall_prologue(rt, ctx, active_locales, total_tasks) -> float:
     """The spawn-side bookkeeping of ``Runtime.forall``: every compiled
     task starts at ``now + spawn-tree overhead``, exactly as a spawned
@@ -157,16 +92,6 @@ def _forall_epilogue(rt, ctx, finish: float) -> None:
     ctx.clock.advance(rt.config.costs.task_join)
 
 
-def _writeback_diags(diags, diag_counts: List[List[int]]) -> None:
-    """Apply per-(locale, op-index) counter deltas to this thread's stripe."""
-    rows = diags._rows()
-    for locale, deltas in enumerate(diag_counts):
-        row = rows[locale]
-        for index, n in enumerate(deltas):
-            if n:
-                row[index] += n
-
-
 def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
     """Replay a root-task allocation loop: one ``rt.new_obj(object(),
     locale=home)`` per entry of ``targets``, in order.
@@ -174,8 +99,8 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
     The heap allocations happen for real (the objects must exist for the
     retire/free paths that follow), but the per-object network charge —
     an AM round trip to a non-coherent home plus the allocator latency
-    (:meth:`repro.comm.network.Network.alloc`) — replays against borrowed
-    control-plane points with the serve recurrence inlined.  The epoch
+    (:meth:`repro.comm.network.Network.alloc`) — is served directly on
+    the control-plane points.  The epoch
     workloads pre-place thousands of objects on the root clock before
     their timed region; replaying that loop keeps the timed window's
     float base (and hence ``elapsed``) bit-identical while skipping the
@@ -189,9 +114,8 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
     net = rt.network
     lid = ctx.locale_id
     alloc_latency = rt.config.costs.alloc_latency
-    ledger = _PointLedger()
     # Per-home recipe: None for coherent homes (allocator cost only),
-    # else the AM round-trip's (latency, borrowed point, service).
+    # else the AM round-trip's (latency, point, service).
     plans: List[Optional[tuple]] = []
     heaps = []
     for home in range(rt.num_locales):
@@ -202,7 +126,7 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
             plans.append(None)
         else:
             point, cc = ctrl
-            plans.append((2.0 * cc.am_latency, ledger.state(point), cc.am_service))
+            plans.append((2.0 * cc.am_latency, point, cc.am_service))
 
     now = ctx.clock.now
     n_am = 0
@@ -211,13 +135,12 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
     for home in targets:
         plan = plans[home]
         if plan is not None:
-            latency, pst, service = plan
+            latency, point, service = plan
             n_am += 1
-            now = _serve(pst, now + latency, service)
+            now = point.serve_locked(now + latency, service)
         now += alloc_latency
         append(heaps[home].alloc(object()))
     ctx.clock.now = now
-    ledger.writeback()
     diags = net.diags
     if n_am and diags._enabled:
         diags._rows()[lid][diags.op_index("am")] += n_am
@@ -262,11 +185,10 @@ def run_uniform_atomic_phase(
     ``(column_key, seed, first task id, task count)`` and shared across
     ``--repeats`` and grid-runner runtimes.
 
-    The cells themselves are *virtual*: each gets a fresh
-    ``[0.0, 0.0, ...]`` line state (a brand-new ``ServicePoint`` starts
-    zeroed), never written back — workload cells are phase-local and
-    nothing observes them afterwards.  Real shared points on the routes
-    (NIC pipelines, progress threads, uplinks) are borrowed and restored.
+    The cells themselves are *virtual*: each gets a fresh line
+    ``ServicePoint()`` — workload cells are phase-local and nothing
+    observes them afterwards.  The real shared points on the routes (NIC
+    pipelines, progress threads, uplinks) are charged in place.
     """
     ctx = current_context()
     net = rt.network
@@ -275,8 +197,7 @@ def run_uniform_atomic_phase(
     ncells = len(homes)
 
     # ---- compile: per-(locale, cell) charge plans from the route cube --
-    ledger = _PointLedger()
-    lines = [[0.0, 0.0, 0.0, 0] for _ in range(ncells)]
+    lines = [ServicePoint() for _ in range(ncells)]
     row_by_home: Dict[int, tuple] = {}
     dist_by_home: Dict[int, tuple] = {}
     plans_by_locale: List[list] = []
@@ -291,13 +212,10 @@ def run_uniform_atomic_phase(
                 ]
                 dist_by_home[home] = net.distance_row(home)
             route = row[dist_by_home[home][locale]]
-            point_state = (
-                ledger.state(route.point) if route.point is not None else None
-            )
             plans.append(
                 (
                     route.latency,
-                    point_state,
+                    route.point,
                     route.point_service,
                     lines[ci],
                     route.line_service,
@@ -316,7 +234,7 @@ def run_uniform_atomic_phase(
     seed_base = rt.config.seed << 20
     diags = net.diags
     record = diags._enabled
-    diag_counts = [[0] * 9 for _ in range(nloc)]
+    rows = diags._rows()
 
     # Task ids are consecutive (nothing else allocates between phases'
     # replay loops), which is what makes the column-cache key sound.
@@ -343,7 +261,7 @@ def run_uniform_atomic_phase(
     ti = 0
     for locale in range(nloc):
         plans = plans_by_locale[locale]
-        deltas = diag_counts[locale]
+        counts = rows[locale]
         for _w in range(tpl):
             column = columns[ti]
             ti += 1
@@ -358,62 +276,60 @@ def run_uniform_atomic_phase(
                     if reps == 2:
                         now = _charge(plan, now)
                     if record:
-                        deltas[plan[5]] += reps
+                        counts[plan[5]] += reps
                 if now > finish:
                     finish = now
                 continue
             for ci in column:
-                latency, pst, ps, lst, ls, _di = plans[ci]
+                latency, pt, ps, ln, ls, _di = plans[ci]
                 t = now + latency
-                if pst is not None:
+                if pt is not None:
                     # Inlined serve_locked (point pass) — keep in sync
                     # with ServicePoint.serve_locked.
-                    pst[2] += ps
-                    pst[3] += 1
-                    nf = pst[0]
+                    pt.busy_time += ps
+                    pt.served += 1
+                    nf = pt.next_free
                     if t >= nf:
-                        pst[1] += t - nf
-                        pst[0] = t = t + ps
+                        pt.idle_bank += t - nf
+                        pt.next_free = t = t + ps
                     else:
-                        b = pst[1]
+                        b = pt.idle_bank
                         if b >= ps:
-                            pst[1] = b - ps
+                            pt.idle_bank = b - ps
                             t = t + ps
                         else:
-                            pst[1] = 0.0
+                            pt.idle_bank = 0.0
                             f = nf + (ps - b)
                             floor = t + ps
                             if f < floor:
                                 f = floor
-                            pst[0] = t = f
-                # Inlined serve_locked (line pass).
-                nf = lst[0]
+                            pt.next_free = t = f
+                # Inlined serve_locked (line pass); the phase-local line's
+                # busy_time/served are never read, so they are not kept.
+                nf = ln.next_free
                 if t >= nf:
-                    lst[1] += t - nf
-                    lst[0] = now = t + ls
+                    ln.idle_bank += t - nf
+                    ln.next_free = now = t + ls
                 else:
-                    b = lst[1]
+                    b = ln.idle_bank
                     if b >= ls:
-                        lst[1] = b - ls
+                        ln.idle_bank = b - ls
                         now = t + ls
                     else:
-                        lst[1] = 0.0
+                        ln.idle_bank = 0.0
                         f = nf + (ls - b)
                         floor = t + ls
                         if f < floor:
                             f = floor
-                        lst[0] = now = f
+                        ln.next_free = now = f
             if now > finish:
                 finish = now
             if record:
                 for ci, n in Counter(column).items():
-                    deltas[plans[ci][5]] += n
+                    counts[plans[ci][5]] += n
 
-    # ---- join + writeback ---------------------------------------------
+    # ---- join -----------------------------------------------------------
     _forall_epilogue(rt, ctx, finish)
-    ledger.writeback()
-    if record:
-        _writeback_diags(diags, diag_counts)
     if tr is not None:
         # Field-for-field the span Runtime.forall emits for the
         # interpreted ``forall(range(nloc * tpl), body)`` of this phase —
@@ -426,26 +342,24 @@ def run_uniform_atomic_phase(
 # ---------------------------------------------------------------------------
 
 
-def _narrow_plan(net, cell, locale: int, ledger: _PointLedger) -> tuple:
+def _narrow_plan(net, cell, locale: int) -> tuple:
     """Lower one real cell's narrow charge from ``locale`` into a replay
-    plan ``(latency, point_state, point_service, line_state, line_service,
+    plan ``(latency, point, point_service, line, line_service,
     diag_index)``.
 
     Token and instance-epoch cells are ``opt_out`` (pure-CPU routes, no
     point); limbo/pool heads are ordinary cells whose local charge rides
-    the home NIC under ``ugni``.  Both the optional home-level point and
-    the cell's own line are borrowed through the ledger, so their
-    reservation state round-trips across phases exactly as interpreted
-    charges would leave it.
+    the home NIC under ``ugni``.  The plan holds the real home-level point
+    and the cell's own line, so their reservation state carries across
+    phases exactly as interpreted charges leave it.
     """
     routes = net.atomic_class_routes(cell.home)
     route = routes[1 if cell.opt_out else 0][cell._dist[locale]]
-    point_state = ledger.state(route.point) if route.point is not None else None
     return (
         route.latency,
-        point_state,
+        route.point,
         route.point_service,
-        ledger.state(cell.line),
+        cell.line,
         route.line_service,
         route.diag_index,
     )
@@ -454,71 +368,32 @@ def _narrow_plan(net, cell, locale: int, ledger: _PointLedger) -> tuple:
 def _charge(plan: tuple, now: float) -> float:
     """Replay one narrow charge: optional point pass, then the line pass
     (the interpreted ``AtomicCell._charge`` virtual math, lock-free)."""
-    latency, pst, ps, lst, ls, _di = plan
+    latency, point, ps, line, ls, _di = plan
     t = now + latency
-    if pst is not None:
-        t = _serve(pst, t, ps)
-    return _serve(lst, t, ls)
+    if point is not None:
+        t = point.serve_locked(t, ps)
+    return line.serve_locked(t, ls)
 
 
-class _InstanceLedger:
-    """Borrowed mutable state of one ``_EpochManagerInstance``.
+def _instance_target(net, inst, locale: int) -> tuple:
+    """What a task on ``locale`` charges and mutates on the EBR manager
+    instance ``inst``: ``(inst, limbo head, pool, epoch plan, limbo plan,
+    pool plan)``.
 
-    Pool and limbo chains are replayed over the *real* ``LimboNode``
-    objects (links included), so the interpreted drain/reclaim code
-    between rounds walks exactly the chains an interpreted phase would
-    have built.
+    Deferrals go to the limbo list of the *current* locale epoch, constant
+    for the whole phase (only root-driven reclaim between phases advances
+    it).
     """
-
-    __slots__ = (
-        "inst",
-        "epoch_cell",
-        "limbo",
-        "limbo_cur",
-        "pool",
-        "pool_cur",
-        "pool_alloc_delta",
-        "defer_delta",
-        "plans",
+    limbo_head = inst.limbo_lists[inst.locale_epoch.peek() - 1]._head
+    pool = inst.pool
+    return (
+        inst,
+        limbo_head,
+        pool,
+        _narrow_plan(net, inst.locale_epoch, locale),
+        _narrow_plan(net, limbo_head, locale),
+        _narrow_plan(net, pool._head, locale) if pool is not None else None,
     )
-
-    def __init__(self, inst) -> None:
-        self.inst = inst
-        self.epoch_cell = inst.locale_epoch
-        # The phase files deferred objects under the *current* locale
-        # epoch, constant for the whole phase (only root-driven reclaim
-        # between phases advances it).
-        epoch = inst.locale_epoch.peek()
-        self.limbo = inst.limbo_lists[epoch - 1]
-        self.limbo_cur = self.limbo._head.peek()
-        self.pool = inst.pool
-        self.pool_cur = (
-            self.pool._head.peek() if self.pool is not None else None
-        )
-        self.pool_alloc_delta = 0
-        self.defer_delta = 0
-        #: Per-caller-locale route plans, filled on demand.
-        self.plans: Dict[int, tuple] = {}
-
-    def plans_for(self, net, locale: int, ledger: _PointLedger) -> tuple:
-        plans = self.plans.get(locale)
-        if plans is None:
-            epoch_plan = _narrow_plan(net, self.epoch_cell, locale, ledger)
-            limbo_plan = _narrow_plan(net, self.limbo._head, locale, ledger)
-            pool_plan = (
-                _narrow_plan(net, self.pool._head, locale, ledger)
-                if self.pool is not None
-                else None
-            )
-            plans = self.plans[locale] = (epoch_plan, limbo_plan, pool_plan)
-        return plans
-
-    def writeback(self) -> None:
-        self.limbo._head._value = self.limbo_cur
-        if self.pool is not None:
-            self.pool._head._value = self.pool_cur
-            self.pool.allocated += self.pool_alloc_delta
-        self.inst.deferred_count += self.defer_delta
 
 
 def _split_items(items: Sequence[int], nloc: int, tpl: int) -> tuple:
@@ -535,11 +410,10 @@ def _ebr_replay_task(
     items: Iterable[int],
     is_write: Sequence[bool],
     objs: Sequence[Any],
-    il: _InstanceLedger,
-    plans: tuple,
+    target: tuple,
     tk_plan: tuple,
     now: float,
-    deltas: List[int],
+    counts: List[int],
     record: bool,
 ) -> float:
     """Replay one task's EBR pin / [defer_delete] / unpin items from ``now``.
@@ -548,151 +422,154 @@ def _ebr_replay_task(
     read), then for ``is_write[item]`` the deferral (2 reads + pool get +
     limbo exchange), then 1 unpin charge — CPU-priced cache-line passes
     against the instance epoch cell, the task's token slot (``tk_plan``) and
-    the pool/limbo heads (``plans``, from :meth:`_InstanceLedger.plans_for`).
-    Limbo and pool chains are mutated over the real nodes through ``il``.
+    the pool/limbo heads (``target``, from :func:`_instance_target`).  A
+    deferral pops the real pool chain and pushes onto the real limbo chain
+    by writing the heads' values directly, and bumps ``pool.allocated`` and
+    ``inst.deferred_count`` as ``NodePool.get`` and ``Token.defer_delete``
+    do.  Diagnostics go to ``counts``, the caller locale's stripe row.
     Returns the task clock after its last item.
 
     This is the engine's hottest loop (4–8 charges per item, millions of
     items per bench run), so each plan is unpacked into locals, ``_charge``
     is inlined at every site, and each pin/unpin serve inlines the
-    idle-point fast branch of ``_serve`` (``arrival >= next_free``: bank
-    the gap, advance ``next_free``) — the same float ops in the same order
-    — calling ``_serve`` only when the point is queued.
+    idle-point fast branch of ``ServicePoint.serve_locked`` (``arrival >=
+    next_free``: bank the gap, advance ``next_free``) — the same float ops
+    in the same order — calling ``serve_locked`` only when the point is
+    queued.
     """
-    ie_plan, lm_plan, pl_plan = plans
-    ie_lat, ie_pst, ie_ps, ie_lst, ie_ls, ie_di = ie_plan
-    lm_lat, lm_pst, lm_ps, lm_lst, lm_ls, lm_di = lm_plan
-    tk_lat, tk_pst, tk_ps, tk_lst, tk_ls, tk_di = tk_plan
-    pool = il.pool
+    inst, lm_head, pool, ie_plan, lm_plan, pl_plan = target
+    ie_lat, ie_pt, ie_ps, ie_ln, ie_ls, ie_di = ie_plan
+    lm_lat, lm_pt, lm_ps, lm_ln, lm_ls, lm_di = lm_plan
+    tk_lat, tk_pt, tk_ps, tk_ln, tk_ls, tk_di = tk_plan
     if pool is not None:
-        pl_lat, pl_pst, pl_ps, pl_lst, pl_ls, pl_di = pl_plan
+        pl_head = pool._head
+        pl_lat, pl_pt, pl_ps, pl_ln, pl_ls, pl_di = pl_plan
     for item in items:
-        # pin(): inst-epoch read, token write, revalidation read.
+        # pin(): inst-epoch read, token write, revalidation read.  The
+        # idle branches inline ServicePoint.serve_locked — keep in sync.
         t = now + ie_lat
-        if ie_pst is not None:
-            if t >= ie_pst[0]:
-                ie_pst[2] += ie_ps
-                ie_pst[3] += 1
-                ie_pst[1] += t - ie_pst[0]
+        if ie_pt is not None:
+            if t >= ie_pt.next_free:
+                ie_pt.busy_time += ie_ps
+                ie_pt.served += 1
+                ie_pt.idle_bank += t - ie_pt.next_free
                 t += ie_ps
-                ie_pst[0] = t
+                ie_pt.next_free = t
             else:
-                t = _serve(ie_pst, t, ie_ps)
-        if t >= ie_lst[0]:
-            ie_lst[2] += ie_ls
-            ie_lst[3] += 1
-            ie_lst[1] += t - ie_lst[0]
+                t = ie_pt.serve_locked(t, ie_ps)
+        if t >= ie_ln.next_free:
+            ie_ln.busy_time += ie_ls
+            ie_ln.served += 1
+            ie_ln.idle_bank += t - ie_ln.next_free
             now = t + ie_ls
-            ie_lst[0] = now
+            ie_ln.next_free = now
         else:
-            now = _serve(ie_lst, t, ie_ls)
+            now = ie_ln.serve_locked(t, ie_ls)
         t = now + tk_lat
-        if tk_pst is not None:
-            if t >= tk_pst[0]:
-                tk_pst[2] += tk_ps
-                tk_pst[3] += 1
-                tk_pst[1] += t - tk_pst[0]
+        if tk_pt is not None:
+            if t >= tk_pt.next_free:
+                tk_pt.busy_time += tk_ps
+                tk_pt.served += 1
+                tk_pt.idle_bank += t - tk_pt.next_free
                 t += tk_ps
-                tk_pst[0] = t
+                tk_pt.next_free = t
             else:
-                t = _serve(tk_pst, t, tk_ps)
-        if t >= tk_lst[0]:
-            tk_lst[2] += tk_ls
-            tk_lst[3] += 1
-            tk_lst[1] += t - tk_lst[0]
+                t = tk_pt.serve_locked(t, tk_ps)
+        if t >= tk_ln.next_free:
+            tk_ln.busy_time += tk_ls
+            tk_ln.served += 1
+            tk_ln.idle_bank += t - tk_ln.next_free
             now = t + tk_ls
-            tk_lst[0] = now
+            tk_ln.next_free = now
         else:
-            now = _serve(tk_lst, t, tk_ls)
+            now = tk_ln.serve_locked(t, tk_ls)
         t = now + ie_lat
-        if ie_pst is not None:
-            if t >= ie_pst[0]:
-                ie_pst[2] += ie_ps
-                ie_pst[3] += 1
-                ie_pst[1] += t - ie_pst[0]
+        if ie_pt is not None:
+            if t >= ie_pt.next_free:
+                ie_pt.busy_time += ie_ps
+                ie_pt.served += 1
+                ie_pt.idle_bank += t - ie_pt.next_free
                 t += ie_ps
-                ie_pst[0] = t
+                ie_pt.next_free = t
             else:
-                t = _serve(ie_pst, t, ie_ps)
-        if t >= ie_lst[0]:
-            ie_lst[2] += ie_ls
-            ie_lst[3] += 1
-            ie_lst[1] += t - ie_lst[0]
+                t = ie_pt.serve_locked(t, ie_ps)
+        if t >= ie_ln.next_free:
+            ie_ln.busy_time += ie_ls
+            ie_ln.served += 1
+            ie_ln.idle_bank += t - ie_ln.next_free
             now = t + ie_ls
-            ie_lst[0] = now
+            ie_ln.next_free = now
         else:
-            now = _serve(ie_lst, t, ie_ls)
+            now = ie_ln.serve_locked(t, ie_ls)
         if record:
-            deltas[ie_di] += 2
-            deltas[tk_di] += 2  # pin write + unpin write
+            counts[ie_di] += 2
+            counts[tk_di] += 2  # pin write + unpin write
         if is_write[item]:
             # defer_delete(): pinned check + epoch read ...
             t = now + tk_lat
-            if tk_pst is not None:
-                t = _serve(tk_pst, t, tk_ps)
-            now = _serve(tk_lst, t, tk_ls)
+            if tk_pt is not None:
+                t = tk_pt.serve_locked(t, tk_ps)
+            now = tk_ln.serve_locked(t, tk_ls)
             t = now + ie_lat
-            if ie_pst is not None:
-                t = _serve(ie_pst, t, ie_ps)
-            now = _serve(ie_lst, t, ie_ls)
+            if ie_pt is not None:
+                t = ie_pt.serve_locked(t, ie_ps)
+            now = ie_ln.serve_locked(t, ie_ls)
             if record:
-                deltas[tk_di] += 1
-                deltas[ie_di] += 1
+                counts[tk_di] += 1
+                counts[ie_di] += 1
             # ... then limbo push: pool get + head exchange.
             if pool is not None:
                 t = now + pl_lat
-                if pl_pst is not None:
-                    t = _serve(pl_pst, t, pl_ps)
-                now = _serve(pl_lst, t, pl_ls)
-                node = il.pool_cur
+                if pl_pt is not None:
+                    t = pl_pt.serve_locked(t, pl_ps)
+                now = pl_ln.serve_locked(t, pl_ls)
+                node = pl_head._value
                 if node is None:
                     node = LimboNode()
-                    il.pool_alloc_delta += 1
+                    pool.allocated += 1
                     if record:
-                        deltas[pl_di] += 1
+                        counts[pl_di] += 1
                 else:
                     # Non-empty pool: the pop CAS is a second
                     # charge on the pool head.
                     t = now + pl_lat
-                    if pl_pst is not None:
-                        t = _serve(pl_pst, t, pl_ps)
-                    now = _serve(pl_lst, t, pl_ls)
-                    il.pool_cur = node.next
+                    if pl_pt is not None:
+                        t = pl_pt.serve_locked(t, pl_ps)
+                    now = pl_ln.serve_locked(t, pl_ls)
+                    pl_head._value = node.next
                     if record:
-                        deltas[pl_di] += 2
-                node.val = objs[item]
-                node.next = None
+                        counts[pl_di] += 2
             else:
                 node = LimboNode()
-                node.val = objs[item]
+            node.val = objs[item]
             t = now + lm_lat
-            if lm_pst is not None:
-                t = _serve(lm_pst, t, lm_ps)
-            now = _serve(lm_lst, t, lm_ls)
-            node.next = il.limbo_cur
-            il.limbo_cur = node
-            il.defer_delta += 1
+            if lm_pt is not None:
+                t = lm_pt.serve_locked(t, lm_ps)
+            now = lm_ln.serve_locked(t, lm_ls)
+            node.next = lm_head._value
+            lm_head._value = node
+            inst.deferred_count += 1
             if record:
-                deltas[lm_di] += 1
+                counts[lm_di] += 1
         # unpin(): token write (diag counted with pin above).
         t = now + tk_lat
-        if tk_pst is not None:
-            if t >= tk_pst[0]:
-                tk_pst[2] += tk_ps
-                tk_pst[3] += 1
-                tk_pst[1] += t - tk_pst[0]
+        if tk_pt is not None:
+            if t >= tk_pt.next_free:
+                tk_pt.busy_time += tk_ps
+                tk_pt.served += 1
+                tk_pt.idle_bank += t - tk_pt.next_free
                 t += tk_ps
-                tk_pst[0] = t
+                tk_pt.next_free = t
             else:
-                t = _serve(tk_pst, t, tk_ps)
-        if t >= tk_lst[0]:
-            tk_lst[2] += tk_ls
-            tk_lst[3] += 1
-            tk_lst[1] += t - tk_lst[0]
+                t = tk_pt.serve_locked(t, tk_ps)
+        if t >= tk_ln.next_free:
+            tk_ln.busy_time += tk_ls
+            tk_ln.served += 1
+            tk_ln.idle_bank += t - tk_ln.next_free
             now = t + tk_ls
-            tk_lst[0] = now
+            tk_ln.next_free = now
         else:
-            now = _serve(tk_lst, t, tk_ls)
+            now = tk_ln.serve_locked(t, tk_ls)
     return now
 
 
@@ -728,24 +605,9 @@ def run_ebr_epoch_phase(
     t0 = ctx.clock.now if tr is not None else 0.0
     start = _forall_prologue(rt, ctx, active, total_tasks)
 
-    # ---- compile: per-instance charge plans ----------------------------
-    ledger = _PointLedger()
-    inst_ledgers: Dict[int, _InstanceLedger] = {}
-    by_locale_inst: List[Optional[_InstanceLedger]] = [None] * nloc
-    for lid in active:
-        # A locale's pre-registered tokens all lease the same (possibly
-        # privatized) manager instance; take it from the token itself so
-        # the replay charges exactly the cells the interpreted pin/defer
-        # bodies would.
-        inst = tokens[lid][0]._inst
-        il = inst_ledgers.get(id(inst))
-        if il is None:
-            il = inst_ledgers[id(inst)] = _InstanceLedger(inst)
-        by_locale_inst[lid] = il
-
     diags = net.diags
     record = diags._enabled
-    diag_counts = [[0] * 9 for _ in range(nloc)]
+    rows = diags._rows()
     used_tokens = []
 
     # ---- replay: spawn-submission order ---------------------------------
@@ -753,29 +615,27 @@ def run_ebr_epoch_phase(
     for locale in active:
         chunk = per_locale[locale]
         ntasks = ntasks_by_locale[locale]
-        il = by_locale_inst[locale]
-        plans = il.plans_for(net, locale, ledger)
+        # A locale's pre-registered tokens all lease the same (possibly
+        # privatized) manager instance; take it from the token itself so
+        # the replay charges exactly the cells the interpreted pin/defer
+        # bodies would.
+        target = _instance_target(net, tokens[locale][0]._inst, locale)
         for w in range(ntasks):
             task_id = rt._next_task_id()
             tok = tokens[locale][task_id % tpl]
             used_tokens.append(tok)
-            tk_plan = _narrow_plan(net, tok.local_epoch, locale, ledger)
+            tk_plan = _narrow_plan(net, tok.local_epoch, locale)
             now = _ebr_replay_task(
-                chunk[w::ntasks], is_write, objs, il, plans, tk_plan,
-                start, diag_counts[locale], record,
+                chunk[w::ntasks], is_write, objs, target, tk_plan,
+                start, rows[locale], record,
             )
             if now > finish:
                 finish = now
 
-    # ---- join + writeback ---------------------------------------------
+    # ---- join -----------------------------------------------------------
     _forall_epilogue(rt, ctx, finish)
     for tok in used_tokens:
         tok.local_epoch.poke(0)
-    for il in inst_ledgers.values():
-        il.writeback()
-    ledger.writeback()
-    if record:
-        _writeback_diags(diags, diag_counts)
     if tr is not None:
         # Identical to the interpreted ``forall(items, body, ...)`` span
         # (cross-engine trace-equality contract, docs/OBSERVABILITY.md).
@@ -904,8 +764,8 @@ def run_epoch_workload_phase(
        :func:`_ebr_replay_task` against the freshly registered token's
        cells, with ``delete`` standing in for every item's write flag and
        retired objects pushed onto the real limbo chains;
-    3. borrowed state is written back, then ``unregister()`` runs for
-       real on the task's clock (token write + free-list push).
+    3. ``unregister()`` runs for real on the task's clock (token write +
+       free-list push).
 
     Interpreted code afterwards (``em.clear()``, stats) sees exactly the
     state an interpreted phase leaves.
@@ -924,7 +784,7 @@ def run_epoch_workload_phase(
     seed_base = rt.config.seed << 20
     diags = net.diags
     record = diags._enabled
-    diag_counts = [[0] * 9 for _ in range(nloc)]
+    rows = diags._rows()
     is_write = [delete] * num_objects
 
     finish = start
@@ -940,27 +800,20 @@ def run_epoch_workload_phase(
             tok = em.register()
 
         # -- 2. columnar replay of the pin/retire/unpin stream -----------
-        ledger = _PointLedger()
-        il = _InstanceLedger(tok._inst)
-        now = _ebr_replay_task(
-            range(lid, num_objects, nloc), is_write, objs, il,
-            il.plans_for(net, lid, ledger),
-            _narrow_plan(net, tok.local_epoch, lid, ledger),
-            tctx.clock.now, diag_counts[lid], record,
+        tctx.clock.now = _ebr_replay_task(
+            range(lid, num_objects, nloc), is_write, objs,
+            _instance_target(net, tok._inst, lid),
+            _narrow_plan(net, tok.local_epoch, lid),
+            tctx.clock.now, rows[lid], record,
         )
 
-        # -- 3. writeback, then real unregistration ----------------------
-        il.writeback()
-        ledger.writeback()
-        tctx.clock.now = now
+        # -- 3. real unregistration --------------------------------------
         with context_scope(tctx):
             tok.unregister()
         if tctx.clock.now > finish:
             finish = tctx.clock.now
 
     _forall_epilogue(rt, ctx, finish)
-    if record:
-        _writeback_diags(diags, diag_counts)
     if tr is not None:
         tr.span(
             "forall", t0, ctx.clock.now, tasks=total_tasks, items=num_objects

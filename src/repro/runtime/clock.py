@@ -163,8 +163,9 @@ class ServicePoint:
         lets them run the reservation without re-acquiring.
 
         This is the one place every serve passes through — ``serve``
-        delegates here, and the compiled engine inlines the same
-        recurrence in its ledgers — so the trace hook lands exactly once.
+        delegates here, and the compiled engine's replay either calls it or
+        inlines the same recurrence on the point's own slots at its
+        hottest sites — so the trace hook lands exactly once.
         """
         self.busy_time += service
         self.served += 1

@@ -32,7 +32,7 @@ Design:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from ..core.atomic_object import AtomicObject
 from ..core.token import Token
@@ -224,6 +224,30 @@ class RCUArray:
         """
         if new_length < 0:
             raise ValueError("new_length must be >= 0")
+        self._publish(lambda _old_length: new_length, guard)
+
+    def append(
+        self,
+        value: Any,
+        guard: Optional[Token] = None,
+    ) -> int:
+        """Append one element; returns its index.
+
+        The new length is computed from the same descriptor the publishing
+        CAS checks, so concurrent appends each get their own slot.
+        """
+        idx = self._publish(lambda old_length: old_length + 1, guard)
+        self.write(idx, value, guard)
+        return idx
+
+    def _publish(
+        self,
+        new_length_of: Callable[[int], int],
+        guard: Optional[Token],
+    ) -> int:
+        """The RCU update loop: publish a descriptor of length
+        ``new_length_of(old length)``, where the old length comes from the
+        snapshot the CAS checks.  Returns that old length."""
         rt = self._rt
         protecting = guard is not None and guard.needs_protect
         while True:
@@ -234,6 +258,7 @@ class RCUArray:
                 if self._root.read_aba().get_object() != old_addr:
                     continue  # descriptor republished before hazard visible
             old_desc: _Descriptor = rt.deref(old_addr)
+            new_length = new_length_of(old_desc.length)
             old_nblocks = len(old_desc.blocks)
             new_nblocks = (new_length + self.block_size - 1) // self.block_size
             if new_nblocks > old_nblocks:
@@ -251,31 +276,12 @@ class RCUArray:
                     guard.defer_delete(snap.get_object())
                     for dropped in old_desc.blocks[new_nblocks:]:
                         guard.defer_delete(dropped)
-                return
+                return old_desc.length
             # Lost the race: clean up our candidate and retry.
             rt.free(new_addr)
             if new_nblocks > old_nblocks:
                 for b in blocks[old_nblocks:]:
                     rt.free(b)
-
-    def append(
-        self,
-        value: Any,
-        guard: Optional[Token] = None,
-    ) -> int:
-        """Append one element; returns its index (resize + write)."""
-        while True:
-            desc = self._descriptor(guard)
-            idx = desc.length
-            snap = self._root.read_aba()
-            if snap.get_object() != self._root.peek():
-                # Another structural update is in flight; re-read.
-                continue
-            self.resize(idx + 1, guard=guard)
-            # resize() may have raced; confirm our slot exists, then write.
-            if self._descriptor(guard).length > idx:
-                self.write(idx, value, guard)
-                return idx
 
     # ------------------------------------------------------------------
     def snapshot(self) -> List[Any]:

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.core import EpochManager
+from repro.core.atomic_object import AtomicObject
 from repro.errors import StructureError
 from repro.structures import RCUArray
 
@@ -192,6 +193,35 @@ class TestConcurrent:
             rt.forall(range(256), body, task_init=em.register)
             assert arr.snapshot() == [i * 3 for i in range(256)]
             em.clear()
+
+        rt.run(main)
+
+    def test_append_racing_a_publish_keeps_both_elements(
+        self, rt, monkeypatch
+    ):
+        """An append whose CAS loses to another append must take the next
+        slot, not republish the length it read before the race."""
+        real_cas = AtomicObject.compare_and_swap_aba
+
+        def main():
+            arr = RCUArray(rt, 3, block_size=2, fill=0)
+            armed = [True]
+            rival = []
+
+            def cas(obj, expected, desired):
+                # The first CAS on the root lands after another append's.
+                if obj is arr._root and armed:
+                    armed.clear()
+                    rival.append(arr.append("rival"))
+                return real_cas(obj, expected, desired)
+
+            monkeypatch.setattr(AtomicObject, "compare_and_swap_aba", cas)
+            idx = arr.append("mine")
+            monkeypatch.undo()
+            assert rival == [3]
+            assert idx == 4
+            assert len(arr) == 5
+            assert arr.snapshot() == [0, 0, 0, "rival", "mine"]
 
         rt.run(main)
 
