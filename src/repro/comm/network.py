@@ -48,17 +48,18 @@ Under the flat topology this collapses to the legacy 8-entry (wide,
 opt_out, local) cube — exposed unchanged via :meth:`atomic_route_table`
 and verified entry-by-entry against the branchy reference compile in
 tests/test_topology.py.  The hot paths (:meth:`charge_atomic`,
-:meth:`read`, :meth:`write`, :meth:`bulk`) are straight-line: one
-distance-row index, one precompiled diagnostic bump, one or two
-service-point passes.  :meth:`atomic_op` keeps the branchy reference
-semantics as a thin wrapper over the same tables.
+:meth:`read`, :meth:`write`, :meth:`bulk`, and the control-plane
+AM/fork/alloc/free charges) are straight-line: one distance-row index,
+one precompiled diagnostic bump, one or two service-point passes.
+:meth:`atomic_op` keeps the branchy reference semantics as a thin
+wrapper over the same tables.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..runtime.clock import ServicePoint, TaskClock
+from ..runtime.clock import ServicePoint
 from .aggregation import UplinkAggregator
 from .costs import CostModel
 from .counters import CommDiagnostics, CommOp
@@ -70,6 +71,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import TaskContext
 
 __all__ = ["NetworkModel"]
+
+#: Precompiled diagnostic indices of the control-plane charges.
+_AM = CommDiagnostics.op_index(CommOp.AM)
+_FORK = CommDiagnostics.op_index(CommOp.FORK)
 
 
 class NetworkModel:
@@ -457,22 +462,6 @@ class NetworkModel:
         return table
 
     # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _serve(
-        self,
-        clock: TaskClock,
-        latency: float,
-        points: Sequence[ServicePoint],
-        services: Sequence[float],
-    ) -> None:
-        """Charge ``latency`` then pass through each (point, service) queue."""
-        t = clock.advance(latency)
-        for point, service in zip(points, services):
-            t = point.serve(t, service)
-        clock.advance_to(t)
-
-    # ------------------------------------------------------------------
     # atomics
     # ------------------------------------------------------------------
     def charge_atomic(
@@ -484,9 +473,9 @@ class NetworkModel:
         address pipeline for that atomic variable) — this is what makes a
         *hot* atomic serialize even when the rest of the machine is idle.
         Equivalent to :meth:`atomic_op` with the branch chain already
-        resolved; the clock algebra matches ``_serve`` exactly (the final
-        time can never precede ``now + latency``, so the plain store is
-        the same as ``advance`` + ``advance_to``).
+        resolved.  The plain store of the serve result is the same as
+        ``advance(latency)`` + ``advance_to(finish)``: a serve never
+        finishes before its arrival ``now + latency``.
         """
         diags = self.diags
         if diags._enabled:
@@ -608,65 +597,132 @@ class NetworkModel:
             tr.op("bulk", t0, clock.now, dclass, home, nbytes=nbytes)
 
     # ------------------------------------------------------------------
-    # remote execution
+    # remote execution and memory management (the control plane)
+    #
+    # One step per message: the cached distance row and control-plane
+    # table are read directly, the diagnostic is recorded by precompiled
+    # index, and the clock takes the serve result as a plain store —
+    # the same float operations as advance(latency) + serve +
+    # advance_to, since a serve never finishes before its arrival.
     # ------------------------------------------------------------------
     def remote_fork(self, ctx: "TaskContext", target: int) -> None:
         """Charge initiating an ``on`` statement (blocking remote fork)."""
-        dclass = self.distance_row(target)[ctx.locale_id]
+        row = self._dist_rows[target]
+        if row is None:
+            row = self.distance_row(target)
+        lid = ctx.locale_id
+        dclass = row[lid]
         if dclass == 0:
             return
+        clock = ctx.clock
         tr = self._tracer
-        t0 = ctx.clock.now if tr is not None else 0.0
-        ctrl = self._ctrl_routes(target)[dclass]
+        t0 = clock.now if tr is not None else 0.0
+        table = self._ctrl_tables[target]
+        if table is None:
+            table = self._ctrl_routes(target)
+        ctrl = table[dclass]
         if ctrl is None:
             # Coherent peer: scheduling a task on a core we share memory
             # with — a local spawn, no message, so (like every other
             # coherent-class charge) nothing is recorded in comm diags.
-            ctx.clock.advance(self.costs.task_spawn_local)
+            clock.now += self.costs.task_spawn_local
         else:
-            self.diags.record(ctx.locale_id, CommOp.FORK)
+            self.diags.record_index(lid, _FORK)
             point, cc = ctrl
-            self._serve(ctx.clock, cc.task_spawn_remote, (point,), (cc.am_service,))
+            clock.now = point.serve(clock.now + cc.task_spawn_remote, cc.am_service)
         if tr is not None:
-            tr.op("fork", t0, ctx.clock.now, dclass, target)
+            tr.op("fork", t0, clock.now, dclass, target)
 
     def remote_return(self, ctx: "TaskContext", origin: int) -> None:
         """Charge returning from an ``on`` statement back to ``origin``."""
-        dclass = self.distance_row(origin)[ctx.locale_id]
+        row = self._dist_rows[origin]
+        if row is None:
+            row = self.distance_row(origin)
+        lid = ctx.locale_id
+        dclass = row[lid]
         if dclass == 0:
             return
+        clock = ctx.clock
         tr = self._tracer
-        t0 = ctx.clock.now if tr is not None else 0.0
-        ctrl = self._ctrl_routes(origin)[dclass]
+        t0 = clock.now if tr is not None else 0.0
+        table = self._ctrl_tables[origin]
+        if table is None:
+            table = self._ctrl_routes(origin)
+        ctrl = table[dclass]
         if ctrl is None:
             # Coherent peer: no return message either (see remote_fork).
-            ctx.clock.advance(self._cpu_load_latency)
+            clock.now += self._cpu_load_latency
         else:
-            self.diags.record(ctx.locale_id, CommOp.AM)
+            self.diags.record_index(lid, _AM)
             point, cc = ctrl
-            self._serve(ctx.clock, cc.am_latency, (point,), (cc.am_service,))
+            clock.now = point.serve(clock.now + cc.am_latency, cc.am_service)
         if tr is not None:
-            tr.op("return", t0, ctx.clock.now, dclass, origin)
+            tr.op("return", t0, clock.now, dclass, origin)
 
     def am_roundtrip(self, ctx: "TaskContext", target: int) -> None:
         """Charge a generic RPC to ``target`` (request + response)."""
-        dclass = self.distance_row(target)[ctx.locale_id]
+        row = self._dist_rows[target]
+        if row is None:
+            row = self.distance_row(target)
+        lid = ctx.locale_id
+        dclass = row[lid]
+        clock = ctx.clock
         tr = self._tracer
-        t0 = ctx.clock.now if tr is not None else 0.0
-        ctrl = self._ctrl_routes(target)[dclass]
+        t0 = clock.now if tr is not None else 0.0
+        table = self._ctrl_tables[target]
+        if table is None:
+            table = self._ctrl_routes(target)
+        ctrl = table[dclass]
         if ctrl is None:
             # Self or coherent peer: a direct call over shared memory.
-            ctx.clock.advance(self._cpu_load_latency)
+            clock.now += self._cpu_load_latency
         else:
-            self.diags.record(ctx.locale_id, CommOp.AM)
+            self.diags.record_index(lid, _AM)
             point, cc = ctrl
-            self._serve(ctx.clock, 2.0 * cc.am_latency, (point,), (cc.am_service,))
+            clock.now = point.serve(clock.now + 2.0 * cc.am_latency, cc.am_service)
         if tr is not None:
-            tr.op("am", t0, ctx.clock.now, dclass, target)
+            tr.op("am", t0, clock.now, dclass, target)
 
-    # ------------------------------------------------------------------
-    # memory management costs
-    # ------------------------------------------------------------------
+    def _rpc_then_local(
+        self,
+        ctx: "TaskContext",
+        home: int,
+        rpc: bool,
+        local: float,
+        kind: str,
+        count: int = 0,
+    ) -> None:
+        """An AM round trip to a non-coherent ``home`` (when ``rpc``), then
+        ``local`` seconds of allocator work — the body of :meth:`alloc`,
+        :meth:`free` and :meth:`bulk_free`.  Traces an ``am`` event for the
+        round trip inside one enclosing ``kind`` event, exactly as calling
+        :meth:`am_roundtrip` first would."""
+        row = self._dist_rows[home]
+        if row is None:
+            row = self.distance_row(home)
+        lid = ctx.locale_id
+        dclass = row[lid]
+        clock = ctx.clock
+        tr = self._tracer
+        t0 = clock.now
+        if rpc:
+            table = self._ctrl_tables[home]
+            if table is None:
+                table = self._ctrl_routes(home)
+            ctrl = table[dclass]
+            if ctrl is not None:
+                self.diags.record_index(lid, _AM)
+                point, cc = ctrl
+                clock.now = point.serve(t0 + 2.0 * cc.am_latency, cc.am_service)
+                if tr is not None:
+                    tr.op("am", t0, clock.now, dclass, home)
+        clock.now += local
+        if tr is not None:
+            if count:
+                tr.op(kind, t0, clock.now, dclass, home, count=count)
+            else:
+                tr.op(kind, t0, clock.now, dclass, home)
+
     def alloc(self, ctx: "TaskContext", home: int) -> None:
         """Charge allocating one object on ``home``.
 
@@ -675,28 +731,11 @@ class NetworkModel:
         publishes them with one atomic.  A coherent peer's heap is shared
         memory: no message, just the allocator cost.
         """
-        c = self.costs
-        tr = self._tracer
-        t0 = ctx.clock.now if tr is not None else 0.0
-        dclass = self.distance_row(home)[ctx.locale_id]
-        if not self._coherent_class[dclass]:
-            self.am_roundtrip(ctx, home)
-        ctx.clock.advance(c.alloc_latency)
-        if tr is not None:
-            # Encloses the "am" event the non-coherent path just emitted.
-            tr.op("alloc", t0, ctx.clock.now, dclass, home)
+        self._rpc_then_local(ctx, home, True, self.costs.alloc_latency, "alloc")
 
     def free(self, ctx: "TaskContext", home: int) -> None:
         """Charge freeing one object on ``home`` (non-coherent => RPC)."""
-        c = self.costs
-        tr = self._tracer
-        t0 = ctx.clock.now if tr is not None else 0.0
-        dclass = self.distance_row(home)[ctx.locale_id]
-        if not self._coherent_class[dclass]:
-            self.am_roundtrip(ctx, home)
-        ctx.clock.advance(c.free_latency)
-        if tr is not None:
-            tr.op("free", t0, ctx.clock.now, dclass, home)
+        self._rpc_then_local(ctx, home, True, self.costs.free_latency, "free")
 
     def bulk_free(
         self, ctx: "TaskContext", home: int, count: int, *, rpc: bool = True
@@ -711,14 +750,14 @@ class NetworkModel:
         if count <= 0:
             return
         c = self.costs
-        tr = self._tracer
-        t0 = ctx.clock.now if tr is not None else 0.0
-        dclass = self.distance_row(home)[ctx.locale_id]
-        if rpc and not self._coherent_class[dclass]:
-            self.am_roundtrip(ctx, home)
-        ctx.clock.advance(c.free_latency + (count - 1) * c.bulk_free_per_object)
-        if tr is not None:
-            tr.op("bulk_free", t0, ctx.clock.now, dclass, home, count=count)
+        self._rpc_then_local(
+            ctx,
+            home,
+            rpc,
+            c.free_latency + (count - 1) * c.bulk_free_per_object,
+            "bulk_free",
+            count,
+        )
 
     # ------------------------------------------------------------------
     # measurement control

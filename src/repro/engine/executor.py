@@ -241,12 +241,7 @@ def run_uniform_atomic_phase(
     task_ids = [rt._next_task_id() for _ in range(total_tasks)]
 
     def _build_columns() -> List[list]:
-        cols = []
-        for tid in task_ids:
-            rng = Random()
-            rng.seed(seed_base ^ tid)
-            cols.append(column_fn(rng))
-        return cols
+        return [column_fn(Random(seed_base ^ tid)) for tid in task_ids]
 
     if column_key is not None:
         columns = COLUMN_CACHE.get_or_build(
@@ -716,8 +711,8 @@ def run_guard_epoch_phase(
                                 locale_id=locale,
                                 clock=TaskClock(now),
                                 task_id=task_id,
+                                seed=seed_base ^ task_id,
                             )
-                            tctx.rng.seed(seed_base ^ task_id)
                         tctx.clock.now = now
                         with context_scope(tctx):
                             rec._scan([guard])
@@ -791,9 +786,12 @@ def run_epoch_workload_phase(
     for lid in active:
         task_id = rt._next_task_id()
         tctx = TaskContext(
-            runtime=rt, locale_id=lid, clock=TaskClock(start), task_id=task_id
+            runtime=rt,
+            locale_id=lid,
+            clock=TaskClock(start),
+            task_id=task_id,
+            seed=seed_base ^ task_id,
         )
-        tctx.rng.seed(seed_base ^ task_id)
 
         # -- 1. real registration on the task's clock --------------------
         with context_scope(tctx):

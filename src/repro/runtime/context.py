@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import random
 import threading
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from ..errors import NoTaskContextError
@@ -30,7 +29,6 @@ __all__ = ["TaskContext", "current_context", "maybe_context", "context_scope"]
 _tls = threading.local()
 
 
-@dataclass
 class TaskContext:
     """Identity and virtual state of one running task.
 
@@ -44,9 +42,10 @@ class TaskContext:
         The task's virtual clock.
     task_id:
         Unique id within the runtime (diagnostics / deterministic seeding).
-    rng:
-        Task-private PRNG seeded from the runtime seed and ``task_id`` so
-        workloads are reproducible regardless of thread scheduling.
+    seed:
+        Seed of the task-private PRNG, derived by the spawner from the
+        runtime seed and ``task_id`` so workloads are reproducible
+        regardless of thread scheduling.  ``None`` seeds from the OS.
     diag_rows:
         Cache of the executing thread's comm-diagnostics stripe (set
         lazily by the first charged operation).  Valid for the task's
@@ -54,12 +53,37 @@ class TaskContext:
         saves a thread-local lookup on every charged operation.
     """
 
-    runtime: "Runtime"
-    locale_id: int
-    clock: TaskClock
-    task_id: int
-    rng: random.Random = field(default_factory=random.Random)
-    diag_rows: Optional[List[List[int]]] = None
+    __slots__ = ("runtime", "locale_id", "clock", "task_id", "seed", "diag_rows", "_rng")
+
+    def __init__(
+        self,
+        runtime: "Runtime",
+        locale_id: int,
+        clock: TaskClock,
+        task_id: int,
+        seed: Optional[int] = None,
+        diag_rows: Optional[List[List[int]]] = None,
+    ) -> None:
+        self.runtime = runtime
+        self.locale_id = locale_id
+        self.clock = clock
+        self.task_id = task_id
+        self.seed = seed
+        self.diag_rows = diag_rows
+        self._rng: Optional[random.Random] = None
+
+    @property
+    def rng(self) -> random.Random:
+        """The task-private PRNG, built from ``seed`` on first access.
+
+        Most tasks (scans, drains, gathers) never draw, so they never pay
+        for constructing a generator.  ``Random(seed)`` is the same stream
+        as ``Random()`` followed by ``.seed(seed)``.
+        """
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self.seed)
+        return rng
 
     @property
     def here(self) -> int:

@@ -59,7 +59,7 @@ from typing import (
 
 from ..atomics.integer import AtomicBool, AtomicInt64, AtomicUInt64
 from ..atomics.wide import AtomicWide128
-from ..comm.counters import CommOp
+from ..comm.counters import CommDiagnostics, CommOp
 from ..errors import LocaleError, NoTaskContextError, RuntimeStateError
 from ..memory.address import GlobalAddress, is_nil
 from ..memory.heap import Heap
@@ -69,6 +69,8 @@ from .context import TaskContext, context_scope, current_context, maybe_context
 from .tasking import TaskGroup, WorkerPool, spawn_tree_overhead
 
 T = TypeVar("T")
+
+_FORK_INDEX = CommDiagnostics.op_index(CommOp.FORK)
 
 __all__ = ["Locale", "Runtime", "Timer"]
 
@@ -403,8 +405,8 @@ class Runtime:
             locale_id=self.locale(locale).id,
             clock=TaskClock(0.0),
             task_id=self._next_task_id(),
+            seed=self.config.seed,
         )
-        ctx.rng.seed(self.config.seed)
         with context_scope(ctx):
             return fn(*args)
 
@@ -440,24 +442,33 @@ class Runtime:
         exactly this construct.
         """
         ctx = current_context()
-        ids = list(range(self.num_locales)) if locales is None else list(locales)
+        if locales is None:
+            ids = list(range(self.num_locales))
+        else:
+            ids = list(locales)
+            # Validate before pricing: the spawn tree indexes per-locale
+            # route rows, where a negative id would silently alias.
+            for lid in ids:
+                self.locale(lid)
         costs = self.config.costs
         tr = self._tracer
         t0 = ctx.clock.now if tr is not None else 0.0
+        net = self.network
+        src = ctx.locale_id
         # Per-hop spawn cost reflects the worst distance class the
         # broadcast tree spans (flat: exactly task_spawn_remote).
         overhead = spawn_tree_overhead(
-            len(ids), self.network.spawn_broadcast_cost(ctx.locale_id, ids)
+            len(ids), net.spawn_broadcast_cost(src, ids)
         )
+        start = ctx.clock.now + overhead
         group = TaskGroup(self)
         for lid in ids:
-            self.locale(lid)
-            if not self.network.is_coherent(ctx.locale_id, lid):
+            if not net.is_coherent(src, lid):
                 # Coherent peers are spawned over shared memory — no
                 # message, so (like every coherent-class charge) nothing
                 # is recorded in comm diags.
-                self.network.diags.record(ctx.locale_id, CommOp.FORK)
-            group.spawn(body, (lid,), locale_id=lid, start_time=ctx.clock.now + overhead)
+                net.diags.record_index(src, _FORK_INDEX)
+            group.spawn(body, (lid,), locale_id=lid, start_time=start)
         finish = group.join()
         ctx.clock.advance_to(finish)
         ctx.clock.advance(costs.task_join)

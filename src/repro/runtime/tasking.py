@@ -166,15 +166,19 @@ class WorkerPool:
                 return self._queue.popleft()
             return None
 
-    def wait(self, timeout: float) -> None:
-        """Park a joiner until work is queued or any pool event fires.
+    def wait(self, group: "TaskGroup", timeout: float) -> None:
+        """Park ``group``'s joiner until work is queued or any pool event
+        fires.
 
         Joiners wake on submissions, task completions (see
-        :meth:`ping`), and shutdown; the timeout is a belt-and-suspenders
-        backstop, not the primary wake mechanism.
+        :meth:`ping`), and shutdown.  ``group._pending`` is rechecked under
+        the helper lock: a child finishing between the joiner's own check
+        and this one has already decremented it, and one finishing later
+        must take this lock to ping, so its wake-up cannot be lost.  The
+        timeout is only a backstop.
         """
         with self._helpers:
-            if not self._queue and not self._shutdown:
+            if not self._queue and not self._shutdown and group._pending:
                 self._helpers.wait(timeout)
 
     def ping(self) -> None:
@@ -242,10 +246,11 @@ class TaskGroup:
     ) -> None:
         """Submit ``fn(*args)`` as a task on ``locale_id`` at ``start_time``.
 
-        The task receives a fresh :class:`TaskContext`; its RNG is seeded
-        deterministically from the runtime seed and the task id so workload
-        randomness is reproducible run-to-run and independent of which
-        pool thread ends up executing the task.
+        The task receives a fresh :class:`TaskContext` whose RNG seed is
+        derived deterministically from the runtime seed and the task id, so
+        workload randomness is reproducible run-to-run and independent of
+        which pool thread ends up executing the task.  The generator itself
+        is built on the task's first draw (most tasks never draw).
         """
         if self._joined:
             raise RuntimeStateError("TaskGroup already joined")
@@ -260,8 +265,8 @@ class TaskGroup:
             locale_id=locale_id,
             clock=clock,
             task_id=task_id,
+            seed=(self._rt.config.seed << 20) ^ task_id,
         )
-        ctx.rng.seed((self._rt.config.seed << 20) ^ task_id)
         with self._lock:
             self._pending += 1
         if inline:
@@ -326,9 +331,9 @@ class TaskGroup:
                     continue
                 # All our remaining children are running on real threads;
                 # park on the pool, which is pinged by submissions and by
-                # every task completion (ours included).  The timeout is a
-                # belt-and-suspenders backstop, not the wake mechanism.
-                pool.wait(0.05)
+                # every task completion (ours included) and rechecks
+                # _pending before parking.  The timeout is a backstop.
+                pool.wait(self, 0.05)
         if self._errors:
             raise self._errors[0]
         return max((c.now for c in self._clocks), default=0.0)

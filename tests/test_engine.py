@@ -22,7 +22,8 @@ import pytest
 
 from repro.comm.counters import CommDiagnostics, CommOp
 from repro.core.epoch_manager import EpochManagerStats
-from repro.runtime import Runtime, RuntimeConfig, ServicePoint
+from repro.runtime import Runtime, RuntimeConfig, ServicePoint, TaskClock
+from repro.runtime.context import TaskContext
 from repro.bench.workloads import run_atomic_mix, run_epoch_workload
 from repro.errors import RuntimeStateError
 
@@ -368,3 +369,129 @@ class TestRoutePrecompilation:
         rt.close()
         with pytest.raises(RuntimeStateError):
             rt.run(lambda: rt.forall(range(2), lambda i: None))
+
+
+# ---------------------------------------------------------------------------
+# Control-plane charges (AMs, forks, allocations)
+# ---------------------------------------------------------------------------
+
+
+def _reference_ctrl(net, ctx, op, home, count=0, rpc=True):
+    """The control-plane charges spelled out step by step: a by-name
+    diagnostic record, then ``advance(latency)``, ``point.serve`` and
+    ``advance_to`` — the recurrence the one-step charges must equal."""
+    clock = ctx.clock
+    costs = net.costs
+    dclass = net.distance_row(home)[ctx.locale_id]
+    ctrl = net._ctrl_routes(home)[dclass]
+
+    def message(diag, latency):
+        point, cc = ctrl
+        net.diags.record(ctx.locale_id, diag)
+        t = clock.advance(latency)
+        t = point.serve(t, cc.am_service)
+        clock.advance_to(t)
+
+    if op in ("fork", "return"):
+        if dclass == 0:
+            return
+        if ctrl is None:
+            clock.advance(
+                costs.task_spawn_local if op == "fork" else costs.cpu_load_latency
+            )
+        elif op == "fork":
+            message(CommOp.FORK, ctrl[1].task_spawn_remote)
+        else:
+            message(CommOp.AM, ctrl[1].am_latency)
+    elif op == "am":
+        if ctrl is None:
+            clock.advance(costs.cpu_load_latency)
+        else:
+            message(CommOp.AM, 2.0 * ctrl[1].am_latency)
+    else:
+        if rpc and ctrl is not None:
+            message(CommOp.AM, 2.0 * ctrl[1].am_latency)
+        if op == "alloc":
+            clock.advance(costs.alloc_latency)
+        elif op == "free":
+            clock.advance(costs.free_latency)
+        else:
+            clock.advance(
+                costs.free_latency + (count - 1) * costs.bulk_free_per_object
+            )
+
+
+def _one_step_ctrl(net, ctx, op, home, count=0, rpc=True):
+    if op == "alloc":
+        net.alloc(ctx, home)
+    elif op == "free":
+        net.free(ctx, home)
+    elif op == "bulk_free":
+        net.bulk_free(ctx, home, count, rpc=rpc)
+    elif op == "am":
+        net.am_roundtrip(ctx, home)
+    elif op == "fork":
+        net.remote_fork(ctx, home)
+    else:
+        net.remote_return(ctx, home)
+
+
+_CTRL_OPS = (
+    ("alloc", {}),
+    ("free", {}),
+    ("bulk_free", {"count": 5}),
+    ("bulk_free", {"count": 3, "rpc": False}),
+    ("am", {}),
+    ("fork", {}),
+    ("return", {}),
+)
+
+
+def _drive_ctrl(config, charge):
+    """Every control-plane op from every source against every home.  The
+    source clocks start staggered and advance independently, so arrivals
+    at a shared point come out of virtual-time order and every serve
+    branch (idle, banked, queued) is taken."""
+    rt = Runtime(config=config)
+    try:
+        net = rt.network
+        ctxs = [
+            TaskContext(
+                runtime=rt, locale_id=src, clock=TaskClock(src * 1e-7), task_id=src
+            )
+            for src in range(rt.num_locales)
+        ]
+        clocks = []
+        for _round in range(2):
+            for home in range(rt.num_locales):
+                for op, kw in _CTRL_OPS:
+                    for ctx in ctxs:
+                        charge(net, ctx, op, home, **kw)
+                        clocks.append(ctx.clock.now)
+        points = [
+            (p.name, p.next_free, p.idle_bank, p.busy_time, p.served)
+            for p in net.nic + net.progress + list(net.uplinks.values())
+        ]
+        return clocks, points, net.diags.per_locale(), rt.comm_totals()
+    finally:
+        rt.close()
+
+
+class TestControlPlaneCharges:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RuntimeConfig(num_locales=4, network="ugni"),
+            RuntimeConfig(num_locales=4, network="none"),
+            RuntimeConfig(num_locales=8, network="ugni", topology="hier:2x2"),
+            RuntimeConfig(num_locales=8, network="none", topology="dragonfly:2"),
+        ],
+        ids=["flat-ugni", "flat-none", "hier-2x2", "dragonfly-2"],
+    )
+    def test_one_step_charges_equal_the_stepwise_recurrence(self, config):
+        got = _drive_ctrl(config, _one_step_ctrl)
+        want = _drive_ctrl(config, _reference_ctrl)
+        assert got[0] == want[0]  # every clock reading, bit for bit
+        assert got[1] == want[1]  # every point's full state
+        assert got[2:] == want[2:]  # per-locale diagnostics, comm totals
+        assert any(p[2] > 0.0 for p in got[1])  # the banked branch ran

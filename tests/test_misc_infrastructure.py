@@ -3,7 +3,9 @@ diagnostics, privatization helpers, and the huge-machine fallback."""
 
 from __future__ import annotations
 
+import random
 import threading
+import time
 
 import pytest
 
@@ -160,6 +162,78 @@ class TestTaskGroup:
             group.spawn(work, (), locale_id=0, start_time=0.0)
         group.join()
         assert len(set(draws)) == 4
+
+    def test_join_never_parks_after_last_child_finished(self, rt):
+        """The joiner checks ``_pending`` under the group lock but parks
+        under the pool's helper lock; a child finishing between the two
+        must not leave it asleep until the timeout backstop."""
+        pool = rt._worker_pool()
+        group = TaskGroup(rt)
+        go = threading.Event()
+        windows = []
+        parked = []
+
+        def try_pop():
+            # Runs after the joiner saw _pending != 0 and before it parks:
+            # let the (blocked) child finish inside that window.
+            windows.append(group._pending)
+            go.set()
+            deadline = time.monotonic() + 5.0
+            while group._pending and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return None
+
+        real_wait = pool._helpers.wait
+
+        def spy_wait(timeout=None):
+            parked.append(group._pending)
+            return real_wait(timeout)
+
+        pool.try_pop = try_pop
+        pool._helpers.wait = spy_wait
+        group.spawn(lambda: go.wait(5.0), (), locale_id=0, start_time=0.0)
+        group.join()
+        assert windows == [1]
+        assert group._pending == 0
+        assert parked == []
+
+
+class TestLazyTaskRng:
+    """A task's RNG is seeded at spawn and built on its first draw."""
+
+    def test_spawned_task_draws_from_its_derived_seed(self, rt):
+        got = []
+
+        def work():
+            ctx = current_context()
+            got.append((ctx.task_id, [ctx.rng.random() for _ in range(3)]))
+
+        group = TaskGroup(rt)
+        group.spawn(work, (), locale_id=1, start_time=0.0)
+        group.join()
+        ((task_id, draws),) = got
+        ref = random.Random((rt.config.seed << 20) ^ task_id)
+        assert draws == [ref.random() for _ in range(3)]
+
+    def test_root_context_draws_from_config_seed(self, rt):
+        draws = rt.run(lambda: [current_context().rng.random() for _ in range(3)])
+        ref = random.Random(rt.config.seed)
+        assert draws == [ref.random() for _ in range(3)]
+
+    def test_coforall_without_draws_builds_no_rng(self, rt):
+        seen = []
+        lock = threading.Lock()
+
+        def body(lid):
+            with lock:
+                seen.append(current_context())
+
+        rt.run(lambda: rt.coforall_locales(body))
+        assert len(seen) == rt.num_locales
+        assert all(ctx._rng is None for ctx in seen)
+        assert all(
+            ctx.seed == (rt.config.seed << 20) ^ ctx.task_id for ctx in seen
+        )
 
 
 class TestDiagnosticsSnapshot:

@@ -206,6 +206,20 @@ class TestCoforallLocales:
         rt.run(lambda: rt.coforall_locales(body, locales=[1, 3]))
         assert sorted(hits) == [1, 3]
 
+    @pytest.mark.parametrize("bad", [99, -1])
+    def test_invalid_locale_rejected_before_any_spawn(self, rt, bad):
+        hits = []
+
+        def main():
+            before = current_context().clock.now
+            with pytest.raises(LocaleError):
+                rt.coforall_locales(hits.append, locales=[1, bad])
+            return current_context().clock.now - before
+
+        assert rt.run(main) == 0.0
+        assert hits == []
+        assert rt.network.diags.total("fork") == 0
+
     def test_parent_clock_absorbs_slowest_child(self, rt):
         def main():
             def body(lid):
