@@ -5,41 +5,59 @@ An atomic cell lives on a *home locale* and owns a per-cell
 address pipeline — the resource that serializes concurrent operations on a
 *hot* atomic even when the rest of the machine is idle.
 
-Real-thread atomicity is provided by a per-cell lock; virtual time and
-communication counters are charged along routes precompiled by the
-runtime's :class:`~repro.comm.network.NetworkModel`, which applies the
+Real-thread atomicity is provided by the cell lock (see below); virtual
+time and communication counters are charged along routes precompiled by
+the runtime's :class:`~repro.comm.network.NetworkModel`, which applies the
 paper's routing rules (CPU vs NIC vs active message) based on the
 *distance class* between the calling task's locale and the cell's home
 (see :mod:`repro.comm.topology`) and whether the runtime has network
-atomics.  The cell caches its home's distance row — a tuple mapping
-source locale to class index — so resolving the route on the hot path is
-one tuple index, for any topology.
+atomics.  The shared plan carries its home's distance row — a tuple
+mapping source locale to class index — so resolving the route on the hot
+path is one tuple index, for any topology.
 
 Lock domains (the engine's one-lock-cycle-per-op design)
 --------------------------------------------------------
 Every charged operation must (a) reserve virtual time on its service
-points and (b) mutate the cell value atomically with respect to real
-threads.  Doing those under separate locks costs two lock cycles per
-operation — the dominant wall-clock cost of the old engine — so the cell
-picks ONE lock at construction and runs the whole sequence under it:
+points and (b) mutate the value atomically with respect to real threads.
+Doing those under separate locks costs two or three lock cycles per
+operation — the dominant wall-clock cost of the old engine — so every
+simulated atomic runs the whole sequence under ONE lock.  That covers the
+integer cells (:class:`~repro.atomics.integer.AtomicUInt64`,
+``AtomicInt64``, ``AtomicBool``), :class:`~repro.atomics.ref.AtomicRef`,
+:class:`~repro.atomics.wide.AtomicWide128`, and the pointer cells
+:class:`~repro.core.atomic_object.AtomicObject` and
+:class:`~repro.core.local_atomic_object.LocalAtomicObject`: all derive
+from :class:`ChargedWord`, which adopts the lock of the memoised
+:class:`~repro.comm.routes.CellPlan` for its ``(home, opt_out)``
+(``NetworkModel.cell_plan``):
 
-* When every narrow route of the cell rides the *same* home-level point
-  (the flat ``ugni`` case: local and remote narrow atomics both pass the
-  home NIC pipeline), that point's lock is the cell lock: point
-  reservation, line reservation, and value commit all happen in one
-  critical section (``ServicePoint.serve_locked``).
+* When every reachable narrow route of the home rides the *same*
+  home-level point (the flat ``ugni`` case: local and remote narrow
+  atomics both pass the home NIC pipeline), that point's lock is the cell
+  lock: point reservation, line reservation, and value commit all happen
+  in one critical section (``ServicePoint.serve_locked``).
 * Otherwise (``none`` network, an opted-out cell, or a multi-level
   topology whose classes route through different points) the **line's
   lock** is the cell lock; any home-level service point on a route keeps
-  its own lock and is served nested inside (lock order is always
-  cell-lock → point-lock, never the reverse, so this cannot deadlock).
+  its own lock and is served nested inside.
+
+Wide (DCAS) routes always keep their point's own lock, nested inside the
+cell lock, so the lock order is always cell lock -> point lock and never
+the reverse.  Plan compilation checks the one way that could still go
+wrong: a self-locking serve of the very point whose lock the cell holds
+would deadlock on the non-reentrant lock, so ``cell_plan`` raises
+``RuntimeStateError`` instead of compiling such a plan.
 
 The line's own lock is therefore bypassed on hot paths whenever the cell
 lock is the NIC's; ``reset``/``utilization`` still take it, which is safe
 because measurement control runs at quiescent points only.
 
-Operations charge costs only when a task context is installed; this lets
-unit tests exercise pure semantics without standing up a runtime task.
+:meth:`ChargedWord._enter` is the one charge primitive: it takes the cell
+lock and, inside a task of the owning runtime, charges first; the caller
+commits and releases.  The integer cells' ``read``/``write``/``exchange``/
+``compare_and_swap`` inline the same body.  Operations charge costs only
+when a task context is installed; this lets unit tests exercise pure
+semantics without standing up a runtime task.
 """
 
 from __future__ import annotations
@@ -52,142 +70,77 @@ from ..runtime.context import _tls as _context_tls
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.runtime import Runtime
 
-__all__ = ["AtomicCell"]
+__all__ = ["ChargedWord", "AtomicCell"]
 
 
-class AtomicCell:
-    """Common state & charging logic for one atomic memory location."""
+class ChargedWord:
+    """Home, line, lock and charge plan shared by every simulated atomic."""
 
-    __slots__ = (
-        "_rt",
-        "home",
-        "_lock",
-        "line",
-        "name",
-        "opt_out",
-        "_dist",
-        "_narrow_hot",
-        "_wide_hot",
-        "_diags",
-        "_hot",
-    )
+    __slots__ = ("_rt", "home", "name", "opt_out", "line", "_lock", "_plan", "_hot")
 
     def __init__(
         self,
         runtime: "Runtime",
         home: int,
-        name: str = "",
-        *,
-        opt_out: bool = False,
+        name: str,
+        line_name: str,
+        opt_out: bool,
     ) -> None:
         #: Owning runtime (supplies the network model).
         self._rt = runtime
         #: Locale the cell's memory lives on.
         self.home = home
-        #: Per-cell serial resource (hot-line contention).
-        self.line = ServicePoint(name or f"line@{home}")
-        # Full-detail tracing (docs/OBSERVABILITY.md): the line emits its
-        # own serve events, covering every cell fast path — including the
-        # integer cells' inlined bodies — without touching them.
-        self.line._tracer = getattr(runtime, "_full_tracer", None)
         self.name = name
         #: When True, the cell "opts out" of network atomics (priced as a
         #: CPU atomic even under `ugni`) — the paper's optimization for
         #: variables only ever touched by tasks on their home locale.
         self.opt_out = opt_out
-
-        # ---- precompiled charge plan (see module docstring) ------------
-        # Per-distance-class route rows for this home; tuples are indexed
-        # by the caller's distance class (class 0 = the home itself).
-        rows = runtime.network.atomic_class_routes(home)
-        narrow_routes = rows[1] if opt_out else rows[0]
-        wide_routes = rows[3] if opt_out else rows[2]
-        #: Distance class of every source locale against this home.
-        self._dist = runtime.network.distance_row(home)
-
-        # Only classes that actually occur in this home's distance row can
-        # ever be indexed — a dragonfly whose locales all fit in one group
-        # must keep the one-lock-cycle fast path even though the (dead)
-        # inter-group class compiles a different point.
-        reachable = set(self._dist)
-        shared_point = narrow_routes[0].point
-        if shared_point is not None and all(
-            narrow_routes[ci].point is shared_point for ci in reachable
-        ):
-            # Every *reachable* narrow class rides one home-level point
-            # (flat ugni: the NIC pipeline) — adopt its lock and reserve
-            # it via serve_locked.  Unreachable classes keep their own
-            # point's self-locking serve; they are never indexed.
-            self._lock = shared_point._lock
-            narrow_plans = tuple(
-                self._plan(
-                    r, shared_point.serve_locked if ci in reachable else None
-                )
-                for ci, r in enumerate(narrow_routes)
-            )
-        else:
-            self._lock = self.line._lock
-            narrow_plans = tuple(self._plan(r, None) for r in narrow_routes)
-        # Wide (and any) routes through a progress thread or uplink keep
-        # that point's own lock and are served nested inside the cell lock.
-        self._narrow_hot = narrow_plans
-        self._wide_hot = tuple(self._plan(r, None) for r in wide_routes)
-        self._diags = runtime.network.diags
-        #: Hot-path bundle for the inlined integer fast paths: one
-        #: attribute load + UNPACK_SEQUENCE hands a method everything it
-        #: needs (runtime for the identity check, the distance row, routes,
-        #: diagnostics, and prebound lock/serve callables).
+        #: Per-cell serial resource (hot-line contention).
+        line = self.line = ServicePoint(line_name)
+        # Full-detail tracing (docs/OBSERVABILITY.md): the line emits its
+        # own serve events, covering every cell fast path — including the
+        # integer cells' inlined bodies — without touching them.
+        line._tracer = getattr(runtime, "_full_tracer", None)
+        network = runtime.network
+        plan = self._plan = network.cell_plan(home, opt_out)
+        dist, lock_point, narrow, _wide = plan
+        lock = self._lock = line._lock if lock_point is None else lock_point._lock
+        #: Hot-path bundle: one attribute load + UNPACK_SEQUENCE hands a
+        #: method everything it needs (runtime for the identity check, the
+        #: distance row, narrow steps, diagnostics, and prebound
+        #: lock/serve callables).
         self._hot = (
             runtime,
-            self._dist,
-            self._narrow_hot,
-            self._diags,
-            self._lock.acquire,
-            self._lock.release,
-            self.line.serve_locked,
+            dist,
+            narrow,
+            network.diags,
+            lock.acquire,
+            lock.release,
+            line.serve_locked,
         )
 
-    @staticmethod
-    def _plan(route, locked_point_serve):
-        """Flatten one route into the hot 5-tuple.
+    def _enter(self, wide: bool) -> None:
+        """Take the cell lock, charging one atomic op first when called
+        from a task of the owning runtime.
 
-        ``(diag_index, latency, outer, point_service, line_service)`` where
-        ``outer`` is the home-level serve callable to run inside the cell
-        lock — ``serve_locked`` when the cell lock IS that point's lock,
-        the point's self-locking ``serve`` when it is a different
-        (progress) point, or ``None`` for pure-CPU routes.
+        The caller commits its value change and then releases
+        ``self._lock``.  The route (latency class, service points,
+        diagnostic index, lock domain) was precompiled into the shared
+        plan; only the caller's locality is decided here.  The integer
+        cell's ``read``/``write``/``exchange``/``compare_and_swap`` inline
+        this body — keep the implementations in sync.
         """
-        if route.point is None:
-            outer = None
-        elif locked_point_serve is not None:
-            outer = locked_point_serve
-        else:
-            outer = route.point.serve
-        return (route.diag_index, route.latency, outer, route.point_service, route.line_service)
-
-    # ------------------------------------------------------------------
-    def _charge(self, *, wide: bool = False) -> None:
-        """Charge one atomic op according to caller locality & network mode.
-
-        No-op outside a task context (pure-semantics unit tests).  The
-        route (latency class, service points, diagnostic index, lock
-        domain) was precompiled at construction; only the caller's
-        locality is decided here.  The integer cell's ``read``/``write``/
-        ``exchange``/``compare_and_swap`` inline this body (fused with
-        their value commit) — keep the implementations in sync.
-        """
+        rt, dist, narrow, diags, acquire, release, line_serve_locked = self._hot
         try:
             ctx = _context_tls.ctx
         except AttributeError:  # thread never entered a task scope
             ctx = None
-        if ctx is None:
-            return
-        rt, dist, narrow, diags, acquire, release, line_serve_locked = self._hot
-        if ctx.runtime is not rt:
+        if ctx is None or ctx.runtime is not rt:
+            acquire()
             return
         locale = ctx.locale_id
         diag_index, latency, outer, point_service, line_service = (
-            self._wide_hot if wide else narrow
+            self._plan[3] if wide else narrow  # _plan[3] is plan.wide
         )[dist[locale]]
         if diags._enabled:
             rows = ctx.diag_rows
@@ -201,8 +154,9 @@ class AtomicCell:
             if outer is not None:
                 t = outer(t, point_service)
             clock.now = line_serve_locked(t, line_service)
-        finally:
+        except BaseException:
             release()
+            raise
 
     def reset_measurements(self) -> None:
         """Zero the cell's contention bookkeeping (between bench trials)."""
@@ -210,3 +164,20 @@ class AtomicCell:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(home={self.home}, name={self.name!r})"
+
+
+class AtomicCell(ChargedWord):
+    """Base of the integer, flag, reference and 128-bit cells, whose home
+    is passed as a locale id (the pointer cells take ``locale=`` instead)."""
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        runtime: "Runtime",
+        home: int,
+        name: str = "",
+        *,
+        opt_out: bool = False,
+    ) -> None:
+        super().__init__(runtime, home, name, name or f"line@{home}", opt_out)

@@ -1,10 +1,14 @@
 """64-bit atomic integers and booleans (Chapel's ``atomic int`` analogue).
 
 These are the primitives the paper benchmarks ``AtomicObject`` against in
-Figure 3, and the raw material the rest of the library is built from: the
-compressed-pointer word inside :class:`~repro.core.atomic_object.AtomicObject`
-is an :class:`AtomicUInt64`, and every flag in the epoch manager's election
-protocol is an :class:`AtomicBool`.
+Figure 3, and the raw material the rest of the library is built from:
+every flag in the epoch manager's election protocol is an
+:class:`AtomicBool`, and the epoch counters are integer cells.
+:class:`~repro.core.atomic_object.AtomicObject` keeps its compressed
+pointer word itself rather than in an :class:`AtomicUInt64`, but shares
+the same base (:class:`~repro.atomics.cell.ChargedWord`), plan and lock
+domain, so a compressed pointer op costs exactly what an ``AtomicUInt64``
+op costs.
 
 Semantics follow Chapel's ``atomic`` type closely:
 
@@ -49,9 +53,9 @@ def _to_word(value: int) -> int:
 class AtomicUInt64(AtomicCell):
     """An unsigned 64-bit atomic word.
 
-    The workhorse: compressed ``AtomicObject`` pointers live in one of
-    these, so its operation set and costs are exactly what the paper's
-    RDMA-atomic fast path pays.
+    The workhorse: its operation set and costs are exactly what the
+    paper's RDMA-atomic fast path pays, and a compressed ``AtomicObject``
+    op is charged identically.
     """
 
     __slots__ = ("_value",)
@@ -71,8 +75,8 @@ class AtomicUInt64(AtomicCell):
     # -- reads / writes ---------------------------------------------------
     # read/write are the two hottest operations in the whole simulator
     # (every epoch pin/unpin is made of them), so both inline the narrow
-    # _charge body instead of calling it — keep them in sync with
-    # AtomicCell._charge.
+    # charge body of _enter instead of calling it — keep them in sync
+    # with ChargedWord._enter.
 
     def read(self) -> int:
         """Atomically load the current value.
@@ -231,22 +235,26 @@ class AtomicUInt64(AtomicCell):
 
     def compare_exchange(self, expected: int, desired: int) -> Tuple[bool, int]:
         """CAS returning ``(success, observed_value)``."""
-        self._charge()
         expected &= _MASK64
-        with self._lock:
+        self._enter(False)
+        try:
             observed = self._value
             if observed == expected:
                 self._value = desired & _MASK64
                 return True, observed
             return False, observed
+        finally:
+            self._lock.release()
 
     def fetch_add(self, delta: int) -> int:
         """Atomically add ``delta`` (mod 2**64); return the previous value."""
-        self._charge()
-        with self._lock:
+        self._enter(False)
+        try:
             old = self._value
             self._value = (old + delta) & _MASK64
             return old
+        finally:
+            self._lock.release()
 
     def add(self, delta: int) -> None:
         """Atomically add ``delta`` (result discarded)."""
@@ -262,27 +270,33 @@ class AtomicUInt64(AtomicCell):
 
     def fetch_or(self, bits: int) -> int:
         """Atomic bitwise OR; returns the previous value."""
-        self._charge()
-        with self._lock:
+        self._enter(False)
+        try:
             old = self._value
             self._value = (old | bits) & _MASK64
             return old
+        finally:
+            self._lock.release()
 
     def fetch_and(self, bits: int) -> int:
         """Atomic bitwise AND; returns the previous value."""
-        self._charge()
-        with self._lock:
+        self._enter(False)
+        try:
             old = self._value
             self._value = (old & bits) & _MASK64
             return old
+        finally:
+            self._lock.release()
 
     def fetch_xor(self, bits: int) -> int:
         """Atomic bitwise XOR; returns the previous value."""
-        self._charge()
-        with self._lock:
+        self._enter(False)
+        try:
             old = self._value
             self._value = (old ^ bits) & _MASK64
             return old
+        finally:
+            self._lock.release()
 
 
 class AtomicInt64(AtomicUInt64):
@@ -404,16 +418,18 @@ class AtomicBool(AtomicCell):
         self._value = bool(initial)
 
     def read(self) -> bool:
-        """Atomically load the flag (lock-free; mutators commit with one
-        store, so a bare load is linearizable)."""
-        self._charge()
-        return self._value
+        """Atomically load the flag."""
+        self._enter(False)
+        value = self._value
+        self._lock.release()
+        return value
 
     def write(self, value: bool) -> None:
         """Atomically store the flag."""
-        self._charge()
-        with self._lock:
-            self._value = bool(value)
+        value = bool(value)
+        self._enter(False)
+        self._value = value
+        self._lock.release()
 
     def peek(self) -> bool:
         """Cost-free load (tests only)."""
@@ -421,11 +437,12 @@ class AtomicBool(AtomicCell):
 
     def exchange(self, value: bool) -> bool:
         """Atomically store ``value``; return the previous flag."""
-        self._charge()
-        with self._lock:
-            old = self._value
-            self._value = bool(value)
-            return old
+        value = bool(value)
+        self._enter(False)
+        old = self._value
+        self._value = value
+        self._lock.release()
+        return old
 
     def test_and_set(self) -> bool:
         """Set the flag; return the *previous* value.
@@ -441,9 +458,11 @@ class AtomicBool(AtomicCell):
 
     def compare_and_swap(self, expected: bool, desired: bool) -> bool:
         """CAS on the flag; returns success."""
-        self._charge()
-        with self._lock:
-            if self._value == bool(expected):
-                self._value = bool(desired)
-                return True
-            return False
+        expected = bool(expected)
+        desired = bool(desired)
+        self._enter(False)
+        ok = self._value == expected
+        if ok:
+            self._value = desired
+        self._lock.release()
+        return ok

@@ -50,15 +50,16 @@ class AtomicRef(AtomicCell):
 
     def read(self) -> Any:
         """Atomically load the referenced object."""
-        self._charge()
-        with self._lock:
-            return self._value
+        self._enter(False)
+        value = self._value
+        self._lock.release()
+        return value
 
     def write(self, value: Any) -> None:
         """Atomically store ``value``."""
-        self._charge()
-        with self._lock:
-            self._value = value
+        self._enter(False)
+        self._value = value
+        self._lock.release()
 
     def peek(self) -> Any:
         """Cost-free load (tests only)."""
@@ -66,27 +67,27 @@ class AtomicRef(AtomicCell):
 
     def exchange(self, value: Any) -> Any:
         """Atomically store ``value``; return the previous reference."""
-        self._charge()
-        with self._lock:
-            old = self._value
-            self._value = value
-            return old
+        self._enter(False)
+        old = self._value
+        self._value = value
+        self._lock.release()
+        return old
 
     def compare_and_swap(self, expected: Any, desired: Any) -> bool:
         """Identity CAS: store ``desired`` iff the cell holds ``expected``."""
-        self._charge()
-        with self._lock:
-            if self._value is expected:
-                self._value = desired
-                return True
-            return False
+        self._enter(False)
+        ok = self._value is expected
+        if ok:
+            self._value = desired
+        self._lock.release()
+        return ok
 
     def compare_exchange(self, expected: Any, desired: Any) -> Tuple[bool, Any]:
         """Identity CAS returning ``(success, observed)``."""
-        self._charge()
-        with self._lock:
-            observed = self._value
-            if observed is expected:
-                self._value = desired
-                return True, observed
-            return False, observed
+        self._enter(False)
+        observed = self._value
+        ok = observed is expected
+        if ok:
+            self._value = desired
+        self._lock.release()
+        return ok, observed

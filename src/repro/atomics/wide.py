@@ -69,16 +69,17 @@ class AtomicWide128(AtomicCell):
         A 128-bit atomic load is implemented on x86 via a DCAS of the value
         against itself, so it pays the wide-op price.
         """
-        self._charge(wide=True)
-        with self._lock:
-            return self._lo, self._hi
+        self._enter(True)
+        pair = self._lo, self._hi
+        self._lock.release()
+        return pair
 
     def write(self, pair: Pair) -> None:
         """Atomically store the pair."""
-        self._charge(wide=True)
         lo, hi = _norm(pair)
-        with self._lock:
-            self._lo, self._hi = lo, hi
+        self._enter(True)
+        self._lo, self._hi = lo, hi
+        self._lock.release()
 
     def peek(self) -> Pair:
         """Cost-free load (tests only)."""
@@ -86,12 +87,12 @@ class AtomicWide128(AtomicCell):
 
     def exchange(self, pair: Pair) -> Pair:
         """Atomically store ``pair``; return the previous pair."""
-        self._charge(wide=True)
         lo, hi = _norm(pair)
-        with self._lock:
-            old = (self._lo, self._hi)
-            self._lo, self._hi = lo, hi
-            return old
+        self._enter(True)
+        old = self._lo, self._hi
+        self._lo, self._hi = lo, hi
+        self._lock.release()
+        return old
 
     def compare_and_swap(self, expected: Pair, desired: Pair) -> bool:
         """DCAS: store ``desired`` iff the pair equals ``expected``.
@@ -100,26 +101,26 @@ class AtomicWide128(AtomicCell):
         has been recycled back to the same bits, the counter half will have
         advanced and the DCAS fails.
         """
-        self._charge(wide=True)
         elo, ehi = _norm(expected)
         dlo, dhi = _norm(desired)
-        with self._lock:
-            if self._lo == elo and self._hi == ehi:
-                self._lo, self._hi = dlo, dhi
-                return True
-            return False
+        self._enter(True)
+        ok = self._lo == elo and self._hi == ehi
+        if ok:
+            self._lo, self._hi = dlo, dhi
+        self._lock.release()
+        return ok
 
     def compare_exchange(self, expected: Pair, desired: Pair) -> Tuple[bool, Pair]:
         """DCAS returning ``(success, observed_pair)``."""
-        self._charge(wide=True)
         elo, ehi = _norm(expected)
         dlo, dhi = _norm(desired)
-        with self._lock:
-            observed = (self._lo, self._hi)
-            if observed == (elo, ehi):
-                self._lo, self._hi = dlo, dhi
-                return True, observed
-            return False, observed
+        self._enter(True)
+        observed = self._lo, self._hi
+        ok = observed == (elo, ehi)
+        if ok:
+            self._lo, self._hi = dlo, dhi
+        self._lock.release()
+        return ok, observed
 
     # ------------------------------------------------------------------
     def bump_exchange_lo(self, lo: int) -> Pair:
@@ -129,10 +130,10 @@ class AtomicWide128(AtomicCell):
         protection on subsequent CASes (used by the limbo list's node
         recycling stack).
         """
-        self._charge(wide=True)
         lo &= _MASK64
-        with self._lock:
-            old = (self._lo, self._hi)
-            self._lo = lo
-            self._hi = (self._hi + 1) & _MASK64
-            return old
+        self._enter(True)
+        old = self._lo, self._hi
+        self._lo = lo
+        self._hi = (old[1] + 1) & _MASK64
+        self._lock.release()
+        return old

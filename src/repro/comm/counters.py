@@ -143,7 +143,7 @@ class CommDiagnostics:
     def record_index(self, locale: int, index: int) -> None:
         """Hot-path record by precompiled index (see comm.routes).
 
-        Callers on the hottest paths (cell ``_charge``) inline this body
+        Callers on the hottest paths (``ChargedWord._enter``) inline this body
         instead; keep the two in sync.
         """
         if self._enabled:

@@ -47,8 +47,10 @@ class), built lazily on first use and cached for the runtime's life.
 Under the flat topology this collapses to the legacy 8-entry (wide,
 opt_out, local) cube — exposed unchanged via :meth:`atomic_route_table`
 and verified entry-by-entry against the branchy reference compile in
-tests/test_topology.py.  The hot paths (:meth:`charge_atomic`,
-:meth:`read`, :meth:`write`, :meth:`bulk`, and the control-plane
+tests/test_topology.py.  Atomic cells charge through one memoised
+:class:`~repro.comm.routes.CellPlan` per (home, opt_out)
+(:meth:`cell_plan`) inside their own critical section.  The other hot
+paths (:meth:`read`, :meth:`write`, :meth:`bulk`, and the control-plane
 AM/fork/alloc/free charges) are straight-line: one distance-row index,
 one precompiled diagnostic bump, one or two service-point passes.
 :meth:`atomic_op` keeps the branchy reference semantics as a thin
@@ -59,11 +61,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from ..errors import RuntimeStateError
 from ..runtime.clock import ServicePoint
 from .aggregation import UplinkAggregator
 from .costs import CostModel
 from .counters import CommDiagnostics, CommOp
-from .routes import AtomicRoute, DataRoute, atomic_route_index
+from .routes import AtomicRoute, CellPlan, DataRoute, atomic_route_index
 from .topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -140,6 +143,8 @@ class NetworkModel:
         self._put_routes: List[Optional[Tuple[Optional[DataRoute], ...]]] = [None] * nloc
         self._bulk_routes: List[Optional[Tuple[Optional[DataRoute], ...]]] = [None] * nloc
         self._ctrl_tables: List[Optional[tuple]] = [None] * nloc
+        # Two fused cell plans per home: slot ``2 * home + opt_out``.
+        self._cell_plans: List[Optional[CellPlan]] = [None] * (2 * nloc)
         # Scalars lifted out of the hot paths.
         self._cpu_load_latency = self.costs.cpu_load_latency
         self._bulk_byte_cost = self.costs.rdma_byte_cost
@@ -332,6 +337,78 @@ class NetworkModel:
         wide_row = tuple(wide)
         return (tuple(narrow_plain), tuple(narrow_opt), wide_row, wide_row)
 
+    def cell_plan(self, home: int, opt_out: bool) -> CellPlan:
+        """The fused charge plan of every atomic on ``home`` with this
+        ``opt_out`` (compiled once, shared by all such cells).
+
+        See :mod:`repro.atomics.cell` for how a cell runs it: one lock
+        cycle reserves the home-level point, reserves the line and
+        commits the value.
+        """
+        slot = 2 * home + (1 if opt_out else 0)
+        plan = self._cell_plans[slot]
+        if plan is None:
+            plan = self._cell_plans[slot] = self._compile_cell_plan(home, opt_out)
+        return plan
+
+    def _compile_cell_plan(self, home: int, opt_out: bool) -> CellPlan:
+        rows = self.atomic_class_routes(home)
+        narrow_routes = rows[1] if opt_out else rows[0]
+        wide_routes = rows[3] if opt_out else rows[2]
+        dist = self.distance_row(home)
+        # Only classes that occur in this home's distance row can ever be
+        # indexed: a dragonfly whose locales all fit in one group keeps
+        # the shared-point lock even though its (dead) inter-group class
+        # compiles a different point.
+        reachable = set(dist)
+        lock_point = narrow_routes[0].point
+        if lock_point is not None and any(
+            narrow_routes[ci].point is not lock_point for ci in reachable
+        ):
+            lock_point = None
+
+        def steps(routes, locked: bool) -> Tuple[tuple, ...]:
+            out = []
+            for ci, route in enumerate(routes):
+                point = route.point
+                if point is None:
+                    outer = None
+                elif locked and ci in reachable:
+                    outer = point.serve_locked
+                else:
+                    outer = point.serve
+                    if point is lock_point and ci in reachable:
+                        # A self-locking serve of the point whose lock the
+                        # cell already holds: threading.Lock is not
+                        # reentrant, so this op would deadlock.
+                        raise RuntimeStateError(
+                            f"atomic plan for home {home} (opt_out={opt_out})"
+                            f" nests a self-locking serve of {point.name}"
+                            f" inside that point's own lock"
+                        )
+                out.append(
+                    (
+                        route.diag_index,
+                        route.latency,
+                        outer,
+                        route.point_service,
+                        route.line_service,
+                    )
+                )
+            return tuple(out)
+
+        # Every reachable narrow class rides the lock point (when there is
+        # one), so it is reserved with serve_locked; wide routes, which
+        # go through a progress thread or uplink, keep that point's own
+        # lock and are served nested inside the cell lock (lock order is
+        # always cell lock -> point lock).
+        return CellPlan(
+            dist,
+            lock_point,
+            steps(narrow_routes, lock_point is not None),
+            steps(wide_routes, False),
+        )
+
     def atomic_route_table(self, home: int) -> Tuple[AtomicRoute, ...]:
         """The legacy 8-entry (wide, opt_out, local) route cube for ``home``.
 
@@ -467,13 +544,15 @@ class NetworkModel:
     def charge_atomic(
         self, ctx: "TaskContext", line: ServicePoint, route: AtomicRoute
     ) -> None:
-        """Charge one atomic op along a precompiled route (the hot path).
+        """Charge one atomic op along a precompiled route.
 
-        ``line`` is the per-cell service point (the cache line / NIC-side
-        address pipeline for that atomic variable) — this is what makes a
-        *hot* atomic serialize even when the rest of the machine is idle.
-        Equivalent to :meth:`atomic_op` with the branch chain already
-        resolved.  The plain store of the serve result is the same as
+        The body of the reference :meth:`atomic_op` only: every simulated
+        atomic charges through its :meth:`cell_plan` instead, fused with
+        its value commit, and tests check those fused paths against this
+        one.  ``line`` is the per-cell service point (the cache line /
+        NIC-side address pipeline for that atomic variable) — this is what
+        makes a *hot* atomic serialize even when the rest of the machine
+        is idle.  The plain store of the serve result is the same as
         ``advance(latency)`` + ``advance_to(finish)``: a serve never
         finishes before its arrival ``now + latency``.
         """
@@ -506,8 +585,8 @@ class NetworkModel:
 
         Reference entry point mirroring the routing table in the module
         docstring; resolves the precompiled route for the caller's
-        distance class and defers to :meth:`charge_atomic`.  Cells bypass
-        this wrapper by caching their home's rows at construction.
+        distance class and defers to :meth:`charge_atomic`.  Cells never
+        call it: they run the same routes through :meth:`cell_plan`.
 
         ``wide=True`` selects the 128-bit DCAS rules (never RDMA).
 

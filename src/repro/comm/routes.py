@@ -15,9 +15,9 @@ This module defines the two flavours of precompiled route:
   :class:`~repro.comm.topology.FlatTopology` this collapses to the
   legacy 8-entry (wide, opt_out, local) cube laid out by
   :func:`atomic_route_index`, entry for entry.  Cells share their home's
-  table, pre-slice the rows for their own ``opt_out`` at construction
-  (``AtomicCell._plan``), and the hot path reduces to one distance-row
-  index.
+  table through one memoised :class:`CellPlan` per (home, opt_out)
+  (``NetworkModel.cell_plan``), and the hot path reduces to one
+  distance-row index.
 * :class:`DataRoute` — one GET/PUT/BULK recipe per (home locale,
   distance class), carrying the byte-cost slope so any transfer size
   reuses the same route.  Coherent classes (same socket) compile to no
@@ -35,12 +35,12 @@ names are validated, so an index-based route can never miscount.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.clock import ServicePoint
 
-__all__ = ["AtomicRoute", "DataRoute", "atomic_route_index"]
+__all__ = ["AtomicRoute", "CellPlan", "DataRoute", "atomic_route_index"]
 
 
 def atomic_route_index(wide: bool, opt_out: bool, local: bool) -> int:
@@ -84,6 +84,25 @@ class AtomicRoute:
             f"AtomicRoute(diag={self.diag_index}, latency={self.latency:.2e},"
             f" point={self.point!r})"
         )
+
+
+class CellPlan(NamedTuple):
+    """The fused charge plan shared by every atomic on one (home, opt_out).
+
+    ``narrow`` and ``wide`` hold one hot 5-tuple per distance class,
+    ``(diag_index, latency, outer, point_service, line_service)``, where
+    ``outer`` is the home-level serve callable run inside the cell lock:
+    ``lock_point.serve_locked`` when the cell lock IS that point's lock,
+    another point's self-locking ``serve``, or ``None`` for pure-CPU
+    routes.  ``lock_point`` is the point whose lock every such cell
+    adopts, or ``None`` when each cell locks its own line.  ``dist`` is
+    the home's distance row (source locale -> class index).
+    """
+
+    dist: Tuple[int, ...]
+    lock_point: "Optional[ServicePoint]"
+    narrow: Tuple[tuple, ...]
+    wide: Tuple[tuple, ...]
 
 
 class DataRoute:

@@ -35,13 +35,13 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from ..atomics.cell import ChargedWord
 from ..errors import LocaleError, RuntimeStateError
 from ..memory.address import NIL, GlobalAddress, is_nil
 from ..memory.compression import (
     MAX_COMPRESSIBLE_LOCALES,
     compress,
 )
-from ..runtime.clock import ServicePoint
 from ..runtime.context import maybe_context
 from .aba import ABA
 
@@ -105,7 +105,7 @@ class DescriptorTable:
         return addr
 
 
-class AtomicObject:
+class AtomicObject(ChargedWord):
     """An atomic cell holding a wide pointer to a (possibly remote) object.
 
     Parameters
@@ -125,10 +125,23 @@ class AtomicObject:
         ``"auto"`` (compressed when the runtime fits in 2**16 locales,
         DCAS otherwise), or explicitly ``"compressed"`` / ``"dcas"`` /
         ``"descriptor"``.
+
+    Every operation charges and commits in one critical section of the
+    shared :class:`~repro.atomics.cell.ChargedWord` machinery, exactly like
+    an integer cell on the same home (``opt_out`` never applies here).
+    Plain operations take the narrow route unless the mode is ``dcas``;
+    the ``*_aba`` variants always take the wide (DCAS) route.
     """
 
-    #: Strategies that keep the hot word 64 bits wide (RDMA-capable).
-    _NARROW_MODES = ("compressed", "descriptor")
+    __slots__ = (
+        "mode",
+        "aba_protection",
+        "_dcas",
+        "_addr",
+        "_count",
+        "_descriptors",
+        "_desc_of_current",
+    )
 
     def __init__(
         self,
@@ -140,40 +153,30 @@ class AtomicObject:
         mode: str = "auto",
         name: str = "",
     ) -> None:
+        compressible = runtime.num_locales < MAX_COMPRESSIBLE_LOCALES
         if mode == "auto":
-            mode = (
-                "compressed"
-                if runtime.num_locales < MAX_COMPRESSIBLE_LOCALES
-                else "dcas"
-            )
+            mode = "compressed" if compressible else "dcas"
         if mode not in ("compressed", "dcas", "descriptor"):
             raise ValueError(f"unknown AtomicObject mode {mode!r}")
-        self._rt = runtime
-        self.home = runtime.locale(locale).id
+        home = runtime.locale(locale).id
+        super().__init__(runtime, home, name, name or f"atomicobject@{home}", False)
         self.mode = mode
         self.aba_protection = bool(aba_protection)
-        self.name = name
-        self._lock = threading.Lock()
-        #: Per-cell contention point (hot-line serialization).
-        self.line = ServicePoint(name or f"atomicobject@{self.home}")
-        #: Precompiled per-distance-class atomic routes for the home
-        #: locale (opt_out never applies to AtomicObject), indexed by the
-        #: caller's distance class via the cached distance row.
-        rows = runtime.network.atomic_class_routes(self.home)
-        self._narrow_routes = rows[0]
-        self._wide_routes = rows[2]
-        self._dist = runtime.network.distance_row(self.home)
+        #: Plain ops pay the wide price only when the word is a full wide
+        #: pointer (a 128-bit load/CAS is a DCAS on x86).
+        self._dcas = mode == "dcas"
         self._addr: GlobalAddress = initial
         self._count = 0
-        self._descriptors: Optional[DescriptorTable] = (
-            DescriptorTable(runtime, home=self.home) if mode == "descriptor" else None
-        )
+        self._descriptors: Optional[DescriptorTable] = None
+        #: Descriptor of the current pointer (descriptor mode; else 0).
+        self._desc_of_current = 0
         if mode == "descriptor":
+            self._descriptors = DescriptorTable(runtime, home=home)
             self._desc_of_current = self._descriptors.register(initial)
         if mode == "compressed":
             # Validate eagerly: a runtime too large for compression must
             # use dcas/descriptor — matching the paper's fallback rule.
-            if runtime.num_locales >= MAX_COMPRESSIBLE_LOCALES:
+            if not compressible:
                 raise LocaleError(
                     "compressed mode requires fewer than 2**16 locales;"
                     " use mode='dcas' or mode='descriptor'"
@@ -181,20 +184,6 @@ class AtomicObject:
             compress(initial)  # raises if not representable
 
     # ------------------------------------------------------------------
-    # charging helpers
-    # ------------------------------------------------------------------
-    @property
-    def _narrow(self) -> bool:
-        return self.mode in self._NARROW_MODES
-
-    def _charge(self, *, wide: bool) -> None:
-        ctx = maybe_context()
-        if ctx is not None and ctx.runtime is self._rt:
-            route = (self._wide_routes if wide else self._narrow_routes)[
-                self._dist[ctx.locale_id]
-            ]
-            self._rt.network.charge_atomic(ctx, self.line, route)
-
     def _validate(self, addr: GlobalAddress) -> GlobalAddress:
         if not isinstance(addr, GlobalAddress):
             raise TypeError(
@@ -204,6 +193,12 @@ class AtomicObject:
             compress(addr)  # enforce representability (raises otherwise)
         return addr
 
+    def _register(self, addr: GlobalAddress) -> int:
+        """Descriptor for ``addr`` (descriptor mode; charges the table PUT
+        outside the cell lock), else 0."""
+        table = self._descriptors
+        return 0 if table is None else table.register(addr)
+
     # ------------------------------------------------------------------
     # normal (64-bit word) operations
     # ------------------------------------------------------------------
@@ -211,45 +206,38 @@ class AtomicObject:
         """Atomically load the wide pointer.
 
         Narrow modes pay one 64-bit atomic (RDMA-able); ``dcas`` mode pays
-        the wide price (a 128-bit load is a DCAS on x86).
+        the wide price (a 128-bit load is a DCAS on x86).  In descriptor
+        mode the pointer and its descriptor are captured in the same
+        critical section, then the descriptor resolves through the
+        (cached) table outside it.
         """
-        self._charge(wide=not self._narrow)
-        with self._lock:
-            addr = self._addr
-        if self.mode == "descriptor":
-            # A descriptor read resolves through the (cached) table.
-            self._descriptors.resolve(self._desc_of_current_locked())
+        self._enter(self._dcas)
+        addr = self._addr
+        desc = self._desc_of_current
+        self._lock.release()
+        if self._descriptors is not None:
+            self._descriptors.resolve(desc)
         return addr
-
-    def _desc_of_current_locked(self) -> int:
-        with self._lock:
-            return self._desc_of_current
 
     def write(self, addr: GlobalAddress) -> None:
         """Atomically store a new wide pointer."""
         addr = self._validate(addr)
-        desc = (
-            self._descriptors.register(addr) if self.mode == "descriptor" else None
-        )
-        self._charge(wide=not self._narrow)
-        with self._lock:
-            self._addr = addr
-            if desc is not None:
-                self._desc_of_current = desc
+        desc = self._register(addr)
+        self._enter(self._dcas)
+        self._addr = addr
+        self._desc_of_current = desc
+        self._lock.release()
 
     def exchange(self, addr: GlobalAddress) -> GlobalAddress:
         """Atomically store ``addr``; return the previous pointer."""
         addr = self._validate(addr)
-        desc = (
-            self._descriptors.register(addr) if self.mode == "descriptor" else None
-        )
-        self._charge(wide=not self._narrow)
-        with self._lock:
-            old = self._addr
-            self._addr = addr
-            if desc is not None:
-                self._desc_of_current = desc
-            return old
+        desc = self._register(addr)
+        self._enter(self._dcas)
+        old = self._addr
+        self._addr = addr
+        self._desc_of_current = desc
+        self._lock.release()
+        return old
 
     def compare_and_swap(
         self, expected: GlobalAddress, desired: GlobalAddress
@@ -260,39 +248,33 @@ class AtomicObject:
         :meth:`compare_and_swap_aba` when recycling is possible.
         """
         desired = self._validate(desired)
-        desc = (
-            self._descriptors.register(desired)
-            if self.mode == "descriptor"
-            else None
-        )
-        self._charge(wide=not self._narrow)
-        with self._lock:
-            if self._addr == expected:
+        desc = self._register(desired)
+        self._enter(self._dcas)
+        try:
+            ok = self._addr == expected
+            if ok:
                 self._addr = desired
-                if desc is not None:
-                    self._desc_of_current = desc
-                return True
-            return False
+                self._desc_of_current = desc
+        finally:
+            self._lock.release()
+        return ok
 
     def compare_exchange(
         self, expected: GlobalAddress, desired: GlobalAddress
     ) -> Tuple[bool, GlobalAddress]:
         """CAS returning ``(success, observed_pointer)``."""
         desired = self._validate(desired)
-        desc = (
-            self._descriptors.register(desired)
-            if self.mode == "descriptor"
-            else None
-        )
-        self._charge(wide=not self._narrow)
-        with self._lock:
+        desc = self._register(desired)
+        self._enter(self._dcas)
+        try:
             observed = self._addr
-            if observed == expected:
+            ok = observed == expected
+            if ok:
                 self._addr = desired
-                if desc is not None:
-                    self._desc_of_current = desc
-                return True, observed
-            return False, observed
+                self._desc_of_current = desc
+        finally:
+            self._lock.release()
+        return ok, observed
 
     # ------------------------------------------------------------------
     # ABA-protected (128-bit) operations
@@ -306,29 +288,30 @@ class AtomicObject:
     def read_aba(self) -> ABA[GlobalAddress]:
         """Atomically load pointer *and* counter (a 128-bit read)."""
         self._require_aba()
-        self._charge(wide=True)
-        with self._lock:
-            return ABA(self._addr, self._count)
+        self._enter(True)
+        addr, count = self._addr, self._count
+        self._lock.release()
+        return ABA(addr, count)
 
     def write_aba(self, addr: GlobalAddress) -> None:
         """Store ``addr`` and bump the counter as one 128-bit write."""
         self._require_aba()
         addr = self._validate(addr)
-        self._charge(wide=True)
-        with self._lock:
-            self._addr = addr
-            self._count += 1
+        self._enter(True)
+        self._addr = addr
+        self._count += 1
+        self._lock.release()
 
     def exchange_aba(self, addr: GlobalAddress) -> ABA[GlobalAddress]:
         """Swap in ``addr`` (counter bumped); return the previous snapshot."""
         self._require_aba()
         addr = self._validate(addr)
-        self._charge(wide=True)
-        with self._lock:
-            old = ABA(self._addr, self._count)
-            self._addr = addr
-            self._count += 1
-            return old
+        self._enter(True)
+        old, count = self._addr, self._count
+        self._addr = addr
+        self._count = count + 1
+        self._lock.release()
+        return ABA(old, count)
 
     def compare_and_swap_aba(
         self, expected: ABA[GlobalAddress], desired: GlobalAddress
@@ -340,13 +323,16 @@ class AtomicObject:
         """
         self._require_aba()
         desired = self._validate(desired)
-        self._charge(wide=True)
-        with self._lock:
-            if self._addr == expected.value and self._count == expected.count:
+        value, count = expected.value, expected.count
+        self._enter(True)
+        try:
+            ok = self._count == count and self._addr == value
+            if ok:
                 self._addr = desired
-                self._count += 1
-                return True
-            return False
+                self._count = count + 1
+        finally:
+            self._lock.release()
+        return ok
 
     # Chapel-style aliases (paper Listing 1 spellings).
     readABA = read_aba
@@ -359,10 +345,6 @@ class AtomicObject:
     def peek(self) -> GlobalAddress:
         """Cost-free load (tests only)."""
         return self._addr
-
-    def reset_measurements(self) -> None:
-        """Zero the cell's contention bookkeeping."""
-        self.line.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -15,13 +15,11 @@ swapping the atomic type — mirroring how the Chapel module pair is used.
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Tuple
 
+from ..atomics.cell import ChargedWord
 from ..errors import LocaleError, RuntimeStateError
 from ..memory.address import NIL, GlobalAddress, is_nil
-from ..runtime.clock import ServicePoint
-from ..runtime.context import maybe_context
 from .aba import ABA
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -30,8 +28,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["LocalAtomicObject"]
 
 
-class LocalAtomicObject:
-    """Atomic wide-pointer cell restricted to objects on its own locale."""
+class LocalAtomicObject(ChargedWord):
+    """Atomic wide-pointer cell restricted to objects on its own locale.
+
+    Narrow ops opt out of network atomics (the ``opt_out`` plan of its
+    home); the ``*_aba`` variants take the wide (DCAS) route, where
+    ``opt_out`` is irrelevant.
+    """
+
+    __slots__ = ("aba_protection", "_addr", "_count")
 
     def __init__(
         self,
@@ -42,23 +47,11 @@ class LocalAtomicObject:
         aba_protection: bool = True,
         name: str = "",
     ) -> None:
-        self._rt = runtime
-        self.home = runtime.locale(locale).id
+        home = runtime.locale(locale).id
+        super().__init__(runtime, home, name, name or f"localatomic@{home}", True)
         self.aba_protection = bool(aba_protection)
-        self.name = name
-        self._lock = threading.Lock()
-        #: Per-cell contention point.
-        self.line = ServicePoint(name or f"localatomic@{self.home}")
         self._addr = self._validate(initial)
         self._count = 0
-        #: Precompiled per-distance-class atomic routes for the home
-        #: locale: narrow ops opt out of network atomics, wide ops take
-        #: the DCAS rows (where opt_out is irrelevant).  Indexed by the
-        #: caller's distance class via the cached distance row.
-        rows = runtime.network.atomic_class_routes(self.home)
-        self._narrow_routes = rows[1]
-        self._wide_routes = rows[2]
-        self._dist = runtime.network.distance_row(self.home)
 
     # ------------------------------------------------------------------
     def _validate(self, addr: GlobalAddress) -> GlobalAddress:
@@ -74,17 +67,6 @@ class LocalAtomicObject:
             )
         return addr
 
-    def _charge(self, *, wide: bool) -> None:
-        ctx = maybe_context()
-        if ctx is not None and ctx.runtime is self._rt:
-            # opt_out (narrow only): never a network atomic; remote use
-            # (which the locale check above makes useless anyway) would
-            # price as AM.
-            route = (self._wide_routes if wide else self._narrow_routes)[
-                self._dist[ctx.locale_id]
-            ]
-            self._rt.network.charge_atomic(ctx, self.line, route)
-
     def _require_aba(self) -> None:
         if not self.aba_protection:
             raise RuntimeStateError(
@@ -96,50 +78,55 @@ class LocalAtomicObject:
     # ------------------------------------------------------------------
     def read(self) -> GlobalAddress:
         """Atomically load the pointer."""
-        self._charge(wide=False)
-        with self._lock:
-            return self._addr
+        self._enter(False)
+        addr = self._addr
+        self._lock.release()
+        return addr
 
     def write(self, addr: GlobalAddress) -> None:
         """Atomically store a (same-locale) pointer."""
         addr = self._validate(addr)
-        self._charge(wide=False)
-        with self._lock:
-            self._addr = addr
+        self._enter(False)
+        self._addr = addr
+        self._lock.release()
 
     def exchange(self, addr: GlobalAddress) -> GlobalAddress:
         """Atomically store ``addr``; return the previous pointer."""
         addr = self._validate(addr)
-        self._charge(wide=False)
-        with self._lock:
-            old = self._addr
-            self._addr = addr
-            return old
+        self._enter(False)
+        old = self._addr
+        self._addr = addr
+        self._lock.release()
+        return old
 
     def compare_and_swap(
         self, expected: GlobalAddress, desired: GlobalAddress
     ) -> bool:
         """Pointer-word CAS (ABA-prone by design; see the ABA variants)."""
         desired = self._validate(desired)
-        self._charge(wide=False)
-        with self._lock:
-            if self._addr == expected:
+        self._enter(False)
+        try:
+            ok = self._addr == expected
+            if ok:
                 self._addr = desired
-                return True
-            return False
+        finally:
+            self._lock.release()
+        return ok
 
     def compare_exchange(
         self, expected: GlobalAddress, desired: GlobalAddress
     ) -> Tuple[bool, GlobalAddress]:
         """CAS returning ``(success, observed_pointer)``."""
         desired = self._validate(desired)
-        self._charge(wide=False)
-        with self._lock:
+        self._enter(False)
+        try:
             observed = self._addr
-            if observed == expected:
+            ok = observed == expected
+            if ok:
                 self._addr = desired
-                return True, observed
-            return False, observed
+        finally:
+            self._lock.release()
+        return ok, observed
 
     # ------------------------------------------------------------------
     # ABA-protected operations (local DCAS)
@@ -147,29 +134,30 @@ class LocalAtomicObject:
     def read_aba(self) -> ABA[GlobalAddress]:
         """128-bit load of (pointer, counter)."""
         self._require_aba()
-        self._charge(wide=True)
-        with self._lock:
-            return ABA(self._addr, self._count)
+        self._enter(True)
+        addr, count = self._addr, self._count
+        self._lock.release()
+        return ABA(addr, count)
 
     def write_aba(self, addr: GlobalAddress) -> None:
         """128-bit store; bumps the counter."""
         self._require_aba()
         addr = self._validate(addr)
-        self._charge(wide=True)
-        with self._lock:
-            self._addr = addr
-            self._count += 1
+        self._enter(True)
+        self._addr = addr
+        self._count += 1
+        self._lock.release()
 
     def exchange_aba(self, addr: GlobalAddress) -> ABA[GlobalAddress]:
         """128-bit swap; returns the previous snapshot."""
         self._require_aba()
         addr = self._validate(addr)
-        self._charge(wide=True)
-        with self._lock:
-            old = ABA(self._addr, self._count)
-            self._addr = addr
-            self._count += 1
-            return old
+        self._enter(True)
+        old, count = self._addr, self._count
+        self._addr = addr
+        self._count = count + 1
+        self._lock.release()
+        return ABA(old, count)
 
     def compare_and_swap_aba(
         self, expected: ABA[GlobalAddress], desired: GlobalAddress
@@ -177,13 +165,16 @@ class LocalAtomicObject:
         """DCAS against (pointer, counter); immune to address recycling."""
         self._require_aba()
         desired = self._validate(desired)
-        self._charge(wide=True)
-        with self._lock:
-            if self._addr == expected.value and self._count == expected.count:
+        value, count = expected.value, expected.count
+        self._enter(True)
+        try:
+            ok = self._count == count and self._addr == value
+            if ok:
                 self._addr = desired
-                self._count += 1
-                return True
-            return False
+                self._count = count + 1
+        finally:
+            self._lock.release()
+        return ok
 
     # Chapel-style aliases.
     readABA = read_aba
@@ -196,10 +187,6 @@ class LocalAtomicObject:
     def peek(self) -> GlobalAddress:
         """Cost-free load (tests only)."""
         return self._addr
-
-    def reset_measurements(self) -> None:
-        """Zero the cell's contention bookkeeping."""
-        self.line.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LocalAtomicObject(home={self.home}, addr={self._addr!r})"

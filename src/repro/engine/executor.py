@@ -349,7 +349,7 @@ def _narrow_plan(net, cell, locale: int) -> tuple:
     phases exactly as interpreted charges leave it.
     """
     routes = net.atomic_class_routes(cell.home)
-    route = routes[1 if cell.opt_out else 0][cell._dist[locale]]
+    route = routes[1 if cell.opt_out else 0][net.distance_row(cell.home)[locale]]
     return (
         route.latency,
         route.point,
@@ -362,7 +362,7 @@ def _narrow_plan(net, cell, locale: int) -> tuple:
 
 def _charge(plan: tuple, now: float) -> float:
     """Replay one narrow charge: optional point pass, then the line pass
-    (the interpreted ``AtomicCell._charge`` virtual math, lock-free)."""
+    (the interpreted ``ChargedWord._enter`` virtual math, lock-free)."""
     latency, point, ps, line, ls, _di = plan
     t = now + latency
     if point is not None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import ABA, AtomicObject, GlobalAtomicObject, LocalAtomicObject
@@ -250,6 +253,44 @@ class TestDescriptorTable:
             return rt.comm_totals()["get"]
 
         assert rt.run(main) == 0
+
+
+    def test_descriptor_read_resolves_the_pointer_it_returns(self, rt, monkeypatch):
+        """A descriptor-mode read captures the pointer and its descriptor
+        in one critical section: with a writer racing it, every descriptor
+        the read resolves maps to the address the read returns."""
+        obj = AtomicObject(rt, locale=0, mode="descriptor")
+        table = obj._descriptors
+        addrs = [_addr(rt, 0, i) for i in range(4)]
+        obj.write(addrs[0])
+        resolved = []
+        real_resolve = table.resolve
+
+        def spy(desc):
+            resolved.append(desc)
+            return real_resolve(desc)
+
+        monkeypatch.setattr(table, "resolve", spy)
+
+        def writer():
+            for i in range(20000):
+                obj.write(addrs[i & 3])
+
+        torn = reads = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=writer)
+        try:
+            thread.start()
+            while thread.is_alive():
+                addr = obj.read()
+                reads += 1
+                torn += table._table[resolved[-1]] != addr
+        finally:
+            thread.join()
+            sys.setswitchinterval(interval)
+        assert reads > 0
+        assert torn == 0
 
 
 class TestLocalAtomicObject:

@@ -12,6 +12,9 @@ Covers the engine-overhaul invariants:
   bounded growth, join-helping for nested fork/join, teardown on close.
 * Diagnostics: exact counts under concurrency (striping), the stopped
   fast path, and single-point rejection of unknown op names.
+* Charges: the one-step control-plane charges and every atomic type's
+  fused charge-and-commit path equal their stepwise references, and
+  atomic plans are shared per ``(home, opt_out)`` and lock-order safe.
 """
 
 from __future__ import annotations
@@ -20,10 +23,15 @@ import threading
 
 import pytest
 
+from repro.atomics import AtomicBool, AtomicRef, AtomicUInt64, AtomicWide128
 from repro.comm.counters import CommDiagnostics, CommOp
+from repro.comm.network import NetworkModel
+from repro.comm.routes import AtomicRoute
+from repro.core import ABA, AtomicObject, LocalAtomicObject
 from repro.core.epoch_manager import EpochManagerStats
+from repro.memory import NIL
 from repro.runtime import Runtime, RuntimeConfig, ServicePoint, TaskClock
-from repro.runtime.context import TaskContext
+from repro.runtime.context import TaskContext, context_scope
 from repro.bench.workloads import run_atomic_mix, run_epoch_workload
 from repro.errors import RuntimeStateError
 
@@ -495,3 +503,198 @@ class TestControlPlaneCharges:
         assert got[1] == want[1]  # every point's full state
         assert got[2:] == want[2:]  # per-locale diagnostics, comm totals
         assert any(p[2] > 0.0 for p in got[1])  # the banked branch ran
+
+
+# ---------------------------------------------------------------------------
+# Fused atomic charges (every atomic type, one lock cycle per op)
+# ---------------------------------------------------------------------------
+
+#: The four machines the charge-equivalence tests drive.
+_MACHINES = [
+    RuntimeConfig(num_locales=4, network="ugni"),
+    RuntimeConfig(num_locales=4, network="none"),
+    RuntimeConfig(num_locales=8, network="ugni", topology="hier:2x2"),
+    RuntimeConfig(num_locales=8, network="none", topology="dragonfly:2"),
+]
+_MACHINE_IDS = ["flat-ugni", "flat-none", "hier-2x2", "dragonfly-2"]
+
+#: Plain pointer ops and their ABA variants, shared by both object types.
+_PTR_OPS = (
+    lambda c: c.read(),
+    lambda c: c.write(NIL),
+    lambda c: c.exchange(NIL),
+    lambda c: c.compare_and_swap(NIL, NIL),
+    lambda c: c.compare_exchange(NIL, NIL),
+)
+_ABA_OPS = (
+    lambda c: c.read_aba(),
+    lambda c: c.write_aba(NIL),
+    lambda c: c.exchange_aba(NIL),
+    lambda c: c.compare_and_swap_aba(ABA(NIL, 0), NIL),
+)
+_REF_OPS = (
+    lambda c: c.read(),
+    lambda c: c.write(None),
+    lambda c: c.exchange(None),
+    lambda c: c.compare_and_swap(None, None),
+    lambda c: c.compare_exchange(None, None),
+)
+_BOOL_OPS = (
+    lambda c: c.read(),
+    lambda c: c.write(True),
+    lambda c: c.exchange(False),
+    lambda c: c.test_and_set(),
+    lambda c: c.clear(),
+    lambda c: c.compare_and_swap(False, True),
+)
+_WIDE_OPS = (
+    lambda c: c.read(),
+    lambda c: c.write((1, 2)),
+    lambda c: c.exchange((0, 0)),
+    lambda c: c.compare_and_swap((0, 0), (3, 4)),
+    lambda c: c.compare_exchange((3, 4), (0, 0)),
+    lambda c: c.bump_exchange_lo(5),
+)
+_UINT_OPS = (
+    lambda c: c.fetch_add(3),
+    lambda c: c.add(1),
+    lambda c: c.fetch_sub(2),
+    lambda c: c.sub(1),
+    lambda c: c.fetch_or(6),
+    lambda c: c.fetch_and(5),
+    lambda c: c.fetch_xor(1),
+    lambda c: c.compare_exchange(4, 9),
+)
+
+
+def _atomic_cases(rt, home):
+    """``(cell, op, wide, opt_out)`` for every fused atomic op on ``home``;
+    ``wide``/``opt_out`` are what ``network.atomic_op`` must be told to
+    charge the same route."""
+    cases = []
+    for mode in ("compressed", "dcas", "descriptor"):
+        obj = AtomicObject(rt, locale=home, mode=mode)
+        cases += [(obj, op, mode == "dcas", False) for op in _PTR_OPS]
+        cases += [(obj, op, True, False) for op in _ABA_OPS]
+    local = LocalAtomicObject(rt, locale=home)
+    cases += [(local, op, False, True) for op in _PTR_OPS]
+    cases += [(local, op, True, True) for op in _ABA_OPS]
+    for opt_out in (False, True):
+        for make, ops, wide in (
+            (AtomicRef, _REF_OPS, False),
+            (AtomicBool, _BOOL_OPS, False),
+            (AtomicWide128, _WIDE_OPS, True),
+            (AtomicUInt64, _UINT_OPS, False),
+        ):
+            cell = make(rt, home, opt_out=opt_out)
+            cases += [(cell, op, wide, opt_out) for op in ops]
+    return cases
+
+
+def _drive_atomics(config, fused):
+    """Every atomic op from every source against every home, charged by
+    the cell itself (``fused``) or by the reference ``atomic_op`` on the
+    cell's line.  Source clocks start staggered, so arrivals at shared
+    points come out of virtual-time order and every serve branch runs."""
+    rt = Runtime(config=config)
+    try:
+        net = rt.network
+        ctxs = [
+            TaskContext(
+                runtime=rt, locale_id=src, clock=TaskClock(src * 1e-7), task_id=src
+            )
+            for src in range(rt.num_locales)
+        ]
+        cases = [c for home in range(rt.num_locales) for c in _atomic_cases(rt, home)]
+        clocks = []
+        for _round in range(2):
+            for cell, op, wide, opt_out in cases:
+                for ctx in ctxs:
+                    if fused:
+                        with context_scope(ctx):
+                            op(cell)
+                    else:
+                        net.atomic_op(ctx, cell.home, cell.line, wide=wide, opt_out=opt_out)
+                    clocks.append(ctx.clock.now)
+        lines = {id(cell): cell.line for cell, *_ in cases}.values()
+        points = [
+            (p.name, p.next_free, p.idle_bank, p.busy_time, p.served)
+            for p in net.nic + net.progress + list(net.uplinks.values()) + list(lines)
+        ]
+        return clocks, points, net.diags.per_locale(), rt.comm_totals()
+    finally:
+        rt.close()
+
+
+def _self_locking_points(steps, reachable):
+    """The points whose self-locking ``serve`` a plan runs for a
+    reachable distance class."""
+    return [
+        step[2].__self__
+        for ci, step in enumerate(steps)
+        if ci in reachable
+        and step[2] is not None
+        and step[2].__func__ is ServicePoint.serve
+    ]
+
+
+class TestFusedAtomicCharges:
+    @pytest.mark.parametrize("config", _MACHINES, ids=_MACHINE_IDS)
+    def test_fused_paths_equal_the_reference_atomic_op(self, config):
+        got = _drive_atomics(config, fused=True)
+        want = _drive_atomics(config, fused=False)
+        assert got[0] == want[0]  # every clock reading, bit for bit
+        assert got[1] == want[1]  # every point's and line's full state
+        assert got[2:] == want[2:]  # per-locale diagnostics, comm totals
+        assert any(p[2] > 0.0 for p in got[1])  # the banked branch ran
+
+    def test_cells_share_one_plan_per_home_and_opt_out(self):
+        rt = Runtime(num_locales=4, network="ugni")
+        try:
+            net = rt.network
+            for home in range(4):
+                plain = net.cell_plan(home, False)
+                opted = net.cell_plan(home, True)
+                assert plain is not opted
+                assert AtomicUInt64(rt, home)._plan is plain
+                assert AtomicBool(rt, home)._plan is plain
+                assert AtomicObject(rt, locale=home)._plan is plain
+                assert AtomicRef(rt, home)._plan is opted
+                assert LocalAtomicObject(rt, locale=home)._plan is opted
+                assert AtomicWide128(rt, home, opt_out=True)._plan is opted
+            # Flat ugni: the NIC lock is every plain cell's lock, so an
+            # AtomicObject keeps no lock of its own.
+            obj = AtomicObject(rt, locale=1)
+            assert obj._lock is net.nic[1]._lock
+        finally:
+            rt.close()
+
+    @pytest.mark.parametrize("config", _MACHINES, ids=_MACHINE_IDS)
+    def test_plans_never_nest_a_serve_of_the_lock_point(self, config):
+        net = NetworkModel(config)
+        for home in range(config.num_locales):
+            for opt_out in (False, True):
+                plan = net.cell_plan(home, opt_out)
+                if plan.lock_point is None:
+                    continue
+                reachable = set(plan.dist)
+                for steps in (plan.narrow, plan.wide):
+                    assert plan.lock_point not in _self_locking_points(
+                        steps, reachable
+                    )
+
+    def test_plan_compile_rejects_a_nested_serve_of_the_lock_point(self):
+        net = NetworkModel(RuntimeConfig(num_locales=2, network="ugni"))
+        narrow, narrow_opt, wide, _ = net.atomic_class_routes(0)
+        nic = net.nic[0]
+        # A wide row through the home NIC — the point flat ugni cells
+        # lock — would deadlock on the non-reentrant lock.
+        bad = tuple(
+            AtomicRoute(r.diag_index, r.latency, nic, r.point_service, r.line_service)
+            for r in wide
+        )
+        net._class_tables[0] = (narrow, narrow_opt, bad, bad)
+        with pytest.raises(RuntimeStateError, match="self-locking serve of nic"):
+            net.cell_plan(0, False)
+        # Opted-out cells lock their own line: nesting the NIC is fine.
+        assert net.cell_plan(0, True).lock_point is None

@@ -166,6 +166,22 @@ class TestDeterminism:
         assert compiled.trace_events == interp.trace_events
 
 
+    def test_full_trace_covers_atomic_object_lines(self):
+        """AtomicObject lines carry the full tracer like every other
+        cell, so a structure scenario's stream includes their serves —
+        and stays bit-identical across repeats and pool sizes."""
+        runs = [
+            _traced("queue-churn", pool=pool, ops_scale=0.0625, repeats=2)
+            for pool in (1, 4)
+        ]
+        assert runs[0].trace_events == runs[1].trace_events
+        points = {
+            ev["point"] for ev in runs[0].trace_events if ev["kind"] == "serve"
+        }
+        assert {"queue.head", "queue.tail"} <= points
+        assert any(p.startswith("atomicobject@") for p in points)
+
+
 # ----------------------------------------------------------------------
 # non-interference + export
 # ----------------------------------------------------------------------
