@@ -1,4 +1,4 @@
-"""Ablation benchmarks: the design choices DESIGN.md Section 6 calls out.
+"""Ablation benchmarks: the design choices the paper argues for.
 
 Each test runs one ablation panel at reduced scale and asserts the
 direction of the effect the paper's design argues for:

@@ -24,10 +24,11 @@ operation — the dominant wall-clock cost of the old engine — so every
 simulated atomic runs the whole sequence under ONE lock.  That covers the
 integer cells (:class:`~repro.atomics.integer.AtomicUInt64`,
 ``AtomicInt64``, ``AtomicBool``), :class:`~repro.atomics.ref.AtomicRef`,
-:class:`~repro.atomics.wide.AtomicWide128`, and the pointer cells
-:class:`~repro.core.atomic_object.AtomicObject` and
-:class:`~repro.core.local_atomic_object.LocalAtomicObject`: all derive
-from :class:`ChargedWord`, which adopts the lock of the memoised
+:class:`~repro.atomics.wide.AtomicWide128`, and the pointer cell
+:class:`~repro.core.atomic_object.AtomicObject` (whose
+:class:`~repro.core.local_atomic_object.LocalAtomicObject` subclass
+inherits every operation and only selects the opted-out plan): all
+derive from :class:`ChargedWord`, which adopts the lock of the memoised
 :class:`~repro.comm.routes.CellPlan` for its ``(home, opt_out)``
 (``NetworkModel.cell_plan``):
 

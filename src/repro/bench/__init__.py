@@ -10,8 +10,8 @@ Entry points:
   scenarios.
 * :mod:`repro.bench.scenarios` — scenario specs, registry, grid runner,
   regression baselines.
-* :mod:`repro.bench.ablations` — the design-choice ablations from
-  DESIGN.md Section 6.
+* :mod:`repro.bench.ablations` — the design-choice ablations
+  (``--figure ablations``).
 * :mod:`repro.bench.workloads` — the underlying workload generators.
 """
 

@@ -46,9 +46,10 @@ message aggregation batched any scan traffic.  ``--topology`` (``flat``,
 (``default``/``degraded``/``wan``), ``--cost-scale`` and ``--policy``
 (the virtual-time policy pair — e.g. ``threshold:32`` or
 ``threshold:32+adaptive:2..64``; see docs/POLICY.md) override the
-simulated machine the same way; all six axes are recorded in reports
-and baselines, and a run whose axis differs from the recorded baseline
-reports ``incomparable`` instead of pretending to compare.  None of them
+simulated machine the same way; these six fields
+(:data:`~repro.bench.scenarios.BASELINE_IDENTITY`) are recorded in
+reports and baselines, and a run whose value differs from the recorded
+baseline reports ``incomparable`` instead of pretending to compare.  None of them
 can be combined with ``--update-baselines`` (a scenario's baseline pins
 the machine it was registered with).
 
@@ -79,8 +80,10 @@ Trace mode — run one scenario under the flight recorder and summarize::
 ``--run`` executes named scenarios in order, writes a JSON report with
 virtual-time results and per-scenario regression verdicts against
 ``benchmarks/scenario_baselines.json``, and exits
-non-zero on any ``drift`` — virtual time is deterministic, so drift means
-behaviour changed.
+1 on any ``drift`` — virtual time is deterministic, so drift means
+behaviour changed.  A scenario that cannot be loaded or validated (an
+unknown name, an invalid or missing ``--spec`` file, a bad override)
+prints one ``error:`` line and exits 2 instead.
 """
 
 from __future__ import annotations
@@ -253,20 +256,14 @@ def scenario_main(argv: "Sequence[str] | None" = None) -> int:
 
     if args.update_baselines and args.ops_scale is not None and args.ops_scale != 1.0:
         ap.error("--update-baselines cannot be combined with --ops-scale")
-    for flag, value in (
-        ("--reclaimer", args.reclaimer),
-        ("--topology", args.topology),
-        ("--aggregation", args.aggregation),
-        ("--policy", args.policy),
-        ("--cost-profile", args.cost_profile),
-        ("--cost-scale", args.cost_scale),
-    ):
-        if args.update_baselines and value is not None:
-            ap.error(
-                f"--update-baselines cannot be combined with {flag} (a"
-                " scenario's baseline pins the machine it was registered"
-                " with)"
-            )
+    if args.update_baselines:
+        for key, _ in scenarios.BASELINE_IDENTITY:
+            if getattr(args, key) is not None:
+                ap.error(
+                    f"--update-baselines cannot be combined with"
+                    f" --{key.replace('_', '-')} (a scenario's baseline"
+                    " pins the machine it was registered with)"
+                )
     if args.filter is not None and not args.list:
         ap.error("--filter only applies to --list")
     if args.trace_out is not None and args.trace in (None, "off"):
@@ -318,40 +315,29 @@ def scenario_main(argv: "Sequence[str] | None" = None) -> int:
                 print(f"      {spec.description}")
         return 0
 
-    if args.spec:
-        specs = [scenarios.ScenarioSpec.from_toml(args.spec)]
-    elif args.all:
-        specs = list(scenarios.iter_scenarios())
-    else:
-        specs = [scenarios.get_scenario(name) for name in args.run]
-
-    topo_overrides = {}
-    if args.reclaimer is not None:
-        topo_overrides["reclaimer"] = args.reclaimer
-    if args.topology is not None:
-        topo_overrides["topology"] = args.topology
-    if args.aggregation is not None:
-        topo_overrides["aggregation"] = args.aggregation
-    if args.policy is not None:
-        topo_overrides["policy"] = args.policy
-    if args.engine is not None:
-        topo_overrides["engine"] = args.engine
-    if args.trace is not None:
-        topo_overrides["trace"] = args.trace
-    if args.cost_profile is not None:
-        topo_overrides["cost_profile"] = args.cost_profile
-    if args.cost_scale is not None:
-        topo_overrides["cost_scale"] = args.cost_scale
-    if topo_overrides:
-        try:
+    # The machine overrides: every baseline-identity field, plus the two
+    # run options that never change virtual results.
+    topo_overrides = {
+        key: getattr(args, key)
+        for key in [k for k, _ in scenarios.BASELINE_IDENTITY] + ["engine", "trace"]
+        if getattr(args, key) is not None
+    }
+    try:
+        if args.spec:
+            specs = [scenarios.ScenarioSpec.from_toml(args.spec)]
+        elif args.all:
+            specs = list(scenarios.iter_scenarios())
+        else:
+            specs = [scenarios.get_scenario(name) for name in args.run]
+        if topo_overrides:
             specs = [s.with_topology(**topo_overrides) for s in specs]
-        except scenarios.ScenarioError as exc:
-            print(f"error: {exc}")
-            return 2
-    if args.ops_scale is not None:
-        specs = [s.with_measure(ops_scale=args.ops_scale) for s in specs]
-    if args.repeats is not None:
-        specs = [s.with_measure(repeats=args.repeats) for s in specs]
+        if args.ops_scale is not None:
+            specs = [s.with_measure(ops_scale=args.ops_scale) for s in specs]
+        if args.repeats is not None:
+            specs = [s.with_measure(repeats=args.repeats) for s in specs]
+    except scenarios.ScenarioError as exc:
+        print(f"error: {exc}")
+        return 2
 
     t0 = time.time()
 
@@ -586,7 +572,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
                 kw["ops_per_task"] = args.ops
             panels = [figures.figure7(**kw)]
         elif fig == "ablations":
-            title = "Ablations — DESIGN.md Section 6"
+            title = "Ablations — the paper's design choices, one at a time"
             ab_kw = {}
             if args.ops:
                 ab_kw["ops_per_task"] = args.ops

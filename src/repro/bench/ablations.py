@@ -2,8 +2,8 @@
 
 Each function isolates one mechanism, runs the relevant workload with the
 mechanism on and off (or across the alternative implementations), and
-returns a :class:`~repro.bench.report.Panel`.  These back the claims in
-DESIGN.md Section 6:
+returns a :class:`~repro.bench.report.Panel`.  These back the paper's
+design arguments, one mechanism at a time:
 
 * **compression** — pointer compression (RDMA path) vs the DCAS fallback
   vs the descriptor-table extension;
@@ -12,8 +12,10 @@ DESIGN.md Section 6:
 * **scatter** — bulk per-locale deallocation vs one RPC per dead object;
 * **election** — the FCFS ``testAndSet`` election vs letting every caller
   run the global scan;
-* **reclaimers** — EpochManager vs the blocking hot-counter baseline vs
-  the shared-memory LocalEpochManager (single locale).
+* **reclaimers** — EpochManager vs the blocking hot-counter baseline
+  (GlobalLockReclaimer);
+* **epoch cycle** — the paper's 3-epoch cycle vs a 4-epoch cycle that
+  holds objects one extra advance.
 """
 
 from __future__ import annotations
@@ -275,8 +277,9 @@ def ablation_epoch_cycle(
 ) -> Panel:
     """3-epoch (paper) vs 4-epoch (hardened) reclamation cycle.
 
-    The 4-list variant closes the mid-advance stale-cache window analysed
-    in DESIGN.md §6b by holding objects one extra advance.  The question
+    The 4-list variant closes the mid-advance stale-cache window (see
+    :data:`~repro.core.epoch_manager.EPOCH_CYCLE`) by holding objects one
+    extra advance.  The question
     this ablation answers: what does that safety margin cost?  Expected
     answer: almost nothing in time (the extra list is only touched during
     reclamation), a bounded increase in peak memory residency — which is

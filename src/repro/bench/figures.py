@@ -4,7 +4,7 @@ Each ``figure_*`` function sweeps the paper's parameter grid and returns
 :class:`~repro.bench.report.Panel` objects whose series correspond one to
 one with the lines in the paper's plots.  The CLI (``python -m
 repro.bench``) and the pytest-benchmark entry points under ``benchmarks/``
-both drive these functions; EXPERIMENTS.md records their output.
+both drive these functions; ``--json`` records their output.
 
 Since the scenario engine landed, the drivers here are *thin wrappers*
 over registered scenario specs (:mod:`repro.bench.scenarios`): each grid

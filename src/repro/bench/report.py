@@ -3,7 +3,7 @@
 The paper presents log-log line plots; offline and headless, we print the
 same data as one table per panel — x-axis (tasks or locales) down the
 rows, one column per series — in a format that is easy to diff between
-runs and to paste into EXPERIMENTS.md.
+runs and to paste into notes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class Panel:
         self.series.append(Series(name, list(values)))
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (EXPERIMENTS.md provenance blobs)."""
+        """JSON-friendly form (what ``--json`` writes per panel)."""
         return {
             "title": self.title,
             "xlabel": self.xlabel,

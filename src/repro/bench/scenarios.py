@@ -66,19 +66,10 @@ from typing import (
     Tuple,
 )
 
-from ..comm.aggregation import parse_aggregation
-from ..comm.costs import resolve_cost_model
-from ..comm.topology import parse_topology
 from ..engine import compiled_plan, engine_summary
 from ..errors import ReproError
-from ..obs import MetricsRegistry, parse_trace
-from ..policy import parse_policy
-from ..runtime.config import (
-    ENGINES,
-    RECLAIMER_SCHEMES,
-    NetworkType,
-    RuntimeConfig,
-)
+from ..obs import MetricsRegistry
+from ..runtime.config import RECLAIMER_SCHEMES, RuntimeConfig
 from ..runtime.runtime import Runtime
 from .workloads import (
     WorkloadResult,
@@ -103,6 +94,7 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioRun",
     "WORKLOAD_KINDS",
+    "BASELINE_IDENTITY",
     "register_scenario",
     "get_scenario",
     "scenario_names",
@@ -177,6 +169,16 @@ class TopologySpec:
     machine — tracing never changes any virtual-time result — so the key
     is never part of a baseline's identity and ``as_dict`` omits it when
     off.
+
+    The fields are exactly the keywords of
+    :meth:`RuntimeConfig.from_topology`, and that config is the only
+    parser: construction builds it once (checking only that ``locales``
+    and ``tasks_per_locale`` are positive integers first), raises
+    :class:`ScenarioError` (``"topology.<field>: ..."``) for any field it
+    rejects, copies the canonical ``network`` / ``topology`` /
+    ``aggregation`` / ``policy`` / ``trace`` specs back — so baselines
+    compare ``"hier"`` and ``"hier:2x2"``, or ``"off"`` and ``1``, as the
+    same machine — and keeps the config for :meth:`runtime_config`.
     """
 
     locales: int = 8
@@ -195,86 +197,32 @@ class TopologySpec:
     trace: str = "off"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.locales, int) or self.locales < 1:
-            raise ScenarioError(
-                f"topology.locales must be a positive integer, got"
-                f" {self.locales!r}"
-            )
-        if not isinstance(self.tasks_per_locale, int) or self.tasks_per_locale < 1:
-            raise ScenarioError(
-                f"topology.tasks_per_locale must be a positive integer, got"
-                f" {self.tasks_per_locale!r}"
-            )
-        try:
-            net = NetworkType.parse(self.network)
-        except ValueError as exc:
-            raise ScenarioError(f"topology.network: {exc}") from None
-        object.__setattr__(self, "network", net.value)
-        if not isinstance(self.topology, str):
-            raise ScenarioError(
-                f"topology.topology must be a spec string (e.g. 'flat',"
-                f" 'hier:2x2', 'dragonfly:4'), got {self.topology!r}"
-            )
-        # Parse once for validation (shape errors name the valid kinds)
-        # and normalize to the canonical spec string, so baselines compare
-        # "hier" and "hier:2x2" as the same machine.
-        try:
-            topo = parse_topology(self.topology, self.locales)
-        except ValueError as exc:
-            raise ScenarioError(f"topology.topology: {exc}") from None
-        object.__setattr__(self, "topology", topo.spec())
+        for name in ("locales", "tasks_per_locale"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ScenarioError(
+                    f"topology.{name} must be a positive integer, got"
+                    f" {value!r}"
+                )
         # Normalize a mapping into a hashable tuple of (field, value) pairs.
-        overrides = self.cost_overrides
-        if isinstance(overrides, Mapping):
-            overrides = tuple(sorted(overrides.items()))
-            object.__setattr__(self, "cost_overrides", overrides)
-        # Profile, scale, and override-field validation lives in
-        # resolve_cost_model — run it once here so errors carry the
-        # topology prefix and runtime_config() can never fail later.
+        if isinstance(self.cost_overrides, Mapping):
+            object.__setattr__(
+                self, "cost_overrides", tuple(sorted(self.cost_overrides.items()))
+            )
         try:
-            resolve_cost_model(
-                self.cost_profile,
-                scale=self.cost_scale,
-                overrides=dict(overrides),
+            config = RuntimeConfig.from_topology(
+                **{f.name: getattr(self, f.name) for f in fields(self)}
             )
         except ValueError as exc:
-            raise ScenarioError(f"topology cost model: {exc}") from None
-        if self.worker_pool_size is not None and self.worker_pool_size < 1:
-            raise ScenarioError(
-                f"topology.worker_pool_size must be >= 1 or omitted, got"
-                f" {self.worker_pool_size!r}"
-            )
-        if self.reclaimer not in RECLAIMER_SCHEMES:
-            raise ScenarioError(
-                f"topology.reclaimer {self.reclaimer!r} unknown; expected"
-                f" one of {list(RECLAIMER_SCHEMES)}"
-            )
-        # Validate the aggregation window eagerly and normalize to its
-        # canonical int spec, so baselines compare "off"/1/"1" as the
-        # same machine.
-        try:
-            agg = parse_aggregation(self.aggregation)
-        except ValueError as exc:
-            raise ScenarioError(f"topology.aggregation: {exc}") from None
-        object.__setattr__(self, "aggregation", agg.spec())
-        if self.engine not in ENGINES:
-            raise ScenarioError(
-                f"topology.engine {self.engine!r} unknown; expected one of"
-                f" {list(ENGINES)}"
-            )
-        # Validate the policy eagerly and normalize to its canonical spec
-        # string, so baselines compare "fixed"/"default"/None as the same
-        # machine and "static+threshold:64" equals "threshold:64+static".
-        try:
-            pol = parse_policy(self.policy)
-        except ValueError as exc:
-            raise ScenarioError(f"topology.policy: {exc}") from None
-        object.__setattr__(self, "policy", pol.spec())
-        try:
-            detail = parse_trace(self.trace)
-        except ValueError as exc:
-            raise ScenarioError(f"topology.trace: {exc}") from None
-        object.__setattr__(self, "trace", detail)
+            raise ScenarioError(f"topology.{exc}") from None
+        object.__setattr__(self, "network", config.network.value)
+        object.__setattr__(self, "topology", config.resolved_topology().spec())
+        object.__setattr__(
+            self, "aggregation", config.resolved_aggregation().spec()
+        )
+        object.__setattr__(self, "policy", config.resolved_policy().spec())
+        object.__setattr__(self, "trace", config.trace)
+        object.__setattr__(self, "_config", config)
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "TopologySpec":
@@ -282,23 +230,8 @@ class TopologySpec:
         return cls(**doc)
 
     def runtime_config(self) -> RuntimeConfig:
-        """Materialize as a :class:`RuntimeConfig`."""
-        return RuntimeConfig.from_topology(
-            locales=self.locales,
-            network=self.network,
-            cost_profile=self.cost_profile,
-            cost_scale=self.cost_scale,
-            cost_overrides=dict(self.cost_overrides),
-            tasks_per_locale=self.tasks_per_locale,
-            seed=self.seed,
-            worker_pool_size=self.worker_pool_size,
-            reclaimer=self.reclaimer,
-            topology=self.topology,
-            aggregation=self.aggregation,
-            engine=self.engine,
-            policy=self.policy,
-            trace=self.trace,
-        )
+        """The :class:`RuntimeConfig` this spec was validated through."""
+        return self._config
 
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -598,18 +531,22 @@ class ScenarioSpec:
 
         Requires :mod:`tomllib` (Python 3.11+); on older interpreters a
         :class:`ScenarioError` explains the constraint rather than
-        crashing at import time.
+        crashing at import time.  An unreadable file or malformed TOML
+        is a :class:`ScenarioError` too.
         """
         if _tomllib is None:  # pragma: no cover - 3.10 only
             raise ScenarioError(
                 "TOML scenario files require Python 3.11+ (tomllib);"
                 " use ScenarioSpec.from_dict instead"
             )
-        if text_or_path.endswith(".toml"):
-            with open(text_or_path, "rb") as fh:
-                doc = _tomllib.load(fh)
-        else:
-            doc = _tomllib.loads(text_or_path)
+        try:
+            if text_or_path.endswith(".toml"):
+                with open(text_or_path, "rb") as fh:
+                    doc = _tomllib.load(fh)
+            else:
+                doc = _tomllib.loads(text_or_path)
+        except (OSError, _tomllib.TOMLDecodeError) as exc:
+            raise ScenarioError(f"cannot load scenario TOML: {exc}") from None
         return cls.from_dict(doc)
 
     # -- derivation -----------------------------------------------------
@@ -702,7 +639,7 @@ def compiled_coverage(spec: ScenarioSpec) -> str:
     """
     topo = spec.topology
     params = spec.workload.resolved_params(spec.measure.ops_scale)
-    policy = parse_policy(topo.policy).make_epoch_policy()
+    policy = topo.runtime_config().resolved_policy().make_epoch_policy()
     tier, _reason = compiled_plan(
         spec.workload.kind,
         reclaimer=topo.reclaimer,
@@ -810,16 +747,27 @@ def load_baselines(path: str) -> Dict[str, Any]:
     return doc.get("scenarios", {})
 
 
+#: The topology fields that make up a baseline's machine identity, each
+#: with the value a baseline recorded before the field existed.  A run
+#: whose value differs from the recorded one is a different experiment,
+#: not a regression: its verdict is ``incomparable``.  ``engine`` and
+#: ``trace`` are absent because they never change virtual results.
+BASELINE_IDENTITY: Tuple[Tuple[str, Any], ...] = (
+    ("reclaimer", "ebr"),
+    ("topology", "flat"),
+    ("aggregation", 1),
+    ("policy", "fixed"),
+    ("cost_profile", "default"),
+    ("cost_scale", 1.0),
+)
+
+
 def baseline_entry(run: ScenarioRun) -> Dict[str, Any]:
     """The per-scenario facts a baseline pins (all virtual quantities)."""
+    topo = run.spec.topology
     return {
         "ops_scale": run.spec.measure.ops_scale,
-        "reclaimer": run.spec.topology.reclaimer,
-        "topology": run.spec.topology.topology,
-        "aggregation": run.spec.topology.aggregation,
-        "policy": run.spec.topology.policy,
-        "cost_profile": run.spec.topology.cost_profile,
-        "cost_scale": run.spec.topology.cost_scale,
+        **{key: getattr(topo, key) for key, _ in BASELINE_IDENTITY},
         "elapsed_virtual_s": run.result.elapsed,
         "operations": run.result.operations,
         "comm": dict(run.result.comm),
@@ -838,18 +786,9 @@ def _baseline_status(run: ScenarioRun, baselines: Mapping[str, Any]) -> Dict[str
                 f" run used {run.spec.measure.ops_scale}"
             ),
         }
-    # Axes that change the simulated machine: a differing run is a
-    # different experiment, not a regression — report incomparable.
-    topo = run.spec.topology
-    for key, default, got in (
-        ("reclaimer", "ebr", topo.reclaimer),
-        ("topology", "flat", topo.topology),
-        ("aggregation", 1, topo.aggregation),
-        ("policy", "fixed", topo.policy),
-        ("cost_profile", "default", topo.cost_profile),
-        ("cost_scale", 1.0, topo.cost_scale),
-    ):
+    for key, default in BASELINE_IDENTITY:
         recorded = base.get(key, default)
+        got = getattr(run.spec.topology, key)
         if recorded != got:
             return {
                 "status": "incomparable",

@@ -46,7 +46,7 @@ from ..engine import (
 )
 from ..memory.address import NIL, GlobalAddress
 from ..reclaim import make_reclaimer
-from ..runtime.axes import compiled_requested
+from ..runtime.config import compiled_requested
 from ..runtime.runtime import Runtime
 
 __all__ = [

@@ -28,7 +28,7 @@ All times are in **seconds** of virtual time.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 __all__ = [
     "CostModel",
@@ -215,7 +215,7 @@ def resolve_cost_model(
     *,
     scale: float = 1.0,
     class_scale: float = 1.0,
-    overrides: Optional[Mapping[str, float]] = None,
+    overrides: "Optional[Mapping[str, float] | Iterable[Tuple[str, float]]]" = None,
 ) -> CostModel:
     """Build a :class:`CostModel` from a named profile + adjustments.
 
@@ -224,37 +224,56 @@ def resolve_cost_model(
     per-distance-class axis — it multiplies only the network-facing
     fields (:data:`NETWORK_FIELDS`), which is how a topology's distance
     classes derive their link calibration from one base model; and
-    ``overrides`` then replaces individual fields.  Unknown profile names
-    or override fields raise ``ValueError`` listing the valid choices —
-    this is the validation surface the declarative scenario specs lean
-    on.
+    ``overrides`` (a mapping or ``(field, value)`` pairs) then replaces
+    individual fields with real numbers.  Anything else raises
+    ``ValueError`` listing the valid choices, prefixed with the
+    declarative field at fault (``cost_profile``, ``cost_scale``,
+    ``class_scale``, ``cost_overrides``) — this is the validation surface
+    :meth:`repro.runtime.config.RuntimeConfig.from_topology` leans on.
     """
     try:
         model = COST_PROFILES[profile]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(
-            f"unknown cost profile {profile!r}; expected one of"
-            f" {sorted(COST_PROFILES)}"
+            f"cost_profile: unknown cost profile {profile!r}; expected one"
+            f" of {sorted(COST_PROFILES)}"
         ) from None
-    for label, factor in (("cost scale", scale), ("class scale", class_scale)):
-        if (
-            not isinstance(factor, (int, float))
-            or isinstance(factor, bool)
-            or factor <= 0
-        ):
+    for name, label, factor in (
+        ("cost_scale", "cost scale", scale),
+        ("class_scale", "class scale", class_scale),
+    ):
+        if not _is_real(factor) or factor <= 0:
             raise ValueError(
-                f"{label} must be a positive number, got {factor!r}"
+                f"{name}: {label} must be a positive number, got {factor!r}"
             )
     if scale != 1.0:
         model = model.scaled(scale)
     if class_scale != 1.0:
         model = model.network_scaled(class_scale)
     if overrides:
+        try:
+            overrides = dict(overrides)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"cost_overrides: expected a mapping of cost field to"
+                f" number, got {overrides!r}"
+            ) from None
         bad = sorted(set(overrides) - set(CostModel.__dataclass_fields__))
         if bad:
             raise ValueError(
-                f"unknown cost override field(s) {bad}; valid fields are"
-                f" {sorted(CostModel.__dataclass_fields__)}"
+                f"cost_overrides: unknown cost override field(s) {bad}; valid"
+                f" fields are {sorted(CostModel.__dataclass_fields__)}"
             )
+        for key, value in overrides.items():
+            if not _is_real(value):
+                raise ValueError(
+                    f"cost_overrides: {key} must be a real number, got"
+                    f" {value!r}"
+                )
         model = model.with_overrides(**overrides)
     return model
+
+
+def _is_real(value: Any) -> bool:
+    """True for an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

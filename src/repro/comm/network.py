@@ -184,10 +184,14 @@ class NetworkModel:
 
         Cells fetch this once at construction; the hot paths index it by
         the issuing locale id — the only per-operation topology cost.
+        The rows live here, with the runtime, rather than in
+        :meth:`Topology.distance_row`'s cache: the topology belongs to the
+        config, which a scenario spec keeps for as long as it lives.
         """
         row = self._dist_rows[home]
         if row is None:
-            row = self.topology.distance_row(home)
+            distance = self.topology.distance
+            row = tuple(distance(src, home) for src in range(len(self._dist_rows)))
             self._dist_rows[home] = row
         return row
 

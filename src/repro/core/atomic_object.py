@@ -128,9 +128,11 @@ class AtomicObject(ChargedWord):
 
     Every operation charges and commits in one critical section of the
     shared :class:`~repro.atomics.cell.ChargedWord` machinery, exactly like
-    an integer cell on the same home (``opt_out`` never applies here).
-    Plain operations take the narrow route unless the mode is ``dcas``;
-    the ``*_aba`` variants always take the wide (DCAS) route.
+    an integer cell on the same home.  Plain operations take the narrow
+    route unless the mode is ``dcas``; the ``*_aba`` variants always take
+    the wide (DCAS) route.  The narrow route opts out of network atomics
+    only in the ``"local"`` mode of the
+    :class:`~repro.core.local_atomic_object.LocalAtomicObject` subclass.
     """
 
     __slots__ = (
@@ -142,6 +144,9 @@ class AtomicObject(ChargedWord):
         "_descriptors",
         "_desc_of_current",
     )
+
+    #: Modes this class accepts (``"auto"`` resolves to one of them).
+    _MODES = ("compressed", "dcas", "descriptor")
 
     def __init__(
         self,
@@ -156,16 +161,25 @@ class AtomicObject(ChargedWord):
         compressible = runtime.num_locales < MAX_COMPRESSIBLE_LOCALES
         if mode == "auto":
             mode = "compressed" if compressible else "dcas"
-        if mode not in ("compressed", "dcas", "descriptor"):
-            raise ValueError(f"unknown AtomicObject mode {mode!r}")
+        if mode not in self._MODES:
+            raise ValueError(f"unknown {type(self).__name__} mode {mode!r}")
+        # A runtime too large for compression must use dcas/descriptor —
+        # matching the paper's fallback rule.
+        if mode == "compressed" and not compressible:
+            raise LocaleError(
+                "compressed mode requires fewer than 2**16 locales;"
+                " use mode='dcas' or mode='descriptor'"
+            )
         home = runtime.locale(locale).id
-        super().__init__(runtime, home, name, name or f"atomicobject@{home}", False)
+        local = mode == "local"
+        line = f"{'localatomic' if local else 'atomicobject'}@{home}"
+        super().__init__(runtime, home, name, name or line, local)
         self.mode = mode
         self.aba_protection = bool(aba_protection)
         #: Plain ops pay the wide price only when the word is a full wide
         #: pointer (a 128-bit load/CAS is a DCAS on x86).
         self._dcas = mode == "dcas"
-        self._addr: GlobalAddress = initial
+        self._addr: GlobalAddress = self._validate(initial)
         self._count = 0
         self._descriptors: Optional[DescriptorTable] = None
         #: Descriptor of the current pointer (descriptor mode; else 0).
@@ -173,21 +187,13 @@ class AtomicObject(ChargedWord):
         if mode == "descriptor":
             self._descriptors = DescriptorTable(runtime, home=home)
             self._desc_of_current = self._descriptors.register(initial)
-        if mode == "compressed":
-            # Validate eagerly: a runtime too large for compression must
-            # use dcas/descriptor — matching the paper's fallback rule.
-            if not compressible:
-                raise LocaleError(
-                    "compressed mode requires fewer than 2**16 locales;"
-                    " use mode='dcas' or mode='descriptor'"
-                )
-            compress(initial)  # raises if not representable
 
     # ------------------------------------------------------------------
     def _validate(self, addr: GlobalAddress) -> GlobalAddress:
         if not isinstance(addr, GlobalAddress):
             raise TypeError(
-                f"AtomicObject holds GlobalAddress values, got {type(addr).__name__}"
+                f"{type(self).__name__} holds GlobalAddress values,"
+                f" got {type(addr).__name__}"
             )
         if self.mode == "compressed":
             compress(addr)  # enforce representability (raises otherwise)
@@ -282,7 +288,8 @@ class AtomicObject(ChargedWord):
     def _require_aba(self) -> None:
         if not self.aba_protection:
             raise RuntimeStateError(
-                "this AtomicObject was created with aba_protection=False"
+                f"this {type(self).__name__} was created with"
+                " aba_protection=False"
             )
 
     def read_aba(self) -> ABA[GlobalAddress]:
@@ -348,7 +355,7 @@ class AtomicObject(ChargedWord):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"AtomicObject(home={self.home}, mode={self.mode},"
+            f"{type(self).__name__}(home={self.home}, mode={self.mode},"
             f" aba={self.aba_protection}, addr={self._addr!r})"
         )
 

@@ -62,13 +62,15 @@ __all__ = ["EpochManager", "EpochManagerStats", "EPOCH_CYCLE"]
 #: Default epoch cycle: epochs run 1 -> 2 -> 3 -> 1 (0 = "not in any
 #: epoch"), matching the paper's three limbo lists.  A manager can be
 #: created with ``epoch_cycle=4`` to hold objects one extra advance —
-#: closing the mid-advance stale-cache window analysed in DESIGN.md §6b at
-#: the cost of one more limbo list and one epoch of extra memory residency.
+#: closing the mid-advance stale-cache window (the global epoch has moved
+#: but a locale's cached epoch is not yet refreshed, so a task pinning
+#: there still enters the old epoch) at the cost of one more limbo list
+#: and one epoch of extra memory residency.
 EPOCH_CYCLE = 3
 
 
 class EpochManagerStats:
-    """Aggregate counters for one manager (tests & EXPERIMENTS.md tables).
+    """Aggregate counters for one manager (tests and the ablation panels).
 
     Striped like :class:`~repro.comm.counters.CommDiagnostics`: every real
     thread owns a private counter row, so :meth:`inc` on the ``tryReclaim``
@@ -250,7 +252,7 @@ class EpochManager(PrivatizedObject):
         Number of epochs in the cycle (and limbo lists per locale).  The
         paper's design — and the default — is 3; ``4`` holds objects one
         extra advance, closing the mid-advance stale-locale-cache window
-        (DESIGN.md §6b) at the cost of extra memory residency.
+        (see :data:`EPOCH_CYCLE`) at the cost of extra memory residency.
     policy:
         Epoch-advance policy (docs/POLICY.md): a policy spec accepted by
         :func:`repro.policy.parse_policy`, or ``None`` (the default) to

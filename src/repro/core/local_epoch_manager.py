@@ -12,21 +12,19 @@ Functionally the paper's ``LocalEpochManager``: same token / limbo-list /
   error (the paper's variant simply doesn't handle them), so reclamation
   is always a purely local bulk free.
 
-Use it for structures confined to one locale; the speedup over the
-distributed manager on single-locale workloads is itself an ablation bench
-(`benchmarks/bench_ablation_local_manager.py`).
+Use it for structures confined to one locale.  Its state — epoch cell,
+election flag, node pool, limbo lists, token lists — is exactly one
+privatized instance of the distributed manager, so the class *is* an
+``_EpochManagerInstance`` that acts as its own manager.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, List, Optional
 
-from ..atomics.integer import AtomicBool, AtomicUInt64
 from ..errors import EpochManagerError, TokenStateError
-from .epoch_manager import EPOCH_CYCLE, EpochManagerStats
-from .limbo_list import LimboList, NodePool
-from .token import Token, TokenAllocatedList, TokenFreeList
+from .epoch_manager import EpochManagerStats, _EpochManagerInstance
+from .token import Token
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.runtime import Runtime
@@ -34,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["LocalEpochManager"]
 
 
-class LocalEpochManager:
+class LocalEpochManager(_EpochManagerInstance):
     """Single-locale epoch-based reclamation (no distributed state)."""
 
     def __init__(self, runtime: "Runtime", *, locale: Optional[int] = None) -> None:
@@ -43,58 +41,25 @@ class LocalEpochManager:
         if locale is None:
             ctx = maybe_context()
             locale = ctx.locale_id if ctx is not None else 0
-        self.runtime = runtime
-        self.locale_id = runtime.locale(locale).id
-        #: Locales allowed to use tokens of this manager (Token API).
-        self.home_locales = frozenset((self.locale_id,))
-        #: The (only) epoch counter; opted out of network atomics.
-        self.locale_epoch = AtomicUInt64(
-            runtime, self.locale_id, 1, name=f"lem_epoch@{self.locale_id}", opt_out=True
-        )
-        self.is_setting_epoch = AtomicBool(
-            runtime, self.locale_id, False, name=f"lem_flag@{self.locale_id}", opt_out=True
-        )
-        self.pool = NodePool(runtime, self.locale_id)
-        self.limbo_lists: List[LimboList] = [
-            LimboList(runtime, self.locale_id, self.pool, name=f"lem_limbo{e}")
-            for e in range(1, EPOCH_CYCLE + 1)
-        ]
-        self.free_tokens = TokenFreeList(runtime, self.locale_id)
-        self.allocated_tokens = TokenAllocatedList(runtime, self.locale_id)
-        self._token_seq = 0
-        self._token_seq_lock = threading.Lock()
+        super().__init__(self, runtime, runtime.locale(locale).id)
         self.stats = EpochManagerStats()
         self._destroyed = False
-        #: Token compatibility shims (Token expects a manager-instance API).
-        self.manager = self
-        self.deferred_count = 0
         #: Epoch policy (docs/POLICY.md).  Tokens consult
         #: ``policy.wants_pin_times``; the single-locale manager itself
         #: keeps the fixed cadence — policies drive the *distributed*
         #: reclaim paths, which this helper has none of.
         self.policy = runtime.config.resolved_policy().make_epoch_policy()
         #: Flight-recorder hooks (docs/OBSERVABILITY.md): tokens read
-        #: these through the same instance interface the distributed
+        #: these through the same manager interface the distributed
         #: manager exposes, so limbo-age facts and retire events work
         #: identically on the single-locale path.
         self._full = getattr(runtime, "_full_tracer", None)
         self._track_ages = self.policy.wants_retire_times or self._full is not None
-        self.slot_retire_vt: List[Optional[float]] = [None] * EPOCH_CYCLE
-        self.retire_vt_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _check_alive(self) -> None:
         if self._destroyed:
             raise EpochManagerError("LocalEpochManager used after destroy()")
-
-    def make_token(self) -> Token:
-        """(Token-machinery hook) create and link a fresh token."""
-        with self._token_seq_lock:
-            tid = self._token_seq
-            self._token_seq += 1
-        token = Token(self, tid)  # Token only needs the instance interface
-        self.allocated_tokens.push(token)
-        return token
 
     def register(self) -> Token:
         """Obtain a token; caller must be on the manager's locale."""
@@ -133,9 +98,9 @@ class LocalEpochManager:
                 if e != 0 and e != this_epoch:
                     self.stats.inc("scans_unsafe")
                     return False
-            new_epoch = (this_epoch % EPOCH_CYCLE) + 1
+            new_epoch = (this_epoch % self.cycle) + 1
             self.locale_epoch.write(new_epoch)
-            freed = self._drain([new_epoch % EPOCH_CYCLE])
+            freed = self._drain([new_epoch % self.cycle])
             self.stats.inc("advances")
             self.stats.inc("objects_reclaimed", freed)
             return True
@@ -162,7 +127,7 @@ class LocalEpochManager:
     def clear(self) -> int:
         """Reclaim everything (caller guarantees quiescence)."""
         self._check_alive()
-        freed = self._drain(list(range(EPOCH_CYCLE)))
+        freed = self._drain(list(range(self.cycle)))
         self.stats.inc("objects_reclaimed", freed)
         return freed
 

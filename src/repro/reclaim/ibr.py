@@ -30,8 +30,9 @@ against EBR's behaviour).  Contrast with HP: no per-pointer protect
 traffic and no validation re-reads, but garbage is bounded by reader
 *intervals* rather than by a hard per-guard constant.
 
-Era advancement must not race reader pins (the stale-cache asymmetry the
-EpochManager's DESIGN.md §6b analyses for EBR applies here too), which is
+Era advancement must not race reader pins (the mid-advance stale-cache
+window described at :data:`repro.core.epoch_manager.EPOCH_CYCLE` for EBR
+applies here too), which is
 why ``try_reclaim`` belongs to the root task at quiescent phase
 boundaries — the same discipline the scenario workloads already follow
 for every scheme.

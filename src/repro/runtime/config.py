@@ -12,7 +12,11 @@ The two network flavours mirror the paper's experimental axis:
   active messages serviced by the target's progress thread.
 
 ``RuntimeConfig`` is deliberately small and immutable — a benchmark sweep
-constructs one runtime per point from a config and tears it down.
+constructs one runtime per point from a config and tears it down.  It is
+also the one parser of the simulated machine: ``__post_init__`` validates
+every field once, and the scenario layer
+(:class:`~repro.bench.scenarios.TopologySpec`) reads the canonical specs
+back from the result instead of parsing them again.
 """
 
 from __future__ import annotations
@@ -20,16 +24,59 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from ..comm.aggregation import AggregationSpec
-from ..comm.costs import CostModel, DEFAULT_COSTS
-from ..comm.topology import Topology
+from ..comm.aggregation import AggregationSpec, parse_aggregation
+from ..comm.costs import CostModel, DEFAULT_COSTS, resolve_cost_model
+from ..comm.topology import Topology, parse_topology
 from ..errors import LocaleError
-from ..policy import PolicySpec
-from .axes import ENGINES, RECLAIMER_SCHEMES, MachineAxes
+from ..obs.recorder import parse_trace
+from ..policy import PolicySpec, parse_policy
 
-__all__ = ["NetworkType", "RuntimeConfig", "RECLAIMER_SCHEMES", "ENGINES"]
+__all__ = [
+    "NetworkType",
+    "RuntimeConfig",
+    "RECLAIMER_SCHEMES",
+    "ENGINES",
+    "compiled_requested",
+]
+
+#: Canonical names of the pluggable memory-reclamation schemes (see
+#: :mod:`repro.reclaim`).  Declared here — not in ``repro.reclaim`` — so
+#: that config validation does not import the reclaimer implementations
+#: (which themselves build on the runtime).
+RECLAIMER_SCHEMES = ("ebr", "hp", "qsbr", "ibr")
+
+#: Workload execution engines (see :mod:`repro.engine` and docs/ENGINE.md):
+#: ``"interpreted"`` charges every operation as it happens on real worker
+#: threads; ``"compiled"`` lets workloads lower fixed op streams into
+#: columnar batches replayed serially; ``"compiled-strict"`` is the same
+#: engine with fallback turned into an error (a coverage gate — any phase
+#: the generators cannot lower raises ``CompiledFallbackError`` instead of
+#: silently running the interpreter).  Bit-identical by contract — the
+#: option trades wall-clock only, never virtual results.
+ENGINES = ("interpreted", "compiled", "compiled-strict")
+
+
+def compiled_requested(engine: str) -> bool:
+    """True when ``engine`` asks for compiled execution (strict or not)."""
+    return engine in ENGINES[1:]
+
+
+def _parse(name: str, parse: Callable[..., Any], *args: Any) -> Any:
+    """Run one field's parser, prefixing its ``ValueError`` with the field."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _choice(name: str, value: Any, choices: "tuple[str, ...]") -> None:
+    """Validate an enum-like field: unknown values list the valid names."""
+    if value not in choices:
+        raise ValueError(
+            f"{name}: unknown {name} {value!r}; expected one of {list(choices)}"
+        )
 
 
 class NetworkType(enum.Enum):
@@ -63,6 +110,14 @@ class NetworkType(enum.Enum):
 class RuntimeConfig:
     """Immutable description of one simulated machine.
 
+    Construction is the machine's one parse: ``__post_init__`` validates
+    every field, normalizes ``network`` and ``trace`` in place, and keeps
+    the parsed topology, aggregation window and policy for
+    :meth:`resolved_topology` / :meth:`resolved_aggregation` /
+    :meth:`resolved_policy`.  A rejected field raises ``ValueError``
+    whose message starts with the field's name (``"aggregation: ..."``;
+    ``num_locales < 1`` raises :class:`~repro.errors.LocaleError`).
+
     Parameters
     ----------
     num_locales:
@@ -77,8 +132,8 @@ class RuntimeConfig:
         (The paper's machine ran 44; the simulator defaults low because
         each task is a real thread.)
     seed:
-        Seed for all task-local RNGs; sweeps derive per-task seeds from it
-        deterministically.
+        Seed for all task-local RNGs (an int, not a bool); sweeps derive
+        per-task seeds from it deterministically.
     reclaimer:
         Which memory-reclamation scheme structures and workloads use by
         default: ``"ebr"`` (the paper's distributed epoch-based scheme),
@@ -123,7 +178,8 @@ class RuntimeConfig:
         columnar batches replayed by :mod:`repro.engine`.  Virtual
         results are bit-identical either way — the knob trades wall-clock
         only.  Generators without a compiled lowering silently fall back
-        to the interpreter.
+        to the interpreter.  Like ``trace``, this is a run option, not
+        part of the machine identity baselines record.
     trace:
         Observability detail (see :mod:`repro.obs` and
         docs/OBSERVABILITY.md): ``"off"`` (the default — no recorder
@@ -132,10 +188,9 @@ class RuntimeConfig:
         ``"full"`` (adds per-op charges, ServicePoint serves, uplink
         batches, and guard events; forces inline-serial task execution
         for a canonical schedule — virtual time is unchanged by the
-        pool-size-invariance contract).  Like ``engine``, this is a
-        machine-style knob that is deliberately NOT a machine axis: it
-        never changes virtual results and is never recorded in
-        baselines.
+        pool-size-invariance contract).  Like ``engine``, this is a run
+        option: it never changes virtual results and is never recorded
+        in baselines.
     policy:
         Virtual-time policy axis (see :mod:`repro.policy` and
         docs/POLICY.md): one spec string naming an epoch-advance policy
@@ -171,9 +226,14 @@ class RuntimeConfig:
             raise ValueError(
                 f"tasks_per_locale must be >= 1, got {self.tasks_per_locale}"
             )
-        if self.worker_pool_size is not None and self.worker_pool_size < 1:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        pool = self.worker_pool_size
+        if pool is not None and (
+            not isinstance(pool, int) or isinstance(pool, bool) or pool < 1
+        ):
             raise ValueError(
-                f"worker_pool_size must be >= 1, got {self.worker_pool_size}"
+                f"worker_pool_size must be an integer >= 1, got {pool!r}"
             )
         if self.heap_alignment < 2 or (
             self.heap_alignment & (self.heap_alignment - 1)
@@ -182,55 +242,47 @@ class RuntimeConfig:
                 f"heap_alignment must be a power of two >= 2, got"
                 f" {self.heap_alignment}"
             )
-        # Normalize string network names passed positionally.
-        object.__setattr__(self, "network", NetworkType.parse(self.network))
-        # The trace knob is validated here, not via MachineAxes: like
-        # `engine` it can never change virtual results, so it must never
-        # become part of the recorded machine identity.
-        from ..obs import parse_trace
-
-        object.__setattr__(self, "trace", parse_trace(self.trace))
-        # Resolve (and thereby validate) every machine axis eagerly
-        # through the shared spec layer (:mod:`repro.runtime.axes`); the
-        # bundle is cached outside the dataclass fields so replace()
-        # re-resolves and frozen semantics are preserved.
-        object.__setattr__(
+        # Every machine field is parsed exactly once, here.  network and
+        # trace are normalized in place; the parsed topology, aggregation
+        # and policy live outside the dataclass fields, so replace()
+        # re-parses and frozen semantics are preserved.
+        set_ = object.__setattr__
+        set_(self, "network", _parse("network", NetworkType.parse, self.network))
+        set_(self, "trace", _parse("trace", parse_trace, self.trace))
+        _choice("reclaimer", self.reclaimer, RECLAIMER_SCHEMES)
+        _choice("engine", self.engine, ENGINES)
+        set_(
             self,
-            "_axes",
-            MachineAxes.parse(
-                num_locales=self.num_locales,
-                reclaimer=self.reclaimer,
-                topology=self.topology,
-                aggregation=self.aggregation,
-                engine=self.engine,
-                policy=self.policy,
-            ),
+            "_topology",
+            _parse("topology", parse_topology, self.topology, self.num_locales),
         )
+        set_(
+            self,
+            "_aggregation",
+            _parse("aggregation", parse_aggregation, self.aggregation),
+        )
+        set_(self, "_policy", _parse("policy", parse_policy, self.policy))
 
     def with_(self, **overrides) -> "RuntimeConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **overrides)
 
-    def resolved_axes(self) -> MachineAxes:
-        """The parsed machine-axis bundle (see :mod:`repro.runtime.axes`)."""
-        return self._axes
-
     def resolved_topology(self) -> Topology:
         """The :class:`~repro.comm.topology.Topology` instance this config
         describes (``topology`` may be a string spec, mapping, or object;
         see :func:`repro.comm.topology.parse_topology`)."""
-        return self._axes.topology
+        return self._topology
 
     def resolved_aggregation(self) -> AggregationSpec:
         """The validated :class:`~repro.comm.aggregation.AggregationSpec`
         this config describes (``aggregation`` may be an int, string,
         mapping, or spec object)."""
-        return self._axes.aggregation
+        return self._aggregation
 
     def resolved_policy(self) -> PolicySpec:
         """The validated :class:`~repro.policy.PolicySpec` this config
         describes (``policy`` may be a spec string, mapping, or object)."""
-        return self._axes.policy
+        return self._policy
 
     @classmethod
     def from_topology(
@@ -240,7 +292,7 @@ class RuntimeConfig:
         network: "NetworkType | str" = NetworkType.UGNI,
         cost_profile: str = "default",
         cost_scale: float = 1.0,
-        cost_overrides: "Optional[dict]" = None,
+        cost_overrides: Any = None,
         tasks_per_locale: int = 1,
         seed: int = 0xC0FFEE,
         worker_pool_size: Optional[int] = None,
@@ -254,20 +306,18 @@ class RuntimeConfig:
         """Build a config from declarative topology primitives.
 
         This is the constructor the scenario engine
-        (:mod:`repro.bench.scenarios`) uses: the cost model is named by
-        *profile* (see :data:`repro.comm.costs.COST_PROFILES`) and adjusted
-        with a uniform ``cost_scale`` and per-field ``cost_overrides``
-        instead of being passed as an object, and the interconnect shape
-        — node/socket/group structure — by a ``topology`` spec string
-        (``"flat"``, ``"hier:2x2"``, ``"dragonfly:4"``; see
-        :func:`repro.comm.topology.parse_topology`), so a TOML file can
-        describe the whole machine.
+        (:mod:`repro.bench.scenarios`) uses, and its keywords are exactly
+        :class:`~repro.bench.scenarios.TopologySpec`'s fields: the cost
+        model is named by *profile* (see
+        :data:`repro.comm.costs.COST_PROFILES`) and adjusted with a
+        uniform ``cost_scale`` and per-field ``cost_overrides`` (a mapping
+        or ``(field, value)`` pairs) instead of being passed as an object,
+        so a TOML file can describe the whole machine.  Every
+        ``ValueError`` starts with the name of the keyword at fault.
         """
-        from ..comm.costs import resolve_cost_model
-
         return cls(
             num_locales=locales,
-            network=NetworkType.parse(network),
+            network=network,
             costs=resolve_cost_model(
                 cost_profile, scale=cost_scale, overrides=cost_overrides
             ),

@@ -348,3 +348,34 @@ class TestLocalAtomicObject:
         obj = LocalAtomicObject(rt, aba_protection=False)
         with pytest.raises(RuntimeStateError):
             obj.read_aba()
+        with pytest.raises(RuntimeStateError, match="this LocalAtomicObject"):
+            obj.write_aba(NIL)
+
+    def test_narrow_cpu_route_at_2_16_locales(self):
+        """Same-locale pointers need no compression: where AtomicObject
+        falls back to DCAS, LocalAtomicObject keeps the narrow opted-out
+        CPU route — same price and counters as on a one-locale machine."""
+
+        def run(num_locales):
+            rt = Runtime(num_locales=num_locales, network="ugni")
+            try:
+                obj = LocalAtomicObject(rt, locale=0)
+                a = _addr(rt, 0)
+                assert obj.mode == "local" and obj._plan is rt.network.cell_plan(0, True)
+
+                def main():
+                    with rt.timed() as t:
+                        obj.write(a)
+                        assert obj.exchange(a) == a
+                        assert obj.compare_and_swap(a, NIL)
+                        assert obj.read() == NIL
+                    return t.elapsed
+
+                return rt.run(main), rt.network.diags.totals(), AtomicObject(rt).mode
+            finally:
+                rt.close()
+
+        huge, small = run(1 << 16), run(1)
+        assert huge[2] == "dcas" and small[2] == "compressed"
+        assert huge[:2] == small[:2]
+        assert huge[1]["local_amo"] == 4 and huge[1]["am"] == 0

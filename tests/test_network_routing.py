@@ -1,4 +1,5 @@
-"""Tests for the network model's routing rules (the DESIGN.md table).
+"""Tests for the network model's routing rules (the table in
+:mod:`repro.comm.network`).
 
 Every row of the routing table is pinned down by comparing virtual costs
 and counter movements between configurations: local vs remote, ugni vs

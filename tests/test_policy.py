@@ -8,9 +8,10 @@ Four layers, mirroring the subsystem's contract:
 * **unit semantics** — each epoch policy (fixed/threshold/decay/grace)
   and window policy (static/adaptive) decided against hand-built
   virtual-time facts;
-* **machine-axis layer** — ``parse_axis`` / ``MachineAxes`` round-trip
-  every axis through one shape, and a policy-axis mismatch makes a
-  baseline ``incomparable`` (never silently ``drift``);
+* **machine fields** — ``RuntimeConfig`` parses every machine field
+  once, its canonical specs round-trip, ``TopologySpec`` reports errors
+  by field, and a policy mismatch makes a baseline ``incomparable``
+  (never silently ``drift``);
 * **end-to-end determinism** — the hard requirement: policy decisions
   are bit-identical across repeats and worker-pool sizes {1, 2, 4, 8},
   the engaged ``fixed``/``static`` default exactly reproduces the
@@ -23,6 +24,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.scenarios import (
+    ScenarioError,
+    TopologySpec,
     baseline_entry,
     build_report,
     get_scenario,
@@ -40,7 +43,7 @@ from repro.policy import (
     ThresholdEpochPolicy,
     parse_policy,
 )
-from repro.runtime.axes import MACHINE_AXES, MachineAxes, axis_spec, parse_axis
+from repro.runtime.config import RuntimeConfig
 
 BASELINES = "benchmarks/scenario_baselines.json"
 
@@ -249,51 +252,82 @@ class TestWindowPolicies:
 
 
 # ----------------------------------------------------------------------
-# the machine-axis layer
+# the machine fields, parsed once by RuntimeConfig
 # ----------------------------------------------------------------------
+def _canonical(cfg: RuntimeConfig) -> dict:
+    return {
+        "reclaimer": cfg.reclaimer,
+        "topology": cfg.resolved_topology().spec(),
+        "aggregation": cfg.resolved_aggregation().spec(),
+        "engine": cfg.engine,
+        "policy": cfg.resolved_policy().spec(),
+    }
+
+
 class TestMachineAxes:
     def test_every_axis_round_trips(self):
-        axes = MachineAxes.parse(
+        cfg = RuntimeConfig(
             num_locales=8,
             reclaimer="hp",
             topology="hier:2x2",
-            aggregation=16,
+            aggregation="16",
             engine="compiled",
-            policy="threshold:32+adaptive:4..32",
+            policy="adaptive:4..32+threshold:32",
         )
-        spec = axes.spec()
-        again = MachineAxes.parse(num_locales=8, **spec)
-        assert again.spec() == spec
+        spec = _canonical(cfg)
+        assert spec["aggregation"] == 16
+        assert spec["policy"] == "threshold:32+adaptive:4..32"
+        again = RuntimeConfig(num_locales=8, **spec)
+        assert _canonical(again) == spec
 
     def test_defaults(self):
-        spec = MachineAxes.parse(num_locales=4).spec()
-        assert spec["reclaimer"] == "ebr"
-        assert spec["engine"] == "interpreted"
-        assert spec["policy"] == "fixed"
+        spec = _canonical(RuntimeConfig(num_locales=4))
+        assert spec == {
+            "reclaimer": "ebr",
+            "topology": "flat",
+            "aggregation": 1,
+            "engine": "interpreted",
+            "policy": "fixed",
+        }
+        topo = TopologySpec()
+        assert (topo.reclaimer, topo.topology, topo.aggregation) == (
+            "ebr", "flat", 1,
+        )
+        assert (topo.engine, topo.policy, topo.trace) == (
+            "interpreted", "fixed", "off",
+        )
 
     def test_unknown_axis_name_lists_axes(self):
-        with pytest.raises(ValueError) as exc:
-            parse_axis("colour", "red")
-        assert "unknown machine axis" in str(exc.value)
-        for name in MACHINE_AXES:
+        with pytest.raises(ScenarioError) as exc:
+            TopologySpec.from_dict({"colour": "red"})
+        assert "colour" in str(exc.value)
+        for name in ("reclaimer", "topology", "aggregation", "engine", "policy"):
             assert name in str(exc.value)
 
     def test_unknown_axis_value_lists_valid_names(self):
-        with pytest.raises(ValueError, match="'ebr'"):
-            parse_axis("reclaimer", "garbage")
-        with pytest.raises(ValueError, match="'interpreted'"):
-            parse_axis("engine", "jit")
+        with pytest.raises(ValueError, match="^reclaimer: .*'ebr'"):
+            RuntimeConfig(reclaimer="garbage")
+        with pytest.raises(ValueError, match="^engine: .*'interpreted'"):
+            RuntimeConfig(engine="jit")
+        with pytest.raises(ScenarioError, match="topology.reclaimer: .*'ebr'"):
+            TopologySpec(reclaimer="garbage")
 
     def test_topology_requires_locales(self):
-        with pytest.raises(ValueError, match="num_locales"):
-            parse_axis("topology", "flat")
-        topo = parse_axis("topology", "hier:2x2", num_locales=8)
-        assert axis_spec("topology", topo) == "hier:2x2"
+        """The topology is parsed against the machine's locale count."""
+        topo = RuntimeConfig(num_locales=8, topology="hier").resolved_topology()
+        assert topo.spec() == "hier:2x2"
+        assert topo.num_locales == 8
+        assert TopologySpec(locales=8, topology="hier").topology == "hier:2x2"
+        with pytest.raises(ValueError, match="^topology: .*built for 8"):
+            RuntimeConfig(num_locales=4, topology=topo)
+        with pytest.raises(ScenarioError, match="topology.topology: .*built for 8"):
+            TopologySpec(locales=4, topology=topo)
 
     def test_policy_axis_parses_through_parse_policy(self):
-        pol = parse_axis("policy", "grace:0.001")
+        pol = RuntimeConfig(policy="grace:0.001").resolved_policy()
         assert isinstance(pol, PolicySpec)
-        assert axis_spec("policy", pol) == "grace:0.001"
+        assert pol == parse_policy("grace:0.001")
+        assert TopologySpec(policy="grace:0.001").policy == "grace:0.001"
 
     def test_policy_mismatch_makes_baseline_incomparable(self):
         run = run_scenario(

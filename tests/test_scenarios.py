@@ -132,6 +132,54 @@ class TestSpecParsing:
         with pytest.raises(ScenarioError, match="cost scale"):
             TopologySpec(cost_scale="2")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", "abc"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("worker_pool_size", "2"),
+            ("worker_pool_size", 0),
+            ("cost_overrides", {"am_latency": "x"}),
+            ("cost_overrides", {"am_latency": True}),
+            ("cost_overrides", 5),
+        ],
+    )
+    def test_malformed_field_types_rejected_by_field(self, field, value):
+        """TOML typos fail at spec validation, naming the field — never
+        mid-run as a raw TypeError."""
+        with pytest.raises(ScenarioError, match=f"topology.{field}"):
+            ScenarioSpec.from_dict(_doc(topology={"locales": 2, field: value}))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("network", "infiniband"),
+            ("topology", "torus"),
+            ("cost_profile", "turbo"),
+            ("cost_scale", -1.0),
+            ("cost_overrides", {"warp_latency": 1e-6}),
+            ("reclaimer", "rc"),
+            ("aggregation", 0),
+            ("engine", "jit"),
+            ("policy", "never"),
+            ("trace", "loud"),
+        ],
+    )
+    def test_every_invalid_machine_field_names_itself(self, field, value):
+        with pytest.raises(ScenarioError, match=f"^topology.{field}: "):
+            TopologySpec(**{field: value})
+
+    def test_runtime_config_is_parsed_once_and_kept(self):
+        topo = TopologySpec(locales=8, topology="hier", policy="default")
+        cfg = topo.runtime_config()
+        assert cfg is topo.runtime_config()
+        assert cfg.resolved_topology().spec() == topo.topology == "hier:2x2"
+        assert cfg.resolved_policy().spec() == topo.policy == "fixed"
+        # Every spec builds its own config; equality ignores it.
+        twin = TopologySpec(locales=8, topology="hier:2x2")
+        assert twin == topo and twin.runtime_config() is not cfg
+
     def test_phased_reclaim_with_shared_locale_workers_rejected(self):
         """The determinism rule is enforced, not just documented."""
         from repro.bench.workloads import (
@@ -269,6 +317,20 @@ def _mini(name: str, **measure) -> ScenarioSpec:
     return get_scenario(name).with_measure(ops_scale=0.02, **measure)
 
 
+class TestRegisteredRoundTrip:
+    """What the former machine-axis registry promised, checked on the
+    shipped scenarios: canonical specs round-trip through the dict form."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_registered_spec_round_trips(self, name):
+        spec = get_scenario(name)
+        again = ScenarioSpec.from_dict(spec.as_dict())
+        assert again == spec
+        cfg, cfg_again = spec.topology.runtime_config(), again.topology.runtime_config()
+        for resolve in ("resolved_topology", "resolved_aggregation", "resolved_policy"):
+            assert getattr(cfg, resolve)().spec() == getattr(cfg_again, resolve)().spec()
+
+
 class TestExecution:
     def test_run_scenario_returns_sane_result(self):
         run = run_scenario(_mini("hotspot-zipf"))
@@ -400,6 +462,43 @@ class TestCli:
         doc = json.loads(baselines.read_text())
         assert "some-other" in doc["scenarios"]  # preserved
         assert "hotspot-zipf" in doc["scenarios"]  # added
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["--run", "nosuch"], "nosuch"),
+            (["--spec", "MISSING"], "MISSING"),
+            (["--spec", "BAD"], "topology.locales"),
+            (["--spec", "GARBLED"], "cannot load scenario TOML"),
+            (["--run", "hotspot-zipf", "--policy", "never"], "topology.policy"),
+            (["--run", "hotspot-zipf", "--ops-scale", "-1"], "measure.ops_scale"),
+        ],
+    )
+    def test_spec_errors_exit_2_with_one_error_line(
+        self, tmp_path, capsys, argv, needle
+    ):
+        """Exit 1 means drifted baselines; a spec error must not look
+        like one."""
+        from repro.bench.__main__ import main
+
+        if sys.version_info < (3, 11) and "--spec" in argv:
+            pytest.skip("tomllib requires Python 3.11+")
+        files = {
+            "MISSING": tmp_path / "missing.toml",
+            "BAD": tmp_path / "bad.toml",
+            "GARBLED": tmp_path / "garbled.toml",
+        }
+        files["BAD"].write_text(
+            '[scenario]\nname = "x"\n[topology]\nlocales = 0\n'
+            '[workload]\nkind = "epoch"\n'
+        )
+        files["GARBLED"].write_text("[scenario\n")
+        argv = [str(files.get(a, a)) for a in argv]
+        rc = main(["scenarios", *argv, "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1 and out[0].startswith("error: ")
+        assert needle.replace("MISSING", "missing.toml") in out[0]
 
     def test_run_writes_report(self, tmp_path, capsys):
         from repro.bench.__main__ import main
