@@ -8,11 +8,12 @@
 # bench_wallclock.py writes BENCH_wallclock.json at the repo root; it
 # runs both execution engines (interpreted and compiled —
 # docs/ENGINE.md) and fails if they diverge on virtual results.  The
-# repository benchmark's smoke run (benchmarks/e2e/run.py --smoke) then
-# checks the virtual results of every pinned job — the scenario
-# registry, the locale-scale shapes, the Fig 3/6/7 driver grids and the
-# election workloads — against benchmarks/e2e/references.json, and exits
-# 1 on any mismatch.  The scenario check last re-verifies every
+# repository benchmark's smoke run (benchmarks/e2e/run.py --smoke
+# --layers) then checks the virtual results of every pinned job — the
+# scenario registry, the locale-scale shapes, the Fig 3/6/7 driver grids
+# and the election workloads — against benchmarks/e2e/references.json,
+# and exits 1 on any mismatch.  Its traced pass also fails on a renamed
+# layer entry point or a busy/idle layer violation.  The scenario check last re-verifies every
 # registered baseline under ``compiled-strict`` — the registry is fully
 # lowered, so any interpreter fallback is a regression and fails the
 # gate outright.
@@ -53,8 +54,8 @@ for name in ("reclaim_sparse", "reclaim_dense", "fig7_readonly"):
 EOF
 
 echo
-echo "== repository benchmark smoke run (pinned virtual results) =="
-python3 benchmarks/e2e/run.py --smoke
+echo "== repository benchmark smoke run (pinned virtual results + layers) =="
+python3 benchmarks/e2e/run.py --smoke --layers
 
 echo
 echo "== scenario baselines under compiled-strict (zero fallbacks) =="

@@ -15,7 +15,7 @@ Run:  python examples/distributed_word_count.py
 import random
 from collections import Counter
 
-from repro import EBRReclaimer, EpochManager, Runtime
+from repro import EpochManager, Runtime
 from repro.baselines import LockedMap
 from repro.structures import InterlockedHashTable
 
@@ -45,7 +45,7 @@ def main() -> None:
     # aba_protection=False: headers use plain 64-bit (RDMA-able) CAS,
     # with EBR preventing snapshot-address recycling under pins.
     table = InterlockedHashTable(
-        rt, buckets=64, reclaimer=EBRReclaimer(rt, manager=em), aba_protection=False
+        rt, buckets=64, reclaimer=em, aba_protection=False
     )
 
     def count_shard(shard, tok) -> None:

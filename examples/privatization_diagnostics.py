@@ -86,8 +86,9 @@ def reclamation_communication_is_amortized() -> None:
     remote = totals["amo"] + totals["am"] + totals["fork"] + totals["bulk"]
     print(f"  retire x{OPS} w/ sparse tryReclaim: remote ops = {remote}"
           f" ({remote/OPS:.3f} per object; bulk transfers = {totals['bulk']})")
-    print(f"  advances = {em.stats.advances},"
-          f" reclaimed = {em.stats.objects_reclaimed},"
+    stats = em.stats()
+    print(f"  advances = {stats['advances']},"
+          f" reclaimed = {stats['objects_reclaimed']},"
           f" hottest progress thread: locale {snap.hottest_progress_locale}")
     em.destroy()
 

@@ -56,7 +56,8 @@ def main() -> None:
 
     live = sum(loc.heap.live_count for loc in rt.locales)
     print(f"virtual time: {t.elapsed*1e3:.3f} ms for 4096 publish+retire ops")
-    print(f"epoch advances: {em.stats.advances}, reclaimed: {em.stats.objects_reclaimed}")
+    stats = em.stats()
+    print(f"epoch advances: {stats['advances']}, reclaimed: {stats['objects_reclaimed']}")
     print(f"live objects after clear: {live} (expected 1 = current head)")
 
     # -- 4. diagnostics -----------------------------------------------------

@@ -52,8 +52,9 @@ def main() -> None:
           f" in {t.elapsed*1e3:.3f} ms virtual")
     print(f"final length {len(buf)}, max reading {max(data)}")
     print(f"block placement (locale per block): {buf.block_locales()}")
-    print(f"epoch advances {em.stats.advances},"
-          f" retired descriptors/blocks reclaimed: {em.stats.objects_reclaimed}")
+    stats = em.stats()
+    print(f"epoch advances {stats['advances']},"
+          f" retired descriptors/blocks reclaimed: {stats['objects_reclaimed']}")
 
 
 if __name__ == "__main__":

@@ -99,10 +99,8 @@ def _reclaimer_for(rt: Runtime, manager_kwargs: Optional[Dict[str, Any]] = None)
     ablation knobs (``use_election``/``use_scatter``/``epoch_cycle``) and
     therefore require the ``"ebr"`` scheme — rejected with a clear error
     otherwise, instead of an opaque ``TypeError`` from another scheme's
-    constructor.  On the default (``"ebr"``) configuration this
-    constructs exactly the ``EpochManager`` the generators used to build
-    directly, wrapped in the zero-cost adapter — virtual results are
-    bit-identical.
+    constructor.  On the default (``"ebr"``) configuration this is
+    exactly the ``EpochManager`` the generators used to build directly.
     """
     scheme = rt.config.reclaimer
     if manager_kwargs and scheme != "ebr":

@@ -44,13 +44,14 @@ never blocks other tasks' operations.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..atomics.integer import AtomicBool, AtomicUInt64
 from ..errors import EpochManagerError
 from ..memory.address import GlobalAddress
 from ..runtime.context import current_context
 from .limbo_list import LimboList, NodePool
+from .manager_core import ManagerCore
 from .privatization import PrivatizedObject, replicate_coherent
 from .token import Token, TokenAllocatedList, TokenFreeList
 
@@ -74,10 +75,9 @@ class EpochManagerStats:
 
     Striped like :class:`~repro.comm.counters.CommDiagnostics`: every real
     thread owns a private counter row, so :meth:`inc` on the ``tryReclaim``
-    hot path is a plain list increment — no lock, exact counts.  Reads
-    (the ``advances`` etc. attributes, implemented as aggregating
-    properties) sum the stripes under a lock; they are diagnostic-time
-    operations, not hot-path ones.
+    hot path is a plain list increment — no lock, exact counts.
+    :meth:`as_dict` sums the stripes under a lock; it is a diagnostic-time
+    operation, not a hot-path one.
     """
 
     FIELDS = (
@@ -87,10 +87,6 @@ class EpochManagerStats:
         "scans_unsafe",
         "advances",
         "objects_reclaimed",
-        # Reclaim attempts deferred by the epoch-advance policy before
-        # the election (docs/POLICY.md).  Always zero under the default
-        # ``fixed`` policy.
-        "policy_deferrals",
         # Uplink-aware traversal diagnostics (docs/AGGREGATION.md):
         # aggregated messages issued and shared-uplink traversals paid by
         # the scan/drain/gather phases.  Zero under the legacy (flat /
@@ -121,10 +117,6 @@ class EpochManagerStats:
         """Lock-free add of ``n`` to one counter (hot path)."""
         self._row()[_STAT_INDEX[field]] += n
 
-    def _get(self, index: int) -> int:
-        with self._lock:
-            return sum(row[index] for row in self._stripes)
-
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view."""
         with self._lock:
@@ -136,16 +128,6 @@ class EpochManagerStats:
 
 
 _STAT_INDEX = {name: i for i, name in enumerate(EpochManagerStats.FIELDS)}
-
-# Each counter is also readable as an attribute (``stats.advances``),
-# aggregating all stripes on access.
-for _i, _name in enumerate(EpochManagerStats.FIELDS):
-    setattr(
-        EpochManagerStats,
-        _name,
-        property(lambda self, _i=_i: self._get(_i)),
-    )
-del _i, _name
 
 
 class _GlobalEpoch:
@@ -212,16 +194,19 @@ class _EpochManagerInstance:
         self.allocated_tokens = TokenAllocatedList(runtime, locale_id)
         self._token_seq = 0
         self._token_seq_lock = threading.Lock()
-        #: Objects deferred through tokens on this locale (diagnostic).
-        self.deferred_count = 0
         #: Oldest retire virtual time per limbo slot (None = empty),
         #: maintained only while the manager tracks limbo ages
         #: (``EpochManager._track_ages``); cleared when the slot drains.
         self.slot_retire_vt: List[Optional[float]] = [None] * cycle
         self.retire_vt_lock = threading.Lock()
 
-    def make_token(self) -> Token:
-        """Create a brand-new token and link it into the allocated list."""
+    def take_token(self) -> Token:
+        """Pop a recycled token (lock-free) or create a fresh one and
+        link it into the allocated list."""
+        token = self.free_tokens.pop()
+        if token is not None:
+            token._registered = True
+            return token
         with self._token_seq_lock:
             tid = self._token_seq
             self._token_seq += 1
@@ -229,9 +214,29 @@ class _EpochManagerInstance:
         self.allocated_tokens.push(token)
         return token
 
+    def limbo_count(self) -> int:
+        """Cost-free count of the objects in this instance's limbo lists.
 
-class EpochManager(PrivatizedObject):
+        Plain peeks along the chains: exact at root decision points,
+        since every retirement is linked before ``defer_delete`` returns.
+        """
+        n = 0
+        for lst in self.limbo_lists:
+            node = lst._head.peek()
+            while node is not None:
+                n += 1
+                node = node.next
+        return n
+
+
+class EpochManager(ManagerCore, PrivatizedObject):
     """Distributed, privatized, lock-free epoch-based memory reclamation.
+
+    The ``"ebr"`` reclaimer of :mod:`repro.reclaim`: its tokens are the
+    guards, and it shares policy, tracing and ``stats()`` with the other
+    schemes through :class:`~repro.core.manager_core.ManagerCore`.  The
+    handle-level ``try_reclaim`` / ``clear`` / ``destroy`` sample peak
+    pending garbage; a token's ``try_reclaim`` does not.
 
     Parameters
     ----------
@@ -271,6 +276,9 @@ class EpochManager(PrivatizedObject):
         aggregation-off machines keep the exact legacy layout.
     """
 
+    scheme = "ebr"
+    _destroyed_error = EpochManagerError
+
     def __init__(
         self,
         runtime: "Runtime",
@@ -282,7 +290,6 @@ class EpochManager(PrivatizedObject):
         policy: "Optional[object]" = None,
         share_coherent: Optional[bool] = None,
     ) -> None:
-        from ..policy import parse_policy
         from ..runtime.context import maybe_context
         from .privatization import coherence_domains
 
@@ -294,34 +301,12 @@ class EpochManager(PrivatizedObject):
             ctx = maybe_context()
             home = ctx.locale_id if ctx is not None else 0
         self.epoch_cycle = int(epoch_cycle)
-        # The epoch-advance policy (docs/POLICY.md); resolved before the
-        # per-locale instances so token construction can see whether pin
-        # timestamps need tracking.
-        policy_spec = (
-            runtime.config.resolved_policy()
-            if policy is None
-            else parse_policy(policy)
-        )
-        self.policy = policy_spec.make_epoch_policy()
-        # Flight-recorder hooks (docs/OBSERVABILITY.md): spans-level
-        # recorder for policy decisions and advance/clear summaries, the
-        # full-detail one for per-token retire events and per-slot drain
-        # records.  Both None when tracing is off.
-        self._tracer = getattr(runtime, "_tracer", None)
-        self._full = getattr(runtime, "_full_tracer", None)
-        #: Retire timestamps are folded per limbo slot only when an
-        #: age-reading policy is installed or full tracing is on.
-        self._track_ages = (
-            self.policy.wants_retire_times or self._full is not None
-        )
-        #: Shared-uplink traversals folded per distance class — the
-        #: :attr:`~repro.policy.EpochFacts.crossings` policy input.
-        self._crossings_by_class: Dict[int, int] = {}
+        # Policy and tracer hooks first: token construction reads them.
+        ManagerCore.__init__(self, runtime, policy=policy)
         self.global_epoch = _GlobalEpoch(runtime, runtime.locale(home).id)
         self.use_election = bool(use_election)
         self.use_scatter = bool(use_scatter)
-        self.stats = EpochManagerStats()
-        self._destroyed = False
+        self._counters = EpochManagerStats()
         domains = coherence_domains(runtime)
         multi_locale_domains = len(set(domains)) < runtime.num_locales
         if share_coherent is None:
@@ -352,11 +337,13 @@ class EpochManager(PrivatizedObject):
                 _EpochManagerInstance(self, runtime, lid, cycle=self.epoch_cycle)
                 for lid in range(runtime.num_locales)
             ]
-        #: Unique instance home locales, ascending (the scan/drain units).
+        #: Unique instance home locales, ascending (the scan/drain units):
+        #: one per locale, or one per coherence domain when shared.
+        #: Iterating these keeps shared-mode accounting exact.
         self._instance_lids: "tuple" = tuple(
             sorted({inst.locale_id for inst in instances})
         )
-        super().__init__(runtime, instances)
+        PrivatizedObject.__init__(self, runtime, instances)
         self._plan = self._build_plan()
 
     # ------------------------------------------------------------------
@@ -394,37 +381,20 @@ class EpochManager(PrivatizedObject):
         """Count the uplink crossings of one domain-ordered coforall."""
         net = self._rt.network
         src = current_context().locale_id
-        crossings = 0
-        for rep, _insts, _all in self._plan:
-            dclass = net.distance_row(rep)[src]
-            if net.topology.classes[dclass].shared_uplink:
-                crossings += 1
-                # Per-class crossing facts (EpochFacts.crossings); called
-                # from the root after joins, so the fold is sequential.
-                fold = self._crossings_by_class
-                fold[dclass] = fold.get(dclass, 0) + 1
-        if crossings:
-            self.stats.inc("uplink_crossings", crossings)
-
-    def _fold_class_crossings(self, counters) -> None:
-        """Fold one aggregated gather's per-class batch crossings
-        (root-driven, after the coforall joins)."""
-        by_class = counters.by_class
-        if not by_class:
-            return
-        classes = self._rt.network.topology.classes
-        fold = self._crossings_by_class
-        for dclass, n in by_class.items():
-            if classes[dclass].shared_uplink:
-                fold[dclass] = fold.get(dclass, 0) + n
+        classes = net.topology.classes
+        crossed = [
+            dclass
+            for dclass in (net.distance_row(rep)[src] for rep, _i, _a in self._plan)
+            if classes[dclass].shared_uplink
+        ]
+        if crossed:
+            self._counters.inc("uplink_crossings", len(crossed))
+            # Per-class facts: folded by the reclaiming task after joins.
+            self._fold_crossings((dclass, 1) for dclass in crossed)
 
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def _check_alive(self) -> None:
-        if self._destroyed:
-            raise EpochManagerError("EpochManager used after destroy()")
-
     def register(self) -> Token:
         """Obtain a token on the calling task's locale.
 
@@ -433,17 +403,15 @@ class EpochManager(PrivatizedObject):
         before :meth:`Token.unregister`.
         """
         self._check_alive()
-        inst: _EpochManagerInstance = self.get_privatized_instance()
-        token = inst.free_tokens.pop()
-        if token is None:
-            token = inst.make_token()
-        else:
-            token._registered = True
-        return token
+        return self.get_privatized_instance().take_token()
 
     # ------------------------------------------------------------------
     # reclamation
     # ------------------------------------------------------------------
+    def phase_boundary(self) -> None:
+        """No-op: EBR needs no explicit quiescent-point announcements."""
+        self._check_alive()
+
     def try_reclaim(self) -> bool:
         """Attempt to advance the epoch and reclaim the oldest limbo lists.
 
@@ -451,42 +419,35 @@ class EpochManager(PrivatizedObject):
         call from any task at any time; losers of the election (or an
         unsafe scan) return quickly without blocking anyone — the method's
         lock-freedom is what keeps the manager from weakening the
-        guarantees of structures built on it.
+        guarantees of structures built on it.  This handle-level entry
+        samples peak pending garbage first; :meth:`Token.try_reclaim
+        <repro.core.token.Token.try_reclaim>` runs the unsampled body.
         """
         self._check_alive()
-        inst: _EpochManagerInstance = self.get_privatized_instance()
-        self.stats.inc("reclaim_attempts")
+        self._note_pending()
+        return self._try_reclaim()
 
-        # Epoch-advance policy gate (docs/POLICY.md): a non-fixed policy
-        # may defer the whole attempt on virtual-time facts, before the
-        # election — no flags touched, zero virtual cost.  The default
-        # ``fixed`` policy short-circuits here without computing facts,
-        # keeping the legacy path bit-identical.
-        pol = self.policy
-        if not pol.always_advance:
-            facts = self._policy_facts()
-            advance = pol.decide(facts)
-            tr = self._tracer
-            if tr is not None:
-                tr.policy_decision(
-                    pol.kind,
-                    "advance" if advance else "defer",
-                    facts.now,
-                    facts.as_dict(),
-                )
-            if not advance:
-                self.stats.inc("policy_deferrals")
-                self._rt.network.aggregator.policy_tick()
-                return False
+    tryReclaim = try_reclaim
+
+    def _try_reclaim(self) -> bool:
+        """The Listing 4 attempt itself (policy gate, election, scan)."""
+        self._check_alive()
+        inst: _EpochManagerInstance = self.get_privatized_instance()
+        self._counters.inc("reclaim_attempts")
+
+        # Epoch-advance policy gate (docs/POLICY.md): before the election,
+        # so a deferral touches no flags and costs zero virtual time.
+        if self._policy_defers():
+            return False
 
         if self.use_election:
             # Listing 4 lines 2-6: local flag first, then the global flag.
             if inst.is_setting_epoch.test_and_set():
-                self.stats.inc("elections_lost_local")
+                self._counters.inc("elections_lost_local")
                 return False
             if self.global_epoch.is_setting_epoch.test_and_set():
                 inst.is_setting_epoch.clear()
-                self.stats.inc("elections_lost_global")
+                self._counters.inc("elections_lost_global")
                 return False
 
         try:
@@ -499,38 +460,21 @@ class EpochManager(PrivatizedObject):
         # sequential root-driven point under the workload discipline, so
         # folding batch observations into the window here is
         # deterministic (a no-op for static windows).
-        self._rt.network.aggregator.policy_tick()
+        self._policy_tick()
         return advanced
 
-    tryReclaim = try_reclaim
-
-    def _policy_facts(self):
-        """Cost-free :class:`~repro.policy.EpochFacts` snapshot.
-
-        Pending counts walk the limbo chains with plain peeks (exact:
-        every retirement is linked before ``defer_delete`` returns); the
-        last-pin timestamp max-folds the per-token records, which only
-        exist while a pin-tracking policy is installed.  Both folds are
-        order-independent, so the snapshot is deterministic at the
-        root-driven decision points.
-        """
-        from ..policy import EpochFacts
-        from ..runtime.context import maybe_context
-
-        want_pins = self.policy.wants_pin_times
+    def _fact_folds(self):
+        """Per-instance limbo counts; the last pin max-folds the tokens'
+        records and the oldest retire min-folds the per-slot timestamps,
+        each kept only while a policy (or full tracing) wants it."""
+        want_pins = self._track_pins
         want_ages = self._track_ages
         pending = []
         last_pin: Optional[float] = None
         oldest: Optional[float] = None
         for lid in self._instance_lids:
             inst: _EpochManagerInstance = self.get_privatized_instance(lid)
-            n = 0
-            for lst in inst.limbo_lists:
-                node = lst._head.peek()
-                while node is not None:
-                    n += 1
-                    node = node.next
-            pending.append(n)
+            pending.append(inst.limbo_count())
             if want_pins:
                 for token in inst.allocated_tokens:
                     t = token._last_pin_vt
@@ -541,19 +485,7 @@ class EpochManager(PrivatizedObject):
                     for t_r in inst.slot_retire_vt:
                         if t_r is not None and (oldest is None or t_r < oldest):
                             oldest = t_r
-        cbc = self._crossings_by_class
-        crossings = (
-            tuple(cbc.get(i, 0) for i in range(max(cbc) + 1)) if cbc else ()
-        )
-        ctx = maybe_context()
-        now = ctx.clock.now if ctx is not None else 0.0
-        return EpochFacts(
-            now=now,
-            pending=tuple(pending),
-            last_pin=last_pin,
-            crossings=crossings,
-            oldest_retire=oldest,
-        )
+        return tuple(pending), last_pin, oldest
 
     def _coforall_instances(self, fn) -> None:
         """Run ``fn(instance locale)`` over every scan/drain unit.
@@ -597,7 +529,7 @@ class EpochManager(PrivatizedObject):
 
         self._coforall_instances(scan_locale)
         if not all(votes):
-            self.stats.inc("scans_unsafe")
+            self._counters.inc("scans_unsafe")
             return False
 
         # -- 3. advance the global epoch ---------------------------------
@@ -609,7 +541,7 @@ class EpochManager(PrivatizedObject):
         cycle = self.epoch_cycle
         new_epoch = (this_epoch % cycle) + 1
         if not self.global_epoch.epoch.compare_and_swap(this_epoch, new_epoch):
-            self.stats.inc("scans_unsafe")
+            self._counters.inc("scans_unsafe")
             return False
 
         # The list for the epoch *after* new — the oldest in the cycle,
@@ -618,8 +550,8 @@ class EpochManager(PrivatizedObject):
         reclaim_index = new_epoch % cycle
 
         reclaimed = self._drain_and_free([reclaim_index], new_epoch=new_epoch)
-        self.stats.inc("advances")
-        self.stats.inc("objects_reclaimed", reclaimed)
+        self._counters.inc("advances")
+        self._counters.inc("objects_reclaimed", reclaimed)
         tr = self._tracer
         if tr is not None:
             tr.reclaim(
@@ -741,8 +673,8 @@ class EpochManager(PrivatizedObject):
                             # coherent or intra-node peers — no uplink.
                             freed_total[lid] = rt.free_bulk(lid, mine)
                     if counters.batches:
-                        self.stats.inc("scan_batches", counters.batches)
-                        self.stats.inc("uplink_crossings", counters.crossings)
+                        self._counters.inc("scan_batches", counters.batches)
+                        self._counters.inc("uplink_crossings", counters.crossings)
                         gcounters.append(counters)
 
                 rt.coforall_locales(
@@ -750,7 +682,7 @@ class EpochManager(PrivatizedObject):
                 )
                 self._note_traversal()
                 for counters in gcounters:
-                    self._fold_class_crossings(counters)
+                    self._fold_crossings(counters.by_class.items())
 
         return sum(freed_total)
 
@@ -762,22 +694,10 @@ class EpochManager(PrivatizedObject):
         Returns the number of objects freed.
         """
         self._check_alive()
+        self._note_pending()
         freed = self._drain_and_free(list(range(self.epoch_cycle)))
-        self.stats.inc("objects_reclaimed", freed)
-        tr = self._tracer
-        if tr is not None:
-            from ..runtime.context import maybe_context
-
-            ctx = maybe_context()
-            tr.reclaim(
-                "clear",
-                "ebr",
-                ctx.clock.now if ctx is not None else 0.0,
-                freed=freed,
-            )
-        # ``clear`` is a sequential quiescent point by contract — a valid
-        # window-policy tick site (no-op for static windows).
-        self._rt.network.aggregator.policy_tick()
+        self._counters.inc("objects_reclaimed", freed)
+        self._after_clear(freed)
         return freed
 
     # ------------------------------------------------------------------
@@ -795,31 +715,20 @@ class EpochManager(PrivatizedObject):
         """Cost-free read of the global epoch (tests only)."""
         return self.global_epoch.epoch.peek()
 
-    def instance_locales(self) -> "tuple":
-        """Home locales of the distinct privatized instances, ascending.
-
-        One entry per locale in the legacy layout; one per CPU-coherence
-        domain in the socket-shared mode.  Iterating instances through
-        this (rather than ``range(num_locales)``) is what keeps shared-
-        mode accounting exact — a shared instance is visited once, not
-        once per member locale.
-        """
-        return self._instance_lids
-
     def pending_count(self) -> int:
-        """Cost-free count of objects currently in limbo (tests only)."""
-        total = 0
-        for lid in self._instance_lids:
-            inst: _EpochManagerInstance = self.get_privatized_instance(lid)
-            for lst in inst.limbo_lists:
-                node = lst._head.peek()
-                while node is not None:
-                    total += 1
-                    node = node.next
-        return total
+        """Cost-free count of objects currently in limbo."""
+        return sum(
+            self.get_privatized_instance(lid).limbo_count()
+            for lid in self._instance_lids
+        )
+
+    def _counts(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = self._counters.as_dict()
+        out["reclaims"] = out["advances"]
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"EpochManager(epoch={self.current_epoch()},"
-            f" advances={self.stats.advances})"
+            f" advances={self._counters.as_dict()['advances']})"
         )

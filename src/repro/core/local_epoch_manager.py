@@ -15,7 +15,9 @@ Functionally the paper's ``LocalEpochManager``: same token / limbo-list /
 Use it for structures confined to one locale.  Its state — epoch cell,
 election flag, node pool, limbo lists, token lists — is exactly one
 privatized instance of the distributed manager, so the class *is* an
-``_EpochManagerInstance`` that acts as its own manager.
+``_EpochManagerInstance`` that acts as its own manager.  Its ``stats()``
+has the same keys as ``EpochManager.stats()`` (both come from
+:class:`~repro.core.manager_core.ManagerCore`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from ..errors import EpochManagerError, TokenStateError
-from .epoch_manager import EpochManagerStats, _EpochManagerInstance
+from .epoch_manager import EpochManager, EpochManagerStats, _EpochManagerInstance
+from .manager_core import ManagerCore
 from .token import Token
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,8 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["LocalEpochManager"]
 
 
-class LocalEpochManager(_EpochManagerInstance):
+class LocalEpochManager(ManagerCore, _EpochManagerInstance):
     """Single-locale epoch-based reclamation (no distributed state)."""
+
+    scheme = "ebr"
+    _destroyed_error = EpochManagerError
 
     def __init__(self, runtime: "Runtime", *, locale: Optional[int] = None) -> None:
         from ..runtime.context import maybe_context
@@ -41,26 +47,15 @@ class LocalEpochManager(_EpochManagerInstance):
         if locale is None:
             ctx = maybe_context()
             locale = ctx.locale_id if ctx is not None else 0
-        super().__init__(self, runtime, runtime.locale(locale).id)
-        self.stats = EpochManagerStats()
-        self._destroyed = False
-        #: Epoch policy (docs/POLICY.md).  Tokens consult
-        #: ``policy.wants_pin_times``; the single-locale manager itself
-        #: keeps the fixed cadence — policies drive the *distributed*
-        #: reclaim paths, which this helper has none of.
-        self.policy = runtime.config.resolved_policy().make_epoch_policy()
-        #: Flight-recorder hooks (docs/OBSERVABILITY.md): tokens read
-        #: these through the same manager interface the distributed
-        #: manager exposes, so limbo-age facts and retire events work
-        #: identically on the single-locale path.
-        self._full = getattr(runtime, "_full_tracer", None)
-        self._track_ages = self.policy.wants_retire_times or self._full is not None
+        # Policy and tracer hooks first: tokens read them through the
+        # same manager interface the distributed manager exposes.  The
+        # single-locale manager itself keeps the fixed cadence — policies
+        # drive the *distributed* reclaim paths, which it has none of.
+        ManagerCore.__init__(self, runtime)
+        _EpochManagerInstance.__init__(self, self, runtime, runtime.locale(locale).id)
+        self._counters = EpochManagerStats()
 
     # ------------------------------------------------------------------
-    def _check_alive(self) -> None:
-        if self._destroyed:
-            raise EpochManagerError("LocalEpochManager used after destroy()")
-
     def register(self) -> Token:
         """Obtain a token; caller must be on the manager's locale."""
         self._check_alive()
@@ -72,42 +67,44 @@ class LocalEpochManager(_EpochManagerInstance):
                 f"LocalEpochManager on locale {self.locale_id} cannot register"
                 f" a task on locale {ctx.locale_id}; use EpochManager"
             )
-        token = self.free_tokens.pop()
-        if token is None:
-            token = self.make_token()
-        else:
-            token._registered = True
-        return token
+        return self.take_token()
 
     # ------------------------------------------------------------------
     def try_reclaim(self) -> bool:
         """Advance the local epoch if every local token allows it.
 
         Entirely locale-local: one flag, one scan over this locale's
-        tokens, one limbo-list drain, one bulk free.
+        tokens, one limbo-list drain, one bulk free.  Samples peak
+        pending garbage first, as ``EpochManager.try_reclaim`` does.
         """
         self._check_alive()
-        self.stats.inc("reclaim_attempts")
+        self._note_pending()
+        return self._try_reclaim()
+
+    tryReclaim = try_reclaim
+
+    def _try_reclaim(self) -> bool:
+        """The attempt itself (also a token's unsampled ``try_reclaim``)."""
+        self._check_alive()
+        self._counters.inc("reclaim_attempts")
         if self.is_setting_epoch.test_and_set():
-            self.stats.inc("elections_lost_local")
+            self._counters.inc("elections_lost_local")
             return False
         try:
             this_epoch = self.locale_epoch.read()
             for token in self.allocated_tokens:
                 e = token.local_epoch.read()
                 if e != 0 and e != this_epoch:
-                    self.stats.inc("scans_unsafe")
+                    self._counters.inc("scans_unsafe")
                     return False
             new_epoch = (this_epoch % self.cycle) + 1
             self.locale_epoch.write(new_epoch)
             freed = self._drain([new_epoch % self.cycle])
-            self.stats.inc("advances")
-            self.stats.inc("objects_reclaimed", freed)
+            self._counters.inc("advances")
+            self._counters.inc("objects_reclaimed", freed)
             return True
         finally:
             self.is_setting_epoch.clear()
-
-    tryReclaim = try_reclaim
 
     def _drain(self, indices: List[int]) -> int:
         """Drain the given limbo lists; everything must be local."""
@@ -127,8 +124,9 @@ class LocalEpochManager(_EpochManagerInstance):
     def clear(self) -> int:
         """Reclaim everything (caller guarantees quiescence)."""
         self._check_alive()
+        self._note_pending()
         freed = self._drain(list(range(self.cycle)))
-        self.stats.inc("objects_reclaimed", freed)
+        self._counters.inc("objects_reclaimed", freed)
         return freed
 
     def destroy(self) -> None:
@@ -141,6 +139,12 @@ class LocalEpochManager(_EpochManagerInstance):
     def current_epoch(self) -> int:
         """Cost-free read of the epoch (tests only)."""
         return self.locale_epoch.peek()
+
+    def pending_count(self) -> int:
+        """Cost-free count of objects currently in limbo."""
+        return self.limbo_count()
+
+    _counts = EpochManager._counts
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -196,7 +196,6 @@ class Token:
         inst = self._inst
         epoch = inst.locale_epoch.read()
         inst.limbo_lists[epoch - 1].push(addr)
-        inst.deferred_count += 1  # diagnostic; benign race
         if self._track_ages:
             # Limbo-age fact: min-fold the retire timestamp into the
             # instance's per-slot array.  The (real) lock costs no virtual
@@ -224,9 +223,10 @@ class Token:
         return addr
 
     def try_reclaim(self) -> bool:
-        """Attempt a global epoch advance (defers to the manager)."""
+        """Attempt a global epoch advance (the manager's attempt without
+        its handle-level peak-pending sample)."""
         self._check_usable()
-        return self._inst.manager.try_reclaim()
+        return self._inst.manager._try_reclaim()
 
     tryReclaim = try_reclaim
 

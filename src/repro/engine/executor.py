@@ -372,8 +372,8 @@ def _charge(plan: tuple, now: float) -> float:
 
 def _instance_target(net, inst, locale: int) -> tuple:
     """What a task on ``locale`` charges and mutates on the EBR manager
-    instance ``inst``: ``(inst, limbo head, pool, epoch plan, limbo plan,
-    pool plan)``.
+    instance ``inst``: ``(limbo head, pool, epoch plan, limbo plan, pool
+    plan)``.
 
     Deferrals go to the limbo list of the *current* locale epoch, constant
     for the whole phase (only root-driven reclaim between phases advances
@@ -382,7 +382,6 @@ def _instance_target(net, inst, locale: int) -> tuple:
     limbo_head = inst.limbo_lists[inst.locale_epoch.peek() - 1]._head
     pool = inst.pool
     return (
-        inst,
         limbo_head,
         pool,
         _narrow_plan(net, inst.locale_epoch, locale),
@@ -419,9 +418,8 @@ def _ebr_replay_task(
     against the instance epoch cell, the task's token slot (``tk_plan``) and
     the pool/limbo heads (``target``, from :func:`_instance_target`).  A
     deferral pops the real pool chain and pushes onto the real limbo chain
-    by writing the heads' values directly, and bumps ``pool.allocated`` and
-    ``inst.deferred_count`` as ``NodePool.get`` and ``Token.defer_delete``
-    do.  Diagnostics go to ``counts``, the caller locale's stripe row.
+    by writing the heads' values directly, and bumps ``pool.allocated`` as
+    ``NodePool.get`` does.  Diagnostics go to ``counts``, the caller locale's stripe row.
     Returns the task clock after its last item.
 
     This is the engine's hottest loop (4–8 charges per item, millions of
@@ -432,7 +430,7 @@ def _ebr_replay_task(
     in the same order — calling ``serve_locked`` only when the point is
     queued.
     """
-    inst, lm_head, pool, ie_plan, lm_plan, pl_plan = target
+    lm_head, pool, ie_plan, lm_plan, pl_plan = target
     ie_lat, ie_pt, ie_ps, ie_ln, ie_ls, ie_di = ie_plan
     lm_lat, lm_pt, lm_ps, lm_ln, lm_ls, lm_di = lm_plan
     tk_lat, tk_pt, tk_ps, tk_ln, tk_ls, tk_di = tk_plan
@@ -543,7 +541,6 @@ def _ebr_replay_task(
             now = lm_ln.serve_locked(t, lm_ls)
             node.next = lm_head._value
             lm_head._value = node
-            inst.deferred_count += 1
             if record:
                 counts[lm_di] += 1
         # unpin(): token write (diag counted with pin above).

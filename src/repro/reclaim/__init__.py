@@ -3,10 +3,10 @@
 The paper's distributed epoch-based scheme
 (:class:`~repro.core.epoch_manager.EpochManager`) used to be hard-wired
 into every structure; this package makes it the *baseline* of a
-comparative harness instead:
+comparative harness instead, a peer of three other schemes:
 
-* :class:`EBRReclaimer` — the paper's EBR, adapted (bit-identical
-  virtual-time behaviour; verified against the scenario baselines);
+* :class:`EBRReclaimer` — the paper's EBR: another name for
+  ``EpochManager`` itself, which ``make_reclaimer(rt, "ebr")`` returns;
 * :class:`HazardPointerReclaimer` — per-task hazard slots, bounded
   unreclaimed garbage, per-pointer ``protect``/``clear`` costs;
 * :class:`QSBRReclaimer` — quiescent-state-based, the cheapest read side,

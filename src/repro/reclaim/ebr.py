@@ -1,142 +1,14 @@
-"""``EBRReclaimer``: the paper's EpochManager behind the guard protocol.
+"""``EBRReclaimer``: the paper's scheme under its reclaimer name.
 
-A *pure adapter*: every protocol method delegates straight to the wrapped
-:class:`~repro.core.epoch_manager.EpochManager`, and ``register()`` hands
-back the manager's own :class:`~repro.core.token.Token` (which already
-satisfies the guard surface — ``pin`` / ``unpin`` / ``defer_delete`` /
-``protect`` (a free no-op) / ``try_reclaim`` / ``unregister``).  The
-adapter therefore charges **zero** additional virtual time: a workload
-driven through ``EBRReclaimer`` is bit-identical — elapsed virtual
-seconds and communication totals — to the same workload driven against a
-raw ``EpochManager``, which the scenario regression baselines (and
-``tests/test_reclaimers.py::TestEBRAdapterEquivalence``) pin down.
-
-The only adapter-side state is diagnostic: peak-pending sampling at the
-(cost-free) reclaim entry points, so the cross-scheme comparison report
-has the same columns for EBR as for the list-based schemes.
+:class:`~repro.core.epoch_manager.EpochManager` *is* the ``"ebr"``
+reclaimer — its tokens are the guards, and it shares the policy gate,
+tracing and normalized ``stats()`` with the other schemes through
+:class:`~repro.core.manager_core.ManagerCore`.  This name is kept for
+callers that spell the scheme by its reclaimer name.
 """
 
-from __future__ import annotations
-
-from typing import TYPE_CHECKING, Any, Dict, Optional
-
 from ..core.epoch_manager import EpochManager
-from ..core.token import Token
-from ..errors import ReclaimerError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.runtime import Runtime
 
 __all__ = ["EBRReclaimer"]
 
-
-class EBRReclaimer:
-    """Distributed epoch-based reclamation (the paper's scheme), adapted.
-
-    Parameters
-    ----------
-    runtime:
-        The simulated machine.
-    manager:
-        Wrap an existing :class:`EpochManager` instead of creating one
-        (the wrapper then does not own it: ``destroy()`` leaves it alive).
-    **manager_kwargs:
-        Forwarded to :class:`EpochManager` when one is created here
-        (``use_election``, ``use_scatter``, ``home``, ``epoch_cycle``).
-    """
-
-    scheme = "ebr"
-
-    def __init__(
-        self,
-        runtime: "Runtime",
-        *,
-        manager: Optional[EpochManager] = None,
-        **manager_kwargs: Any,
-    ) -> None:
-        self._rt = runtime
-        self._owns_manager = manager is None
-        self.manager = manager if manager is not None else EpochManager(
-            runtime, **manager_kwargs
-        )
-        self._peak_pending = 0
-
-    # ------------------------------------------------------------------
-    def _check_alive(self) -> None:
-        if self.manager._destroyed:
-            raise ReclaimerError("EBRReclaimer used after destroy()")
-
-    def register(self) -> Token:
-        """Obtain a token on the calling task's locale (pure delegation)."""
-        return self.manager.register()
-
-    def phase_boundary(self) -> None:
-        """No-op: EBR needs no explicit quiescent-point announcements."""
-        self._check_alive()
-
-    def try_reclaim(self) -> bool:
-        """Attempt an epoch advance (delegates; samples peak pending)."""
-        self._check_alive()
-        self._note_pending()
-        return self.manager.try_reclaim()
-
-    tryReclaim = try_reclaim
-
-    def clear(self) -> int:
-        """Reclaim everything (caller guarantees quiescence; delegates)."""
-        self._check_alive()
-        self._note_pending()
-        return self.manager.clear()
-
-    def destroy(self) -> None:
-        """Tear down the wrapped manager iff this adapter created it.
-
-        A *shared* manager is left completely untouched: its other users'
-        pinned tokens may still guard limbo objects, so even a ``clear``
-        here would bypass the epoch guarantee.  The manager's creator
-        owns its teardown.
-        """
-        if self.manager._destroyed:
-            return
-        if self._owns_manager:
-            self._note_pending()
-            self.manager.destroy()
-
-    # ------------------------------------------------------------------
-    def pending_count(self) -> int:
-        """Objects currently in limbo (cost-free; delegates)."""
-        return self.manager.pending_count()
-
-    def _note_pending(self) -> None:
-        pending = self.manager.pending_count()
-        if pending > self._peak_pending:
-            self._peak_pending = pending
-
-    def _retired_total(self) -> int:
-        total = 0
-        # One visit per distinct instance: under the socket-shared layout
-        # several locales alias one instance, and per-locale iteration
-        # would double-count its deferred tally.
-        for lid in self.manager.instance_locales():
-            total += self.manager.get_privatized_instance(lid).deferred_count
-        return total
-
-    def stats(self) -> Dict[str, Any]:
-        """EpochManager counters plus the normalized cross-scheme keys."""
-        out: Dict[str, Any] = dict(self.manager.stats.as_dict())
-        out.update(
-            scheme=self.scheme,
-            retired=self._retired_total() if not self.manager._destroyed else out["objects_reclaimed"],
-            freed=out["objects_reclaimed"],
-            pending=self.pending_count() if not self.manager._destroyed else 0,
-            peak_pending=self._peak_pending,
-            reclaims=out["advances"],
-            # Policy diagnostics (docs/POLICY.md), matching ReclaimerBase:
-            # the manager's stats already carry ``policy_deferrals``.
-            policy=self.manager.policy.spec(),
-            window=self._rt.network.aggregator.window,
-        )
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"EBRReclaimer({self.manager!r})"
+EBRReclaimer = EpochManager

@@ -238,7 +238,6 @@ class HazardPointerReclaimer(ReclaimerBase):
         # bounded-garbage guarantee, not a cadence choice.
         if self._policy_defers():
             self._reclaim_attempts += 1
-            self._policy_tick()
             return False
         freed = self._scan(
             self._registered_guards(), global_sample=True  # type: ignore[arg-type]

@@ -157,7 +157,6 @@ class IntervalReclaimer(ReclaimerBase):
         # Epoch-policy gate (docs/POLICY.md): a deferral leaves the era
         # untouched — no CAS, no cache refresh, no birth scan.
         if self._policy_defers():
-            self._policy_tick()
             return False
         era = self._era.read()
         if not self._era.compare_and_swap(era, era + 1):

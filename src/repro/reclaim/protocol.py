@@ -1,9 +1,8 @@
 """The shared guard protocol every reclamation scheme implements.
 
-The paper's :class:`~repro.core.epoch_manager.EpochManager` was the only
-reclamation scheme in the repository; this package turns it into the
-*baseline* of a comparative harness.  Every scheme presents the same
-lifecycle::
+The paper's :class:`~repro.core.epoch_manager.EpochManager` is the
+``"ebr"`` scheme, one of four peers in a comparative harness.  Every
+scheme presents the same lifecycle::
 
     rec   = make_reclaimer(rt, "hp")       # or "ebr" / "qsbr" / "ibr"
     guard = rec.register()                 # per-task, on the task's locale
@@ -16,10 +15,13 @@ lifecycle::
     rec.try_reclaim()                      # attempt to free retired objs
     rec.clear(); rec.destroy()             # quiescent teardown
 
-Two halves:
+Two halves for the list-based schemes (HP, QSBR, IBR):
 
 * :class:`ReclaimerBase` — the manager: guard registry, retirement
-  accounting, ``try_reclaim`` / ``clear`` / ``destroy`` / ``stats``.
+  accounting, ``try_reclaim`` / ``clear`` / ``destroy``; policy, tracing
+  and ``stats`` come from the
+  :class:`~repro.core.manager_core.ManagerCore` it shares with
+  ``EpochManager``.
 * :class:`GuardBase` — the per-task handle: locale-bound like the EBR
   :class:`~repro.core.token.Token` (whose public surface it mirrors
   exactly, so the two are interchangeable anywhere a "token" is taken).
@@ -53,6 +55,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..comm.aggregation import BatchCounters
+from ..core.manager_core import ManagerCore
 from ..errors import ReclaimerError, TokenStateError
 from ..memory.address import GlobalAddress
 from ..runtime.config import RECLAIMER_SCHEMES
@@ -78,8 +81,9 @@ class GuardBase:
     behaviour; the base class carries the registration/locale bookkeeping
     and the retired list shared by the list-based schemes (HP/QSBR/IBR).
     EBR's :class:`~repro.core.token.Token` does *not* inherit from this
-    class — it predates it and must stay bit-identical — but exposes the
-    same surface, which the conformance tests pin down.
+    class — it files retirements in its manager's per-epoch limbo lists,
+    not a guard-local buffer — but exposes the same surface, which the
+    conformance tests pin down.
     """
 
     #: True when the scheme requires per-pointer ``protect`` announcements
@@ -266,49 +270,21 @@ class GuardBase:
         )
 
 
-class ReclaimerBase:
-    """Manager half of the guard protocol (registry + accounting).
+class ReclaimerBase(ManagerCore):
+    """Manager half of the guard protocol for the list-based schemes.
 
     Subclasses implement ``_guard_class`` construction via
     :meth:`_make_guard` and the scheme's :meth:`try_reclaim`.  The retired
     lists live on the guards; the manager owns the registry, the orphan
     list (retirements of unregistered guards), and the free machinery.
+    Policy, tracing and the normalized stats come from
+    :class:`~repro.core.manager_core.ManagerCore`, shared with the EBR
+    :class:`~repro.core.epoch_manager.EpochManager`.
     """
 
-    #: Scheme name as accepted by :func:`make_reclaimer` / config.
-    scheme = "base"
-
     def __init__(self, runtime: "Runtime", *, policy: Any = None) -> None:
-        from ..policy import parse_policy
-
-        self._rt = runtime
+        super().__init__(runtime, policy=policy)
         self._costs = runtime.config.costs
-        self._destroyed = False
-        # The epoch-advance policy (docs/POLICY.md): gates the root-driven
-        # ``try_reclaim`` of every list-based scheme on virtual-time
-        # facts.  ``None`` resolves the runtime's configured policy axis.
-        policy_spec = (
-            runtime.config.resolved_policy()
-            if policy is None
-            else parse_policy(policy)
-        )
-        self.policy = policy_spec.make_epoch_policy()
-        self._track_pins = self.policy.wants_pin_times
-        # Flight-recorder hooks (docs/OBSERVABILITY.md): the spans-level
-        # recorder carries policy decisions and root-driven reclaim
-        # summaries; the full-detail one adds guard pin/retire events and
-        # limbo-age histograms.  Both are None when tracing is off.
-        self._tracer = getattr(runtime, "_tracer", None)
-        self._full = getattr(runtime, "_full_tracer", None)
-        #: Retire timestamps ride the retired entries only when the policy
-        #: consumes limbo ages or full tracing is on — the stock policies
-        #: pay zero per-retire work.
-        self._track_ages = (
-            self.policy.wants_retire_times or self._full is not None
-        )
-        #: Shared-uplink batch crossings folded per distance class — the
-        #: :attr:`~repro.policy.EpochFacts.crossings` policy input.
-        self._crossings_by_class: Dict[int, int] = {}
         self._guards: List[GuardBase] = []
         self._registry_lock = threading.Lock()
         self._guard_seq = 0
@@ -318,7 +294,6 @@ class ReclaimerBase:
         # Accounting (updated at root-driven reclaim points, so the values
         # are deterministic under the workload discipline).
         self._freed = 0
-        self._peak_pending = 0
         self._reclaim_attempts = 0
         self._reclaims = 0
         # Uplink-aggregation diagnostics (docs/AGGREGATION.md): batched
@@ -329,12 +304,6 @@ class ReclaimerBase:
         self._uplink_crossings = 0
 
     # ------------------------------------------------------------------
-    def _check_alive(self) -> None:
-        if self._destroyed:
-            raise ReclaimerError(
-                f"{type(self).__name__} used after destroy()"
-            )
-
     def register(self) -> GuardBase:
         """Obtain a guard on the calling task's locale."""
         self._check_alive()
@@ -378,46 +347,19 @@ class ReclaimerBase:
     tryReclaim = try_reclaim
 
     # ------------------------------------------------------------------
-    # the epoch-advance policy gate (docs/POLICY.md)
+    # policy facts (docs/POLICY.md)
     # ------------------------------------------------------------------
-    def _policy_defers(self) -> bool:
-        """True when the policy defers this reclaim attempt (cost-free).
-
-        The default ``fixed`` policy short-circuits without computing
-        facts, so the legacy paths stay bit-identical.  Schemes call this
-        at the top of their root-driven ``try_reclaim`` — a deferral
-        skips the whole scan/drain pipeline and charges nothing.
-        """
-        pol = self.policy
-        if pol.always_advance:
-            return False
-        facts = self._policy_facts()
-        advance = pol.decide(facts)
-        tr = self._tracer
-        if tr is not None:
-            tr.policy_decision(
-                pol.kind,
-                "advance" if advance else "defer",
-                facts.now,
-                facts.as_dict(),
-            )
-        return not advance
-
-    def _policy_facts(self):
-        """Cost-free :class:`~repro.policy.EpochFacts` snapshot.
-
-        Per-locale pending counts fold the registered guards' buffer
+    def _fact_folds(self):
+        """Per-locale pending counts fold the registered guards' buffer
         lengths (exact at root decision points — workers are joined);
         orphaned retirements append one trailing entry.  The last-pin
         timestamp max-folds the per-guard records, which only exist while
         a pin-tracking policy is installed.
         """
-        from ..policy import EpochFacts
-
         per_locale: Dict[int, int] = {}
         last_pin: "float | None" = None
         oldest: "float | None" = None
-        want_pins = self.policy.wants_pin_times
+        want_pins = self._track_pins
         want_ages = self._track_ages
         for guard in self._registered_guards():
             per_locale[guard.locale_id] = per_locale.get(
@@ -441,26 +383,7 @@ class ReclaimerBase:
                         oldest = entry[2]
         if orphans:
             pending.append(orphans)
-        cbc = self._crossings_by_class
-        crossings = (
-            tuple(cbc.get(i, 0) for i in range(max(cbc) + 1)) if cbc else ()
-        )
-        ctx = maybe_context()
-        now = ctx.clock.now if ctx is not None else 0.0
-        return EpochFacts(
-            now=now,
-            pending=tuple(pending),
-            last_pin=last_pin,
-            crossings=crossings,
-            oldest_retire=oldest,
-        )
-
-    def _policy_tick(self) -> None:
-        """Window-policy tick at this sequential reclaim point."""
-        self._rt.network.aggregator.policy_tick()
-
-    def quiesce_check(self) -> None:
-        """Hook before clear/destroy; subclasses may sanity-check state."""
+        return tuple(pending), last_pin, oldest
 
     def _drain_retired(self, guards: List["GuardBase"], keep) -> int:
         """Drain ``guards``' buffers plus the orphans and free the rest.
@@ -537,18 +460,7 @@ class ReclaimerBase:
         self._check_alive()
         self._note_pending()
         freed = self._drain_retired(self._registered_guards(), None)
-        tr = self._tracer
-        if tr is not None:
-            ctx = maybe_context()
-            tr.reclaim(
-                "clear",
-                self.scheme,
-                ctx.clock.now if ctx is not None else 0.0,
-                freed=freed,
-            )
-        # ``clear`` is a sequential quiescent point by contract — a valid
-        # window-policy tick site (no-op for static windows).
-        self._policy_tick()
+        self._after_clear(freed)
         return freed
 
     def destroy(self) -> None:
@@ -602,21 +514,7 @@ class ReclaimerBase:
         if counters.batches:
             self._scan_batches += counters.batches
             self._uplink_crossings += counters.crossings
-            by_class = counters.by_class
-            if by_class:
-                # Per-distance-class crossing facts (EpochFacts.crossings):
-                # only classes that actually traverse a shared uplink count.
-                classes = self._rt.network.topology.classes
-                fold = self._crossings_by_class
-                for dclass, n in by_class.items():
-                    if classes[dclass].shared_uplink:
-                        fold[dclass] = fold.get(dclass, 0) + n
-
-    def _note_pending(self) -> None:
-        """Sample pending garbage into the peak counter (cost-free)."""
-        pending = self.pending_count()
-        if pending > self._peak_pending:
-            self._peak_pending = pending
+            self._fold_crossings(counters.by_class.items())
 
     # ------------------------------------------------------------------
     # introspection
@@ -629,34 +527,13 @@ class ReclaimerBase:
             pending += len(self._orphans)
         return pending
 
-    def _retired_total(self) -> int:
-        """Total retirements ever (freed + still pending; cost-free)."""
-        return self._freed + self.pending_count()
-
-    def stats(self) -> Dict[str, Any]:
-        """Normalized counters; every scheme reports at least these keys.
-
-        ``retired`` / ``freed`` / ``pending`` / ``peak_pending`` are the
-        cross-scheme comparison columns in the scenario JSON report;
-        ``reclaim_attempts`` / ``objects_reclaimed`` keep the shape of the
-        historical EpochManager stats dict.
-        """
+    def _counts(self) -> Dict[str, int]:
         return {
-            "scheme": self.scheme,
-            "retired": self._retired_total(),
-            "freed": self._freed,
-            "pending": self.pending_count(),
-            "peak_pending": self._peak_pending,
             "reclaim_attempts": self._reclaim_attempts,
             "objects_reclaimed": self._freed,
             "reclaims": self._reclaims,
             "scan_batches": self._scan_batches,
             "uplink_crossings": self._uplink_crossings,
-            # Policy diagnostics (docs/POLICY.md): the epoch half's spec
-            # and deferral count, and the window policy's live window.
-            "policy": self.policy.spec(),
-            "policy_deferrals": self.policy.deferrals,
-            "window": self._rt.network.aggregator.window,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -668,14 +545,16 @@ def make_reclaimer(runtime: "Runtime", scheme: str = "ebr", **kwargs: Any):
 
     ``kwargs`` pass through to the scheme constructor (e.g. EBR's ablation
     knobs ``use_election``/``use_scatter``, HP's ``scan_threshold``).
+    ``"ebr"`` builds the paper's
+    :class:`~repro.core.epoch_manager.EpochManager` itself.
     """
-    from .ebr import EBRReclaimer
+    from ..core.epoch_manager import EpochManager
     from .hp import HazardPointerReclaimer
     from .ibr import IntervalReclaimer
     from .qsbr import QSBRReclaimer
 
     classes = {
-        "ebr": EBRReclaimer,
+        "ebr": EpochManager,
         "hp": HazardPointerReclaimer,
         "qsbr": QSBRReclaimer,
         "ibr": IntervalReclaimer,

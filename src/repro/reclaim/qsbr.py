@@ -145,7 +145,6 @@ class QSBRReclaimer(ReclaimerBase):
         # announcement scan and leaves the interval unchanged, so guards'
         # quiescence marks stay comparable on the next attempt.
         if self._policy_defers():
-            self._policy_tick()
             return False
         min_seen = self._interval
         guards = self._registered_guards()

@@ -68,9 +68,10 @@ class InterlockedHashTable:
         When omitted the table asks
         :func:`repro.reclaim.default_reclaimer` for whatever scheme the
         runtime is configured for — the one shared default-construction
-        factory — and owns it (``destroy()`` tears it down).  To share a
-        bare :class:`EpochManager`, pass
-        ``EBRReclaimer(runtime, manager=em)``.
+        factory — and owns it (``destroy()`` tears it down).  A
+        caller-supplied reclaimer — e.g. a shared :class:`EpochManager`,
+        which is the ``"ebr"`` reclaimer itself — stays the caller's to
+        tear down.
     """
 
     def __init__(

@@ -261,7 +261,7 @@ class TestSocketSharedAccounting:
                 em = EpochManager(rt)
                 assert em.share_coherent
                 # hier:2x2 over 8 locales: sockets {0,1},{2,3},{4,5},{6,7}.
-                assert em.instance_locales() == (0, 2, 4, 6)
+                assert em._instance_lids == (0, 2, 4, 6)
                 assert em.get_privatized_instance(1) is em.get_privatized_instance(0)
                 assert em.get_privatized_instance(2) is not em.get_privatized_instance(0)
                 # Retire a known count from several locales, then clear:
@@ -335,7 +335,7 @@ class TestSocketSharedAccounting:
             def main():
                 em = EpochManager(rt)
                 assert not em.share_coherent
-                assert em.instance_locales() == tuple(range(8))
+                assert em._instance_lids == tuple(range(8))
                 assert em._plan is None
                 # Explicit opt-in works even with the window closed.
                 shared = EpochManager(rt, share_coherent=True)

@@ -304,7 +304,7 @@ class TestStripedDiagnostics:
 
 
 class TestStripedEpochStats:
-    def test_concurrent_incs_are_exact_and_readable_as_attributes(self):
+    def test_concurrent_incs_are_exact(self):
         stats = EpochManagerStats()
         n_threads, per_thread = 6, 4000
 
@@ -318,10 +318,9 @@ class TestStripedEpochStats:
             t.start()
         for t in threads:
             t.join()
-        assert stats.reclaim_attempts == n_threads * per_thread
-        assert stats.objects_reclaimed == 7 * n_threads
         d = stats.as_dict()
         assert d["reclaim_attempts"] == n_threads * per_thread
+        assert d["objects_reclaimed"] == 7 * n_threads
         assert d["advances"] == 0
 
 

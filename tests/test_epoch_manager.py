@@ -152,7 +152,7 @@ class TestEpochAdvancement:
             tok.pin()  # epoch 1
             assert em.try_reclaim()  # -> epoch 2; tok still shows 1
             assert not em.try_reclaim()  # vetoed by the stale pin
-            assert em.stats.scans_unsafe == 1
+            assert em.stats()["scans_unsafe"] == 1
             tok.unpin()
             assert em.try_reclaim()  # free to go again
 
@@ -252,10 +252,10 @@ class TestReclamation:
             tok.unpin()
             em.try_reclaim()
             em.try_reclaim()
-            s = em.stats
-            assert s.reclaim_attempts == 2
-            assert s.advances == 2
-            assert s.objects_reclaimed == 1
+            s = em.stats()
+            assert s["reclaim_attempts"] == 2
+            assert s["advances"] == 2
+            assert s["objects_reclaimed"] == 1
 
         rt.run(main)
 
@@ -264,7 +264,7 @@ class TestReclamation:
             em = EpochManager(rt)
             tok = em.register()
             assert tok.try_reclaim()
-            assert em.stats.advances == 1
+            assert em.stats()["advances"] == 1
 
         rt.run(main)
 
@@ -276,8 +276,9 @@ class TestReclamation:
             for _ in range(5):
                 tok.defer_delete(rt.new_obj("x"))
             tok.unpin()
-            inst = em.get_privatized_instance(0)
-            assert inst.deferred_count == 5
+            stats = em.stats()
+            assert stats["retired"] == 5
+            assert stats["pending"] == 5
 
         rt.run(main)
 
@@ -289,7 +290,7 @@ class TestElection:
             inst = em.get_privatized_instance(0)
             inst.is_setting_epoch.write(True)  # simulate a racing setter
             assert not em.try_reclaim()
-            assert em.stats.elections_lost_local == 1
+            assert em.stats()["elections_lost_local"] == 1
             inst.is_setting_epoch.clear()
 
         rt.run(main)
@@ -299,7 +300,7 @@ class TestElection:
             em = EpochManager(rt)
             em.global_epoch.is_setting_epoch.write(True)
             assert not em.try_reclaim()
-            assert em.stats.elections_lost_global == 1
+            assert em.stats()["elections_lost_global"] == 1
             # The local flag must have been cleared on the way out.
             inst = em.get_privatized_instance(0)
             assert not inst.is_setting_epoch.peek()
@@ -330,7 +331,7 @@ class TestElection:
 
             rt.forall(range(400), body, task_init=em.register)
             em.clear()
-            return em.stats.objects_reclaimed
+            return em.stats()["objects_reclaimed"]
 
         assert rt.run(main) == 400  # every object freed exactly once
 
@@ -390,7 +391,7 @@ class TestConcurrentWorkload:
             rt.forall(range(600), body, task_init=St)
             em.clear()
             assert all(not rt.is_live(a) for a in objs)
-            assert em.stats.objects_reclaimed == 600
+            assert em.stats()["objects_reclaimed"] == 600
 
         rt.run(main)
 
@@ -408,7 +409,7 @@ class TestConcurrentWorkload:
 
             rt.forall(range(800), body, task_init=em.register)
             em.clear()
-            return em.stats.objects_reclaimed
+            return em.stats()["objects_reclaimed"]
 
         assert rt.run(main) == 800
 
@@ -456,6 +457,6 @@ class TestEpochCycleExtension:
 
             rt.forall(range(400), body, task_init=em.register)
             em.clear()
-            return em.stats.objects_reclaimed
+            return em.stats()["objects_reclaimed"]
 
         assert rt.run(main) == 400

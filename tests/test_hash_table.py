@@ -7,7 +7,6 @@ import threading
 import pytest
 
 from repro.core import EpochManager
-from repro.reclaim import EBRReclaimer
 from repro.structures import InterlockedHashTable
 
 
@@ -18,7 +17,7 @@ def em(rt):
 
 @pytest.fixture
 def table(rt, em):
-    return InterlockedHashTable(rt, buckets=16, reclaimer=EBRReclaimer(rt, manager=em))
+    return InterlockedHashTable(rt, buckets=16, reclaimer=em)
 
 
 class TestMapSemantics:
@@ -95,11 +94,11 @@ class TestMapSemantics:
         rt.run(main)
 
     def test_bucket_count_rounds_to_power_of_two(self, rt, em):
-        t = InterlockedHashTable(rt, buckets=20, reclaimer=EBRReclaimer(rt, manager=em))
+        t = InterlockedHashTable(rt, buckets=20, reclaimer=em)
         assert t.bucket_count == 32
 
     def test_buckets_distributed_cyclically(self, rt, em):
-        t = InterlockedHashTable(rt, buckets=16, reclaimer=EBRReclaimer(rt, manager=em))
+        t = InterlockedHashTable(rt, buckets=16, reclaimer=em)
         homes = {h.home for h in t._headers}
         assert homes == set(range(rt.num_locales))
 
@@ -110,7 +109,7 @@ class TestMapSemantics:
 class TestResizeAndDestroy:
     def test_resize_preserves_contents(self, rt, em):
         def main():
-            t = InterlockedHashTable(rt, buckets=4, reclaimer=EBRReclaimer(rt, manager=em))
+            t = InterlockedHashTable(rt, buckets=4, reclaimer=em)
             for i in range(50):
                 t.put(i, i * i)
             t.resize(64)
@@ -137,6 +136,28 @@ class TestResizeAndDestroy:
             t.destroy()
             after = sum(loc.heap.live_count for loc in rt.locales)
             assert after == 0
+
+        rt.run(main)
+
+    def test_destroy_leaves_a_caller_supplied_manager_alive(self, rt, em):
+        def main():
+            t = InterlockedHashTable(rt, buckets=4, reclaimer=em)
+            tok = em.register()
+            holder = em.register()  # another user of the shared manager
+            holder.pin()
+            addr = rt.new_obj("x")
+            tok.pin()
+            tok.defer_delete(addr)
+            tok.unpin()
+            t.destroy()  # must NOT tear down or clear the caller's manager
+            assert rt.is_live(addr)
+            for _ in range(4):
+                em.try_reclaim()
+            assert rt.is_live(addr)  # the holder's pin still guards it
+            em.register()  # the shared manager is still fully usable
+            holder.unpin()
+            em.destroy()
+            assert not rt.is_live(addr)
 
         rt.run(main)
 
@@ -222,7 +243,7 @@ class TestConcurrent:
 
         def main():
             t = InterlockedHashTable(
-                rt, buckets=8, reclaimer=EBRReclaimer(rt, manager=em), aba_protection=False
+                rt, buckets=8, reclaimer=em, aba_protection=False
             )
 
             def body(i, tok):

@@ -25,7 +25,7 @@ import pytest
 
 from repro.core import EpochManager
 from repro.errors import UseAfterFreeError
-from repro.reclaim import RECLAIMER_SCHEMES, EBRReclaimer, make_reclaimer
+from repro.reclaim import RECLAIMER_SCHEMES, make_reclaimer
 from repro.runtime import Runtime
 from repro.structures import (
     InterlockedHashTable,
@@ -150,7 +150,7 @@ class TestEpochSafetyInvariant:
             tok.pin()
             addr = rt.new_obj(i)
             with lock:
-                defer_epoch[addr] = em.stats.advances
+                defer_epoch[addr] = em.stats()["advances"]
             tok.defer_delete(addr)
             tok.unpin()
             if i % 64 == 0:
@@ -160,7 +160,7 @@ class TestEpochSafetyInvariant:
             rt.forall(range(600), body, task_init=em.register)
             # Objects still live must be from recent epochs; objects freed
             # must have been deferred at least 1 full advance ago.
-            now = em.stats.advances
+            now = em.stats()["advances"]
             for addr, at in defer_epoch.items():
                 if not rt.is_live(addr):
                     assert now - at >= 1, (
@@ -213,7 +213,7 @@ class TestCrossStructureIntegration:
             q = LockFreeQueue(rt)
             lst = LockFreeOrderedList(rt)
             table = InterlockedHashTable(
-                rt, buckets=16, reclaimer=EBRReclaimer(rt, manager=em)
+                rt, buckets=16, reclaimer=em
             )
 
             def body(i, tok):

@@ -161,6 +161,6 @@ class TestNoDistributedTraffic:
                 owner_of=lambda item, idx: 0,
             )
             lem.clear()
-            return lem.stats.objects_reclaimed
+            return lem.stats()["objects_reclaimed"]
 
         assert rt.run(main) == 300

@@ -341,6 +341,40 @@ class TestMachineAxes:
         assert "policy" in str(entry)
 
 
+# the shared policy gate (every scheme)
+# ----------------------------------------------------------------------
+class TestPolicyGate:
+    @pytest.mark.parametrize("scheme", ["ebr", "hp", "qsbr", "ibr"])
+    def test_deferral_is_free_and_ticks_the_window_once(self, scheme):
+        from repro.reclaim import make_reclaimer
+        from repro.runtime import Runtime
+        from repro.runtime.context import current_context
+
+        rt = Runtime(
+            config=RuntimeConfig(
+                num_locales=2, reclaimer=scheme, policy="threshold:64"
+            )
+        )
+        aggregator = rt.network.aggregator
+        ticks = []
+        tick = aggregator.policy_tick
+        aggregator.policy_tick = lambda: ticks.append(1) or tick()
+
+        def main():
+            rec = make_reclaimer(rt, scheme)
+            before = current_context().clock.now
+            assert not rec.try_reclaim()  # nothing pending: deferred
+            assert current_context().clock.now == before
+            assert len(ticks) == 1
+            stats = rec.stats()
+            assert stats["policy_deferrals"] == 1
+            assert stats["reclaim_attempts"] == 1
+            rec.destroy()
+
+        rt.run(main)
+        rt.close()
+
+
 # ----------------------------------------------------------------------
 # end-to-end determinism (the acceptance criteria, full strength)
 # ----------------------------------------------------------------------

@@ -210,6 +210,6 @@ class TestEpochProtocolProperty:
             em.try_reclaim()
             em.clear()
             assert all(not rt.is_live(a) for a in addrs)
-            assert em.stats.objects_reclaimed == n
+            assert em.stats()["objects_reclaimed"] == n
 
         rt.run(main)

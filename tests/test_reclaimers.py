@@ -8,8 +8,8 @@ Three layers of coverage:
    surfacing as :class:`DoubleFreeError`, use-after-destroy raising
    :class:`ReclaimerError`, locale binding, context-manager cleanup, and
    orphan adoption on unregister.
-2. **Scheme-specific semantics**: EBR-adapter bit-identity against the
-   raw ``EpochManager``; hazard-pointer protection, bounded garbage and
+2. **Scheme-specific semantics**: ``EpochManager`` as the ``"ebr"``
+   reclaimer (stats and peak-pending sampling); hazard-pointer protection, bounded garbage and
    scan behaviour; QSBR quiescent-point gating; IBR's stalled-reader
    immunity (the property that distinguishes it from EBR).
 3. **Factory plumbing**: ``make_reclaimer`` / ``default_reclaimer`` /
@@ -28,7 +28,6 @@ from repro.errors import (
 )
 from repro.reclaim import (
     RECLAIMER_SCHEMES,
-    EBRReclaimer,
     HazardPointerReclaimer,
     IntervalReclaimer,
     QSBRReclaimer,
@@ -238,68 +237,14 @@ class TestGuardProtocolConformance:
 
 
 # ---------------------------------------------------------------------------
-# 2a. EBR adapter: bit-identical to the raw EpochManager
+# 2a. EBR: the EpochManager is the "ebr" reclaimer
 # ---------------------------------------------------------------------------
 
 
-class TestEBRAdapterEquivalence:
-    def _drive(self, rt, mgr):
-        """A deterministic pin/defer/unpin workload with root reclaims.
-
-        Follows the workload discipline (phase-exclusive, root-driven
-        tryReclaim) so two runs of the *same* manager are bit-identical —
-        which is what makes the raw-vs-adapted comparison meaningful.
-        """
-
-        def main():
-            def body(i, tok):
-                tok.pin()
-                tok.defer_delete(rt.new_obj(i))
-                tok.unpin()
-
-            rt.reset_measurements()
-            with rt.timed() as t:
-                for phase in range(4):
-                    rt.forall(range(phase * 128, (phase + 1) * 128), body,
-                              task_init=mgr.register, tasks_per_locale=1)
-                    mgr.try_reclaim()
-                mgr.clear()
-            return t.elapsed, rt.comm_totals()
-
-        return rt.run(main)
-
-    def test_virtual_results_identical_to_raw_manager(self):
-        rt1 = Runtime(num_locales=4, network="ugni", tasks_per_locale=1)
-        raw = self._drive(rt1, EpochManager(rt1))
-        rt1.close()
-        rt2 = Runtime(num_locales=4, network="ugni", tasks_per_locale=1)
-        adapted = self._drive(rt2, EBRReclaimer(rt2))
-        rt2.close()
-        assert raw == adapted  # elapsed AND comm totals, bit-identical
-
-    def test_adapter_reuses_existing_manager_without_owning_it(self, rt):
-        def main():
-            em = EpochManager(rt)
-            rec = EBRReclaimer(rt, manager=em)
-            tok = rec.register()
-            holder = em.register()  # another user of the shared manager
-            holder.pin()
-            addr = rt.new_obj("x")
-            tok.pin()
-            tok.defer_delete(addr)
-            tok.unpin()
-            rec.destroy()  # must NOT touch the shared em's limbo lists
-            assert rt.is_live(addr)  # the holder's pin still guards it
-            em.register()  # the shared manager is still fully usable
-            holder.unpin()
-            em.destroy()
-            assert not rt.is_live(addr)
-
-        rt.run(main)
-
+class TestEBRReclaimer:
     def test_stats_carry_epoch_manager_counters(self, rt):
         def main():
-            rec = EBRReclaimer(rt)
+            rec = make_reclaimer(rt, "ebr")
             tok = rec.register()
             tok.pin()
             tok.defer_delete(rt.new_obj("x"))
@@ -310,6 +255,41 @@ class TestEBRAdapterEquivalence:
             assert "advances" in stats and "reclaim_attempts" in stats
             assert stats["retired"] == 1
             rec.destroy()
+
+        rt.run(main)
+
+    def test_only_handle_level_entry_points_sample_pending(self, rt):
+        """Peak-pending sampling happens at the manager's own
+        ``try_reclaim`` / ``clear`` / ``destroy``, never on a token's
+        ``try_reclaim`` (a mid-phase sample would depend on the schedule)."""
+
+        def main():
+            em = EpochManager(rt)
+            samples = []
+            count = em.pending_count
+
+            def spy():
+                samples.append(count())
+                return samples[-1]
+
+            em.pending_count = spy
+            tok = em.register()
+            tok.pin()
+            tok.defer_delete(rt.new_obj("x"))
+            tok.unpin()
+            assert tok.try_reclaim()
+            assert samples == []
+            em.try_reclaim()  # samples 1, then frees it
+            assert samples == [1]
+            tok.pin()
+            tok.defer_delete(rt.new_obj("y"))
+            tok.defer_delete(rt.new_obj("z"))
+            tok.unpin()
+            em.clear()
+            assert samples == [1, 2]
+            em.destroy()
+            assert samples == [1, 2, 0]
+            assert em.stats()["peak_pending"] == 2
 
         rt.run(main)
 
@@ -649,7 +629,7 @@ class TestFactoryPlumbing:
 
     def test_default_reclaimer_follows_runtime_config(self):
         for scheme, cls in (
-            ("ebr", EBRReclaimer),
+            ("ebr", EpochManager),
             ("hp", HazardPointerReclaimer),
             ("qsbr", QSBRReclaimer),
             ("ibr", IntervalReclaimer),
@@ -657,6 +637,17 @@ class TestFactoryPlumbing:
             rt = Runtime(config=RuntimeConfig(num_locales=2, reclaimer=scheme))
             assert isinstance(default_reclaimer(rt), cls)
             rt.close()
+
+    def test_make_reclaimer_ebr_is_the_epoch_manager(self, rt):
+        from repro.reclaim import EBRReclaimer
+
+        def main():
+            rec = make_reclaimer(rt, "ebr")
+            assert type(rec) is EpochManager
+            rec.destroy()
+
+        assert EBRReclaimer is EpochManager
+        rt.run(main)
 
     def test_runtime_config_validates_scheme(self):
         with pytest.raises(ValueError):
@@ -692,8 +683,7 @@ class TestFactoryPlumbing:
 
         def main():
             em = EpochManager(rt)
-            rec = EBRReclaimer(rt, manager=em)
             with pytest.raises(TypeError):
-                InterlockedHashTable(rt, manager=em, reclaimer=rec)
+                InterlockedHashTable(rt, manager=em, reclaimer=em)
 
         rt.run(main)

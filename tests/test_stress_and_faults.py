@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import AtomicObject, EpochManager
 from repro.errors import DoubleFreeError, MemoryError_
-from repro.reclaim import EBRReclaimer
 from repro.runtime import Runtime
 from repro.structures import InterlockedHashTable, LockFreeQueue, LockFreeStack
 
@@ -87,7 +86,7 @@ class TestHotContention:
     def test_hash_table_mixed_churn_with_reclaim(self, rt):
         def main():
             em = EpochManager(rt)
-            t = InterlockedHashTable(rt, buckets=8, reclaimer=EBRReclaimer(rt, manager=em))
+            t = InterlockedHashTable(rt, buckets=8, reclaimer=em)
 
             def body(i, tok):
                 tok.pin()
@@ -233,6 +232,6 @@ class TestManyTasksPerLocale:
             rt.forall(range(512), body, task_init=em.register,
                       tasks_per_locale=16)
             em.clear()
-            return em.stats.objects_reclaimed
+            return em.stats()["objects_reclaimed"]
 
         assert rt.run(main) == 512
