@@ -14,9 +14,10 @@
 # and the election workloads — against benchmarks/e2e/references.json,
 # and exits 1 on any mismatch.  Its traced pass also fails on a renamed
 # layer entry point or a busy/idle layer violation.  The scenario check last re-verifies every
-# registered baseline under ``compiled-strict`` — the registry is fully
+# registered baseline under ``compiled-strict``, twice, and writes
+# scenario_report_compiled.json at the repo root — the registry is fully
 # lowered, so any interpreter fallback is a regression and fails the
-# gate outright.
+# gate outright, as does a repeat that differs from the first.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -59,8 +60,8 @@ python3 benchmarks/e2e/run.py --smoke --layers
 
 echo
 echo "== scenario baselines under compiled-strict (zero fallbacks) =="
-python -m repro.bench scenarios --all --engine compiled-strict \
-  --out /tmp/smoke_scenarios_compiled.json
+python -m repro.bench scenarios --all --repeats 2 --engine compiled-strict \
+  --out scenario_report_compiled.json
 
 echo
 echo "smoke gate OK — see BENCH_wallclock.json"

@@ -53,12 +53,11 @@ The line's own lock is therefore bypassed on hot paths whenever the cell
 lock is the NIC's; ``reset``/``utilization`` still take it, which is safe
 because measurement control runs at quiescent points only.
 
-:meth:`ChargedWord._enter` is the one charge primitive: it takes the cell
-lock and, inside a task of the owning runtime, charges first; the caller
-commits and releases.  The integer cells' ``read``/``write``/``exchange``/
-``compare_and_swap`` inline the same body.  Operations charge costs only
-when a task context is installed; this lets unit tests exercise pure
-semantics without standing up a runtime task.
+:meth:`ChargedWord._enter` is the one charge body, called by every op of
+every cell: it takes the cell lock and, inside a task of the owning
+runtime, charges first; the caller commits and releases.  Operations
+charge costs only when a task context is installed; this lets unit tests
+exercise pure semantics without standing up a runtime task.
 """
 
 from __future__ import annotations
@@ -99,15 +98,15 @@ class ChargedWord:
         #: Per-cell serial resource (hot-line contention).
         line = self.line = ServicePoint(line_name)
         # Full-detail tracing (docs/OBSERVABILITY.md): the line emits its
-        # own serve events, covering every cell fast path — including the
-        # integer cells' inlined bodies — without touching them.
+        # own serve events, covering every charged op without a hook in
+        # _enter.
         line._tracer = getattr(runtime, "_full_tracer", None)
         network = runtime.network
         plan = self._plan = network.cell_plan(home, opt_out)
         dist, lock_point, narrow, _wide = plan
         lock = self._lock = line._lock if lock_point is None else lock_point._lock
-        #: Hot-path bundle: one attribute load + UNPACK_SEQUENCE hands a
-        #: method everything it needs (runtime for the identity check, the
+        #: Hot-path bundle: one attribute load + UNPACK_SEQUENCE hands
+        #: ``_enter`` everything it needs (runtime for the identity check, the
         #: distance row, narrow steps, diagnostics, and prebound
         #: lock/serve callables).
         self._hot = (
@@ -127,9 +126,8 @@ class ChargedWord:
         The caller commits its value change and then releases
         ``self._lock``.  The route (latency class, service points,
         diagnostic index, lock domain) was precompiled into the shared
-        plan; only the caller's locality is decided here.  The integer
-        cell's ``read``/``write``/``exchange``/``compare_and_swap`` inline
-        this body — keep the implementations in sync.
+        plan; only the caller's locality is decided here.  Every op of
+        every cell charges through this one body.
         """
         rt, dist, narrow, diags, acquire, release, line_serve_locked = self._hot
         try:

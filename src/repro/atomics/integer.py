@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Tuple
 
-from ..runtime.context import _tls as _context_tls
 from .cell import AtomicCell
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,44 +72,17 @@ class AtomicUInt64(AtomicCell):
         self._value = _to_word(initial)
 
     # -- reads / writes ---------------------------------------------------
-    # read/write are the two hottest operations in the whole simulator
-    # (every epoch pin/unpin is made of them), so both inline the narrow
-    # charge body of _enter instead of calling it — keep them in sync
-    # with ChargedWord._enter.
+    # Every op charges through ChargedWord._enter, the one charge body.
+    # read/write/exchange/compare_and_swap normalize their operands before
+    # it, so their commits cannot raise and need no try/finally; the
+    # fetch_* ops compute under the lock and keep one.
 
     def read(self) -> int:
-        """Atomically load the current value.
-
-        Lock-free: every mutator commits with one attribute store (its
-        last action, under the cell lock), so a bare load always observes
-        a fully committed value — linearizable without touching the lock.
-        """
-        try:
-            ctx = _context_tls.ctx
-        except AttributeError:  # thread never entered a task scope
-            ctx = None
-        if ctx is not None:
-            rt, dist, narrow, diags, acquire, release, line_serve_locked = self._hot
-            if ctx.runtime is rt:
-                locale = ctx.locale_id
-                diag_index, latency, outer, point_service, line_service = narrow[
-                    dist[locale]
-                ]
-                if diags._enabled:
-                    rows = ctx.diag_rows
-                    if rows is None:
-                        rows = ctx.diag_rows = diags._rows()
-                    rows[locale][diag_index] += 1
-                clock = ctx.clock
-                t = clock.now + latency
-                acquire()
-                try:
-                    if outer is not None:
-                        t = outer(t, point_service)
-                    clock.now = line_serve_locked(t, line_service)
-                finally:
-                    release()
-        return self._value
+        """Atomically load the current value."""
+        self._enter(False)
+        value = self._value
+        self._lock.release()
+        return value
 
     def write(self, value: int) -> None:
         """Atomically store ``value``.
@@ -118,34 +90,10 @@ class AtomicUInt64(AtomicCell):
         The lock orders the store against in-flight read-modify-writes
         (a blind store racing a fetch_add must serialize, not vanish).
         """
-        rt, dist, narrow, diags, acquire, release, line_serve_locked = self._hot
-        try:
-            ctx = _context_tls.ctx
-        except AttributeError:  # thread never entered a task scope
-            ctx = None
-        if ctx is None or ctx.runtime is not rt:
-            with self._lock:
-                self._value = value & _MASK64
-            return
-        locale = ctx.locale_id
-        diag_index, latency, outer, point_service, line_service = narrow[
-            dist[locale]
-        ]
-        if diags._enabled:
-            rows = ctx.diag_rows
-            if rows is None:
-                rows = ctx.diag_rows = diags._rows()
-            rows[locale][diag_index] += 1
-        clock = ctx.clock
-        t = clock.now + latency
-        acquire()
-        try:
-            if outer is not None:
-                t = outer(t, point_service)
-            clock.now = line_serve_locked(t, line_service)
-            self._value = value & _MASK64
-        finally:
-            release()
+        value &= _MASK64
+        self._enter(False)
+        self._value = value
+        self._lock.release()
 
     def peek(self) -> int:
         """Non-atomic, cost-free load (test/debug instrumentation only)."""
@@ -158,80 +106,26 @@ class AtomicUInt64(AtomicCell):
     # -- read-modify-write -------------------------------------------------
     def exchange(self, value: int) -> int:
         """Atomically store ``value`` and return the previous value."""
-        # Inlined narrow charge (Figure 3 mix hot path; see read()).
-        rt, dist, narrow, diags, acquire, release, line_serve_locked = self._hot
-        try:
-            ctx = _context_tls.ctx
-        except AttributeError:  # thread never entered a task scope
-            ctx = None
-        if ctx is None or ctx.runtime is not rt:
-            with self._lock:
-                old = self._value
-                self._value = value & _MASK64
-                return old
-        locale = ctx.locale_id
-        diag_index, latency, outer, point_service, line_service = narrow[
-            dist[locale]
-        ]
-        if diags._enabled:
-            rows = ctx.diag_rows
-            if rows is None:
-                rows = ctx.diag_rows = diags._rows()
-            rows[locale][diag_index] += 1
-        clock = ctx.clock
-        t = clock.now + latency
-        acquire()
-        try:
-            if outer is not None:
-                t = outer(t, point_service)
-            clock.now = line_serve_locked(t, line_service)
-            old = self._value
-            self._value = value & _MASK64
-            return old
-        finally:
-            release()
+        value &= _MASK64
+        self._enter(False)
+        old = self._value
+        self._value = value
+        self._lock.release()
+        return old
 
     def compare_and_swap(self, expected: int, desired: int) -> bool:
         """CAS: store ``desired`` iff the value equals ``expected``.
 
         Returns ``True`` on success (Chapel's ``compareAndSwap``).
         """
-        # Inlined narrow charge (Figure 3 mix hot path; see read()).
-        rt, dist, narrow, diags, acquire, release, line_serve_locked = self._hot
-        try:
-            ctx = _context_tls.ctx
-        except AttributeError:  # thread never entered a task scope
-            ctx = None
-        if ctx is None or ctx.runtime is not rt:
-            expected &= _MASK64
-            with self._lock:
-                if self._value == expected:
-                    self._value = desired & _MASK64
-                    return True
-                return False
-        locale = ctx.locale_id
-        diag_index, latency, outer, point_service, line_service = narrow[
-            dist[locale]
-        ]
-        if diags._enabled:
-            rows = ctx.diag_rows
-            if rows is None:
-                rows = ctx.diag_rows = diags._rows()
-            rows[locale][diag_index] += 1
-        clock = ctx.clock
-        t = clock.now + latency
         expected &= _MASK64
-        acquire()
-        try:
-            if outer is not None:
-                t = outer(t, point_service)
-            clock.now = line_serve_locked(t, line_service)
-            if self._value == expected:
-                self._value = desired & _MASK64
-                return True
-            return False
-        finally:
-            release()
+        desired &= _MASK64
+        self._enter(False)
+        ok = self._value == expected
+        if ok:
+            self._value = desired
+        self._lock.release()
+        return ok
 
     def compare_exchange(self, expected: int, desired: int) -> Tuple[bool, int]:
         """CAS returning ``(success, observed_value)``."""
@@ -309,35 +203,10 @@ class AtomicInt64(AtomicUInt64):
     __slots__ = ()
 
     def read(self) -> int:
-        """Atomically load, interpreted as signed (lock-free, see base)."""
-        # Inlined narrow charge (Figure 3 baseline hot path; see
-        # AtomicUInt64.read).
-        try:
-            ctx = _context_tls.ctx
-        except AttributeError:  # thread never entered a task scope
-            ctx = None
-        if ctx is not None:
-            rt, dist, narrow, diags, acquire, release, line_serve_locked = self._hot
-            if ctx.runtime is rt:
-                locale = ctx.locale_id
-                diag_index, latency, outer, point_service, line_service = narrow[
-                    dist[locale]
-                ]
-                if diags._enabled:
-                    rows = ctx.diag_rows
-                    if rows is None:
-                        rows = ctx.diag_rows = diags._rows()
-                    rows[locale][diag_index] += 1
-                clock = ctx.clock
-                t = clock.now + latency
-                acquire()
-                try:
-                    if outer is not None:
-                        t = outer(t, point_service)
-                    clock.now = line_serve_locked(t, line_service)
-                finally:
-                    release()
+        """Atomically load, interpreted as signed."""
+        self._enter(False)
         value = self._value
+        self._lock.release()
         return value - _TWO64 if value & _SIGN_BIT else value
 
     def peek(self) -> int:
@@ -345,41 +214,12 @@ class AtomicInt64(AtomicUInt64):
         return _to_signed(super().peek())
 
     def exchange(self, value: int) -> int:
-        """Atomic exchange, returning the previous signed value.
-
-        Inlined like the base-class hot ops (25% of the Figure 3 mix); the
-        only difference is the signed interpretation of the old value.
-        """
-        rt, dist, narrow, diags, acquire, release, line_serve_locked = self._hot
-        try:
-            ctx = _context_tls.ctx
-        except AttributeError:  # thread never entered a task scope
-            ctx = None
-        if ctx is None or ctx.runtime is not rt:
-            with self._lock:
-                old = self._value
-                self._value = value & _MASK64
-            return old - _TWO64 if old & _SIGN_BIT else old
-        locale = ctx.locale_id
-        diag_index, latency, outer, point_service, line_service = narrow[
-            dist[locale]
-        ]
-        if diags._enabled:
-            rows = ctx.diag_rows
-            if rows is None:
-                rows = ctx.diag_rows = diags._rows()
-            rows[locale][diag_index] += 1
-        clock = ctx.clock
-        t = clock.now + latency
-        acquire()
-        try:
-            if outer is not None:
-                t = outer(t, point_service)
-            clock.now = line_serve_locked(t, line_service)
-            old = self._value
-            self._value = value & _MASK64
-        finally:
-            release()
+        """Atomic exchange, returning the previous signed value."""
+        value &= _MASK64
+        self._enter(False)
+        old = self._value
+        self._value = value
+        self._lock.release()
         return old - _TWO64 if old & _SIGN_BIT else old
 
     def compare_exchange(self, expected: int, desired: int) -> Tuple[bool, int]:
@@ -387,13 +227,24 @@ class AtomicInt64(AtomicUInt64):
         ok, observed = super().compare_exchange(expected, desired)
         return ok, _to_signed(observed)
 
+    # fetch_sub/sub need no override: the base class routes them through
+    # this signed fetch_add.
+
     def fetch_add(self, delta: int) -> int:
         """Wrapping atomic add, returning the previous signed value."""
         return _to_signed(super().fetch_add(delta))
 
-    def fetch_sub(self, delta: int) -> int:
-        """Wrapping atomic subtract, returning the previous signed value."""
-        return _to_signed(super().fetch_sub(delta))
+    def fetch_or(self, bits: int) -> int:
+        """Atomic bitwise OR, returning the previous signed value."""
+        return _to_signed(super().fetch_or(bits))
+
+    def fetch_and(self, bits: int) -> int:
+        """Atomic bitwise AND, returning the previous signed value."""
+        return _to_signed(super().fetch_and(bits))
+
+    def fetch_xor(self, bits: int) -> int:
+        """Atomic bitwise XOR, returning the previous signed value."""
+        return _to_signed(super().fetch_xor(bits))
 
 
 class AtomicBool(AtomicCell):

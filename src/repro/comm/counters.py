@@ -143,8 +143,8 @@ class CommDiagnostics:
     def record_index(self, locale: int, index: int) -> None:
         """Hot-path record by precompiled index (see comm.routes).
 
-        Callers on the hottest paths (``ChargedWord._enter``) inline this body
-        instead; keep the two in sync.
+        ``ChargedWord._enter`` skips this call: it increments the same
+        thread stripe through the task context's cached ``ctx.diag_rows``.
         """
         if self._enabled:
             try:

@@ -106,6 +106,33 @@ class TestAtomicInt64:
         ok, seen = a.compare_exchange(0, 1)
         assert not ok and seen == -3
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a: a.read(),
+            lambda a: a.exchange(1),
+            lambda a: a.compare_exchange(0, 1)[1],
+            lambda a: a.fetch_add(1),
+            lambda a: a.fetch_sub(1),
+            lambda a: a.fetch_or(0),
+            lambda a: a.fetch_and(-1),
+            lambda a: a.fetch_xor(0),
+        ],
+        ids=[
+            "read",
+            "exchange",
+            "compare_exchange",
+            "fetch_add",
+            "fetch_sub",
+            "fetch_or",
+            "fetch_and",
+            "fetch_xor",
+        ],
+    )
+    def test_ops_return_previous_value_signed(self, rt, op):
+        a = rt.atomic_int(-5)
+        assert op(a) == -5
+
 
 class TestAtomicBool:
     def test_test_and_set_returns_previous(self, rt):

@@ -23,7 +23,13 @@ import threading
 
 import pytest
 
-from repro.atomics import AtomicBool, AtomicRef, AtomicUInt64, AtomicWide128
+from repro.atomics import (
+    AtomicBool,
+    AtomicInt64,
+    AtomicRef,
+    AtomicUInt64,
+    AtomicWide128,
+)
 from repro.comm.counters import CommDiagnostics, CommOp
 from repro.comm.network import NetworkModel
 from repro.comm.routes import AtomicRoute
@@ -337,39 +343,6 @@ class TestRoutePrecompilation:
         assert rt.network.atomic_route_table(1) is not t0
         rt.close()
 
-    def test_wrapper_atomic_op_matches_cell_charge(self):
-        """The branchy reference wrapper and the cell fast path agree."""
-        rt_a = Runtime(num_locales=2, network="ugni")
-        rt_b = Runtime(num_locales=2, network="ugni")
-
-        def cost_cell(rt):
-            cell = rt.atomic_uint(0, locale=1)
-
-            def main():
-                with rt.timed() as t:
-                    cell.read()
-                return t.elapsed
-
-            return rt.run(main)
-
-        def cost_wrapper(rt):
-            cell = rt.atomic_uint(0, locale=1)
-
-            def main():
-                from repro.runtime.context import current_context
-
-                ctx = current_context()
-                with rt.timed() as t:
-                    rt.network.atomic_op(ctx, cell.home, cell.line)
-                return t.elapsed
-
-            return rt.run(main)
-
-        assert cost_cell(rt_a) == cost_wrapper(rt_b)
-        assert rt_a.comm_totals() == rt_b.comm_totals()
-        rt_a.close()
-        rt_b.close()
-
     def test_spawn_after_pool_shutdown_raises(self):
         rt = Runtime(num_locales=2, network="none")
         rt.run(lambda: rt.forall(range(2), lambda i: None))
@@ -555,6 +528,11 @@ _WIDE_OPS = (
     lambda c: c.bump_exchange_lo(5),
 )
 _UINT_OPS = (
+    lambda c: c.read(),
+    lambda c: c.write(4),
+    lambda c: c.exchange(6),
+    lambda c: c.compare_and_swap(c.peek(), 7),  # succeeds
+    lambda c: c.compare_and_swap(c.peek() + 1, 0),  # fails
     lambda c: c.fetch_add(3),
     lambda c: c.add(1),
     lambda c: c.fetch_sub(2),
@@ -584,6 +562,7 @@ def _atomic_cases(rt, home):
             (AtomicBool, _BOOL_OPS, False),
             (AtomicWide128, _WIDE_OPS, True),
             (AtomicUInt64, _UINT_OPS, False),
+            (AtomicInt64, _UINT_OPS, False),
         ):
             cell = make(rt, home, opt_out=opt_out)
             cases += [(cell, op, wide, opt_out) for op in ops]
