@@ -34,6 +34,7 @@ from ..core.atomic_object import AtomicObject
 from ..engine import (
     compiled_plan,
     fast_randbelow,
+    mix_column,
     mix_column_fn,
     note_phase,
     run_alloc_phase,
@@ -743,9 +744,10 @@ def run_epoch_mixed(
     import random as _random
 
     table_rng = _random.Random(rt.config.seed ^ 0x5DEECE66D)
-    # Same bit stream as randrange(100), minus the wrapper (opstream).
-    _rb = fast_randbelow(table_rng)
-    is_write = [_rb(100) < write_percent for _ in range(num_items)]
+    # One randrange(100) draw per item, through the inline draw (opstream).
+    is_write = [
+        r < write_percent for r in mix_column(table_rng, num_items, 100)
+    ]
 
     def main() -> WorkloadResult:
         em = _reclaimer_for(rt, manager_kwargs)

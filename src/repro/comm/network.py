@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..errors import RuntimeStateError
+from ..errors import LocaleError, RuntimeStateError
 from ..runtime.clock import ServicePoint
 from .aggregation import UplinkAggregator
 from .costs import CostModel
@@ -190,9 +190,7 @@ class NetworkModel:
         """
         row = self._dist_rows[home]
         if row is None:
-            distance = self.topology.distance
-            row = tuple(distance(src, home) for src in range(len(self._dist_rows)))
-            self._dist_rows[home] = row
+            row = self._dist_rows[home] = self.topology.build_distance_row(home)
         return row
 
     def is_coherent(self, src: int, dst: int) -> bool:
@@ -347,8 +345,13 @@ class NetworkModel:
 
         See :mod:`repro.atomics.cell` for how a cell runs it: one lock
         cycle reserves the home-level point, reserves the line and
-        commits the value.
+        commits the value.  Every cell passes through here once, at
+        construction, so this is where an out-of-range ``home`` is
+        rejected — before it could index (and poison) another home's slot.
         """
+        nloc = len(self._dist_rows)
+        if not 0 <= home < nloc:
+            raise LocaleError(f"locale {home} out of range [0, {nloc})")
         slot = 2 * home + (1 if opt_out else 0)
         plan = self._cell_plans[slot]
         if plan is None:

@@ -137,18 +137,26 @@ class Topology:
         memory homed on ``dst``.  Pure: depends only on the two ids."""
         raise NotImplementedError
 
+    def build_distance_row(self, dst: int) -> Tuple[int, ...]:
+        """``distance(src, dst)`` for every ``src``, uncached.
+
+        The generic builder calls :meth:`distance` once per pair; the
+        built-in topologies override it with a closed form (fill with
+        the farthest class, slice-assign the nearer ranges, then the
+        self entry) that makes the same tuple in O(locales) list ops.
+        """
+        distance = self.distance
+        return tuple(distance(src, dst) for src in range(self.num_locales))
+
     def distance_row(self, dst: int) -> Tuple[int, ...]:
-        """``distance(src, dst)`` for every ``src``, cached.
+        """:meth:`build_distance_row`, cached.
 
         This is the tuple hot paths index by issuing locale — the only
         topology data structure they ever touch.
         """
         row = self._rows.get(dst)
         if row is None:
-            row = tuple(
-                self.distance(src, dst) for src in range(self.num_locales)
-            )
-            self._rows[dst] = row
+            row = self._rows[dst] = self.build_distance_row(dst)
         return row
 
     # -- contention & coherence grouping --------------------------------
@@ -184,6 +192,14 @@ class Topology:
         return f"{type(self).__name__}({self.describe()!r})"
 
 
+def _fill_block(row: List[int], dst: int, size: int, cls: int) -> None:
+    """Set ``row`` to ``cls`` over the ``size``-aligned block of locale ids
+    holding ``dst`` (cut short at the last locale: a partial last block)."""
+    lo = dst - dst % size
+    hi = min(lo + size, len(row))
+    row[lo:hi] = [cls] * (hi - lo)
+
+
 class FlatTopology(Topology):
     """Every remote peer is equidistant — the legacy (and default) model.
 
@@ -204,6 +220,11 @@ class FlatTopology(Topology):
 
     def distance(self, src: int, dst: int) -> int:
         return 0 if src == dst else 1
+
+    def build_distance_row(self, dst: int) -> Tuple[int, ...]:
+        row = [1] * self.num_locales
+        row[dst] = 0
+        return tuple(row)
 
 
 class HierarchicalTopology(Topology):
@@ -278,6 +299,13 @@ class HierarchicalTopology(Topology):
             return 2
         return 3
 
+    def build_distance_row(self, dst: int) -> Tuple[int, ...]:
+        row = [3] * self.num_locales
+        _fill_block(row, dst, self.node_size, 2)
+        _fill_block(row, dst, self.locales_per_socket, 1)
+        row[dst] = 0
+        return tuple(row)
+
     def uplink_group(self, locale: int) -> int:
         return self.node_of(locale)
 
@@ -341,6 +369,12 @@ class DragonflyTopology(Topology):
         if src == dst:
             return 0
         return 1 if src // self.group_size == dst // self.group_size else 2
+
+    def build_distance_row(self, dst: int) -> Tuple[int, ...]:
+        row = [2] * self.num_locales
+        _fill_block(row, dst, self.group_size, 1)
+        row[dst] = 0
+        return tuple(row)
 
     def uplink_group(self, locale: int) -> int:
         return self.group_of(locale)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from random import Random
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional, Sequence
 
 from ..core.limbo_list import LimboNode
 from ..runtime.clock import ServicePoint, TaskClock
@@ -99,7 +99,7 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
     The heap allocations happen for real (the objects must exist for the
     retire/free paths that follow), but the per-object network charge —
     an AM round trip to a non-coherent home plus the allocator latency
-    (:meth:`repro.comm.network.Network.alloc`) — is served directly on
+    (:meth:`repro.comm.network.NetworkModel.alloc`) — is served directly on
     the control-plane points.  The epoch
     workloads pre-place thousands of objects on the root clock before
     their timed region; replaying that loop keeps the timed window's
@@ -152,6 +152,28 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
 # ---------------------------------------------------------------------------
 
 
+def _expand_op_cycle(column: List[int], op_charges: Sequence[int]) -> List[int]:
+    """Repeat each op's cell once per charge: op ``op_i`` of ``column``
+    charges ``op_charges[op_i & 3]`` times, consecutively, on its route.
+
+    Whole 4-op cycles are slice-assigned (one strided copy per charge
+    slot of the cycle); a ragged tail of at most three ops is appended
+    op by op.  The charges then replay through the one-charge loop.
+    """
+    whole = len(column) & ~3
+    stride = sum(op_charges)
+    out = [0] * (whole // 4 * stride)
+    slot = 0
+    for pos, reps in enumerate(op_charges):
+        cells = column[pos:whole:4]
+        for _ in range(reps):
+            out[slot::stride] = cells
+            slot += 1
+    for op_i in range(whole, len(column)):
+        out += [column[op_i]] * op_charges[op_i & 3]
+    return out
+
+
 def run_uniform_atomic_phase(
     rt,
     *,
@@ -176,7 +198,10 @@ def run_uniform_atomic_phase(
     the op cycle position (``op_i & 3``) to a charge count per op: the
     object bodies' CAS case is a read *then* a CAS on the same cell, two
     consecutive charges on one route — ``(1, 1, 2, 1)`` — while the
-    integer mix stays on the uniform one-charge fast path (``None``).
+    integer mix charges once per op (``None``).  Each task's column is
+    expanded to one entry per charge (:func:`_expand_op_cycle`) after the
+    cache lookup, so the cached draw column is the same for every cell
+    kind and every charge replays through the same loop.
 
     ``column_key`` enables the cross-run compilation cache: per-task RNG
     streams are a pure function of ``(config seed, task id)`` and task
@@ -194,35 +219,30 @@ def run_uniform_atomic_phase(
     net = rt.network
     nloc = rt.num_locales
     tpl = tasks_per_locale
-    ncells = len(homes)
 
-    # ---- compile: per-(locale, cell) charge plans from the route cube --
-    lines = [ServicePoint() for _ in range(ncells)]
-    row_by_home: Dict[int, tuple] = {}
-    dist_by_home: Dict[int, tuple] = {}
-    plans_by_locale: List[list] = []
-    for locale in range(nloc):
-        plans = []
-        for ci in range(ncells):
-            home = homes[ci]
-            row = row_by_home.get(home)
-            if row is None:
-                row = row_by_home[home] = net.atomic_class_routes(home)[
-                    route_row
-                ]
-                dist_by_home[home] = net.distance_row(home)
-            route = row[dist_by_home[home][locale]]
-            plans.append(
+    # ---- compile: one charge plan per (cell, distance class) ------------
+    # ``class_plans[ci][k]`` is cell ci's ``(latency, point, point_service,
+    # line, line_service, diag_index)`` for class k; a locale's plan list
+    # picks each cell's entry by its distance row, so setup stays
+    # ncells * nclasses tuples however many locales run.
+    class_plans = []
+    dist_rows = []
+    for home in homes:
+        line = ServicePoint()
+        class_plans.append(
+            [
                 (
                     route.latency,
                     route.point,
                     route.point_service,
-                    lines[ci],
+                    line,
                     route.line_service,
                     route.diag_index,
                 )
-            )
-        plans_by_locale.append(plans)
+                for route in net.atomic_class_routes(home)[route_row]
+            ]
+        )
+        dist_rows.append(net.distance_row(home))
 
     # ---- forall bookkeeping (one item per task: body(task_idx)) --------
     total_tasks = nloc * tpl
@@ -255,26 +275,17 @@ def run_uniform_atomic_phase(
     finish = start
     ti = 0
     for locale in range(nloc):
-        plans = plans_by_locale[locale]
+        plans = [
+            cell_plans[row[locale]]
+            for cell_plans, row in zip(class_plans, dist_rows)
+        ]
         counts = rows[locale]
         for _w in range(tpl):
             column = columns[ti]
             ti += 1
-            now = start
             if op_charges is not None:
-                # Cycle-position-dependent charge counts (the object
-                # bodies): per op, 1-2 consecutive charges on one route.
-                for op_i, ci in enumerate(column):
-                    plan = plans[ci]
-                    reps = op_charges[op_i & 3]
-                    now = _charge(plan, now)
-                    if reps == 2:
-                        now = _charge(plan, now)
-                    if record:
-                        counts[plan[5]] += reps
-                if now > finish:
-                    finish = now
-                continue
+                column = _expand_op_cycle(column, op_charges)
+            now = start
             for ci in column:
                 latency, pt, ps, ln, ls, _di = plans[ci]
                 t = now + latency
@@ -360,16 +371,6 @@ def _narrow_plan(net, cell, locale: int) -> tuple:
     )
 
 
-def _charge(plan: tuple, now: float) -> float:
-    """Replay one narrow charge: optional point pass, then the line pass
-    (the interpreted ``ChargedWord._enter`` virtual math, lock-free)."""
-    latency, point, ps, line, ls, _di = plan
-    t = now + latency
-    if point is not None:
-        t = point.serve_locked(t, ps)
-    return line.serve_locked(t, ls)
-
-
 def _instance_target(net, inst, locale: int) -> tuple:
     """What a task on ``locale`` charges and mutates on the EBR manager
     instance ``inst``: ``(limbo head, pool, epoch plan, limbo plan, pool
@@ -423,8 +424,9 @@ def _ebr_replay_task(
     Returns the task clock after its last item.
 
     This is the engine's hottest loop (4–8 charges per item, millions of
-    items per bench run), so each plan is unpacked into locals, ``_charge``
-    is inlined at every site, and each pin/unpin serve inlines the
+    items per bench run), so each plan is unpacked into locals, each
+    charge (latency, optional point pass, line pass) is written out at
+    every site, and each pin/unpin serve inlines the
     idle-point fast branch of ``ServicePoint.serve_locked`` (``arrival >=
     next_free``: bank the gap, advance ``next_free``) — the same float ops
     in the same order — calling ``serve_locked`` only when the point is

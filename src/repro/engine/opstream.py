@@ -14,18 +14,23 @@ The columns must consume *the identical bit stream* the interpreted task
 bodies consume — one draw per op, in op order — so that a compiled run is
 bit-identical to an interpreted one; each lowering function documents the
 interpreted body it mirrors and is pinned against it by
-tests/test_engine_compiled.py.
+tests/test_engine_compiled.py.  ``mix_column`` writes the uniform draw
+out (``getrandbits`` plus rejection, the body of ``Random._randbelow``)
+rather than calling it per op; ``run_epoch_mixed`` draws its
+``is_write`` table through it too.
 
 What lowers, what falls back
 ----------------------------
 A phase lowers to the **columnar** tier when its per-op charge stream is
 fixed up front: every op charges a precompiled route and the charge
 count is value-independent (an ``AtomicObject`` CAS *outcome* may vary,
-but the charges per attempt do not — its op cycle lowers to a fixed
-per-op charge-count table).  The mix/hotspot streams over every cell
-kind, the epoch rounds of all four reclaimers (EBR's token/limbo/pool
-cells, hp/qsbr/ibr guard buffers — threshold scans run real mid-replay),
-and the root-task placement-allocation loops all replay columnar.
+but the charges per attempt do not — the executor expands its op cycle's
+fixed per-op charge counts into one column entry per charge, so the
+columns built here are the same for every cell kind).  The mix/hotspot
+streams over every cell kind, the epoch rounds of all four reclaimers
+(EBR's token/limbo/pool cells, hp/qsbr/ibr guard buffers — threshold
+scans run real mid-replay), and the root-task placement-allocation loops
+all replay columnar.
 Value-dependent phases that are still pool-size-deterministic (structure
 traversals in churn / multi-structure, pin-time-tracking policies) take
 the **serial** tier: real bodies inline in the canonical pool-size-1
@@ -57,9 +62,9 @@ def fast_randbelow(rng) -> Callable[[int], int]:
     ``_randbelow(n)`` for a positive int bound; calling the latter
     directly consumes the identical bit stream (so the op sequence — and
     therefore virtual time and comm counts — is unchanged) at a fraction
-    of the call cost.  Both the interpreted workload bodies and the
-    compiled lowerings draw through this one helper, which is what makes
-    "same bit stream" checkable in one place instead of four.
+    of the call cost.  The interpreted workload bodies draw through this
+    one helper; :func:`mix_column` writes its body out per op, and the
+    tests pin both against ``randrange`` / ``_randbelow``.
     """
     return rng._randbelow
 
@@ -70,10 +75,27 @@ def mix_column(rng, n_ops: int, ncells: int) -> List[int]:
     Mirrors ``run_atomic_mix``'s ``body_int``: one ``_randbelow(ncells)``
     draw per op, in op order.  The 25/25/25/25 read/write/CAS/exchange
     cycle needs no column of its own — all four ops charge the same
-    narrow route, so only the target cell matters for replay.
+    narrow route, so only the target cell matters for replay (the object
+    bodies' extra CAS-case charge is the executor's expansion, not a
+    different draw).
+
+    The draw is inlined: ``_randbelow(n)`` is ``getrandbits(k)`` with
+    ``k = n.bit_length()``, redrawn while the value is ``>= n`` (half of
+    all draws are rejected when ``n`` is a power of two).  The loop below
+    is that body, so it takes exactly the draws ``_randbelow`` would and
+    leaves the RNG in the same state, without one Python call per op.
+    Defined for ``ncells > 0``, as ``_randbelow`` is.
     """
-    randbelow = fast_randbelow(rng)
-    return [randbelow(ncells) for _ in range(n_ops)]
+    getrandbits = rng.getrandbits
+    k = ncells.bit_length()
+    column: List[int] = []
+    append = column.append
+    for _ in range(n_ops):
+        r = getrandbits(k)
+        while r >= ncells:
+            r = getrandbits(k)
+        append(r)
+    return column
 
 
 def zipf_column(

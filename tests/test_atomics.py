@@ -231,6 +231,51 @@ class TestAtomicRef:
         assert r.exchange(None) is tok
 
 
+class TestCellHomeValidation:
+    """A cell's home is checked before its plan is memoised, so a bad home
+    can neither raise a raw ``IndexError`` nor wrap around into (and
+    poison) another locale's plan slot."""
+
+    @staticmethod
+    def _local_read_on_last_locale(rt):
+        from repro.atomics import AtomicUInt64
+
+        last = rt.num_locales - 1
+        cell = AtomicUInt64(rt, last)
+
+        def main():
+            rt.reset_measurements()
+            with rt.timed() as t:
+                cell.read()
+            return t.elapsed, rt.comm_totals()
+
+        return rt.run(main, locale=last)
+
+    @pytest.mark.parametrize("cls_name", ["AtomicUInt64", "AtomicRef", "AtomicBool"])
+    @pytest.mark.parametrize("home", [-1, 4])
+    def test_out_of_range_home_raises(self, cls_name, home):
+        import repro.atomics
+        from repro.errors import LocaleError
+
+        rt = Runtime(num_locales=4, network="none")
+        with pytest.raises(LocaleError, match="out of range"):
+            getattr(repro.atomics, cls_name)(rt, home)
+
+    def test_rejected_home_does_not_poison_last_locale(self):
+        from repro.atomics import AtomicUInt64
+        from repro.errors import LocaleError
+
+        rt = Runtime(num_locales=4, network="none")
+        with pytest.raises(LocaleError):
+            AtomicUInt64(rt, -1)
+        elapsed, comm = self._local_read_on_last_locale(rt)
+        assert comm["local_amo"] == 1 and comm["am"] == 0
+        clean, _ = self._local_read_on_last_locale(
+            Runtime(num_locales=4, network="none")
+        )
+        assert elapsed == clean
+
+
 class TestChargingOutsideTasks:
     def test_atomics_work_without_a_task_context(self, rt):
         """Pure-semantics use outside Runtime.run must not raise."""

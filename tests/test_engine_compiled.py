@@ -177,6 +177,19 @@ class TestReclaimerMatrix:
         assert a == b
 
 
+# ``(id suffix, ops_per_task, machine)`` of the object-cell lowerings:
+# ragged op counts cut the last 4-op cycle before (30) or after (31) its
+# doubled CAS charge, and the multi-class machines make each locale pick
+# a different per-(cell, class) plan per cell.
+_OBJECT_SHAPES = [
+    ("", 32, dict(num_locales=2)),
+    ("-ragged30", 30, dict(num_locales=2)),
+    ("-ragged31", 31, dict(num_locales=3)),
+    ("-hier2x2", 32, dict(num_locales=8, topology="hier:2x2")),
+    ("-dragonfly2", 30, dict(num_locales=6, topology="dragonfly:2")),
+]
+
+
 class TestWorkloadEquivalence:
     """Direct workload-level equivalence on shapes the registry lacks."""
 
@@ -245,27 +258,35 @@ class TestWorkloadEquivalence:
         )
         assert a == b
 
-    @pytest.mark.parametrize("kind", ["atomic_object", "atomic_object_aba"])
-    def test_object_mix_lowers(self, kind):
+    @pytest.mark.parametrize(
+        "kind, ops_per_task, machine",
+        [
+            pytest.param(kind, ops, machine, id=kind + label)
+            for kind in ("atomic_object", "atomic_object_aba")
+            for label, ops, machine in _OBJECT_SHAPES
+        ],
+    )
+    def test_object_mix_lowers(self, kind, ops_per_task, machine):
         # The AtomicObject variants lower now: the (1, 1, 2, 1) op-cycle
         # charges on the narrow (plain) or wide (ABA) route row.
         tier, _ = compiled_plan("atomic_mix")
         assert tier == "columnar"
         a, b = self._results(
             run_atomic_mix,
-            dict(kind=kind, ops_per_task=32, tasks_per_locale=1),
-            num_locales=2,
+            dict(kind=kind, ops_per_task=ops_per_task, tasks_per_locale=1),
             tasks_per_locale=1,
+            **machine,
         )
         assert a == b
 
     def test_object_hotspot_lowers(self):
-        a, b = self._results(
-            run_atomic_hotspot,
-            dict(cell="atomic_object", ops_per_task=32, num_cells=8),
-            num_locales=2,
-        )
-        assert a == b
+        for _label, ops, machine in _OBJECT_SHAPES:
+            a, b = self._results(
+                run_atomic_hotspot,
+                dict(cell="atomic_object", ops_per_task=ops, num_cells=8),
+                **machine,
+            )
+            assert a == b, machine
 
 
 def _point_states(fn, kwargs, engine, trace, **cfg):
@@ -550,8 +571,10 @@ class TestEngineReporting:
 class TestColumnLowerings:
     """The columns must consume the interpreted bodies' exact RNG streams."""
 
-    def test_mix_column_pins_body_int_stream(self):
-        seed, ncells, n_ops = 0xC0FFEE ^ 7, 24, 100
+    # Powers of two reject half of all getrandbits draws; 1 draws 1 bit.
+    @pytest.mark.parametrize("ncells", [1, 2, 3, 24, 64, 100, 512])
+    def test_mix_column_pins_body_int_stream(self, ncells):
+        seed, n_ops = 0xC0FFEE ^ 7, 100
         rng = random.Random()
         rng.seed(seed)
         column = mix_column(rng, n_ops, ncells)
@@ -559,6 +582,32 @@ class TestColumnLowerings:
         ref = random.Random()
         ref.seed(seed)
         assert column == [ref._randbelow(ncells) for _ in range(n_ops)]
+        # ... and takes exactly as many draws.
+        assert rng.getstate() == ref.getstate()
+
+    def test_epoch_mixed_write_table_unchanged(self, monkeypatch):
+        # run_epoch_mixed's is_write table is still the list of
+        # ``_randbelow(100) < write_percent`` draws from its table RNG.
+        from repro.bench import workloads
+
+        drawn = []
+
+        def spy(rng, n_ops, ncells):
+            column = mix_column(rng, n_ops, ncells)
+            drawn.append((n_ops, ncells, column))
+            return column
+
+        monkeypatch.setattr(workloads, "mix_column", spy)
+        rt = Runtime(config=RuntimeConfig(num_locales=2))
+        result = run_epoch_mixed(
+            rt, ops_per_task=50, write_percent=30, remote_percent=0
+        )
+        ref_rng = random.Random(rt.config.seed ^ 0x5DEECE66D)
+        expected = [ref_rng._randbelow(100) < 30 for _ in range(100)]
+        [(n_ops, ncells, column)] = drawn
+        assert (n_ops, ncells) == (100, 100)
+        assert [r < 30 for r in column] == expected
+        assert result.extra["em"]["retired"] == sum(expected)
 
     def test_zipf_column_pins_body_stream(self):
         import bisect

@@ -79,11 +79,24 @@ class TestDistanceLadders:
         assert topo.distance(0, 4) == 2
         assert topo.uplink_group(6) == 1
 
-    def test_distance_row_matches_distance_and_is_cached(self):
-        topo = HierarchicalTopology(8)
-        row = topo.distance_row(5)
-        assert row == tuple(topo.distance(src, 5) for src in range(8))
-        assert topo.distance_row(5) is row
+    @pytest.mark.parametrize("nloc", range(1, 18))
+    @pytest.mark.parametrize(
+        "spec", ["flat", "hier", "hier:3x2", "hier:1x3", "dragonfly", "dragonfly:3"]
+    )
+    def test_distance_row_matches_distance_and_is_cached(self, spec, nloc):
+        # The built-ins build rows in closed form; every row must equal the
+        # per-pair definition, including partial last nodes and groups.
+        from repro.comm.network import NetworkModel
+
+        topo = parse_topology(spec, nloc)
+        net = NetworkModel(RuntimeConfig(num_locales=nloc, topology=spec))
+        for dst in range(nloc):
+            expected = tuple(topo.distance(src, dst) for src in range(nloc))
+            row = topo.distance_row(dst)
+            assert row == expected
+            assert topo.distance_row(dst) is row
+            assert net.distance_row(dst) == expected
+            assert net.distance_row(dst) is net.distance_row(dst)
 
     def test_distance_is_symmetric_for_builtins(self):
         for topo in (
