@@ -63,7 +63,6 @@ from repro.engine import engine_summary
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.runtime import Runtime
 from repro.bench.workloads import (
-    run_atomic_hotspot,
     run_atomic_mix,
     run_epoch_mixed,
     run_epoch_workload,
@@ -115,7 +114,7 @@ def fig3_atomics(engine: str):
     rt = _runtime(engine)
     try:
         res = run_atomic_mix(
-            rt, kind="atomic_int", ops_per_task=OPS_PER_TASK, tasks_per_locale=1
+            rt, cell="atomic_int", ops_per_task=OPS_PER_TASK, tasks_per_locale=1
         )
         return res, engine_summary(rt)
     finally:
@@ -126,8 +125,13 @@ def fig3_hotspot(engine: str):
     """Zipf-skewed hotspot mix at 8 locales under ugni."""
     rt = _runtime(engine)
     try:
-        res = run_atomic_hotspot(
-            rt, cell="atomic_int", ops_per_task=OPS_PER_TASK, tasks_per_locale=1
+        res = run_atomic_mix(
+            rt,
+            cell="atomic_int",
+            ops_per_task=OPS_PER_TASK,
+            tasks_per_locale=1,
+            num_cells=64,
+            zipf_exponent=1.2,
         )
         return res, engine_summary(rt)
     finally:

@@ -47,10 +47,8 @@ from .scenarios import (
     run_scenario_grid,
     scenario_names,
 )
-from .sweep import Sweep, SweepRow
 from .workloads import (
     WorkloadResult,
-    run_atomic_hotspot,
     run_atomic_mix,
     run_epoch_mixed,
     run_epoch_workload,
@@ -75,12 +73,9 @@ __all__ = [
     "Series",
     "render_panel",
     "render_figure",
-    "Sweep",
-    "SweepRow",
     "WorkloadResult",
     "run_atomic_mix",
     "run_epoch_workload",
-    "run_atomic_hotspot",
     "run_epoch_mixed",
     "run_producer_consumer",
     "run_multi_structure",

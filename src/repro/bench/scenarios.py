@@ -73,7 +73,6 @@ from ..runtime.config import RECLAIMER_SCHEMES, RuntimeConfig
 from ..runtime.runtime import Runtime
 from .workloads import (
     WorkloadResult,
-    run_atomic_hotspot,
     run_atomic_mix,
     run_epoch_mixed,
     run_epoch_workload,
@@ -260,7 +259,9 @@ class TopologySpec:
 
 
 #: Parameters every workload kind accepts, with defaults, plus which of
-#: them scale under ``measure.ops_scale``.
+#: them scale under ``measure.ops_scale``.  ``runner`` is the generator
+#: itself, called as ``runner(rt, tasks_per_locale=tpl, **params)``, so
+#: the parameter names are its keyword names.
 @dataclass(frozen=True)
 class _WorkloadKind:
     runner: Callable[..., WorkloadResult]
@@ -269,77 +270,9 @@ class _WorkloadKind:
     summary: str
 
 
-def _adapt_atomic_mix(rt: Runtime, tpl: int, p: Dict[str, Any]) -> WorkloadResult:
-    return run_atomic_mix(
-        rt,
-        kind=p["cell"],
-        ops_per_task=p["ops_per_task"],
-        tasks_per_locale=tpl,
-        num_cells=p["num_cells"],
-    )
-
-
-def _adapt_hotspot(rt: Runtime, tpl: int, p: Dict[str, Any]) -> WorkloadResult:
-    return run_atomic_hotspot(
-        rt,
-        cell=p["cell"],
-        ops_per_task=p["ops_per_task"],
-        tasks_per_locale=tpl,
-        num_cells=p["num_cells"],
-        zipf_exponent=p["zipf_exponent"],
-    )
-
-
-def _adapt_epoch(rt: Runtime, tpl: int, p: Dict[str, Any]) -> WorkloadResult:
-    return run_epoch_workload(
-        rt,
-        ops_per_task=p["ops_per_task"],
-        tasks_per_locale=tpl,
-        remote_percent=p["remote_percent"],
-        delete=p["delete"],
-        reclaim_every=p["reclaim_every"],
-        cleanup_at_end=p["cleanup_at_end"],
-    )
-
-
-def _adapt_epoch_mixed(rt: Runtime, tpl: int, p: Dict[str, Any]) -> WorkloadResult:
-    return run_epoch_mixed(
-        rt,
-        ops_per_task=p["ops_per_task"],
-        tasks_per_locale=tpl,
-        write_percent=p["write_percent"],
-        remote_percent=p["remote_percent"],
-        rounds=p["rounds"],
-        reclaim_between_rounds=p["reclaim_between_rounds"],
-    )
-
-
-def _adapt_churn(rt: Runtime, tpl: int, p: Dict[str, Any]) -> WorkloadResult:
-    return run_producer_consumer(
-        rt,
-        structure=p["structure"],
-        items_per_task=p["items_per_task"],
-        tasks_per_locale=tpl,
-        rounds=p["rounds"],
-        reclaim_between_rounds=p["reclaim_between_rounds"],
-        pairing=p["pairing"],
-    )
-
-
-def _adapt_multi(rt: Runtime, tpl: int, p: Dict[str, Any]) -> WorkloadResult:
-    return run_multi_structure(
-        rt,
-        ops_per_slot=p["ops_per_slot"],
-        tasks_per_locale=tpl,
-        rounds=p["rounds"],
-        reclaim_between_rounds=p["reclaim_between_rounds"],
-        hash_buckets=p["hash_buckets"],
-    )
-
-
 WORKLOAD_KINDS: Dict[str, _WorkloadKind] = {
     "atomic_mix": _WorkloadKind(
-        runner=_adapt_atomic_mix,
+        runner=run_atomic_mix,
         defaults=(
             ("cell", "atomic_object"),
             ("ops_per_task", 2048),
@@ -349,7 +282,7 @@ WORKLOAD_KINDS: Dict[str, _WorkloadKind] = {
         summary="Figure 3's 25/25/25/25 read/write/CAS/exchange mix",
     ),
     "atomic_hotspot": _WorkloadKind(
-        runner=_adapt_hotspot,
+        runner=run_atomic_mix,
         defaults=(
             ("cell", "atomic_int"),
             ("ops_per_task", 2048),
@@ -360,7 +293,7 @@ WORKLOAD_KINDS: Dict[str, _WorkloadKind] = {
         summary="Zipf-skewed hotspot variant of the atomic mix",
     ),
     "epoch": _WorkloadKind(
-        runner=_adapt_epoch,
+        runner=run_epoch_workload,
         defaults=(
             ("ops_per_task", 1024),
             ("remote_percent", 0),
@@ -372,7 +305,7 @@ WORKLOAD_KINDS: Dict[str, _WorkloadKind] = {
         summary="the paper's Listing 5 pin/deferDelete/tryReclaim loop",
     ),
     "epoch_mixed": _WorkloadKind(
-        runner=_adapt_epoch_mixed,
+        runner=run_epoch_mixed,
         defaults=(
             ("ops_per_task", 1024),
             ("write_percent", 25),
@@ -384,7 +317,7 @@ WORKLOAD_KINDS: Dict[str, _WorkloadKind] = {
         summary="mixed pin/deferDelete ratio with phased reclamation",
     ),
     "churn": _WorkloadKind(
-        runner=_adapt_churn,
+        runner=run_producer_consumer,
         defaults=(
             ("structure", "queue"),
             ("items_per_task", 512),
@@ -396,7 +329,7 @@ WORKLOAD_KINDS: Dict[str, _WorkloadKind] = {
         summary="producer-consumer churn over MsQueue/TreiberStack",
     ),
     "multi_structure": _WorkloadKind(
-        runner=_adapt_multi,
+        runner=run_multi_structure,
         defaults=(
             ("ops_per_slot", 256),
             ("rounds", 2),
@@ -671,7 +604,9 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
     engine_info: Optional[Dict[str, Any]] = None
     for rep in range(spec.measure.repeats):
         with Runtime(config=spec.topology.runtime_config()) as rt:
-            result = kind.runner(rt, spec.topology.tasks_per_locale, params)
+            result = kind.runner(
+                rt, tasks_per_locale=spec.topology.tasks_per_locale, **params
+            )
         events = rt._tracer.events() if rt._tracer is not None else None
         if reference is None:
             reference = result

@@ -7,7 +7,7 @@ Two families, matching Section III:
   cyclically over locales, with the paper's mix of 25% read / 25% write /
   25% compare-and-swap / 25% exchange.  The cell type is selectable:
   Chapel's ``atomic int`` baseline, ``AtomicObject``, or
-  ``AtomicObject (ABA)``.
+  ``AtomicObject (ABA)``; so is the target draw, uniform or Zipf-skewed.
 
 * :func:`run_epoch_workload` — the Figures 4–7 workload (the paper's
   Listing 5): pre-allocate ``num_objects`` objects with a controlled
@@ -25,10 +25,12 @@ paper's series.
 
 from __future__ import annotations
 
-import bisect
+import random
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.atomic_object import AtomicObject
 from ..engine import (
@@ -54,7 +56,6 @@ __all__ = [
     "WorkloadResult",
     "run_atomic_mix",
     "run_epoch_workload",
-    "run_atomic_hotspot",
     "run_epoch_mixed",
     "run_producer_consumer",
     "run_multi_structure",
@@ -140,30 +141,72 @@ class WorkloadResult:
 def run_atomic_mix(
     rt: Runtime,
     *,
-    kind: str,
+    cell: str,
     ops_per_task: int,
     tasks_per_locale: int = 1,
     num_cells: Optional[int] = None,
+    zipf_exponent: Optional[float] = None,
 ) -> WorkloadResult:
     """Run the 25/25/25/25 read/write/CAS/exchange mix of Figure 3.
 
-    ``kind`` is one of ``"atomic_int"``, ``"atomic_object"`` or
+    ``cell`` is one of ``"atomic_int"``, ``"atomic_object"`` or
     ``"atomic_object_aba"``.  Cells are distributed cyclically; each task
     targets a deterministic pseudo-random cell per operation, so with more
     locales the remote fraction rises exactly as on a real Cyclic array.
+    ``num_cells`` defaults to ``max(64, 2 * tasks)``.
+
+    Without ``zipf_exponent`` the target is uniform over the cells.  With
+    it, cell *ranks* are drawn from a truncated Zipf distribution with
+    that exponent, so a handful of cells — and, because cells are
+    distributed cyclically, a handful of *locales*, locale 0 hottest —
+    absorb most of the traffic (``extra["hot_cell_share"]`` is rank 0's
+    probability).  Under ``ugni`` the hot locale's NIC pipeline is the
+    contended resource; under ``none`` it is the progress thread serving
+    active messages, which saturates far sooner.
     """
-    if kind not in ("atomic_int", "atomic_object", "atomic_object_aba"):
-        raise ValueError(f"unknown atomic-mix kind {kind!r}")
+    if cell not in ("atomic_int", "atomic_object", "atomic_object_aba"):
+        raise ValueError(f"unknown atomic-mix cell kind {cell!r}")
     nloc = rt.num_locales
     ntasks = nloc * tasks_per_locale
     ncells = num_cells if num_cells is not None else max(64, 2 * ntasks)
+    if ncells < 1:
+        raise ValueError(f"num_cells must be >= 1, got {ncells}")
+    extra: Dict[str, Any] = {}
+    if zipf_exponent is None:
+        kind = "atomic_mix"
+        column_fn = mix_column_fn(ops_per_task, ncells)
+        column_key: tuple = ("mix", ops_per_task, ncells)
+    else:
+        if zipf_exponent <= 0:
+            raise ValueError(f"zipf_exponent must be > 0, got {zipf_exponent}")
+        # Truncated-Zipf cumulative weights over cell ranks; one
+        # rng.random() draw + bisect per op keeps the stream deterministic
+        # per task.
+        cdf: List[float] = []
+        acc = 0.0
+        for rank in range(ncells):
+            acc += 1.0 / ((rank + 1) ** zipf_exponent)
+            cdf.append(acc)
+        total_w = cdf[-1]
+        extra["hot_cell_share"] = cdf[0] / total_w
+        kind = "atomic_hotspot"
+        column_fn = zipf_column_fn(ops_per_task, cdf, total_w)
+        column_key = ("zipf", ops_per_task, ncells, zipf_exponent)
 
-    if _phase_tier(rt, "atomic_mix") == "columnar":
+    def result(t) -> WorkloadResult:
+        return WorkloadResult(
+            elapsed=t.elapsed,
+            operations=ntasks * ops_per_task,
+            comm=rt.comm_totals(),
+            extra=extra,
+        )
+
+    if _phase_tier(rt, kind) == "columnar":
         # Compiled lowering: every variant's op stream is one cell draw
         # per op, so the phase replays from target columns alone (shared
-        # across kinds through the compilation cache — the draw stream is
-        # kind-independent).  Cells and operand objects are never
-        # materialized — creating them charges nothing, and nothing
+        # across cell kinds through the compilation cache — the draw
+        # stream is kind-independent).  Cells and operand objects are
+        # never materialized — creating them charges nothing, and nothing
         # observes them after the phase.  The integer mix charges one
         # narrow route per op; the object bodies charge the cycle-
         # dependent ``(1, 1, 2, 1)`` pattern (their CAS case is a read
@@ -172,7 +215,7 @@ def run_atomic_mix(
         # interpreter fallback (docs/OBSERVABILITY.md): the replay does
         # not emit per-op events.
         def main_compiled() -> WorkloadResult:
-            if kind != "atomic_int":
+            if cell != "atomic_int":
                 # The interpreted object bodies allocate two operand
                 # objects per locale on the *root* clock before the
                 # measured window; replaying those alloc charges keeps
@@ -190,109 +233,102 @@ def run_atomic_mix(
                     rt,
                     homes=[i % nloc for i in range(ncells)],
                     tasks_per_locale=tasks_per_locale,
-                    column_fn=mix_column_fn(ops_per_task, ncells),
-                    op_charges=(
-                        None if kind == "atomic_int" else (1, 1, 2, 1)
-                    ),
-                    route_row=2 if kind == "atomic_object_aba" else 0,
-                    column_key=("mix", ops_per_task, ncells),
+                    column_fn=column_fn,
+                    op_charges=None if cell == "atomic_int" else (1, 1, 2, 1),
+                    route_row=2 if cell == "atomic_object_aba" else 0,
+                    column_key=column_key,
                 )
-            return WorkloadResult(
-                elapsed=t.elapsed,
-                operations=ntasks * ops_per_task,
-                comm=rt.comm_totals(),
-            )
+            return result(t)
 
         return rt.run(main_compiled)
 
+    def task_draw() -> Callable[[], int]:
+        """This task's per-op cell draw, on the task's own RNG stream."""
+        from ..runtime.context import current_context
+
+        rng = current_context().rng
+        if zipf_exponent is None:
+            return partial(fast_randbelow(rng), ncells)
+        uniform = rng.random
+        return lambda: bisect_left(cdf, uniform() * total_w)
+
     def main() -> WorkloadResult:
-        if kind == "atomic_int":
+        if cell == "atomic_int":
             cells = [rt.atomic_int(0, locale=i % nloc) for i in range(ncells)]
-            # Two distinct operand values per cell for CAS/exchange churn.
-            operands: List[Any] = [1, 2]
         else:
-            aba = kind == "atomic_object_aba"
+            aba = cell == "atomic_object_aba"
             cells = [
                 AtomicObject(rt, locale=i % nloc, aba_protection=aba)
                 for i in range(ncells)
             ]
             # Pre-allocate two target objects per cell's locale to swap
             # between (the paper's workload swaps class instances).
-            operands_by_locale = [
+            operands = [
                 [rt.new_obj(object(), locale=lid) for _ in range(2)]
                 for lid in range(nloc)
             ]
-            operands = operands_by_locale
-
-        use_aba = kind == "atomic_object_aba"
 
         # One body per cell kind, dispatched *outside* the per-op loop: the
-        # op stream (one randrange per op, 4-op cycle) is identical across
+        # op stream (one draw per op, 4-op cycle) is identical across
         # variants, so virtual time and comm counts don't depend on which
         # body runs — but the hot loop carries no per-op string compares.
         def body_int(task_idx: int) -> None:
-            from ..runtime.context import current_context
-
-            randbelow = fast_randbelow(current_context().rng)
+            draw = task_draw()
             # The 4-op mix cycles deterministically with op_i, so unroll it:
             # same cell draws, same operands, no per-op dispatch.
             whole = ops_per_task & ~3
             for op_i in range(0, whole, 4):
-                cells[randbelow(ncells)].read()
-                cells[randbelow(ncells)].write(op_i + 1)
-                cells[randbelow(ncells)].compare_and_swap(0, op_i + 2)
-                cells[randbelow(ncells)].exchange(op_i + 3)
+                cells[draw()].read()
+                cells[draw()].write(op_i + 1)
+                cells[draw()].compare_and_swap(0, op_i + 2)
+                cells[draw()].exchange(op_i + 3)
             for op_i in range(whole, ops_per_task):
-                cell = cells[randbelow(ncells)]
+                c = cells[draw()]
                 op = op_i & 3
                 if op == 0:
-                    cell.read()
+                    c.read()
                 elif op == 1:
-                    cell.write(op_i)
+                    c.write(op_i)
                 elif op == 2:
-                    cell.compare_and_swap(0, op_i)
+                    c.compare_and_swap(0, op_i)
                 else:
-                    cell.exchange(op_i)
+                    c.exchange(op_i)
 
         def body_aba(task_idx: int) -> None:
-            from ..runtime.context import current_context
-
-            randbelow = fast_randbelow(current_context().rng)
+            draw = task_draw()
             for op_i in range(ops_per_task):
-                cell = cells[randbelow(ncells)]
+                c = cells[draw()]
                 op = op_i & 3
-                target = operands[cell.home][op_i & 1]
+                target = operands[c.home][op_i & 1]
                 if op == 0:
-                    cell.read_aba()
+                    c.read_aba()
                 elif op == 1:
-                    cell.write_aba(target)
+                    c.write_aba(target)
                 elif op == 2:
-                    snap = cell.read_aba()
-                    cell.compare_and_swap_aba(snap, target)
+                    snap = c.read_aba()
+                    c.compare_and_swap_aba(snap, target)
                 else:
-                    cell.exchange_aba(target)
+                    c.exchange_aba(target)
 
         def body_obj(task_idx: int) -> None:
-            from ..runtime.context import current_context
-
-            randbelow = fast_randbelow(current_context().rng)
+            draw = task_draw()
             for op_i in range(ops_per_task):
-                cell = cells[randbelow(ncells)]
+                c = cells[draw()]
                 op = op_i & 3
-                target = operands[cell.home][op_i & 1]
+                target = operands[c.home][op_i & 1]
                 if op == 0:
-                    cell.read()
+                    c.read()
                 elif op == 1:
-                    cell.write(target)
+                    c.write(target)
                 elif op == 2:
-                    expected = cell.read()
-                    cell.compare_and_swap(expected, target)
+                    expected = c.read()
+                    c.compare_and_swap(expected, target)
                 else:
-                    cell.exchange(target)
+                    c.exchange(target)
 
-        if kind == "atomic_int":
+        if cell == "atomic_int":
             body = body_int
-        elif use_aba:
+        elif cell == "atomic_object_aba":
             body = body_aba
         else:
             body = body_obj
@@ -302,10 +338,7 @@ def run_atomic_mix(
             # owner_of is omitted: the default cyclic distribution is
             # exactly idx % num_locales, without a per-item callback.
             rt.forall(range(ntasks), body, tasks_per_locale=tasks_per_locale)
-        ops = ntasks * ops_per_task
-        return WorkloadResult(
-            elapsed=t.elapsed, operations=ops, comm=rt.comm_totals()
-        )
+        return result(t)
 
     return rt.run(main)
 
@@ -313,6 +346,34 @@ def run_atomic_mix(
 # ---------------------------------------------------------------------------
 # Figures 4-7: epoch-manager workloads (paper Listing 5)
 # ---------------------------------------------------------------------------
+
+
+def _place_objects(
+    rt: Runtime, items: Sequence[int], remote_percent: int, tier: str
+) -> List[GlobalAddress]:
+    """Allocate one object per item on the root task, before the timed region.
+
+    Item ``i`` is iterated by the task on locale ``i % nloc``; with
+    probability ``remote_percent`` its object lives on another locale
+    instead (guaranteed remote), drawn from one seeded placement stream.
+    Compiled tiers replay the same placements and charges in one batch
+    (:func:`~repro.engine.run_alloc_phase`): the loop runs on the root
+    clock before the timed window, so skipping the charges would shift
+    the window's float base and perturb ``elapsed`` by an ulp.
+    """
+    nloc = rt.num_locales
+    # Same bit stream as randrange, minus the wrapper (opstream).
+    randbelow = fast_randbelow(random.Random(rt.config.seed ^ 0x9E3779B9))
+    targets: List[int] = []
+    for i in items:
+        owner = i % nloc
+        if nloc > 1 and randbelow(100) < remote_percent:
+            targets.append((owner + 1 + randbelow(nloc - 1)) % nloc)
+        else:
+            targets.append(owner)
+    if tier != "interpreted":
+        return run_alloc_phase(rt, targets)
+    return [rt.new_obj(object(), locale=tg) for tg in targets]
 
 
 def run_epoch_workload(
@@ -370,32 +431,9 @@ def run_epoch_workload(
         )
 
         # Pre-allocate the objects *outside* the timed region (the paper
-        # randomizes placement before the loop).  Object i is iterated by
-        # the task on locale (i % nloc); with probability remote_percent it
-        # is allocated on the next locale over instead (guaranteed remote).
-        objs: List[GlobalAddress] = []
+        # randomizes placement before the loop).
         if delete:
-            import random as _random
-
-            rng = _random.Random(rt.config.seed ^ 0x9E3779B9)
-            # Same bit stream as randrange, minus the wrapper (opstream).
-            randbelow = fast_randbelow(rng)
-            targets: List[int] = []
-            for i in range(num_objects):
-                owner = i % nloc
-                if nloc > 1 and randbelow(100) < remote_percent:
-                    target = (owner + 1 + randbelow(nloc - 1)) % nloc
-                else:
-                    target = owner
-                targets.append(target)
-            if tier != "interpreted":
-                # Same placements, same charges — replayed in one batch
-                # (the loop runs on the root clock before the timed
-                # window, so skipping the replay would shift the window's
-                # float base and perturb ``elapsed`` by an ulp).
-                objs = run_alloc_phase(rt, targets)
-            else:
-                objs = [rt.new_obj(object(), locale=tg) for tg in targets]
+            objs = _place_objects(rt, range(num_objects), remote_percent, tier)
         else:
             objs = [NIL] * num_objects  # placeholders; body ignores them
 
@@ -422,8 +460,9 @@ def run_epoch_workload(
                 if st.m % reclaim_every == 0:
                     tok.try_reclaim()
 
+        engine_scope = serial_tasks(rt) if tier == "serial" else nullcontext()
         rt.reset_measurements()
-        with rt.timed() as t:
+        with rt.timed() as t, engine_scope:
             if tier == "columnar":
                 run_epoch_workload_phase(
                     rt,
@@ -432,14 +471,6 @@ def run_epoch_workload(
                     num_objects=num_objects,
                     delete=delete,
                 )
-            elif tier == "serial":
-                with serial_tasks(rt):
-                    rt.forall(
-                        range(num_objects),
-                        body,
-                        task_init=_TaskState,
-                        tasks_per_locale=tasks_per_locale,
-                    )
             else:
                 # owner_of omitted: default cyclic distribution == idx % nloc.
                 rt.forall(
@@ -472,10 +503,11 @@ def run_epoch_workload(
 # Scenario workloads (beyond the paper's grid; see repro.bench.scenarios)
 # ---------------------------------------------------------------------------
 #
-# Determinism contract: every generator below produces virtual-time and
-# comm-diagnostic results that are bit-identical across repeated runs and
-# worker-pool sizes.  The rules that make that true (and that any new
-# generator must follow):
+# Determinism contract: every generator below, and `run_atomic_mix`
+# above, produces virtual-time and comm-diagnostic results that are
+# bit-identical across repeated runs and worker-pool sizes at the
+# registered scenario sizes (the last rule below says where that stops).
+# The rules that make that true (and that any new generator must follow):
 #
 # * fixed operation streams — per-task op counts and targets come from the
 #   seeded task RNG or precomputed tables, never from values another task
@@ -498,15 +530,21 @@ def run_epoch_workload(
 #   *attempt*, so registering from inside a `forall` with several workers
 #   per locale costs a scheduling-dependent amount (see :class:`_TokenBank`);
 # * with MORE than one worker per locale, reclaim only at the END: a
-#   locale's workers saturate shared cache-line service points (limbo-list
-#   heads), and while per-phase finish times stay order-independent, the
-#   *split* of a saturated line's state between `next_free` and its idle
-#   bank is not.  A mid-workload root scan touching those lines converts
-#   that hidden residue into virtual-time noise in later contended rounds;
-#   as the final phase before the measurement ends it is harmless, because
+#   locale's workers saturate shared service points (limbo-list heads, hot
+#   atomic cells), and the *split* of a saturated point's state between
+#   `next_free` and its idle bank follows real-thread arrival order.  A
+#   mid-workload root scan touching those lines converts that hidden
+#   residue into virtual-time noise in later contended rounds; as the
+#   final phase before the measurement ends it is harmless, because
 #   nothing consults the banks afterwards.  With one worker per locale no
 #   line ever saturates from two real threads, so phase-boundary
-#   reclamation is exactly deterministic.
+#   reclamation is exactly deterministic.  Per-phase finish times are
+#   order-independent only while saturation stays shallow: `hotspot-zipf`
+#   at 64 locales x 2 tasks gave five distinct elapsed values over eight
+#   interpreted runs (0.005011-0.006364 s, default, 1 and 4 pool
+#   threads), while `compiled-strict`, which replays the canonical spawn
+#   order, gives 0.006364 s every time.  At 8, 16 and 32 locales every
+#   run agrees, and so does every registered scenario.
 
 
 class _TokenBank:
@@ -573,142 +611,6 @@ def _check_phased_reclaim(
         )
 
 
-def run_atomic_hotspot(
-    rt: Runtime,
-    *,
-    cell: str = "atomic_int",
-    ops_per_task: int,
-    tasks_per_locale: int = 1,
-    num_cells: int = 64,
-    zipf_exponent: float = 1.2,
-) -> WorkloadResult:
-    """Zipf-skewed hotspot variant of the Figure 3 atomic mix.
-
-    Cell *ranks* are drawn from a truncated Zipf distribution with the
-    given exponent, so a handful of cells — and, because cells are
-    distributed cyclically, a handful of *locales*, locale 0 hottest —
-    absorb most of the traffic.  Under ``ugni`` the hot locale's NIC
-    pipeline is the contended resource; under ``none`` it is the progress
-    thread serving active messages, which saturates far sooner.  The op
-    mix is the paper's 25/25/25/25 read/write/CAS/exchange cycle.
-    """
-    if cell not in ("atomic_int", "atomic_object"):
-        raise ValueError(f"unknown hotspot cell kind {cell!r}")
-    if num_cells < 1:
-        raise ValueError(f"num_cells must be >= 1, got {num_cells}")
-    if zipf_exponent <= 0:
-        raise ValueError(f"zipf_exponent must be > 0, got {zipf_exponent}")
-    nloc = rt.num_locales
-    ntasks = nloc * tasks_per_locale
-
-    # Truncated-Zipf cumulative weights over cell ranks; one rng.random()
-    # draw + bisect per op keeps the stream deterministic per task.
-    weights = [1.0 / ((rank + 1) ** zipf_exponent) for rank in range(num_cells)]
-    cdf: List[float] = []
-    acc = 0.0
-    for w in weights:
-        acc += w
-        cdf.append(acc)
-    total_w = cdf[-1]
-
-    if _phase_tier(rt, "atomic_hotspot") == "columnar":
-        # Compiled lowering: same shape as the uniform mix — one CDF draw
-        # per op yields the target column (kind-independent, so the cache
-        # shares it between cell kinds); the object body adds the
-        # ``(1, 1, 2, 1)`` cycle charges on the same narrow route.
-        # Full-detail tracing falls back to the interpreter (see above).
-        def main_compiled() -> WorkloadResult:
-            if cell != "atomic_int":
-                # Root-clock operand allocations, as in the uniform mix.
-                from ..runtime.context import current_context
-
-                ctx = current_context()
-                for lid in range(nloc):
-                    rt.network.alloc(ctx, lid)
-                    rt.network.alloc(ctx, lid)
-            rt.reset_measurements()
-            with rt.timed() as t:
-                run_uniform_atomic_phase(
-                    rt,
-                    homes=[i % nloc for i in range(num_cells)],
-                    tasks_per_locale=tasks_per_locale,
-                    column_fn=zipf_column_fn(ops_per_task, cdf, total_w),
-                    op_charges=(
-                        None if cell == "atomic_int" else (1, 1, 2, 1)
-                    ),
-                    column_key=(
-                        "zipf", ops_per_task, num_cells, zipf_exponent
-                    ),
-                )
-            return WorkloadResult(
-                elapsed=t.elapsed,
-                operations=ntasks * ops_per_task,
-                comm=rt.comm_totals(),
-                extra={"hot_cell_share": weights[0] / total_w},
-            )
-
-        return rt.run(main_compiled)
-
-    def main() -> WorkloadResult:
-        if cell == "atomic_int":
-            cells = [rt.atomic_int(0, locale=i % nloc) for i in range(num_cells)]
-        else:
-            cells = [AtomicObject(rt, locale=i % nloc) for i in range(num_cells)]
-            operands_by_locale = [
-                [rt.new_obj(object(), locale=lid) for _ in range(2)]
-                for lid in range(nloc)
-            ]
-
-        def body_int(task_idx: int) -> None:
-            from ..runtime.context import current_context
-
-            random = current_context().rng.random
-            pick = bisect.bisect_left
-            for op_i in range(ops_per_task):
-                c = cells[pick(cdf, random() * total_w)]
-                op = op_i & 3
-                if op == 0:
-                    c.read()
-                elif op == 1:
-                    c.write(op_i)
-                elif op == 2:
-                    c.compare_and_swap(0, op_i)
-                else:
-                    c.exchange(op_i)
-
-        def body_obj(task_idx: int) -> None:
-            from ..runtime.context import current_context
-
-            random = current_context().rng.random
-            pick = bisect.bisect_left
-            for op_i in range(ops_per_task):
-                c = cells[pick(cdf, random() * total_w)]
-                op = op_i & 3
-                target = operands_by_locale[c.home][op_i & 1]
-                if op == 0:
-                    c.read()
-                elif op == 1:
-                    c.write(target)
-                elif op == 2:
-                    expected = c.read()
-                    c.compare_and_swap(expected, target)
-                else:
-                    c.exchange(target)
-
-        body = body_int if cell == "atomic_int" else body_obj
-        rt.reset_measurements()
-        with rt.timed() as t:
-            rt.forall(range(ntasks), body, tasks_per_locale=tasks_per_locale)
-        return WorkloadResult(
-            elapsed=t.elapsed,
-            operations=ntasks * ops_per_task,
-            comm=rt.comm_totals(),
-            extra={"hot_cell_share": weights[0] / total_w},
-        )
-
-    return rt.run(main)
-
-
 def run_epoch_mixed(
     rt: Runtime,
     *,
@@ -741,9 +643,7 @@ def run_epoch_mixed(
     ntasks = nloc * tasks_per_locale
     num_items = ntasks * ops_per_task
 
-    import random as _random
-
-    table_rng = _random.Random(rt.config.seed ^ 0x5DEECE66D)
+    table_rng = random.Random(rt.config.seed ^ 0x5DEECE66D)
     # One randrange(100) draw per item, through the inline draw (opstream).
     is_write = [
         r < write_percent for r in mix_column(table_rng, num_items, 100)
@@ -767,30 +667,12 @@ def run_epoch_mixed(
         # (docs/OBSERVABILITY.md): no tier emits per-op events.
         tier = _phase_tier(rt, "epoch_mixed", **_policy_wants(rt))
 
+        alloc_idx = [i for i in range(num_items) if is_write[i]]
         objs: List[GlobalAddress] = [NIL] * num_items
-        place_rng = _random.Random(rt.config.seed ^ 0x9E3779B9)
-        randbelow = fast_randbelow(place_rng)
-        alloc_idx: List[int] = []
-        targets: List[int] = []
-        for i in range(num_items):
-            if not is_write[i]:
-                continue
-            owner = i % nloc
-            if nloc > 1 and randbelow(100) < remote_percent:
-                target = (owner + 1 + randbelow(nloc - 1)) % nloc
-            else:
-                target = owner
-            alloc_idx.append(i)
-            targets.append(target)
-        if tier != "interpreted":
-            # Batch-replay the placement allocations (run_alloc_phase):
-            # same root-clock charges, so the timed window starts on the
-            # same float base as the interpreted loop.
-            for i, addr in zip(alloc_idx, run_alloc_phase(rt, targets)):
-                objs[i] = addr
-        else:
-            for i, tg in zip(alloc_idx, targets):
-                objs[i] = rt.new_obj(object(), locale=tg)
+        for i, addr in zip(
+            alloc_idx, _place_objects(rt, alloc_idx, remote_percent, tier)
+        ):
+            objs[i] = addr
 
         bank = _TokenBank(rt, em, tasks_per_locale)
 
@@ -807,9 +689,10 @@ def run_epoch_mixed(
         bounds = [num_items * r // rounds // nloc * nloc for r in range(rounds)]
         bounds.append(num_items)
         scheme = rt.config.reclaimer
+        engine_scope = serial_tasks(rt) if tier == "serial" else nullcontext()
         advances = 0
         rt.reset_measurements()
-        with rt.timed() as t:
+        with rt.timed() as t, engine_scope:
             for r in range(rounds):
                 chunk = range(bounds[r], bounds[r + 1])
                 if len(chunk) == 0:
@@ -832,14 +715,6 @@ def run_epoch_mixed(
                         guards=bank._tokens,
                         guards_per_locale=tasks_per_locale,
                     )
-                elif tier == "serial":
-                    with serial_tasks(rt):
-                        rt.forall(
-                            chunk,
-                            body,
-                            task_init=bank.task_init,
-                            tasks_per_locale=tasks_per_locale,
-                        )
                 else:
                     rt.forall(
                         chunk,

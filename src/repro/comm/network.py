@@ -44,9 +44,9 @@ class :class:`~repro.comm.routes.AtomicRoute` table (rows: narrow/wide x
 plain/opt-out; columns: distance classes) plus one
 :class:`~repro.comm.routes.DataRoute` per (transfer class, distance
 class), built lazily on first use and cached for the runtime's life.
-Under the flat topology this collapses to the legacy 8-entry (wide,
-opt_out, local) cube — exposed unchanged via :meth:`atomic_route_table`
-and verified entry-by-entry against the branchy reference compile in
+Under the flat topology the class rows hold the legacy 8-entry (wide,
+opt_out, local) cube, verified entry-by-entry against the branchy
+reference compile (:meth:`_compile_legacy_atomic_table`) in
 tests/test_topology.py.  Atomic cells charge through one memoised
 :class:`~repro.comm.routes.CellPlan` per (home, opt_out)
 (:meth:`cell_plan`) inside their own critical section.  The other hot
@@ -138,7 +138,6 @@ class NetworkModel:
         self._class_tables: List[
             Optional[Tuple[Tuple[AtomicRoute, ...], ...]]
         ] = [None] * nloc
-        self._atomic_tables: List[Optional[Tuple[AtomicRoute, ...]]] = [None] * nloc
         self._get_routes: List[Optional[Tuple[Optional[DataRoute], ...]]] = [None] * nloc
         self._put_routes: List[Optional[Tuple[Optional[DataRoute], ...]]] = [None] * nloc
         self._bulk_routes: List[Optional[Tuple[Optional[DataRoute], ...]]] = [None] * nloc
@@ -415,35 +414,6 @@ class NetworkModel:
             steps(narrow_routes, lock_point is not None),
             steps(wide_routes, False),
         )
-
-    def atomic_route_table(self, home: int) -> Tuple[AtomicRoute, ...]:
-        """The legacy 8-entry (wide, opt_out, local) route cube for ``home``.
-
-        Index layout: ``(wide << 2) | (opt_out << 1) | local`` — see
-        :func:`repro.comm.routes.atomic_route_index`.  Only meaningful
-        for two-class topologies (flat), where "remote" is a single
-        class; multi-level topologies must use
-        :meth:`atomic_class_routes`.  Kept for tests and back-compat.
-        """
-        table = self._atomic_tables[home]
-        if table is None:
-            if len(self.topology.classes) != 2:
-                raise ValueError(
-                    f"atomic_route_table is the flat (two-class) view;"
-                    f" topology {self.topology.spec()!r} has"
-                    f" {len(self.topology.classes)} distance classes —"
-                    f" use atomic_class_routes(home) instead"
-                )
-            rows = self.atomic_class_routes(home)
-            flat: List[Optional[AtomicRoute]] = [None] * 8
-            for wide in (False, True):
-                for opt_out in (False, True):
-                    row = rows[(2 if wide else 0) | (1 if opt_out else 0)]
-                    flat[atomic_route_index(wide, opt_out, True)] = row[0]
-                    flat[atomic_route_index(wide, opt_out, False)] = row[1]
-            table = tuple(flat)
-            self._atomic_tables[home] = table
-        return table
 
     def _compile_legacy_atomic_table(self, home: int) -> Tuple[AtomicRoute, ...]:
         """The pre-topology branchy compile, kept as the reference the

@@ -44,18 +44,6 @@ __all__ = [
     "engine_summary",
 ]
 
-#: Workload kinds with no lowering at all (none currently; kept for the
-#: error message symmetry of :func:`compiled_plan`).
-_KNOWN_KINDS = (
-    "atomic_mix",
-    "atomic_hotspot",
-    "epoch",
-    "epoch_mixed",
-    "churn",
-    "multi_structure",
-)
-
-
 #: Reclaimer schemes whose rounds each lowering replays.  A lowering stays
 #: only where forcing its shape serial measurably slows a benchmark
 #: workload (docs/ENGINE.md, "Which lowerings stay"); every other scheme
@@ -83,6 +71,13 @@ def compiled_plan(
     the generators resolve the runtime's actual trace detail and policy
     wants and pass them in, the scenario lister resolves the same values
     from the spec, so the two can never disagree.
+
+    Both compiled tiers run the canonical spawn-order schedule, so they
+    equal an interpreted run wherever that run is itself deterministic:
+    every registered scenario size.  With several workers per locale on
+    deeply saturated lines (e.g. ``hotspot-zipf`` at 64 locales x 2
+    tasks) interpreted finish times follow real-thread arrival order and
+    vary run to run; the compiled result is then the spawn-order one.
     """
     if trace == "full":
         # Full-detail tracing needs per-op events neither compiled tier

@@ -72,8 +72,9 @@ def fast_randbelow(rng) -> Callable[[int], int]:
 def mix_column(rng, n_ops: int, ncells: int) -> List[int]:
     """Lower one task of the uniform atomic mix into a cell-index column.
 
-    Mirrors ``run_atomic_mix``'s ``body_int``: one ``_randbelow(ncells)``
-    draw per op, in op order.  The 25/25/25/25 read/write/CAS/exchange
+    Mirrors ``run_atomic_mix``'s uniform per-task draw (no
+    ``zipf_exponent``): one ``_randbelow(ncells)`` draw per op, in op
+    order, whichever cell kind's body consumes it.  The 25/25/25/25 read/write/CAS/exchange
     cycle needs no column of its own — all four ops charge the same
     narrow route, so only the target cell matters for replay (the object
     bodies' extra CAS-case charge is the executor's expansion, not a
@@ -103,8 +104,9 @@ def zipf_column(
 ) -> List[int]:
     """Lower one task of the Zipf hotspot into a cell-index column.
 
-    Mirrors ``run_atomic_hotspot``'s ``body_int``: one ``rng.random()``
-    draw + bisect over the truncated-Zipf CDF per op, in op order.
+    Mirrors ``run_atomic_mix``'s Zipf per-task draw (``zipf_exponent``
+    set): one ``rng.random()`` draw + bisect over the truncated-Zipf CDF
+    per op, in op order, whichever cell kind's body consumes it.
     """
     random = rng.random
     pick = bisect_left
@@ -119,5 +121,5 @@ def mix_column_fn(n_ops: int, ncells: int) -> Callable:
 def zipf_column_fn(
     n_ops: int, cdf: Sequence[float], total_w: float
 ) -> Callable:
-    """A ``column_fn(rng)`` closure for the Zipf hotspot (executor input)."""
+    """A ``column_fn(rng)`` closure for the Zipf mix (executor input)."""
     return lambda rng: zipf_column(rng, n_ops, cdf, total_w)

@@ -15,6 +15,7 @@ from repro.bench.figures import (
 from repro.bench.report import Panel, render_figure, render_panel
 from repro.bench.workloads import WorkloadResult, run_atomic_mix, run_epoch_workload
 from repro.runtime import Runtime
+from repro.runtime.config import RuntimeConfig
 
 
 class TestWorkloadResult:
@@ -29,21 +30,50 @@ class TestWorkloadResult:
 class TestAtomicMixWorkload:
     def test_counts_operations(self):
         rt = Runtime(num_locales=2, network="none")
-        res = run_atomic_mix(rt, kind="atomic_int", ops_per_task=32)
+        res = run_atomic_mix(rt, cell="atomic_int", ops_per_task=32)
         assert res.operations == 2 * 32
         assert res.elapsed > 0
 
     def test_rejects_unknown_kind(self):
         rt = Runtime(num_locales=2, network="none")
         with pytest.raises(ValueError):
-            run_atomic_mix(rt, kind="nonsense", ops_per_task=1)
+            run_atomic_mix(rt, cell="nonsense", ops_per_task=1)
+
+    @pytest.mark.parametrize("num_cells", [0, -1])
+    @pytest.mark.parametrize(
+        "zipf_exponent", [None, 1.2], ids=["uniform", "zipf"]
+    )
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_rejects_empty_cell_array(self, engine, zipf_exponent, num_cells):
+        # An empty draw range would redraw forever; reject it up front.
+        rt = Runtime(config=RuntimeConfig(num_locales=2, engine=engine))
+        try:
+            with pytest.raises(ValueError, match="num_cells"):
+                run_atomic_mix(
+                    rt,
+                    cell="atomic_int",
+                    ops_per_task=4,
+                    num_cells=num_cells,
+                    zipf_exponent=zipf_exponent,
+                )
+        finally:
+            rt.close()
+
+    @pytest.mark.parametrize("zipf_exponent", [0.0, -1.0])
+    def test_rejects_non_positive_zipf_exponent(self, zipf_exponent):
+        rt = Runtime(num_locales=2, network="none")
+        with pytest.raises(ValueError, match="zipf_exponent"):
+            run_atomic_mix(
+                rt, cell="atomic_int", ops_per_task=4,
+                zipf_exponent=zipf_exponent,
+            )
 
     @pytest.mark.parametrize(
         "kind", ["atomic_int", "atomic_object", "atomic_object_aba"]
     )
     def test_all_kinds_run(self, kind):
         rt = Runtime(num_locales=2, network="ugni")
-        res = run_atomic_mix(rt, kind=kind, ops_per_task=16)
+        res = run_atomic_mix(rt, cell=kind, ops_per_task=16)
         assert res.elapsed > 0
 
     def test_aba_kind_is_slowest(self):
@@ -51,13 +81,13 @@ class TestAtomicMixWorkload:
         times = {}
         for kind in ("atomic_object", "atomic_object_aba"):
             rt = Runtime(num_locales=2, network="ugni")
-            times[kind] = run_atomic_mix(rt, kind=kind, ops_per_task=64).elapsed
+            times[kind] = run_atomic_mix(rt, cell=kind, ops_per_task=64).elapsed
         assert times["atomic_object_aba"] > times["atomic_object"]
 
     def test_deterministic_given_seed(self):
         def once():
             rt = Runtime(num_locales=2, network="ugni", seed=42)
-            return run_atomic_mix(rt, kind="atomic_int", ops_per_task=64).elapsed
+            return run_atomic_mix(rt, cell="atomic_int", ops_per_task=64).elapsed
 
         assert once() == once()
 

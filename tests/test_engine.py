@@ -122,7 +122,7 @@ def _fig3_sample(pool_size):
     )
     rt = Runtime(config=cfg)
     try:
-        res = run_atomic_mix(rt, kind="atomic_int", ops_per_task=256, tasks_per_locale=2)
+        res = run_atomic_mix(rt, cell="atomic_int", ops_per_task=256, tasks_per_locale=2)
         return res.elapsed, res.comm
     finally:
         rt.close()
@@ -338,9 +338,9 @@ class TestStripedEpochStats:
 class TestRoutePrecompilation:
     def test_route_tables_cached_per_home(self):
         rt = Runtime(num_locales=2, network="ugni")
-        t0 = rt.network.atomic_route_table(0)
-        assert rt.network.atomic_route_table(0) is t0
-        assert rt.network.atomic_route_table(1) is not t0
+        t0 = rt.network.atomic_class_routes(0)
+        assert rt.network.atomic_class_routes(0) is t0
+        assert rt.network.atomic_class_routes(1) is not t0
         rt.close()
 
     def test_spawn_after_pool_shutdown_raises(self):

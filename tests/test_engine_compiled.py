@@ -20,7 +20,6 @@ import pytest
 
 from repro.bench import scenarios
 from repro.bench.workloads import (
-    run_atomic_hotspot,
     run_atomic_mix,
     run_epoch_mixed,
     run_epoch_workload,
@@ -205,7 +204,7 @@ class TestWorkloadEquivalence:
     def test_mix_small_machines(self, network, nloc):
         a, b = self._results(
             run_atomic_mix,
-            dict(kind="atomic_int", ops_per_task=48, tasks_per_locale=2),
+            dict(cell="atomic_int", ops_per_task=48, tasks_per_locale=2),
             num_locales=nloc,
             network=network,
             tasks_per_locale=2,
@@ -214,7 +213,7 @@ class TestWorkloadEquivalence:
 
     def test_hotspot_skewed(self):
         a, b = self._results(
-            run_atomic_hotspot,
+            run_atomic_mix,
             dict(
                 cell="atomic_int",
                 ops_per_task=64,
@@ -223,6 +222,30 @@ class TestWorkloadEquivalence:
                 zipf_exponent=2.0,
             ),
             num_locales=4,
+            tasks_per_locale=2,
+        )
+        assert a == b
+
+    @pytest.mark.parametrize(
+        "cell", ["atomic_int", "atomic_object", "atomic_object_aba"]
+    )
+    @pytest.mark.parametrize(
+        "zipf_exponent", [None, 1.2], ids=["uniform", "zipf"]
+    )
+    def test_every_draw_and_cell_kind(self, cell, zipf_exponent):
+        # One generator, two target draws, three cell kinds: every
+        # combination replays bit-identically (ragged 4-op cycle, several
+        # tasks per locale, a skewed draw over few cells).
+        a, b = self._results(
+            run_atomic_mix,
+            dict(
+                cell=cell,
+                ops_per_task=31,
+                tasks_per_locale=2,
+                num_cells=8,
+                zipf_exponent=zipf_exponent,
+            ),
+            num_locales=3,
             tasks_per_locale=2,
         )
         assert a == b
@@ -273,7 +296,7 @@ class TestWorkloadEquivalence:
         assert tier == "columnar"
         a, b = self._results(
             run_atomic_mix,
-            dict(kind=kind, ops_per_task=ops_per_task, tasks_per_locale=1),
+            dict(cell=kind, ops_per_task=ops_per_task, tasks_per_locale=1),
             tasks_per_locale=1,
             **machine,
         )
@@ -282,8 +305,13 @@ class TestWorkloadEquivalence:
     def test_object_hotspot_lowers(self):
         for _label, ops, machine in _OBJECT_SHAPES:
             a, b = self._results(
-                run_atomic_hotspot,
-                dict(cell="atomic_object", ops_per_task=ops, num_cells=8),
+                run_atomic_mix,
+                dict(
+                    cell="atomic_object",
+                    ops_per_task=ops,
+                    num_cells=8,
+                    zipf_exponent=1.2,
+                ),
                 **machine,
             )
             assert a == b, machine
@@ -316,7 +344,7 @@ class TestPointStateInPlace:
         [
             pytest.param(
                 run_atomic_mix,
-                dict(kind="atomic_int", ops_per_task=48, tasks_per_locale=2),
+                dict(cell="atomic_int", ops_per_task=48, tasks_per_locale=2),
                 dict(num_locales=4, network=network, tasks_per_locale=2),
                 id=f"atomic-mix-{network}",
             )
@@ -363,7 +391,7 @@ class TestCompilationCache:
     """Cold-vs-hit paths of the cross-run column cache."""
 
     def test_hit_path_is_bit_identical_to_cold(self):
-        kwargs = dict(kind="atomic_int", ops_per_task=48, tasks_per_locale=2)
+        kwargs = dict(cell="atomic_int", ops_per_task=48, tasks_per_locale=2)
         cfg = dict(num_locales=2, tasks_per_locale=2)
         COLUMN_CACHE.clear()
         cold = _run_workload(run_atomic_mix, kwargs, "compiled", **cfg)
@@ -379,12 +407,12 @@ class TestCompilationCache:
         COLUMN_CACHE.clear()
         cfg = dict(num_locales=2)
         _run_workload(
-            run_atomic_mix, dict(kind="atomic_int", ops_per_task=32),
+            run_atomic_mix, dict(cell="atomic_int", ops_per_task=32),
             "compiled", **cfg
         )
         _, misses_a, _ = COLUMN_CACHE.stats()
         _run_workload(
-            run_atomic_mix, dict(kind="atomic_int", ops_per_task=64),
+            run_atomic_mix, dict(cell="atomic_int", ops_per_task=64),
             "compiled", **cfg
         )
         _, misses_b, _ = COLUMN_CACHE.stats()
@@ -396,12 +424,12 @@ class TestCompilationCache:
         COLUMN_CACHE.clear()
         cfg = dict(num_locales=2)
         _run_workload(
-            run_atomic_mix, dict(kind="atomic_int", ops_per_task=32),
+            run_atomic_mix, dict(cell="atomic_int", ops_per_task=32),
             "compiled", **cfg
         )
         hits0, misses0, _ = COLUMN_CACHE.stats()
         _run_workload(
-            run_atomic_mix, dict(kind="atomic_object", ops_per_task=32),
+            run_atomic_mix, dict(cell="atomic_object", ops_per_task=32),
             "compiled", **cfg
         )
         hits1, misses1, _ = COLUMN_CACHE.stats()
@@ -462,7 +490,7 @@ class TestStrictMode:
             )
         )
         with pytest.raises(CompiledFallbackError, match="trace=full"):
-            run_atomic_mix(rt, kind="atomic_int", ops_per_task=16)
+            run_atomic_mix(rt, cell="atomic_int", ops_per_task=16)
 
     def test_plain_compiled_still_falls_back_silently(self):
         # The reclaim_every shape is the one place results ARE allowed to

@@ -9,6 +9,7 @@ across repeated runs and across worker-pool sizes.
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 
@@ -239,6 +240,23 @@ class TestSpecParsing:
         derived = spec.with_workload(kind="epoch", ops_per_task=4)
         assert derived.workload.kind == "epoch"
         assert "cell" not in dict(derived.workload.params)
+
+    @pytest.mark.parametrize("kind", sorted(WORKLOAD_KINDS))
+    def test_kind_params_are_runner_keywords(self, kind):
+        # The runner is the generator itself, called with the spec params
+        # as keywords: a renamed keyword or param must fail here, not at
+        # run time.  The uniform mix leaves zipf_exponent at its
+        # generator default (no skew).
+        entry = WORKLOAD_KINDS[kind]
+        keywords = {
+            name
+            for name, param in inspect.signature(entry.runner).parameters.items()
+            if param.kind is inspect.Parameter.KEYWORD_ONLY
+        } - {"tasks_per_locale", "manager_kwargs"}
+        pinned = {"atomic_mix": {"zipf_exponent"}}.get(kind, set())
+        assert {name for name, _ in entry.defaults} == keywords - pinned
+        params = inspect.signature(entry.runner).parameters
+        assert all(params[name].default is None for name in pinned)
 
 
 @pytest.mark.skipif(

@@ -20,6 +20,7 @@ from repro.comm.costs import (
     NETWORK_FIELDS,
     resolve_cost_model,
 )
+from repro.comm.routes import atomic_route_index
 from repro.comm.topology import (
     DistanceClass,
     DragonflyTopology,
@@ -298,33 +299,32 @@ def _route_facts(route):
 class TestFlatTableExactness:
     @pytest.mark.parametrize("network", ["ugni", "none"])
     def test_flat_class_compile_equals_legacy_compile(self, network):
+        # Flat class rows, indexed (wide << 1) | opt_out with class 0 =
+        # local and class 1 = remote, are the legacy 8-entry cube.
         rt = Runtime(num_locales=4, network=network)
         try:
             for home in range(4):
-                table = rt.network.atomic_route_table(home)
+                rows = rt.network.atomic_class_routes(home)
                 legacy = rt.network._compile_legacy_atomic_table(home)
-                assert len(table) == len(legacy) == 8
-                for idx, (got, want) in enumerate(zip(table, legacy)):
-                    assert _route_facts(got) == _route_facts(want), (
-                        f"home={home} entry={idx}"
-                    )
+                assert len(legacy) == 8
+                for wide in (False, True):
+                    for opt_out in (False, True):
+                        row = rows[(wide << 1) | opt_out]
+                        assert len(row) == 2
+                        for local, got in ((True, row[0]), (False, row[1])):
+                            idx = atomic_route_index(wide, opt_out, local)
+                            assert _route_facts(got) == _route_facts(
+                                legacy[idx]
+                            ), f"home={home} entry={idx}"
         finally:
             rt.close()
 
     def test_flat_table_cached_per_home(self):
         rt = Runtime(num_locales=2)
         try:
-            t0 = rt.network.atomic_route_table(0)
-            assert rt.network.atomic_route_table(0) is t0
-            assert rt.network.atomic_route_table(1) is not t0
-        finally:
-            rt.close()
-
-    def test_legacy_view_refuses_multilevel_topologies(self):
-        rt = Runtime(config=RuntimeConfig(num_locales=8, topology="hier:2x2"))
-        try:
-            with pytest.raises(ValueError, match="atomic_class_routes"):
-                rt.network.atomic_route_table(0)
+            t0 = rt.network.atomic_class_routes(0)
+            assert rt.network.atomic_class_routes(0) is t0
+            assert rt.network.atomic_class_routes(1) is not t0
         finally:
             rt.close()
 
@@ -388,12 +388,12 @@ class TestTopologyPricing:
         import repro.bench.workloads as wl
 
         r_default = wl.run_atomic_mix(
-            Runtime(num_locales=4), kind="atomic_int", ops_per_task=128
+            Runtime(num_locales=4), cell="atomic_int", ops_per_task=128
         )
         r_flat = wl.run_atomic_mix(
             Runtime(config=RuntimeConfig(num_locales=4, topology="flat",
                                          tasks_per_locale=2)),
-            kind="atomic_int",
+            cell="atomic_int",
             ops_per_task=128,
         )
         assert r_default.elapsed == r_flat.elapsed
