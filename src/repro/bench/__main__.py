@@ -113,8 +113,11 @@ FIGURES = ("3a", "3b", "4", "5", "6", "7", "ablations", "all")
 DEFAULT_BASELINES = Path(__file__).resolve().parents[3] / "benchmarks" / "scenario_baselines.json"
 
 
-def _locales(max_locales: int, base: Sequence[int]) -> List[int]:
-    return [x for x in base if x <= max_locales]
+#: The locale axis each figure sweeps (``--max-locales`` truncates it).
+FIGURE_LOCALES: Dict[str, Sequence[int]] = {
+    "3b": figures.DEFAULT_LOCALES,
+    **dict.fromkeys(("4", "5", "6", "7"), figures.DEFAULT_EPOCH_LOCALES),
+}
 
 
 def scenario_main(argv: "Sequence[str] | None" = None) -> int:
@@ -524,8 +527,23 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         help="also dump every panel's series to PATH as JSON",
     )
     args = ap.parse_args(argv)
+    if args.ops is not None and args.ops < 1:
+        ap.error(f"--ops must be at least 1, got {args.ops}")
+    if args.tasks_per_locale < 1:
+        ap.error(f"--tasks-per-locale must be at least 1, got {args.tasks_per_locale}")
 
     todo = [args.figure] if args.figure != "all" else ["3a", "3b", "4", "5", "6", "7", "ablations"]
+    locales = {
+        fig: [x for x in FIGURE_LOCALES[fig] if x <= args.max_locales]
+        for fig in todo
+        if fig in FIGURE_LOCALES
+    }
+    for fig, axis in locales.items():
+        if not axis:
+            ap.error(
+                f"--max-locales {args.max_locales} leaves figure {fig} no locale"
+                f" count (its axis starts at {FIGURE_LOCALES[fig][0]})"
+            )
     t0 = time.time()
     json_doc: Dict[str, list] = {}
 
@@ -541,7 +559,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         elif fig == "3b":
             title = "Figure 3 — AtomicObject vs atomic int (distributed memory)"
             kw = dict(
-                locales=_locales(args.max_locales, figures.DEFAULT_LOCALES),
+                locales=locales[fig],
                 tasks_per_locale=args.tasks_per_locale,
             )
             if args.ops:
@@ -556,7 +574,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             title = titles[fig]
             fn = {"4": figures.figure4, "5": figures.figure5, "6": figures.figure6}[fig]
             kw = dict(
-                locales=_locales(args.max_locales, figures.DEFAULT_EPOCH_LOCALES),
+                locales=locales[fig],
                 tasks_per_locale=args.tasks_per_locale,
             )
             if args.ops:
@@ -565,7 +583,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         elif fig == "7":
             title = "Figure 7 — Read-only workload without deletion"
             kw = dict(
-                locales=_locales(args.max_locales, figures.DEFAULT_EPOCH_LOCALES),
+                locales=locales[fig],
                 tasks_per_locale=args.tasks_per_locale,
             )
             if args.ops:

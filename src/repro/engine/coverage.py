@@ -11,7 +11,7 @@ place — :func:`compiled_plan` — and consumed by
   column is computed from the same predicate so it can never drift from
   what the generators actually do;
 * the reports: :func:`engine_summary` folds a run's log into the
-  ``"engine"`` block scenario reports and ``bench_wallclock.py`` emit.
+  ``"engine"`` block scenario reports emit.
 
 Execution tiers
 ---------------

@@ -188,13 +188,11 @@ class HazardPointerReclaimer(ReclaimerBase):
             for guard in self._registered_guards()
             for cell in guard.slots
         ]
-        aggregator = self._rt.network.aggregator
-        if aggregator.active:
-            counters = BatchCounters()
-            words = aggregator.read_cells(current_context(), cells, counters)
-            self._note_batches(counters)
-        else:
-            words = [cell.read() for cell in cells]
+        counters = BatchCounters()
+        words = self._rt.network.aggregator.read_cells(
+            current_context(), cells, counters
+        )
+        self._note_batches(counters)
         return {word for word in words if word != COMPRESSED_NIL}
 
     def _scan(self, guards: List[_HPGuard], *, global_sample: bool = False) -> int:

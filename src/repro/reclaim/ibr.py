@@ -165,35 +165,21 @@ class IntervalReclaimer(ReclaimerBase):
         new_era = era + 1
         guards = self._registered_guards()
         aggregator = self._rt.network.aggregator
-        if aggregator.active:
-            # Domain-ordered refresh + scan (docs/AGGREGATION.md): era
-            # pushes to caches behind one shared uplink ride one batched
-            # AM per window, and so do the birth-era reads.
-            counters = BatchCounters()
-            aggregator.write_cells(
-                ctx,
-                [(cache, new_era) for cache in self._locale_eras],
-                counters,
-            )
-            births = aggregator.read_cells(
-                ctx, [guard.birth for guard in guards], counters  # type: ignore[attr-defined]
-            )
-            self._note_batches(counters)
-            min_birth: Optional[int] = None
-            for b in births:
-                if b and (min_birth is None or b < min_birth):
-                    min_birth = b
-        else:
-            # Refresh every locale's cache (remote stores from the caller —
-            # the fan-out a real implementation would piggyback on its scan).
-            for cache in self._locale_eras:
-                cache.write(new_era)
-            # Scan the birth eras (remote atomic reads).
-            min_birth = None
-            for guard in guards:
-                b = guard.birth.read()  # type: ignore[attr-defined]
-                if b and (min_birth is None or b < min_birth):
-                    min_birth = b
+        # Domain-ordered refresh + scan (docs/AGGREGATION.md): era pushes
+        # to every locale's cache and the birth-era reads; those behind
+        # one shared uplink ride one batched AM per window.
+        counters = BatchCounters()
+        aggregator.write_cells(
+            ctx, [(cache, new_era) for cache in self._locale_eras], counters
+        )
+        births = aggregator.read_cells(
+            ctx, [guard.birth for guard in guards], counters  # type: ignore[attr-defined]
+        )
+        self._note_batches(counters)
+        min_birth: Optional[int] = None
+        for b in births:
+            if b and (min_birth is None or b < min_birth):
+                min_birth = b
         horizon = new_era if min_birth is None else min_birth
         freed = self._drain_retired(guards, lambda entry: entry[1] >= horizon)
         if freed:

@@ -116,15 +116,14 @@ class QSBRReclaimer(ReclaimerBase):
         interval = self._interval
         guards = [g for g in self._registered_guards() if not g._pinned]
         ctx = maybe_context()
-        aggregator = self._rt.network.aggregator
-        if ctx is None or not aggregator.active:
+        if ctx is None:
             for guard in guards:
                 guard.seen.write(interval)  # type: ignore[attr-defined]
             return
         # Quiescence announcements destined for guards behind one shared
         # uplink ride one aggregated AM per window-sized batch.
         counters = BatchCounters()
-        aggregator.write_cells(
+        self._rt.network.aggregator.write_cells(
             ctx,
             [(guard.seen, interval) for guard in guards],  # type: ignore[attr-defined]
             counters,
@@ -148,23 +147,16 @@ class QSBRReclaimer(ReclaimerBase):
             return False
         min_seen = self._interval
         guards = self._registered_guards()
-        aggregator = self._rt.network.aggregator
-        if aggregator.active:
-            # The write-side scan, domain-ordered: same-uplink guards'
-            # announcements are read in batches (docs/AGGREGATION.md).
-            counters = BatchCounters()
-            seen = aggregator.read_cells(
-                ctx, [guard.seen for guard in guards], counters  # type: ignore[attr-defined]
-            )
-            self._note_batches(counters)
-            for s in seen:
-                if s < min_seen:
-                    min_seen = s
-        else:
-            for guard in guards:
-                s = guard.seen.read()  # type: ignore[attr-defined]
-                if s < min_seen:
-                    min_seen = s
+        # The write-side scan, domain-ordered: same-uplink guards'
+        # announcements are read in batches (docs/AGGREGATION.md).
+        counters = BatchCounters()
+        seen = self._rt.network.aggregator.read_cells(
+            ctx, [guard.seen for guard in guards], counters  # type: ignore[attr-defined]
+        )
+        self._note_batches(counters)
+        for s in seen:
+            if s < min_seen:
+                min_seen = s
         freed = self._drain_retired(guards, lambda entry: entry[1] >= min_seen)
         self._interval += 1
         if freed:

@@ -206,6 +206,30 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--figure", "99"])
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["--figure", "7", "--ops", "0"], "--ops must be at least 1"),
+            (["--figure", "7", "--ops", "-5"], "--ops must be at least 1"),
+            (["--max-locales", "0"], "leaves figure 3b no locale count"),
+            (["--figure", "7", "--max-locales", "1"], "leaves figure 7 no locale count"),
+            (["--figure", "7", "--tasks-per-locale", "0"],
+             "--tasks-per-locale must be at least 1"),
+        ],
+    )
+    def test_cli_rejects_nonsense_sizes(self, capsys, argv, needle):
+        """A size that runs nothing (or the default) exits 2 before any run."""
+        from repro.bench.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert err[-1].startswith("python -m repro.bench: error: ")
+        assert needle in err[-1]
+
     def test_cli_figure3a(self, capsys):
         from repro.bench.__main__ import main
 

@@ -317,6 +317,83 @@ class TestWorkloadEquivalence:
             assert a == b, machine
 
 
+SEED_OPS = 1 << 12
+
+#: Five 8-locale ``ugni`` shapes, one task per locale: the Fig 3
+#: ``atomic int`` mix and its Zipf hotspot, the Fig 7 read-only epoch
+#: workload, and Fig 4's and Fig 5's phased-reclaim shapes (25 % and
+#: 100 % of ops retire, 50 % remote, 4 rounds).
+SEED_SHAPES = {
+    "fig3_atomics": (run_atomic_mix, dict(cell="atomic_int", ops_per_task=SEED_OPS)),
+    "fig3_hotspot": (
+        run_atomic_mix,
+        dict(cell="atomic_int", ops_per_task=SEED_OPS, num_cells=64, zipf_exponent=1.2),
+    ),
+    "fig7_readonly": (
+        run_epoch_workload,
+        dict(
+            ops_per_task=SEED_OPS,
+            delete=False,
+            reclaim_every=None,
+            cleanup_at_end=False,
+        ),
+    ),
+    "reclaim_sparse": (
+        run_epoch_mixed,
+        dict(ops_per_task=SEED_OPS // 4, write_percent=25, remote_percent=50, rounds=4),
+    ),
+    "reclaim_dense": (
+        run_epoch_mixed,
+        dict(ops_per_task=SEED_OPS // 4, write_percent=100, remote_percent=50, rounds=4),
+    ),
+}
+
+_NO_COMM = dict.fromkeys(
+    ("get", "put", "amo", "local_amo", "am", "fork", "bulk", "bulk_bytes"), 0
+)
+
+#: Virtual seconds and comm totals of the thread-per-task seed engine.
+#: Every engine since must reproduce them exactly.
+SEED_RESULTS = {
+    "fig3_atomics": (
+        0.004692420000000045,
+        {**_NO_COMM, "amo": 28824, "local_amo": 3944},
+    ),
+    "fig7_readonly": (
+        0.0007625500000003865,
+        {**_NO_COMM, "local_amo": 131144, "fork": 14},
+    ),
+}
+
+
+class TestSeedShapes:
+    """The 8-locale shapes run fully compiled, agree with the interpreter,
+    and the two the seed engine measured still give its results."""
+
+    @staticmethod
+    def _run(name, engine):
+        fn, kwargs = SEED_SHAPES[name]
+        rt = Runtime(
+            config=RuntimeConfig(
+                num_locales=8, network="ugni", tasks_per_locale=1, engine=engine
+            )
+        )
+        try:
+            return fn(rt, tasks_per_locale=1, **kwargs), engine_summary(rt)
+        finally:
+            rt.close()
+
+    @pytest.mark.parametrize("name", sorted(SEED_SHAPES))
+    def test_engines_agree_and_match_seed(self, name):
+        interp, _ = self._run(name, "interpreted")
+        comp, summary = self._run(name, "compiled")
+        assert summary["effective"] == "compiled", summary
+        assert "fallbacks" not in summary, summary
+        assert (comp.elapsed, comp.comm) == (interp.elapsed, interp.comm)
+        if name in SEED_RESULTS:
+            assert (interp.elapsed, interp.comm) == SEED_RESULTS[name]
+
+
 def _point_states(fn, kwargs, engine, trace, **cfg):
     """``(name, next_free, idle_bank, busy_time, served)`` of every NIC,
     progress and uplink point after one run, plus the run's tier counts."""
