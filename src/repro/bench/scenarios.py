@@ -20,13 +20,14 @@ atomics, mixed pin/deferDelete ratios, producer-consumer churn over the
 queue and stack, combined multi-structure traffic, and degraded-network
 profiles.  ``python -m repro.bench scenarios {--list,--run,--all}`` is the
 CLI; :func:`run_scenario_grid` executes many scenarios in order (one
-worker-pool runtime per point) and :func:`build_report` aggregates the
+runtime per point) and :func:`build_report` aggregates the
 results into a JSON document with per-scenario regression baselines.
 
-Determinism contract: every *registered* scenario produces virtual-time
-and comm-diagnostic results that are **bit-identical across repeated runs
-and worker-pool sizes** (the engine invariant of docs/ENGINE.md, upheld by
-the generator rules documented in :mod:`repro.bench.workloads`).  The
+Determinism contract: every scenario produces virtual-time and
+comm-diagnostic results that are **bit-identical across repeated runs**
+(the engine invariant of docs/ENGINE.md: one scheduler); the generator
+rules documented in :mod:`repro.bench.workloads` also make every
+*registered* scenario independent of task order.  The
 runner re-checks this whenever ``measure.repeats > 1``.
 
 Example TOML::
@@ -652,7 +653,7 @@ def run_scenario_grid(
 ) -> List[ScenarioRun]:
     """Execute many scenarios in spec order, one runtime per point.
 
-    Each point builds (and tears down) its own worker-pool runtime —
+    Each point builds its own runtime —
     scenario runs never share simulator state.  ``progress`` is called
     with each run as it finishes.
     """

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -44,7 +43,6 @@ from ..engine import (
     run_epoch_workload_phase,
     run_guard_epoch_phase,
     run_uniform_atomic_phase,
-    serial_tasks,
     zipf_column_fn,
 )
 from ..memory.address import NIL, GlobalAddress
@@ -417,11 +415,10 @@ def run_epoch_workload(
         # no mid-phase ``tryReclaim`` the per-item charge stream is fixed,
         # so under EBR the forall replays columnar — in-task
         # register/unregister run for real on the replayed task clocks.
-        # ``reclaim_every`` (schedule-scoped scan elections) and >1 task
-        # per locale (in-forall token reuse follows real arrival order)
+        # ``reclaim_every`` (scan elections, which the replay does not
+        # model) and >1 task per locale (in-forall token registration)
         # fall back; other schemes and a pin/retire-time-tracking policy
-        # take the serial tier (real bodies, canonical pool-size-1
-        # schedule, exact facts).
+        # take the serial tier (the real bodies, exact facts).
         tier = _phase_tier(
             rt,
             "epoch",
@@ -460,9 +457,8 @@ def run_epoch_workload(
                 if st.m % reclaim_every == 0:
                     tok.try_reclaim()
 
-        engine_scope = serial_tasks(rt) if tier == "serial" else nullcontext()
         rt.reset_measurements()
-        with rt.timed() as t, engine_scope:
+        with rt.timed() as t:
             if tier == "columnar":
                 run_epoch_workload_phase(
                     rt,
@@ -505,46 +501,50 @@ def run_epoch_workload(
 #
 # Determinism contract: every generator below, and `run_atomic_mix`
 # above, produces virtual-time and comm-diagnostic results that are
-# bit-identical across repeated runs and worker-pool sizes at the
-# registered scenario sizes (the last rule below says where that stops).
-# The rules that make that true (and that any new generator must follow):
+# bit-identical across repeated runs.  The runtime's one scheduler
+# (repro.runtime.tasking) makes that true of any program.  The rules
+# below make a stronger property true at the registered scenario sizes:
+# the result does not depend on the ORDER in which tasks run.  The
+# columnar replay needs that to lower a phase, and a seeded interleaving
+# scheduler would permute the order.  Relaxing a rule changes registered
+# workloads and their baselines, so every new generator follows them:
 #
 # * fixed operation streams — per-task op counts and targets come from the
 #   seeded task RNG or precomputed tables, never from values another task
-#   wrote (CAS *outcomes* may differ between real schedules, but the cost
+#   wrote (CAS *outcomes* may differ between task orders, but the cost
 #   charged per attempt is route-determined and the attempt count is fixed);
 # * no unbounded retry loops against state another task mutates — shared
 #   structures are driven by exactly one task at a time (phase-exclusive
-#   ownership), so their internal CAS loops always succeed first try;
+#   ownership), so their internal CAS loops always succeed first try (a
+#   loop waiting for another task would also never end: tasks run to
+#   completion);
 # * `tryReclaim` only from the root task at phase boundaries (a concurrent
-#   election/scan is decided by *real-time* interleaving and is therefore
-#   scheduling-dependent — measured directly in tests/test_scenarios.py).
+#   election/scan is decided by which task runs first — measured directly
+#   in tests/test_scenarios.py).
 #   The same discipline covers every scheme in repro.reclaim: QSBR/IBR
 #   reclamation and quiescent-point announcements are root-driven via
 #   `phase_boundary()` + `try_reclaim()`, and hazard-pointer threshold
 #   scans are sound mid-phase only because structure ownership is
 #   phase-exclusive (no other guard's hazard slots can ever name an
-#   address this guard retired, so scan outcomes are schedule-independent);
+#   address this guard retired, so scan outcomes are order-independent);
 # * token registration outside the timed region — `register`/`unregister`
 #   are lock-free CAS loops over a shared per-locale free list, charged per
 #   *attempt*, so registering from inside a `forall` with several workers
-#   per locale costs a scheduling-dependent amount (see :class:`_TokenBank`);
+#   per locale costs an order-dependent amount (see :class:`_TokenBank`);
 # * with MORE than one worker per locale, reclaim only at the END: a
 #   locale's workers saturate shared service points (limbo-list heads, hot
 #   atomic cells), and the *split* of a saturated point's state between
-#   `next_free` and its idle bank follows real-thread arrival order.  A
+#   `next_free` and its idle bank follows task arrival order.  A
 #   mid-workload root scan touching those lines converts that hidden
-#   residue into virtual-time noise in later contended rounds; as the
-#   final phase before the measurement ends it is harmless, because
+#   residue into virtual-time differences in later contended rounds; as
+#   the final phase before the measurement ends it is harmless, because
 #   nothing consults the banks afterwards.  With one worker per locale no
-#   line ever saturates from two real threads, so phase-boundary
-#   reclamation is exactly deterministic.  Per-phase finish times are
-#   order-independent only while saturation stays shallow: `hotspot-zipf`
-#   at 64 locales x 2 tasks gave five distinct elapsed values over eight
-#   interpreted runs (0.005011-0.006364 s, default, 1 and 4 pool
-#   threads), while `compiled-strict`, which replays the canonical spawn
-#   order, gives 0.006364 s every time.  At 8, 16 and 32 locales every
-#   run agrees, and so does every registered scenario.
+#   line ever saturates from two tasks, so phase-boundary reclamation is
+#   order-independent.  Per-phase finish times are order-independent
+#   only while saturation stays shallow: every registered scenario is,
+#   but `hotspot-zipf` at 64 locales x 2 tasks is not (real-thread
+#   orders gave five elapsed values, 0.005011-0.006364 s; the spawn
+#   order gives 0.006364 s).
 
 
 class _TokenBank:
@@ -554,13 +554,12 @@ class _TokenBank:
     ``rt.on``, outside the timed region), so the allocated-token set — and
     with it the cost of every ``tryReclaim`` scan — is fixed for the whole
     workload.  A worker task picks its token by ``task_id % per_locale``:
-    task ids are assigned in spawn-submission order (scheduling-
-    independent), ``forall`` spawns a locale's workers with consecutive
-    ids, and the selection itself charges no virtual time — so *which*
-    token (which cache line) each worker's pins hammer is identical on
-    every run.  A real-lock hand-off here would be subtly wrong: pop order
-    follows real-thread arrival, which reshuffles the worker-to-line
-    mapping between runs and perturbs service-point interleavings.
+    task ids are assigned in spawn-submission order, ``forall`` spawns a
+    locale's workers with consecutive ids, and the selection itself
+    charges no virtual time — so *which* token (which cache line) each
+    worker's pins hammer does not depend on task order.  A pop-order
+    hand-off here would tie the worker-to-line mapping, and with it the
+    service-point interleavings, to the order tasks run in.
 
     Scheme-generic: ``em`` is any reclaimer implementing the guard
     protocol (:mod:`repro.reclaim`); the bank stores whatever
@@ -597,9 +596,9 @@ def _check_phased_reclaim(
     """Reject the combination the determinism notes above forbid.
 
     Mid-workload root reclamation with more than one worker per locale
-    makes virtual time depend on real-thread scheduling (saturated-line
-    idle-bank residue); fail fast instead of surfacing as a flaky
-    determinism error under `scenarios --repeats`.
+    makes virtual time depend on task order (saturated-line idle-bank
+    residue); fail fast instead of registering an order-dependent
+    workload.
     """
     if reclaim_between_rounds and tasks_per_locale > 1 and rounds > 1:
         raise ValueError(
@@ -629,7 +628,7 @@ def run_epoch_mixed(
     an object.  The iteration space is split into ``rounds`` consecutive
     ``forall`` phases with a root-task ``tryReclaim`` between phases —
     reclamation interleaves with ongoing traffic at epoch granularity
-    without the scheduling-dependent election races a concurrent in-loop
+    without the order-dependent election races a concurrent in-loop
     ``tryReclaim`` would introduce.
     """
     if not (0 <= write_percent <= 100):
@@ -661,8 +660,7 @@ def run_epoch_mixed(
         # retire-time-tracking policy (grace — docs/POLICY.md): the
         # columnar replay charges pins without calling ``pin()``, so the
         # virtual-time facts the policy's decisions read would be missing;
-        # inline-serial execution runs the real bodies in the canonical
-        # pool-size-1 schedule and records them exactly.  Full-detail
+        # the serial tier runs the real bodies and records them exactly.  Full-detail
         # tracing stays the documented interpreter fallback
         # (docs/OBSERVABILITY.md): no tier emits per-op events.
         tier = _phase_tier(rt, "epoch_mixed", **_policy_wants(rt))
@@ -689,10 +687,9 @@ def run_epoch_mixed(
         bounds = [num_items * r // rounds // nloc * nloc for r in range(rounds)]
         bounds.append(num_items)
         scheme = rt.config.reclaimer
-        engine_scope = serial_tasks(rt) if tier == "serial" else nullcontext()
         advances = 0
         rt.reset_measurements()
-        with rt.timed() as t, engine_scope:
+        with rt.timed() as t:
             for r in range(rounds):
                 chunk = range(bounds[r], bounds[r + 1])
                 if len(chunk) == 0:
@@ -822,7 +819,7 @@ def run_producer_consumer(
     (anti-local: drain across the uplinks).  Phases are separate
     ``forall`` joins, so every structure has exactly one mutator at a
     time: churn comes from allocation / retirement / address reuse, not
-    from scheduling-dependent CAS races.
+    from order-dependent CAS races.
     """
     from ..structures.msqueue import LockFreeQueue
     from ..structures.treiber_stack import LockFreeStack
@@ -880,15 +877,13 @@ def run_producer_consumer(
                     tok.unpin()
 
         # Structure traversals are value-dependent (CAS loops over live
-        # heads), so churn never lowers to columns — but the shape is
-        # pool-size-deterministic, so the compiled engine runs the whole
-        # timed region on the serial tier (inline tasks, the canonical
-        # pool-size-1 schedule; see repro.engine.coverage).
+        # heads), so churn never lowers to columns: the compiled engine
+        # runs the whole timed region on the serial tier (the real task
+        # bodies; see repro.engine.coverage).
         tier = _phase_tier(rt, "churn")
-        engine_scope = serial_tasks(rt) if tier == "serial" else nullcontext()
         advances = 0
         rt.reset_measurements()
-        with rt.timed() as t, engine_scope:
+        with rt.timed() as t:
             for _ in range(rounds):
                 rt.forall(
                     range(ntasks),
@@ -991,13 +986,12 @@ def run_multi_structure(
         )
 
         # Hand-over-hand bucket walks and structure CAS loops keep this
-        # off the columnar tier; the serial tier (inline tasks) covers it
-        # for the compiled engines (see repro.engine.coverage).
+        # off the columnar tier; the serial tier (the real task bodies)
+        # covers it for the compiled engines (see repro.engine.coverage).
         tier = _phase_tier(rt, "multi_structure")
-        engine_scope = serial_tasks(rt) if tier == "serial" else nullcontext()
         advances = 0
         rt.reset_measurements()
-        with rt.timed() as t, engine_scope:
+        with rt.timed() as t:
             for _ in range(rounds):
                 rt.forall(
                     range(ntasks),

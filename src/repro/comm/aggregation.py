@@ -34,13 +34,13 @@ list by ``(distance class, uplink group)``:
   service plus a marginal ``am_batch_item_service`` per extra op).  The
   charge runs through the same :class:`~repro.runtime.clock.ServicePoint`
   machinery as every other operation, so idle-banking capacity
-  conservation — and with it the engine's scheduling-independence
-  invariant — holds for aggregated traffic too.
+  conservation — and with it the engine's determinism invariant — holds
+  for aggregated traffic too.
 
 Determinism: batch composition is a pure function of the operation list
 and the topology (grouping preserves first-seen order; no runtime state
 is consulted), so aggregated costs are bit-identical across repeated runs
-and worker-pool sizes under the workload discipline of
+and independent of task order under the workload discipline of
 :mod:`repro.bench.workloads`.
 
 See docs/AGGREGATION.md for the full model and tuning guidance.

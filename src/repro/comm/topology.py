@@ -40,8 +40,8 @@ tuple lookup.
 Determinism: ``distance`` is a pure function of the two locale ids, and
 uplink service points obey the same idle-banking capacity-conservation
 contract as the NIC/progress points (docs/ENGINE.md), so virtual-time
-results remain independent of real-thread scheduling and pool size under
-every topology.
+results remain a pure function of the program and its seed under every
+topology.
 """
 
 from __future__ import annotations

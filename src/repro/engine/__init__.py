@@ -5,11 +5,11 @@ Four pieces (see docs/ENGINE.md):
 * :mod:`repro.engine.opstream` — the columnar IR: lowering a task's fixed
   op stream into per-op target columns ahead of the run.
 * :mod:`repro.engine.executor` — the replay engine.  The *columnar* tier
-  replays the spawn-submission (pool-size-1) schedule on the root task
-  between ``forall`` joins — where no other thread runs, so it charges
-  the real service points, cells, reclaim chains and diag stripe in
-  place, without locks; the *serial* tier runs real task bodies inline
-  in the same canonical schedule for value-dependent phases.
+  replays the scheduler's spawn-submission order on the root task
+  between ``forall`` joins — where nothing else runs, so it charges the
+  real service points, cells, reclaim chains and diag stripe in place,
+  without locks; the *serial* tier runs the real task bodies on the
+  scheduler for value-dependent phases.
   Bit-identical to the interpreter by construction; wall-clock only.
 * :mod:`repro.engine.coverage` — the one predicate deciding which tier a
   workload shape gets, the per-runtime effective-engine log, and the
@@ -26,7 +26,6 @@ from .executor import (
     run_epoch_workload_phase,
     run_guard_epoch_phase,
     run_uniform_atomic_phase,
-    serial_tasks,
 )
 from .opstream import (
     fast_randbelow,
@@ -37,7 +36,6 @@ from .opstream import (
 )
 
 __all__ = [
-    "serial_tasks",
     "run_alloc_phase",
     "run_uniform_atomic_phase",
     "run_ebr_epoch_phase",

@@ -19,16 +19,15 @@ Execution tiers
     The phase replays from lowered op-stream columns on the root thread
     (:mod:`repro.engine.executor`) — the fast tier.
 ``"serial"``
-    The phase runs the real task bodies inline on the root thread in
-    spawn-submission order (the canonical pool-size-1 schedule; see
-    :func:`repro.engine.executor.serial_tasks`).  Exact for every
-    pool-size-deterministic shape, cheaper than pooled execution (no
-    thread handoffs, no lock traffic), and it keeps value-dependent
-    structure traversals compiled-engine-clean.
+    The phase runs the real task bodies on the runtime's one scheduler
+    (:mod:`repro.runtime.tasking`), exactly as an interpreted run does.
+    It keeps value-dependent structure traversals compiled-engine-clean:
+    no lowering is needed for them to count as compiled.
 ``"interpreted"``
-    The documented fallback: the phase runs on the worker pool exactly as
-    under ``engine="interpreted"``.  Silent and exact under
-    ``"compiled"``; an error under ``"compiled-strict"``.
+    The documented fallback: the phase also runs the real task bodies on
+    the one scheduler, but is logged as a shape the compiled engine does
+    not cover.  Silent and exact under ``"compiled"``; an error under
+    ``"compiled-strict"``.
 """
 
 from __future__ import annotations
@@ -72,17 +71,15 @@ def compiled_plan(
     wants and pass them in, the scenario lister resolves the same values
     from the spec, so the two can never disagree.
 
-    Both compiled tiers run the canonical spawn-order schedule, so they
-    equal an interpreted run wherever that run is itself deterministic:
-    every registered scenario size.  With several workers per locale on
-    deeply saturated lines (e.g. ``hotspot-zipf`` at 64 locales x 2
-    tasks) interpreted finish times follow real-thread arrival order and
-    vary run to run; the compiled result is then the spawn-order one.
+    Every tier equals an interpreted run bit for bit: the columnar
+    replay reproduces the one scheduler's order, and the other two tiers
+    are that scheduler.  ``"interpreted"`` marks the shapes left
+    uncovered: mid-phase elections, whose outcomes the replay does not
+    model, multi-task in-forall registration, and full tracing.
     """
     if trace == "full":
-        # Full-detail tracing needs per-op events neither compiled tier
-        # emits from its charge replay; it also pins the host
-        # interleaving via inline-serial tasks already (docs/OBSERVABILITY.md).
+        # Full-detail tracing needs per-op events the columnar replay
+        # does not emit (docs/OBSERVABILITY.md).
         return ("interpreted", "trace=full needs per-op events")
     if kind in ("atomic_mix", "atomic_hotspot"):
         return ("columnar", None)
@@ -111,8 +108,8 @@ def compiled_plan(
         return ("columnar", None)
     if kind in ("churn", "multi_structure"):
         # Structure traversals are value-dependent (CAS loops over heads,
-        # hand-over-hand bucket walks) — not columnar material — but the
-        # shapes are pool-size-deterministic, so the serial tier is exact.
+        # hand-over-hand bucket walks) — not columnar material — so they
+        # run the real bodies on the serial tier.
         return ("serial", None)
     return ("interpreted", f"no lowering for workload kind {kind!r}")
 

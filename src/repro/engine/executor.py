@@ -2,13 +2,12 @@
 
 Why serial replay is bit-identical
 ----------------------------------
-The engine's load-bearing invariant (docs/ENGINE.md, pinned by
-tests/test_engine.py) is that virtual results are independent of
-real-thread scheduling and therefore of the worker-pool size.  A pool of
-size one runs a ``forall``'s tasks to completion in spawn-submission
-order — so replaying the same tasks serially on the root thread, in
+The runtime's one scheduler (docs/ENGINE.md, "The scheduler") runs a
+``forall``'s tasks to completion on the joining root thread in
+spawn-submission order, because a lowered phase's tasks spawn nothing
+themselves — so replaying the same tasks serially on the root thread, in
 spawn-submission order, with the same per-task clocks, RNG seeds, task
-ids and charge sequences, is just another legal schedule and produces
+ids and charge sequences, is that very schedule and produces
 bit-identical virtual time, comm totals and reclaim stats.  The payoff is
 that the serial replay needs **no locks, no TLS lookups, no per-op
 dispatch**: it charges the real service points through
@@ -26,13 +25,12 @@ so real code may run mid-phase (the Listing 5 replay's in-task
 ``register``/``unregister``, HP threshold scans) and sees exactly the
 state the interpreted schedule would.  Every serve updates the point's
 ``busy_time`` and ``served`` in spawn order too, so they match the
-interpreted inline schedule bit for bit.
+interpreted schedule bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 from random import Random
 from typing import Any, Iterable, List, Optional, Sequence
 
@@ -43,36 +41,12 @@ from ..runtime.tasking import spawn_tree_overhead
 from .cache import COLUMN_CACHE
 
 __all__ = [
-    "serial_tasks",
     "run_alloc_phase",
     "run_uniform_atomic_phase",
     "run_ebr_epoch_phase",
     "run_guard_epoch_phase",
     "run_epoch_workload_phase",
 ]
-
-
-@contextmanager
-def serial_tasks(rt):
-    """The compiled engine's *serial* tier: inline spawned tasks.
-
-    Value-dependent phases (structure traversals, CAS retry loops) cannot
-    be lowered to charge columns, but every generator in the registry is
-    pool-size-deterministic — so running its tasks inline on the spawning
-    thread, in spawn-submission order (the canonical pool-size-1
-    schedule), is bit-identical while skipping the worker-pool handoffs,
-    queue locks and TLS churn entirely.  This reuses the exact inline
-    path full-detail tracing already exercises
-    (:meth:`~repro.runtime.tasking.TaskGroup.spawn` with
-    ``rt._inline_tasks``), restored on exit so untimed surrounding code
-    keeps the configured behavior.
-    """
-    prev = rt._inline_tasks
-    rt._inline_tasks = True
-    try:
-        yield
-    finally:
-        rt._inline_tasks = prev
 
 
 def _forall_prologue(rt, ctx, active_locales, total_tasks) -> float:
@@ -271,7 +245,7 @@ def run_uniform_atomic_phase(
     else:
         columns = _build_columns()
 
-    # ---- replay: spawn-submission order == the pool-size-1 schedule ----
+    # ---- replay: spawn-submission order == the scheduler's order ----
     finish = start
     ti = 0
     for locale in range(nloc):
@@ -747,8 +721,8 @@ def run_epoch_workload_phase(
     The interpreted body registers a token *inside* the task
     (``task_init``), pins / optionally retires / unpins per item, and
     unregisters on task exit.  With one task per locale (the gated
-    shape), the pool-size-1 schedule runs each task start-to-finish in
-    locale order — so the replay alternates real excursions with column
+    shape), the scheduler runs each task start-to-finish in locale
+    order — so the replay alternates real excursions with column
     replay per task:
 
     1. ``em.register()`` runs **for real** under a synthetic task

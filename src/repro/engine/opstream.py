@@ -31,12 +31,11 @@ streams over every cell kind, the epoch rounds of all four reclaimers
 (EBR's token/limbo/pool cells, hp/qsbr/ibr guard buffers — threshold
 scans run real mid-replay), and the root-task placement-allocation loops
 all replay columnar.
-Value-dependent phases that are still pool-size-deterministic (structure
-traversals in churn / multi-structure, pin-time-tracking policies) take
-the **serial** tier: real bodies inline in the canonical pool-size-1
-schedule.  Only schedule-scoped shapes (mid-phase ``tryReclaim``
-elections, in-forall token reuse with >1 task per locale) and full-detail
-tracing fall back to the interpreter — which ``compiled-strict`` turns
+Value-dependent phases (structure traversals in churn /
+multi-structure, pin-time-tracking policies) take the **serial** tier:
+the real bodies on the runtime's scheduler.  Only mid-phase
+``tryReclaim`` elections, in-forall token registration with >1 task per
+locale and full-detail tracing fall back to the interpreter — which ``compiled-strict`` turns
 into an error.  The decision table is :func:`repro.engine.compiled_plan`;
 see docs/ENGINE.md.
 """

@@ -16,7 +16,7 @@ Two sources feed the registry:
 
 Everything here is pure post-processing: folding the same deterministic
 event stream always yields the same registry, so ``extra.obs`` inherits
-the trace's bit-identity across repeats, pool sizes, and engines.
+the trace's bit-identity across repeats and engines.
 """
 
 from __future__ import annotations

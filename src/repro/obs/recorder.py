@@ -3,8 +3,8 @@
 A :class:`TraceRecorder` collects structured events stamped with *virtual*
 time into per-locale append buffers; :meth:`TraceRecorder.events` merges
 them by ``(virtual_time, locale, seq)`` into one stream that is
-bit-identical across repeated runs, worker-pool sizes, and execution
-engines (docs/OBSERVABILITY.md).  Wall-clock never appears in an event —
+bit-identical across repeated runs and execution engines
+(docs/OBSERVABILITY.md).  Wall-clock never appears in an event —
 the trace describes the simulated machine, not the simulating one.
 
 Detail ladder (the ``trace`` knob of :class:`~repro.runtime.config.
@@ -16,17 +16,16 @@ like ``engine``):
 * ``spans`` — root-driven events only: ``forall``/``coforall``/``timed``
   spans, policy decisions with the facts they saw, and reclaimer
   scan/advance/drain summaries.  These are all emitted from sequential
-  root-task code between joins, so the stream is deterministic under any
-  worker-pool size and identical across engines (the compiled executor
-  emits the same spans from its phase replay).
+  root-task code between joins, so the stream is identical across
+  engines (the compiled executor emits the same spans from its phase
+  replay).
 * ``full`` — adds per-op charge events (with distance class and target),
   ServicePoint serve events (queue delay and idle-bank deltas), uplink
-  batch flushes, and reclaimer pin/retire events.  Per-serve values are
-  only deterministic under one canonical schedule, so ``full`` forces
-  task-inline serial execution — spawn-submission order, exactly the
-  schedule the compiled engine replays — leaving virtual time unchanged
-  by the engine's pool-size-invariance contract.  The compiled engine
-  takes its documented interpreter fallback at this detail.
+  batch flushes, and reclaimer pin/retire events.  Their order is the
+  runtime's one schedule (:mod:`repro.runtime.tasking`), the same with
+  tracing on or off, so recording never changes what is recorded.  The
+  compiled engine takes its documented interpreter fallback at this
+  detail.
 
 Determinism discipline for emitters: an event's ``t`` is a virtual time
 computed by the simulation (never wall clock); events carry names and
@@ -219,9 +218,9 @@ class TraceRecorder:
         """The merged event stream, ordered by ``(t, loc, seq)``.
 
         Per-locale buffers are appended in deterministic order (root-only
-        at ``spans``; serial schedule at ``full``), and ``seq`` is unique
+        at ``spans``; the one schedule at ``full``), and ``seq`` is unique
         per locale, so the merge — and therefore every export — is
-        bit-identical across repeats, pool sizes, and engines.
+        bit-identical across repeats and engines.
         """
         merged: List[Dict[str, Any]] = []
         for buf in self._buffers:

@@ -26,7 +26,7 @@ identity, or arrival order.  Epoch decisions run at the root-driven
 reclaim points of the workload discipline (:mod:`repro.bench.workloads`);
 window observations accumulate under commutative-exact folds (integer
 counts and floating-point ``max`` — never float sums) so the adaptive
-state is independent of real-thread interleaving, and the window itself
+state is independent of task order, and the window itself
 mutates only at sequential root-driven tick points.
 
 See docs/POLICY.md for the protocol, the per-policy semantics, and the

@@ -20,11 +20,11 @@ Every input a policy may consult is a **virtual-time fact**: pending
 retirement counts, virtual pin timestamps, batch occupancy against the
 window, and the uplink :class:`~repro.runtime.clock.ServicePoint`'s
 queueing delay.  Wall-clock time, thread ids, and arrival order are
-forbidden — they vary across runs and pool sizes, and any decision
-derived from them would break the engine's bit-identical determinism
-invariant (docs/ENGINE.md).  Accumulation inside :meth:`observe` must be
-commutative-exact (integer adds, float ``max``) because concurrent tasks
-may observe batches in any real-time order.
+forbidden — they are host-side facts, and any decision derived from them
+would break the engine's bit-identical determinism invariant
+(docs/ENGINE.md).  Accumulation inside :meth:`observe` must be
+commutative-exact (integer adds, float ``max``) so the state does not
+depend on the order in which tasks observe batches.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ commutative-exact folds — integer adds and float ``max`` — under a real
 (zero-virtual-cost) lock; the fold order can never change the
 accumulated state.  The window itself moves only in :meth:`tick`, called
 at sequential root-driven reclaim points, so the sequence of windows is
-bit-identical across repeats and worker-pool sizes.
+bit-identical across repeats.
 """
 
 from __future__ import annotations

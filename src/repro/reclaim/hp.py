@@ -207,8 +207,7 @@ class HazardPointerReclaimer(ReclaimerBase):
         from quiescent root calls; a guard's own mid-phase threshold
         scan samples just the buffers it is about to drain — other
         guards' buffers are concurrently mutating, and reading their
-        lengths would make the reported peak depend on real-thread
-        interleaving.
+        lengths would make the reported peak depend on task order.
         """
         self._check_alive()
         self._reclaim_attempts += 1

@@ -90,7 +90,7 @@ class ServicePoint:
 
     Out-of-order arrivals (the idle bank)
     -------------------------------------
-    Because simulated tasks execute on real threads, a task may *really*
+    Because simulated tasks run one after another, a task may *really*
     run ahead of another and reserve server time far into the virtual
     future; a second task whose operations are virtually *earlier* must
     not be queued behind those reservations — on the real machine the two
@@ -102,8 +102,8 @@ class ServicePoint:
     — the server never performs more than one second of service per second
     of virtual time — which is exactly the property that makes hot atomics
     and AM-swamped progress threads serialize, while the precise placement
-    of individual gaps (unknowable under real-thread scheduling) is
-    approximated.
+    of individual gaps (which would need a virtual-time-ordered
+    scheduler) is approximated.
 
     The accumulated ``busy_time`` and ``served`` counters are exposed for
     diagnostics: utilization of the global-epoch locale's progress thread is

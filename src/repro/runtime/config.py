@@ -22,7 +22,6 @@ back from the result instead of parsing them again.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
@@ -48,8 +47,8 @@ __all__ = [
 RECLAIMER_SCHEMES = ("ebr", "hp", "qsbr", "ibr")
 
 #: Workload execution engines (see :mod:`repro.engine` and docs/ENGINE.md):
-#: ``"interpreted"`` charges every operation as it happens on real worker
-#: threads; ``"compiled"`` lets workloads lower fixed op streams into
+#: ``"interpreted"`` charges every operation as it happens inside the
+#: task bodies; ``"compiled"`` lets workloads lower fixed op streams into
 #: columnar batches replayed serially; ``"compiled-strict"`` is the same
 #: engine with fallback turned into an error (a coverage gate — any phase
 #: the generators cannot lower raises ``CompiledFallbackError`` instead of
@@ -129,8 +128,8 @@ class RuntimeConfig:
         :data:`repro.comm.costs.DEFAULT_COSTS`.
     tasks_per_locale:
         Default number of worker tasks a ``forall`` spawns per locale.
-        (The paper's machine ran 44; the simulator defaults low because
-        each task is a real thread.)
+        (The paper's machine ran 44; the simulator defaults low to keep
+        host time small.)
     seed:
         Seed for all task-local RNGs (an int, not a bool); sweeps derive
         per-task seeds from it deterministically.
@@ -140,12 +139,9 @@ class RuntimeConfig:
         ``"hp"`` (per-task hazard pointers), ``"qsbr"`` (quiescent-state
         based) or ``"ibr"`` (interval-based).  See docs/RECLAMATION.md.
     worker_pool_size:
-        Maximum real threads in the runtime's persistent
-        :class:`~repro.runtime.tasking.WorkerPool`.  ``None`` (the default)
-        resolves to ``max(2, os.cpu_count())`` — enough for genuine
-        interleavings without GIL convoying.  Virtual-time results are
-        independent of this knob (see docs/ENGINE.md); it only trades real
-        parallelism against scheduler overhead.
+        Accepted and validated (``None`` or an integer >= 1) but has no
+        effect: every task runs on the thread that joins it, from the
+        runtime's run queue (see :mod:`repro.runtime.tasking`).
     heap_base:
         First virtual address each per-locale heap hands out. Nonzero so
         that the compressed representation of ``nil`` (0) can never collide
@@ -173,7 +169,7 @@ class RuntimeConfig:
     engine:
         Workload execution engine (see :data:`ENGINES` and
         docs/ENGINE.md): ``"interpreted"`` (the default) runs op streams
-        on real worker threads charging per operation; ``"compiled"``
+        in the task bodies charging per operation; ``"compiled"``
         asks workload generators to lower their fixed op streams into
         columnar batches replayed by :mod:`repro.engine`.  Virtual
         results are bit-identical either way — the knob trades wall-clock
@@ -186,11 +182,9 @@ class RuntimeConfig:
         installed, hot paths pay at most one attribute check),
         ``"spans"`` (root-driven phase/policy/reclaim events), or
         ``"full"`` (adds per-op charges, ServicePoint serves, uplink
-        batches, and guard events; forces inline-serial task execution
-        for a canonical schedule — virtual time is unchanged by the
-        pool-size-invariance contract).  Like ``engine``, this is a run
-        option: it never changes virtual results and is never recorded
-        in baselines.
+        batches, and guard events).  Like ``engine``, this is a run
+        option: it never changes the schedule or virtual results and is
+        never recorded in baselines.
     policy:
         Virtual-time policy axis (see :mod:`repro.policy` and
         docs/POLICY.md): one spec string naming an epoch-advance policy
@@ -336,9 +330,3 @@ class RuntimeConfig:
     def uses_network_atomics(self) -> bool:
         """True when 64-bit atomics ride the NIC (the `ugni` behaviour)."""
         return self.network is NetworkType.UGNI
-
-    def resolved_worker_pool_size(self) -> int:
-        """The effective worker-pool bound (default: ``max(2, cpu_count)``)."""
-        if self.worker_pool_size is not None:
-            return self.worker_pool_size
-        return max(2, os.cpu_count() or 1)

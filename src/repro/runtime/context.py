@@ -45,11 +45,11 @@ class TaskContext:
     seed:
         Seed of the task-private PRNG, derived by the spawner from the
         runtime seed and ``task_id`` so workloads are reproducible
-        regardless of thread scheduling.  ``None`` seeds from the OS.
+        regardless of task order.  ``None`` seeds from the OS.
     diag_rows:
         Cache of the executing thread's comm-diagnostics stripe (set
         lazily by the first charged operation).  Valid for the task's
-        whole life because a task runs start-to-finish on one real thread;
+        whole life because a task runs start-to-finish on one thread;
         saves a thread-local lookup on every charged operation.
     """
 

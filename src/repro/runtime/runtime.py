@@ -43,7 +43,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import threading
-import weakref
 from typing import (
     Any,
     Callable,
@@ -143,11 +142,6 @@ class Runtime:
         self._tracer = None
         #: The recorder again iff the detail is ``full`` (per-op events).
         self._full_tracer = None
-        #: Full-detail tracing forces the canonical inline-serial task
-        #: schedule (see TaskGroup.spawn) so per-serve micro-values are
-        #: deterministic; virtual time is unchanged by the pool-size
-        #: invariance contract.
-        self._inline_tasks = False
         if config.trace != "off":
             from ..obs import TraceRecorder
 
@@ -155,7 +149,6 @@ class Runtime:
             self._tracer = tracer
             if tracer.wants_full:
                 self._full_tracer = tracer
-                self._inline_tasks = True
                 self.network.install_tracer(tracer)
         #: The simulated nodes.
         self.locales: List[Locale] = [
@@ -165,13 +158,8 @@ class Runtime:
         self._task_id_lock = threading.Lock()
         self._privatized: List[Any] = []
         self._privatized_lock = threading.Lock()
-        # Persistent worker pool: created lazily on first spawn, reused by
-        # every coforall/forall, torn down on close() or GC (the finalizer
-        # must not reference `self`, or the runtime could never be
-        # collected and pool threads would leak across benchmark sweeps).
-        self._pool: Optional[WorkerPool] = None
-        self._pool_init_lock = threading.Lock()
-        self._pool_finalizer: Optional[weakref.finalize] = None
+        #: Spawned tasks not yet started, drained by joins (see tasking).
+        self._run_queue = WorkerPool()
 
     # ------------------------------------------------------------------
     # identity helpers
@@ -218,32 +206,12 @@ class Runtime:
             return next(self._task_ids)
 
     # ------------------------------------------------------------------
-    # worker-pool lifecycle
+    # lifecycle
     # ------------------------------------------------------------------
-    def _worker_pool(self) -> WorkerPool:
-        """The runtime's persistent task pool (lazily created, then reused)."""
-        pool = self._pool
-        if pool is None:
-            with self._pool_init_lock:
-                pool = self._pool
-                if pool is None:
-                    pool = WorkerPool(self.config.resolved_worker_pool_size())
-                    self._pool_finalizer = weakref.finalize(
-                        self, WorkerPool.shutdown, pool
-                    )
-                    self._pool = pool
-        return pool
-
     def close(self) -> None:
-        """Shut down the worker pool (idempotent; implied by GC).
-
-        Call between sweep points, or rely on the garbage-collection
-        finalizer — pool threads are daemons either way, so forgetting to
-        close never hangs interpreter exit.
-        """
-        fin = self._pool_finalizer
-        if fin is not None:
-            fin()
+        """Release the runtime (a no-op: tasks run on joining threads, so
+        there is nothing to shut down).  Kept with the context manager so
+        sweeps may scope a runtime with ``with Runtime(...)``."""
 
     def __enter__(self) -> "Runtime":
         return self
@@ -499,14 +467,19 @@ class Runtime:
             intent from the paper).  If the value has a ``close()`` method
             it is invoked when the task finishes (automatic unregister).
         tasks_per_locale:
-            Worker tasks per locale; defaults to the runtime config.
+            Worker tasks per locale, an integer >= 1; ``None`` (the
+            default) takes the runtime config's.
         owner_of:
             Optional override mapping ``(item, index) -> locale id``;
             defaults to ``index % num_locales`` (a Cyclic distribution).
         """
+        tpl = self.config.tasks_per_locale if tasks_per_locale is None else tasks_per_locale
+        if not isinstance(tpl, int) or isinstance(tpl, bool) or tpl < 1:
+            raise ValueError(
+                f"tasks_per_locale must be an integer >= 1 or None, got {tpl!r}"
+            )
         ctx = current_context()
         data = list(items)
-        tpl = tasks_per_locale or self.config.tasks_per_locale
         nloc = self.num_locales
         tr = self._tracer
         t0 = ctx.clock.now if tr is not None else 0.0

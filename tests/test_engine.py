@@ -1,4 +1,4 @@
-"""Execution-engine tests: pool lifecycle, route tables, striped counters.
+"""Execution-engine tests: the scheduler, route tables, striped counters.
 
 Covers the engine-overhaul invariants:
 
@@ -7,9 +7,10 @@ Covers the engine-overhaul invariants:
   ``serve_locked`` equivalence the one-lock-cycle cell design relies on.
 * Virtual-time determinism: seeded workloads produce bit-identical
   ``timed()`` results and comm totals run-to-run and across worker-pool
-  sizes (the "independent of real-thread scheduling" contract).
-* Worker-pool behaviour: lazy creation, thread reuse across constructs,
-  bounded growth, join-helping for nested fork/join, teardown on close.
+  sizes (the one-scheduler contract: the pool size has no effect).
+* The scheduler: joins drain one FIFO run queue on the calling thread
+  (siblings queued first run first), nested fork/join completes and
+  starts no thread, and a task joining its own group fails loudly.
 * Diagnostics: exact counts under concurrency (striping), the stopped
   fast path, and single-point rejection of unknown op names.
 * Charges: the one-step control-plane charges and every atomic type's
@@ -38,6 +39,8 @@ from repro.core.epoch_manager import EpochManagerStats
 from repro.memory import NIL
 from repro.runtime import Runtime, RuntimeConfig, ServicePoint, TaskClock
 from repro.runtime.context import TaskContext, context_scope
+from repro.runtime.tasking import TaskGroup
+from repro.bench.scenarios import get_scenario, run_scenario
 from repro.bench.workloads import run_atomic_mix, run_epoch_workload
 from repro.errors import RuntimeStateError
 
@@ -161,47 +164,115 @@ class TestVirtualTimeDeterminism:
         assert _fig7_sample(1) == _fig7_sample(4)
 
 
+def _election_sample(locales, pool, trace):
+    """Fig 5's contended shape: every pin/unpin calls ``tryReclaim``, so
+    concurrent elections decide ``advances``."""
+    spec = get_scenario("paper-reclaim-endonly").with_topology(
+        locales=locales,
+        network="none",
+        tasks_per_locale=1,
+        worker_pool_size=pool,
+        trace=trace,
+    ).with_workload(reclaim_every=1, ops_per_task=16, remote_percent=50)
+    result = run_scenario(spec).result
+    em = result.extra["em"]
+    return result.elapsed, em["advances"], em["reclaim_attempts"]
+
+
+class TestScheduleDeterminism:
+    """One scheduler means schedule-scoped shapes repeat exactly, and
+    neither the pool size nor full tracing changes the schedule."""
+
+    @pytest.mark.parametrize("locales", [4, 8])
+    def test_elections_repeat_across_pool_sizes_and_trace(self, locales):
+        seen = {
+            _election_sample(locales, pool, trace)
+            for _ in range(2)
+            for pool in (1, 4)
+            for trace in ("off", "full")
+        }
+        assert len(seen) == 1
+
+    def test_saturated_hotspot_equals_compiled_replay(self):
+        """``hotspot-zipf`` at 64 locales x 2 tasks saturates locale 0's
+        NIC; the interpreted run equals the compiled spawn-order replay."""
+        base = get_scenario("hotspot-zipf").with_topology(locales=64)
+        interpreted = run_scenario(
+            base.with_topology(engine="interpreted", worker_pool_size=1)
+        ).result.elapsed
+        compiled = run_scenario(
+            base.with_topology(engine="compiled-strict")
+        ).result.elapsed
+        assert interpreted == compiled == 0.006364240000001693
+
+
 # ---------------------------------------------------------------------------
-# Worker pool lifecycle
+# The scheduler: a FIFO run queue drained by joining tasks
 # ---------------------------------------------------------------------------
 
 
 class TestWorkerPool:
-    def test_pool_created_lazily(self):
+    def test_join_runs_queued_siblings_before_own_children(self):
+        """FIFO: a task joining its children first runs the siblings that
+        were queued before them."""
+        rt = Runtime(num_locales=3, network="none")
+        order = []
+
+        def inner(lid):
+            order.append(("inner", rt.here()))
+
+        def outer(lid):
+            order.append(("outer", lid))
+            if lid == 0:
+                rt.coforall_locales(inner, locales=[0, 1])
+
+        rt.run(lambda: rt.coforall_locales(outer))
+        assert order == [
+            ("outer", 0), ("outer", 1), ("outer", 2), ("inner", 0), ("inner", 1)
+        ]
+
+    def test_nested_coforall_starts_no_thread(self):
+        rt = Runtime(num_locales=4, network="none")
+        before = threading.active_count()
+        counts = []
+
+        def inner(lid):
+            counts.append(threading.active_count())
+
+        def outer(lid):
+            rt.coforall_locales(inner)
+
+        rt.run(lambda: rt.coforall_locales(outer))
+        rt.run(lambda: rt.forall(range(64), lambda i: None))
+        assert len(counts) == 16
+        assert set(counts) == {before}
+        assert threading.active_count() == before
+
+    def test_task_joining_its_own_group_raises(self):
+        """A join whose group is pending with an empty queue can never
+        finish: it raises from ``WorkerPool.wait`` instead of hanging."""
         rt = Runtime(num_locales=2, network="none")
-        assert rt._pool is None
-        rt.run(lambda: rt.forall(range(4), lambda i: None))
-        assert rt._pool is not None
-        rt.close()
+        own, other = TaskGroup(rt), TaskGroup(rt)
+        caught = []
 
-    def test_threads_reused_and_bounded_across_constructs(self):
-        cfg = RuntimeConfig(num_locales=4, network="none", worker_pool_size=2)
-        rt = Runtime(config=cfg)
+        def join_own_group():
+            try:
+                own.join()
+            except RuntimeStateError as exc:
+                caught.append(str(exc))
 
-        def main():
-            for _ in range(10):
-                rt.coforall_locales(lambda lid: None)
-                rt.forall(range(32), lambda i: None)
+        own.spawn(join_own_group, (), locale_id=0, start_time=0.0)
+        other.spawn(lambda: None, (), locale_id=1, start_time=0.0)
+        # other's join runs the queued own-task first (FIFO); its join of
+        # its own group drains other's task, then finds itself pending.
+        other.join()
+        assert len(caught) == 1 and "none runnable" in caught[0]
 
-        rt.run(main)
-        pool = rt._pool
-        assert pool is not None
-        assert pool.thread_count <= 2
-        rt.close()
-
-    def test_close_shuts_down_pool_and_is_idempotent(self):
-        rt = Runtime(num_locales=2, network="none")
-        rt.run(lambda: rt.forall(range(4), lambda i: None))
-        pool = rt._pool
-        rt.close()
-        assert pool.is_shutdown
-        rt.close()  # idempotent
-
-    def test_context_manager_closes(self):
+    def test_close_and_context_manager_are_noops(self):
         with Runtime(num_locales=2, network="none") as rt:
             rt.run(lambda: rt.forall(range(4), lambda i: None))
-            pool = rt._pool
-        assert pool.is_shutdown
+        rt.close()
+        rt.run(lambda: rt.forall(range(4), lambda i: None))
 
     def test_nested_coforall_completes_on_single_worker(self):
         """Join-helping: nested fork/join can't deadlock a bounded pool."""
@@ -239,7 +310,7 @@ class TestWorkerPool:
     def test_worker_pool_size_validated(self):
         with pytest.raises(ValueError):
             RuntimeConfig(num_locales=2, worker_pool_size=0)
-        assert RuntimeConfig(num_locales=2).resolved_worker_pool_size() >= 1
+        assert RuntimeConfig(num_locales=2, worker_pool_size=3).worker_pool_size == 3
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +413,6 @@ class TestRoutePrecompilation:
         assert rt.network.atomic_class_routes(0) is t0
         assert rt.network.atomic_class_routes(1) is not t0
         rt.close()
-
-    def test_spawn_after_pool_shutdown_raises(self):
-        rt = Runtime(num_locales=2, network="none")
-        rt.run(lambda: rt.forall(range(2), lambda i: None))
-        rt.close()
-        with pytest.raises(RuntimeStateError):
-            rt.run(lambda: rt.forall(range(2), lambda i: None))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 
 import pytest
 
@@ -162,40 +161,6 @@ class TestTaskGroup:
             group.spawn(work, (), locale_id=0, start_time=0.0)
         group.join()
         assert len(set(draws)) == 4
-
-    def test_join_never_parks_after_last_child_finished(self, rt):
-        """The joiner checks ``_pending`` under the group lock but parks
-        under the pool's helper lock; a child finishing between the two
-        must not leave it asleep until the timeout backstop."""
-        pool = rt._worker_pool()
-        group = TaskGroup(rt)
-        go = threading.Event()
-        windows = []
-        parked = []
-
-        def try_pop():
-            # Runs after the joiner saw _pending != 0 and before it parks:
-            # let the (blocked) child finish inside that window.
-            windows.append(group._pending)
-            go.set()
-            deadline = time.monotonic() + 5.0
-            while group._pending and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return None
-
-        real_wait = pool._helpers.wait
-
-        def spy_wait(timeout=None):
-            parked.append(group._pending)
-            return real_wait(timeout)
-
-        pool.try_pop = try_pop
-        pool._helpers.wait = spy_wait
-        group.spawn(lambda: go.wait(5.0), (), locale_id=0, start_time=0.0)
-        group.join()
-        assert windows == [1]
-        assert group._pending == 0
-        assert parked == []
 
 
 class TestLazyTaskRng:

@@ -122,7 +122,6 @@ class TestTraceOff:
     def test_default_installs_no_recorder(self, rt):
         assert rt._tracer is None
         assert rt._full_tracer is None
-        assert not rt._inline_tasks
         for nic in rt.network.nic:
             assert nic._tracer is None
 

@@ -181,6 +181,32 @@ class TestForall:
 
         assert rt.run(main) > 0.0
 
+    def test_negative_tasks_per_locale_rejected(self, rt):
+        seen = []
+        with pytest.raises(ValueError, match="tasks_per_locale"):
+            rt.run(lambda: rt.forall(range(8), seen.append, tasks_per_locale=-1))
+        assert seen == []
+
+    def test_zero_tasks_per_locale_rejected_not_defaulted(self, rt):
+        seen = []
+        with pytest.raises(ValueError, match="tasks_per_locale"):
+            rt.run(lambda: rt.forall(range(8), seen.append, tasks_per_locale=0))
+        assert seen == []
+
+    @pytest.mark.parametrize("bad", [1.5, "2", True])
+    def test_non_integer_tasks_per_locale_rejected(self, rt, bad):
+        with pytest.raises(ValueError, match="tasks_per_locale"):
+            rt.run(lambda: rt.forall(range(8), lambda i: None, tasks_per_locale=bad))
+
+    def test_none_tasks_per_locale_takes_config_default(self, rt):
+        tasks = set()
+
+        def body(i):
+            tasks.add(current_context().task_id)
+
+        rt.run(lambda: rt.forall(range(64), body, tasks_per_locale=None))
+        assert len(tasks) == rt.num_locales * rt.config.tasks_per_locale
+
 
 class TestCoforallLocales:
     def test_one_task_per_locale(self, rt):
