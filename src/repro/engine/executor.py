@@ -71,7 +71,8 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
     locale=home)`` per entry of ``targets``, in order.
 
     The heap allocations happen for real (the objects must exist for the
-    retire/free paths that follow), but the per-object network charge —
+    retire/free paths that follow), one :meth:`~repro.memory.heap.Heap.alloc_many`
+    batch per home after the charges, but the per-object network charge —
     an AM round trip to a non-coherent home plus the allocator latency
     (:meth:`repro.comm.network.NetworkModel.alloc`) — is served directly on
     the control-plane points.  The epoch
@@ -104,8 +105,6 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
 
     now = ctx.clock.now
     n_am = 0
-    out: List[Any] = []
-    append = out.append
     for home in targets:
         plan = plans[home]
         if plan is not None:
@@ -113,12 +112,15 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
             n_am += 1
             now = point.serve_locked(now + latency, service)
         now += alloc_latency
-        append(heaps[home].alloc(object()))
     ctx.clock.now = now
     diags = net.diags
     if n_am and diags._enabled:
         diags._rows()[lid][diags.op_index("am")] += n_am
-    return out
+    # One batch per home, scattered back in target order.
+    batches = {
+        home: iter(heaps[home].alloc_many(n)) for home, n in Counter(targets).items()
+    }
+    return [next(batches[home]) for home in targets]
 
 
 # ---------------------------------------------------------------------------

@@ -311,28 +311,31 @@ class Runtime:
         """
         if is_nil(addr):
             raise LocaleError("deref of nil GlobalAddress")
+        heap = self.locale(addr.locale).heap
         ctx = maybe_context()
         if ctx is not None:
             self.network.read(ctx, addr.locale, nbytes=64)
-        return self.locale(addr.locale).heap.load(addr.offset)
+        return heap.load(addr.offset)
 
     def put(self, addr: GlobalAddress, payload: Any) -> None:
         """Replace the object at ``addr`` (a PUT when remote)."""
         if is_nil(addr):
             raise LocaleError("put to nil GlobalAddress")
+        heap = self.locale(addr.locale).heap
         ctx = maybe_context()
         if ctx is not None:
             self.network.write(ctx, addr.locale, nbytes=64)
-        self.locale(addr.locale).heap.store(addr.offset, payload)
+        heap.store(addr.offset, payload)
 
     def free(self, addr: GlobalAddress) -> None:
         """Free the allocation at ``addr`` (remote free = RPC)."""
         if is_nil(addr):
             raise LocaleError("free of nil GlobalAddress")
+        heap = self.locale(addr.locale).heap
         ctx = maybe_context()
         if ctx is not None:
             self.network.free(ctx, addr.locale)
-        self.locale(addr.locale).heap.free(addr.offset)
+        heap.free(addr.offset)
 
     def free_bulk(
         self, locale_id: int, offsets: Sequence[int], *, rpc: bool = True
@@ -345,11 +348,12 @@ class Runtime:
         the aggregation layer (:mod:`repro.comm.aggregation`) uses it when
         the crossing was already charged as part of a coalesced batch.
         """
+        heap = self.locale(locale_id).heap
         offs = list(offsets)
         ctx = maybe_context()
         if ctx is not None:
             self.network.bulk_free(ctx, locale_id, len(offs), rpc=rpc)
-        return self.locale(locale_id).heap.free_bulk(offs)
+        return heap.free_bulk(offs)
 
     def is_live(self, addr: GlobalAddress) -> bool:
         """Liveness check (no cost; testing / assertions)."""

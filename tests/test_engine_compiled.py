@@ -26,10 +26,11 @@ from repro.bench.workloads import (
     run_multi_structure,
     run_producer_consumer,
 )
-from repro.engine import COLUMN_CACHE, compiled_plan, engine_summary
+from repro.engine import COLUMN_CACHE, compiled_plan, engine_summary, run_alloc_phase
 from repro.engine.opstream import fast_randbelow, mix_column, zipf_column
 from repro.errors import CompiledFallbackError
 from repro.runtime.config import RECLAIMER_SCHEMES, RuntimeConfig
+from repro.runtime.context import current_context
 from repro.runtime.runtime import Runtime
 
 
@@ -462,6 +463,42 @@ class TestPointStateInPlace:
         )
         assert tiers.get("columnar", 0) > 0  # the replay actually ran
         assert compiled == interpreted
+
+
+class TestAllocPhase:
+    """``run_alloc_phase`` equals the interpreted ``new_obj`` loop it
+    replays: addresses, root clock, AM count and every heap's stats."""
+
+    @staticmethod
+    def _run(phase):
+        rt = Runtime(config=RuntimeConfig(num_locales=8, topology="hier:2x2"))
+        try:
+            for loc in rt.locales:  # a free list to reuse from, LIFO
+                addrs = [loc.heap.alloc(i) for i in range(6)]
+                for a in addrs[1::2]:
+                    loc.heap.free(a.offset)
+            rng = random.Random(24)
+            targets = [
+                rng.randrange(1, 8) if rng.random() < 0.5 else 0 for _ in range(200)
+            ]
+
+            def main():
+                return phase(rt, targets), current_context().clock.now
+
+            addrs, now = rt.run(main)
+            stats = [loc.heap.snapshot_stats() for loc in rt.locales]
+            return addrs, now, rt.comm_totals()["am"], stats
+        finally:
+            rt.close()
+
+    def test_matches_interpreted_new_obj_loop(self):
+        def interpreted(rt, targets):
+            return [rt.new_obj(object(), locale=t) for t in targets]
+
+        replayed = self._run(run_alloc_phase)
+        assert replayed == self._run(interpreted)
+        assert replayed[2] > 0  # the non-coherent homes paid AMs
+        assert any(s.reuses for s in replayed[3])
 
 
 class TestCompilationCache:

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import (
     CompressionError,
     DoubleFreeError,
+    HeapExhaustedError,
     InvalidAddressError,
     TooManyLocalesError,
     UseAfterFreeError,
@@ -181,6 +182,78 @@ class TestHeap:
         addrs = [h.alloc(i) for i in range(5)]
         assert h.free_bulk([a.offset for a in addrs]) == 5
         assert h.live_count == 0
+
+    def test_free_bulk_stops_at_first_double_free(self):
+        h = Heap(0)
+        a, b, c, d, e = (h.alloc(i).offset for i in range(5))
+        h.free(c)
+        with pytest.raises(DoubleFreeError):
+            h.free_bulk([a, b, c, d, e])
+        assert [h.is_live(o) for o in (a, b, c, d, e)] == [False, False, False, True, True]
+        s = h.snapshot_stats()
+        assert (s.allocations, s.frees, s.live) == (5, 3, 2)
+        assert h.live_count == 2
+        assert h.alloc("z").offset == b  # the batch's frees went on the list in order
+
+    def test_free_bulk_duplicate_offset_raises(self):
+        h = Heap(0)
+        a, b = h.alloc("a").offset, h.alloc("b").offset
+        with pytest.raises(DoubleFreeError):
+            h.free_bulk([a, b, a])
+        s = h.snapshot_stats()
+        assert (s.frees, s.live) == (2, 0)
+
+    @pytest.mark.parametrize("kind", ["misaligned", "below_base", "at_next", "past_next"])
+    def test_never_issued_offsets_are_invalid(self, kind):
+        h = Heap(0)
+        first = h.alloc("a").offset
+        h.free(h.alloc("b").offset)
+        offset = {
+            "misaligned": first + 8,
+            "below_base": first - 16,
+            "at_next": first + 32,
+            "past_next": first + 100 * 16,
+        }[kind]
+        for access in (h.load, h.free, h.generation, lambda o: h.store(o, "x")):
+            with pytest.raises(InvalidAddressError):
+                access(offset)
+        assert not h.is_live(offset)
+
+    def test_peak_live_over_alloc_free_and_bulk_free(self):
+        h = Heap(0)
+        addrs = [h.alloc(i).offset for i in range(3)]
+        assert h.stats.peak_live == 3
+        h.free(addrs.pop())
+        assert (h.stats.live, h.stats.peak_live) == (2, 3)
+        addrs += [h.alloc(i).offset for i in range(2)]
+        assert (h.stats.live, h.stats.peak_live) == (4, 4)
+        h.free_bulk(addrs[:3])
+        assert (h.stats.live, h.stats.peak_live) == (1, 4)
+        for i in range(4):
+            h.alloc(i)
+        assert (h.stats.live, h.stats.peak_live) == (5, 5)
+
+    def test_alloc_many_matches_single_allocs(self):
+        h = Heap(2)
+        a, b, c = (h.alloc(i) for i in range(3))
+        h.free(a.offset)
+        h.free(c.offset)
+        batch = h.alloc_many(3)
+        assert batch[:2] == [c, a]  # LIFO reuse first, then fresh
+        assert batch[2] == GlobalAddress(2, c.offset + 16)
+        assert len({id(h.load(x.offset)) for x in batch}) == 3
+        assert h.alloc_many(0) == []
+        with pytest.raises(ValueError):
+            h.alloc_many(-1)
+
+    def test_alloc_many_exhaustion_allocates_nothing(self):
+        h = Heap(0, base=ADDRESS_MASK - 64)  # room for three fresh slots
+        with pytest.raises(HeapExhaustedError):
+            h.alloc_many(4)
+        assert h.stats.allocations == 0
+        assert len(h.alloc_many(3)) == 3
+        with pytest.raises(HeapExhaustedError):
+            h.alloc("x")
 
     def test_stats_track_history(self):
         h = Heap(0)

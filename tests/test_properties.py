@@ -104,6 +104,30 @@ class TestHeapProperties:
         assert [a.offset for a in again] == [a.offset for a in reversed(addrs)]
 
 
+    @given(
+        prefix=st.lists(st.integers(min_value=-1, max_value=30), max_size=60),
+        n=st.integers(min_value=0, max_value=40),
+    )
+    def test_alloc_many_equals_single_allocs(self, prefix, n):
+        """After any alloc/free prefix, ``alloc_many(n)`` is ``n`` allocs."""
+        batch_heap, single_heap = Heap(1), Heap(1)
+        for h in (batch_heap, single_heap):
+            live = []
+            for step in prefix:  # -1 allocates; i frees live[i % len]
+                if step < 0 or not live:
+                    live.append(h.alloc(object()).offset)
+                else:
+                    h.free(live.pop(step % len(live)))
+        batch = batch_heap.alloc_many(n)
+        singles = [single_heap.alloc(object()) for _ in range(n)]
+        assert batch == singles
+        assert [batch_heap.generation(a.offset) for a in batch] == [
+            single_heap.generation(a.offset) for a in singles
+        ]
+        assert batch_heap.snapshot_stats() == single_heap.snapshot_stats()
+        assert all(batch_heap.is_live(a.offset) for a in batch)
+
+
 class TestAtomicArithmeticProperties:
     @given(start=words64, deltas=st.lists(words64, max_size=20))
     def test_uint_fetch_add_is_mod_2_64(self, start, deltas):

@@ -11,6 +11,7 @@ from repro.errors import (
     NoTaskContextError,
     RuntimeStateError,
 )
+from repro.memory import GlobalAddress
 from repro.runtime import current_context, maybe_context, snapshot
 
 
@@ -305,6 +306,30 @@ class TestTimedAndDiagnostics:
         assert len(s.heap_stats) == rt.num_locales
         assert s.comm_totals["amo"] == 1
         assert s.imbalance() >= 1.0 or s.imbalance() == 1.0
+
+
+class TestGlobalMemoryLocaleValidation:
+    """A bad locale raises ``LocaleError`` before any network charge."""
+
+    CALLS = {
+        "deref": lambda rt, lid: rt.deref(GlobalAddress(lid, 0x1000)),
+        "put": lambda rt, lid: rt.put(GlobalAddress(lid, 0x1000), "x"),
+        "free": lambda rt, lid: rt.free(GlobalAddress(lid, 0x1000)),
+        "free_bulk": lambda rt, lid: rt.free_bulk(lid, [0x1000, 0x1010]),
+    }
+
+    @pytest.mark.parametrize("locale_id", [-1, 4])
+    @pytest.mark.parametrize("method", sorted(CALLS))
+    def test_bad_locale_raises_without_charging(self, rt, method, locale_id):
+        call = self.CALLS[method]
+
+        def main():
+            with pytest.raises(LocaleError, match="out of range"):
+                call(rt, locale_id)
+            return current_context().clock.now
+
+        assert rt.run(main) == 0.0
+        assert sum(rt.comm_totals().values()) == 0
 
 
 class TestPrivatizationRegistry:
