@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Smoke gate: tier-1 suite, benchmark smoke run, strict scenario check.
+# Smoke gate: tier-1 suite, benchmark smoke run, scenario checks under
+# both engines.
 #
 # Run from the repo root:
 #
@@ -13,11 +14,13 @@
 # and the election workloads — against benchmarks/e2e/references.json,
 # exits 1 on any mismatch, and writes e2e_smoke.json at the repo root.
 # Its traced pass also fails on a renamed layer entry point or a
-# busy/idle layer violation.  The scenario check last re-verifies every
-# registered baseline under ``compiled-strict``, twice, and writes
-# scenario_report_compiled.json at the repo root — the registry is fully
-# lowered, so any interpreter fallback is a regression and fails the
-# gate outright, as does a repeat that differs from the first.
+# busy/idle layer violation.  The scenario checks last re-verify every
+# registered baseline twice under each engine.  The ``interpreted`` run
+# drives every simulated atomic through the cells' own charge path and
+# writes scenario_report.json; the ``compiled-strict`` run writes
+# scenario_report_compiled.json — the registry is fully lowered, so any
+# interpreter fallback is a regression and fails the gate outright, as
+# does a repeat that differs from the first.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,9 +34,15 @@ echo "== repository benchmark smoke run (pinned virtual results + layers) =="
 python3 benchmarks/e2e/run.py --smoke --layers --out e2e_smoke.json
 
 echo
+echo "== scenario baselines under the interpreted engine =="
+python -m repro.bench scenarios --all --repeats 2 --engine interpreted \
+  --out scenario_report.json
+
+echo
 echo "== scenario baselines under compiled-strict (zero fallbacks) =="
 python -m repro.bench scenarios --all --repeats 2 --engine compiled-strict \
   --out scenario_report_compiled.json
 
 echo
-echo "smoke gate OK — see e2e_smoke.json and scenario_report_compiled.json"
+echo "smoke gate OK — see e2e_smoke.json, scenario_report.json and"
+echo "scenario_report_compiled.json"

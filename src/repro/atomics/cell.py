@@ -5,59 +5,40 @@ An atomic cell lives on a *home locale* and owns a per-cell
 address pipeline — the resource that serializes concurrent operations on a
 *hot* atomic even when the rest of the machine is idle.
 
-Real-thread atomicity is provided by the cell lock (see below); virtual
-time and communication counters are charged along routes precompiled by
-the runtime's :class:`~repro.comm.network.NetworkModel`, which applies the
-paper's routing rules (CPU vs NIC vs active message) based on the
-*distance class* between the calling task's locale and the cell's home
-(see :mod:`repro.comm.topology`) and whether the runtime has network
-atomics.  The shared plan carries its home's distance row — a tuple
-mapping source locale to class index — so resolving the route on the hot
-path is one tuple index, for any topology.
+Virtual time and communication counters are charged along routes
+precompiled by the runtime's :class:`~repro.comm.network.NetworkModel`,
+which applies the paper's routing rules (CPU vs NIC vs active message)
+based on the *distance class* between the calling task's locale and the
+cell's home (see :mod:`repro.comm.topology`) and whether the runtime has
+network atomics.  The shared plan carries its home's distance row — a
+tuple mapping source locale to class index — so resolving the route on
+the hot path is one tuple index, for any topology.
 
-Lock domains (the engine's one-lock-cycle-per-op design)
---------------------------------------------------------
-Every charged operation must (a) reserve virtual time on its service
-points and (b) mutate the value atomically with respect to real threads.
-Doing those under separate locks costs two or three lock cycles per
-operation — the dominant wall-clock cost of the old engine — so every
-simulated atomic runs the whole sequence under ONE lock.  That covers the
-integer cells (:class:`~repro.atomics.integer.AtomicUInt64`,
-``AtomicInt64``, ``AtomicBool``), :class:`~repro.atomics.ref.AtomicRef`,
+Charge, then commit
+-------------------
+Every simulated atomic — the integer cells
+(:class:`~repro.atomics.integer.AtomicUInt64`, ``AtomicInt64``,
+``AtomicBool``), :class:`~repro.atomics.ref.AtomicRef`,
 :class:`~repro.atomics.wide.AtomicWide128`, and the pointer cell
 :class:`~repro.core.atomic_object.AtomicObject` (whose
 :class:`~repro.core.local_atomic_object.LocalAtomicObject` subclass
-inherits every operation and only selects the opted-out plan): all
-derive from :class:`ChargedWord`, which adopts the lock of the memoised
-:class:`~repro.comm.routes.CellPlan` for its ``(home, opt_out)``
-(``NetworkModel.cell_plan``):
+inherits every operation and only selects the opted-out plan) — derives
+from :class:`ChargedWord` and shares the memoised
+:class:`~repro.comm.routes.CellPlan` of its ``(home, opt_out)``
+(``NetworkModel.cell_plan``).  An op calls :meth:`ChargedWord._enter`,
+the one charge body, which reserves the route's home-level point (if
+any) and the cell's line; the op then commits its value change.
 
-* When every reachable narrow route of the home rides the *same*
-  home-level point (the flat ``ugni`` case: local and remote narrow
-  atomics both pass the home NIC pipeline), that point's lock is the cell
-  lock: point reservation, line reservation, and value commit all happen
-  in one critical section (``ServicePoint.serve_locked``).
-* Otherwise (``none`` network, an opted-out cell, or a multi-level
-  topology whose classes route through different points) the **line's
-  lock** is the cell lock; any home-level service point on a route keeps
-  its own lock and is served nested inside.
+Atomicity comes from the simulated hardware, not from host locks: the
+NIC pipeline and the cache line are service points in virtual time, and
+a runtime and everything it owns are used by one thread
+(docs/ENGINE.md, "One thread per runtime").  Tasks switch only between
+whole operations, never between ``_enter``'s charge and the caller's
+commit, so a charge-and-commit is indivisible.
 
-Wide (DCAS) routes always keep their point's own lock, nested inside the
-cell lock, so the lock order is always cell lock -> point lock and never
-the reverse.  Plan compilation checks the one way that could still go
-wrong: a self-locking serve of the very point whose lock the cell holds
-would deadlock on the non-reentrant lock, so ``cell_plan`` raises
-``RuntimeStateError`` instead of compiling such a plan.
-
-The line's own lock is therefore bypassed on hot paths whenever the cell
-lock is the NIC's; ``reset``/``utilization`` still take it, which is safe
-because measurement control runs at quiescent points only.
-
-:meth:`ChargedWord._enter` is the one charge body, called by every op of
-every cell: it takes the cell lock and, inside a task of the owning
-runtime, charges first; the caller commits and releases.  Operations
-charge costs only when a task context is installed; this lets unit tests
-exercise pure semantics without standing up a runtime task.
+Operations charge costs only when a task context of the owning runtime
+is installed; this lets unit tests exercise pure semantics without
+standing up a runtime task.
 """
 
 from __future__ import annotations
@@ -74,9 +55,9 @@ __all__ = ["ChargedWord", "AtomicCell"]
 
 
 class ChargedWord:
-    """Home, line, lock and charge plan shared by every simulated atomic."""
+    """Home, line and charge plan shared by every simulated atomic."""
 
-    __slots__ = ("_rt", "home", "name", "opt_out", "line", "_lock", "_plan", "_hot")
+    __slots__ = ("_rt", "home", "name", "opt_out", "line", "_plan", "_hot")
 
     def __init__(
         self,
@@ -102,60 +83,49 @@ class ChargedWord:
         # _enter.
         line._tracer = getattr(runtime, "_full_tracer", None)
         network = runtime.network
-        plan = self._plan = network.cell_plan(home, opt_out)
-        dist, lock_point, narrow, _wide = plan
-        lock = self._lock = line._lock if lock_point is None else lock_point._lock
+        self._plan = network.cell_plan(home, opt_out)
+        diags = network.diags
         #: Hot-path bundle: one attribute load + UNPACK_SEQUENCE hands
-        #: ``_enter`` everything it needs (runtime for the identity check, the
-        #: distance row, narrow steps, diagnostics, and prebound
-        #: lock/serve callables).
+        #: ``_enter`` everything it needs (runtime for the identity check,
+        #: the distance row, narrow steps, the diagnostics and their
+        #: matrix, and the line's prebound serve).
         self._hot = (
             runtime,
-            dist,
-            narrow,
-            network.diags,
-            lock.acquire,
-            lock.release,
+            self._plan.dist,
+            self._plan.narrow,
+            diags,
+            diags._rows,
             line.serve_locked,
         )
 
     def _enter(self, wide: bool) -> None:
-        """Take the cell lock, charging one atomic op first when called
-        from a task of the owning runtime.
+        """Charge one atomic op when called from a task of the owning
+        runtime; otherwise do nothing.
 
-        The caller commits its value change and then releases
-        ``self._lock``.  The route (latency class, service points,
-        diagnostic index, lock domain) was precompiled into the shared
-        plan; only the caller's locality is decided here.  Every op of
-        every cell charges through this one body.
+        The caller commits its value change after this returns.  The
+        route (latency class, service points, diagnostic index) was
+        precompiled into the shared plan; only the caller's locality is
+        decided here.  Every op of every cell charges through this one
+        body.
         """
-        rt, dist, narrow, diags, acquire, release, line_serve_locked = self._hot
+        rt, dist, narrow, diags, rows, line_serve = self._hot
         try:
             ctx = _context_tls.ctx
         except AttributeError:  # thread never entered a task scope
-            ctx = None
+            return
         if ctx is None or ctx.runtime is not rt:
-            acquire()
             return
         locale = ctx.locale_id
         diag_index, latency, outer, point_service, line_service = (
-            self._plan[3] if wide else narrow  # _plan[3] is plan.wide
+            self._plan[2] if wide else narrow  # _plan[2] is plan.wide
         )[dist[locale]]
         if diags._enabled:
-            rows = ctx.diag_rows
-            if rows is None:
-                rows = ctx.diag_rows = diags._rows()
             rows[locale][diag_index] += 1
         clock = ctx.clock
         t = clock.now + latency
-        acquire()
-        try:
-            if outer is not None:
-                t = outer(t, point_service)
-            clock.now = line_serve_locked(t, line_service)
-        except BaseException:
-            release()
-            raise
+        if outer is not None:
+            t = outer(t, point_service)
+        clock.now = line_serve(t, line_service)
 
     def reset_measurements(self) -> None:
         """Zero the cell's contention bookkeeping (between bench trials)."""

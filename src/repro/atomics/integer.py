@@ -6,9 +6,8 @@ every flag in the epoch manager's election protocol is an
 :class:`AtomicBool`, and the epoch counters are integer cells.
 :class:`~repro.core.atomic_object.AtomicObject` keeps its compressed
 pointer word itself rather than in an :class:`AtomicUInt64`, but shares
-the same base (:class:`~repro.atomics.cell.ChargedWord`), plan and lock
-domain, so a compressed pointer op costs exactly what an ``AtomicUInt64``
-op costs.
+the same base (:class:`~repro.atomics.cell.ChargedWord`) and plan, so a
+compressed pointer op costs exactly what an ``AtomicUInt64`` op costs.
 
 Semantics follow Chapel's ``atomic`` type closely:
 
@@ -72,28 +71,20 @@ class AtomicUInt64(AtomicCell):
         self._value = _to_word(initial)
 
     # -- reads / writes ---------------------------------------------------
-    # Every op charges through ChargedWord._enter, the one charge body.
-    # read/write/exchange/compare_and_swap normalize their operands before
-    # it, so their commits cannot raise and need no try/finally; the
-    # fetch_* ops compute under the lock and keep one.
+    # Every op charges through ChargedWord._enter, the one charge body,
+    # and then commits.
 
     def read(self) -> int:
         """Atomically load the current value."""
         self._enter(False)
         value = self._value
-        self._lock.release()
         return value
 
     def write(self, value: int) -> None:
-        """Atomically store ``value``.
-
-        The lock orders the store against in-flight read-modify-writes
-        (a blind store racing a fetch_add must serialize, not vanish).
-        """
+        """Atomically store ``value``."""
         value &= _MASK64
         self._enter(False)
         self._value = value
-        self._lock.release()
 
     def peek(self) -> int:
         """Non-atomic, cost-free load (test/debug instrumentation only)."""
@@ -110,7 +101,6 @@ class AtomicUInt64(AtomicCell):
         self._enter(False)
         old = self._value
         self._value = value
-        self._lock.release()
         return old
 
     def compare_and_swap(self, expected: int, desired: int) -> bool:
@@ -124,31 +114,24 @@ class AtomicUInt64(AtomicCell):
         ok = self._value == expected
         if ok:
             self._value = desired
-        self._lock.release()
         return ok
 
     def compare_exchange(self, expected: int, desired: int) -> Tuple[bool, int]:
         """CAS returning ``(success, observed_value)``."""
         expected &= _MASK64
         self._enter(False)
-        try:
-            observed = self._value
-            if observed == expected:
-                self._value = desired & _MASK64
-                return True, observed
-            return False, observed
-        finally:
-            self._lock.release()
+        observed = self._value
+        if observed == expected:
+            self._value = desired & _MASK64
+            return True, observed
+        return False, observed
 
     def fetch_add(self, delta: int) -> int:
         """Atomically add ``delta`` (mod 2**64); return the previous value."""
         self._enter(False)
-        try:
-            old = self._value
-            self._value = (old + delta) & _MASK64
-            return old
-        finally:
-            self._lock.release()
+        old = self._value
+        self._value = (old + delta) & _MASK64
+        return old
 
     def add(self, delta: int) -> None:
         """Atomically add ``delta`` (result discarded)."""
@@ -165,32 +148,23 @@ class AtomicUInt64(AtomicCell):
     def fetch_or(self, bits: int) -> int:
         """Atomic bitwise OR; returns the previous value."""
         self._enter(False)
-        try:
-            old = self._value
-            self._value = (old | bits) & _MASK64
-            return old
-        finally:
-            self._lock.release()
+        old = self._value
+        self._value = (old | bits) & _MASK64
+        return old
 
     def fetch_and(self, bits: int) -> int:
         """Atomic bitwise AND; returns the previous value."""
         self._enter(False)
-        try:
-            old = self._value
-            self._value = (old & bits) & _MASK64
-            return old
-        finally:
-            self._lock.release()
+        old = self._value
+        self._value = (old & bits) & _MASK64
+        return old
 
     def fetch_xor(self, bits: int) -> int:
         """Atomic bitwise XOR; returns the previous value."""
         self._enter(False)
-        try:
-            old = self._value
-            self._value = (old ^ bits) & _MASK64
-            return old
-        finally:
-            self._lock.release()
+        old = self._value
+        self._value = (old ^ bits) & _MASK64
+        return old
 
 
 class AtomicInt64(AtomicUInt64):
@@ -206,7 +180,6 @@ class AtomicInt64(AtomicUInt64):
         """Atomically load, interpreted as signed."""
         self._enter(False)
         value = self._value
-        self._lock.release()
         return value - _TWO64 if value & _SIGN_BIT else value
 
     def peek(self) -> int:
@@ -219,7 +192,6 @@ class AtomicInt64(AtomicUInt64):
         self._enter(False)
         old = self._value
         self._value = value
-        self._lock.release()
         return old - _TWO64 if old & _SIGN_BIT else old
 
     def compare_exchange(self, expected: int, desired: int) -> Tuple[bool, int]:
@@ -272,7 +244,6 @@ class AtomicBool(AtomicCell):
         """Atomically load the flag."""
         self._enter(False)
         value = self._value
-        self._lock.release()
         return value
 
     def write(self, value: bool) -> None:
@@ -280,7 +251,6 @@ class AtomicBool(AtomicCell):
         value = bool(value)
         self._enter(False)
         self._value = value
-        self._lock.release()
 
     def peek(self) -> bool:
         """Cost-free load (tests only)."""
@@ -292,7 +262,6 @@ class AtomicBool(AtomicCell):
         self._enter(False)
         old = self._value
         self._value = value
-        self._lock.release()
         return old
 
     def test_and_set(self) -> bool:
@@ -315,5 +284,4 @@ class AtomicBool(AtomicCell):
         ok = self._value == expected
         if ok:
             self._value = desired
-        self._lock.release()
         return ok

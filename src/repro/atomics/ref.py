@@ -52,14 +52,12 @@ class AtomicRef(AtomicCell):
         """Atomically load the referenced object."""
         self._enter(False)
         value = self._value
-        self._lock.release()
         return value
 
     def write(self, value: Any) -> None:
         """Atomically store ``value``."""
         self._enter(False)
         self._value = value
-        self._lock.release()
 
     def peek(self) -> Any:
         """Cost-free load (tests only)."""
@@ -70,7 +68,6 @@ class AtomicRef(AtomicCell):
         self._enter(False)
         old = self._value
         self._value = value
-        self._lock.release()
         return old
 
     def compare_and_swap(self, expected: Any, desired: Any) -> bool:
@@ -79,7 +76,6 @@ class AtomicRef(AtomicCell):
         ok = self._value is expected
         if ok:
             self._value = desired
-        self._lock.release()
         return ok
 
     def compare_exchange(self, expected: Any, desired: Any) -> Tuple[bool, Any]:
@@ -89,5 +85,4 @@ class AtomicRef(AtomicCell):
         ok = observed is expected
         if ok:
             self._value = desired
-        self._lock.release()
         return ok, observed

@@ -71,7 +71,6 @@ class AtomicWide128(AtomicCell):
         """
         self._enter(True)
         pair = self._lo, self._hi
-        self._lock.release()
         return pair
 
     def write(self, pair: Pair) -> None:
@@ -79,7 +78,6 @@ class AtomicWide128(AtomicCell):
         lo, hi = _norm(pair)
         self._enter(True)
         self._lo, self._hi = lo, hi
-        self._lock.release()
 
     def peek(self) -> Pair:
         """Cost-free load (tests only)."""
@@ -91,7 +89,6 @@ class AtomicWide128(AtomicCell):
         self._enter(True)
         old = self._lo, self._hi
         self._lo, self._hi = lo, hi
-        self._lock.release()
         return old
 
     def compare_and_swap(self, expected: Pair, desired: Pair) -> bool:
@@ -107,7 +104,6 @@ class AtomicWide128(AtomicCell):
         ok = self._lo == elo and self._hi == ehi
         if ok:
             self._lo, self._hi = dlo, dhi
-        self._lock.release()
         return ok
 
     def compare_exchange(self, expected: Pair, desired: Pair) -> Tuple[bool, Pair]:
@@ -119,7 +115,6 @@ class AtomicWide128(AtomicCell):
         ok = observed == (elo, ehi)
         if ok:
             self._lo, self._hi = dlo, dhi
-        self._lock.release()
         return ok, observed
 
     # ------------------------------------------------------------------
@@ -135,5 +130,4 @@ class AtomicWide128(AtomicCell):
         old = self._lo, self._hi
         self._lo = lo
         self._hi = (old[1] + 1) & _MASK64
-        self._lock.release()
         return old

@@ -18,7 +18,6 @@ Two deliberate weaknesses, both measured by the ablation benchmark:
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, List
 
 from ..atomics.integer import AtomicInt64
@@ -75,7 +74,6 @@ class GlobalLockReclaimer:
         self.home = runtime.locale(home).id
         #: The single hot cell every task on every locale hits.
         self.readers = AtomicInt64(runtime, self.home, 0, name="glr.readers")
-        self._defer_lock = threading.Lock()
         self._deferred: List[GlobalAddress] = []
         #: Bounded spin in try_reclaim (it *blocks*, but not forever).
         self.spin_limit = spin_limit
@@ -96,8 +94,7 @@ class GlobalLockReclaimer:
 
     def defer(self, addr: GlobalAddress) -> None:
         """Queue an address for the next successful drain."""
-        with self._defer_lock:
-            self._deferred.append(addr)
+        self._deferred.append(addr)
 
     # ------------------------------------------------------------------
     def try_reclaim(self) -> bool:
@@ -111,8 +108,7 @@ class GlobalLockReclaimer:
                 break
         else:
             return False
-        with self._defer_lock:
-            batch, self._deferred = self._deferred, []
+        batch, self._deferred = self._deferred, []
         if not batch:
             return True
         # NOTE: unlike EBR this has a race window (a reader may enter just
@@ -128,8 +124,7 @@ class GlobalLockReclaimer:
 
     def clear(self) -> int:
         """Free everything regardless of readers (quiescent teardown)."""
-        with self._defer_lock:
-            batch, self._deferred = self._deferred, []
+        batch, self._deferred = self._deferred, []
         by_locale: dict = {}
         for addr in batch:
             by_locale.setdefault(addr.locale, []).append(addr.offset)

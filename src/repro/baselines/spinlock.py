@@ -8,13 +8,13 @@ which is precisely why lock-based distributed structures stop scaling and
 why the paper wants non-blocking ones.
 
 A backoff cap bounds the *virtual* cost of a long spin (modelling
-exponential backoff) while a real ``threading`` lock underneath guarantees
-actual mutual exclusion for the protected Python state.
+exponential backoff).  The won flag is the whole of the mutual exclusion:
+a runtime's tasks run on one thread and switch only between whole
+operations (docs/ENGINE.md, "One thread per runtime").
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Any
 
 from ..atomics.integer import AtomicBool
@@ -43,8 +43,6 @@ class SpinLock:
         self._rt = runtime
         self.home = runtime.locale(locale).id
         self._flag = AtomicBool(runtime, self.home, False, name=name)
-        # Real mutual exclusion for the Python-side critical section.
-        self._mutex = threading.Lock()
         #: Serializes critical-section durations in virtual time.
         from ..runtime.clock import ServicePoint
 
@@ -59,18 +57,17 @@ class SpinLock:
         """Spin until the flag is won; each test-and-set is charged."""
         spins = 0
         while True:
-            self.attempts += 1  # benign race: diagnostic only
+            self.attempts += 1
             if not self._flag.test_and_set():
                 break
             spins += 1
             # Model exponential backoff: after a few failed attempts the
             # virtual cost per retry stops growing (we keep charging one
-            # atomic per visible retry but yield the real thread).
+            # atomic per visible retry).
             if spins % 4 == 0:
                 ctx = maybe_context()
                 if ctx is not None:
                     ctx.clock.advance(ctx.runtime.config.costs.cpu_atomic_latency * spins)
-        self._mutex.acquire()
         self.acquisitions += 1
         ctx = maybe_context()
         self._hold_start = ctx.clock.now if ctx is not None else 0.0
@@ -83,9 +80,8 @@ class SpinLock:
             # Even an empty critical section occupies the lock for the
             # releasing store's latency.
             hold = max(hold, self._rt.config.costs.cpu_atomic_latency)
-            finish = self.cs_point.serve(self._hold_start, hold)
+            finish = self.cs_point.serve_locked(self._hold_start, hold)
             ctx.clock.advance_to(finish)
-        self._mutex.release()
         self._flag.clear()
 
     def __enter__(self) -> "SpinLock":

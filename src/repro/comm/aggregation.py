@@ -269,7 +269,7 @@ class UplinkAggregator:
         point = net.uplinks[group]
         clock = ctx.clock
         t = clock.now + latency
-        finish = point.serve(t, service)
+        finish = point.serve_locked(t, service)
         clock.advance_to(finish)
         if self._dynamic:
             # Feed the window policy its virtual-time facts: occupancy

@@ -49,7 +49,7 @@ opt_out, local) cube, verified entry-by-entry against the branchy
 reference compile (:meth:`_compile_legacy_atomic_table`) in
 tests/test_topology.py.  Atomic cells charge through one memoised
 :class:`~repro.comm.routes.CellPlan` per (home, opt_out)
-(:meth:`cell_plan`) inside their own critical section.  The other hot
+(:meth:`cell_plan`), then commit their value change.  The other hot
 paths (:meth:`read`, :meth:`write`, :meth:`bulk`, and the control-plane
 AM/fork/alloc/free charges) are straight-line: one distance-row index,
 one precompiled diagnostic bump, one or two service-point passes.
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..errors import LocaleError, RuntimeStateError
+from ..errors import LocaleError
 from ..runtime.clock import ServicePoint
 from .aggregation import UplinkAggregator
 from .costs import CostModel
@@ -342,11 +342,11 @@ class NetworkModel:
         """The fused charge plan of every atomic on ``home`` with this
         ``opt_out`` (compiled once, shared by all such cells).
 
-        See :mod:`repro.atomics.cell` for how a cell runs it: one lock
-        cycle reserves the home-level point, reserves the line and
-        commits the value.  Every cell passes through here once, at
-        construction, so this is where an out-of-range ``home`` is
-        rejected — before it could index (and poison) another home's slot.
+        See :mod:`repro.atomics.cell` for how a cell runs it: reserve
+        the home-level point, reserve the line, then commit the value.
+        Every cell passes through here once, at construction, so this is
+        where an out-of-range ``home`` is rejected — before it could index
+        (and poison) another home's slot.
         """
         nloc = len(self._dist_rows)
         if not 0 <= home < nloc:
@@ -359,60 +359,23 @@ class NetworkModel:
 
     def _compile_cell_plan(self, home: int, opt_out: bool) -> CellPlan:
         rows = self.atomic_class_routes(home)
-        narrow_routes = rows[1] if opt_out else rows[0]
-        wide_routes = rows[3] if opt_out else rows[2]
-        dist = self.distance_row(home)
-        # Only classes that occur in this home's distance row can ever be
-        # indexed: a dragonfly whose locales all fit in one group keeps
-        # the shared-point lock even though its (dead) inter-group class
-        # compiles a different point.
-        reachable = set(dist)
-        lock_point = narrow_routes[0].point
-        if lock_point is not None and any(
-            narrow_routes[ci].point is not lock_point for ci in reachable
-        ):
-            lock_point = None
 
-        def steps(routes, locked: bool) -> Tuple[tuple, ...]:
-            out = []
-            for ci, route in enumerate(routes):
-                point = route.point
-                if point is None:
-                    outer = None
-                elif locked and ci in reachable:
-                    outer = point.serve_locked
-                else:
-                    outer = point.serve
-                    if point is lock_point and ci in reachable:
-                        # A self-locking serve of the point whose lock the
-                        # cell already holds: threading.Lock is not
-                        # reentrant, so this op would deadlock.
-                        raise RuntimeStateError(
-                            f"atomic plan for home {home} (opt_out={opt_out})"
-                            f" nests a self-locking serve of {point.name}"
-                            f" inside that point's own lock"
-                        )
-                out.append(
-                    (
-                        route.diag_index,
-                        route.latency,
-                        outer,
-                        route.point_service,
-                        route.line_service,
-                    )
+        def steps(routes) -> Tuple[tuple, ...]:
+            return tuple(
+                (
+                    route.diag_index,
+                    route.latency,
+                    None if route.point is None else route.point.serve_locked,
+                    route.point_service,
+                    route.line_service,
                 )
-            return tuple(out)
+                for route in routes
+            )
 
-        # Every reachable narrow class rides the lock point (when there is
-        # one), so it is reserved with serve_locked; wide routes, which
-        # go through a progress thread or uplink, keep that point's own
-        # lock and are served nested inside the cell lock (lock order is
-        # always cell lock -> point lock).
         return CellPlan(
-            dist,
-            lock_point,
-            steps(narrow_routes, lock_point is not None),
-            steps(wide_routes, False),
+            self.distance_row(home),
+            steps(rows[1] if opt_out else rows[0]),
+            steps(rows[3] if opt_out else rows[2]),
         )
 
     def _compile_legacy_atomic_table(self, home: int) -> Tuple[AtomicRoute, ...]:
@@ -533,21 +496,13 @@ class NetworkModel:
         ``advance(latency)`` + ``advance_to(finish)``: a serve never
         finishes before its arrival ``now + latency``.
         """
-        diags = self.diags
-        if diags._enabled:
-            # Thread-local stripe, NOT the ctx.diag_rows cache: this entry
-            # point may legitimately be reached with a ctx belonging to a
-            # different runtime (cross-runtime get/put), and caching a
-            # foreign diags' stripe on the context would poison every
-            # later same-runtime record.  Only the runtime-guarded atomic
-            # cell fast paths populate ctx.diag_rows.
-            diags.record_index(ctx.locale_id, route.diag_index)
+        self.diags.record_index(ctx.locale_id, route.diag_index)
         clock = ctx.clock
         t = clock.now + route.latency
         point = route.point
         if point is not None:
-            t = point.serve(t, route.point_service)
-        clock.now = line.serve(t, route.line_service)
+            t = point.serve_locked(t, route.point_service)
+        clock.now = line.serve_locked(t, route.line_service)
 
     def atomic_op(
         self,
@@ -600,10 +555,9 @@ class NetworkModel:
             # Self or coherent peer: one local load, no communication.
             clock.now += self._cpu_load_latency
         else:
-            # Thread-local stripe, not the ctx cache (see charge_atomic).
             self.diags.record_index(ctx.locale_id, r.diag_index)
             t = clock.now + r.latency + nbytes * r.byte_cost
-            clock.now = r.point.serve(t, r.service)
+            clock.now = r.point.serve_locked(t, r.service)
         if tr is not None:
             tr.op("get", t0, clock.now, dclass, home, nbytes=nbytes)
 
@@ -623,10 +577,9 @@ class NetworkModel:
         if r is None:
             clock.now += self._cpu_load_latency
         else:
-            # Thread-local stripe, not the ctx cache (see charge_atomic).
             self.diags.record_index(ctx.locale_id, r.diag_index)
             t = clock.now + r.latency + nbytes * r.byte_cost
-            clock.now = r.point.serve(t, r.service)
+            clock.now = r.point.serve_locked(t, r.service)
         if tr is not None:
             tr.op("put", t0, clock.now, dclass, home, nbytes=nbytes)
 
@@ -648,7 +601,7 @@ class NetworkModel:
         else:
             self.diags.record_bulk(ctx.locale_id, nbytes)
             t = clock.now + r.latency + nbytes * r.byte_cost
-            clock.now = r.point.serve(t, r.service)
+            clock.now = r.point.serve_locked(t, r.service)
         if tr is not None:
             tr.op("bulk", t0, clock.now, dclass, home, nbytes=nbytes)
 
@@ -685,7 +638,7 @@ class NetworkModel:
         else:
             self.diags.record_index(lid, _FORK)
             point, cc = ctrl
-            clock.now = point.serve(clock.now + cc.task_spawn_remote, cc.am_service)
+            clock.now = point.serve_locked(clock.now + cc.task_spawn_remote, cc.am_service)
         if tr is not None:
             tr.op("fork", t0, clock.now, dclass, target)
 
@@ -711,7 +664,7 @@ class NetworkModel:
         else:
             self.diags.record_index(lid, _AM)
             point, cc = ctrl
-            clock.now = point.serve(clock.now + cc.am_latency, cc.am_service)
+            clock.now = point.serve_locked(clock.now + cc.am_latency, cc.am_service)
         if tr is not None:
             tr.op("return", t0, clock.now, dclass, origin)
 
@@ -735,7 +688,7 @@ class NetworkModel:
         else:
             self.diags.record_index(lid, _AM)
             point, cc = ctrl
-            clock.now = point.serve(clock.now + 2.0 * cc.am_latency, cc.am_service)
+            clock.now = point.serve_locked(clock.now + 2.0 * cc.am_latency, cc.am_service)
         if tr is not None:
             tr.op("am", t0, clock.now, dclass, target)
 
@@ -769,7 +722,7 @@ class NetworkModel:
             if ctrl is not None:
                 self.diags.record_index(lid, _AM)
                 point, cc = ctrl
-                clock.now = point.serve(t0 + 2.0 * cc.am_latency, cc.am_service)
+                clock.now = point.serve_locked(t0 + 2.0 * cc.am_latency, cc.am_service)
                 if tr is not None:
                     tr.op("am", t0, clock.now, dclass, home)
         clock.now += local

@@ -91,16 +91,12 @@ class CellPlan(NamedTuple):
 
     ``narrow`` and ``wide`` hold one hot 5-tuple per distance class,
     ``(diag_index, latency, outer, point_service, line_service)``, where
-    ``outer`` is the home-level serve callable run inside the cell lock:
-    ``lock_point.serve_locked`` when the cell lock IS that point's lock,
-    another point's self-locking ``serve``, or ``None`` for pure-CPU
-    routes.  ``lock_point`` is the point whose lock every such cell
-    adopts, or ``None`` when each cell locks its own line.  ``dist`` is
-    the home's distance row (source locale -> class index).
+    ``outer`` is the home-level point's ``serve_locked``, or ``None`` for
+    pure-CPU routes.  ``dist`` is the home's distance row (source locale
+    -> class index).
     """
 
     dist: Tuple[int, ...]
-    lock_point: "Optional[ServicePoint]"
     narrow: Tuple[tuple, ...]
     wide: Tuple[tuple, ...]
 

@@ -32,7 +32,6 @@ variants may be mixed freely, as in the paper.
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..atomics.cell import ChargedWord
@@ -42,7 +41,7 @@ from ..memory.compression import (
     MAX_COMPRESSIBLE_LOCALES,
     compress,
 )
-from ..runtime.context import maybe_context
+from ..runtime.context import context_of
 from .aba import ABA
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,7 +64,6 @@ class DescriptorTable:
     def __init__(self, runtime: "Runtime", home: int = 0) -> None:
         self._rt = runtime
         self.home = home
-        self._lock = threading.Lock()
         self._next = 1  # descriptor 0 is reserved for nil
         self._table: Dict[int, GlobalAddress] = {}
         self._caches: Tuple[Dict[int, GlobalAddress], ...] = tuple(
@@ -76,11 +74,10 @@ class DescriptorTable:
         """Assign (or reuse) a descriptor for ``addr``; charge the PUT."""
         if is_nil(addr):
             return 0
-        ctx = maybe_context()
-        with self._lock:
-            desc = self._next
-            self._next += 1
-            self._table[desc] = addr
+        desc = self._next
+        self._next += 1
+        self._table[desc] = addr
+        ctx = context_of(self._rt)
         if ctx is not None:
             self._rt.network.write(ctx, self.home, nbytes=16)
         return desc
@@ -89,18 +86,17 @@ class DescriptorTable:
         """Look up a descriptor, using the calling locale's cache."""
         if desc == 0:
             return NIL
-        ctx = maybe_context()
+        ctx = context_of(self._rt)
         cache = self._caches[ctx.locale_id if ctx is not None else 0]
         hit = cache.get(desc)
         if hit is not None:
             return hit
         if ctx is not None:
             self._rt.network.read(ctx, self.home, nbytes=16)
-        with self._lock:
-            try:
-                addr = self._table[desc]
-            except KeyError:
-                raise RuntimeStateError(f"unknown descriptor {desc}") from None
+        try:
+            addr = self._table[desc]
+        except KeyError:
+            raise RuntimeStateError(f"unknown descriptor {desc}") from None
         cache[desc] = addr
         return addr
 
@@ -126,12 +122,12 @@ class AtomicObject(ChargedWord):
         DCAS otherwise), or explicitly ``"compressed"`` / ``"dcas"`` /
         ``"descriptor"``.
 
-    Every operation charges and commits in one critical section of the
-    shared :class:`~repro.atomics.cell.ChargedWord` machinery, exactly like
-    an integer cell on the same home.  Plain operations take the narrow
-    route unless the mode is ``dcas``; the ``*_aba`` variants always take
-    the wide (DCAS) route.  The narrow route opts out of network atomics
-    only in the ``"local"`` mode of the
+    Every operation charges through the shared
+    :class:`~repro.atomics.cell.ChargedWord` machinery and then commits,
+    exactly like an integer cell on the same home.  Plain operations take
+    the narrow route unless the mode is ``dcas``; the ``*_aba`` variants
+    always take the wide (DCAS) route.  The narrow route opts out of
+    network atomics only in the ``"local"`` mode of the
     :class:`~repro.core.local_atomic_object.LocalAtomicObject` subclass.
     """
 
@@ -201,7 +197,7 @@ class AtomicObject(ChargedWord):
 
     def _register(self, addr: GlobalAddress) -> int:
         """Descriptor for ``addr`` (descriptor mode; charges the table PUT
-        outside the cell lock), else 0."""
+        before the cell op), else 0."""
         table = self._descriptors
         return 0 if table is None else table.register(addr)
 
@@ -213,14 +209,12 @@ class AtomicObject(ChargedWord):
 
         Narrow modes pay one 64-bit atomic (RDMA-able); ``dcas`` mode pays
         the wide price (a 128-bit load is a DCAS on x86).  In descriptor
-        mode the pointer and its descriptor are captured in the same
-        critical section, then the descriptor resolves through the
-        (cached) table outside it.
+        mode the pointer and its descriptor are captured by the same op,
+        then the descriptor resolves through the (cached) table.
         """
         self._enter(self._dcas)
         addr = self._addr
         desc = self._desc_of_current
-        self._lock.release()
         if self._descriptors is not None:
             self._descriptors.resolve(desc)
         return addr
@@ -232,7 +226,6 @@ class AtomicObject(ChargedWord):
         self._enter(self._dcas)
         self._addr = addr
         self._desc_of_current = desc
-        self._lock.release()
 
     def exchange(self, addr: GlobalAddress) -> GlobalAddress:
         """Atomically store ``addr``; return the previous pointer."""
@@ -242,7 +235,6 @@ class AtomicObject(ChargedWord):
         old = self._addr
         self._addr = addr
         self._desc_of_current = desc
-        self._lock.release()
         return old
 
     def compare_and_swap(
@@ -256,13 +248,10 @@ class AtomicObject(ChargedWord):
         desired = self._validate(desired)
         desc = self._register(desired)
         self._enter(self._dcas)
-        try:
-            ok = self._addr == expected
-            if ok:
-                self._addr = desired
-                self._desc_of_current = desc
-        finally:
-            self._lock.release()
+        ok = self._addr == expected
+        if ok:
+            self._addr = desired
+            self._desc_of_current = desc
         return ok
 
     def compare_exchange(
@@ -272,14 +261,11 @@ class AtomicObject(ChargedWord):
         desired = self._validate(desired)
         desc = self._register(desired)
         self._enter(self._dcas)
-        try:
-            observed = self._addr
-            ok = observed == expected
-            if ok:
-                self._addr = desired
-                self._desc_of_current = desc
-        finally:
-            self._lock.release()
+        observed = self._addr
+        ok = observed == expected
+        if ok:
+            self._addr = desired
+            self._desc_of_current = desc
         return ok, observed
 
     # ------------------------------------------------------------------
@@ -297,7 +283,6 @@ class AtomicObject(ChargedWord):
         self._require_aba()
         self._enter(True)
         addr, count = self._addr, self._count
-        self._lock.release()
         return ABA(addr, count)
 
     def write_aba(self, addr: GlobalAddress) -> None:
@@ -307,7 +292,6 @@ class AtomicObject(ChargedWord):
         self._enter(True)
         self._addr = addr
         self._count += 1
-        self._lock.release()
 
     def exchange_aba(self, addr: GlobalAddress) -> ABA[GlobalAddress]:
         """Swap in ``addr`` (counter bumped); return the previous snapshot."""
@@ -317,7 +301,6 @@ class AtomicObject(ChargedWord):
         old, count = self._addr, self._count
         self._addr = addr
         self._count = count + 1
-        self._lock.release()
         return ABA(old, count)
 
     def compare_and_swap_aba(
@@ -332,13 +315,10 @@ class AtomicObject(ChargedWord):
         desired = self._validate(desired)
         value, count = expected.value, expected.count
         self._enter(True)
-        try:
-            ok = self._count == count and self._addr == value
-            if ok:
-                self._addr = desired
-                self._count = count + 1
-        finally:
-            self._lock.release()
+        ok = self._count == count and self._addr == value
+        if ok:
+            self._addr = desired
+            self._count = count + 1
         return ok
 
     # Chapel-style aliases (paper Listing 1 spellings).

@@ -43,7 +43,6 @@ never blocks other tasks' operations.
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..atomics.integer import AtomicBool, AtomicUInt64
@@ -73,11 +72,8 @@ EPOCH_CYCLE = 3
 class EpochManagerStats:
     """Aggregate counters for one manager (tests and the ablation panels).
 
-    Striped like :class:`~repro.comm.counters.CommDiagnostics`: every real
-    thread owns a private counter row, so :meth:`inc` on the ``tryReclaim``
-    hot path is a plain list increment — no lock, exact counts.
-    :meth:`as_dict` sums the stripes under a lock; it is a diagnostic-time
-    operation, not a hot-path one.
+    One counter row: :meth:`inc` on the ``tryReclaim`` hot path is a
+    plain list increment (a runtime is used by one thread, docs/ENGINE.md).
     """
 
     FIELDS = (
@@ -95,36 +91,18 @@ class EpochManagerStats:
         "uplink_crossings",
     )
 
-    __slots__ = ("_stripes", "_lock", "_tls")
+    __slots__ = ("_row",)
 
     def __init__(self) -> None:
-        self._stripes: List[List[int]] = []
-        self._lock = threading.Lock()
-        self._tls = threading.local()
-
-    def _row(self) -> List[int]:
-        """This thread's stripe (created and registered on first use)."""
-        try:
-            return self._tls.row
-        except AttributeError:
-            row = [0] * len(self.FIELDS)
-            with self._lock:
-                self._stripes.append(row)
-            self._tls.row = row
-            return row
+        self._row = [0] * len(self.FIELDS)
 
     def inc(self, field: str, n: int = 1) -> None:
-        """Lock-free add of ``n`` to one counter (hot path)."""
-        self._row()[_STAT_INDEX[field]] += n
+        """Add ``n`` to one counter (hot path)."""
+        self._row[_STAT_INDEX[field]] += n
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view."""
-        with self._lock:
-            totals = [0] * len(self.FIELDS)
-            for row in self._stripes:
-                for i, v in enumerate(row):
-                    totals[i] += v
-        return dict(zip(self.FIELDS, totals))
+        return dict(zip(self.FIELDS, self._row))
 
 
 _STAT_INDEX = {name: i for i, name in enumerate(EpochManagerStats.FIELDS)}
@@ -193,12 +171,10 @@ class _EpochManagerInstance:
         self.free_tokens = TokenFreeList(runtime, locale_id)
         self.allocated_tokens = TokenAllocatedList(runtime, locale_id)
         self._token_seq = 0
-        self._token_seq_lock = threading.Lock()
         #: Oldest retire virtual time per limbo slot (None = empty),
         #: maintained only while the manager tracks limbo ages
         #: (``EpochManager._track_ages``); cleared when the slot drains.
         self.slot_retire_vt: List[Optional[float]] = [None] * cycle
-        self.retire_vt_lock = threading.Lock()
 
     def take_token(self) -> Token:
         """Pop a recycled token (lock-free) or create a fresh one and
@@ -207,9 +183,8 @@ class _EpochManagerInstance:
         if token is not None:
             token._registered = True
             return token
-        with self._token_seq_lock:
-            tid = self._token_seq
-            self._token_seq += 1
+        tid = self._token_seq
+        self._token_seq += 1
         token = Token(self, tid)
         self.allocated_tokens.push(token)
         return token
@@ -481,10 +456,9 @@ class EpochManager(ManagerCore, PrivatizedObject):
                     if t is not None and (last_pin is None or t > last_pin):
                         last_pin = t
             if want_ages:
-                with inst.retire_vt_lock:
-                    for t_r in inst.slot_retire_vt:
-                        if t_r is not None and (oldest is None or t_r < oldest):
-                            oldest = t_r
+                for t_r in inst.slot_retire_vt:
+                    if t_r is not None and (oldest is None or t_r < oldest):
+                        oldest = t_r
         return tuple(pending), last_pin, oldest
 
     def _coforall_instances(self, fn) -> None:
@@ -590,9 +564,8 @@ class EpochManager(ManagerCore, PrivatizedObject):
                 for addr in inst_l.limbo_lists[idx].drain():
                     scatter.setdefault(addr.locale, []).append(addr.offset)
             if self._track_ages:
-                with inst_l.retire_vt_lock:
-                    for idx in indices:
-                        inst_l.slot_retire_vt[idx] = None
+                for idx in indices:
+                    inst_l.slot_retire_vt[idx] = None
             tr = self._full
             if tr is not None:
                 # Unit+slot drain record: the metrics registry matches it

@@ -71,7 +71,7 @@ class NodePool:
             if node is None:
                 fresh = LimboNode()
                 fresh.val = val
-                self.allocated += 1  # benign race: diagnostic only
+                self.allocated += 1
                 return fresh
             if self._head.compare_and_swap(node, node.next):
                 node.val = val
@@ -105,7 +105,7 @@ class LimboList:
     nodes to the garbage collector.  The socket-shared epoch-manager mode
     (docs/AGGREGATION.md) uses this: with producers on *several* locales
     feeding one list, a recycled pool's ``get`` would be a CAS loop over
-    state concurrently mutated by other real threads — a charged,
+    state concurrently mutated by other tasks — a charged,
     schedule-dependent retry count that breaks the engine's determinism
     contract.  Fresh allocation keeps every push exactly one charged
     exchange.

@@ -151,8 +151,8 @@ class Token:
         self._check_usable()
         if self._track_pins:
             # Virtual-time fact for the grace epoch policy: the owning
-            # task is the only writer, so no lock is needed; the root
-            # max-folds across tokens at (post-join) decision points.
+            # task is the only writer; the root max-folds across tokens
+            # at (post-join) decision points.
             self._last_pin_vt = current_context().clock.now
         tr = self._full_tracer
         if tr is not None:
@@ -198,15 +198,13 @@ class Token:
         inst.limbo_lists[epoch - 1].push(addr)
         if self._track_ages:
             # Limbo-age fact: min-fold the retire timestamp into the
-            # instance's per-slot array.  The (real) lock costs no virtual
-            # time; it exists because socket siblings may retire into one
-            # shared instance concurrently.
+            # instance's per-slot array (socket siblings may retire into
+            # one shared instance).
             now = current_context().clock.now
             slot = epoch - 1
-            with inst.retire_vt_lock:
-                cur = inst.slot_retire_vt[slot]
-                if cur is None or now < cur:
-                    inst.slot_retire_vt[slot] = now
+            cur = inst.slot_retire_vt[slot]
+            if cur is None or now < cur:
+                inst.slot_retire_vt[slot] = now
             tr = self._full_tracer
             if tr is not None:
                 # Unit+slot tag: the metrics registry pairs this with the
@@ -299,7 +297,7 @@ class TokenAllocatedList:
             head = self._head.read()
             token._alloc_next = head
             if self._head.compare_and_swap(head, token):
-                self.count += 1  # benign race: diagnostic only
+                self.count += 1
                 return
 
     def __iter__(self) -> Iterator[Token]:

@@ -7,8 +7,8 @@ Four pieces (see docs/ENGINE.md):
 * :mod:`repro.engine.executor` — the replay engine.  The *columnar* tier
   replays the scheduler's spawn-submission order on the root task
   between ``forall`` joins — where nothing else runs, so it charges the
-  real service points, cells, reclaim chains and diag stripe in place,
-  without locks; the *serial* tier runs the real task bodies on the
+  real service points, cells, reclaim chains and diagnostics in place;
+  the *serial* tier runs the real task bodies on the
   scheduler for value-dependent phases.
   Bit-identical to the interpreter by construction; wall-clock only.
 * :mod:`repro.engine.coverage` — the one predicate deciding which tier a

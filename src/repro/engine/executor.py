@@ -9,18 +9,19 @@ themselves — so replaying the same tasks serially on the root thread, in
 spawn-submission order, with the same per-task clocks, RNG seeds, task
 ids and charge sequences, is that very schedule and produces
 bit-identical virtual time, comm totals and reclaim stats.  The payoff is
-that the serial replay needs **no locks, no TLS lookups, no per-op
-dispatch**: it charges the real service points through
-``ServicePoint.serve_locked`` (the hottest sites inline its recurrence
-float-op for float-op — same operations, same order, same rounding), and
-counts diagnostics straight into the root thread's stripe.
+that the serial replay needs **no TLS lookups and no per-op dispatch**:
+it charges the real service points through ``ServicePoint.serve_locked``
+(the hottest sites inline its recurrence float-op for float-op — same
+operations, same order, same rounding), and counts diagnostics straight
+into the runtime's diagnostics matrix.
 
 Mutating in place
 -----------------
-A phase executor runs *on the root task* between ``forall`` joins, so no
-other thread can touch the service points, cells, limbo chains or token
-epoch slots while it runs; the replay mutates all of them directly,
-without their locks.  The replay keeps no private copy of that state,
+A phase executor runs *on the root task* between ``forall`` joins, and a
+runtime is used by one thread (docs/ENGINE.md, "One thread per
+runtime"), so nothing else touches the service points, cells, limbo
+chains or token epoch slots while it runs; the replay mutates all of
+them directly.  The replay keeps no private copy of that state,
 so real code may run mid-phase (the Listing 5 replay's in-task
 ``register``/``unregister``, HP threshold scans) and sees exactly the
 state the interpreted schedule would.  Every serve updates the point's
@@ -115,7 +116,7 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
     ctx.clock.now = now
     diags = net.diags
     if n_am and diags._enabled:
-        diags._rows()[lid][diags.op_index("am")] += n_am
+        diags._rows[lid][diags.op_index("am")] += n_am
     # One batch per home, scattered back in target order.
     batches = {
         home: iter(heaps[home].alloc_many(n)) for home, n in Counter(targets).items()
@@ -230,7 +231,7 @@ def run_uniform_atomic_phase(
     seed_base = rt.config.seed << 20
     diags = net.diags
     record = diags._enabled
-    rows = diags._rows()
+    rows = diags._rows
 
     # Task ids are consecutive (nothing else allocates between phases'
     # replay loops), which is what makes the column-cache key sound.
@@ -396,7 +397,8 @@ def _ebr_replay_task(
     the pool/limbo heads (``target``, from :func:`_instance_target`).  A
     deferral pops the real pool chain and pushes onto the real limbo chain
     by writing the heads' values directly, and bumps ``pool.allocated`` as
-    ``NodePool.get`` does.  Diagnostics go to ``counts``, the caller locale's stripe row.
+    ``NodePool.get`` does.  Diagnostics go to ``counts``, the caller
+    locale's diagnostics row.
     Returns the task clock after its last item.
 
     This is the engine's hottest loop (4–8 charges per item, millions of
@@ -577,7 +579,7 @@ def run_ebr_epoch_phase(
 
     diags = net.diags
     record = diags._enabled
-    rows = diags._rows()
+    rows = diags._rows
     used_tokens = []
 
     # ---- replay: spawn-submission order ---------------------------------
@@ -754,7 +756,7 @@ def run_epoch_workload_phase(
     seed_base = rt.config.seed << 20
     diags = net.diags
     record = diags._enabled
-    rows = diags._rows()
+    rows = diags._rows
     is_write = [delete] * num_objects
 
     finish = start

@@ -24,7 +24,6 @@ runtime's allocation helpers, keeping policy and mechanism separate.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Any, Dict, List
@@ -89,7 +88,6 @@ class Heap:
             raise ValueError("alignment must be a power of two >= 2")
         self.locale_id = locale_id
         self.alignment = alignment
-        self._lock = threading.Lock()
         self._live: Dict[int, Any] = {}  # offset -> payload, live slots only
         self._free: List[int] = []  # LIFO free list of offsets
         self._gen: Dict[int, int] = {}  # offset -> generation, recycled only
@@ -105,22 +103,21 @@ class Heap:
         Reuses the most recently freed address when one exists (LIFO), the
         behaviour that maximizes ABA hazard — deliberately.
         """
-        with self._lock:
-            if self._free:
-                offset = self._free.pop()
-                self._gen[offset] = self._gen.get(offset, 0) + 1
-                self._reuses += 1
-            else:
-                offset = self._next
-                if offset + self.alignment > ADDRESS_MASK:
-                    raise self._exhausted()
-                self._next = offset + self.alignment
-            self._live[offset] = payload
-            self._allocations += 1
-            return _tuple_new(GlobalAddress, (self.locale_id, offset))
+        if self._free:
+            offset = self._free.pop()
+            self._gen[offset] = self._gen.get(offset, 0) + 1
+            self._reuses += 1
+        else:
+            offset = self._next
+            if offset + self.alignment > ADDRESS_MASK:
+                raise self._exhausted()
+            self._next = offset + self.alignment
+        self._live[offset] = payload
+        self._allocations += 1
+        return _tuple_new(GlobalAddress, (self.locale_id, offset))
 
     def alloc_many(self, n: int) -> List[GlobalAddress]:
-        """Allocate ``n`` fresh ``object()`` payloads in one locked pass.
+        """Allocate ``n`` fresh ``object()`` payloads in one pass.
 
         Returns exactly the addresses ``n`` calls of ``alloc(object())``
         would, in order: recycled addresses LIFO first, then fresh ones.
@@ -129,24 +126,23 @@ class Heap:
         """
         if n < 0:
             raise ValueError("alloc_many needs n >= 0")
-        with self._lock:
-            free, gen, align = self._free, self._gen, self.alignment
-            reused = free[: -n - 1 : -1]  # the last n frees, newest first
-            start = self._next
-            stop = start + (n - len(reused)) * align
-            if stop > ADDRESS_MASK:
-                raise self._exhausted()
-            del free[len(free) - len(reused) :]
-            for offset in reused:
-                gen[offset] = gen.get(offset, 0) + 1
-            offsets = reused + list(range(start, stop, align))
-            self._next = stop
-            # iter(object, None) yields a fresh object() per address.
-            self._live.update(zip(offsets, iter(object, None)))
-            self._allocations += n
-            self._reuses += len(reused)
-            pairs = zip(repeat(self.locale_id), offsets)
-            return list(map(_tuple_new, repeat(GlobalAddress), pairs))
+        free, gen, align = self._free, self._gen, self.alignment
+        reused = free[: -n - 1 : -1]  # the last n frees, newest first
+        start = self._next
+        stop = start + (n - len(reused)) * align
+        if stop > ADDRESS_MASK:
+            raise self._exhausted()
+        del free[len(free) - len(reused) :]
+        for offset in reused:
+            gen[offset] = gen.get(offset, 0) + 1
+        offsets = reused + list(range(start, stop, align))
+        self._next = stop
+        # iter(object, None) yields a fresh object() per address.
+        self._live.update(zip(offsets, iter(object, None)))
+        self._allocations += n
+        self._reuses += len(reused)
+        pairs = zip(repeat(self.locale_id), offsets)
+        return list(map(_tuple_new, repeat(GlobalAddress), pairs))
 
     def _exhausted(self) -> HeapExhaustedError:
         """The error for running past the 48-bit address space."""
@@ -174,23 +170,20 @@ class Heap:
         Raises :class:`UseAfterFreeError` if the slot was freed — the
         hazard EBR exists to prevent.
         """
-        with self._lock:
-            try:
-                return self._live[offset]
-            except KeyError:
-                raise self._not_live(offset) from None
+        try:
+            return self._live[offset]
+        except KeyError:
+            raise self._not_live(offset) from None
 
     def store(self, offset: int, payload: Any) -> None:
         """Replace the payload at a live ``offset`` (a remote PUT target)."""
-        with self._lock:
-            if offset not in self._live:
-                raise self._not_live(offset)
-            self._live[offset] = payload
+        if offset not in self._live:
+            raise self._not_live(offset)
+        self._live[offset] = payload
 
     def is_live(self, offset: int) -> bool:
         """True when ``offset`` names a currently-allocated slot."""
-        with self._lock:
-            return offset in self._live
+        return offset in self._live
 
     def generation(self, offset: int) -> int:
         """How many times this address has been recycled (0 = never).
@@ -198,10 +191,9 @@ class Heap:
         Exposed for tests that must *witness* an ABA (same address, new
         object) rather than infer it.
         """
-        with self._lock:
-            if not self._issued(offset):
-                raise self._not_live(offset)
-            return self._gen.get(offset, 0)
+        if not self._issued(offset):
+            raise self._not_live(offset)
+        return self._gen.get(offset, 0)
 
     def free(self, offset: int) -> None:
         """Free the slot at ``offset``; its address becomes reusable.
@@ -210,36 +202,34 @@ class Heap:
         allocation and :class:`InvalidAddressError` for unknown addresses.
         The payload is dropped with its live-map entry (simulated destruction).
         """
-        with self._lock:
-            live = self._live
-            if len(live) > self._peak_live:
-                self._peak_live = len(live)
-            try:
-                del live[offset]
-            except KeyError:
-                raise self._not_live(offset, freeing=True) from None
-            self._free.append(offset)
+        live = self._live
+        if len(live) > self._peak_live:
+            self._peak_live = len(live)
+        try:
+            del live[offset]
+        except KeyError:
+            raise self._not_live(offset, freeing=True) from None
+        self._free.append(offset)
 
     def free_bulk(self, offsets: List[int]) -> int:
-        """Free many slots in one locked pass; returns how many were freed.
+        """Free many slots in one pass; returns how many were freed.
 
         The scatter list in ``tryReclaim`` funnels every dead object owned
         by this locale through one call, mirroring the paper's bulk
         transfer-and-delete.  The first bad offset raises as :meth:`free`
         would, with the offsets before it already freed.
         """
-        with self._lock:
-            live = self._live
-            if len(live) > self._peak_live:
-                self._peak_live = len(live)
-            push = self._free.append
-            for offset in offsets:
-                try:
-                    del live[offset]
-                except KeyError:
-                    raise self._not_live(offset, freeing=True) from None
-                push(offset)
-            return len(offsets)
+        live = self._live
+        if len(live) > self._peak_live:
+            self._peak_live = len(live)
+        push = self._free.append
+        for offset in offsets:
+            try:
+                del live[offset]
+            except KeyError:
+                raise self._not_live(offset, freeing=True) from None
+            push(offset)
+        return len(offsets)
 
     # ------------------------------------------------------------------
     # introspection
@@ -252,9 +242,8 @@ class Heap:
     @property
     def stats(self) -> HeapStats:
         """A :class:`HeapStats` snapshot, built on demand."""
-        with self._lock:
-            n, live = self._allocations, len(self._live)
-            return HeapStats(n, n - live, self._reuses, live, max(self._peak_live, live))
+        n, live = self._allocations, len(self._live)
+        return HeapStats(n, n - live, self._reuses, live, max(self._peak_live, live))
 
     def snapshot_stats(self) -> HeapStats:
         """Copy of the stats counters (safe to keep across resets)."""

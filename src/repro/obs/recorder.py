@@ -164,8 +164,8 @@ class TraceRecorder:
         self._emit(self._locale(), t0, "op", f)
 
     def serve(self, point: Any, arrival: float, service: float, finish: float) -> None:
-        """One ServicePoint reservation (full detail; called under the
-        point's lock from ``serve_locked``)."""
+        """One ServicePoint reservation (full detail; called from
+        ``ServicePoint.serve_locked``)."""
         bank = point.idle_bank
         key = id(point)
         prev = self._bank_prev.get(key, 0.0)

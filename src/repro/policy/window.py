@@ -17,16 +17,13 @@ facts the aggregator already computes while charging batches:
 
 Observations arrive from concurrent tasks (the reclamation gather/scan
 paths fan out one task per uplink group), so the accumulator uses only
-commutative-exact folds — integer adds and float ``max`` — under a real
-(zero-virtual-cost) lock; the fold order can never change the
-accumulated state.  The window itself moves only in :meth:`tick`, called
-at sequential root-driven reclaim points, so the sequence of windows is
-bit-identical across repeats.
+commutative-exact folds — integer adds and float ``max``; the fold order
+can never change the accumulated state.  The window itself moves only in
+:meth:`tick`, called at sequential root-driven reclaim points, so the
+sequence of windows is bit-identical across repeats.
 """
 
 from __future__ import annotations
-
-import threading
 
 from .base import WindowPolicyBase
 
@@ -59,7 +56,6 @@ class AdaptiveWindowPolicy(WindowPolicyBase):
         self.hi = int(hi)
         # Start from the aggregation axis's window, clamped into bounds.
         super().__init__(min(max(int(window), self.lo), self.hi))
-        self._lock = threading.Lock()
         # Commutative-exact accumulator (reset each tick).
         self._batches = 0
         self._full = 0
@@ -78,25 +74,23 @@ class AdaptiveWindowPolicy(WindowPolicyBase):
         queue_delay: float,
         marginal: float,
     ) -> None:
-        with self._lock:
-            self._batches += 1
-            if count >= window:
-                self._full += 1
-            if queue_delay > self._max_delay:
-                self._max_delay = queue_delay
-            if marginal > self._max_marginal:
-                self._max_marginal = marginal
+        self._batches += 1
+        if count >= window:
+            self._full += 1
+        if queue_delay > self._max_delay:
+            self._max_delay = queue_delay
+        if marginal > self._max_marginal:
+            self._max_marginal = marginal
 
     def tick(self) -> int:
-        with self._lock:
-            batches = self._batches
-            full = self._full
-            max_delay = self._max_delay
-            max_marginal = self._max_marginal
-            self._batches = 0
-            self._full = 0
-            self._max_delay = 0.0
-            self._max_marginal = 0.0
+        batches = self._batches
+        full = self._full
+        max_delay = self._max_delay
+        max_marginal = self._max_marginal
+        self._batches = 0
+        self._full = 0
+        self._max_delay = 0.0
+        self._max_marginal = 0.0
         if batches == 0:
             return self.current
         self.ticks += 1

@@ -51,7 +51,6 @@ hazard/quiescence state (see the determinism notes in
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..comm.aggregation import BatchCounters
@@ -98,7 +97,6 @@ class GuardBase:
         "_registered",
         "_pinned",
         "_retired",
-        "_retired_lock",
         "_last_pin_vt",
     )
 
@@ -109,14 +107,8 @@ class GuardBase:
         self._registered = True
         self._pinned = False
         #: Guard-local retirement buffer: (address, tag) pairs.  Appended
-        #: by the owning task; drained by reclaim calls.  The (real)
-        #: lock costs no virtual time — it exists so a mid-phase
-        #: guard-level ``try_reclaim`` racing another guard's
-        #: ``defer_delete`` can never lose an entry or drain one twice
-        #: (outcomes may still be nondeterministic mid-phase; see the
-        #: module docstring's discipline notes).
+        #: by the owning task; drained by reclaim calls.
         self._retired: List[Tuple[GlobalAddress, int]] = []
-        self._retired_lock = threading.Lock()
         #: Virtual time of the most recent pin (docs/POLICY.md): recorded
         #: only while a pin-tracking (grace) policy is installed, written
         #: by the owning task only, max-folded by the root at decision
@@ -207,8 +199,7 @@ class GuardBase:
             entry: Tuple = (addr, self._retire_tag(), now)
         else:
             entry = (addr, self._retire_tag())
-        with self._retired_lock:
-            self._retired.append(entry)
+        self._retired.append(entry)
         tr = rec._full
         if tr is not None:
             tr.guard("retire", rec.scheme, now)
@@ -244,8 +235,7 @@ class GuardBase:
         self._on_unregister()
         self._pinned = False
         self._registered = False
-        with self._retired_lock:
-            entries, self._retired = self._retired, []
+        entries, self._retired = self._retired, []
         if entries:
             self._rec._adopt_orphans(entries)
 
@@ -286,11 +276,9 @@ class ReclaimerBase(ManagerCore):
         super().__init__(runtime, policy=policy)
         self._costs = runtime.config.costs
         self._guards: List[GuardBase] = []
-        self._registry_lock = threading.Lock()
         self._guard_seq = 0
         #: Retirements inherited from unregistered guards.
         self._orphans: List[Tuple[GlobalAddress, int]] = []
-        self._orphan_lock = threading.Lock()
         # Accounting (updated at root-driven reclaim points, so the values
         # are deterministic under the workload discipline).
         self._freed = 0
@@ -308,25 +296,21 @@ class ReclaimerBase(ManagerCore):
         """Obtain a guard on the calling task's locale."""
         self._check_alive()
         locale_id = current_context().locale_id
-        with self._registry_lock:
-            gid = self._guard_seq
-            self._guard_seq += 1
+        gid = self._guard_seq
+        self._guard_seq += 1
         guard = self._make_guard(locale_id, gid)
-        with self._registry_lock:
-            self._guards.append(guard)
+        self._guards.append(guard)
         return guard
 
     def _make_guard(self, locale_id: int, guard_id: int) -> GuardBase:
         raise NotImplementedError
 
     def _registered_guards(self) -> List[GuardBase]:
-        """Registry snapshot (wall-clock lock only; zero virtual cost)."""
-        with self._registry_lock:
-            return [g for g in self._guards if g._registered]
+        """Registry snapshot (zero virtual cost)."""
+        return [g for g in self._guards if g._registered]
 
     def _adopt_orphans(self, entries: List[Tuple[GlobalAddress, int]]) -> None:
-        with self._orphan_lock:
-            self._orphans.extend(entries)
+        self._orphans.extend(entries)
 
     # ------------------------------------------------------------------
     # reclamation
@@ -370,17 +354,15 @@ class ReclaimerBase(ManagerCore):
                 if t is not None and (last_pin is None or t > last_pin):
                     last_pin = t
             if want_ages:
-                with guard._retired_lock:
-                    for entry in guard._retired:
-                        if len(entry) > 2 and (oldest is None or entry[2] < oldest):
-                            oldest = entry[2]
-        pending = [per_locale[lid] for lid in sorted(per_locale)]
-        with self._orphan_lock:
-            orphans = len(self._orphans)
-            if want_ages:
-                for entry in self._orphans:
+                for entry in guard._retired:
                     if len(entry) > 2 and (oldest is None or entry[2] < oldest):
                         oldest = entry[2]
+        pending = [per_locale[lid] for lid in sorted(per_locale)]
+        orphans = len(self._orphans)
+        if want_ages:
+            for entry in self._orphans:
+                if len(entry) > 2 and (oldest is None or entry[2] < oldest):
+                    oldest = entry[2]
         if orphans:
             pending.append(orphans)
         return tuple(pending), last_pin, oldest
@@ -392,26 +374,23 @@ class ReclaimerBase(ManagerCore):
         path runs: entries satisfying ``keep(entry)`` stay buffered (a
         hazard names them / their tag is too recent), everything else is
         bulk-freed by owning locale.  ``keep=None`` frees unconditionally
-        (the ``clear`` contract).  Buffer swaps happen under the per-guard
-        locks so a racing ``defer_delete`` can never be lost.
+        (the ``clear`` contract).
         """
         to_free: List[Tuple[GlobalAddress, int]] = []
         for guard in guards:
-            with guard._retired_lock:
-                if keep is None:
-                    to_free.extend(guard._retired)
-                    guard._retired = []
-                else:
-                    kept = []
-                    for entry in guard._retired:
-                        if keep(entry):
-                            kept.append(entry)
-                        else:
-                            to_free.append(entry)
-                    guard._retired = kept
-        with self._orphan_lock:
-            orphans = self._orphans
-            self._orphans = []
+            if keep is None:
+                to_free.extend(guard._retired)
+                guard._retired = []
+            else:
+                kept = []
+                for entry in guard._retired:
+                    if keep(entry):
+                        kept.append(entry)
+                    else:
+                        to_free.append(entry)
+                guard._retired = kept
+        orphans = self._orphans
+        self._orphans = []
         if keep is None:
             to_free.extend(orphans)
         else:
@@ -468,10 +447,9 @@ class ReclaimerBase(ManagerCore):
         if self._destroyed:
             return
         self.clear()
-        with self._registry_lock:
-            for guard in self._guards:
-                guard._registered = False
-            self._guards = []
+        for guard in self._guards:
+            guard._registered = False
+        self._guards = []
         self._destroyed = True
 
     # ------------------------------------------------------------------
@@ -521,10 +499,8 @@ class ReclaimerBase(ManagerCore):
     # ------------------------------------------------------------------
     def pending_count(self) -> int:
         """Cost-free count of retired-but-unfreed objects (tests/stats)."""
-        with self._registry_lock:
-            pending = sum(len(g._retired) for g in self._guards)
-        with self._orphan_lock:
-            pending += len(self._orphans)
+        pending = sum(len(g._retired) for g in self._guards)
+        pending += len(self._orphans)
         return pending
 
     def _counts(self) -> Dict[str, int]:

@@ -21,13 +21,14 @@ the parent's time plus a fork cost, and the parent resumes at the maximum
 child finish time plus a join cost (see
 :meth:`~repro.runtime.runtime.Runtime.coforall_locales`).
 
-Thread-safety: clocks are mutated only by their owning task (thread);
-service points are shared and internally locked.
+Threading: a runtime and everything it owns are used by one thread
+(docs/ENGINE.md, "One thread per runtime").  Clocks are mutated only by
+their owning task and service points by whichever task is running, so
+neither needs a lock.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 __all__ = ["TaskClock", "ServicePoint"]
@@ -59,7 +60,7 @@ class TaskClock:
         """Move the clock forward to ``t`` if ``t`` is later.
 
         Used when an operation's completion is determined by a shared
-        resource (see :meth:`ServicePoint.serve`); never moves backwards.
+        resource (see :meth:`ServicePoint.serve_locked`); never moves backwards.
         """
         if t > self.now:
             self.now = t
@@ -84,9 +85,9 @@ class TaskClock:
 class ServicePoint:
     """A serial resource in virtual time (NIC pipeline, progress thread...).
 
-    ``serve`` computes when a request arriving at virtual time ``arrival``
-    finishes.  The caller then advances its own task clock to the returned
-    finish time.
+    ``serve_locked`` computes when a request arriving at virtual time
+    ``arrival`` finishes.  The caller then advances its own task clock to
+    the returned finish time.
 
     Out-of-order arrivals (the idle bank)
     -------------------------------------
@@ -113,7 +114,6 @@ class ServicePoint:
 
     __slots__ = (
         "name",
-        "_lock",
         "next_free",
         "idle_bank",
         "busy_time",
@@ -124,7 +124,6 @@ class ServicePoint:
     def __init__(self, name: str = "") -> None:
         #: Human-readable identity for diagnostics output.
         self.name = name
-        self._lock = threading.Lock()
         #: Virtual time at which the server's last *tail* reservation ends.
         self.next_free = 0.0
         #: Unused service capacity accumulated before ``next_free``.
@@ -138,34 +137,16 @@ class ServicePoint:
         #: off cost is the single ``is None`` check in ``serve_locked``.
         self._tracer = None
 
-    def serve(self, arrival: float, service: float) -> float:
+    def serve_locked(self, arrival: float, service: float) -> float:
         """Admit a request arriving at ``arrival`` needing ``service`` seconds.
 
-        Returns the virtual completion time.  Thread-safe: concurrent tasks
-        serialize on an internal (real) lock only long enough to reserve
-        their virtual slot.  (Direct acquire/release rather than ``with``:
-        this is the single hottest function in the simulator — every
-        charged operation passes through one or two serves.)
-        """
-        lock = self._lock
-        lock.acquire()
-        try:
-            return self.serve_locked(arrival, service)
-        finally:
-            lock.release()
-
-    def serve_locked(self, arrival: float, service: float) -> float:
-        """:meth:`serve` body for callers already holding ``_lock``.
-
-        Atomic cells alias their value lock to their line's lock and
-        reserve the line *and* commit the value in one critical section
-        (one lock cycle per mutating op instead of two); this entry point
-        lets them run the reservation without re-acquiring.
-
-        This is the one place every serve passes through — ``serve``
-        delegates here, and the compiled engine's replay either calls it or
-        inlines the same recurrence on the point's own slots at its
-        hottest sites — so the trace hook lands exactly once.
+        Returns the virtual completion time.  This is the one place every
+        serve passes through — cells, the network model and the compiled
+        engine's replay call it, and the replay's hottest sites inline
+        the same recurrence on the point's own slots — so the trace hook
+        lands exactly once.  (The name predates the removal of the
+        point's lock; ``benchmarks/e2e/hosttrace.py`` times it by this
+        name.)
         """
         self.busy_time += service
         self.served += 1
@@ -196,19 +177,17 @@ class ServicePoint:
 
     def reset(self) -> None:
         """Zero the server (between benchmark trials)."""
-        with self._lock:
-            self.next_free = 0.0
-            self.idle_bank = 0.0
-            self.busy_time = 0.0
-            self.served = 0
+        self.next_free = 0.0
+        self.idle_bank = 0.0
+        self.busy_time = 0.0
+        self.served = 0
 
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of ``horizon`` (or of ``next_free``) spent busy."""
-        with self._lock:
-            span = horizon if horizon is not None else self.next_free
-            if span <= 0.0:
-                return 0.0
-            return min(1.0, self.busy_time / span)
+        span = horizon if horizon is not None else self.next_free
+        if span <= 0.0:
+            return 0.0
+        return min(1.0, self.busy_time / span)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

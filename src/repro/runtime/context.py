@@ -9,6 +9,10 @@ local or remote and to charge virtual time.
 The context travels with the (real) thread that executes the task.  An
 ``on`` block temporarily rebinds the context's locale, mirroring Chapel task
 migration without the expense of actually migrating a Python thread.
+
+This module is one of the two places that keep ``threading``
+(docs/ENGINE.md, "One thread per runtime"): the current context is
+process-wide state, and separate runtimes may run on separate threads.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import random
 import threading
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..errors import NoTaskContextError
 from .clock import TaskClock
@@ -24,7 +28,13 @@ from .clock import TaskClock
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import Runtime
 
-__all__ = ["TaskContext", "current_context", "maybe_context", "context_scope"]
+__all__ = [
+    "TaskContext",
+    "current_context",
+    "maybe_context",
+    "context_of",
+    "context_scope",
+]
 
 _tls = threading.local()
 
@@ -46,14 +56,9 @@ class TaskContext:
         Seed of the task-private PRNG, derived by the spawner from the
         runtime seed and ``task_id`` so workloads are reproducible
         regardless of task order.  ``None`` seeds from the OS.
-    diag_rows:
-        Cache of the executing thread's comm-diagnostics stripe (set
-        lazily by the first charged operation).  Valid for the task's
-        whole life because a task runs start-to-finish on one thread;
-        saves a thread-local lookup on every charged operation.
     """
 
-    __slots__ = ("runtime", "locale_id", "clock", "task_id", "seed", "diag_rows", "_rng")
+    __slots__ = ("runtime", "locale_id", "clock", "task_id", "seed", "_rng")
 
     def __init__(
         self,
@@ -62,14 +67,12 @@ class TaskContext:
         clock: TaskClock,
         task_id: int,
         seed: Optional[int] = None,
-        diag_rows: Optional[List[List[int]]] = None,
     ) -> None:
         self.runtime = runtime
         self.locale_id = locale_id
         self.clock = clock
         self.task_id = task_id
         self.seed = seed
-        self.diag_rows = diag_rows
         self._rng: Optional[random.Random] = None
 
     @property
@@ -113,6 +116,19 @@ def current_context() -> TaskContext:
 def maybe_context() -> Optional[TaskContext]:
     """Return the current task's context or ``None`` (never raises)."""
     return getattr(_tls, "ctx", None)
+
+
+def context_of(runtime: "Runtime") -> Optional[TaskContext]:
+    """Return the current task's context if it belongs to ``runtime``.
+
+    A task of another runtime counts as no task context: its locale id
+    and clock mean nothing to ``runtime``, so an operation on ``runtime``
+    must neither index ``runtime``'s routes with that locale nor charge
+    that clock.  :meth:`~repro.atomics.cell.ChargedWord._enter` makes the
+    same check inline.
+    """
+    ctx = getattr(_tls, "ctx", None)
+    return ctx if ctx is not None and ctx.runtime is runtime else None
 
 
 @contextlib.contextmanager

@@ -25,7 +25,12 @@ A minimal session::
 Design notes
 ------------
 * ``run`` installs a root task context on the calling thread (locale 0,
-  virtual time 0) — all PGAS operations must happen inside it.
+  virtual time 0) — all PGAS operations must happen inside it.  A task
+  of another runtime counts as no task context (``context_of``): its
+  locale and clock mean nothing here, so nothing is charged to them.
+* A runtime and everything it owns are used by one thread
+  (docs/ENGINE.md, "One thread per runtime"); nothing it owns takes a
+  lock.
 * ``forall`` distributes items cyclically across locales by index (the
   analogue of iterating a ``Cyclic``-distributed array), spawning
   ``tasks_per_locale`` worker tasks per locale, and supports Chapel-style
@@ -42,7 +47,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import threading
 from typing import (
     Any,
     Callable,
@@ -64,7 +68,13 @@ from ..memory.address import GlobalAddress, is_nil
 from ..memory.heap import Heap
 from .clock import TaskClock
 from .config import NetworkType, RuntimeConfig
-from .context import TaskContext, context_scope, current_context, maybe_context
+from .context import (
+    TaskContext,
+    context_of,
+    context_scope,
+    current_context,
+    maybe_context,
+)
 from .tasking import TaskGroup, WorkerPool, spawn_tree_overhead
 
 T = TypeVar("T")
@@ -155,9 +165,7 @@ class Runtime:
             Locale(i, config) for i in range(config.num_locales)
         ]
         self._task_ids = itertools.count(1)
-        self._task_id_lock = threading.Lock()
         self._privatized: List[Any] = []
-        self._privatized_lock = threading.Lock()
         #: Spawned tasks not yet started, drained by joins (see tasking).
         self._run_queue = WorkerPool()
 
@@ -202,8 +210,22 @@ class Runtime:
         return current_context().locale_id
 
     def _next_task_id(self) -> int:
-        with self._task_id_lock:
-            return next(self._task_ids)
+        return next(self._task_ids)
+
+    def _own_context(self, what: str) -> TaskContext:
+        """The current task's context, which must belong to this runtime.
+
+        ``on``, ``coforall_locales`` and ``forall`` fork from the caller's
+        locale and join into its clock, so a task of another runtime
+        (``context_of``) is refused like no task at all.
+        """
+        ctx = context_of(self)
+        if ctx is None:
+            raise NoTaskContextError(
+                f"{what} requires a task context of this runtime; wrap your"
+                " code in Runtime.run(...) or a forall/coforall body"
+            )
+        return ctx
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -235,10 +257,9 @@ class Runtime:
                 f"need exactly {self.num_locales} privatized instances,"
                 f" got {len(instances)}"
             )
-        with self._privatized_lock:
-            pid = len(self._privatized)
-            self._privatized.append(list(instances))
-            return pid
+        pid = len(self._privatized)
+        self._privatized.append(list(instances))
+        return pid
 
     def privatized_instance(self, pid: int, locale_id: Optional[int] = None) -> Any:
         """Resolve the privatized instance for ``locale_id`` (default: here).
@@ -253,8 +274,7 @@ class Runtime:
 
     def drop_privatized(self, pid: int) -> None:
         """Release the per-locale instances for a destroyed object."""
-        with self._privatized_lock:
-            self._privatized[pid] = None
+        self._privatized[pid] = None
 
     # ------------------------------------------------------------------
     # atomics factories
@@ -290,11 +310,12 @@ class Runtime:
         Remote allocation costs an RPC, as in any PGAS runtime — node-based
         structures therefore allocate locally and publish with an atomic.
         """
-        ctx = maybe_context()
+        ctx = context_of(self)
         if locale is None:
             if ctx is None:
                 raise NoTaskContextError(
-                    "new_obj without an explicit locale requires a task context"
+                    "new_obj without an explicit locale requires a task"
+                    " context of this runtime"
                 )
             locale = ctx.locale_id
         heap = self.locale(locale).heap
@@ -312,7 +333,7 @@ class Runtime:
         if is_nil(addr):
             raise LocaleError("deref of nil GlobalAddress")
         heap = self.locale(addr.locale).heap
-        ctx = maybe_context()
+        ctx = context_of(self)
         if ctx is not None:
             self.network.read(ctx, addr.locale, nbytes=64)
         return heap.load(addr.offset)
@@ -322,7 +343,7 @@ class Runtime:
         if is_nil(addr):
             raise LocaleError("put to nil GlobalAddress")
         heap = self.locale(addr.locale).heap
-        ctx = maybe_context()
+        ctx = context_of(self)
         if ctx is not None:
             self.network.write(ctx, addr.locale, nbytes=64)
         heap.store(addr.offset, payload)
@@ -332,7 +353,7 @@ class Runtime:
         if is_nil(addr):
             raise LocaleError("free of nil GlobalAddress")
         heap = self.locale(addr.locale).heap
-        ctx = maybe_context()
+        ctx = context_of(self)
         if ctx is not None:
             self.network.free(ctx, addr.locale)
         heap.free(addr.offset)
@@ -350,7 +371,7 @@ class Runtime:
         """
         heap = self.locale(locale_id).heap
         offs = list(offsets)
-        ctx = maybe_context()
+        ctx = context_of(self)
         if ctx is not None:
             self.network.bulk_free(ctx, locale_id, len(offs), rpc=rpc)
         return heap.free_bulk(offs)
@@ -391,7 +412,7 @@ class Runtime:
         (costs are what matter).
         """
         target = self.locale(locale_id)
-        ctx = current_context()
+        ctx = self._own_context("on")
         origin = ctx.locale_id
         self.network.remote_fork(ctx, target.id)
         ctx.locale_id = target.id
@@ -413,7 +434,7 @@ class Runtime:
         join cost — the paper's global scans (Listing 4) are built from
         exactly this construct.
         """
-        ctx = current_context()
+        ctx = self._own_context("coforall_locales")
         if locales is None:
             ids = list(range(self.num_locales))
         else:
@@ -482,7 +503,7 @@ class Runtime:
             raise ValueError(
                 f"tasks_per_locale must be an integer >= 1 or None, got {tpl!r}"
             )
-        ctx = current_context()
+        ctx = self._own_context("forall")
         data = list(items)
         nloc = self.num_locales
         tr = self._tracer

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.runtime import Runtime
@@ -68,15 +66,12 @@ class TestAtomicUInt64:
         a = rt.atomic_uint(0)
         N, T = 500, 8
 
-        def worker():
+        def worker(_):
             for _ in range(N):
                 a.fetch_add(1)
 
-        ts = [threading.Thread(target=worker) for _ in range(T)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
+        # T scheduler tasks over both locales, every op charged.
+        rt.run(lambda: rt.forall(range(T), worker, tasks_per_locale=T))
         assert a.peek() == N * T
 
 
@@ -157,15 +152,11 @@ class TestAtomicBool:
         f = rt.atomic_bool(False)
         wins = []
 
-        def worker():
+        def worker(_):
             if not f.test_and_set():
                 wins.append(1)
 
-        ts = [threading.Thread(target=worker) for _ in range(8)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
+        rt.run(lambda: rt.forall(range(8), worker, tasks_per_locale=8))
         assert len(wins) == 1
 
 

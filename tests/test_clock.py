@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.runtime.clock import ServicePoint, TaskClock
@@ -67,55 +65,55 @@ class TestTaskClock:
 class TestServicePoint:
     def test_idle_server_serves_immediately(self):
         p = ServicePoint("t")
-        assert p.serve(arrival=10.0, service=1.0) == 11.0
+        assert p.serve_locked(arrival=10.0, service=1.0) == 11.0
 
     def test_back_to_back_requests_queue(self):
         p = ServicePoint("t")
-        assert p.serve(0.0, 1.0) == 1.0
+        assert p.serve_locked(0.0, 1.0) == 1.0
         # Arrives while busy, no banked idle: queues at the tail.
-        assert p.serve(0.5, 1.0) == 2.0
+        assert p.serve_locked(0.5, 1.0) == 2.0
 
     def test_idle_gap_is_banked_for_late_real_arrivals(self):
         """An op that is virtually early slots into a banked gap."""
         p = ServicePoint("t")
-        p.serve(0.0, 1.0)  # busy [0,1]
-        p.serve(10.0, 1.0)  # busy [10,11]; banks 9s of idle
+        p.serve_locked(0.0, 1.0)  # busy [0,1]
+        p.serve_locked(10.0, 1.0)  # busy [10,11]; banks 9s of idle
         # A virtually-early request (arrival 2.0) fits in the 1..10 gap.
-        assert p.serve(2.0, 1.0) == 3.0
+        assert p.serve_locked(2.0, 1.0) == 3.0
 
     def test_capacity_is_conserved_under_saturation(self):
         """N ops of service s arriving at once finish no earlier than N*s."""
         p = ServicePoint("t")
         finish = 0.0
         for _ in range(100):
-            finish = max(finish, p.serve(0.0, 1.0))
+            finish = max(finish, p.serve_locked(0.0, 1.0))
         assert finish >= 100.0
 
     def test_bank_drains_before_queueing(self):
         p = ServicePoint("t")
-        p.serve(0.0, 1.0)  # busy [0,1]
-        p.serve(3.0, 1.0)  # busy [3,4]; bank = 2
+        p.serve_locked(0.0, 1.0)  # busy [0,1]
+        p.serve_locked(3.0, 1.0)  # busy [3,4]; bank = 2
         # service 3 > bank 2: the bank is consumed and the deficit queues,
         # but completion can never precede arrival + service (6.5).
-        assert p.serve(3.5, 3.0) == 6.5
+        assert p.serve_locked(3.5, 3.0) == 6.5
         assert p.idle_bank == 0.0
 
     def test_deficit_queueing_without_physical_floor(self):
         p = ServicePoint("t")
-        p.serve(0.0, 10.0)  # busy [0,10], bank 0
+        p.serve_locked(0.0, 10.0)  # busy [0,10], bank 0
         # Arrives early, no bank: queues at the tail for its full service.
-        assert p.serve(1.0, 2.0) == 12.0
+        assert p.serve_locked(1.0, 2.0) == 12.0
 
     def test_busy_time_and_served_counters(self):
         p = ServicePoint("t")
-        p.serve(0.0, 1.0)
-        p.serve(5.0, 2.0)
+        p.serve_locked(0.0, 1.0)
+        p.serve_locked(5.0, 2.0)
         assert p.busy_time == pytest.approx(3.0)
         assert p.served == 2
 
     def test_reset_zeroes_everything(self):
         p = ServicePoint("t")
-        p.serve(0.0, 5.0)
+        p.serve_locked(0.0, 5.0)
         p.reset()
         assert p.next_free == 0.0
         assert p.busy_time == 0.0
@@ -125,32 +123,13 @@ class TestServicePoint:
     def test_utilization_bounded_by_one(self):
         p = ServicePoint("t")
         for _ in range(10):
-            p.serve(0.0, 1.0)
+            p.serve_locked(0.0, 1.0)
         assert p.utilization() == pytest.approx(1.0)
 
     def test_utilization_with_horizon(self):
         p = ServicePoint("t")
-        p.serve(0.0, 1.0)
+        p.serve_locked(0.0, 1.0)
         assert p.utilization(horizon=4.0) == pytest.approx(0.25)
 
     def test_utilization_of_fresh_server_is_zero(self):
         assert ServicePoint("t").utilization() == 0.0
-
-    def test_thread_safety_of_serve(self):
-        """Concurrent serves never lose capacity accounting."""
-        p = ServicePoint("t")
-        N, T = 200, 8
-
-        def hammer():
-            for _ in range(N):
-                p.serve(0.0, 0.001)
-
-        threads = [threading.Thread(target=hammer) for _ in range(T)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert p.served == N * T
-        assert p.busy_time == pytest.approx(N * T * 0.001)
-        # Capacity conservation: the tail is at least total work.
-        assert p.next_free + p.idle_bank >= N * T * 0.001 - 1e-9

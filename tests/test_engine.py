@@ -1,21 +1,20 @@
-"""Execution-engine tests: the scheduler, route tables, striped counters.
+"""Execution-engine tests: the scheduler, route tables, counters.
 
 Covers the engine-overhaul invariants:
 
 * ``ServicePoint`` idle-bank edge cases (arrival exactly at the tail,
-  zero-service requests, bank exactly consumed) and the ``serve`` /
-  ``serve_locked`` equivalence the one-lock-cycle cell design relies on.
+  zero-service requests, bank exactly consumed).
 * Virtual-time determinism: seeded workloads produce bit-identical
   ``timed()`` results and comm totals run-to-run and across worker-pool
   sizes (the one-scheduler contract: the pool size has no effect).
 * The scheduler: joins drain one FIFO run queue on the calling thread
   (siblings queued first run first), nested fork/join completes and
   starts no thread, and a task joining its own group fails loudly.
-* Diagnostics: exact counts under concurrency (striping), the stopped
-  fast path, and single-point rejection of unknown op names.
+* Diagnostics: exact counts, an in-place reset, the stopped fast path,
+  and single-point rejection of unknown op names.
 * Charges: the one-step control-plane charges and every atomic type's
   fused charge-and-commit path equal their stepwise references, and
-  atomic plans are shared per ``(home, opt_out)`` and lock-order safe.
+  atomic plans are shared per ``(home, opt_out)``.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from repro.atomics import (
     AtomicWide128,
 )
 from repro.comm.counters import CommDiagnostics, CommOp
-from repro.comm.network import NetworkModel
-from repro.comm.routes import AtomicRoute
 from repro.core import ABA, AtomicObject, LocalAtomicObject
 from repro.core.epoch_manager import EpochManagerStats
 from repro.memory import NIL
@@ -53,65 +50,50 @@ from repro.errors import RuntimeStateError
 class TestServicePointEdges:
     def test_arrival_exactly_at_next_free_banks_nothing(self):
         sp = ServicePoint("x")
-        assert sp.serve(0.0, 2.0) == 2.0
+        assert sp.serve_locked(0.0, 2.0) == 2.0
         # Arrival == next_free: no idle gap to bank, runs immediately.
-        assert sp.serve(2.0, 1.0) == 3.0
+        assert sp.serve_locked(2.0, 1.0) == 3.0
         assert sp.idle_bank == 0.0
         assert sp.next_free == 3.0
 
     def test_zero_service_request_is_free_but_counted(self):
         sp = ServicePoint("x")
-        assert sp.serve(5.0, 0.0) == 5.0
+        assert sp.serve_locked(5.0, 0.0) == 5.0
         assert sp.served == 1
         assert sp.busy_time == 0.0
         # The pre-arrival idle time was banked.
         assert sp.idle_bank == 5.0
         # A zero-service request behind the tail completes at its arrival.
         sp2 = ServicePoint("y")
-        sp2.serve(0.0, 4.0)  # tail at 4
-        assert sp2.serve(1.0, 0.0) == 1.0
+        sp2.serve_locked(0.0, 4.0)  # tail at 4
+        assert sp2.serve_locked(1.0, 0.0) == 1.0
 
     def test_bank_exactly_equals_service_consumes_bank_not_tail(self):
         sp = ServicePoint("x")
-        sp.serve(3.0, 1.0)  # banks 3 idle seconds, tail at 4
+        sp.serve_locked(3.0, 1.0)  # banks 3 idle seconds, tail at 4
         assert sp.idle_bank == 3.0
         # Early arrival wanting exactly the banked capacity: fits in the
         # past gap, tail untouched, bank drained to zero.
-        assert sp.serve(0.0, 3.0) == 3.0
+        assert sp.serve_locked(0.0, 3.0) == 3.0
         assert sp.idle_bank == 0.0
         assert sp.next_free == 4.0
 
     def test_bank_deficit_queues_only_the_remainder(self):
         sp = ServicePoint("x")
-        sp.serve(2.0, 1.0)  # bank 2, tail 3
+        sp.serve_locked(2.0, 1.0)  # bank 2, tail 3
         # Early arrival needing 5: 2 from the bank, 3 queued at the tail.
-        finish = sp.serve(0.0, 5.0)
+        finish = sp.serve_locked(0.0, 5.0)
         assert finish == 6.0  # tail 3 + deficit 3
         assert sp.idle_bank == 0.0
         assert sp.next_free == 6.0
 
     def test_saturated_finish_never_precedes_arrival_plus_service(self):
         sp = ServicePoint("x")
-        sp.serve(0.0, 1.0)  # tail 1, no bank
-        finish = sp.serve(10.0, 2.0)
+        sp.serve_locked(0.0, 1.0)  # tail 1, no bank
+        finish = sp.serve_locked(10.0, 2.0)
         assert finish == 12.0  # not 3.0: capacity after the gap is banked
         # ... and a follow-up early arrival can use that banked gap.
         assert sp.idle_bank == 9.0
-
-    def test_serve_locked_equals_serve(self):
-        a, b = ServicePoint("a"), ServicePoint("b")
-        seq = [(0.0, 2.0), (2.0, 1.0), (1.0, 3.0), (9.0, 0.5), (4.0, 2.0)]
-        for arrival, service in seq:
-            ra = a.serve(arrival, service)
-            with b._lock:
-                rb = b.serve_locked(arrival, service)
-            assert ra == rb
-        assert (a.next_free, a.idle_bank, a.busy_time, a.served) == (
-            b.next_free,
-            b.idle_bank,
-            b.busy_time,
-            b.served,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +296,11 @@ class TestWorkerPool:
 
 
 # ---------------------------------------------------------------------------
-# Striped diagnostics & stats
+# Diagnostics & stats
 # ---------------------------------------------------------------------------
 
 
-class TestStripedDiagnostics:
+class TestCommDiagnostics:
     def test_unknown_op_rejected_in_one_place(self):
         diags = CommDiagnostics(2)
         with pytest.raises(ValueError):
@@ -339,23 +321,6 @@ class TestStripedDiagnostics:
         diags.record(0, CommOp.GET)
         assert diags.totals()["get"] == 1
 
-    def test_concurrent_records_are_exact(self):
-        """Per-thread striping loses no increments under contention."""
-        diags = CommDiagnostics(1)
-        n_threads, per_thread = 8, 5000
-
-        def hammer():
-            for _ in range(per_thread):
-                diags.record(0, CommOp.AMO)
-
-        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert diags.totals()["amo"] == n_threads * per_thread
-        assert diags.total(CommOp.AMO) == n_threads * per_thread
-
     def test_bulk_bytes_accumulate(self):
         diags = CommDiagnostics(1)
         diags.record(0, CommOp.BULK, nbytes=100)
@@ -363,14 +328,17 @@ class TestStripedDiagnostics:
         t = diags.totals()
         assert t["bulk"] == 2 and t["bulk_bytes"] == 128
 
-    def test_reset_zeroes_all_stripes(self):
+    def test_reset_zeroes_every_locale_in_place(self):
         diags = CommDiagnostics(2)
+        rows = diags._rows
         diags.record(1, CommOp.PUT)
-        other = threading.Thread(target=lambda: diags.record(0, CommOp.GET))
-        other.start()
-        other.join()
+        diags.record(0, CommOp.GET)
         diags.reset()
         assert all(v == 0 for v in diags.totals().values())
+        # Cells hold the matrix itself: reset must not replace it.
+        assert diags._rows is rows
+        diags.record(0, CommOp.GET)
+        assert rows[0][CommDiagnostics.op_index(CommOp.GET)] == 1
 
     def test_fork_diagnostic_uses_symbolic_op(self):
         """coforall records CommOp.FORK (satellite #2 regression guard)."""
@@ -380,24 +348,15 @@ class TestStripedDiagnostics:
         rt.close()
 
 
-class TestStripedEpochStats:
-    def test_concurrent_incs_are_exact(self):
+class TestEpochStats:
+    def test_incs_are_exact(self):
         stats = EpochManagerStats()
-        n_threads, per_thread = 6, 4000
-
-        def bump():
-            for _ in range(per_thread):
-                stats.inc("reclaim_attempts")
-            stats.inc("objects_reclaimed", 7)
-
-        threads = [threading.Thread(target=bump) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        for _ in range(4000):
+            stats.inc("reclaim_attempts")
+        stats.inc("objects_reclaimed", 7)
         d = stats.as_dict()
-        assert d["reclaim_attempts"] == n_threads * per_thread
-        assert d["objects_reclaimed"] == 7 * n_threads
+        assert d["reclaim_attempts"] == 4000
+        assert d["objects_reclaimed"] == 7
         assert d["advances"] == 0
 
 
@@ -422,7 +381,7 @@ class TestRoutePrecompilation:
 
 def _reference_ctrl(net, ctx, op, home, count=0, rpc=True):
     """The control-plane charges spelled out step by step: a by-name
-    diagnostic record, then ``advance(latency)``, ``point.serve`` and
+    diagnostic record, then ``advance(latency)``, ``point.serve_locked`` and
     ``advance_to`` — the recurrence the one-step charges must equal."""
     clock = ctx.clock
     costs = net.costs
@@ -433,7 +392,7 @@ def _reference_ctrl(net, ctx, op, home, count=0, rpc=True):
         point, cc = ctrl
         net.diags.record(ctx.locale_id, diag)
         t = clock.advance(latency)
-        t = point.serve(t, cc.am_service)
+        t = point.serve_locked(t, cc.am_service)
         clock.advance_to(t)
 
     if op in ("fork", "return"):
@@ -542,7 +501,7 @@ class TestControlPlaneCharges:
 
 
 # ---------------------------------------------------------------------------
-# Fused atomic charges (every atomic type, one lock cycle per op)
+# Fused atomic charges (every atomic type, one charge body)
 # ---------------------------------------------------------------------------
 
 #: The four machines the charge-equivalence tests drive.
@@ -668,18 +627,6 @@ def _drive_atomics(config, fused):
         rt.close()
 
 
-def _self_locking_points(steps, reachable):
-    """The points whose self-locking ``serve`` a plan runs for a
-    reachable distance class."""
-    return [
-        step[2].__self__
-        for ci, step in enumerate(steps)
-        if ci in reachable
-        and step[2] is not None
-        and step[2].__func__ is ServicePoint.serve
-    ]
-
-
 class TestFusedAtomicCharges:
     @pytest.mark.parametrize("config", _MACHINES, ids=_MACHINE_IDS)
     def test_fused_paths_equal_the_reference_atomic_op(self, config):
@@ -704,39 +651,5 @@ class TestFusedAtomicCharges:
                 assert AtomicRef(rt, home)._plan is opted
                 assert LocalAtomicObject(rt, locale=home)._plan is opted
                 assert AtomicWide128(rt, home, opt_out=True)._plan is opted
-            # Flat ugni: the NIC lock is every plain cell's lock, so an
-            # AtomicObject keeps no lock of its own.
-            obj = AtomicObject(rt, locale=1)
-            assert obj._lock is net.nic[1]._lock
         finally:
             rt.close()
-
-    @pytest.mark.parametrize("config", _MACHINES, ids=_MACHINE_IDS)
-    def test_plans_never_nest_a_serve_of_the_lock_point(self, config):
-        net = NetworkModel(config)
-        for home in range(config.num_locales):
-            for opt_out in (False, True):
-                plan = net.cell_plan(home, opt_out)
-                if plan.lock_point is None:
-                    continue
-                reachable = set(plan.dist)
-                for steps in (plan.narrow, plan.wide):
-                    assert plan.lock_point not in _self_locking_points(
-                        steps, reachable
-                    )
-
-    def test_plan_compile_rejects_a_nested_serve_of_the_lock_point(self):
-        net = NetworkModel(RuntimeConfig(num_locales=2, network="ugni"))
-        narrow, narrow_opt, wide, _ = net.atomic_class_routes(0)
-        nic = net.nic[0]
-        # A wide row through the home NIC — the point flat ugni cells
-        # lock — would deadlock on the non-reentrant lock.
-        bad = tuple(
-            AtomicRoute(r.diag_index, r.latency, nic, r.point_service, r.line_service)
-            for r in wide
-        )
-        net._class_tables[0] = (narrow, narrow_opt, bad, bad)
-        with pytest.raises(RuntimeStateError, match="self-locking serve of nic"):
-            net.cell_plan(0, False)
-        # Opted-out cells lock their own line: nesting the NIC is fine.
-        assert net.cell_plan(0, True).lock_point is None

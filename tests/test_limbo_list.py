@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.core.limbo_list import LimboList, NodePool
@@ -59,7 +57,7 @@ class TestNodePool:
             pool.put(n)
         assert pool.drain_count() == 5
 
-    def test_concurrent_get_put_conserves_nodes(self, pool):
+    def test_concurrent_get_put_conserves_nodes(self, rt, pool):
         """No node is ever handed to two owners at once."""
         errors = []
 
@@ -77,11 +75,7 @@ class TestNodePool:
             except AssertionError as exc:  # pragma: no cover
                 errors.append(exc)
 
-        ts = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
+        rt.run(lambda: rt.forall(range(8), worker, tasks_per_locale=8))
         assert not errors
 
 
@@ -142,11 +136,7 @@ class TestLimboListConcurrent:
             for i in range(N):
                 limbo.push((wid, i))
 
-        ts = [threading.Thread(target=worker, args=(w,)) for w in range(T)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
+        rt.run(lambda: rt.forall(range(T), worker, tasks_per_locale=T))
         got = limbo.collect()
         assert len(got) == N * T
         assert set(got) == {(w, i) for w in range(T) for i in range(N)}
@@ -160,11 +150,7 @@ class TestLimboListConcurrent:
             for i in range(100):
                 limbo.push((wid, i))
 
-        ts = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
+        rt.run(lambda: rt.forall(range(4), worker, tasks_per_locale=4))
         got = limbo.collect()
         for wid in range(4):
             seq = [i for (w, i) in got if w == wid]

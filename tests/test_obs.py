@@ -376,33 +376,3 @@ class TestEpochFacts:
         assert reg.policy["deferrals"] == sum(
             1 for e in decisions if e["decision"] == "defer"
         )
-
-
-# ----------------------------------------------------------------------
-# serve/serve_locked dedup regression
-# ----------------------------------------------------------------------
-class TestServeDedup:
-    def test_serve_matches_serve_locked(self):
-        """The lock-wrapper and the locked body must stay one recurrence."""
-        from repro.runtime.clock import ServicePoint
-
-        a = ServicePoint("a")
-        b = ServicePoint("b")
-        # Exercise all three recurrence branches: idle arrival (banks the
-        # gap), bank-covered overlap, and genuine saturation.
-        requests = [
-            (0.0, 1e-6),
-            (5e-6, 1e-6),
-            (5.5e-6, 1e-6),
-            (5.6e-6, 1e-5),
-            (5.7e-6, 1e-6),
-        ]
-        for arrival, service in requests:
-            fa = a.serve(arrival, service)
-            with b._lock:
-                fb = b.serve_locked(arrival, service)
-            assert fa == fb
-            assert a.idle_bank == b.idle_bank
-            assert a.next_free == b.next_free
-            assert a.busy_time == b.busy_time
-        assert a.served == b.served == len(requests)

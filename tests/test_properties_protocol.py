@@ -41,7 +41,7 @@ class TestServicePointProperties:
         """
         p = ServicePoint("prop")
         for arrival, service in reqs:
-            finish = p.serve(arrival, service)
+            finish = p.serve_locked(arrival, service)
             assert finish >= arrival + service - 1e-12  # never early
         assert p.busy_time <= (p.next_free - p.idle_bank) + 1e-9
 
@@ -59,7 +59,7 @@ class TestServicePointProperties:
         p = ServicePoint("prop")
         last_busy = 0.0
         for arrival, service in reqs:
-            p.serve(arrival, service)
+            p.serve_locked(arrival, service)
             assert p.busy_time > last_busy
             last_busy = p.busy_time
         assert p.served == len(reqs)

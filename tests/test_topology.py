@@ -462,27 +462,6 @@ class TestTopologyPricing:
         finally:
             rt.close()
 
-    def test_single_group_dragonfly_keeps_lock_fast_path(self):
-        """When every reachable narrow class rides the NIC (all locales in
-        one dragonfly group under ugni), cells adopt the NIC lock exactly
-        like flat ugni — the dead inter-group class must not defeat the
-        one-lock-cycle fast path."""
-        rt = Runtime(config=RuntimeConfig(num_locales=4, topology="dragonfly:8"))
-        flat = Runtime(num_locales=4)
-        multi = Runtime(config=RuntimeConfig(num_locales=8, topology="dragonfly:4"))
-        try:
-            cell = rt.atomic_int(0, locale=1)
-            assert cell._lock is rt.network.nic[1]._lock
-            fcell = flat.atomic_int(0, locale=1)
-            assert fcell._lock is flat.network.nic[1]._lock
-            # Genuinely multi-class homes fall back to the line lock.
-            mcell = multi.atomic_int(0, locale=1)
-            assert mcell._lock is mcell.line._lock
-        finally:
-            rt.close()
-            flat.close()
-            multi.close()
-
     def test_flat_has_no_uplinks(self):
         rt = Runtime(num_locales=4)
         try:
