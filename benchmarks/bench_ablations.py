@@ -43,7 +43,9 @@ def test_ablation_compression(benchmark):
 
 
 def test_ablation_privatization(benchmark):
-    """Privatized resolution is flat; by-reference grows with locales."""
+    """Privatized resolution is free: its series is only the forall's
+    spawn tree and join (one 6 us round per locale doubling).
+    By-reference pays a GET per resolution."""
 
     def run():
         return ablation_privatization(locales=(2, 4, 8), ops_per_task=1 << 9)

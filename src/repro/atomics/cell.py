@@ -109,10 +109,7 @@ class ChargedWord:
         body.
         """
         rt, dist, narrow, diags, rows, line_serve = self._hot
-        try:
-            ctx = _context_tls.ctx
-        except AttributeError:  # thread never entered a task scope
-            return
+        ctx = _context_tls.ctx
         if ctx is None or ctx.runtime is not rt:
             return
         locale = ctx.locale_id
@@ -121,11 +118,10 @@ class ChargedWord:
         )[dist[locale]]
         if diags._enabled:
             rows[locale][diag_index] += 1
-        clock = ctx.clock
-        t = clock.now + latency
+        t = ctx.now + latency
         if outer is not None:
             t = outer(t, point_service)
-        clock.now = line_serve(t, line_service)
+        ctx.now = line_serve(t, line_service)
 
     def reset_measurements(self) -> None:
         """Zero the cell's contention bookkeeping (between bench trials)."""

@@ -33,7 +33,7 @@ class SpinLock:
     holds the lock, nobody else's critical section may overlap it.  The
     lock therefore owns a :class:`~repro.runtime.clock.ServicePoint` whose
     capacity is consumed by each critical section's duration — on release,
-    the holder's clock absorbs any queueing delay accumulated behind other
+    the holder's time absorbs any queueing delay accumulated behind other
     holders.  This is what caps a locked structure's throughput at
     ``1 / mean-hold-time`` regardless of task count, the ceiling the
     non-blocking structures exist to break.
@@ -67,21 +67,22 @@ class SpinLock:
             if spins % 4 == 0:
                 ctx = maybe_context()
                 if ctx is not None:
-                    ctx.clock.advance(ctx.runtime.config.costs.cpu_atomic_latency * spins)
+                    ctx.now += ctx.runtime.config.costs.cpu_atomic_latency * spins
         self.acquisitions += 1
         ctx = maybe_context()
-        self._hold_start = ctx.clock.now if ctx is not None else 0.0
+        self._hold_start = ctx.now if ctx is not None else 0.0
 
     def release(self) -> None:
         """End the critical section: consume lock capacity, then unlock."""
         ctx = maybe_context()
         if ctx is not None:
-            hold = ctx.clock.now - self._hold_start
+            hold = ctx.now - self._hold_start
             # Even an empty critical section occupies the lock for the
             # releasing store's latency.
             hold = max(hold, self._rt.config.costs.cpu_atomic_latency)
             finish = self.cs_point.serve_locked(self._hold_start, hold)
-            ctx.clock.advance_to(finish)
+            if finish > ctx.now:
+                ctx.now = finish
         self._flag.clear()
 
     def __enter__(self) -> "SpinLock":

@@ -102,9 +102,14 @@ def ablation_privatization(
     """Privatized handle resolution vs per-access metadata round trips.
 
     Measures the pure handle-resolution loop the paper optimizes: each
-    task resolves its local instance and performs a trivially cheap local
-    action.  With privatization the curve is flat; without, every access
-    pays a GET from the owner locale and the owner's NIC serializes.
+    task resolves its local instance ``ops_per_task`` times.  Privatized
+    resolution is a local table lookup that charges nothing, so that
+    series is exactly the ``forall``'s spawn tree plus its join,
+    ``ceil(log2(n + 1))`` remote-spawn rounds and one join cost: under
+    the default ugni costs 13, 19, 25, 31 and 37 us over 2-32 locales,
+    one 6 us round per locale doubling, the same for every
+    ``ops_per_task``.  Without privatization every access pays a GET from
+    the owner locale and the owner's NIC serializes.
     """
     panel = Panel(
         title="Ablation: privatization (ugni) — time (s)",

@@ -267,10 +267,10 @@ class UplinkAggregator:
         latency = base_latency + extra * cc.am_batch_item_latency
         service = base_service + extra * cc.am_batch_item_service
         point = net.uplinks[group]
-        clock = ctx.clock
-        t = clock.now + latency
+        t = ctx.now + latency
         finish = point.serve_locked(t, service)
-        clock.advance_to(finish)
+        if finish > ctx.now:
+            ctx.now = finish
         if self._dynamic:
             # Feed the window policy its virtual-time facts: occupancy
             # against the live window and the uplink queueing delay this

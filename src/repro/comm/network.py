@@ -497,12 +497,11 @@ class NetworkModel:
         finishes before its arrival ``now + latency``.
         """
         self.diags.record_index(ctx.locale_id, route.diag_index)
-        clock = ctx.clock
-        t = clock.now + route.latency
+        t = ctx.now + route.latency
         point = route.point
         if point is not None:
             t = point.serve_locked(t, route.point_service)
-        clock.now = line.serve_locked(t, route.line_service)
+        ctx.now = line.serve_locked(t, route.line_service)
 
     def atomic_op(
         self,
@@ -540,9 +539,8 @@ class NetworkModel:
     # ------------------------------------------------------------------
     def read(self, ctx: "TaskContext", home: int, nbytes: int = 8) -> None:
         """Charge a GET of ``nbytes`` from locale ``home``."""
-        clock = ctx.clock
         tr = self._tracer
-        t0 = clock.now if tr is not None else 0.0
+        t0 = ctx.now if tr is not None else 0.0
         row = self._dist_rows[home]
         if row is None:
             row = self.distance_row(home)
@@ -553,19 +551,18 @@ class NetworkModel:
         r = routes[dclass]
         if r is None:
             # Self or coherent peer: one local load, no communication.
-            clock.now += self._cpu_load_latency
+            ctx.now += self._cpu_load_latency
         else:
             self.diags.record_index(ctx.locale_id, r.diag_index)
-            t = clock.now + r.latency + nbytes * r.byte_cost
-            clock.now = r.point.serve_locked(t, r.service)
+            t = ctx.now + r.latency + nbytes * r.byte_cost
+            ctx.now = r.point.serve_locked(t, r.service)
         if tr is not None:
-            tr.op("get", t0, clock.now, dclass, home, nbytes=nbytes)
+            tr.op("get", t0, ctx.now, dclass, home, nbytes=nbytes)
 
     def write(self, ctx: "TaskContext", home: int, nbytes: int = 8) -> None:
         """Charge a PUT of ``nbytes`` to locale ``home``."""
-        clock = ctx.clock
         tr = self._tracer
-        t0 = clock.now if tr is not None else 0.0
+        t0 = ctx.now if tr is not None else 0.0
         row = self._dist_rows[home]
         if row is None:
             row = self.distance_row(home)
@@ -575,19 +572,18 @@ class NetworkModel:
         dclass = row[ctx.locale_id]
         r = routes[dclass]
         if r is None:
-            clock.now += self._cpu_load_latency
+            ctx.now += self._cpu_load_latency
         else:
             self.diags.record_index(ctx.locale_id, r.diag_index)
-            t = clock.now + r.latency + nbytes * r.byte_cost
-            clock.now = r.point.serve_locked(t, r.service)
+            t = ctx.now + r.latency + nbytes * r.byte_cost
+            ctx.now = r.point.serve_locked(t, r.service)
         if tr is not None:
-            tr.op("put", t0, clock.now, dclass, home, nbytes=nbytes)
+            tr.op("put", t0, ctx.now, dclass, home, nbytes=nbytes)
 
     def bulk(self, ctx: "TaskContext", home: int, nbytes: int) -> None:
         """Charge a bulk one-sided transfer of ``nbytes`` to/from ``home``."""
-        clock = ctx.clock
         tr = self._tracer
-        t0 = clock.now if tr is not None else 0.0
+        t0 = ctx.now if tr is not None else 0.0
         row = self._dist_rows[home]
         if row is None:
             row = self.distance_row(home)
@@ -597,22 +593,23 @@ class NetworkModel:
         dclass = row[ctx.locale_id]
         r = routes[dclass]
         if r is None:
-            clock.now += self._cpu_load_latency + nbytes * self._bulk_byte_cost
+            ctx.now += self._cpu_load_latency + nbytes * self._bulk_byte_cost
         else:
             self.diags.record_bulk(ctx.locale_id, nbytes)
-            t = clock.now + r.latency + nbytes * r.byte_cost
-            clock.now = r.point.serve_locked(t, r.service)
+            t = ctx.now + r.latency + nbytes * r.byte_cost
+            ctx.now = r.point.serve_locked(t, r.service)
         if tr is not None:
-            tr.op("bulk", t0, clock.now, dclass, home, nbytes=nbytes)
+            tr.op("bulk", t0, ctx.now, dclass, home, nbytes=nbytes)
 
     # ------------------------------------------------------------------
     # remote execution and memory management (the control plane)
     #
     # One step per message: the cached distance row and control-plane
     # table are read directly, the diagnostic is recorded by precompiled
-    # index, and the clock takes the serve result as a plain store —
-    # the same float operations as advance(latency) + serve +
-    # advance_to, since a serve never finishes before its arrival.
+    # index, and the task's ``now`` takes the serve result as a plain
+    # store — the same float operations as adding the latency, serving
+    # and moving to the later of the two, since a serve never finishes
+    # before its arrival.
     # ------------------------------------------------------------------
     def remote_fork(self, ctx: "TaskContext", target: int) -> None:
         """Charge initiating an ``on`` statement (blocking remote fork)."""
@@ -623,9 +620,8 @@ class NetworkModel:
         dclass = row[lid]
         if dclass == 0:
             return
-        clock = ctx.clock
         tr = self._tracer
-        t0 = clock.now if tr is not None else 0.0
+        t0 = ctx.now if tr is not None else 0.0
         table = self._ctrl_tables[target]
         if table is None:
             table = self._ctrl_routes(target)
@@ -634,13 +630,13 @@ class NetworkModel:
             # Coherent peer: scheduling a task on a core we share memory
             # with — a local spawn, no message, so (like every other
             # coherent-class charge) nothing is recorded in comm diags.
-            clock.now += self.costs.task_spawn_local
+            ctx.now += self.costs.task_spawn_local
         else:
             self.diags.record_index(lid, _FORK)
             point, cc = ctrl
-            clock.now = point.serve_locked(clock.now + cc.task_spawn_remote, cc.am_service)
+            ctx.now = point.serve_locked(ctx.now + cc.task_spawn_remote, cc.am_service)
         if tr is not None:
-            tr.op("fork", t0, clock.now, dclass, target)
+            tr.op("fork", t0, ctx.now, dclass, target)
 
     def remote_return(self, ctx: "TaskContext", origin: int) -> None:
         """Charge returning from an ``on`` statement back to ``origin``."""
@@ -651,22 +647,21 @@ class NetworkModel:
         dclass = row[lid]
         if dclass == 0:
             return
-        clock = ctx.clock
         tr = self._tracer
-        t0 = clock.now if tr is not None else 0.0
+        t0 = ctx.now if tr is not None else 0.0
         table = self._ctrl_tables[origin]
         if table is None:
             table = self._ctrl_routes(origin)
         ctrl = table[dclass]
         if ctrl is None:
             # Coherent peer: no return message either (see remote_fork).
-            clock.now += self._cpu_load_latency
+            ctx.now += self._cpu_load_latency
         else:
             self.diags.record_index(lid, _AM)
             point, cc = ctrl
-            clock.now = point.serve_locked(clock.now + cc.am_latency, cc.am_service)
+            ctx.now = point.serve_locked(ctx.now + cc.am_latency, cc.am_service)
         if tr is not None:
-            tr.op("return", t0, clock.now, dclass, origin)
+            tr.op("return", t0, ctx.now, dclass, origin)
 
     def am_roundtrip(self, ctx: "TaskContext", target: int) -> None:
         """Charge a generic RPC to ``target`` (request + response)."""
@@ -675,22 +670,21 @@ class NetworkModel:
             row = self.distance_row(target)
         lid = ctx.locale_id
         dclass = row[lid]
-        clock = ctx.clock
         tr = self._tracer
-        t0 = clock.now if tr is not None else 0.0
+        t0 = ctx.now if tr is not None else 0.0
         table = self._ctrl_tables[target]
         if table is None:
             table = self._ctrl_routes(target)
         ctrl = table[dclass]
         if ctrl is None:
             # Self or coherent peer: a direct call over shared memory.
-            clock.now += self._cpu_load_latency
+            ctx.now += self._cpu_load_latency
         else:
             self.diags.record_index(lid, _AM)
             point, cc = ctrl
-            clock.now = point.serve_locked(clock.now + 2.0 * cc.am_latency, cc.am_service)
+            ctx.now = point.serve_locked(ctx.now + 2.0 * cc.am_latency, cc.am_service)
         if tr is not None:
-            tr.op("am", t0, clock.now, dclass, target)
+            tr.op("am", t0, ctx.now, dclass, target)
 
     def _rpc_then_local(
         self,
@@ -711,9 +705,8 @@ class NetworkModel:
             row = self.distance_row(home)
         lid = ctx.locale_id
         dclass = row[lid]
-        clock = ctx.clock
         tr = self._tracer
-        t0 = clock.now
+        t0 = ctx.now
         if rpc:
             table = self._ctrl_tables[home]
             if table is None:
@@ -722,15 +715,15 @@ class NetworkModel:
             if ctrl is not None:
                 self.diags.record_index(lid, _AM)
                 point, cc = ctrl
-                clock.now = point.serve_locked(t0 + 2.0 * cc.am_latency, cc.am_service)
+                ctx.now = point.serve_locked(t0 + 2.0 * cc.am_latency, cc.am_service)
                 if tr is not None:
-                    tr.op("am", t0, clock.now, dclass, home)
-        clock.now += local
+                    tr.op("am", t0, ctx.now, dclass, home)
+        ctx.now += local
         if tr is not None:
             if count:
-                tr.op(kind, t0, clock.now, dclass, home, count=count)
+                tr.op(kind, t0, ctx.now, dclass, home, count=count)
             else:
-                tr.op(kind, t0, clock.now, dclass, home)
+                tr.op(kind, t0, ctx.now, dclass, home)
 
     def alloc(self, ctx: "TaskContext", home: int) -> None:
         """Charge allocating one object on ``home``.

@@ -531,7 +531,7 @@ class EpochManager(ManagerCore, PrivatizedObject):
             tr.reclaim(
                 "advance",
                 "ebr",
-                current_context().clock.now,
+                current_context().now,
                 epoch=new_epoch,
                 freed=reclaimed,
             )
@@ -576,7 +576,7 @@ class EpochManager(ManagerCore, PrivatizedObject):
                 tr.reclaim(
                     "drain",
                     "ebr",
-                    current_context().clock.now,
+                    current_context().now,
                     unit=tr.unit_id(inst_l),
                     slots=sorted(indices),
                     count=sum(len(v) for v in scatter.values()),

@@ -118,7 +118,7 @@ class ManagerCore:
         )
         ctx = maybe_context()
         return EpochFacts(
-            now=ctx.clock.now if ctx is not None else 0.0,
+            now=ctx.now if ctx is not None else 0.0,
             pending=pending,
             last_pin=last_pin,
             crossings=crossings,
@@ -139,7 +139,7 @@ class ManagerCore:
             tr.reclaim(
                 "clear",
                 self.scheme,
-                ctx.clock.now if ctx is not None else 0.0,
+                ctx.now if ctx is not None else 0.0,
                 freed=freed,
             )
         self._policy_tick()

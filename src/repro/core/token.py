@@ -107,10 +107,7 @@ class Token:
             raise TokenStateError("token has been unregistered")
         # Inline context fetch (pin/unpin hot path); current_context()
         # supplies the precise no-context error on the cold branch.
-        try:
-            ctx = _context_tls.ctx
-        except AttributeError:
-            ctx = None
+        ctx = _context_tls.ctx
         if ctx is None:
             ctx = current_context()
         # home_locales is {locale_id} for per-locale instances; under the
@@ -153,10 +150,10 @@ class Token:
             # Virtual-time fact for the grace epoch policy: the owning
             # task is the only writer; the root max-folds across tokens
             # at (post-join) decision points.
-            self._last_pin_vt = current_context().clock.now
+            self._last_pin_vt = current_context().now
         tr = self._full_tracer
         if tr is not None:
-            tr.guard("pin", "ebr", current_context().clock.now)
+            tr.guard("pin", "ebr", current_context().now)
         inst_epoch = self._inst_epoch
         my_epoch = self.local_epoch
         epoch = inst_epoch.read()
@@ -200,7 +197,7 @@ class Token:
             # Limbo-age fact: min-fold the retire timestamp into the
             # instance's per-slot array (socket siblings may retire into
             # one shared instance).
-            now = current_context().clock.now
+            now = current_context().now
             slot = epoch - 1
             cur = inst.slot_retire_vt[slot]
             if cur is None or now < cur:

@@ -36,8 +36,8 @@ from random import Random
 from typing import Any, Iterable, List, Optional, Sequence
 
 from ..core.limbo_list import LimboNode
-from ..runtime.clock import ServicePoint, TaskClock
-from ..runtime.context import TaskContext, context_scope, current_context
+from ..runtime.clock import ServicePoint
+from ..runtime.context import TaskContext, current_context
 from ..runtime.tasking import spawn_tree_overhead
 from .cache import COLUMN_CACHE
 
@@ -58,13 +58,7 @@ def _forall_prologue(rt, ctx, active_locales, total_tasks) -> float:
         total_tasks,
         rt.network.spawn_broadcast_cost(ctx.locale_id, active_locales),
     )
-    return ctx.clock.now + overhead
-
-
-def _forall_epilogue(rt, ctx, finish: float) -> None:
-    """The join-side bookkeeping of ``Runtime.forall``."""
-    ctx.clock.advance_to(finish)
-    ctx.clock.advance(rt.config.costs.task_join)
+    return ctx.now + overhead
 
 
 def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
@@ -104,7 +98,7 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
             point, cc = ctrl
             plans.append((2.0 * cc.am_latency, point, cc.am_service))
 
-    now = ctx.clock.now
+    now = ctx.now
     n_am = 0
     for home in targets:
         plan = plans[home]
@@ -113,7 +107,7 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
             n_am += 1
             now = point.serve_locked(now + latency, service)
         now += alloc_latency
-    ctx.clock.now = now
+    ctx.now = now
     diags = net.diags
     if n_am and diags._enabled:
         diags._rows[lid][diags.op_index("am")] += n_am
@@ -226,7 +220,7 @@ def run_uniform_atomic_phase(
     if total_tasks == 0:
         return
     tr = rt._tracer
-    t0 = ctx.clock.now if tr is not None else 0.0
+    t0 = ctx.now if tr is not None else 0.0
     start = _forall_prologue(rt, ctx, list(range(nloc)), total_tasks)
     seed_base = rt.config.seed << 20
     diags = net.diags
@@ -312,12 +306,12 @@ def run_uniform_atomic_phase(
                     counts[plans[ci][5]] += n
 
     # ---- join -----------------------------------------------------------
-    _forall_epilogue(rt, ctx, finish)
+    ctx.resume(finish, rt.config.costs.task_join)
     if tr is not None:
         # Field-for-field the span Runtime.forall emits for the
         # interpreted ``forall(range(nloc * tpl), body)`` of this phase —
         # the cross-engine trace-equality contract (docs/OBSERVABILITY.md).
-        tr.span("forall", t0, ctx.clock.now, tasks=total_tasks, items=total_tasks)
+        tr.span("forall", t0, ctx.now, tasks=total_tasks, items=total_tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +568,7 @@ def run_ebr_epoch_phase(
         return
     active = [lid for lid, c in enumerate(per_locale) if c]
     tr = rt._tracer
-    t0 = ctx.clock.now if tr is not None else 0.0
+    t0 = ctx.now if tr is not None else 0.0
     start = _forall_prologue(rt, ctx, active, total_tasks)
 
     diags = net.diags
@@ -605,13 +599,13 @@ def run_ebr_epoch_phase(
                 finish = now
 
     # ---- join -----------------------------------------------------------
-    _forall_epilogue(rt, ctx, finish)
+    ctx.resume(finish, rt.config.costs.task_join)
     for tok in used_tokens:
         tok.local_epoch.poke(0)
     if tr is not None:
         # Identical to the interpreted ``forall(items, body, ...)`` span
         # (cross-engine trace-equality contract, docs/OBSERVABILITY.md).
-        tr.span("forall", t0, ctx.clock.now, tasks=total_tasks, items=len(items))
+        tr.span("forall", t0, ctx.now, tasks=total_tasks, items=len(items))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +649,7 @@ def run_guard_epoch_phase(
         return
     active = [lid for lid, c in enumerate(per_locale) if c]
     tr = rt._tracer
-    t0 = ctx.clock.now if tr is not None else 0.0
+    t0 = ctx.now if tr is not None else 0.0
     start = _forall_prologue(rt, ctx, active, total_tasks)
 
     cpu_load = rt.config.costs.cpu_load_latency
@@ -684,16 +678,11 @@ def run_guard_epoch_phase(
                         # this task's clock.
                         if tctx is None:
                             tctx = TaskContext(
-                                runtime=rt,
-                                locale_id=locale,
-                                clock=TaskClock(now),
-                                task_id=task_id,
-                                seed=seed_base ^ task_id,
+                                rt, locale, now, task_id, seed_base ^ task_id
                             )
-                        tctx.clock.now = now
-                        with context_scope(tctx):
-                            rec._scan([guard])
-                        now = tctx.clock.now
+                        tctx.now = now
+                        tctx.call(rec._scan, [guard])
+                        now = tctx.now
                         # The drain rebinds guard._retired; drop the stale
                         # alias.
                         retired = guard._retired
@@ -701,9 +690,9 @@ def run_guard_epoch_phase(
                 finish = now
 
     # ---- join ---------------------------------------------------------
-    _forall_epilogue(rt, ctx, finish)
+    ctx.resume(finish, rt.config.costs.task_join)
     if tr is not None:
-        tr.span("forall", t0, ctx.clock.now, tasks=total_tasks, items=len(items))
+        tr.span("forall", t0, ctx.now, tasks=total_tasks, items=len(items))
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +739,7 @@ def run_epoch_workload_phase(
     active = list(range(min(nloc, num_objects)))
     total_tasks = len(active)
     tr = rt._tracer
-    t0 = ctx.clock.now if tr is not None else 0.0
+    t0 = ctx.now if tr is not None else 0.0
     start = _forall_prologue(rt, ctx, active, total_tasks)
 
     seed_base = rt.config.seed << 20
@@ -762,34 +751,26 @@ def run_epoch_workload_phase(
     finish = start
     for lid in active:
         task_id = rt._next_task_id()
-        tctx = TaskContext(
-            runtime=rt,
-            locale_id=lid,
-            clock=TaskClock(start),
-            task_id=task_id,
-            seed=seed_base ^ task_id,
-        )
+        tctx = TaskContext(rt, lid, start, task_id, seed_base ^ task_id)
 
         # -- 1. real registration on the task's clock --------------------
-        with context_scope(tctx):
-            tok = em.register()
+        tok = tctx.call(em.register)
 
         # -- 2. columnar replay of the pin/retire/unpin stream -----------
-        tctx.clock.now = _ebr_replay_task(
+        tctx.now = _ebr_replay_task(
             range(lid, num_objects, nloc), is_write, objs,
             _instance_target(net, tok._inst, lid),
             _narrow_plan(net, tok.local_epoch, lid),
-            tctx.clock.now, rows[lid], record,
+            tctx.now, rows[lid], record,
         )
 
         # -- 3. real unregistration --------------------------------------
-        with context_scope(tctx):
-            tok.unregister()
-        if tctx.clock.now > finish:
-            finish = tctx.clock.now
+        tctx.call(tok.unregister)
+        if tctx.now > finish:
+            finish = tctx.now
 
-    _forall_epilogue(rt, ctx, finish)
+    ctx.resume(finish, rt.config.costs.task_join)
     if tr is not None:
         tr.span(
-            "forall", t0, ctx.clock.now, tasks=total_tasks, items=num_objects
+            "forall", t0, ctx.now, tasks=total_tasks, items=num_objects
         )

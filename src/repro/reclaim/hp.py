@@ -243,7 +243,7 @@ class HazardPointerReclaimer(ReclaimerBase):
         if tr is not None:
             # Root-driven summary (docs/OBSERVABILITY.md); guard-local
             # threshold scans are worker-driven and stay un-summarized.
-            tr.reclaim("scan", self.scheme, ctx.clock.now, freed=freed)
+            tr.reclaim("scan", self.scheme, ctx.now, freed=freed)
         self._policy_tick()
         return freed > 0
 

@@ -189,7 +189,7 @@ class IntervalReclaimer(ReclaimerBase):
             tr.reclaim(
                 "advance",
                 self.scheme,
-                ctx.clock.now,
+                ctx.now,
                 era=new_era,
                 horizon=horizon,
                 freed=freed,

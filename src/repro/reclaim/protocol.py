@@ -119,10 +119,7 @@ class GuardBase:
     def _check_usable(self) -> None:
         if not self._registered:
             raise TokenStateError("guard has been unregistered")
-        try:
-            ctx = _context_tls.ctx
-        except AttributeError:
-            ctx = None
+        ctx = _context_tls.ctx
         if ctx is None:
             ctx = current_context()
         if ctx.locale_id != self.locale_id:
@@ -133,7 +130,7 @@ class GuardBase:
 
     def _charge_local_load(self) -> None:
         """Charge one plain local load/store (the retire-buffer append)."""
-        current_context().clock.advance(self._rec._costs.cpu_load_latency)
+        current_context().now += self._rec._costs.cpu_load_latency
 
     @property
     def is_registered(self) -> bool:
@@ -158,10 +155,10 @@ class GuardBase:
         """
         rec = self._rec
         if rec._track_pins:
-            self._last_pin_vt = current_context().clock.now
+            self._last_pin_vt = current_context().now
         tr = rec._full
         if tr is not None:
-            tr.guard("pin", rec.scheme, current_context().clock.now)
+            tr.guard("pin", rec.scheme, current_context().now)
 
     def pin(self) -> None:
         """Enter a protected region (scheme-specific announcement cost)."""
@@ -195,7 +192,7 @@ class GuardBase:
             # Limbo-age tracking (an age-reading policy or full tracing):
             # the entry carries its retire timestamp as a third element.
             # Every consumer indexes entries, so both shapes coexist.
-            now = current_context().clock.now
+            now = current_context().now
             entry: Tuple = (addr, self._retire_tag(), now)
         else:
             entry = (addr, self._retire_tag())
@@ -411,7 +408,7 @@ class ReclaimerBase(ManagerCore):
         from ..obs import age_bucket
 
         ctx = maybe_context()
-        now = ctx.clock.now if ctx is not None else 0.0
+        now = ctx.now if ctx is not None else 0.0
         buckets: Dict[int, int] = {}
         ages = 0
         age_max = 0.0

@@ -166,7 +166,7 @@ class QSBRReclaimer(ReclaimerBase):
             tr.reclaim(
                 "advance",
                 self.scheme,
-                ctx.clock.now,
+                ctx.now,
                 interval=self._interval,
                 min_seen=min_seen,
                 freed=freed,

@@ -6,13 +6,14 @@ Public surface:
   experiment.
 * :class:`~repro.runtime.config.RuntimeConfig` /
   :class:`~repro.runtime.config.NetworkType` — machine description.
-* :class:`~repro.runtime.clock.TaskClock` /
-  :class:`~repro.runtime.clock.ServicePoint` — the virtual-time engine.
-* :func:`~repro.runtime.context.current_context` — the executing task.
+* :class:`~repro.runtime.clock.ServicePoint` — the virtual-time engine.
+* :class:`~repro.runtime.context.TaskContext` /
+  :func:`~repro.runtime.context.current_context` — the executing task
+  and its virtual time.
 * :func:`~repro.runtime.diagnostics.snapshot` — resource introspection.
 """
 
-from .clock import ServicePoint, TaskClock
+from .clock import ServicePoint
 from .config import NetworkType, RuntimeConfig
 from .context import TaskContext, current_context, maybe_context
 from .diagnostics import RuntimeSnapshot, snapshot
@@ -25,7 +26,6 @@ __all__ = [
     "Timer",
     "RuntimeConfig",
     "NetworkType",
-    "TaskClock",
     "ServicePoint",
     "TaskContext",
     "TaskGroup",

@@ -1,11 +1,12 @@
-"""Virtual time: per-task clocks and queueing service points.
+"""Virtual time: queueing service points.
 
-The simulation measures *virtual* time, not wall time.  Every task carries a
-:class:`TaskClock`; every simulated operation advances the current task's
-clock by that operation's latency.  Contended hardware resources — a NIC
-pipeline, a progress thread, a hot cache line — are modelled as
-:class:`ServicePoint` instances: a serial server in virtual time.  An
-operation that needs a resource completes at::
+The simulation measures *virtual* time, not wall time.  Every task carries
+its own time, :attr:`~repro.runtime.context.TaskContext.now`; every
+simulated operation advances the current task's ``now`` by that
+operation's latency.  Contended hardware resources — a NIC pipeline, a
+progress thread, a hot cache line — are modelled as :class:`ServicePoint`
+instances: a serial server in virtual time.  An operation that needs a
+resource completes at::
 
     finish = max(task.now + latency, point.next_free) + service
     point.next_free = finish
@@ -16,14 +17,15 @@ atomic" into a flat-lining curve and "all AMs land on locale 0's progress
 thread" into a bottleneck, reproducing the scaling behaviour the paper
 measures on real hardware.
 
-Parallel constructs compose clocks with ``max``: children are seeded with
+Parallel constructs compose task times with ``max``: children start at
 the parent's time plus a fork cost, and the parent resumes at the maximum
-child finish time plus a join cost (see
-:meth:`~repro.runtime.runtime.Runtime.coforall_locales`).
+child finish time plus a join cost
+(:meth:`~repro.runtime.context.TaskContext.resume`, used by
+:meth:`~repro.runtime.runtime.Runtime.coforall_locales` and ``forall``).
 
 Threading: a runtime and everything it owns are used by one thread
-(docs/ENGINE.md, "One thread per runtime").  Clocks are mutated only by
-their owning task and service points by whichever task is running, so
+(docs/ENGINE.md, "One thread per runtime").  A task's time is mutated
+only by that task and service points by whichever task is running, so
 neither needs a lock.
 """
 
@@ -31,63 +33,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-__all__ = ["TaskClock", "ServicePoint"]
-
-
-class TaskClock:
-    """A monotonically non-decreasing virtual clock owned by one task.
-
-    The clock starts at the spawning construct's time so that virtual time
-    is globally consistent across the task tree.
-    """
-
-    __slots__ = ("now",)
-
-    def __init__(self, start: float = 0.0) -> None:
-        #: Current virtual time, in seconds.
-        self.now = float(start)
-
-    def advance(self, dt: float) -> float:
-        """Add ``dt`` seconds of work and return the new time.
-
-        ``dt`` must be non-negative; charging functions guarantee this by
-        construction (cost constants are positive).
-        """
-        self.now += dt
-        return self.now
-
-    def advance_to(self, t: float) -> float:
-        """Move the clock forward to ``t`` if ``t`` is later.
-
-        Used when an operation's completion is determined by a shared
-        resource (see :meth:`ServicePoint.serve_locked`); never moves backwards.
-        """
-        if t > self.now:
-            self.now = t
-        return self.now
-
-    def fork(self, overhead: float = 0.0) -> "TaskClock":
-        """Create a child clock seeded at ``now + overhead``."""
-        return TaskClock(self.now + overhead)
-
-    def join(self, *children: "TaskClock", overhead: float = 0.0) -> float:
-        """Absorb finished child clocks: jump to the latest, plus overhead."""
-        latest = max((c.now for c in children), default=self.now)
-        self.advance_to(latest)
-        if overhead:
-            self.advance(overhead)
-        return self.now
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"TaskClock(now={self.now:.9f})"
+__all__ = ["ServicePoint"]
 
 
 class ServicePoint:
     """A serial resource in virtual time (NIC pipeline, progress thread...).
 
     ``serve_locked`` computes when a request arriving at virtual time
-    ``arrival`` finishes.  The caller then advances its own task clock to
-    the returned finish time.
+    ``arrival`` finishes.  The caller then advances its own task's ``now``
+    to the returned finish time.
 
     Out-of-order arrivals (the idle bank)
     -------------------------------------

@@ -1,14 +1,17 @@
-"""Thread-local task context: who am I, where am I, what time is it.
+"""The task object: who am I, where am I, what time is it.
 
 Every simulated task — including the implicit "main" task a benchmark runs
-in — owns a :class:`TaskContext` carrying its runtime, current locale, a
-virtual :class:`~repro.runtime.clock.TaskClock`, and a deterministic RNG.
-PGAS operations consult the current context to decide whether an access is
-local or remote and to charge virtual time.
+in — is one :class:`TaskContext` carrying its runtime, current locale, its
+virtual time ``now``, and a deterministic RNG.  A spawned task is also the
+run queue's work item: it carries its body, arguments and group until a
+join runs it (:mod:`repro.runtime.tasking`).  PGAS operations consult the
+current context to decide whether an access is local or remote and to
+charge virtual time to its ``now``.
 
-The context travels with the (real) thread that executes the task.  An
-``on`` block temporarily rebinds the context's locale, mirroring Chapel task
-migration without the expense of actually migrating a Python thread.
+:meth:`TaskContext.call` installs the context as the current one for the
+duration of a call and restores the previous one (possibly none) after.
+An ``on`` block temporarily rebinds the context's locale, mirroring
+Chapel task migration without the expense of actually migrating anything.
 
 This module is one of the two places that keep ``threading``
 (docs/ENGINE.md, "One thread per runtime"): the current context is
@@ -17,30 +20,37 @@ process-wide state, and separate runtimes may run on separate threads.
 
 from __future__ import annotations
 
-import contextlib
 import random
 import threading
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple, TypeVar
 
 from ..errors import NoTaskContextError
-from .clock import TaskClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import Runtime
+    from .tasking import TaskGroup
+
+T = TypeVar("T")
 
 __all__ = [
     "TaskContext",
     "current_context",
     "maybe_context",
     "context_of",
-    "context_scope",
 ]
 
-_tls = threading.local()
+
+class _Current(threading.local):
+    """The current task of each thread; ``None`` outside any task."""
+
+    ctx: Optional["TaskContext"] = None
+
+
+_tls = _Current()
 
 
 class TaskContext:
-    """Identity and virtual state of one running task.
+    """Identity, virtual time and (while queued) body of one task.
 
     Attributes
     ----------
@@ -48,32 +58,46 @@ class TaskContext:
         The owning :class:`~repro.runtime.runtime.Runtime`.
     locale_id:
         The locale the task is currently executing on (mutated by ``on``).
-    clock:
-        The task's virtual clock.
+    now:
+        The task's virtual time, in seconds.  Charges advance it; it never
+        moves backwards.
     task_id:
         Unique id within the runtime (diagnostics / deterministic seeding).
     seed:
         Seed of the task-private PRNG, derived by the spawner from the
         runtime seed and ``task_id`` so workloads are reproducible
         regardless of task order.  ``None`` seeds from the OS.
+    fn, args, group:
+        A spawned task's body, its arguments and its
+        :class:`~repro.runtime.tasking.TaskGroup`; ``None`` / ``()`` /
+        ``None`` for a root or synthetic context.
     """
 
-    __slots__ = ("runtime", "locale_id", "clock", "task_id", "seed", "_rng")
+    __slots__ = (
+        "runtime", "locale_id", "now", "task_id", "seed", "_rng",
+        "fn", "args", "group",
+    )
 
     def __init__(
         self,
         runtime: "Runtime",
         locale_id: int,
-        clock: TaskClock,
+        now: float,
         task_id: int,
         seed: Optional[int] = None,
+        fn: Optional[Callable[..., Any]] = None,
+        args: Tuple[Any, ...] = (),
+        group: Optional["TaskGroup"] = None,
     ) -> None:
         self.runtime = runtime
         self.locale_id = locale_id
-        self.clock = clock
+        self.now = now
         self.task_id = task_id
         self.seed = seed
         self._rng: Optional[random.Random] = None
+        self.fn = fn
+        self.args = args
+        self.group = group
 
     @property
     def rng(self) -> random.Random:
@@ -88,14 +112,29 @@ class TaskContext:
             rng = self._rng = random.Random(self.seed)
         return rng
 
-    @property
-    def here(self) -> int:
-        """Chapel's ``here.id``: the locale this task is executing on."""
-        return self.locale_id
+    def call(self, fn: Callable[..., T], *args: Any) -> T:
+        """Run ``fn(*args)`` with this task as the current context.
 
-    def is_local(self, locale_id: int) -> bool:
-        """True when ``locale_id`` is the task's current locale."""
-        return locale_id == self.locale_id
+        Restores whatever context (possibly none) was current before, also
+        when ``fn`` raises, so nested calls — a join running queued tasks
+        inside a user task, or an engine's synthetic task inside the root
+        task — compose.
+        """
+        tls = _tls
+        prev = tls.ctx
+        tls.ctx = self
+        try:
+            return fn(*args)
+        finally:
+            tls.ctx = prev
+
+    def resume(self, finish: float, overhead: float) -> None:
+        """Resume after a join: jump to the latest child ``finish`` if it
+        is later, then pay the join ``overhead``.  The one join step of
+        ``forall``, ``coforall_locales`` and the compiled phases."""
+        if finish > self.now:
+            self.now = finish
+        self.now += overhead
 
 
 def current_context() -> TaskContext:
@@ -104,7 +143,7 @@ def current_context() -> TaskContext:
     All network-charging operations call this; running library code outside
     a task is a usage error with a precise, early failure.
     """
-    ctx = getattr(_tls, "ctx", None)
+    ctx = _tls.ctx
     if ctx is None:
         raise NoTaskContextError(
             "this operation must run inside a simulated task; wrap your code"
@@ -115,33 +154,17 @@ def current_context() -> TaskContext:
 
 def maybe_context() -> Optional[TaskContext]:
     """Return the current task's context or ``None`` (never raises)."""
-    return getattr(_tls, "ctx", None)
+    return _tls.ctx
 
 
 def context_of(runtime: "Runtime") -> Optional[TaskContext]:
     """Return the current task's context if it belongs to ``runtime``.
 
     A task of another runtime counts as no task context: its locale id
-    and clock mean nothing to ``runtime``, so an operation on ``runtime``
-    must neither index ``runtime``'s routes with that locale nor charge
-    that clock.  :meth:`~repro.atomics.cell.ChargedWord._enter` makes the
-    same check inline.
+    and virtual time mean nothing to ``runtime``, so an operation on
+    ``runtime`` must neither index ``runtime``'s routes with that locale
+    nor charge that task.  :meth:`~repro.atomics.cell.ChargedWord._enter`
+    makes the same check inline.
     """
-    ctx = getattr(_tls, "ctx", None)
+    ctx = _tls.ctx
     return ctx if ctx is not None and ctx.runtime is runtime else None
-
-
-@contextlib.contextmanager
-def context_scope(ctx: TaskContext) -> Iterator[TaskContext]:
-    """Install ``ctx`` as the current context for the ``with`` body.
-
-    Restores whatever context (possibly none) was previously installed, so
-    nested scopes — e.g. the runtime's internal helpers running inside a
-    user task — compose correctly.
-    """
-    prev = getattr(_tls, "ctx", None)
-    _tls.ctx = ctx
-    try:
-        yield ctx
-    finally:
-        _tls.ctx = prev

@@ -27,7 +27,7 @@ Design notes
 * ``run`` installs a root task context on the calling thread (locale 0,
   virtual time 0) — all PGAS operations must happen inside it.  A task
   of another runtime counts as no task context (``context_of``): its
-  locale and clock mean nothing here, so nothing is charged to them.
+  locale and time mean nothing here, so nothing is charged to them.
 * A runtime and everything it owns are used by one thread
   (docs/ENGINE.md, "One thread per runtime"); nothing it owns takes a
   lock.
@@ -66,15 +66,8 @@ from ..comm.counters import CommDiagnostics, CommOp
 from ..errors import LocaleError, NoTaskContextError, RuntimeStateError
 from ..memory.address import GlobalAddress, is_nil
 from ..memory.heap import Heap
-from .clock import TaskClock
 from .config import NetworkType, RuntimeConfig
-from .context import (
-    TaskContext,
-    context_of,
-    context_scope,
-    current_context,
-    maybe_context,
-)
+from .context import TaskContext, context_of, current_context, maybe_context
 from .tasking import TaskGroup, WorkerPool, spawn_tree_overhead
 
 T = TypeVar("T")
@@ -198,7 +191,12 @@ class Runtime:
         return self.network.topology.distance(src, dst)
 
     def locale(self, locale_id: int) -> Locale:
-        """Return the :class:`Locale` with the given id (validated)."""
+        """Return the :class:`Locale` with the given id (validated: an
+        ``int``, not a ``bool``, in range)."""
+        if type(locale_id) is not int and (
+            isinstance(locale_id, bool) or not isinstance(locale_id, int)
+        ):
+            raise LocaleError(f"locale id must be an int, got {locale_id!r}")
         if not (0 <= locale_id < self.num_locales):
             raise LocaleError(
                 f"locale {locale_id} out of range [0, {self.num_locales})"
@@ -216,7 +214,7 @@ class Runtime:
         """The current task's context, which must belong to this runtime.
 
         ``on``, ``coforall_locales`` and ``forall`` fork from the caller's
-        locale and join into its clock, so a task of another runtime
+        locale and join into its time, so a task of another runtime
         (``context_of``) is refused like no task at all.
         """
         ctx = context_of(self)
@@ -394,14 +392,9 @@ class Runtime:
         if maybe_context() is not None:
             raise RuntimeStateError("Runtime.run cannot be nested inside a task")
         ctx = TaskContext(
-            runtime=self,
-            locale_id=self.locale(locale).id,
-            clock=TaskClock(0.0),
-            task_id=self._next_task_id(),
-            seed=self.config.seed,
+            self, self.locale(locale).id, 0.0, self._next_task_id(), self.config.seed
         )
-        with context_scope(ctx):
-            return fn(*args)
+        return ctx.call(fn, *args)
 
     @contextlib.contextmanager
     def on(self, locale_id: int) -> Iterator[Locale]:
@@ -430,7 +423,7 @@ class Runtime:
     ) -> None:
         """Run ``body(locale_id)`` as one task per locale; block until done.
 
-        The parent's virtual clock advances to the slowest child plus the
+        The parent's virtual time advances to the slowest child plus the
         join cost — the paper's global scans (Listing 4) are built from
         exactly this construct.
         """
@@ -445,7 +438,7 @@ class Runtime:
                 self.locale(lid)
         costs = self.config.costs
         tr = self._tracer
-        t0 = ctx.clock.now if tr is not None else 0.0
+        t0 = ctx.now if tr is not None else 0.0
         net = self.network
         src = ctx.locale_id
         # Per-hop spawn cost reflects the worst distance class the
@@ -453,7 +446,7 @@ class Runtime:
         overhead = spawn_tree_overhead(
             len(ids), net.spawn_broadcast_cost(src, ids)
         )
-        start = ctx.clock.now + overhead
+        start = ctx.now + overhead
         group = TaskGroup(self)
         for lid in ids:
             if not net.is_coherent(src, lid):
@@ -462,11 +455,9 @@ class Runtime:
                 # is recorded in comm diags.
                 net.diags.record_index(src, _FORK_INDEX)
             group.spawn(body, (lid,), locale_id=lid, start_time=start)
-        finish = group.join()
-        ctx.clock.advance_to(finish)
-        ctx.clock.advance(costs.task_join)
+        ctx.resume(group.join(), costs.task_join)
         if tr is not None:
-            tr.span("coforall", t0, ctx.clock.now, tasks=len(ids))
+            tr.span("coforall", t0, ctx.now, tasks=len(ids))
 
     def forall(
         self,
@@ -507,7 +498,7 @@ class Runtime:
         data = list(items)
         nloc = self.num_locales
         tr = self._tracer
-        t0 = ctx.clock.now if tr is not None else 0.0
+        t0 = ctx.now if tr is not None else 0.0
 
         per_locale: List[List[T]] = [[] for _ in range(nloc)]
         if owner_of is None:
@@ -553,7 +544,7 @@ class Runtime:
                     close()
 
         group = TaskGroup(self)
-        start = ctx.clock.now + overhead
+        start = ctx.now + overhead
         for lid, chunk in enumerate(per_locale):
             if not chunk:
                 continue
@@ -562,13 +553,11 @@ class Runtime:
                 group.spawn(
                     worker, (chunk[w::ntasks],), locale_id=lid, start_time=start
                 )
-        finish = group.join()
-        ctx.clock.advance_to(finish)
-        ctx.clock.advance(costs.task_join)
+        ctx.resume(group.join(), costs.task_join)
         if tr is not None:
             # The compiled executor emits the identical event from its
             # phase replay (engine/executor.py) — field-for-field.
-            tr.span("forall", t0, ctx.clock.now, tasks=total_tasks, items=len(data))
+            tr.span("forall", t0, ctx.now, tasks=total_tasks, items=len(data))
 
     # ------------------------------------------------------------------
     # measurement
@@ -583,12 +572,12 @@ class Runtime:
         """
         ctx = current_context()
         timer = Timer()
-        timer.start = ctx.clock.now
+        timer.start = ctx.now
         yield timer
-        timer.elapsed = ctx.clock.now - timer.start
+        timer.elapsed = ctx.now - timer.start
         tr = self._tracer
         if tr is not None:
-            tr.span("timed", timer.start, ctx.clock.now)
+            tr.span("timed", timer.start, ctx.now)
 
     def reset_measurements(self) -> None:
         """Zero network counters and service points (between bench trials).

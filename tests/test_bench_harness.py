@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.ablations import ablation_privatization
 from repro.bench.figures import (
     figure3_distributed,
     figure3_shared,
@@ -16,6 +17,7 @@ from repro.bench.report import Panel, render_figure, render_panel
 from repro.bench.workloads import WorkloadResult, run_atomic_mix, run_epoch_workload
 from repro.runtime import Runtime
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.tasking import spawn_tree_overhead
 
 
 class TestWorkloadResult:
@@ -157,6 +159,26 @@ class TestFigureDrivers:
         series = {s.name: s.values for s in p.series}
         for vals in series.values():
             assert max(vals) < 3 * min(vals)
+
+
+class TestAblations:
+    def test_privatized_series_is_only_the_spawn_tree(self):
+        """Privatized resolution charges nothing: the series does not
+        depend on ``ops_per_task`` and is the forall's spawn tree plus
+        its join."""
+        locales = (2, 4, 8)
+        costs = RuntimeConfig().costs
+
+        def privatized(ops):
+            panel = ablation_privatization(locales=locales, ops_per_task=ops)
+            return {s.name: s.values for s in panel.series}["privatized"]
+
+        series = privatized(1)
+        assert privatized(256) == series
+        assert series == pytest.approx([
+            spawn_tree_overhead(n, costs.task_spawn_remote) + costs.task_join
+            for n in locales
+        ])
 
 
 class TestReport:

@@ -1,65 +1,40 @@
-"""Unit tests for the virtual-time engine: TaskClock and ServicePoint."""
+"""Unit tests for the virtual-time engine: task time and ServicePoint."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.runtime.clock import ServicePoint, TaskClock
+from repro.runtime.clock import ServicePoint
+from repro.runtime.context import TaskContext
+from repro.runtime.tasking import TaskGroup
 
 
-class TestTaskClock:
-    def test_starts_at_zero_by_default(self):
-        assert TaskClock().now == 0.0
+class TestTaskTime:
+    """A task's virtual time is its context's ``now``; ``resume`` is the
+    one join step of every parallel construct."""
 
-    def test_starts_at_given_time(self):
-        assert TaskClock(2.5).now == 2.5
+    def test_starts_at_given_time(self, rt):
+        assert TaskContext(rt, 0, 2.5, 1).now == 2.5
 
-    def test_advance_accumulates(self):
-        c = TaskClock()
-        c.advance(1.0)
-        c.advance(0.5)
-        assert c.now == 1.5
+    def test_resume_jumps_to_a_later_finish(self, rt):
+        ctx = TaskContext(rt, 0, 1.0, 1)
+        ctx.resume(5.0, 0.0)
+        assert ctx.now == 5.0
 
-    def test_advance_returns_new_time(self):
-        c = TaskClock(1.0)
-        assert c.advance(2.0) == 3.0
+    def test_resume_adds_overhead(self, rt):
+        ctx = TaskContext(rt, 0, 0.0, 1)
+        ctx.resume(4.0, 1.0)
+        assert ctx.now == 5.0
 
-    def test_advance_to_moves_forward(self):
-        c = TaskClock(1.0)
-        c.advance_to(5.0)
-        assert c.now == 5.0
+    def test_resume_never_moves_backward(self, rt):
+        ctx = TaskContext(rt, 0, 10.0, 1)
+        ctx.resume(2.0, 0.0)
+        assert ctx.now == 10.0
 
-    def test_advance_to_never_moves_backward(self):
-        c = TaskClock(5.0)
-        c.advance_to(1.0)
-        assert c.now == 5.0
-
-    def test_fork_seeds_child_with_overhead(self):
-        parent = TaskClock(10.0)
-        child = parent.fork(overhead=2.0)
-        assert child.now == 12.0
-        assert parent.now == 10.0  # fork does not advance the parent
-
-    def test_join_takes_max_of_children(self):
-        parent = TaskClock(0.0)
-        a, b, c = TaskClock(3.0), TaskClock(7.0), TaskClock(5.0)
-        parent.join(a, b, c)
-        assert parent.now == 7.0
-
-    def test_join_adds_overhead(self):
-        parent = TaskClock(0.0)
-        parent.join(TaskClock(4.0), overhead=1.0)
-        assert parent.now == 5.0
-
-    def test_join_with_no_children_keeps_time(self):
-        parent = TaskClock(9.0)
-        parent.join()
-        assert parent.now == 9.0
-
-    def test_join_never_moves_backward(self):
-        parent = TaskClock(10.0)
-        parent.join(TaskClock(2.0))
-        assert parent.now == 10.0
+    def test_join_with_no_children_keeps_time(self, rt):
+        ctx = TaskContext(rt, 0, 9.0, 1)
+        ctx.resume(TaskGroup(rt).join(), 0.0)
+        assert ctx.now == 9.0
 
 
 class TestServicePoint:

@@ -34,8 +34,8 @@ from repro.comm.counters import CommDiagnostics, CommOp
 from repro.core import ABA, AtomicObject, LocalAtomicObject
 from repro.core.epoch_manager import EpochManagerStats
 from repro.memory import NIL
-from repro.runtime import Runtime, RuntimeConfig, ServicePoint, TaskClock
-from repro.runtime.context import TaskContext, context_scope
+from repro.runtime import Runtime, RuntimeConfig, ServicePoint
+from repro.runtime.context import TaskContext
 from repro.runtime.tasking import TaskGroup
 from repro.bench.scenarios import get_scenario, run_scenario
 from repro.bench.workloads import run_atomic_mix, run_epoch_workload
@@ -257,7 +257,9 @@ class TestWorkerPool:
         rt.run(lambda: rt.forall(range(4), lambda i: None))
 
     def test_nested_coforall_completes_on_single_worker(self):
-        """Join-helping: nested fork/join can't deadlock a bounded pool."""
+        """Nested fork/join completes: a join runs queued tasks itself, so
+        no pool size (``worker_pool_size`` is accepted and ignored) can
+        deadlock it."""
         cfg = RuntimeConfig(num_locales=4, network="none", worker_pool_size=1)
         rt = Runtime(config=cfg)
         hits = []
@@ -381,9 +383,9 @@ class TestRoutePrecompilation:
 
 def _reference_ctrl(net, ctx, op, home, count=0, rpc=True):
     """The control-plane charges spelled out step by step: a by-name
-    diagnostic record, then ``advance(latency)``, ``point.serve_locked`` and
-    ``advance_to`` — the recurrence the one-step charges must equal."""
-    clock = ctx.clock
+    diagnostic record, then adding the latency, ``point.serve_locked`` and
+    moving to the later time — the recurrence the one-step charges must
+    equal."""
     costs = net.costs
     dclass = net.distance_row(home)[ctx.locale_id]
     ctrl = net._ctrl_routes(home)[dclass]
@@ -391,15 +393,16 @@ def _reference_ctrl(net, ctx, op, home, count=0, rpc=True):
     def message(diag, latency):
         point, cc = ctrl
         net.diags.record(ctx.locale_id, diag)
-        t = clock.advance(latency)
-        t = point.serve_locked(t, cc.am_service)
-        clock.advance_to(t)
+        ctx.now += latency
+        t = point.serve_locked(ctx.now, cc.am_service)
+        if t > ctx.now:
+            ctx.now = t
 
     if op in ("fork", "return"):
         if dclass == 0:
             return
         if ctrl is None:
-            clock.advance(
+            ctx.now += (
                 costs.task_spawn_local if op == "fork" else costs.cpu_load_latency
             )
         elif op == "fork":
@@ -408,20 +411,18 @@ def _reference_ctrl(net, ctx, op, home, count=0, rpc=True):
             message(CommOp.AM, ctrl[1].am_latency)
     elif op == "am":
         if ctrl is None:
-            clock.advance(costs.cpu_load_latency)
+            ctx.now += costs.cpu_load_latency
         else:
             message(CommOp.AM, 2.0 * ctrl[1].am_latency)
     else:
         if rpc and ctrl is not None:
             message(CommOp.AM, 2.0 * ctrl[1].am_latency)
         if op == "alloc":
-            clock.advance(costs.alloc_latency)
+            ctx.now += costs.alloc_latency
         elif op == "free":
-            clock.advance(costs.free_latency)
+            ctx.now += costs.free_latency
         else:
-            clock.advance(
-                costs.free_latency + (count - 1) * costs.bulk_free_per_object
-            )
+            ctx.now += costs.free_latency + (count - 1) * costs.bulk_free_per_object
 
 
 def _one_step_ctrl(net, ctx, op, home, count=0, rpc=True):
@@ -459,9 +460,7 @@ def _drive_ctrl(config, charge):
     try:
         net = rt.network
         ctxs = [
-            TaskContext(
-                runtime=rt, locale_id=src, clock=TaskClock(src * 1e-7), task_id=src
-            )
+            TaskContext(rt, src, src * 1e-7, src)
             for src in range(rt.num_locales)
         ]
         clocks = []
@@ -470,7 +469,7 @@ def _drive_ctrl(config, charge):
                 for op, kw in _CTRL_OPS:
                     for ctx in ctxs:
                         charge(net, ctx, op, home, **kw)
-                        clocks.append(ctx.clock.now)
+                        clocks.append(ctx.now)
         points = [
             (p.name, p.next_free, p.idle_bank, p.busy_time, p.served)
             for p in net.nic + net.progress + list(net.uplinks.values())
@@ -601,9 +600,7 @@ def _drive_atomics(config, fused):
     try:
         net = rt.network
         ctxs = [
-            TaskContext(
-                runtime=rt, locale_id=src, clock=TaskClock(src * 1e-7), task_id=src
-            )
+            TaskContext(rt, src, src * 1e-7, src)
             for src in range(rt.num_locales)
         ]
         cases = [c for home in range(rt.num_locales) for c in _atomic_cases(rt, home)]
@@ -612,11 +609,10 @@ def _drive_atomics(config, fused):
             for cell, op, wide, opt_out in cases:
                 for ctx in ctxs:
                     if fused:
-                        with context_scope(ctx):
-                            op(cell)
+                        ctx.call(op, cell)
                     else:
                         net.atomic_op(ctx, cell.home, cell.line, wide=wide, opt_out=opt_out)
-                    clocks.append(ctx.clock.now)
+                    clocks.append(ctx.now)
         lines = {id(cell): cell.line for cell, *_ in cases}.values()
         points = [
             (p.name, p.next_free, p.idle_bank, p.busy_time, p.served)

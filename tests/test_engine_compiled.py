@@ -483,7 +483,7 @@ class TestAllocPhase:
             ]
 
             def main():
-                return phase(rt, targets), current_context().clock.now
+                return phase(rt, targets), current_context().now
 
             addrs, now = rt.run(main)
             stats = [loc.heap.snapshot_stats() for loc in rt.locales]

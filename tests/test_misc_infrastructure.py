@@ -26,8 +26,8 @@ from repro.errors import (
     TooManyLocalesError,
     UseAfterFreeError,
 )
-from repro.runtime import Runtime, TaskClock
-from repro.runtime.context import TaskContext, context_scope, current_context, maybe_context
+from repro.runtime import Runtime
+from repro.runtime.context import TaskContext, current_context, maybe_context
 from repro.runtime.tasking import TaskGroup, spawn_tree_overhead
 
 
@@ -67,27 +67,38 @@ class TestErrorHierarchy:
         assert repro.ReproError is ReproError
 
 
-class TestContextScope:
-    def test_scope_installs_and_restores(self, rt):
+class TestTaskContext:
+    def test_call_installs_and_restores(self, rt):
         assert maybe_context() is None
-        ctx = TaskContext(runtime=rt, locale_id=1, clock=TaskClock(), task_id=99)
-        with context_scope(ctx):
-            assert current_context() is ctx
+        ctx = TaskContext(rt, 1, 0.0, 99)
+        assert ctx.call(current_context) is ctx
         assert maybe_context() is None
 
-    def test_scopes_nest(self, rt):
-        c1 = TaskContext(runtime=rt, locale_id=0, clock=TaskClock(), task_id=1)
-        c2 = TaskContext(runtime=rt, locale_id=1, clock=TaskClock(), task_id=2)
-        with context_scope(c1):
-            with context_scope(c2):
-                assert current_context() is c2
-            assert current_context() is c1
+    def test_calls_nest(self, rt):
+        c1 = TaskContext(rt, 0, 0.0, 1)
+        c2 = TaskContext(rt, 1, 0.0, 2)
 
-    def test_scope_restores_after_exception(self, rt):
-        ctx = TaskContext(runtime=rt, locale_id=0, clock=TaskClock(), task_id=1)
+        def outer():
+            assert c2.call(current_context) is c2
+            return current_context()
+
+        assert c1.call(outer) is c1
+
+    def test_call_restores_after_exception(self, rt):
+        c1 = TaskContext(rt, 0, 0.0, 1)
+        c2 = TaskContext(rt, 1, 0.0, 2)
+
+        def boom():
+            raise ValueError
+
+        def outer():
+            with pytest.raises(ValueError):
+                c2.call(boom)
+            return current_context()
+
+        assert c1.call(outer) is c1
         with pytest.raises(ValueError):
-            with context_scope(ctx):
-                raise ValueError
+            c1.call(boom)
         assert maybe_context() is None
 
     def test_current_context_raises_outside(self):
@@ -95,17 +106,37 @@ class TestContextScope:
             current_context()
 
     def test_context_is_thread_local(self, rt):
-        ctx = TaskContext(runtime=rt, locale_id=0, clock=TaskClock(), task_id=1)
+        ctx = TaskContext(rt, 0, 0.0, 1)
         other_thread_sees = []
 
         def probe():
             other_thread_sees.append(maybe_context())
 
-        with context_scope(ctx):
+        def main():
             t = threading.Thread(target=probe)
             t.start()
             t.join()
+
+        ctx.call(main)
         assert other_thread_sees == [None]
+
+    def test_spawned_task_is_the_queued_object(self, rt):
+        """The body's current context is the very object ``spawn`` queued:
+        it carries the body, its arguments and its group."""
+        group = TaskGroup(rt)
+        seen = []
+
+        def body(tag):
+            seen.append((tag, current_context()))
+
+        group.spawn(body, ("a",), locale_id=2, start_time=1.5)
+        (queued,) = rt._run_queue
+        assert type(queued) is TaskContext
+        assert (queued.fn, queued.args, queued.group) == (body, ("a",), group)
+        assert (queued.locale_id, queued.now) == (2, 1.5)
+        group.join()
+        assert seen == [("a", queued)]
+        assert not rt._run_queue
 
 
 class TestTaskGroup:
@@ -116,14 +147,18 @@ class TestTaskGroup:
         assert spawn_tree_overhead(8, 1.0) == 4.0
 
     def test_join_returns_latest_finish(self, rt):
+        """What ``join`` returns is the finished task objects' ``now``."""
         group = TaskGroup(rt)
+        tasks = []
 
-        def work():
-            current_context().clock.advance(5.0)
+        def work(dt):
+            ctx = current_context()
+            ctx.now += dt
+            tasks.append(ctx)
 
-        group.spawn(work, (), locale_id=0, start_time=1.0)
-        group.spawn(lambda: None, (), locale_id=1, start_time=2.0)
-        assert group.join() == 6.0
+        group.spawn(work, (5.0,), locale_id=0, start_time=1.0)
+        group.spawn(work, (0.0,), locale_id=1, start_time=2.0)
+        assert group.join() == max(t.now for t in tasks) == 6.0
 
     def test_double_join_rejected(self, rt):
         group = TaskGroup(rt)

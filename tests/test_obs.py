@@ -333,7 +333,7 @@ class TestEpochFacts:
                 for _round in range(2):
                     tok.pin()
                     if t_pin is None:
-                        t_pin = current_context().clock.now
+                        t_pin = current_context().now
                     for lid in range(rt.num_locales):
                         tok.defer_delete(rt.new_obj(lid, locale=lid))
                     tok.unpin()

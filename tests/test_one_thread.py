@@ -83,8 +83,8 @@ class TestForeignTaskContext:
         addr = b.new_obj("x", locale=0)
 
         def main():
-            clock = current_context().clock
-            before = clock.now
+            task = current_context()
+            before = task.now
             assert b.deref(addr) == "x"
             b.put(addr, "y")
             assert b.deref(addr) == "y"
@@ -92,7 +92,7 @@ class TestForeignTaskContext:
             b.free(fresh)
             batch = [b.new_obj(i, locale=0) for i in range(3)]
             assert b.free_bulk(0, [p.offset for p in batch]) == 3
-            return clock.now - before
+            return task.now - before
 
         assert a.run(main, locale=locale) == 0.0
         assert _zero(b.comm_totals())
@@ -114,11 +114,11 @@ class TestForeignTaskContext:
         addr = b.new_obj("x", locale=1)
 
         def main():
-            clock = current_context().clock
-            before = clock.now
+            task = current_context()
+            before = task.now
             obj.write(addr)
             assert obj.read() == addr
-            return clock.now - before
+            return task.now - before
 
         assert a.run(main, locale=locale) == 0.0
         assert _zero(b.comm_totals())
@@ -169,7 +169,7 @@ def test_own_tasks_still_charge():
         b.deref(addr)
         obj.write(addr)
         obj.read()
-        return current_context().clock.now
+        return current_context().now
 
     assert b.run(main, locale=1) > 0.0
     totals = b.comm_totals()

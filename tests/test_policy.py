@@ -362,9 +362,9 @@ class TestPolicyGate:
 
         def main():
             rec = make_reclaimer(rt, scheme)
-            before = current_context().clock.now
+            before = current_context().now
             assert not rec.try_reclaim()  # nothing pending: deferred
-            assert current_context().clock.now == before
+            assert current_context().now == before
             assert len(ticks) == 1
             stats = rec.stats()
             assert stats["policy_deferrals"] == 1

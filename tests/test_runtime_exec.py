@@ -20,7 +20,7 @@ class TestRun:
         def main():
             ctx = current_context()
             assert ctx.locale_id == 0
-            assert ctx.clock.now == 0.0
+            assert ctx.now == 0.0
             return "done"
 
         assert rt.run(main) == "done"
@@ -176,9 +176,9 @@ class TestForall:
 
     def test_forall_advances_parent_clock(self, rt):
         def main():
-            before = current_context().clock.now
+            before = current_context().now
             rt.forall(range(8), lambda i: rt.atomic_int(0, locale=rt.here()).read())
-            return current_context().clock.now - before
+            return current_context().now - before
 
         assert rt.run(main) > 0.0
 
@@ -238,10 +238,10 @@ class TestCoforallLocales:
         hits = []
 
         def main():
-            before = current_context().clock.now
+            before = current_context().now
             with pytest.raises(LocaleError):
                 rt.coforall_locales(hits.append, locales=[1, bad])
-            return current_context().clock.now - before
+            return current_context().now - before
 
         assert rt.run(main) == 0.0
         assert hits == []
@@ -256,9 +256,9 @@ class TestCoforallLocales:
                 for _ in range(n):
                     c.read()
 
-            before = current_context().clock.now
+            before = current_context().now
             rt.coforall_locales(body)
-            return current_context().clock.now - before
+            return current_context().now - before
 
         elapsed = rt.run(main)
         # Must cover at least locale 3's 100 NIC-local atomics.
@@ -326,9 +326,29 @@ class TestGlobalMemoryLocaleValidation:
         def main():
             with pytest.raises(LocaleError, match="out of range"):
                 call(rt, locale_id)
-            return current_context().clock.now
+            return current_context().now
 
         assert rt.run(main) == 0.0
+        assert sum(rt.comm_totals().values()) == 0
+
+
+class TestNonIntegerLocaleIds:
+    """A bool or non-``int`` locale id raises ``LocaleError`` naming it."""
+
+    CALLS = {
+        "locale": lambda rt, lid: rt.locale(lid),
+        "atomic_int": lambda rt, lid: rt.atomic_int(locale=lid),
+        "coforall_locales": lambda rt, lid: rt.run(
+            lambda: rt.coforall_locales(lambda i: None, locales=[lid])
+        ),
+        "run": lambda rt, lid: rt.run(lambda: None, locale=lid),
+    }
+
+    @pytest.mark.parametrize("locale_id", [1.0, 2.5, True])
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_rejected(self, rt, entry, locale_id):
+        with pytest.raises(LocaleError, match=f"got {locale_id!r}$"):
+            self.CALLS[entry](rt, locale_id)
         assert sum(rt.comm_totals().values()) == 0
 
 

@@ -352,10 +352,10 @@ def _atomic_cost_from(rt: Runtime, src: int, home: int) -> float:
     def main():
         cell = rt.atomic_int(0, locale=home)
         with rt.on(src):
-            clock = current_context().clock
-            before = clock.now
+            task = current_context()
+            before = task.now
             cell.add(1)
-            cost["v"] = clock.now - before
+            cost["v"] = task.now - before
 
     rt.run(main)
     return cost["v"]
@@ -405,15 +405,15 @@ class TestTopologyPricing:
             def main():
                 obj = rt.new_obj("payload", locale=1)
                 rt.network.diags.reset()
-                clock = current_context().clock
-                before = clock.now
+                task = current_context()
+                before = task.now
                 rt.deref(obj)  # locale 0 reading locale 1: same socket
-                same_socket = clock.now - before
+                same_socket = task.now - before
                 totals_mid = rt.comm_totals()
-                before = clock.now
+                before = task.now
                 obj2 = rt.new_obj("payload", locale=4)
                 rt.deref(obj2)  # cross-node
-                cross = clock.now - before
+                cross = task.now - before
                 return same_socket, cross, totals_mid
 
             same_socket, cross, mid = rt.run(main)
@@ -427,15 +427,15 @@ class TestTopologyPricing:
         rt = Runtime(config=RuntimeConfig(num_locales=8, topology="hier:2x2"))
         try:
             def main():
-                clock = current_context().clock
-                before = clock.now
+                task = current_context()
+                before = task.now
                 with rt.on(1):
                     pass
-                socket_trip = clock.now - before
-                before = clock.now
+                socket_trip = task.now - before
+                before = task.now
                 with rt.on(4):
                     pass
-                uplink_trip = clock.now - before
+                uplink_trip = task.now - before
                 return socket_trip, uplink_trip, rt.comm_totals()
 
             socket_trip, uplink_trip, totals = rt.run(main)
