@@ -183,9 +183,11 @@ class NetworkModel:
 
         Cells fetch this once at construction; the hot paths index it by
         the issuing locale id — the only per-operation topology cost.
-        The rows live here, with the runtime, rather than in
-        :meth:`Topology.distance_row`'s cache: the topology belongs to the
-        config, which a scenario spec keeps for as long as it lives.
+        This is the one row cache: it lives with the runtime, and builds
+        each row once with :meth:`Topology.build_distance_row
+        <repro.comm.topology.Topology.build_distance_row>`.  The topology
+        itself caches nothing — it belongs to the config, which a
+        scenario spec keeps for as long as it lives.
         """
         row = self._dist_rows[home]
         if row is None:

@@ -115,8 +115,8 @@ class Topology:
     """Partition of locale pairs into distance classes (base class).
 
     Subclasses define :attr:`classes` (class 0 MUST be the ``"local"``
-    self class) and :meth:`distance`.  Everything else — cached distance
-    rows, uplink grouping, coherence domains — has generic defaults.
+    self class) and :meth:`distance`.  Everything else — distance rows,
+    uplink grouping, coherence domains — has generic defaults.
     """
 
     #: Registry key / canonical spec prefix ("flat", "hier", "dragonfly").
@@ -129,7 +129,6 @@ class Topology:
             )
         self.num_locales = num_locales
         self.classes: Tuple[DistanceClass, ...] = ()
-        self._rows: Dict[int, Tuple[int, ...]] = {}
 
     # -- the defining relation -----------------------------------------
     def distance(self, src: int, dst: int) -> int:
@@ -138,26 +137,19 @@ class Topology:
         raise NotImplementedError
 
     def build_distance_row(self, dst: int) -> Tuple[int, ...]:
-        """``distance(src, dst)`` for every ``src``, uncached.
+        """``distance(src, dst)`` for every ``src``.
 
         The generic builder calls :meth:`distance` once per pair; the
         built-in topologies override it with a closed form (fill with
         the farthest class, slice-assign the nearer ranges, then the
         self entry) that makes the same tuple in O(locales) list ops.
+        Hot paths index the row by issuing locale; they read it from
+        :meth:`NetworkModel.distance_row
+        <repro.comm.network.NetworkModel.distance_row>`, which caches it
+        per runtime.
         """
         distance = self.distance
         return tuple(distance(src, dst) for src in range(self.num_locales))
-
-    def distance_row(self, dst: int) -> Tuple[int, ...]:
-        """:meth:`build_distance_row`, cached.
-
-        This is the tuple hot paths index by issuing locale — the only
-        topology data structure they ever touch.
-        """
-        row = self._rows.get(dst)
-        if row is None:
-            row = self._rows[dst] = self.build_distance_row(dst)
-        return row
 
     # -- contention & coherence grouping --------------------------------
     def uplink_group(self, locale: int) -> int:

@@ -319,27 +319,30 @@ class EpochManager(ManagerCore, PrivatizedObject):
             sorted({inst.locale_id for inst in instances})
         )
         PrivatizedObject.__init__(self, runtime, instances)
+        #: True when scans and drains run domain-ordered (see _build_plan).
+        self._aggregated = (
+            self.share_coherent or runtime.network.aggregator.active
+        )
         self._plan = self._build_plan()
 
     # ------------------------------------------------------------------
     # uplink-aware traversal plan
     # ------------------------------------------------------------------
     def _build_plan(self):
-        """The domain-ordered traversal plan, or ``None`` for legacy.
+        """The traversal plan: ``(representative locale, instance locales,
+        all locales)`` per scan/drain group, groups in ascending order.
 
-        Active when the socket-shared layout is on or the aggregation
-        window is open on a machine with shared uplinks; ``None`` —
-        meaning every scan/drain path runs the exact legacy
-        one-task-per-locale shape — otherwise.  Each entry is
-        ``(representative locale, instance locales, all locales)`` for
-        one uplink group, groups in ascending group order: the scan
-        spawns one task per *group* (crossing each shared uplink once)
-        which then walks its group's instances over the intra-node
-        fabric.
+        Domain-ordered (``_aggregated``) when the socket-shared layout is
+        on or the aggregation window is open on a machine with shared
+        uplinks: one group per *uplink group*, so the scan spawns one task
+        per group (crossing each shared uplink once), which then walks its
+        group's instances over the intra-node fabric.  Otherwise one
+        single-locale group per locale: the exact legacy
+        one-task-per-locale shape.
         """
         rt = self._rt
-        if not (self.share_coherent or rt.network.aggregator.active):
-            return None
+        if not self._aggregated:
+            return tuple((lid, (lid,), (lid,)) for lid in range(rt.num_locales))
         topo = rt.network.topology
         groups: Dict[int, List[int]] = {}
         for lid in range(rt.num_locales):
@@ -462,28 +465,18 @@ class EpochManager(ManagerCore, PrivatizedObject):
         return tuple(pending), last_pin, oldest
 
     def _coforall_instances(self, fn) -> None:
-        """Run ``fn(instance locale)`` over every scan/drain unit.
-
-        Legacy (no plan): one task per locale, exactly the pre-aggregation
-        shape.  Domain-ordered (plan active): one task per *uplink group*
-        representative — each shared uplink is crossed once per traversal
-        instead of once per locale — which then walks its group's
-        instances over the intra-node fabric (coherent/NIC-priced reads,
-        no uplink traffic).
-        """
-        rt = self._rt
-        plan = self._plan
-        if plan is None:
-            rt.coforall_locales(fn)
-            return
-        members = {rep: inst_lids for rep, inst_lids, _all in plan}
+        """Run ``fn(instance locale)`` over every scan/drain unit: one
+        task per plan group (:meth:`_build_plan`), walking the group's
+        instances in order."""
+        members = {rep: inst_lids for rep, inst_lids, _all in self._plan}
 
         def run_group(rep: int) -> None:
             for lid in members[rep]:
                 fn(lid)
 
-        rt.coforall_locales(run_group, locales=[rep for rep, _i, _a in plan])
-        self._note_traversal()
+        self._rt.coforall_locales(run_group, locales=list(members))
+        if self._aggregated:
+            self._note_traversal()
 
     def _scan_and_advance(self) -> bool:
         """The scan + advance + drain + bulk-delete pipeline (Listing 4)."""
@@ -596,66 +589,47 @@ class EpochManager(ManagerCore, PrivatizedObject):
         self._coforall_instances(drain_locale)
 
         if self.use_scatter:
-            plan = self._plan
+            # One task per plan group pulls the scatter entries for every
+            # locale in its group.  Aggregated, sources behind a shared
+            # uplink coalesce — the address lists of one source node ride
+            # one window-sized bulk batch instead of one transfer per
+            # source locale; otherwise each source is one bulk transfer.
+            from ..comm.aggregation import BatchCounters
 
-            def gather_and_free(lid: int) -> None:
+            members = {rep: all_lids for rep, _i, all_lids in self._plan}
+            aggregator = rt.network.aggregator
+            # Per-group batch counters, folded into the per-class crossing
+            # facts after the join (commutative adds, so the result is
+            # order-independent).
+            gcounters: List[BatchCounters] = []
+
+            def gather_group(rep: int) -> None:
                 ctx = current_context()
-                mine: List[int] = []
-                for src in range(rt.num_locales):
-                    batch = staged[src].get(lid)
-                    if batch:
-                        # One bulk transfer of the address list per source.
-                        rt.network.bulk(ctx, src, nbytes=8 * len(batch))
-                        mine.extend(batch)
-                if mine:
-                    freed_total[lid] = rt.free_bulk(lid, mine)
+                counters = BatchCounters()
+                for lid in members[rep]:
+                    mine: List[int] = []
+                    transfers: List[tuple] = []
+                    for src in range(rt.num_locales):
+                        batch = staged[src].get(lid)
+                        if batch:
+                            transfers.append((src, 8 * len(batch)))
+                            mine.extend(batch)
+                    if transfers:
+                        aggregator.bulk_gather(ctx, transfers, counters)
+                    if mine:
+                        # The free itself: the group's own locales are
+                        # coherent or intra-node peers — no uplink.
+                        freed_total[lid] = rt.free_bulk(lid, mine)
+                if counters.batches:
+                    self._counters.inc("scan_batches", counters.batches)
+                    self._counters.inc("uplink_crossings", counters.crossings)
+                    gcounters.append(counters)
 
-            if plan is None:
-                rt.coforall_locales(gather_and_free)
-            else:
-                # Domain-ordered gather: one task per uplink group pulls
-                # the scatter entries for every locale in its group.
-                # Sources behind a shared uplink coalesce — the address
-                # lists of one source node ride one window-sized bulk
-                # batch instead of one transfer per source locale.
-                from ..comm.aggregation import BatchCounters
-
-                members = {rep: all_lids for rep, _i, all_lids in plan}
-                aggregator = rt.network.aggregator
-                # Per-group batch counters, folded into the per-class
-                # crossing facts after the join (list.append is atomic
-                # under the GIL; the post-join fold is commutative adds,
-                # so the result is order-independent).
-                gcounters: List[BatchCounters] = []
-
-                def gather_group(rep: int) -> None:
-                    ctx = current_context()
-                    counters = BatchCounters()
-                    for lid in members[rep]:
-                        mine: List[int] = []
-                        transfers: List[tuple] = []
-                        for src in range(rt.num_locales):
-                            batch = staged[src].get(lid)
-                            if batch:
-                                transfers.append((src, 8 * len(batch)))
-                                mine.extend(batch)
-                        if transfers:
-                            aggregator.bulk_gather(ctx, transfers, counters)
-                        if mine:
-                            # The free itself: the group's own locales are
-                            # coherent or intra-node peers — no uplink.
-                            freed_total[lid] = rt.free_bulk(lid, mine)
-                    if counters.batches:
-                        self._counters.inc("scan_batches", counters.batches)
-                        self._counters.inc("uplink_crossings", counters.crossings)
-                        gcounters.append(counters)
-
-                rt.coforall_locales(
-                    gather_group, locales=[rep for rep, _i, _a in plan]
-                )
+            rt.coforall_locales(gather_group, locales=list(members))
+            if self._aggregated:
                 self._note_traversal()
-                for counters in gcounters:
-                    self._fold_crossings(counters.by_class.items())
+            for counters in gcounters:
+                self._fold_crossings(counters.by_class.items())
 
         return sum(freed_total)
 

@@ -4,12 +4,11 @@ Four pieces (see docs/ENGINE.md):
 
 * :mod:`repro.engine.opstream` — the columnar IR: lowering a task's fixed
   op stream into per-op target columns ahead of the run.
-* :mod:`repro.engine.executor` — the replay engine.  The *columnar* tier
-  replays the scheduler's spawn-submission order on the root task
-  between ``forall`` joins — where nothing else runs, so it charges the
-  real service points, cells, reclaim chains and diagnostics in place;
-  the *serial* tier runs the real task bodies on the
-  scheduler for value-dependent phases.
+* :mod:`repro.engine.executor` — the replay engine.  A *columnar* phase
+  is a ``forall`` whose task bodies replay lowered charge streams — one
+  task runs at a time, so each charges the real service points, cells,
+  reclaim chains and diagnostics in place; the *serial* tier runs the
+  real task bodies on the scheduler for value-dependent phases.
   Bit-identical to the interpreter by construction; wall-clock only.
 * :mod:`repro.engine.coverage` — the one predicate deciding which tier a
   workload shape gets, the per-runtime effective-engine log, and the

@@ -2,9 +2,9 @@
 
 Lowered columns are a pure function of ``(column kind, shape params,
 config seed, first task id, task count)``: per-task RNG streams are
-seeded ``(seed << 20) ^ task_id`` and the executor hands out consecutive
-task ids in replay order, so two runs that agree on those inputs draw
-bit-identical columns.  That makes the columns safe to memoize *across*
+seeded :func:`~repro.runtime.tasking.task_seed` of the task id and a
+phase's ``forall`` hands out consecutive task ids, so two runs that
+agree on those inputs draw bit-identical columns.  That makes the columns safe to memoize *across*
 :class:`~repro.runtime.runtime.Runtime` instances — exactly what
 ``--repeats`` and ``scenarios --all`` create: a fresh runtime per
 repetition or point whose lowering work was, before this cache, recomputed from

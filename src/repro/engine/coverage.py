@@ -16,8 +16,8 @@ place — :func:`compiled_plan` — and consumed by
 Execution tiers
 ---------------
 ``"columnar"``
-    The phase replays from lowered op-stream columns on the root thread
-    (:mod:`repro.engine.executor`) — the fast tier.
+    The phase is a ``forall`` whose task bodies replay lowered charge
+    streams (:mod:`repro.engine.executor`) — the fast tier.
 ``"serial"``
     The phase runs the real task bodies on the runtime's one scheduler
     (:mod:`repro.runtime.tasking`), exactly as an interpreted run does.

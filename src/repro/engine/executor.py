@@ -1,32 +1,40 @@
-"""The compiled-engine executor: serial columnar replay of whole phases.
+"""The compiled-engine executor: ``forall`` phases with replay task bodies.
 
-Why serial replay is bit-identical
-----------------------------------
-The runtime's one scheduler (docs/ENGINE.md, "The scheduler") runs a
-``forall``'s tasks to completion on the joining root thread in
-spawn-submission order, because a lowered phase's tasks spawn nothing
-themselves — so replaying the same tasks serially on the root thread, in
-spawn-submission order, with the same per-task clocks, RNG seeds, task
-ids and charge sequences, is that very schedule and produces
-bit-identical virtual time, comm totals and reclaim stats.  The payoff is
-that the serial replay needs **no TLS lookups and no per-op dispatch**:
-it charges the real service points through ``ServicePoint.serve_locked``
-(the hottest sites inline its recurrence float-op for float-op — same
-operations, same order, same rounding), and counts diagnostics straight
-into the runtime's diagnostics matrix.
+A compiled phase is a ``forall``
+--------------------------------
+Each columnar phase is one :meth:`Runtime._forall_tasks
+<repro.runtime.runtime.Runtime._forall_tasks>` call — the task level of
+``Runtime.forall`` — whose task body is a tight replay loop instead of
+the interpreted per-item body.  The item split, task ids and seeds, the
+spawn-tree start time, the join and the ``forall`` trace span are the
+runtime's own; a phase replaces only what one task does with its items.
+The body finds its task with ``current_context()``: the locale, the
+clock (``ctx.now``, read at entry and written back at exit) and the task
+id (which token or guard the task leases; which column it replays).
+Real code a replayed task runs mid-phase — the hazard-pointer threshold
+``_scan``, Listing 5's in-task ``em.register()`` / ``tok.unregister()``
+— runs directly on that task.
+
+Why the replay is bit-identical
+-------------------------------
+A replay body issues the charges the interpreted body would, in the same
+order, against the same cells and service points: each lowered phase has
+a fixed charge stream per item.  It charges the real points through
+``ServicePoint.serve_locked`` (the hottest sites inline its recurrence
+float-op for float-op — same operations, same order, same rounding) and
+counts diagnostics straight into the runtime's diagnostics matrix, so it
+skips the per-op route lookup, context lookups and dispatch.  The
+scheduler runs the phase's tasks one at a time in spawn order, exactly
+as it runs the interpreted ones.
 
 Mutating in place
 -----------------
-A phase executor runs *on the root task* between ``forall`` joins, and a
-runtime is used by one thread (docs/ENGINE.md, "One thread per
-runtime"), so nothing else touches the service points, cells, limbo
-chains or token epoch slots while it runs; the replay mutates all of
-them directly.  The replay keeps no private copy of that state,
-so real code may run mid-phase (the Listing 5 replay's in-task
-``register``/``unregister``, HP threshold scans) and sees exactly the
-state the interpreted schedule would.  Every serve updates the point's
-``busy_time`` and ``served`` in spawn order too, so they match the
-interpreted schedule bit for bit.
+A runtime is used by one thread (docs/ENGINE.md, "One thread per
+runtime") and a task runs to completion, so nothing else touches the
+service points, cells, limbo chains or token epoch slots while a replay
+body runs; it mutates them directly and keeps no private copy of that
+state.  Every serve updates the point's ``busy_time`` and ``served`` in
+task order too, so they match the interpreted schedule bit for bit.
 """
 
 from __future__ import annotations
@@ -36,9 +44,10 @@ from random import Random
 from typing import Any, Iterable, List, Optional, Sequence
 
 from ..core.limbo_list import LimboNode
+from ..errors import RuntimeStateError
 from ..runtime.clock import ServicePoint
-from ..runtime.context import TaskContext, current_context
-from ..runtime.tasking import spawn_tree_overhead
+from ..runtime.context import current_context
+from ..runtime.tasking import task_seed
 from .cache import COLUMN_CACHE
 
 __all__ = [
@@ -48,17 +57,6 @@ __all__ = [
     "run_guard_epoch_phase",
     "run_epoch_workload_phase",
 ]
-
-
-def _forall_prologue(rt, ctx, active_locales, total_tasks) -> float:
-    """The spawn-side bookkeeping of ``Runtime.forall``: every compiled
-    task starts at ``now + spawn-tree overhead``, exactly as a spawned
-    one would."""
-    overhead = spawn_tree_overhead(
-        total_tasks,
-        rt.network.spawn_broadcast_cost(ctx.locale_id, active_locales),
-    )
-    return ctx.now + overhead
 
 
 def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
@@ -155,7 +153,8 @@ def run_uniform_atomic_phase(
     route_row: int = 0,
     column_key: Optional[tuple] = None,
 ) -> None:
-    """Replay one ``forall(range(nloc * tpl), body)`` of uniform atomic ops.
+    """Run one ``forall(range(nloc * tpl), body)`` of uniform atomic ops
+    with a replay task body.
 
     ``homes[ci]`` is the home locale of cell ``ci``; ``column_fn(rng)``
     lowers one task's op stream into a column of cell indices (see
@@ -174,10 +173,11 @@ def run_uniform_atomic_phase(
     cache lookup, so the cached draw column is the same for every cell
     kind and every charge replays through the same loop.
 
-    ``column_key`` enables the cross-run compilation cache: per-task RNG
-    streams are a pure function of ``(config seed, task id)`` and task
-    ids are handed out consecutively here, so the lowered columns are
-    memoized in :data:`~repro.engine.cache.COLUMN_CACHE` keyed by
+    The columns are drawn ahead of the tasks, all at once, from the seeds
+    the tasks themselves carry (:func:`~repro.runtime.tasking.task_seed`
+    of the task id); the phase's task ids are consecutive in spawn order.
+    ``column_key`` enables the cross-run compilation cache: the columns
+    are memoized in :data:`~repro.engine.cache.COLUMN_CACHE` keyed by
     ``(column_key, seed, first task id, task count)`` and shared across
     ``--repeats`` and grid-runner runtimes.
 
@@ -186,10 +186,11 @@ def run_uniform_atomic_phase(
     observes them afterwards.  The real shared points on the routes (NIC
     pipelines, progress threads, uplinks) are charged in place.
     """
-    ctx = current_context()
     net = rt.network
     nloc = rt.num_locales
     tpl = tasks_per_locale
+    seed = rt.config.seed
+    total_tasks = nloc * tpl
 
     # ---- compile: one charge plan per (cell, distance class) ------------
     # ``class_plans[ci][k]`` is cell ci's ``(latency, point, point_service,
@@ -214,104 +215,94 @@ def run_uniform_atomic_phase(
             ]
         )
         dist_rows.append(net.distance_row(home))
-
-    # ---- forall bookkeeping (one item per task: body(task_idx)) --------
-    total_tasks = nloc * tpl
-    if total_tasks == 0:
-        return
-    tr = rt._tracer
-    t0 = ctx.now if tr is not None else 0.0
-    start = _forall_prologue(rt, ctx, list(range(nloc)), total_tasks)
-    seed_base = rt.config.seed << 20
+    locale_plans: List[Optional[list]] = [None] * nloc
     diags = net.diags
     record = diags._enabled
     rows = diags._rows
+    columns: Optional[List[list]] = None
 
-    # Task ids are consecutive (nothing else allocates between phases'
-    # replay loops), which is what makes the column-cache key sound.
-    task_ids = [rt._next_task_id() for _ in range(total_tasks)]
+    def replay(task_items: Sequence[int]) -> None:
+        nonlocal columns
+        ctx = current_context()
+        locale = ctx.locale_id
+        # One item per task: task w of locale l holds item l + w * nloc,
+        # and tasks are spawned locale by locale, so this is the task's
+        # spawn index.
+        ti = locale * tpl + task_items[0] // nloc
+        if columns is None:
+            first = ctx.task_id - ti
 
-    def _build_columns() -> List[list]:
-        return [column_fn(Random(seed_base ^ tid)) for tid in task_ids]
+            def build() -> List[list]:
+                return [
+                    column_fn(Random(task_seed(seed, first + i)))
+                    for i in range(total_tasks)
+                ]
 
-    if column_key is not None:
-        columns = COLUMN_CACHE.get_or_build(
-            (column_key, rt.config.seed, task_ids[0], total_tasks),
-            _build_columns,
-        )
-    else:
-        columns = _build_columns()
-
-    # ---- replay: spawn-submission order == the scheduler's order ----
-    finish = start
-    ti = 0
-    for locale in range(nloc):
-        plans = [
-            cell_plans[row[locale]]
-            for cell_plans, row in zip(class_plans, dist_rows)
-        ]
-        counts = rows[locale]
-        for _w in range(tpl):
-            column = columns[ti]
-            ti += 1
-            if op_charges is not None:
-                column = _expand_op_cycle(column, op_charges)
-            now = start
-            for ci in column:
-                latency, pt, ps, ln, ls, _di = plans[ci]
-                t = now + latency
-                if pt is not None:
-                    # Inlined serve_locked (point pass) — keep in sync
-                    # with ServicePoint.serve_locked.
-                    pt.busy_time += ps
-                    pt.served += 1
-                    nf = pt.next_free
-                    if t >= nf:
-                        pt.idle_bank += t - nf
-                        pt.next_free = t = t + ps
-                    else:
-                        b = pt.idle_bank
-                        if b >= ps:
-                            pt.idle_bank = b - ps
-                            t = t + ps
-                        else:
-                            pt.idle_bank = 0.0
-                            f = nf + (ps - b)
-                            floor = t + ps
-                            if f < floor:
-                                f = floor
-                            pt.next_free = t = f
-                # Inlined serve_locked (line pass); the phase-local line's
-                # busy_time/served are never read, so they are not kept.
-                nf = ln.next_free
+            if column_key is None:
+                columns = build()
+            else:
+                columns = COLUMN_CACHE.get_or_build(
+                    (column_key, seed, first, total_tasks), build
+                )
+        plans = locale_plans[locale]
+        if plans is None:
+            plans = locale_plans[locale] = [
+                cell_plans[row[locale]]
+                for cell_plans, row in zip(class_plans, dist_rows)
+            ]
+        column = columns[ti]
+        if op_charges is not None:
+            column = _expand_op_cycle(column, op_charges)
+        now = ctx.now
+        for ci in column:
+            latency, pt, ps, ln, ls, _di = plans[ci]
+            t = now + latency
+            if pt is not None:
+                # Inlined serve_locked (point pass) — keep in sync
+                # with ServicePoint.serve_locked.
+                pt.busy_time += ps
+                pt.served += 1
+                nf = pt.next_free
                 if t >= nf:
-                    ln.idle_bank += t - nf
-                    ln.next_free = now = t + ls
+                    pt.idle_bank += t - nf
+                    pt.next_free = t = t + ps
                 else:
-                    b = ln.idle_bank
-                    if b >= ls:
-                        ln.idle_bank = b - ls
-                        now = t + ls
+                    b = pt.idle_bank
+                    if b >= ps:
+                        pt.idle_bank = b - ps
+                        t = t + ps
                     else:
-                        ln.idle_bank = 0.0
-                        f = nf + (ls - b)
-                        floor = t + ls
+                        pt.idle_bank = 0.0
+                        f = nf + (ps - b)
+                        floor = t + ps
                         if f < floor:
                             f = floor
-                        ln.next_free = now = f
-            if now > finish:
-                finish = now
-            if record:
-                for ci, n in Counter(column).items():
-                    counts[plans[ci][5]] += n
+                        pt.next_free = t = f
+            # Inlined serve_locked (line pass); the phase-local line's
+            # busy_time/served are never read, so they are not kept.
+            nf = ln.next_free
+            if t >= nf:
+                ln.idle_bank += t - nf
+                ln.next_free = now = t + ls
+            else:
+                b = ln.idle_bank
+                if b >= ls:
+                    ln.idle_bank = b - ls
+                    now = t + ls
+                else:
+                    ln.idle_bank = 0.0
+                    f = nf + (ls - b)
+                    floor = t + ls
+                    if f < floor:
+                        f = floor
+                    ln.next_free = now = f
+        ctx.now = now
+        if record:
+            counts = rows[locale]
+            for ci, n in Counter(column).items():
+                counts[plans[ci][5]] += n
 
-    # ---- join -----------------------------------------------------------
-    ctx.resume(finish, rt.config.costs.task_join)
-    if tr is not None:
-        # Field-for-field the span Runtime.forall emits for the
-        # interpreted ``forall(range(nloc * tpl), body)`` of this phase —
-        # the cross-engine trace-equality contract (docs/OBSERVABILITY.md).
-        tr.span("forall", t0, ctx.now, tasks=total_tasks, items=total_tasks)
+    rt._forall_tasks(range(total_tasks), replay, tpl)
 
 
 # ---------------------------------------------------------------------------
@@ -319,33 +310,35 @@ def run_uniform_atomic_phase(
 # ---------------------------------------------------------------------------
 
 
-def _narrow_plan(net, cell, locale: int) -> tuple:
+def _cpu_plan(net, cell, locale: int) -> tuple:
     """Lower one real cell's narrow charge from ``locale`` into a replay
-    plan ``(latency, point, point_service, line, line_service,
-    diag_index)``.
+    plan ``(latency, line, line_service, diag_index)``.
 
-    Token and instance-epoch cells are ``opt_out`` (pure-CPU routes, no
-    point); limbo/pool heads are ordinary cells whose local charge rides
-    the home NIC under ``ugni``.  The plan holds the real home-level point
-    and the cell's own line, so their reservation state carries across
-    phases exactly as interpreted charges leave it.
+    The EBR replay's cells — the instance epoch, the task's token slot,
+    the limbo and pool heads — are all ``opt_out`` and are charged only
+    from their instance's home locales (the instance's own locale or its
+    coherence-domain siblings), so their routes have no service point,
+    and :func:`_ebr_replay_task` serves only their lines.  The plan holds
+    the cell's own line, so its reservation state carries across phases
+    exactly as interpreted charges leave it.  Raises
+    :class:`~repro.errors.RuntimeStateError` naming the cell if a point
+    appears.
     """
     routes = net.atomic_class_routes(cell.home)
     route = routes[1 if cell.opt_out else 0][net.distance_row(cell.home)[locale]]
-    return (
-        route.latency,
-        route.point,
-        route.point_service,
-        cell.line,
-        route.line_service,
-        route.diag_index,
-    )
+    if route.point is not None:
+        raise RuntimeStateError(
+            f"compiled EBR replay: cell {cell.name!r} charges service point"
+            f" {route.point.name!r} from locale {locale}; the replay serves"
+            " only its cache line"
+        )
+    return route.latency, cell.line, route.line_service, route.diag_index
 
 
 def _instance_target(net, inst, locale: int) -> tuple:
     """What a task on ``locale`` charges and mutates on the EBR manager
     instance ``inst``: ``(limbo head, pool, epoch plan, limbo plan, pool
-    plan)``.
+    plan)``, each plan from :func:`_cpu_plan`.
 
     Deferrals go to the limbo list of the *current* locale epoch, constant
     for the whole phase (only root-driven reclaim between phases advances
@@ -356,20 +349,10 @@ def _instance_target(net, inst, locale: int) -> tuple:
     return (
         limbo_head,
         pool,
-        _narrow_plan(net, inst.locale_epoch, locale),
-        _narrow_plan(net, limbo_head, locale),
-        _narrow_plan(net, pool._head, locale) if pool is not None else None,
+        _cpu_plan(net, inst.locale_epoch, locale),
+        _cpu_plan(net, limbo_head, locale),
+        _cpu_plan(net, pool._head, locale) if pool is not None else None,
     )
-
-
-def _split_items(items: Sequence[int], nloc: int, tpl: int) -> tuple:
-    """``forall``'s cyclic item distribution: item ``idx`` goes to locale
-    ``idx % nloc``, which runs ``min(tpl, chunk length)`` tasks over its
-    chunk.  Returns ``(per-locale chunks, tasks per locale)``."""
-    per_locale: List[List[int]] = [[] for _ in range(nloc)]
-    for idx, item in enumerate(items):
-        per_locale[idx % nloc].append(item)
-    return per_locale, [min(tpl, len(c)) for c in per_locale]
 
 
 def _ebr_replay_task(
@@ -387,43 +370,33 @@ def _ebr_replay_task(
     Per item: 3 pin charges (instance-epoch read, token write, revalidation
     read), then for ``is_write[item]`` the deferral (2 reads + pool get +
     limbo exchange), then 1 unpin charge — CPU-priced cache-line passes
-    against the instance epoch cell, the task's token slot (``tk_plan``) and
-    the pool/limbo heads (``target``, from :func:`_instance_target`).  A
-    deferral pops the real pool chain and pushes onto the real limbo chain
-    by writing the heads' values directly, and bumps ``pool.allocated`` as
-    ``NodePool.get`` does.  Diagnostics go to ``counts``, the caller
-    locale's diagnostics row.
+    against the instance epoch cell, the task's token slot (``tk_plan``,
+    from :func:`_cpu_plan`) and the pool/limbo heads (``target``, from
+    :func:`_instance_target`).  A deferral pops the real pool chain and
+    pushes onto the real limbo chain by writing the heads' values
+    directly, and bumps ``pool.allocated`` as ``NodePool.get`` does.
+    Diagnostics go to ``counts``, the caller locale's diagnostics row.
     Returns the task clock after its last item.
 
     This is the engine's hottest loop (4–8 charges per item, millions of
     items per bench run), so each plan is unpacked into locals, each
-    charge (latency, optional point pass, line pass) is written out at
-    every site, and each pin/unpin serve inlines the
-    idle-point fast branch of ``ServicePoint.serve_locked`` (``arrival >=
-    next_free``: bank the gap, advance ``next_free``) — the same float ops
-    in the same order — calling ``serve_locked`` only when the point is
-    queued.
+    charge (latency, line pass) is written out at every site, and each
+    pin/unpin line serve inlines the idle branch of
+    ``ServicePoint.serve_locked`` (``arrival >= next_free``: bank the gap,
+    advance ``next_free``) — the same float ops in the same order —
+    calling ``serve_locked`` only when the line is queued.
     """
     lm_head, pool, ie_plan, lm_plan, pl_plan = target
-    ie_lat, ie_pt, ie_ps, ie_ln, ie_ls, ie_di = ie_plan
-    lm_lat, lm_pt, lm_ps, lm_ln, lm_ls, lm_di = lm_plan
-    tk_lat, tk_pt, tk_ps, tk_ln, tk_ls, tk_di = tk_plan
+    ie_lat, ie_ln, ie_ls, ie_di = ie_plan
+    lm_lat, lm_ln, lm_ls, lm_di = lm_plan
+    tk_lat, tk_ln, tk_ls, tk_di = tk_plan
     if pool is not None:
         pl_head = pool._head
-        pl_lat, pl_pt, pl_ps, pl_ln, pl_ls, pl_di = pl_plan
+        pl_lat, pl_ln, pl_ls, pl_di = pl_plan
     for item in items:
         # pin(): inst-epoch read, token write, revalidation read.  The
         # idle branches inline ServicePoint.serve_locked — keep in sync.
         t = now + ie_lat
-        if ie_pt is not None:
-            if t >= ie_pt.next_free:
-                ie_pt.busy_time += ie_ps
-                ie_pt.served += 1
-                ie_pt.idle_bank += t - ie_pt.next_free
-                t += ie_ps
-                ie_pt.next_free = t
-            else:
-                t = ie_pt.serve_locked(t, ie_ps)
         if t >= ie_ln.next_free:
             ie_ln.busy_time += ie_ls
             ie_ln.served += 1
@@ -433,15 +406,6 @@ def _ebr_replay_task(
         else:
             now = ie_ln.serve_locked(t, ie_ls)
         t = now + tk_lat
-        if tk_pt is not None:
-            if t >= tk_pt.next_free:
-                tk_pt.busy_time += tk_ps
-                tk_pt.served += 1
-                tk_pt.idle_bank += t - tk_pt.next_free
-                t += tk_ps
-                tk_pt.next_free = t
-            else:
-                t = tk_pt.serve_locked(t, tk_ps)
         if t >= tk_ln.next_free:
             tk_ln.busy_time += tk_ls
             tk_ln.served += 1
@@ -451,15 +415,6 @@ def _ebr_replay_task(
         else:
             now = tk_ln.serve_locked(t, tk_ls)
         t = now + ie_lat
-        if ie_pt is not None:
-            if t >= ie_pt.next_free:
-                ie_pt.busy_time += ie_ps
-                ie_pt.served += 1
-                ie_pt.idle_bank += t - ie_pt.next_free
-                t += ie_ps
-                ie_pt.next_free = t
-            else:
-                t = ie_pt.serve_locked(t, ie_ps)
         if t >= ie_ln.next_free:
             ie_ln.busy_time += ie_ls
             ie_ln.served += 1
@@ -473,23 +428,14 @@ def _ebr_replay_task(
             counts[tk_di] += 2  # pin write + unpin write
         if is_write[item]:
             # defer_delete(): pinned check + epoch read ...
-            t = now + tk_lat
-            if tk_pt is not None:
-                t = tk_pt.serve_locked(t, tk_ps)
-            now = tk_ln.serve_locked(t, tk_ls)
-            t = now + ie_lat
-            if ie_pt is not None:
-                t = ie_pt.serve_locked(t, ie_ps)
-            now = ie_ln.serve_locked(t, ie_ls)
+            now = tk_ln.serve_locked(now + tk_lat, tk_ls)
+            now = ie_ln.serve_locked(now + ie_lat, ie_ls)
             if record:
                 counts[tk_di] += 1
                 counts[ie_di] += 1
             # ... then limbo push: pool get + head exchange.
             if pool is not None:
-                t = now + pl_lat
-                if pl_pt is not None:
-                    t = pl_pt.serve_locked(t, pl_ps)
-                now = pl_ln.serve_locked(t, pl_ls)
+                now = pl_ln.serve_locked(now + pl_lat, pl_ls)
                 node = pl_head._value
                 if node is None:
                     node = LimboNode()
@@ -499,35 +445,20 @@ def _ebr_replay_task(
                 else:
                     # Non-empty pool: the pop CAS is a second
                     # charge on the pool head.
-                    t = now + pl_lat
-                    if pl_pt is not None:
-                        t = pl_pt.serve_locked(t, pl_ps)
-                    now = pl_ln.serve_locked(t, pl_ls)
+                    now = pl_ln.serve_locked(now + pl_lat, pl_ls)
                     pl_head._value = node.next
                     if record:
                         counts[pl_di] += 2
             else:
                 node = LimboNode()
             node.val = objs[item]
-            t = now + lm_lat
-            if lm_pt is not None:
-                t = lm_pt.serve_locked(t, lm_ps)
-            now = lm_ln.serve_locked(t, lm_ls)
+            now = lm_ln.serve_locked(now + lm_lat, lm_ls)
             node.next = lm_head._value
             lm_head._value = node
             if record:
                 counts[lm_di] += 1
         # unpin(): token write (diag counted with pin above).
         t = now + tk_lat
-        if tk_pt is not None:
-            if t >= tk_pt.next_free:
-                tk_pt.busy_time += tk_ps
-                tk_pt.served += 1
-                tk_pt.idle_bank += t - tk_pt.next_free
-                t += tk_ps
-                tk_pt.next_free = t
-            else:
-                t = tk_pt.serve_locked(t, tk_ps)
         if t >= tk_ln.next_free:
             tk_ln.busy_time += tk_ls
             tk_ln.served += 1
@@ -548,64 +479,34 @@ def run_ebr_epoch_phase(
     tokens: List[List[Any]],
     tokens_per_locale: int,
 ) -> None:
-    """Replay one round of ``run_epoch_mixed`` under the EBR manager.
+    """Run one round of ``run_epoch_mixed`` under the EBR manager.
 
-    Mirrors ``forall(items, body, task_init=bank.task_init)`` where the
-    body pins, defer-deletes ``objs[item]`` when ``is_write[item]``, and
-    unpins.  The charge stream per item is fixed (no mid-phase epoch
-    advances — reclamation is root-driven between rounds), so the whole
-    round lowers to :func:`_ebr_replay_task` per task against the
-    pre-registered tokens.
+    The interpreted round is ``forall(items, body,
+    task_init=bank.task_init)`` where the body pins, defer-deletes
+    ``objs[item]`` when ``is_write[item]``, and unpins.  The charge
+    stream per item is fixed (no mid-phase epoch advances — reclamation
+    is root-driven between rounds), so each task's items replay through
+    :func:`_ebr_replay_task` against the pre-registered token the
+    interpreted task would lease (``tokens[locale][task_id %
+    tokens_per_locale]``) and the manager instance that token leases.
     """
-    ctx = current_context()
     net = rt.network
-    nloc = rt.num_locales
-    tpl = tokens_per_locale
-
-    per_locale, ntasks_by_locale = _split_items(items, nloc, tpl)
-    total_tasks = sum(ntasks_by_locale)
-    if total_tasks == 0:
-        return
-    active = [lid for lid, c in enumerate(per_locale) if c]
-    tr = rt._tracer
-    t0 = ctx.now if tr is not None else 0.0
-    start = _forall_prologue(rt, ctx, active, total_tasks)
-
     diags = net.diags
     record = diags._enabled
     rows = diags._rows
-    used_tokens = []
 
-    # ---- replay: spawn-submission order ---------------------------------
-    finish = start
-    for locale in active:
-        chunk = per_locale[locale]
-        ntasks = ntasks_by_locale[locale]
-        # A locale's pre-registered tokens all lease the same (possibly
-        # privatized) manager instance; take it from the token itself so
-        # the replay charges exactly the cells the interpreted pin/defer
-        # bodies would.
-        target = _instance_target(net, tokens[locale][0]._inst, locale)
-        for w in range(ntasks):
-            task_id = rt._next_task_id()
-            tok = tokens[locale][task_id % tpl]
-            used_tokens.append(tok)
-            tk_plan = _narrow_plan(net, tok.local_epoch, locale)
-            now = _ebr_replay_task(
-                chunk[w::ntasks], is_write, objs, target, tk_plan,
-                start, rows[locale], record,
-            )
-            if now > finish:
-                finish = now
+    def replay(task_items: Sequence[int]) -> None:
+        ctx = current_context()
+        locale = ctx.locale_id
+        tok = tokens[locale][ctx.task_id % tokens_per_locale]
+        ctx.now = _ebr_replay_task(
+            task_items, is_write, objs,
+            _instance_target(net, tok._inst, locale),
+            _cpu_plan(net, tok.local_epoch, locale),
+            ctx.now, rows[locale], record,
+        )
 
-    # ---- join -----------------------------------------------------------
-    ctx.resume(finish, rt.config.costs.task_join)
-    for tok in used_tokens:
-        tok.local_epoch.poke(0)
-    if tr is not None:
-        # Identical to the interpreted ``forall(items, body, ...)`` span
-        # (cross-engine trace-equality contract, docs/OBSERVABILITY.md).
-        tr.span("forall", t0, ctx.now, tasks=total_tasks, items=len(items))
+    rt._forall_tasks(items, replay, tokens_per_locale)
 
 
 # ---------------------------------------------------------------------------
@@ -622,77 +523,46 @@ def run_guard_epoch_phase(
     guards: List[List[Any]],
     guards_per_locale: int,
 ) -> None:
-    """Replay one round of ``run_epoch_mixed`` under hazard pointers.
+    """Run one round of ``run_epoch_mixed`` under hazard pointers.
 
-    Mirrors ``forall(items, body, task_init=bank.task_init)`` where the
-    body pins, defer-deletes ``objs[item]`` when ``is_write[item]``, and
-    unpins, against pre-registered HP guards.  Pin/unpin are free (no
-    hazard slots are published by this body) and a retire is one
-    ``cpu_load_latency`` advance plus a zero-tagged append, but crossing
-    ``scan_threshold`` runs the *real* ``_scan`` under a synthetic task
-    context: hazard reads (aggregated or not), drains and frees are
-    value-dependent and charge exactly as interpreted, continuing this
-    task's clock.
+    The interpreted round is ``forall(items, body,
+    task_init=bank.task_init)`` where the body pins, defer-deletes
+    ``objs[item]`` when ``is_write[item]``, and unpins, against
+    pre-registered HP guards.  Pin/unpin are free (no hazard slots are
+    published by this body) and a retire is one ``cpu_load_latency``
+    advance plus a zero-tagged append, but crossing ``scan_threshold``
+    runs the *real* ``_scan`` on the task: hazard reads (aggregated or
+    not), drains and frees are value-dependent and charge exactly as
+    interpreted, continuing this task's clock.
 
     Retired entries are appended to the **real** guard buffers, so the
     interpreted ``phase_boundary``/``try_reclaim``/``clear`` calls
     between rounds scan, drain and free exactly the state an interpreted
     phase leaves.
     """
-    ctx = current_context()
-    nloc = rt.num_locales
-    tpl = guards_per_locale
-
-    per_locale, ntasks_by_locale = _split_items(items, nloc, tpl)
-    total_tasks = sum(ntasks_by_locale)
-    if total_tasks == 0:
-        return
-    active = [lid for lid, c in enumerate(per_locale) if c]
-    tr = rt._tracer
-    t0 = ctx.now if tr is not None else 0.0
-    start = _forall_prologue(rt, ctx, active, total_tasks)
-
     cpu_load = rt.config.costs.cpu_load_latency
-    seed_base = rt.config.seed << 20
 
-    # ---- replay: spawn-submission order ---------------------------------
-    finish = start
-    for locale in active:
-        chunk = per_locale[locale]
-        ntasks = ntasks_by_locale[locale]
-        for w in range(ntasks):
-            task_id = rt._next_task_id()
-            guard = guards[locale][task_id % tpl]
-            rec = guard._rec
-            retired = guard._retired
-            threshold = rec.scan_threshold
-            tctx: Optional[TaskContext] = None
-            now = start
-            for item in chunk[w::ntasks]:
-                if is_write[item]:
-                    now += cpu_load
-                    retired.append((objs[item], 0))
-                    if len(retired) >= threshold:
-                        # The threshold scan is value-dependent (hazard
-                        # reads, drains, frees) — run the real thing on
-                        # this task's clock.
-                        if tctx is None:
-                            tctx = TaskContext(
-                                rt, locale, now, task_id, seed_base ^ task_id
-                            )
-                        tctx.now = now
-                        tctx.call(rec._scan, [guard])
-                        now = tctx.now
-                        # The drain rebinds guard._retired; drop the stale
-                        # alias.
-                        retired = guard._retired
-            if now > finish:
-                finish = now
+    def replay(task_items: Sequence[int]) -> None:
+        ctx = current_context()
+        guard = guards[ctx.locale_id][ctx.task_id % guards_per_locale]
+        rec = guard._rec
+        retired = guard._retired
+        threshold = rec.scan_threshold
+        now = ctx.now
+        for item in task_items:
+            if is_write[item]:
+                now += cpu_load
+                retired.append((objs[item], 0))
+                if len(retired) >= threshold:
+                    ctx.now = now
+                    rec._scan([guard])
+                    now = ctx.now
+                    # The drain rebinds guard._retired; drop the stale
+                    # alias.
+                    retired = guard._retired
+        ctx.now = now
 
-    # ---- join ---------------------------------------------------------
-    ctx.resume(finish, rt.config.costs.task_join)
-    if tr is not None:
-        tr.span("forall", t0, ctx.now, tasks=total_tasks, items=len(items))
+    rt._forall_tasks(items, replay, guards_per_locale)
 
 
 # ---------------------------------------------------------------------------
@@ -709,68 +579,42 @@ def run_epoch_workload_phase(
     num_objects: int,
     delete: bool,
 ) -> None:
-    """Replay ``run_epoch_workload``'s ``forall`` (one task per locale, EBR).
+    """Run ``run_epoch_workload``'s ``forall`` (one task per locale, EBR)
+    with a replay task body.
 
     The interpreted body registers a token *inside* the task
     (``task_init``), pins / optionally retires / unpins per item, and
     unregisters on task exit.  With one task per locale (the gated
-    shape), the scheduler runs each task start-to-finish in locale
-    order — so the replay alternates real excursions with column
-    replay per task:
+    shape), each replayed task:
 
-    1. ``em.register()`` runs **for real** under a synthetic task
-       context (the free-list pop / token construction charges) — the
-       registry, token chains and stats mutate exactly as interpreted;
-    2. the per-item pin/retire/unpin stream replays through
+    1. calls ``em.register()`` for real (the free-list pop / token
+       construction charges) — the registry, token chains and stats
+       mutate exactly as interpreted;
+    2. replays its pin/retire/unpin stream through
        :func:`_ebr_replay_task` against the freshly registered token's
        cells, with ``delete`` standing in for every item's write flag and
        retired objects pushed onto the real limbo chains;
-    3. ``unregister()`` runs for real on the task's clock (token write +
-       free-list push).
+    3. calls ``unregister()`` for real (token write + free-list push).
 
     Interpreted code afterwards (``em.clear()``, stats) sees exactly the
     state an interpreted phase leaves.
     """
-    ctx = current_context()
     net = rt.network
-    nloc = rt.num_locales
-    if num_objects == 0:
-        return
-    active = list(range(min(nloc, num_objects)))
-    total_tasks = len(active)
-    tr = rt._tracer
-    t0 = ctx.now if tr is not None else 0.0
-    start = _forall_prologue(rt, ctx, active, total_tasks)
-
-    seed_base = rt.config.seed << 20
     diags = net.diags
     record = diags._enabled
     rows = diags._rows
     is_write = [delete] * num_objects
 
-    finish = start
-    for lid in active:
-        task_id = rt._next_task_id()
-        tctx = TaskContext(rt, lid, start, task_id, seed_base ^ task_id)
-
-        # -- 1. real registration on the task's clock --------------------
-        tok = tctx.call(em.register)
-
-        # -- 2. columnar replay of the pin/retire/unpin stream -----------
-        tctx.now = _ebr_replay_task(
-            range(lid, num_objects, nloc), is_write, objs,
+    def replay(task_items: Sequence[int]) -> None:
+        tok = em.register()
+        ctx = current_context()
+        lid = ctx.locale_id
+        ctx.now = _ebr_replay_task(
+            task_items, is_write, objs,
             _instance_target(net, tok._inst, lid),
-            _narrow_plan(net, tok.local_epoch, lid),
-            tctx.now, rows[lid], record,
+            _cpu_plan(net, tok.local_epoch, lid),
+            ctx.now, rows[lid], record,
         )
+        tok.unregister()
 
-        # -- 3. real unregistration --------------------------------------
-        tctx.call(tok.unregister)
-        if tctx.now > finish:
-            finish = tctx.now
-
-    ctx.resume(finish, rt.config.costs.task_join)
-    if tr is not None:
-        tr.span(
-            "forall", t0, ctx.now, tasks=total_tasks, items=num_objects
-        )
+    rt._forall_tasks(range(num_objects), replay, 1)

@@ -70,7 +70,7 @@ class TaskContext:
     fn, args, group:
         A spawned task's body, its arguments and its
         :class:`~repro.runtime.tasking.TaskGroup`; ``None`` / ``()`` /
-        ``None`` for a root or synthetic context.
+        ``None`` for the root task.
     """
 
     __slots__ = (
@@ -117,8 +117,7 @@ class TaskContext:
 
         Restores whatever context (possibly none) was current before, also
         when ``fn`` raises, so nested calls — a join running queued tasks
-        inside a user task, or an engine's synthetic task inside the root
-        task — compose.
+        inside a user task — compose.
         """
         tls = _tls
         prev = tls.ctx
@@ -131,7 +130,8 @@ class TaskContext:
     def resume(self, finish: float, overhead: float) -> None:
         """Resume after a join: jump to the latest child ``finish`` if it
         is later, then pay the join ``overhead``.  The one join step of
-        ``forall``, ``coforall_locales`` and the compiled phases."""
+        ``forall`` (and so of the compiled phases) and
+        ``coforall_locales``."""
         if finish > self.now:
             self.now = finish
         self.now += overhead

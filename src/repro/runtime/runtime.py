@@ -459,6 +459,74 @@ class Runtime:
         if tr is not None:
             tr.span("coforall", t0, ctx.now, tasks=len(ids))
 
+    def _forall_tasks(
+        self,
+        items: Iterable[T],
+        task_body: Callable[[Sequence[T]], None],
+        tasks_per_locale: Optional[int] = None,
+        owner_of: Optional[Callable[[T, int], int]] = None,
+    ) -> None:
+        """The task level of :meth:`forall`: one ``task_body(my_items)``
+        per worker task.
+
+        Splits ``items`` across locales (cyclically by index, or by
+        ``owner_of``), spawns ``min(tasks_per_locale, chunk length)``
+        tasks per locale — task ``w`` of ``n`` gets ``chunk[w::n]``, a
+        range when ``items`` is one — at ``now`` plus the spawn-tree
+        overhead, joins them and emits the one ``forall`` span.  Tasks are spawned locale by locale, so their
+        ids are consecutive in that order.  The compiled engine's phase
+        replays (:mod:`repro.engine.executor`) are task bodies of this
+        loop, so they share its split, task ids, seeds and join.
+        """
+        tpl = self.config.tasks_per_locale if tasks_per_locale is None else tasks_per_locale
+        if not isinstance(tpl, int) or isinstance(tpl, bool) or tpl < 1:
+            raise ValueError(
+                f"tasks_per_locale must be an integer >= 1 or None, got {tpl!r}"
+            )
+        ctx = self._own_context("forall")
+        # A range stays a range: slicing one is O(1), so the large
+        # iteration spaces of the compiled phases are never materialized.
+        data = items if isinstance(items, range) else list(items)
+        nloc = self.num_locales
+        tr = self._tracer
+        t0 = ctx.now if tr is not None else 0.0
+
+        if owner_of is None:
+            # Cyclic distribution: locale l owns items l, l + nloc, ...
+            per_locale = [data[lid::nloc] for lid in range(nloc)]
+        else:
+            per_locale = [[] for _ in range(nloc)]
+            for idx, item in enumerate(data):
+                owner = owner_of(item, idx)
+                if 0 <= owner < nloc:
+                    per_locale[owner].append(item)
+                else:
+                    per_locale[self.locale(owner).id].append(item)
+
+        total_tasks = sum(min(tpl, len(chunk)) for chunk in per_locale)
+        if total_tasks == 0:
+            return
+        overhead = spawn_tree_overhead(
+            total_tasks,
+            self.network.spawn_broadcast_cost(
+                ctx.locale_id,
+                [lid for lid, chunk in enumerate(per_locale) if chunk],
+            ),
+        )
+        group = TaskGroup(self)
+        start = ctx.now + overhead
+        for lid, chunk in enumerate(per_locale):
+            if not chunk:
+                continue
+            ntasks = min(tpl, len(chunk))
+            for w in range(ntasks):
+                group.spawn(
+                    task_body, (chunk[w::ntasks],), locale_id=lid, start_time=start
+                )
+        ctx.resume(group.join(), self.config.costs.task_join)
+        if tr is not None:
+            tr.span("forall", t0, ctx.now, tasks=total_tasks, items=len(data))
+
     def forall(
         self,
         items: Iterable[T],
@@ -473,7 +541,8 @@ class Runtime:
         Parameters
         ----------
         items:
-            The iteration space (materialized once).
+            The iteration space (a ``range`` is sliced, anything else is
+            materialized once).
         body:
             Called as ``body(item)`` — or ``body(item, tls)`` when
             ``task_init`` is given — on the locale that owns the item.
@@ -489,47 +558,8 @@ class Runtime:
             Optional override mapping ``(item, index) -> locale id``;
             defaults to ``index % num_locales`` (a Cyclic distribution).
         """
-        tpl = self.config.tasks_per_locale if tasks_per_locale is None else tasks_per_locale
-        if not isinstance(tpl, int) or isinstance(tpl, bool) or tpl < 1:
-            raise ValueError(
-                f"tasks_per_locale must be an integer >= 1 or None, got {tpl!r}"
-            )
-        ctx = self._own_context("forall")
-        data = list(items)
-        nloc = self.num_locales
-        tr = self._tracer
-        t0 = ctx.now if tr is not None else 0.0
 
-        per_locale: List[List[T]] = [[] for _ in range(nloc)]
-        if owner_of is None:
-            # Cyclic distribution without the per-item validation call —
-            # idx % nloc is a valid locale id by construction, and large
-            # iteration spaces make this loop itself measurable.
-            for idx, item in enumerate(data):
-                per_locale[idx % nloc].append(item)
-        else:
-            for idx, item in enumerate(data):
-                owner = owner_of(item, idx)
-                if 0 <= owner < nloc:
-                    per_locale[owner].append(item)
-                else:
-                    per_locale[self.locale(owner).id].append(item)
-
-        costs = self.config.costs
-        total_tasks = sum(
-            min(tpl, len(chunk)) if chunk else 0 for chunk in per_locale
-        )
-        if total_tasks == 0:
-            return
-        overhead = spawn_tree_overhead(
-            total_tasks,
-            self.network.spawn_broadcast_cost(
-                ctx.locale_id,
-                [lid for lid, chunk in enumerate(per_locale) if chunk],
-            ),
-        )
-
-        def worker(my_items: List[T]) -> None:
+        def worker(my_items: Sequence[T]) -> None:
             tls = task_init() if task_init is not None else None
             try:
                 if tls is None:
@@ -543,21 +573,7 @@ class Runtime:
                 if callable(close):
                     close()
 
-        group = TaskGroup(self)
-        start = ctx.now + overhead
-        for lid, chunk in enumerate(per_locale):
-            if not chunk:
-                continue
-            ntasks = min(tpl, len(chunk))
-            for w in range(ntasks):
-                group.spawn(
-                    worker, (chunk[w::ntasks],), locale_id=lid, start_time=start
-                )
-        ctx.resume(group.join(), costs.task_join)
-        if tr is not None:
-            # The compiled executor emits the identical event from its
-            # phase replay (engine/executor.py) — field-for-field.
-            tr.span("forall", t0, ctx.now, tasks=total_tasks, items=len(data))
+        self._forall_tasks(items, worker, tasks_per_locale, owner_of)
 
     # ------------------------------------------------------------------
     # measurement

@@ -43,7 +43,18 @@ from .context import TaskContext
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import Runtime
 
-__all__ = ["TaskGroup", "WorkerPool", "spawn_tree_overhead"]
+__all__ = ["TaskGroup", "WorkerPool", "spawn_tree_overhead", "task_seed"]
+
+
+def task_seed(seed: int, task_id: int) -> int:
+    """The RNG seed of task ``task_id`` on a runtime seeded ``seed``.
+
+    A pure function of the two, so workload randomness does not depend
+    on the order tasks run in; the compiled engine's column cache
+    (:mod:`repro.engine.cache`) draws a phase's columns from it ahead of
+    the phase's tasks.
+    """
+    return (seed << 20) ^ task_id
 
 
 def spawn_tree_overhead(n_tasks: int, per_spawn: float) -> float:
@@ -124,7 +135,7 @@ class TaskGroup:
         self._pending += 1
         rt._run_queue.append(TaskContext(
             rt, locale_id, start_time, task_id,
-            (rt.config.seed << 20) ^ task_id, fn, args, self,
+            task_seed(rt.config.seed, task_id), fn, args, self,
         ))
 
     def join(self) -> float:

@@ -336,11 +336,14 @@ class TestSocketSharedAccounting:
                 em = EpochManager(rt)
                 assert not em.share_coherent
                 assert em._instance_lids == tuple(range(8))
-                assert em._plan is None
+                # The legacy shape: one single-locale group per locale.
+                assert not em._aggregated
+                assert em._plan == tuple((lid, (lid,), (lid,)) for lid in range(8))
                 # Explicit opt-in works even with the window closed.
                 shared = EpochManager(rt, share_coherent=True)
                 assert shared.share_coherent
-                assert shared._plan is not None
+                assert shared._aggregated
+                assert shared._plan == ((0, (0, 2), (0, 1, 2, 3)), (4, (4, 6), (4, 5, 6, 7)))
                 em.destroy()
                 shared.destroy()
 

@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from repro.atomics.integer import AtomicUInt64
 from repro.bench import scenarios
 from repro.bench.workloads import (
     run_atomic_mix,
@@ -26,9 +27,11 @@ from repro.bench.workloads import (
     run_multi_structure,
     run_producer_consumer,
 )
+from repro.core import EpochManager
 from repro.engine import COLUMN_CACHE, compiled_plan, engine_summary, run_alloc_phase
+from repro.engine.executor import _cpu_plan, _instance_target
 from repro.engine.opstream import fast_randbelow, mix_column, zipf_column
-from repro.errors import CompiledFallbackError
+from repro.errors import CompiledFallbackError, RuntimeStateError
 from repro.runtime.config import RECLAIMER_SCHEMES, RuntimeConfig
 from repro.runtime.context import current_context
 from repro.runtime.runtime import Runtime
@@ -499,6 +502,78 @@ class TestAllocPhase:
         assert replayed == self._run(interpreted)
         assert replayed[2] > 0  # the non-coherent homes paid AMs
         assert any(s.reuses for s in replayed[3])
+
+
+class TestEbrReplayCells:
+    """The EBR replay serves only the lines of its cells (instance epoch,
+    token slot, limbo and pool heads): all are opted out of network
+    atomics and charged only from their instance's home locales, so their
+    routes are CPU-only.  ``_cpu_plan`` checks that when a replay plan is
+    built."""
+
+    MACHINES = [
+        pytest.param(
+            dict(topology=topology, aggregation=window, network=network),
+            id=f"{topology}-w{window}-{network}",
+        )
+        for topology, window in (
+            ("flat", 1), ("hier:2x2", 1), ("hier:2x2", 4), ("dragonfly:4", 1)
+        )
+        for network in ("ugni", "none")
+    ]
+
+    @staticmethod
+    def _config(engine="interpreted", **machine):
+        return RuntimeConfig.from_topology(locales=8, engine=engine, **machine)
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_replay_cells_are_cpu_only(self, machine):
+        rt = Runtime(config=self._config(**machine))
+        net = rt.network
+
+        def main():
+            em = EpochManager(rt)
+            for lid in range(rt.num_locales):
+                with rt.on(lid):
+                    tok = em.register()
+                for src in sorted(tok._inst.home_locales):
+                    _instance_target(net, tok._inst, src)  # epoch, limbo, pool
+                    _cpu_plan(net, tok.local_epoch, src)
+            return em.share_coherent
+
+        shared = rt.run(main)
+        # An open window on the hierarchical machine shares instances, so
+        # siblings charge the cells from another locale of the socket.
+        assert shared == (machine["aggregation"] > 1)
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_ebr_replays_match_interpreted(self, machine):
+        shapes = [
+            (run_epoch_mixed, dict(ops_per_task=32, write_percent=50,
+                                   remote_percent=50, rounds=2)),
+            (run_epoch_workload, dict(ops_per_task=16, remote_percent=50,
+                                      delete=True)),
+        ]
+        for fn, kwargs in shapes:
+            runs = {}
+            for engine in ("interpreted", "compiled-strict"):
+                rt = Runtime(config=self._config(engine, **machine))
+                runs[engine] = _fingerprint(fn(rt, **kwargs))
+                if engine != "interpreted":
+                    assert engine_summary(rt)["phases"].get("columnar", 0) > 0
+            assert runs["compiled-strict"] == runs["interpreted"]
+
+    def test_a_point_on_the_route_is_refused(self):
+        rt = Runtime(config=self._config(network="ugni"))
+
+        def main():
+            # A plain (not opted-out) cell charged from another locale
+            # rides the home NIC.
+            cell = AtomicUInt64(rt, 1, name="remote-cell")
+            with pytest.raises(RuntimeStateError, match="remote-cell"):
+                _cpu_plan(rt.network, cell, 0)
+
+        rt.run(main)
 
 
 class TestCompilationCache:

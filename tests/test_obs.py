@@ -156,10 +156,30 @@ class TestDeterminism:
             assert run.result.elapsed == reference.result.elapsed
             assert run.trace_events == reference.trace_events
 
-    @pytest.mark.parametrize("detail", ["spans", "full"])
-    def test_cross_engine_stream_equality(self, detail):
-        interp = _traced(UPLINK, detail=detail, engine="interpreted")
-        compiled = _traced(UPLINK, detail=detail, engine="compiled")
+    @pytest.mark.parametrize(
+        "detail, name",
+        [("full", UPLINK)]
+        + [
+            # One scenario per lowered phase; at ``spans`` detail the
+            # compiled runs replay, and ``Runtime._forall_tasks`` emits
+            # every ``forall`` span, replayed or interpreted.
+            ("spans", name)
+            for name in (
+                "paper-atomic-mix",  # uniform atomic phase
+                "hotspot-zipf",  # uniform, 2 tasks per locale
+                "paper-reclaim-endonly",  # Listing 5 under EBR
+                "reclaim-hotspot-ebr",  # EBR epoch_mixed rounds
+                "reclaim-hotspot-hp",  # HP rounds, threshold scans
+                UPLINK,  # EBR rounds, shared instances, open window
+            )
+        ],
+    )
+    def test_cross_engine_stream_equality(self, detail, name):
+        interp = _traced(name, detail=detail, engine="interpreted")
+        compiled = _traced(name, detail=detail, engine="compiled")
+        # Full detail is the documented interpreter fallback.
+        tier = "columnar" if detail == "spans" else "interpreted"
+        assert set(compiled.engine["phases"]) == {tier}
         assert compiled.result.elapsed == interp.result.elapsed
         assert compiled.result.comm == interp.result.comm
         assert compiled.trace_events == interp.trace_events
