@@ -36,9 +36,10 @@ a runtime and everything it owns are used by one thread
 whole operations, never between ``_enter``'s charge and the caller's
 commit, so a charge-and-commit is indivisible.
 
-Operations charge costs only when a task context of the owning runtime
-is installed; this lets unit tests exercise pure semantics without
-standing up a runtime task.
+Operations charge costs only while the owning runtime runs a task: the
+charge reads that runtime's ``_ctx`` slot, which is ``None`` outside its
+tasks, also inside a task of another runtime.  This lets unit tests
+exercise pure semantics without standing up a runtime task.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..runtime.clock import ServicePoint
-from ..runtime.context import _tls as _context_tls
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.runtime import Runtime
@@ -86,7 +86,7 @@ class ChargedWord:
         self._plan = network.cell_plan(home, opt_out)
         diags = network.diags
         #: Hot-path bundle: one attribute load + UNPACK_SEQUENCE hands
-        #: ``_enter`` everything it needs (runtime for the identity check,
+        #: ``_enter`` everything it needs (runtime for its running task,
         #: the distance row, narrow steps, the diagnostics and their
         #: matrix, and the line's prebound serve).
         self._hot = (
@@ -109,8 +109,8 @@ class ChargedWord:
         body.
         """
         rt, dist, narrow, diags, rows, line_serve = self._hot
-        ctx = _context_tls.ctx
-        if ctx is None or ctx.runtime is not rt:
+        ctx = rt._ctx
+        if ctx is None:
             return
         locale = ctx.locale_id
         diag_index, latency, outer, point_service, line_service = (

@@ -18,7 +18,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import EmptyStructureError
-from ..runtime.context import maybe_context
 from .spinlock import SpinLock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,7 +36,7 @@ class _LockedBase:
 
     def _charge_data(self, nbytes: int = 64, write: bool = False) -> None:
         """Charge the payload access that the lock protects."""
-        ctx = maybe_context()
+        ctx = self._rt._ctx
         if ctx is None:
             return
         if write:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..atomics.integer import AtomicBool
-from ..runtime.context import maybe_context
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.runtime import Runtime
@@ -65,16 +64,16 @@ class SpinLock:
             # virtual cost per retry stops growing (we keep charging one
             # atomic per visible retry).
             if spins % 4 == 0:
-                ctx = maybe_context()
+                ctx = self._rt._ctx
                 if ctx is not None:
-                    ctx.now += ctx.runtime.config.costs.cpu_atomic_latency * spins
+                    ctx.now += self._rt.config.costs.cpu_atomic_latency * spins
         self.acquisitions += 1
-        ctx = maybe_context()
+        ctx = self._rt._ctx
         self._hold_start = ctx.now if ctx is not None else 0.0
 
     def release(self) -> None:
         """End the critical section: consume lock capacity, then unlock."""
-        ctx = maybe_context()
+        ctx = self._rt._ctx
         if ctx is not None:
             hold = ctx.now - self._hold_start
             # Even an empty critical section occupies the lock for the

@@ -74,9 +74,7 @@ def ablation_compression(
                 targets = [rt.new_obj(object(), locale=lid) for lid in range(nloc)]
 
                 def body(i: int) -> None:
-                    from ..runtime.context import current_context
-
-                    rng = current_context().rng
+                    rng = rt._own_context().rng
                     for k in range(ops_per_task):
                         cell = cells[rng.randrange(len(cells))]
                         if k & 1:

@@ -219,9 +219,7 @@ def run_atomic_mix(
                 # measured window; replaying those alloc charges keeps
                 # the timed window's float base — and hence elapsed —
                 # bit-identical.
-                from ..runtime.context import current_context
-
-                ctx = current_context()
+                ctx = rt._own_context()
                 for lid in range(nloc):
                     rt.network.alloc(ctx, lid)
                     rt.network.alloc(ctx, lid)
@@ -242,9 +240,7 @@ def run_atomic_mix(
 
     def task_draw() -> Callable[[], int]:
         """This task's per-op cell draw, on the task's own RNG stream."""
-        from ..runtime.context import current_context
-
-        rng = current_context().rng
+        rng = rt._own_context().rng
         if zipf_exponent is None:
             return partial(fast_randbelow(rng), ncells)
         uniform = rng.random
@@ -567,6 +563,7 @@ class _TokenBank:
     """
 
     def __init__(self, rt: Runtime, em, per_locale: int) -> None:
+        self._rt = rt
         self._per_locale = per_locale
         self._tokens: List[List[Any]] = []
         for lid in range(rt.num_locales):
@@ -584,9 +581,7 @@ class _TokenSlot:
     __slots__ = ("tok",)
 
     def __init__(self, bank: _TokenBank) -> None:
-        from ..runtime.context import current_context
-
-        ctx = current_context()
+        ctx = bank._rt._own_context()
         self.tok = bank._tokens[ctx.locale_id][ctx.task_id % bank._per_locale]
 
 

@@ -41,7 +41,6 @@ from ..memory.compression import (
     MAX_COMPRESSIBLE_LOCALES,
     compress,
 )
-from ..runtime.context import context_of
 from .aba import ABA
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,7 +76,7 @@ class DescriptorTable:
         desc = self._next
         self._next += 1
         self._table[desc] = addr
-        ctx = context_of(self._rt)
+        ctx = self._rt._ctx
         if ctx is not None:
             self._rt.network.write(ctx, self.home, nbytes=16)
         return desc
@@ -86,7 +85,7 @@ class DescriptorTable:
         """Look up a descriptor, using the calling locale's cache."""
         if desc == 0:
             return NIL
-        ctx = context_of(self._rt)
+        ctx = self._rt._ctx
         cache = self._caches[ctx.locale_id if ctx is not None else 0]
         hit = cache.get(desc)
         if hit is not None:

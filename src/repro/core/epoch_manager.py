@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 from ..atomics.integer import AtomicBool, AtomicUInt64
 from ..errors import EpochManagerError
 from ..memory.address import GlobalAddress
-from ..runtime.context import current_context
 from .limbo_list import LimboList, NodePool
 from .manager_core import ManagerCore
 from .privatization import PrivatizedObject, replicate_coherent
@@ -265,7 +264,6 @@ class EpochManager(ManagerCore, PrivatizedObject):
         policy: "Optional[object]" = None,
         share_coherent: Optional[bool] = None,
     ) -> None:
-        from ..runtime.context import maybe_context
         from .privatization import coherence_domains
 
         if epoch_cycle < 3:
@@ -273,7 +271,7 @@ class EpochManager(ManagerCore, PrivatizedObject):
                 "epoch_cycle must be >= 3 (two full advances of quiescence)"
             )
         if home is None:
-            ctx = maybe_context()
+            ctx = runtime._ctx
             home = ctx.locale_id if ctx is not None else 0
         self.epoch_cycle = int(epoch_cycle)
         # Policy and tracer hooks first: token construction reads them.
@@ -358,7 +356,7 @@ class EpochManager(ManagerCore, PrivatizedObject):
     def _note_traversal(self) -> None:
         """Count the uplink crossings of one domain-ordered coforall."""
         net = self._rt.network
-        src = current_context().locale_id
+        src = self._rt._own_context().locale_id
         classes = net.topology.classes
         crossed = [
             dclass
@@ -524,7 +522,7 @@ class EpochManager(ManagerCore, PrivatizedObject):
             tr.reclaim(
                 "advance",
                 "ebr",
-                current_context().now,
+                rt._ctx.now,
                 epoch=new_epoch,
                 freed=reclaimed,
             )
@@ -569,7 +567,7 @@ class EpochManager(ManagerCore, PrivatizedObject):
                 tr.reclaim(
                     "drain",
                     "ebr",
-                    current_context().now,
+                    rt._ctx.now,
                     unit=tr.unit_id(inst_l),
                     slots=sorted(indices),
                     count=sum(len(v) for v in scatter.values()),
@@ -604,7 +602,7 @@ class EpochManager(ManagerCore, PrivatizedObject):
             gcounters: List[BatchCounters] = []
 
             def gather_group(rep: int) -> None:
-                ctx = current_context()
+                ctx = rt._ctx
                 counters = BatchCounters()
                 for lid in members[rep]:
                     mine: List[int] = []

@@ -42,10 +42,8 @@ class LocalEpochManager(ManagerCore, _EpochManagerInstance):
     _destroyed_error = EpochManagerError
 
     def __init__(self, runtime: "Runtime", *, locale: Optional[int] = None) -> None:
-        from ..runtime.context import maybe_context
-
         if locale is None:
-            ctx = maybe_context()
+            ctx = runtime._ctx
             locale = ctx.locale_id if ctx is not None else 0
         # Policy and tracer hooks first: tokens read them through the
         # same manager interface the distributed manager exposes.  The
@@ -59,9 +57,7 @@ class LocalEpochManager(ManagerCore, _EpochManagerInstance):
     def register(self) -> Token:
         """Obtain a token; caller must be on the manager's locale."""
         self._check_alive()
-        from ..runtime.context import current_context
-
-        ctx = current_context()
+        ctx = self._rt._own_context("register")
         if ctx.locale_id != self.locale_id:
             raise TokenStateError(
                 f"LocalEpochManager on locale {self.locale_id} cannot register"

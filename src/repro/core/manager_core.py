@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Any, Dict
 
 from ..errors import ReclaimerError
 from ..policy import EpochFacts, parse_policy
-from ..runtime.context import maybe_context
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.runtime import Runtime
@@ -116,7 +115,7 @@ class ManagerCore:
         crossings = (
             tuple(cbc.get(i, 0) for i in range(max(cbc) + 1)) if cbc else ()
         )
-        ctx = maybe_context()
+        ctx = self._rt._ctx
         return EpochFacts(
             now=ctx.now if ctx is not None else 0.0,
             pending=pending,
@@ -135,7 +134,7 @@ class ManagerCore:
         ``clear`` is a sequential quiescent point by contract."""
         tr = self._tracer
         if tr is not None:
-            ctx = maybe_context()
+            ctx = self._rt._ctx
             tr.reclaim(
                 "clear",
                 self.scheme,

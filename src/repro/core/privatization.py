@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence
 
-from ..runtime.context import maybe_context
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.runtime import Runtime
 
@@ -133,7 +131,7 @@ class UnprivatizedProxy:
 
     def get_privatized_instance(self, locale_id: "int | None" = None) -> Any:
         """Resolve the per-locale instance *after* a metadata round trip."""
-        ctx = maybe_context()
+        ctx = self._rt._ctx
         if ctx is not None:
             # The metadata fetch a by-reference handle performs.
             self._rt.network.read(ctx, self.owner, nbytes=32)

@@ -30,10 +30,9 @@ from ..atomics.integer import AtomicUInt64
 from ..atomics.ref import AtomicRef
 from ..errors import TokenStateError
 from ..memory.address import GlobalAddress
-from ..runtime.context import _tls as _context_tls
-from ..runtime.context import current_context
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.context import TaskContext
     from ..runtime.runtime import Runtime
     from .epoch_manager import _EpochManagerInstance
 
@@ -56,6 +55,7 @@ class Token:
 
     __slots__ = (
         "_inst",
+        "_rt",
         "_inst_epoch",
         "local_epoch",
         "token_id",
@@ -70,6 +70,8 @@ class Token:
 
     def __init__(self, inst: "_EpochManagerInstance", token_id: int) -> None:
         self._inst = inst
+        #: The owning runtime, whose ``_ctx`` slot names the running task.
+        self._rt = inst.runtime
         #: The epoch this token is pinned in; 0 = quiescent (not pinned).
         #: Opted out of network atomics: only tasks on the home locale and
         #: the reclamation scan (which runs *on* this locale) touch it.
@@ -102,14 +104,16 @@ class Token:
         self._full_tracer = inst.manager._full
 
     # ------------------------------------------------------------------
-    def _check_usable(self) -> None:
+    def _check_usable(self) -> "TaskContext":
+        """Return the running task of the token's runtime, on a locale
+        that may use the token."""
         if not self._registered:
             raise TokenStateError("token has been unregistered")
-        # Inline context fetch (pin/unpin hot path); current_context()
-        # supplies the precise no-context error on the cold branch.
-        ctx = _context_tls.ctx
+        # Inline slot read (pin/unpin hot path); _own_context supplies the
+        # precise no-context error on the cold branch.
+        ctx = self._rt._ctx
         if ctx is None:
-            ctx = current_context()
+            ctx = self._rt._own_context()
         # home_locales is {locale_id} for per-locale instances; under the
         # socket-shared mode (docs/AGGREGATION.md) it is the instance's
         # whole coherence domain — any socket sibling may use the token
@@ -119,6 +123,7 @@ class Token:
                 f"token registered on locale {self._inst.locale_id} used from"
                 f" locale {ctx.locale_id}; register per-task on each locale"
             )
+        return ctx
 
     @property
     def is_registered(self) -> bool:
@@ -145,15 +150,15 @@ class Token:
         A long-pinned token is what *blocks* epoch advancement, so
         pin/unpin should bracket operations tightly.
         """
-        self._check_usable()
+        ctx = self._check_usable()
         if self._track_pins:
             # Virtual-time fact for the grace epoch policy: the owning
             # task is the only writer; the root max-folds across tokens
             # at (post-join) decision points.
-            self._last_pin_vt = current_context().now
+            self._last_pin_vt = ctx.now
         tr = self._full_tracer
         if tr is not None:
-            tr.guard("pin", "ebr", current_context().now)
+            tr.guard("pin", "ebr", ctx.now)
         inst_epoch = self._inst_epoch
         my_epoch = self.local_epoch
         epoch = inst_epoch.read()
@@ -187,7 +192,7 @@ class Token:
         with the stale-epoch rule; filing under the locale epoch restores
         the two-full-advances quiescence guarantee.
         """
-        self._check_usable()
+        ctx = self._check_usable()
         if self.local_epoch.read() == 0:
             raise TokenStateError("defer_delete requires a pinned token")
         inst = self._inst
@@ -197,7 +202,7 @@ class Token:
             # Limbo-age fact: min-fold the retire timestamp into the
             # instance's per-slot array (socket siblings may retire into
             # one shared instance).
-            now = current_context().now
+            now = ctx.now
             slot = epoch - 1
             cur = inst.slot_retire_vt[slot]
             if cur is None or now < cur:

@@ -8,7 +8,7 @@ Each columnar phase is one :meth:`Runtime._forall_tasks
 the interpreted per-item body.  The item split, task ids and seeds, the
 spawn-tree start time, the join and the ``forall`` trace span are the
 runtime's own; a phase replaces only what one task does with its items.
-The body finds its task with ``current_context()``: the locale, the
+The body finds its task in the runtime's ``_ctx`` slot: the locale, the
 clock (``ctx.now``, read at entry and written back at exit) and the task
 id (which token or guard the task leases; which column it replays).
 Real code a replayed task runs mid-phase — the hazard-pointer threshold
@@ -46,7 +46,6 @@ from typing import Any, Iterable, List, Optional, Sequence
 from ..core.limbo_list import LimboNode
 from ..errors import RuntimeStateError
 from ..runtime.clock import ServicePoint
-from ..runtime.context import current_context
 from ..runtime.tasking import task_seed
 from .cache import COLUMN_CACHE
 
@@ -78,7 +77,7 @@ def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
     falls back to the interpreter before any executor runs), since the
     interpreted path would emit per-op ``alloc``/``am`` events.
     """
-    ctx = current_context()
+    ctx = rt._own_context("run_alloc_phase")
     net = rt.network
     lid = ctx.locale_id
     alloc_latency = rt.config.costs.alloc_latency
@@ -223,7 +222,7 @@ def run_uniform_atomic_phase(
 
     def replay(task_items: Sequence[int]) -> None:
         nonlocal columns
-        ctx = current_context()
+        ctx = rt._ctx
         locale = ctx.locale_id
         # One item per task: task w of locale l holds item l + w * nloc,
         # and tasks are spawned locale by locale, so this is the task's
@@ -496,7 +495,7 @@ def run_ebr_epoch_phase(
     rows = diags._rows
 
     def replay(task_items: Sequence[int]) -> None:
-        ctx = current_context()
+        ctx = rt._ctx
         locale = ctx.locale_id
         tok = tokens[locale][ctx.task_id % tokens_per_locale]
         ctx.now = _ebr_replay_task(
@@ -543,7 +542,7 @@ def run_guard_epoch_phase(
     cpu_load = rt.config.costs.cpu_load_latency
 
     def replay(task_items: Sequence[int]) -> None:
-        ctx = current_context()
+        ctx = rt._ctx
         guard = guards[ctx.locale_id][ctx.task_id % guards_per_locale]
         rec = guard._rec
         retired = guard._retired
@@ -607,7 +606,7 @@ def run_epoch_workload_phase(
 
     def replay(task_items: Sequence[int]) -> None:
         tok = em.register()
-        ctx = current_context()
+        ctx = rt._ctx
         lid = ctx.locale_id
         ctx.now = _ebr_replay_task(
             task_items, is_write, objs,

@@ -37,9 +37,10 @@ order reproducible).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..runtime.context import maybe_context
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.runtime import Runtime
 
 __all__ = ["TRACE_DETAILS", "parse_trace", "age_bucket", "TraceRecorder"]
 
@@ -81,16 +82,20 @@ class TraceRecorder:
     One recorder lives on a :class:`~repro.runtime.runtime.Runtime` for
     its whole life (``Runtime._tracer``); hot-path emitters cache it (or
     ``None``) in a slot so the *off* cost is one attribute check.
+
+    Each event is filed under the locale of ``runtime``'s running task
+    (locale 0 outside one).
     """
 
-    def __init__(self, num_locales: int, detail: str) -> None:
+    def __init__(self, runtime: "Runtime", detail: str) -> None:
         detail = parse_trace(detail)
         if detail == "off":
             raise ValueError("TraceRecorder requires detail 'spans' or 'full'")
         self.detail = detail
         #: True at the ``full`` detail level (per-op event emission).
         self.wants_full = detail == "full"
-        self.num_locales = num_locales
+        self.num_locales = num_locales = runtime.config.num_locales
+        self._rt = runtime
         self._buffers: List[List[Dict[str, Any]]] = [
             [] for _ in range(num_locales)
         ]
@@ -108,7 +113,7 @@ class TraceRecorder:
     # plumbing
     # ------------------------------------------------------------------
     def _locale(self) -> int:
-        ctx = maybe_context()
+        ctx = self._rt._ctx
         return ctx.locale_id if ctx is not None else 0
 
     def _emit(self, locale: int, t: float, kind: str, fields: Dict[str, Any]) -> None:

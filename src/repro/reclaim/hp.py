@@ -38,7 +38,6 @@ from ..comm.aggregation import BatchCounters
 from ..errors import TokenStateError
 from ..memory.address import GlobalAddress, is_nil
 from ..memory.compression import COMPRESSED_NIL, compress
-from ..runtime.context import current_context
 from .protocol import GuardBase, ReclaimerBase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -190,7 +189,7 @@ class HazardPointerReclaimer(ReclaimerBase):
         ]
         counters = BatchCounters()
         words = self._rt.network.aggregator.read_cells(
-            current_context(), cells, counters
+            self._rt._own_context("hazard scan"), cells, counters
         )
         self._note_batches(counters)
         return {word for word in words if word != COMPRESSED_NIL}
@@ -228,7 +227,7 @@ class HazardPointerReclaimer(ReclaimerBase):
 
     def try_reclaim(self) -> bool:
         """Scan on behalf of *every* guard (root / phase-boundary use)."""
-        ctx = current_context()  # protocol parity: requires a task context
+        ctx = self._rt._own_context("try_reclaim")
         # Epoch-policy gate (docs/POLICY.md): a deferral skips the scan —
         # and with it every remote hazard read — entirely.  Guard-local
         # threshold scans (``_after_retire``) are NOT gated: they are HP's

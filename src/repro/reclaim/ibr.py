@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..atomics.integer import AtomicUInt64
 from ..comm.aggregation import BatchCounters
-from ..runtime.context import current_context, maybe_context
 from .protocol import GuardBase, ReclaimerBase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,7 +74,7 @@ class _IBRGuard(GuardBase):
 
     def pin(self) -> None:
         """Publish the birth era (EBR-style publish + re-validate loop)."""
-        self._check_usable()
+        ctx = self._check_usable()
         cache = self._era_cache
         birth = self.birth
         era = cache.read()
@@ -85,7 +84,7 @@ class _IBRGuard(GuardBase):
             if current == era:
                 break
             era = current
-        self._note_pin()
+        self._note_pin(ctx)
         self._pinned = True
 
     def unpin(self) -> None:
@@ -119,7 +118,7 @@ class IntervalReclaimer(ReclaimerBase):
     def __init__(self, runtime: "Runtime", *, home: Optional[int] = None) -> None:
         super().__init__(runtime)
         if home is None:
-            ctx = maybe_context()
+            ctx = runtime._ctx
             home = ctx.locale_id if ctx is not None else 0
         self.home = runtime.locale(home).id
         #: The authoritative era (a true network atomic, like EBR's
@@ -151,7 +150,7 @@ class IntervalReclaimer(ReclaimerBase):
         off and return ``False`` without draining, like EBR's advance.
         """
         self._check_alive()
-        ctx = current_context()
+        ctx = self._rt._own_context("try_reclaim")
         self._reclaim_attempts += 1
         self._note_pending()
         # Epoch-policy gate (docs/POLICY.md): a deferral leaves the era

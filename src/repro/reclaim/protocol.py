@@ -58,10 +58,9 @@ from ..core.manager_core import ManagerCore
 from ..errors import ReclaimerError, TokenStateError
 from ..memory.address import GlobalAddress
 from ..runtime.config import RECLAIMER_SCHEMES
-from ..runtime.context import _tls as _context_tls
-from ..runtime.context import current_context, maybe_context
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.context import TaskContext
     from ..runtime.runtime import Runtime
 
 __all__ = [
@@ -92,6 +91,7 @@ class GuardBase:
 
     __slots__ = (
         "_rec",
+        "_rt",
         "locale_id",
         "guard_id",
         "_registered",
@@ -102,6 +102,8 @@ class GuardBase:
 
     def __init__(self, reclaimer: "ReclaimerBase", locale_id: int, guard_id: int) -> None:
         self._rec = reclaimer
+        #: The owning runtime, whose ``_ctx`` slot names the running task.
+        self._rt = reclaimer._rt
         self.locale_id = locale_id
         self.guard_id = guard_id
         self._registered = True
@@ -116,21 +118,24 @@ class GuardBase:
         self._last_pin_vt: "float | None" = None
 
     # ------------------------------------------------------------------
-    def _check_usable(self) -> None:
+    def _check_usable(self) -> "TaskContext":
+        """Return the running task of the guard's runtime, on the guard's
+        locale."""
         if not self._registered:
             raise TokenStateError("guard has been unregistered")
-        ctx = _context_tls.ctx
+        ctx = self._rt._ctx
         if ctx is None:
-            ctx = current_context()
+            ctx = self._rt._own_context()
         if ctx.locale_id != self.locale_id:
             raise TokenStateError(
                 f"guard registered on locale {self.locale_id} used from"
                 f" locale {ctx.locale_id}; register per-task on each locale"
             )
+        return ctx
 
-    def _charge_local_load(self) -> None:
+    def _charge_local_load(self, ctx: "TaskContext") -> None:
         """Charge one plain local load/store (the retire-buffer append)."""
-        current_context().now += self._rec._costs.cpu_load_latency
+        ctx.now += self._rec._costs.cpu_load_latency
 
     @property
     def is_registered(self) -> bool:
@@ -145,7 +150,7 @@ class GuardBase:
     # ------------------------------------------------------------------
     # the protected-region protocol
     # ------------------------------------------------------------------
-    def _note_pin(self) -> None:
+    def _note_pin(self, ctx: "TaskContext") -> None:
         """Record the pin's virtual timestamp when a policy wants it.
 
         One cached-bool branch per pin for every non-tracking policy;
@@ -155,15 +160,15 @@ class GuardBase:
         """
         rec = self._rec
         if rec._track_pins:
-            self._last_pin_vt = current_context().now
+            self._last_pin_vt = ctx.now
         tr = rec._full
         if tr is not None:
-            tr.guard("pin", rec.scheme, current_context().now)
+            tr.guard("pin", rec.scheme, ctx.now)
 
     def pin(self) -> None:
         """Enter a protected region (scheme-specific announcement cost)."""
-        self._check_usable()
-        self._note_pin()
+        ctx = self._check_usable()
+        self._note_pin(ctx)
         self._pinned = True
 
     def unpin(self) -> None:
@@ -183,16 +188,16 @@ class GuardBase:
 
     def defer_delete(self, addr: GlobalAddress) -> None:
         """Retire a logically-removed object for deferred reclamation."""
-        self._check_usable()
+        ctx = self._check_usable()
         if not self._pinned:
             raise TokenStateError("defer_delete requires a pinned guard")
-        self._charge_local_load()
+        self._charge_local_load(ctx)
         rec = self._rec
         if rec._track_ages:
             # Limbo-age tracking (an age-reading policy or full tracing):
             # the entry carries its retire timestamp as a third element.
             # Every consumer indexes entries, so both shapes coexist.
-            now = current_context().now
+            now = ctx.now
             entry: Tuple = (addr, self._retire_tag(), now)
         else:
             entry = (addr, self._retire_tag())
@@ -292,7 +297,7 @@ class ReclaimerBase(ManagerCore):
     def register(self) -> GuardBase:
         """Obtain a guard on the calling task's locale."""
         self._check_alive()
-        locale_id = current_context().locale_id
+        locale_id = self._rt._own_context("register").locale_id
         gid = self._guard_seq
         self._guard_seq += 1
         guard = self._make_guard(locale_id, gid)
@@ -407,7 +412,7 @@ class ReclaimerBase(ManagerCore):
         when the entries carry retire timestamps (``_track_ages``)."""
         from ..obs import age_bucket
 
-        ctx = maybe_context()
+        ctx = self._rt._ctx
         now = ctx.now if ctx is not None else 0.0
         buckets: Dict[int, int] = {}
         ages = 0
@@ -468,7 +473,7 @@ class ReclaimerBase(ManagerCore):
         for entry in entries:
             addr = entry[0]
             by_locale.setdefault(addr.locale, []).append(addr.offset)
-        ctx = maybe_context()
+        ctx = self._rt._ctx
         if ctx is None:
             # No task context (pure-semantics tests): plain per-locale
             # bulk frees, uncharged by construction.

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any, Dict
 from ..atomics.integer import AtomicUInt64
 from ..comm.aggregation import BatchCounters
 from ..errors import TokenStateError
-from ..runtime.context import current_context, maybe_context
 from .protocol import GuardBase, ReclaimerBase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -115,7 +114,7 @@ class QSBRReclaimer(ReclaimerBase):
         self._check_alive()
         interval = self._interval
         guards = [g for g in self._registered_guards() if not g._pinned]
-        ctx = maybe_context()
+        ctx = self._rt._ctx
         if ctx is None:
             for guard in guards:
                 guard.seen.write(interval)  # type: ignore[attr-defined]
@@ -137,7 +136,7 @@ class QSBRReclaimer(ReclaimerBase):
         horizon and the call simply frees nothing and returns ``False``.
         """
         self._check_alive()
-        ctx = current_context()
+        ctx = self._rt._own_context("try_reclaim")
         self._reclaim_attempts += 1
         self._note_pending()
         # Epoch-policy gate (docs/POLICY.md): a deferral skips the

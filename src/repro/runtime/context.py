@@ -9,13 +9,20 @@ current context to decide whether an access is local or remote and to
 charge virtual time to its ``now``.
 
 :meth:`TaskContext.call` installs the context as the current one for the
-duration of a call and restores the previous one (possibly none) after.
-An ``on`` block temporarily rebinds the context's locale, mirroring
-Chapel task migration without the expense of actually migrating anything.
+duration of a call and restores the previous one (possibly none) after,
+in two places: its runtime's ``_ctx`` slot and this thread's current
+context.  Every operation that has a runtime at hand — each charge, each
+token or guard check, the runtime's memory ops — reads the runtime's
+slot, so a task of another runtime is no task to it.  The thread-local
+answers only the helpers that take no runtime (:func:`current_context`,
+:func:`maybe_context`): tests and ``Runtime.run``'s nesting check.  An ``on`` block temporarily rebinds the context's locale,
+mirroring Chapel task migration without the expense of actually
+migrating anything.
 
 This module is one of the two places that keep ``threading``
-(docs/ENGINE.md, "One thread per runtime"): the current context is
-process-wide state, and separate runtimes may run on separate threads.
+(docs/ENGINE.md, "One thread per runtime"): the thread's current context
+is process-wide state, and separate runtimes may run on separate
+threads.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ __all__ = [
     "TaskContext",
     "current_context",
     "maybe_context",
-    "context_of",
 ]
 
 
@@ -115,17 +121,21 @@ class TaskContext:
     def call(self, fn: Callable[..., T], *args: Any) -> T:
         """Run ``fn(*args)`` with this task as the current context.
 
-        Restores whatever context (possibly none) was current before, also
-        when ``fn`` raises, so nested calls — a join running queued tasks
-        inside a user task — compose.
+        Sets the runtime's ``_ctx`` slot and the thread's current context
+        — the only writer of either — and restores what each held before
+        (possibly none), also when ``fn`` raises, so nested calls — a join
+        running queued tasks inside a user task — compose.
         """
+        rt = self.runtime
         tls = _tls
         prev = tls.ctx
-        tls.ctx = self
+        prev_own = rt._ctx
+        tls.ctx = rt._ctx = self
         try:
             return fn(*args)
         finally:
             tls.ctx = prev
+            rt._ctx = prev_own
 
     def resume(self, finish: float, overhead: float) -> None:
         """Resume after a join: jump to the latest child ``finish`` if it
@@ -138,10 +148,12 @@ class TaskContext:
 
 
 def current_context() -> TaskContext:
-    """Return the current task's context, or raise :class:`NoTaskContextError`.
+    """Return this thread's current task context, or raise
+    :class:`NoTaskContextError`.
 
-    All network-charging operations call this; running library code outside
-    a task is a usage error with a precise, early failure.
+    For callers with no runtime at hand (tests): library code
+    reads its runtime's ``_ctx`` slot instead, where a task of another
+    runtime is no task.
     """
     ctx = _tls.ctx
     if ctx is None:
@@ -153,18 +165,6 @@ def current_context() -> TaskContext:
 
 
 def maybe_context() -> Optional[TaskContext]:
-    """Return the current task's context or ``None`` (never raises)."""
+    """Return this thread's current task context or ``None`` (never
+    raises); like :func:`current_context`, for callers with no runtime."""
     return _tls.ctx
-
-
-def context_of(runtime: "Runtime") -> Optional[TaskContext]:
-    """Return the current task's context if it belongs to ``runtime``.
-
-    A task of another runtime counts as no task context: its locale id
-    and virtual time mean nothing to ``runtime``, so an operation on
-    ``runtime`` must neither index ``runtime``'s routes with that locale
-    nor charge that task.  :meth:`~repro.atomics.cell.ChargedWord._enter`
-    makes the same check inline.
-    """
-    ctx = _tls.ctx
-    return ctx if ctx is not None and ctx.runtime is runtime else None

@@ -24,10 +24,12 @@ A minimal session::
 
 Design notes
 ------------
-* ``run`` installs a root task context on the calling thread (locale 0,
-  virtual time 0) — all PGAS operations must happen inside it.  A task
-  of another runtime counts as no task context (``context_of``): its
-  locale and time mean nothing here, so nothing is charged to them.
+* ``run`` installs a root task context (locale 0, virtual time 0) — all
+  PGAS operations must happen inside it.  The runtime's ``_ctx`` slot
+  names its running task (``None`` outside one), and every operation on
+  the runtime reads it, so a task of another runtime counts as no task
+  context: its locale and time mean nothing here, so nothing is charged
+  to them.
 * A runtime and everything it owns are used by one thread
   (docs/ENGINE.md, "One thread per runtime"); nothing it owns takes a
   lock.
@@ -67,7 +69,7 @@ from ..errors import LocaleError, NoTaskContextError, RuntimeStateError
 from ..memory.address import GlobalAddress, is_nil
 from ..memory.heap import Heap
 from .config import NetworkType, RuntimeConfig
-from .context import TaskContext, context_of, current_context, maybe_context
+from .context import TaskContext, maybe_context
 from .tasking import TaskGroup, WorkerPool, spawn_tree_overhead
 
 T = TypeVar("T")
@@ -137,6 +139,9 @@ class Runtime:
 
         #: Immutable machine description.
         self.config = config
+        #: The running task of this runtime, or None outside one.  Written
+        #: only by ``TaskContext.call``; read by every charge and check.
+        self._ctx: Optional[TaskContext] = None
         #: The cost/diagnostics engine shared by every operation.
         self.network = NetworkModel(config)
         #: The virtual-time flight recorder (docs/OBSERVABILITY.md), or
@@ -148,7 +153,7 @@ class Runtime:
         if config.trace != "off":
             from ..obs import TraceRecorder
 
-            tracer = TraceRecorder(config.num_locales, config.trace)
+            tracer = TraceRecorder(self, config.trace)
             self._tracer = tracer
             if tracer.wants_full:
                 self._full_tracer = tracer
@@ -205,19 +210,18 @@ class Runtime:
 
     def here(self) -> int:
         """Chapel's ``here.id``: the current task's locale."""
-        return current_context().locale_id
+        return self._own_context("here").locale_id
 
     def _next_task_id(self) -> int:
         return next(self._task_ids)
 
-    def _own_context(self, what: str) -> TaskContext:
-        """The current task's context, which must belong to this runtime.
+    def _own_context(self, what: str = "this operation") -> TaskContext:
+        """This runtime's running task, or :class:`NoTaskContextError`.
 
-        ``on``, ``coforall_locales`` and ``forall`` fork from the caller's
-        locale and join into its time, so a task of another runtime
-        (``context_of``) is refused like no task at all.
+        A task of another runtime never sits in ``_ctx``, so it is refused
+        like no task at all: its locale and time mean nothing here.
         """
-        ctx = context_of(self)
+        ctx = self._ctx
         if ctx is None:
             raise NoTaskContextError(
                 f"{what} requires a task context of this runtime; wrap your"
@@ -267,7 +271,10 @@ class Runtime:
         table access.
         """
         if locale_id is None:
-            locale_id = current_context().locale_id
+            ctx = self._ctx
+            if ctx is None:
+                ctx = self._own_context("privatized_instance")
+            locale_id = ctx.locale_id
         return self._privatized[pid][locale_id]
 
     def drop_privatized(self, pid: int) -> None:
@@ -308,7 +315,7 @@ class Runtime:
         Remote allocation costs an RPC, as in any PGAS runtime — node-based
         structures therefore allocate locally and publish with an atomic.
         """
-        ctx = context_of(self)
+        ctx = self._ctx
         if locale is None:
             if ctx is None:
                 raise NoTaskContextError(
@@ -331,7 +338,7 @@ class Runtime:
         if is_nil(addr):
             raise LocaleError("deref of nil GlobalAddress")
         heap = self.locale(addr.locale).heap
-        ctx = context_of(self)
+        ctx = self._ctx
         if ctx is not None:
             self.network.read(ctx, addr.locale, nbytes=64)
         return heap.load(addr.offset)
@@ -341,7 +348,7 @@ class Runtime:
         if is_nil(addr):
             raise LocaleError("put to nil GlobalAddress")
         heap = self.locale(addr.locale).heap
-        ctx = context_of(self)
+        ctx = self._ctx
         if ctx is not None:
             self.network.write(ctx, addr.locale, nbytes=64)
         heap.store(addr.offset, payload)
@@ -351,7 +358,7 @@ class Runtime:
         if is_nil(addr):
             raise LocaleError("free of nil GlobalAddress")
         heap = self.locale(addr.locale).heap
-        ctx = context_of(self)
+        ctx = self._ctx
         if ctx is not None:
             self.network.free(ctx, addr.locale)
         heap.free(addr.offset)
@@ -369,7 +376,7 @@ class Runtime:
         """
         heap = self.locale(locale_id).heap
         offs = list(offsets)
-        ctx = context_of(self)
+        ctx = self._ctx
         if ctx is not None:
             self.network.bulk_free(ctx, locale_id, len(offs), rpc=rpc)
         return heap.free_bulk(offs)
@@ -586,7 +593,7 @@ class Runtime:
         did the last task in the region finish" — the quantity the paper's
         wall-clock plots show.
         """
-        ctx = current_context()
+        ctx = self._own_context("timed")
         timer = Timer()
         timer.start = ctx.now
         yield timer

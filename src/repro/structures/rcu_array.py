@@ -196,12 +196,9 @@ class RCUArray:
         """
         _, block_addr, off = self._locate_protected(index, guard)
         block = self._rt.deref(block_addr)
-        ctx_charge = self._rt.network
-        from ..runtime.context import maybe_context
-
-        ctx = maybe_context()
+        ctx = self._rt._ctx
         if ctx is not None:
-            ctx_charge.write(ctx, block_addr.locale, nbytes=8)
+            self._rt.network.write(ctx, block_addr.locale, nbytes=8)
         block[off] = value
 
     def __len__(self) -> int:

@@ -80,7 +80,7 @@ class TestRecorder:
 
     def test_recorder_rejects_off(self):
         with pytest.raises(ValueError, match="spans.*full|full.*spans"):
-            TraceRecorder(4, "off")
+            TraceRecorder(Runtime(num_locales=4), "off")
 
     def test_age_bucket_is_floor_log2(self):
         assert age_bucket(1.0) == 0
@@ -95,7 +95,7 @@ class TestRecorder:
         assert age_bucket(5e-324) >= -1075
 
     def test_events_merge_by_time_locale_seq(self):
-        tr = TraceRecorder(3, "spans")
+        tr = TraceRecorder(Runtime(num_locales=3), "spans")
         # Emit out of order across locales (no task context -> locale 0
         # for span(); drive _emit directly for the cross-locale case).
         tr._emit(2, 5.0, "span", {"name": "c", "t1": 6.0})
@@ -108,7 +108,7 @@ class TestRecorder:
         assert tr.event_count() == 4
 
     def test_unit_ids_are_stable_small_ints(self):
-        tr = TraceRecorder(1, "full")
+        tr = TraceRecorder(Runtime(num_locales=1), "full")
         a, b = object(), object()
         assert tr.unit_id(a) == 0
         assert tr.unit_id(b) == 1

@@ -3,13 +3,16 @@
 A runtime and everything it owns are used by one thread (docs/ENGINE.md,
 "One thread per runtime"), so the simulated state takes no host lock.
 Only process-wide state that separate runtimes on separate threads may
-share keeps ``threading``: the current task context and the compiled
-engine's column cache.
+share keeps ``threading``: the thread's current task context, which
+answers only the helpers that take no runtime, and the compiled engine's
+column cache.
 
-The same rule fixes what a task of *another* runtime means to a runtime:
-no task context.  Its locale id and clock belong to its own machine, so
-an operation on this runtime must neither index this runtime's routes
-with that locale nor charge that clock.
+The same rule makes "which task is running" runtime state: a runtime's
+``_ctx`` slot names its running task, and every charge and check reads
+it.  So a task of *another* runtime is no task context.  Its locale id
+and clock belong to its own machine, so an operation on this runtime
+must neither index this runtime's routes with that locale nor charge
+that clock, and it fails exactly as it would outside any task.
 """
 
 from __future__ import annotations
@@ -20,16 +23,32 @@ import pathlib
 import pytest
 
 import repro
+import repro.runtime.context as context_module
+from repro.baselines import LockedStack, SpinLock
 from repro.comm.counters import CommDiagnostics
 from repro.comm.routes import CellPlan
 from repro.core import AtomicObject
 from repro.core.epoch_manager import EpochManagerStats
 from repro.errors import NoTaskContextError
+from repro.reclaim import RECLAIMER_SCHEMES, make_reclaimer
 from repro.runtime import Runtime
 from repro.runtime.clock import ServicePoint
 from repro.runtime.context import current_context
+from repro.structures import RCUArray
 
 _SRC = pathlib.Path(repro.__file__).parent
+
+
+def _reads_tls(path: pathlib.Path) -> bool:
+    """True if the module imports ``_tls`` or reads ``<module>._tls``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and any(
+            alias.name == "_tls" for alias in node.names
+        ):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "_tls":
+            return True
+    return False
 
 
 def _imports_threading(path: pathlib.Path) -> bool:
@@ -52,6 +71,16 @@ class TestOneThreadPerRuntime:
         )
         assert found == ["engine/cache.py", "runtime/context.py"]
 
+    def test_only_the_context_module_reads_the_thread_local(self):
+        found = sorted(
+            p.relative_to(_SRC).as_posix()
+            for p in _SRC.rglob("*.py")
+            if _reads_tls(p)
+        )
+        assert found == []
+        assert not hasattr(context_module, "context_of")
+        assert "context_of" not in context_module.__all__
+
     def test_no_lock_domain_and_one_serve_body(self):
         assert CellPlan._fields == ("dist", "narrow", "wide")
         assert "serve" not in vars(ServicePoint)
@@ -73,6 +102,21 @@ def _zero(totals):
     return all(v == 0 for v in totals.values())
 
 
+def _charges_nothing(a, b, locale, body):
+    """Run ``body`` from a task of ``a`` on ``locale``; neither the task's
+    clock nor either runtime's comm totals may move."""
+
+    def main():
+        task = current_context()
+        before = task.now
+        body()
+        return task.now - before
+
+    assert a.run(main, locale=locale) == 0.0
+    assert _zero(a.comm_totals())
+    assert _zero(b.comm_totals())
+
+
 # Locale 5 does not exist on the 2-locale runtime (it used to raise a raw
 # IndexError); locale 1 does, and used to charge the 2-locale runtime's
 # route to the 8-locale runtime's task clock.
@@ -82,9 +126,7 @@ class TestForeignTaskContext:
         a, b = _machines()
         addr = b.new_obj("x", locale=0)
 
-        def main():
-            task = current_context()
-            before = task.now
+        def body():
             assert b.deref(addr) == "x"
             b.put(addr, "y")
             assert b.deref(addr) == "y"
@@ -92,11 +134,8 @@ class TestForeignTaskContext:
             b.free(fresh)
             batch = [b.new_obj(i, locale=0) for i in range(3)]
             assert b.free_bulk(0, [p.offset for p in batch]) == 3
-            return task.now - before
 
-        assert a.run(main, locale=locale) == 0.0
-        assert _zero(b.comm_totals())
-        assert _zero(a.comm_totals())
+        _charges_nothing(a, b, locale, body)
         assert b.locales[0].heap.live_count == 1
 
     def test_new_obj_needs_a_locale_from_a_foreign_task(self, locale):
@@ -113,15 +152,11 @@ class TestForeignTaskContext:
         obj = AtomicObject(b, locale=0, mode="descriptor")
         addr = b.new_obj("x", locale=1)
 
-        def main():
-            task = current_context()
-            before = task.now
+        def body():
             obj.write(addr)
             assert obj.read() == addr
-            return task.now - before
 
-        assert a.run(main, locale=locale) == 0.0
-        assert _zero(b.comm_totals())
+        _charges_nothing(a, b, locale, body)
 
     def test_on_refuses_a_foreign_task(self, locale):
         a, b = _machines()
@@ -159,6 +194,33 @@ class TestForeignTaskContext:
         assert ran == []
         assert _zero(b.comm_totals())
 
+    # The locked baselines and RCUArray charge their own runtime's running
+    # task only: from a foreign task they keep their semantics and charge
+    # nothing to anyone.
+    def test_locked_stack_push_charges_nothing(self, locale):
+        a, b = _machines()
+        stack = LockedStack(b)
+        _charges_nothing(a, b, locale, lambda: stack.push(7))
+        assert b.run(stack.pop) == 7
+
+    def test_spinlock_acquire_release_charges_nothing(self, locale):
+        a, b = _machines()
+        lock = SpinLock(b, locale=0)
+
+        def body():
+            lock.acquire()
+            lock.release()
+
+        _charges_nothing(a, b, locale, body)
+        assert lock.acquisitions == 1
+        assert lock.cs_point.served == 0
+
+    def test_rcu_array_write_charges_nothing(self, locale):
+        a, b = _machines()
+        arr = RCUArray(b, 4, block_size=2, fill=0)
+        _charges_nothing(a, b, locale, lambda: arr.write(3, 9))
+        assert b.run(arr.read, 3) == 9
+
 
 def test_own_tasks_still_charge():
     _, b = _machines()
@@ -174,3 +236,144 @@ def test_own_tasks_still_charge():
     assert b.run(main, locale=1) > 0.0
     totals = b.comm_totals()
     assert (totals["get"], totals["put"], totals["amo"]) == (2, 1, 2)
+
+
+def _outside_any_task(op):
+    """The exception ``op`` raises with no task running at all."""
+    with pytest.raises(Exception) as exc:
+        op()
+    return type(exc.value), str(exc.value)
+
+
+def _fails_like_no_task(a, b, locale, op):
+    """Run ``op`` from a task of ``a`` on ``locale``; it must raise what
+    it raises outside any task, and move neither clock nor comm totals."""
+    expected = _outside_any_task(op)
+    assert expected[0] is NoTaskContextError
+    a.reset_measurements()
+    b.reset_measurements()
+
+    def main():
+        task = current_context()
+        before = task.now
+        with pytest.raises(Exception) as exc:
+            op()
+        return (type(exc.value), str(exc.value)), task.now - before
+
+    raised, moved = a.run(main, locale=locale)
+    assert raised == expected
+    assert moved == 0.0
+    assert _zero(a.comm_totals())
+    assert _zero(b.comm_totals())
+
+
+def _pinned_guard(b, rec):
+    """A guard of ``rec`` registered and pinned by ``b``'s own task on
+    locale 1, left pinned."""
+
+    def main():
+        guard = rec.register()
+        guard.pin()
+        return guard
+
+    return b.run(main, locale=1)
+
+
+_RECLAIMER_OPS = ("register", "try_reclaim", "pin", "unpin", "defer_delete")
+
+
+@pytest.mark.parametrize("locale", [1, 5])
+@pytest.mark.parametrize("scheme", RECLAIMER_SCHEMES)
+@pytest.mark.parametrize("op_name", _RECLAIMER_OPS)
+def test_reclaimer_entry_points_refuse_a_foreign_task(locale, scheme, op_name):
+    a, b = _machines()
+    rec = make_reclaimer(b, scheme)
+    guard = _pinned_guard(b, rec)
+    addr = b.new_obj("x", locale=0)
+    op = {
+        "register": rec.register,
+        "try_reclaim": rec.try_reclaim,
+        "pin": guard.pin,
+        "unpin": guard.unpin,
+        "defer_delete": lambda: guard.defer_delete(addr),
+    }[op_name]
+    _fails_like_no_task(a, b, locale, op)
+    assert guard.is_pinned
+    assert b.is_live(addr)
+
+
+class TestRuntimeTaskSlot:
+    """``Runtime._ctx`` names the running task of that runtime and is
+    ``None`` outside one; ``TaskContext.call`` is its only writer."""
+
+    def test_empty_after_run_returns_and_after_it_raises(self):
+        rt = Runtime(num_locales=2)
+        assert rt._ctx is None
+        assert rt.run(lambda: rt._ctx is current_context())
+        assert rt._ctx is None
+
+        def boom():
+            raise KeyError("boom")
+
+        with pytest.raises(KeyError):
+            rt.run(boom)
+        assert rt._ctx is None
+
+    def test_names_the_running_task_in_every_body(self):
+        rt = Runtime(num_locales=3, tasks_per_locale=2)
+        seen = []
+
+        def check(where, lid):
+            ctx = rt._ctx
+            assert ctx is current_context()
+            assert ctx.locale_id == lid
+            seen.append(where)
+
+        def per_locale(lid):
+            check("coforall", lid)
+            # A nested join: the forall's tasks run inside this task.
+            rt.forall(range(4), lambda i: check("nested", i % 3))
+            check("after-join", lid)
+
+        def main():
+            root = rt._ctx
+            rt.forall(range(6), lambda i: check("forall", i % 3))
+            rt.coforall_locales(per_locale)
+            assert rt._ctx is root
+
+        rt.run(main)
+        assert seen.count("forall") == 6
+        assert seen.count("coforall") == seen.count("after-join") == 3
+        assert seen.count("nested") == 12
+
+    def test_restored_when_a_task_body_raises(self):
+        rt = Runtime(num_locales=2)
+
+        def bad(i):
+            raise ValueError(i)
+
+        def main():
+            root = rt._ctx
+            with pytest.raises(ValueError):
+                rt.forall(range(4), bad)
+            assert rt._ctx is root
+            assert current_context() is root
+
+        rt.run(main)
+        assert rt._ctx is None
+
+    def test_runtimes_used_in_turn_never_see_each_others_task(self):
+        a, b = _machines()
+
+        def in_a():
+            assert b._ctx is None
+            return a._ctx
+
+        def in_b():
+            assert a._ctx is None
+            return b._ctx
+
+        for _ in range(2):
+            assert a.run(in_a).runtime is a
+            assert b.run(in_b).runtime is b
+        assert a._ctx is None and b._ctx is None
