@@ -370,6 +370,24 @@ def _place_objects(
     return [rt.new_obj(object(), locale=tg) for tg in targets]
 
 
+class _TaskState:
+    """Listing 5's task intents: a token plus the `M` counter.
+
+    Module level on purpose: a class object is always cyclic, so one
+    built per call would keep the whole machine alive until the cyclic
+    GC ran.
+    """
+
+    __slots__ = ("tok", "m")
+
+    def __init__(self, em: Any) -> None:
+        self.tok = em.register()
+        self.m = 0
+
+    def close(self) -> None:  # forall auto-cleanup hook
+        self.tok.unregister()
+
+
 def run_epoch_workload(
     rt: Runtime,
     *,
@@ -430,19 +448,7 @@ def run_epoch_workload(
         else:
             objs = [NIL] * num_objects  # placeholders; body ignores them
 
-        class _TaskState:
-            """Listing 5's task intents: a token plus the `M` counter."""
-
-            __slots__ = ("tok", "m")
-
-            def __init__(self) -> None:
-                self.tok = em.register()
-                self.m = 0
-
-            def close(self) -> None:  # forall auto-cleanup hook
-                self.tok.unregister()
-
-        def body(item_idx: int, st: "_TaskState") -> None:
+        def body(item_idx: int, st: _TaskState) -> None:
             tok = st.tok
             tok.pin()
             if delete:
@@ -468,7 +474,7 @@ def run_epoch_workload(
                 rt.forall(
                     range(num_objects),
                     body,
-                    task_init=_TaskState,
+                    task_init=lambda: _TaskState(em),
                     tasks_per_locale=tasks_per_locale,
                 )
             if cleanup_at_end:

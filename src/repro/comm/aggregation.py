@@ -166,10 +166,12 @@ class BatchCounters:
 class UplinkAggregator:
     """Coalesces same-uplink operations into batched traversals.
 
-    One instance per :class:`~repro.comm.network.NetworkModel`.  Every
-    method takes the legacy per-op path for operations that cannot batch
-    (aggregation disabled, no shared uplink on the route), so call sites
-    never need their own fallback branch.
+    One instance per :class:`~repro.comm.network.NetworkModel`, which
+    holds it; the aggregator does not hold the network back, and reaches
+    it through the calling task's runtime.  Every method takes the legacy
+    per-op path for operations that cannot batch (aggregation disabled,
+    no shared uplink on the route), so call sites never need their own
+    fallback branch.
     """
 
     def __init__(
@@ -180,7 +182,6 @@ class UplinkAggregator:
     ) -> None:
         from ..policy import StaticWindowPolicy
 
-        self._net = network
         self.spec = spec
         #: The window policy (docs/POLICY.md) owning the live window.
         #: Default: a static policy pinned to the spec's window — the
@@ -216,9 +217,11 @@ class UplinkAggregator:
     # ------------------------------------------------------------------
     # grouping
     # ------------------------------------------------------------------
-    def _classify(self, src: int, home: int) -> Tuple[int, "int | None"]:
+    @staticmethod
+    def _classify(
+        net: "NetworkModel", src: int, home: int
+    ) -> Tuple[int, "int | None"]:
         """(distance class, uplink group or None) of ``src`` -> ``home``."""
-        net = self._net
         dclass = net.distance_row(home)[src]
         if net.topology.classes[dclass].shared_uplink:
             return dclass, net.topology.uplink_group(home)
@@ -252,6 +255,7 @@ class UplinkAggregator:
     # ------------------------------------------------------------------
     def _charge_batch(
         self,
+        net: "NetworkModel",
         ctx: "TaskContext",
         dclass: int,
         group: int,
@@ -261,7 +265,6 @@ class UplinkAggregator:
         counters: "BatchCounters | None",
     ) -> None:
         """One uplink traversal carrying ``count`` coalesced operations."""
-        net = self._net
         cc = net._class_costs[dclass]
         extra = count - 1
         latency = base_latency + extra * cc.am_batch_item_latency
@@ -309,14 +312,14 @@ class UplinkAggregator:
         window-sized batches — one AM traversal per batch, values taken
         with the cost-free ``peek()`` the batch's remote handler models.
         """
-        net = self._net
         if not self.active:
             return [cell.read() for cell in cells]
+        net = ctx.runtime.network
         src = ctx.locale_id
         values: List[Any] = [None] * len(cells)
         batchable: List[Tuple[Tuple[int, int], int]] = []
         for i, cell in enumerate(cells):
-            dclass, group = self._classify(src, cell.home)
+            dclass, group = self._classify(net, src, cell.home)
             if group is None:
                 values[i] = cell.read()
             else:
@@ -325,6 +328,7 @@ class UplinkAggregator:
             cc = net._class_costs[dclass]
             net.diags.record(src, CommOp.AM)
             self._charge_batch(
+                net,
                 ctx,
                 dclass,
                 group,
@@ -350,15 +354,15 @@ class UplinkAggregator:
         store through the AM route is a round trip — the ack is what
         orders it); values land via the cost-free ``poke``.
         """
-        net = self._net
         if not self.active:
             for cell, value in writes:
                 cell.write(value)
             return
+        net = ctx.runtime.network
         src = ctx.locale_id
         batchable: List[Tuple[Tuple[int, int], int]] = []
         for i, (cell, value) in enumerate(writes):
-            dclass, group = self._classify(src, cell.home)
+            dclass, group = self._classify(net, src, cell.home)
             if group is None:
                 cell.write(value)
             else:
@@ -367,6 +371,7 @@ class UplinkAggregator:
             cc = net._class_costs[dclass]
             net.diags.record(src, CommOp.AM)
             self._charge_batch(
+                net,
                 ctx,
                 dclass,
                 group,
@@ -392,7 +397,7 @@ class UplinkAggregator:
         marginal per extra source), occupying the uplink point once.
         Everything else charges :meth:`NetworkModel.bulk` per source.
         """
-        net = self._net
+        net = ctx.runtime.network
         if not self.active:
             for src_locale, nbytes in transfers:
                 net.bulk(ctx, src_locale, nbytes)
@@ -400,7 +405,7 @@ class UplinkAggregator:
         src = ctx.locale_id
         batchable: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
         for src_locale, nbytes in transfers:
-            dclass, group = self._classify(src, src_locale)
+            dclass, group = self._classify(net, src, src_locale)
             if group is None:
                 net.bulk(ctx, src_locale, nbytes)
             else:
@@ -410,6 +415,7 @@ class UplinkAggregator:
             total_bytes = sum(nbytes for _lid, nbytes in batch)
             net.diags.record_bulk(src, total_bytes)
             self._charge_batch(
+                net,
                 ctx,
                 dclass,
                 group,
@@ -441,9 +447,9 @@ class UplinkAggregator:
             return freed
         src = ctx.locale_id
         batchable: List[Tuple[Tuple[int, int], int]] = []
-        net = self._net
+        net = rt.network
         for lid in sorted(by_locale):
-            dclass, group = self._classify(src, lid)
+            dclass, group = self._classify(net, src, lid)
             if group is None:
                 freed += rt.free_bulk(lid, by_locale[lid])
             else:
@@ -452,6 +458,7 @@ class UplinkAggregator:
             cc = net._class_costs[dclass]
             net.diags.record(src, CommOp.AM)
             self._charge_batch(
+                net,
                 ctx,
                 dclass,
                 group,

@@ -561,14 +561,16 @@ class EpochManager(ManagerCore, PrivatizedObject):
             if tr is not None:
                 # Unit+slot drain record: the metrics registry matches it
                 # against this unit's pending retire events to recover
-                # exact limbo ages from the stream alone.  One task per
+                # exact limbo ages from the stream alone.  The unit is the
+                # instance, named by its limbo lists (what a token keeps
+                # of it, so both sides key the same object).  One task per
                 # instance locale appends to its own per-locale buffer,
                 # so emission order is deterministic.
                 tr.reclaim(
                     "drain",
                     "ebr",
                     rt._ctx.now,
-                    unit=tr.unit_id(inst_l),
+                    unit=tr.unit_id(inst_l.limbo_lists),
                     slots=sorted(indices),
                     count=sum(len(v) for v in scatter.values()),
                 )

@@ -53,6 +53,11 @@ class LocalEpochManager(ManagerCore, _EpochManagerInstance):
         _EpochManagerInstance.__init__(self, self, runtime, runtime.locale(locale).id)
         self._counters = EpochManagerStats()
 
+    def get_privatized_instance(self, locale_id: Optional[int] = None) -> "LocalEpochManager":
+        """The one instance, which is the manager itself (an unregistering
+        token finds its free list here)."""
+        return self
+
     # ------------------------------------------------------------------
     def register(self) -> Token:
         """Obtain a token; caller must be on the manager's locale."""

@@ -108,6 +108,10 @@ class PrivatizedObject:
     # Chapel-style alias (Listing 4 spelling).
     getPrivatizedInstance = get_privatized_instance
 
+    def _instances(self) -> List[Any]:
+        """Every locale's instance, in locale order (zero cost)."""
+        return self._rt._privatized[self._pid]
+
     def _drop_instances(self) -> None:
         """Release the per-locale instances (called by ``destroy()``)."""
         self._rt.drop_privatized(self._pid)

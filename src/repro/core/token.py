@@ -54,9 +54,13 @@ class Token:
     needs_protect = False
 
     __slots__ = (
-        "_inst",
+        "_manager",
         "_rt",
+        "_home",
+        "_home_locales",
         "_inst_epoch",
+        "_limbo_lists",
+        "_slot_retire_vt",
         "local_epoch",
         "token_id",
         "_registered",
@@ -69,9 +73,18 @@ class Token:
     )
 
     def __init__(self, inst: "_EpochManagerInstance", token_id: int) -> None:
-        self._inst = inst
+        # The token keeps the parts of its instance it uses, never the
+        # instance itself: the instance's token lists link to the token,
+        # so a back-reference would make every manager cyclic garbage.
+        #: The owning manager (reached by ``try_reclaim``/``unregister``).
+        self._manager = inst.manager
         #: The owning runtime, whose ``_ctx`` slot names the running task.
         self._rt = inst.runtime
+        #: The instance's locale: the token's home, and its privatized key.
+        self._home = inst.locale_id
+        #: Locales that may use the token: just ``_home``, or the whole
+        #: coherence domain of a socket-shared instance.
+        self._home_locales = inst.home_locales
         #: The epoch this token is pinned in; 0 = quiescent (not pinned).
         #: Opted out of network atomics: only tasks on the home locale and
         #: the reclamation scan (which runs *on* this locale) touch it.
@@ -86,6 +99,10 @@ class Token:
         #: Cached reference to the instance's locale-epoch cell (pin reads
         #: it up to twice per call; skip the two-attribute chain).
         self._inst_epoch = inst.locale_epoch
+        #: The instance's limbo lists and oldest-retire slots, written by
+        #: ``defer_delete``.
+        self._limbo_lists = inst.limbo_lists
+        self._slot_retire_vt = inst.slot_retire_vt
         self._registered = True
         self._free_next: Optional["Token"] = None  # free-list link
         self._alloc_next: Optional["Token"] = None  # allocated-list link
@@ -118,9 +135,9 @@ class Token:
         # socket-shared mode (docs/AGGREGATION.md) it is the instance's
         # whole coherence domain — any socket sibling may use the token
         # (its atomics are then coherent-class, still CPU-priced).
-        if ctx.locale_id not in self._inst.home_locales:
+        if ctx.locale_id not in self._home_locales:
             raise TokenStateError(
-                f"token registered on locale {self._inst.locale_id} used from"
+                f"token registered on locale {self._home} used from"
                 f" locale {ctx.locale_id}; register per-task on each locale"
             )
         return ctx
@@ -195,24 +212,28 @@ class Token:
         ctx = self._check_usable()
         if self.local_epoch.read() == 0:
             raise TokenStateError("defer_delete requires a pinned token")
-        inst = self._inst
-        epoch = inst.locale_epoch.read()
-        inst.limbo_lists[epoch - 1].push(addr)
+        epoch = self._inst_epoch.read()
+        self._limbo_lists[epoch - 1].push(addr)
         if self._track_ages:
             # Limbo-age fact: min-fold the retire timestamp into the
             # instance's per-slot array (socket siblings may retire into
             # one shared instance).
             now = ctx.now
             slot = epoch - 1
-            cur = inst.slot_retire_vt[slot]
+            retire_vt = self._slot_retire_vt
+            cur = retire_vt[slot]
             if cur is None or now < cur:
-                inst.slot_retire_vt[slot] = now
+                retire_vt[slot] = now
             tr = self._full_tracer
             if tr is not None:
                 # Unit+slot tag: the metrics registry pairs this with the
                 # matching drain event to recover the exact limbo age.
                 tr.guard(
-                    "retire", "ebr", now, unit=tr.unit_id(inst), slot=slot
+                    "retire",
+                    "ebr",
+                    now,
+                    unit=tr.unit_id(self._limbo_lists),
+                    slot=slot,
                 )
 
     # Chapel-style alias.
@@ -226,7 +247,7 @@ class Token:
         """Attempt a global epoch advance (the manager's attempt without
         its handle-level peak-pending sample)."""
         self._check_usable()
-        return self._inst.manager._try_reclaim()
+        return self._manager._try_reclaim()
 
     tryReclaim = try_reclaim
 
@@ -237,7 +258,7 @@ class Token:
             return
         self.local_epoch.write(0)
         self._registered = False
-        self._inst.free_tokens.push(self)
+        self._manager.get_privatized_instance(self._home).free_tokens.push(self)
 
     def close(self) -> None:
         """Alias for :meth:`unregister`; hooks ``forall`` task cleanup."""
@@ -251,7 +272,7 @@ class Token:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Token(id={self.token_id}, locale={self._inst.locale_id},"
+            f"Token(id={self.token_id}, locale={self._home},"
             f" epoch={self.local_epoch.peek()}, registered={self._registered})"
         )
 

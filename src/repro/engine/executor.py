@@ -334,21 +334,23 @@ def _cpu_plan(net, cell, locale: int) -> tuple:
     return route.latency, cell.line, route.line_service, route.diag_index
 
 
-def _instance_target(net, inst, locale: int) -> tuple:
+def _instance_target(net, tok, locale: int) -> tuple:
     """What a task on ``locale`` charges and mutates on the EBR manager
-    instance ``inst``: ``(limbo head, pool, epoch plan, limbo plan, pool
-    plan)``, each plan from :func:`_cpu_plan`.
+    instance that token ``tok`` leases: ``(limbo head, pool, epoch plan,
+    limbo plan, pool plan)``, each plan from :func:`_cpu_plan`.
 
     Deferrals go to the limbo list of the *current* locale epoch, constant
     for the whole phase (only root-driven reclaim between phases advances
-    it).
+    it).  The instance's lists share one node pool (or none).
     """
-    limbo_head = inst.limbo_lists[inst.locale_epoch.peek() - 1]._head
-    pool = inst.pool
+    epoch = tok._inst_epoch
+    limbo = tok._limbo_lists[epoch.peek() - 1]
+    limbo_head = limbo._head
+    pool = limbo._pool
     return (
         limbo_head,
         pool,
-        _cpu_plan(net, inst.locale_epoch, locale),
+        _cpu_plan(net, epoch, locale),
         _cpu_plan(net, limbo_head, locale),
         _cpu_plan(net, pool._head, locale) if pool is not None else None,
     )
@@ -500,7 +502,7 @@ def run_ebr_epoch_phase(
         tok = tokens[locale][ctx.task_id % tokens_per_locale]
         ctx.now = _ebr_replay_task(
             task_items, is_write, objs,
-            _instance_target(net, tok._inst, locale),
+            _instance_target(net, tok, locale),
             _cpu_plan(net, tok.local_epoch, locale),
             ctx.now, rows[locale], record,
         )
@@ -610,7 +612,7 @@ def run_epoch_workload_phase(
         lid = ctx.locale_id
         ctx.now = _ebr_replay_task(
             task_items, is_write, objs,
-            _instance_target(net, tok._inst, lid),
+            _instance_target(net, tok, lid),
             _cpu_plan(net, tok.local_epoch, lid),
             ctx.now, rows[lid], record,
         )

@@ -231,6 +231,11 @@ class Heap:
             push(offset)
         return len(offsets)
 
+    def drop_payloads(self) -> None:
+        """Forget every live payload (``Runtime.close``): the objects a
+        finished machine stored go with their last outside reference."""
+        self._live.clear()
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

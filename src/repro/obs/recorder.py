@@ -105,7 +105,8 @@ class TraceRecorder:
         #: construction; :meth:`reset_points` re-zeroes on
         #: ``NetworkModel.reset_measurements``.
         self._bank_prev: Dict[int, float] = {}
-        #: Stable small integers for traced units (epoch managers), in
+        #: Stable small integers for traced units (epoch-manager
+        #: instances, keyed by their limbo-list list), in
         #: first-emission order — deterministic under the discipline above.
         self._unit_ids: Dict[int, int] = {}
 
@@ -115,6 +116,11 @@ class TraceRecorder:
     def _locale(self) -> int:
         ctx = self._rt._ctx
         return ctx.locale_id if ctx is not None else 0
+
+    def detach(self) -> None:
+        """Let go of the runtime (``Runtime.close``): the recorder keeps
+        its events but no longer holds the machine it recorded."""
+        self._rt = None
 
     def _emit(self, locale: int, t: float, kind: str, fields: Dict[str, Any]) -> None:
         seq = self._seq[locale]

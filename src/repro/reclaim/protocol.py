@@ -17,9 +17,10 @@ scheme presents the same lifecycle::
 
 Two halves for the list-based schemes (HP, QSBR, IBR):
 
-* :class:`ReclaimerBase` — the manager: guard registry, retirement
-  accounting, ``try_reclaim`` / ``clear`` / ``destroy``; policy, tracing
-  and ``stats`` come from the
+* :class:`ReclaimerBase` — the manager: guard registry (one list per
+  locale, privatized like EBR's token lists), retirement accounting,
+  ``try_reclaim`` / ``clear`` / ``destroy``; policy, tracing and
+  ``stats`` come from the
   :class:`~repro.core.manager_core.ManagerCore` it shares with
   ``EpochManager``.
 * :class:`GuardBase` — the per-task handle: locale-bound like the EBR
@@ -51,10 +52,13 @@ hazard/quiescence state (see the determinism notes in
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..comm.aggregation import BatchCounters
 from ..core.manager_core import ManagerCore
+from ..core.privatization import PrivatizedObject
 from ..errors import ReclaimerError, TokenStateError
 from ..memory.address import GlobalAddress
 from ..runtime.config import RECLAIMER_SCHEMES
@@ -262,7 +266,7 @@ class GuardBase:
         )
 
 
-class ReclaimerBase(ManagerCore):
+class ReclaimerBase(ManagerCore, PrivatizedObject):
     """Manager half of the guard protocol for the list-based schemes.
 
     Subclasses implement ``_guard_class`` construction via
@@ -272,12 +276,20 @@ class ReclaimerBase(ManagerCore):
     Policy, tracing and the normalized stats come from
     :class:`~repro.core.manager_core.ManagerCore`, shared with the EBR
     :class:`~repro.core.epoch_manager.EpochManager`.
+
+    The registry is the manager's privatized instance: one list per
+    locale of the guards registered there, as EBR keeps its tokens.  A
+    guard holds its manager, so the manager reaches its guards only
+    through the runtime's privatized table, which ``Runtime.close``
+    drops: a finished reclaimer is not cyclic garbage.
     """
 
     def __init__(self, runtime: "Runtime", *, policy: Any = None) -> None:
-        super().__init__(runtime, policy=policy)
+        ManagerCore.__init__(self, runtime, policy=policy)
+        PrivatizedObject.__init__(
+            self, runtime, [[] for _ in range(runtime.num_locales)]
+        )
         self._costs = runtime.config.costs
-        self._guards: List[GuardBase] = []
         self._guard_seq = 0
         #: Retirements inherited from unregistered guards.
         self._orphans: List[Tuple[GlobalAddress, int]] = []
@@ -301,15 +313,20 @@ class ReclaimerBase(ManagerCore):
         gid = self._guard_seq
         self._guard_seq += 1
         guard = self._make_guard(locale_id, gid)
-        self._guards.append(guard)
+        self.get_privatized_instance(locale_id).append(guard)
         return guard
 
     def _make_guard(self, locale_id: int, guard_id: int) -> GuardBase:
         raise NotImplementedError
 
+    def _all_guards(self) -> List[GuardBase]:
+        """Every guard ever registered, in registration order (the
+        per-locale lists merged by guard id; zero virtual cost)."""
+        return sorted(chain.from_iterable(self._instances()), key=_guard_id)
+
     def _registered_guards(self) -> List[GuardBase]:
         """Registry snapshot (zero virtual cost)."""
-        return [g for g in self._guards if g._registered]
+        return [g for g in self._all_guards() if g._registered]
 
     def _adopt_orphans(self, entries: List[Tuple[GlobalAddress, int]]) -> None:
         self._orphans.extend(entries)
@@ -449,9 +466,10 @@ class ReclaimerBase(ManagerCore):
         if self._destroyed:
             return
         self.clear()
-        for guard in self._guards:
-            guard._registered = False
-        self._guards = []
+        for guards in self._instances():
+            for guard in guards:
+                guard._registered = False
+            guards.clear()
         self._destroyed = True
 
     # ------------------------------------------------------------------
@@ -501,7 +519,7 @@ class ReclaimerBase(ManagerCore):
     # ------------------------------------------------------------------
     def pending_count(self) -> int:
         """Cost-free count of retired-but-unfreed objects (tests/stats)."""
-        pending = sum(len(g._retired) for g in self._guards)
+        pending = sum(len(g._retired) for g in self._all_guards())
         pending += len(self._orphans)
         return pending
 
@@ -516,6 +534,9 @@ class ReclaimerBase(ManagerCore):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(freed={self._freed}, pending={self.pending_count()})"
+
+
+_guard_id = attrgetter("guard_id")
 
 
 def make_reclaimer(runtime: "Runtime", scheme: str = "ebr", **kwargs: Any):

@@ -7,15 +7,14 @@ Public surface:
 * :class:`~repro.runtime.config.RuntimeConfig` /
   :class:`~repro.runtime.config.NetworkType` — machine description.
 * :class:`~repro.runtime.clock.ServicePoint` — the virtual-time engine.
-* :class:`~repro.runtime.context.TaskContext` /
-  :func:`~repro.runtime.context.current_context` — the executing task
-  and its virtual time.
+* :class:`~repro.runtime.context.TaskContext` — a task and its virtual
+  time; a runtime's running task is its ``_ctx`` slot.
 * :func:`~repro.runtime.diagnostics.snapshot` — resource introspection.
 """
 
 from .clock import ServicePoint
 from .config import NetworkType, RuntimeConfig
-from .context import TaskContext, current_context, maybe_context
+from .context import TaskContext
 from .diagnostics import RuntimeSnapshot, snapshot
 from .runtime import Locale, Runtime, Timer
 from .tasking import TaskGroup, WorkerPool
@@ -30,8 +29,6 @@ __all__ = [
     "TaskContext",
     "TaskGroup",
     "WorkerPool",
-    "current_context",
-    "maybe_context",
     "RuntimeSnapshot",
     "snapshot",
 ]

@@ -8,30 +8,18 @@ join runs it (:mod:`repro.runtime.tasking`).  PGAS operations consult the
 current context to decide whether an access is local or remote and to
 charge virtual time to its ``now``.
 
-:meth:`TaskContext.call` installs the context as the current one for the
-duration of a call and restores the previous one (possibly none) after,
-in two places: its runtime's ``_ctx`` slot and this thread's current
-context.  Every operation that has a runtime at hand — each charge, each
-token or guard check, the runtime's memory ops — reads the runtime's
-slot, so a task of another runtime is no task to it.  The thread-local
-answers only the helpers that take no runtime (:func:`current_context`,
-:func:`maybe_context`): tests and ``Runtime.run``'s nesting check.  An ``on`` block temporarily rebinds the context's locale,
-mirroring Chapel task migration without the expense of actually
-migrating anything.
-
-This module is one of the two places that keep ``threading``
-(docs/ENGINE.md, "One thread per runtime"): the thread's current context
-is process-wide state, and separate runtimes may run on separate
-threads.
+:meth:`TaskContext.call` installs the context as its runtime's running
+task (the runtime's ``_ctx`` slot) for the duration of a call and
+restores the previous one (possibly none) after.  Every operation reads
+its runtime's slot, so a task of another runtime is no task to it.  An
+``on`` block temporarily rebinds the context's locale, mirroring Chapel
+task migration without the expense of actually migrating anything.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple, TypeVar
-
-from ..errors import NoTaskContextError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import Runtime
@@ -39,20 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 T = TypeVar("T")
 
-__all__ = [
-    "TaskContext",
-    "current_context",
-    "maybe_context",
-]
-
-
-class _Current(threading.local):
-    """The current task of each thread; ``None`` outside any task."""
-
-    ctx: Optional["TaskContext"] = None
-
-
-_tls = _Current()
+__all__ = ["TaskContext"]
 
 
 class TaskContext:
@@ -119,23 +94,20 @@ class TaskContext:
         return rng
 
     def call(self, fn: Callable[..., T], *args: Any) -> T:
-        """Run ``fn(*args)`` with this task as the current context.
+        """Run ``fn(*args)`` with this task as its runtime's running task.
 
-        Sets the runtime's ``_ctx`` slot and the thread's current context
-        — the only writer of either — and restores what each held before
-        (possibly none), also when ``fn`` raises, so nested calls — a join
-        running queued tasks inside a user task — compose.
+        Sets the runtime's ``_ctx`` slot — its only writer — and restores
+        what it held before (possibly none), also when ``fn`` raises, so
+        nested calls — a join running queued tasks inside a user task —
+        compose.
         """
         rt = self.runtime
-        tls = _tls
-        prev = tls.ctx
-        prev_own = rt._ctx
-        tls.ctx = rt._ctx = self
+        prev = rt._ctx
+        rt._ctx = self
         try:
             return fn(*args)
         finally:
-            tls.ctx = prev
-            rt._ctx = prev_own
+            rt._ctx = prev
 
     def resume(self, finish: float, overhead: float) -> None:
         """Resume after a join: jump to the latest child ``finish`` if it
@@ -146,25 +118,3 @@ class TaskContext:
             self.now = finish
         self.now += overhead
 
-
-def current_context() -> TaskContext:
-    """Return this thread's current task context, or raise
-    :class:`NoTaskContextError`.
-
-    For callers with no runtime at hand (tests): library code
-    reads its runtime's ``_ctx`` slot instead, where a task of another
-    runtime is no task.
-    """
-    ctx = _tls.ctx
-    if ctx is None:
-        raise NoTaskContextError(
-            "this operation must run inside a simulated task; wrap your code"
-            " in Runtime.run(...) or a forall/coforall body"
-        )
-    return ctx
-
-
-def maybe_context() -> Optional[TaskContext]:
-    """Return this thread's current task context or ``None`` (never
-    raises); like :func:`current_context`, for callers with no runtime."""
-    return _tls.ctx

@@ -33,6 +33,11 @@ Design notes
 * A runtime and everything it owns are used by one thread
   (docs/ENGINE.md, "One thread per runtime"); nothing it owns takes a
   lock.
+* The runtime reaches the structures built on it only through its
+  privatized table and its heaps, and those structures hold the runtime.
+  :meth:`close` (run by ``with Runtime(...)``) drops both, so a finished
+  machine is acyclic and reference counting frees it (docs/ENGINE.md,
+  "Closing a runtime").
 * ``forall`` distributes items cyclically across locales by index (the
   analogue of iterating a ``Cyclic``-distributed array), spawning
   ``tasks_per_locale`` worker tasks per locale, and supports Chapel-style
@@ -69,7 +74,7 @@ from ..errors import LocaleError, NoTaskContextError, RuntimeStateError
 from ..memory.address import GlobalAddress, is_nil
 from ..memory.heap import Heap
 from .config import NetworkType, RuntimeConfig
-from .context import TaskContext, maybe_context
+from .context import TaskContext
 from .tasking import TaskGroup, WorkerPool, spawn_tree_overhead
 
 T = TypeVar("T")
@@ -163,7 +168,8 @@ class Runtime:
             Locale(i, config) for i in range(config.num_locales)
         ]
         self._task_ids = itertools.count(1)
-        self._privatized: List[Any] = []
+        #: The privatized-object table; None once the runtime is closed.
+        self._privatized: Optional[List[Any]] = []
         #: Spawned tasks not yet started, drained by joins (see tasking).
         self._run_queue = WorkerPool()
 
@@ -233,9 +239,26 @@ class Runtime:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the runtime (a no-op: tasks run on joining threads, so
-        there is nothing to shut down).  Kept with the context manager so
-        sweeps may scope a runtime with ``with Runtime(...)``."""
+        """Let go of the simulated world; the runtime then refuses work.
+
+        The structures built on a runtime hold it, and it reaches them
+        only through the privatized table and the heaps' payloads, so
+        dropping those two leaves a finished machine acyclic: reference
+        counting frees it with its last handle, without the cyclic GC.
+        ``config``, the network and its counters, the flight recorder's
+        events and the engine log stay readable.  A second ``close()``
+        does nothing.
+        """
+        if self._privatized is None:
+            return
+        self._privatized = None
+        for loc in self.locales:
+            loc.heap.drop_payloads()
+        tracer = self._tracer
+        if tracer is not None:
+            # The recorder outlives the machine (its events are read after
+            # the ``with`` block) but records no more tasks of it.
+            tracer.detach()
 
     def __enter__(self) -> "Runtime":
         return self
@@ -254,6 +277,8 @@ class Runtime:
         zero-communication fast path the paper attributes its scalability
         to.
         """
+        if self._privatized is None:
+            raise RuntimeStateError("runtime is closed")
         if len(instances) != self.num_locales:
             raise LocaleError(
                 f"need exactly {self.num_locales} privatized instances,"
@@ -396,8 +421,10 @@ class Runtime:
         The analogue of Chapel's ``main`` — every example, test and
         benchmark enters simulated execution through here.
         """
-        if maybe_context() is not None:
+        if self._ctx is not None:
             raise RuntimeStateError("Runtime.run cannot be nested inside a task")
+        if self._privatized is None:
+            raise RuntimeStateError("runtime is closed")
         ctx = TaskContext(
             self, self.locale(locale).id, 0.0, self._next_task_id(), self.config.seed
         )

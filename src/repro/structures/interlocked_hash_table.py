@@ -26,6 +26,7 @@ quiescent ``resize()`` doubles the bucket array when load grows.
 
 from __future__ import annotations
 
+from hashlib import blake2b
 from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple
 
 from ..core.atomic_object import AtomicObject
@@ -48,9 +49,21 @@ class _BucketSnapshot:
         self.entries = entries
 
 
+_HASH_MASK = (1 << 63) - 1
+
+
 def _stable_hash(key: Any) -> int:
-    """A 64-bit stable hash (Python's, masked; fine inside one process)."""
-    return hash(key) & ((1 << 63) - 1)
+    """A hash of ``key`` that is the same in every process.
+
+    Python salts ``hash`` of ``str`` and ``bytes`` per process, so those
+    keys hash their bytes with BLAKE2b (UTF-8 for ``str``); every other
+    key keeps ``hash(key)``, which is not salted, masked to 63 bits.
+    """
+    if isinstance(key, str):
+        key = key.encode("utf-8", "surrogatepass")
+    elif not isinstance(key, bytes):
+        return hash(key) & _HASH_MASK
+    return int.from_bytes(blake2b(key, digest_size=8).digest(), "little") & _HASH_MASK
 
 
 class InterlockedHashTable:

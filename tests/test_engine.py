@@ -250,12 +250,6 @@ class TestWorkerPool:
         other.join()
         assert len(caught) == 1 and "none runnable" in caught[0]
 
-    def test_close_and_context_manager_are_noops(self):
-        with Runtime(num_locales=2, network="none") as rt:
-            rt.run(lambda: rt.forall(range(4), lambda i: None))
-        rt.close()
-        rt.run(lambda: rt.forall(range(4), lambda i: None))
-
     def test_nested_coforall_completes_on_single_worker(self):
         """Nested fork/join completes: a join runs queued tasks itself, so
         no pool size (``worker_pool_size`` is accepted and ignored) can

@@ -33,7 +33,6 @@ from repro.engine.executor import _cpu_plan, _instance_target
 from repro.engine.opstream import fast_randbelow, mix_column, zipf_column
 from repro.errors import CompiledFallbackError, RuntimeStateError
 from repro.runtime.config import RECLAIMER_SCHEMES, RuntimeConfig
-from repro.runtime.context import current_context
 from repro.runtime.runtime import Runtime
 
 
@@ -486,7 +485,7 @@ class TestAllocPhase:
             ]
 
             def main():
-                return phase(rt, targets), current_context().now
+                return phase(rt, targets), rt._own_context().now
 
             addrs, now = rt.run(main)
             stats = [loc.heap.snapshot_stats() for loc in rt.locales]
@@ -536,8 +535,8 @@ class TestEbrReplayCells:
             for lid in range(rt.num_locales):
                 with rt.on(lid):
                     tok = em.register()
-                for src in sorted(tok._inst.home_locales):
-                    _instance_target(net, tok._inst, src)  # epoch, limbo, pool
+                for src in sorted(tok._home_locales):
+                    _instance_target(net, tok, src)  # epoch, limbo, pool
                     _cpu_plan(net, tok.local_epoch, src)
             return em.share_coherent
 

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import pytest
 
 from repro.core import EpochManager
 from repro.structures import InterlockedHashTable
+from repro.structures.interlocked_hash_table import _stable_hash
 
 
 @pytest.fixture
@@ -283,3 +288,56 @@ class TestConcurrent:
             em.clear()
 
         rt.run(main)
+
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Prints the bucket owner of every word of the word-count vocabulary,
+#: then runs the word-count example (its virtual times and owners).
+_PLACEMENT_PROBE = """
+import runpy
+from repro import Runtime
+from repro.core import EpochManager
+from repro.structures import InterlockedHashTable
+
+rt = Runtime(num_locales=4)
+table = InterlockedHashTable(rt, buckets=64, reclaimer=EpochManager(rt))
+words = "pgas locale epoch atomic pointer rdma nic chapel limbo token".split()
+print([table.owner_locale(w) for w in words + [w.encode() for w in words]])
+runpy.run_path({example!r}, run_name="__main__")
+"""
+
+
+class TestStableHash:
+    def test_int_keys_keep_the_builtin_hash(self):
+        for key in (0, 1, -1, 7, 2**40 + 3, 2**64 + 5, (1, 2), None):
+            assert _stable_hash(key) == hash(key) & ((1 << 63) - 1)
+
+    def test_str_and_bytes_keys_hash_their_bytes(self):
+        assert _stable_hash("pgas") == _stable_hash(b"pgas")
+        assert _stable_hash("pgas") != _stable_hash("pgat")
+        assert 0 <= _stable_hash("\udc80") < 1 << 63
+
+    def test_placement_and_virtual_time_do_not_depend_on_the_hash_seed(self):
+        """Python salts ``hash`` of ``str``/``bytes`` per process; bucket
+        owners, and so the word-count job's virtual time, must not move."""
+        script = _PLACEMENT_PROBE.format(
+            example=str(_ROOT / "examples" / "distributed_word_count.py")
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=180,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert "ms virtual" in outputs[0]
+        assert outputs[0] == outputs[1]

@@ -27,7 +27,7 @@ from repro.errors import (
     UseAfterFreeError,
 )
 from repro.runtime import Runtime
-from repro.runtime.context import TaskContext, current_context, maybe_context
+from repro.runtime.context import TaskContext
 from repro.runtime.tasking import TaskGroup, spawn_tree_overhead
 
 
@@ -69,18 +69,18 @@ class TestErrorHierarchy:
 
 class TestTaskContext:
     def test_call_installs_and_restores(self, rt):
-        assert maybe_context() is None
+        assert rt._ctx is None
         ctx = TaskContext(rt, 1, 0.0, 99)
-        assert ctx.call(current_context) is ctx
-        assert maybe_context() is None
+        assert ctx.call(rt._own_context) is ctx
+        assert rt._ctx is None
 
     def test_calls_nest(self, rt):
         c1 = TaskContext(rt, 0, 0.0, 1)
         c2 = TaskContext(rt, 1, 0.0, 2)
 
         def outer():
-            assert c2.call(current_context) is c2
-            return current_context()
+            assert c2.call(rt._own_context) is c2
+            return rt._own_context()
 
         assert c1.call(outer) is c1
 
@@ -94,31 +94,16 @@ class TestTaskContext:
         def outer():
             with pytest.raises(ValueError):
                 c2.call(boom)
-            return current_context()
+            return rt._own_context()
 
         assert c1.call(outer) is c1
         with pytest.raises(ValueError):
             c1.call(boom)
-        assert maybe_context() is None
+        assert rt._ctx is None
 
-    def test_current_context_raises_outside(self):
+    def test_own_context_raises_outside(self, rt):
         with pytest.raises(NoTaskContextError):
-            current_context()
-
-    def test_context_is_thread_local(self, rt):
-        ctx = TaskContext(rt, 0, 0.0, 1)
-        other_thread_sees = []
-
-        def probe():
-            other_thread_sees.append(maybe_context())
-
-        def main():
-            t = threading.Thread(target=probe)
-            t.start()
-            t.join()
-
-        ctx.call(main)
-        assert other_thread_sees == [None]
+            rt._own_context()
 
     def test_spawned_task_is_the_queued_object(self, rt):
         """The body's current context is the very object ``spawn`` queued:
@@ -127,7 +112,7 @@ class TestTaskContext:
         seen = []
 
         def body(tag):
-            seen.append((tag, current_context()))
+            seen.append((tag, rt._own_context()))
 
         group.spawn(body, ("a",), locale_id=2, start_time=1.5)
         (queued,) = rt._run_queue
@@ -152,7 +137,7 @@ class TestTaskGroup:
         tasks = []
 
         def work(dt):
-            ctx = current_context()
+            ctx = rt._own_context()
             ctx.now += dt
             tasks.append(ctx)
 
@@ -189,7 +174,7 @@ class TestTaskGroup:
 
         def work():
             with lock:
-                draws.append(current_context().rng.random())
+                draws.append(rt._own_context().rng.random())
 
         group = TaskGroup(rt)
         for _ in range(4):
@@ -205,7 +190,7 @@ class TestLazyTaskRng:
         got = []
 
         def work():
-            ctx = current_context()
+            ctx = rt._own_context()
             got.append((ctx.task_id, [ctx.rng.random() for _ in range(3)]))
 
         group = TaskGroup(rt)
@@ -216,7 +201,7 @@ class TestLazyTaskRng:
         assert draws == [ref.random() for _ in range(3)]
 
     def test_root_context_draws_from_config_seed(self, rt):
-        draws = rt.run(lambda: [current_context().rng.random() for _ in range(3)])
+        draws = rt.run(lambda: [rt._own_context().rng.random() for _ in range(3)])
         ref = random.Random(rt.config.seed)
         assert draws == [ref.random() for _ in range(3)]
 
@@ -226,7 +211,7 @@ class TestLazyTaskRng:
 
         def body(lid):
             with lock:
-                seen.append(current_context())
+                seen.append(rt._own_context())
 
         rt.run(lambda: rt.coforall_locales(body))
         assert len(seen) == rt.num_locales

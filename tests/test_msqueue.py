@@ -144,11 +144,10 @@ class TestConcurrent:
 
         def main():
             q = LockFreeQueue(rt)
-            from repro.runtime.context import current_context
 
             def body(i, tok):
                 tok.pin()
-                q.enqueue((current_context().task_id, i), tok)
+                q.enqueue((rt._own_context().task_id, i), tok)
                 tok.unpin()
 
             rt.forall(range(400), body, task_init=em.register)

@@ -152,9 +152,7 @@ class TestDataRouting:
 
         def cost(nbytes):
             def main():
-                from repro.runtime.context import current_context
-
-                ctx = current_context()
+                ctx = rt._own_context()
                 with rt.timed() as t:
                     rt.network.bulk(ctx, 1, nbytes)
                 return t.elapsed

@@ -334,7 +334,6 @@ class TestEpochFacts:
     def test_threshold_policy_reads_crossings_and_ages(self):
         """End to end: uplink crossings and limbo ages reach the facts a
         stock threshold policy decides on — same decisions, richer view."""
-        from repro.runtime.context import current_context
 
         cfg = RuntimeConfig(
             num_locales=8,
@@ -353,7 +352,7 @@ class TestEpochFacts:
                 for _round in range(2):
                     tok.pin()
                     if t_pin is None:
-                        t_pin = current_context().now
+                        t_pin = rt._own_context().now
                     for lid in range(rt.num_locales):
                         tok.defer_delete(rt.new_obj(lid, locale=lid))
                     tok.unpin()

@@ -3,9 +3,7 @@
 A runtime and everything it owns are used by one thread (docs/ENGINE.md,
 "One thread per runtime"), so the simulated state takes no host lock.
 Only process-wide state that separate runtimes on separate threads may
-share keeps ``threading``: the thread's current task context, which
-answers only the helpers that take no runtime, and the compiled engine's
-column cache.
+share keeps ``threading``: the compiled engine's column cache.
 
 The same rule makes "which task is running" runtime state: a runtime's
 ``_ctx`` slot names its running task, and every charge and check reads
@@ -33,22 +31,9 @@ from repro.errors import NoTaskContextError
 from repro.reclaim import RECLAIMER_SCHEMES, make_reclaimer
 from repro.runtime import Runtime
 from repro.runtime.clock import ServicePoint
-from repro.runtime.context import current_context
 from repro.structures import RCUArray
 
 _SRC = pathlib.Path(repro.__file__).parent
-
-
-def _reads_tls(path: pathlib.Path) -> bool:
-    """True if the module imports ``_tls`` or reads ``<module>._tls``."""
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.ImportFrom) and any(
-            alias.name == "_tls" for alias in node.names
-        ):
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == "_tls":
-            return True
-    return False
 
 
 def _imports_threading(path: pathlib.Path) -> bool:
@@ -63,23 +48,22 @@ def _imports_threading(path: pathlib.Path) -> bool:
 
 
 class TestOneThreadPerRuntime:
-    def test_only_the_context_and_the_column_cache_import_threading(self):
+    def test_only_the_column_cache_imports_threading(self):
         found = sorted(
             p.relative_to(_SRC).as_posix()
             for p in _SRC.rglob("*.py")
             if _imports_threading(p)
         )
-        assert found == ["engine/cache.py", "runtime/context.py"]
+        assert found == ["engine/cache.py"]
 
-    def test_only_the_context_module_reads_the_thread_local(self):
-        found = sorted(
-            p.relative_to(_SRC).as_posix()
-            for p in _SRC.rglob("*.py")
-            if _reads_tls(p)
-        )
-        assert found == []
-        assert not hasattr(context_module, "context_of")
-        assert "context_of" not in context_module.__all__
+    def test_the_running_task_has_no_thread_local(self):
+        """The runtime's ``_ctx`` slot is the only record of the running
+        task: the context module keeps no thread-local and no helper that
+        reads one."""
+        for name in ("_tls", "current_context", "maybe_context", "context_of"):
+            assert not hasattr(context_module, name)
+            assert not hasattr(repro.runtime, name)
+        assert context_module.__all__ == ["TaskContext"]
 
     def test_no_lock_domain_and_one_serve_body(self):
         assert CellPlan._fields == ("dist", "narrow", "wide")
@@ -107,7 +91,7 @@ def _charges_nothing(a, b, locale, body):
     clock nor either runtime's comm totals may move."""
 
     def main():
-        task = current_context()
+        task = a._own_context()
         before = task.now
         body()
         return task.now - before
@@ -165,7 +149,7 @@ class TestForeignTaskContext:
             with pytest.raises(NoTaskContextError, match="this runtime"):
                 with b.on(1):
                     pass
-            return current_context().locale_id
+            return a._own_context().locale_id
 
         assert a.run(main, locale=locale) == locale
         assert _zero(b.comm_totals())
@@ -231,7 +215,7 @@ def test_own_tasks_still_charge():
         b.deref(addr)
         obj.write(addr)
         obj.read()
-        return current_context().now
+        return b._own_context().now
 
     assert b.run(main, locale=1) > 0.0
     totals = b.comm_totals()
@@ -254,7 +238,7 @@ def _fails_like_no_task(a, b, locale, op):
     b.reset_measurements()
 
     def main():
-        task = current_context()
+        task = a._own_context()
         before = task.now
         with pytest.raises(Exception) as exc:
             op()
@@ -309,7 +293,7 @@ class TestRuntimeTaskSlot:
     def test_empty_after_run_returns_and_after_it_raises(self):
         rt = Runtime(num_locales=2)
         assert rt._ctx is None
-        assert rt.run(lambda: rt._ctx is current_context())
+        assert rt.run(lambda: rt._ctx is rt._own_context())
         assert rt._ctx is None
 
         def boom():
@@ -325,7 +309,7 @@ class TestRuntimeTaskSlot:
 
         def check(where, lid):
             ctx = rt._ctx
-            assert ctx is current_context()
+            assert ctx is rt._own_context()
             assert ctx.locale_id == lid
             seen.append(where)
 
@@ -357,7 +341,7 @@ class TestRuntimeTaskSlot:
             with pytest.raises(ValueError):
                 rt.forall(range(4), bad)
             assert rt._ctx is root
-            assert current_context() is root
+            assert rt._own_context() is root
 
         rt.run(main)
         assert rt._ctx is None

@@ -348,7 +348,6 @@ class TestPolicyGate:
     def test_deferral_is_free_and_ticks_the_window_once(self, scheme):
         from repro.reclaim import make_reclaimer
         from repro.runtime import Runtime
-        from repro.runtime.context import current_context
 
         rt = Runtime(
             config=RuntimeConfig(
@@ -362,9 +361,9 @@ class TestPolicyGate:
 
         def main():
             rec = make_reclaimer(rt, scheme)
-            before = current_context().now
+            before = rt._own_context().now
             assert not rec.try_reclaim()  # nothing pending: deferred
-            assert current_context().now == before
+            assert rt._own_context().now == before
             assert len(ticks) == 1
             stats = rec.stats()
             assert stats["policy_deferrals"] == 1

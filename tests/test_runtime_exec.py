@@ -12,13 +12,13 @@ from repro.errors import (
     RuntimeStateError,
 )
 from repro.memory import GlobalAddress
-from repro.runtime import current_context, maybe_context, snapshot
+from repro.runtime import Runtime, snapshot
 
 
 class TestRun:
     def test_run_installs_context(self, rt):
         def main():
-            ctx = current_context()
+            ctx = rt._own_context()
             assert ctx.locale_id == 0
             assert ctx.now == 0.0
             return "done"
@@ -35,9 +35,21 @@ class TestRun:
         with pytest.raises(RuntimeStateError):
             rt.run(main)
 
+    def test_another_runtimes_run_may_nest_in_a_task(self, rt):
+        """The nesting check reads this runtime's own slot: a task of
+        another runtime may run a whole job on this one."""
+        other = Runtime(num_locales=2)
+
+        def main():
+            inner = rt.run(lambda: rt._own_context().task_id)
+            return inner, other._own_context().task_id
+
+        assert other.run(main) == (1, 1)
+        assert rt._ctx is None and other._ctx is None
+
     def test_context_cleared_after_run(self, rt):
         rt.run(lambda: None)
-        assert maybe_context() is None
+        assert rt._ctx is None
 
     def test_operations_outside_tasks_raise_where_required(self, rt):
         with pytest.raises(NoTaskContextError):
@@ -176,9 +188,9 @@ class TestForall:
 
     def test_forall_advances_parent_clock(self, rt):
         def main():
-            before = current_context().now
+            before = rt._own_context().now
             rt.forall(range(8), lambda i: rt.atomic_int(0, locale=rt.here()).read())
-            return current_context().now - before
+            return rt._own_context().now - before
 
         assert rt.run(main) > 0.0
 
@@ -203,7 +215,7 @@ class TestForall:
         tasks = set()
 
         def body(i):
-            tasks.add(current_context().task_id)
+            tasks.add(rt._own_context().task_id)
 
         rt.run(lambda: rt.forall(range(64), body, tasks_per_locale=None))
         assert len(tasks) == rt.num_locales * rt.config.tasks_per_locale
@@ -238,10 +250,10 @@ class TestCoforallLocales:
         hits = []
 
         def main():
-            before = current_context().now
+            before = rt._own_context().now
             with pytest.raises(LocaleError):
                 rt.coforall_locales(hits.append, locales=[1, bad])
-            return current_context().now - before
+            return rt._own_context().now - before
 
         assert rt.run(main) == 0.0
         assert hits == []
@@ -256,9 +268,9 @@ class TestCoforallLocales:
                 for _ in range(n):
                     c.read()
 
-            before = current_context().now
+            before = rt._own_context().now
             rt.coforall_locales(body)
-            return current_context().now - before
+            return rt._own_context().now - before
 
         elapsed = rt.run(main)
         # Must cover at least locale 3's 100 NIC-local atomics.
@@ -326,7 +338,7 @@ class TestGlobalMemoryLocaleValidation:
         def main():
             with pytest.raises(LocaleError, match="out of range"):
                 call(rt, locale_id)
-            return current_context().now
+            return rt._own_context().now
 
         assert rt.run(main) == 0.0
         assert sum(rt.comm_totals().values()) == 0

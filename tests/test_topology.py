@@ -31,7 +31,6 @@ from repro.comm.topology import (
     topology_names,
 )
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.context import current_context
 from repro.runtime.runtime import Runtime
 
 
@@ -352,7 +351,7 @@ def _atomic_cost_from(rt: Runtime, src: int, home: int) -> float:
     def main():
         cell = rt.atomic_int(0, locale=home)
         with rt.on(src):
-            task = current_context()
+            task = rt._own_context()
             before = task.now
             cell.add(1)
             cost["v"] = task.now - before
@@ -405,7 +404,7 @@ class TestTopologyPricing:
             def main():
                 obj = rt.new_obj("payload", locale=1)
                 rt.network.diags.reset()
-                task = current_context()
+                task = rt._own_context()
                 before = task.now
                 rt.deref(obj)  # locale 0 reading locale 1: same socket
                 same_socket = task.now - before
@@ -427,7 +426,7 @@ class TestTopologyPricing:
         rt = Runtime(config=RuntimeConfig(num_locales=8, topology="hier:2x2"))
         try:
             def main():
-                task = current_context()
+                task = rt._own_context()
                 before = task.now
                 with rt.on(1):
                     pass
