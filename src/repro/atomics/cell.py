@@ -88,14 +88,14 @@ class ChargedWord:
         #: Hot-path bundle: one attribute load + UNPACK_SEQUENCE hands
         #: ``_enter`` everything it needs (runtime for its running task,
         #: the distance row, narrow steps, the diagnostics and their
-        #: matrix, and the line's prebound serve).
+        #: matrix, and the line).
         self._hot = (
             runtime,
             self._plan.dist,
             self._plan.narrow,
             diags,
             diags._rows,
-            line.serve_locked,
+            line,
         )
 
     def _enter(self, wide: bool) -> None:
@@ -106,14 +106,17 @@ class ChargedWord:
         route (latency class, service points, diagnostic index) was
         precompiled into the shared plan; only the caller's locality is
         decided here.  Every op of every cell charges through this one
-        body.
+        body.  The line's serve is :meth:`ServicePoint.serve_locked
+        <repro.runtime.clock.ServicePoint.serve_locked>`'s recurrence
+        inline, float op for float op; a traced line calls
+        ``serve_locked`` itself, so the trace hook stays in one place.
         """
-        rt, dist, narrow, diags, rows, line_serve = self._hot
+        rt, dist, narrow, diags, rows, line = self._hot
         ctx = rt._ctx
         if ctx is None:
             return
         locale = ctx.locale_id
-        diag_index, latency, outer, point_service, line_service = (
+        diag_index, latency, outer, point_service, service = (
             self._plan[2] if wide else narrow  # _plan[2] is plan.wide
         )[dist[locale]]
         if diags._enabled:
@@ -121,7 +124,28 @@ class ChargedWord:
         t = ctx.now + latency
         if outer is not None:
             t = outer(t, point_service)
-        ctx.now = line_serve(t, line_service)
+        if line._tracer is not None:
+            ctx.now = line.serve_locked(t, service)
+            return
+        # Inlined serve_locked — keep in sync with ServicePoint.serve_locked.
+        line.busy_time += service
+        line.served += 1
+        next_free = line.next_free
+        if t >= next_free:
+            line.idle_bank += t - next_free
+            line.next_free = ctx.now = t + service
+            return
+        bank = line.idle_bank
+        if bank >= service:
+            line.idle_bank = bank - service
+            ctx.now = t + service
+            return
+        line.idle_bank = 0.0
+        finish = next_free + (service - bank)
+        floor = t + service
+        if finish < floor:
+            finish = floor
+        line.next_free = ctx.now = finish
 
     def reset_measurements(self) -> None:
         """Zero the cell's contention bookkeeping (between bench trials)."""

@@ -38,7 +38,6 @@ from ..engine import (
     mix_column,
     mix_column_fn,
     note_phase,
-    run_alloc_phase,
     run_ebr_epoch_phase,
     run_epoch_workload_phase,
     run_guard_epoch_phase,
@@ -343,17 +342,16 @@ def run_atomic_mix(
 
 
 def _place_objects(
-    rt: Runtime, items: Sequence[int], remote_percent: int, tier: str
+    rt: Runtime, items: Sequence[int], remote_percent: int
 ) -> List[GlobalAddress]:
     """Allocate one object per item on the root task, before the timed region.
 
     Item ``i`` is iterated by the task on locale ``i % nloc``; with
     probability ``remote_percent`` its object lives on another locale
     instead (guaranteed remote), drawn from one seeded placement stream.
-    Compiled tiers replay the same placements and charges in one batch
-    (:func:`~repro.engine.run_alloc_phase`): the loop runs on the root
-    clock before the timed window, so skipping the charges would shift
-    the window's float base and perturb ``elapsed`` by an ulp.
+    The allocations are one :meth:`Runtime.new_objs` call on every engine:
+    the charges land on the root clock before the timed window, so they
+    fix the window's float base and hence ``elapsed`` to the ulp.
     """
     nloc = rt.num_locales
     # Same bit stream as randrange, minus the wrapper (opstream).
@@ -365,9 +363,7 @@ def _place_objects(
             targets.append((owner + 1 + randbelow(nloc - 1)) % nloc)
         else:
             targets.append(owner)
-    if tier != "interpreted":
-        return run_alloc_phase(rt, targets)
-    return [rt.new_obj(object(), locale=tg) for tg in targets]
+    return rt.new_objs(targets)
 
 
 class _TaskState:
@@ -444,7 +440,7 @@ def run_epoch_workload(
         # Pre-allocate the objects *outside* the timed region (the paper
         # randomizes placement before the loop).
         if delete:
-            objs = _place_objects(rt, range(num_objects), remote_percent, tier)
+            objs = _place_objects(rt, range(num_objects), remote_percent)
         else:
             objs = [NIL] * num_objects  # placeholders; body ignores them
 
@@ -669,7 +665,7 @@ def run_epoch_mixed(
         alloc_idx = [i for i in range(num_items) if is_write[i]]
         objs: List[GlobalAddress] = [NIL] * num_items
         for i, addr in zip(
-            alloc_idx, _place_objects(rt, alloc_idx, remote_percent, tier)
+            alloc_idx, _place_objects(rt, alloc_idx, remote_percent)
         ):
             objs[i] = addr
 

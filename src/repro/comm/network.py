@@ -59,7 +59,7 @@ wrapper over the same tables.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..errors import LocaleError
 from ..runtime.clock import ServicePoint
@@ -736,6 +736,40 @@ class NetworkModel:
         memory: no message, just the allocator cost.
         """
         self._rpc_then_local(ctx, home, True, self.costs.alloc_latency, "alloc")
+
+    def alloc_many(self, ctx: "TaskContext", homes: Sequence[int]) -> None:
+        """Charge :meth:`alloc` once per entry of ``homes``, in order.
+
+        The same serves, float op for float op, and the same ``am``
+        count; each home's route is resolved once and the diagnostics are
+        counted in one add.  Under a full tracer it is the :meth:`alloc`
+        loop itself, so the per-object ``am``/``alloc`` events are those
+        of the loop.
+        """
+        if self._tracer is not None:
+            for home in homes:
+                self.alloc(ctx, home)
+            return
+        lid = ctx.locale_id
+        # Per home: None for a coherent home (allocator cost only), else
+        # the AM round trip's (point, control-plane costs).
+        ctrl = {
+            home: self._ctrl_routes(home)[self.distance_row(home)[lid]]
+            for home in set(homes)
+        }
+        alloc_latency = self.costs.alloc_latency
+        now = ctx.now
+        n_am = 0
+        for home in homes:
+            route = ctrl[home]
+            if route is not None:
+                point, cc = route
+                now = point.serve_locked(now + 2.0 * cc.am_latency, cc.am_service)
+                n_am += 1
+            now += alloc_latency
+        ctx.now = now
+        if n_am and self.diags._enabled:
+            self.diags._rows[lid][_AM] += n_am
 
     def free(self, ctx: "TaskContext", home: int) -> None:
         """Charge freeing one object on ``home`` (non-coherent => RPC)."""

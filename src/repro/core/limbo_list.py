@@ -29,7 +29,7 @@ way: one atomic per link operation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..atomics.ref import AtomicRef
 
@@ -148,30 +148,27 @@ class LimboList:
         """
         return self._head.exchange(None)
 
-    def drain(self) -> Iterator[Any]:
-        """Pop everything and yield the values, recycling nodes.
+    def drain(self) -> List[Any]:
+        """Pop everything and return the values, newest first, recycling
+        the nodes in chain order.
 
         Without a pool, drained nodes are simply dropped (GC reclaims
         them) — no charged pool pushes.
         """
         node = self.pop_all()
+        vals: List[Any] = []
         pool = self._pool
         if pool is None:
             while node is not None:
-                nxt = node.next
-                yield node.val
-                node = nxt
-            return
+                vals.append(node.val)
+                node = node.next
+            return vals
         while node is not None:
             nxt = node.next
-            val = node.val
+            vals.append(node.val)
             pool.put(node)
-            yield val
             node = nxt
-
-    def collect(self) -> List[Any]:
-        """Pop everything into a list (convenience over :meth:`drain`)."""
-        return list(self.drain())
+        return vals
 
     def is_empty_snapshot(self) -> bool:
         """Cost-free emptiness check (tests only; racy by nature)."""

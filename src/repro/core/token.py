@@ -123,14 +123,14 @@ class Token:
     # ------------------------------------------------------------------
     def _check_usable(self) -> "TaskContext":
         """Return the running task of the token's runtime, on a locale
-        that may use the token."""
+        that may use the token, or raise the precise error.
+
+        ``pin``, ``unpin`` and ``defer_delete`` test the usable case inline
+        and call this only when that test fails.
+        """
         if not self._registered:
             raise TokenStateError("token has been unregistered")
-        # Inline slot read (pin/unpin hot path); _own_context supplies the
-        # precise no-context error on the cold branch.
-        ctx = self._rt._ctx
-        if ctx is None:
-            ctx = self._rt._own_context()
+        ctx = self._rt._own_context()
         # home_locales is {locale_id} for per-locale instances; under the
         # socket-shared mode (docs/AGGREGATION.md) it is the instance's
         # whole coherence domain — any socket sibling may use the token
@@ -167,7 +167,9 @@ class Token:
         A long-pinned token is what *blocks* epoch advancement, so
         pin/unpin should bracket operations tightly.
         """
-        ctx = self._check_usable()
+        ctx = self._rt._ctx
+        if ctx is None or not self._registered or ctx.locale_id not in self._home_locales:
+            ctx = self._check_usable()
         if self._track_pins:
             # Virtual-time fact for the grace epoch policy: the owning
             # task is the only writer; the root max-folds across tokens
@@ -188,7 +190,9 @@ class Token:
 
     def unpin(self) -> None:
         """Leave the epoch (become quiescent)."""
-        self._check_usable()
+        ctx = self._rt._ctx
+        if ctx is None or not self._registered or ctx.locale_id not in self._home_locales:
+            self._check_usable()
         self.local_epoch.write(0)
 
     def defer_delete(self, addr: GlobalAddress) -> None:
@@ -209,7 +213,9 @@ class Token:
         with the stale-epoch rule; filing under the locale epoch restores
         the two-full-advances quiescence guarantee.
         """
-        ctx = self._check_usable()
+        ctx = self._rt._ctx
+        if ctx is None or not self._registered or ctx.locale_id not in self._home_locales:
+            ctx = self._check_usable()
         if self.local_epoch.read() == 0:
             raise TokenStateError("defer_delete requires a pinned token")
         epoch = self._inst_epoch.read()

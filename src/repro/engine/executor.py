@@ -59,60 +59,13 @@ __all__ = [
 
 
 def run_alloc_phase(rt, targets: Sequence[int]) -> List[Any]:
-    """Replay a root-task allocation loop: one ``rt.new_obj(object(),
-    locale=home)`` per entry of ``targets``, in order.
+    """``rt.new_objs(targets)``; nothing in the package calls it.
 
-    The heap allocations happen for real (the objects must exist for the
-    retire/free paths that follow), one :meth:`~repro.memory.heap.Heap.alloc_many`
-    batch per home after the charges, but the per-object network charge —
-    an AM round trip to a non-coherent home plus the allocator latency
-    (:meth:`repro.comm.network.NetworkModel.alloc`) — is served directly on
-    the control-plane points.  The epoch
-    workloads pre-place thousands of objects on the root clock before
-    their timed region; replaying that loop keeps the timed window's
-    float base (and hence ``elapsed``) bit-identical while skipping the
-    per-call context/tracer/dispatch overhead.
-
-    Only valid when no full-detail tracer is installed (full tracing
-    falls back to the interpreter before any executor runs), since the
-    interpreted path would emit per-op ``alloc``/``am`` events.
+    Placement is one runtime call on every engine.  The repository
+    benchmark's host tracer still wraps this name, so it stays as a
+    delegate until the benchmark drops it.
     """
-    ctx = rt._own_context("run_alloc_phase")
-    net = rt.network
-    lid = ctx.locale_id
-    alloc_latency = rt.config.costs.alloc_latency
-    # Per-home recipe: None for coherent homes (allocator cost only),
-    # else the AM round-trip's (latency, point, service).
-    plans: List[Optional[tuple]] = []
-    heaps = []
-    for home in range(rt.num_locales):
-        heaps.append(rt.locale(home).heap)
-        dclass = net.distance_row(home)[lid]
-        ctrl = net._ctrl_routes(home)[dclass]
-        if ctrl is None:
-            plans.append(None)
-        else:
-            point, cc = ctrl
-            plans.append((2.0 * cc.am_latency, point, cc.am_service))
-
-    now = ctx.now
-    n_am = 0
-    for home in targets:
-        plan = plans[home]
-        if plan is not None:
-            latency, point, service = plan
-            n_am += 1
-            now = point.serve_locked(now + latency, service)
-        now += alloc_latency
-    ctx.now = now
-    diags = net.diags
-    if n_am and diags._enabled:
-        diags._rows[lid][diags.op_index("am")] += n_am
-    # One batch per home, scattered back in target order.
-    batches = {
-        home: iter(heaps[home].alloc_many(n)) for home, n in Counter(targets).items()
-    }
-    return [next(batches[home]) for home in targets]
+    return rt.new_objs(targets)
 
 
 # ---------------------------------------------------------------------------

@@ -88,17 +88,19 @@ class ServicePoint:
         self.served = 0
         #: Full-detail trace recorder, or None (the overwhelmingly common
         #: case).  Installed by the runtime at trace detail ``full``; the
-        #: off cost is the single ``is None`` check in ``serve_locked``.
+        #: off cost is one ``is None`` check per serve.
         self._tracer = None
 
     def serve_locked(self, arrival: float, service: float) -> float:
         """Admit a request arriving at ``arrival`` needing ``service`` seconds.
 
         Returns the virtual completion time.  This is the one place every
-        serve passes through — cells, the network model and the compiled
-        engine's replay call it, and the replay's hottest sites inline
-        the same recurrence on the point's own slots — so the trace hook
-        lands exactly once.  (The name predates the removal of the
+        traced serve passes through — the network model and the compiled
+        engine's replay call it, and the cells' line charge
+        (``ChargedWord._enter``) and the replay's hottest sites inline the
+        same recurrence on the point's own slots only while the point has
+        no tracer — so the trace hook lands exactly once.  (The name
+        predates the removal of the
         point's lock; ``benchmarks/e2e/hosttrace.py`` times it by this
         name.)
         """

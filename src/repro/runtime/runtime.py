@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+from collections import Counter
 from typing import (
     Any,
     Callable,
@@ -352,6 +353,33 @@ class Runtime:
         if ctx is not None:
             self.network.alloc(ctx, locale)
         return heap.alloc(payload)
+
+    def new_objs(self, locales: Sequence[int]) -> List[GlobalAddress]:
+        """Allocate one fresh ``object()`` on each entry of ``locales``, in
+        order; return the addresses.
+
+        Exactly ``[self.new_obj(object(), locale=l) for l in locales]``:
+        the same addresses (recycled ones LIFO first), the same charges
+        and, under a full tracer, the same events.  Every locale is
+        validated before anything is charged or allocated; the charges
+        run as one :meth:`NetworkModel.alloc_many
+        <repro.comm.network.NetworkModel.alloc_many>` loop and each home's
+        objects come from one :meth:`Heap.alloc_many
+        <repro.memory.heap.Heap.alloc_many>` batch.
+        """
+        nloc = self.num_locales
+        for home in locales:
+            if type(home) is not int or not 0 <= home < nloc:
+                self.locale(home)  # raises LocaleError unless a valid int subclass
+        ctx = self._ctx
+        if ctx is not None:
+            self.network.alloc_many(ctx, locales)
+        locs = self.locales
+        batches = {
+            home: iter(locs[home].heap.alloc_many(n))
+            for home, n in Counter(locales).items()
+        }
+        return [next(batches[home]) for home in locales]
 
     def deref(self, addr: GlobalAddress) -> Any:
         """Load the object a wide pointer names (a GET when remote).

@@ -52,18 +52,38 @@ class _BucketSnapshot:
 _HASH_MASK = (1 << 63) - 1
 
 
+def _has_text(key: Any) -> bool:
+    """True when ``key`` is a ``str`` or ``bytes``, or a tuple or
+    frozenset with one nested anywhere inside."""
+    if isinstance(key, (str, bytes)):
+        return True
+    return isinstance(key, (tuple, frozenset)) and any(map(_has_text, key))
+
+
 def _stable_hash(key: Any) -> int:
     """A hash of ``key`` that is the same in every process.
 
     Python salts ``hash`` of ``str`` and ``bytes`` per process, so those
-    keys hash their bytes with BLAKE2b (UTF-8 for ``str``); every other
-    key keeps ``hash(key)``, which is not salted, masked to 63 bits.
+    keys hash their bytes with BLAKE2b (UTF-8 for ``str``).  A tuple or
+    frozenset with such a key inside hashes, the same way, the 8-byte
+    stable hashes of its items (sorted for a frozenset, whose iteration
+    order follows the salted hashes).  Every other key keeps
+    ``hash(key)``, which is not salted, masked to 63 bits.
     """
     if isinstance(key, str):
-        key = key.encode("utf-8", "surrogatepass")
-    elif not isinstance(key, bytes):
+        data = key.encode("utf-8", "surrogatepass")
+    elif isinstance(key, bytes):
+        data = key
+    elif isinstance(key, (tuple, frozenset)) and _has_text(key):
+        items = [_stable_hash(item).to_bytes(8, "little") for item in key]
+        if isinstance(key, frozenset):
+            items.sort()
+            data = b"f" + b"".join(items)
+        else:
+            data = b"t" + b"".join(items)
+    else:
         return hash(key) & _HASH_MASK
-    return int.from_bytes(blake2b(key, digest_size=8).digest(), "little") & _HASH_MASK
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "little") & _HASH_MASK
 
 
 class InterlockedHashTable:

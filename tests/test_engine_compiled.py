@@ -31,7 +31,7 @@ from repro.core import EpochManager
 from repro.engine import COLUMN_CACHE, compiled_plan, engine_summary, run_alloc_phase
 from repro.engine.executor import _cpu_plan, _instance_target
 from repro.engine.opstream import fast_randbelow, mix_column, zipf_column
-from repro.errors import CompiledFallbackError, RuntimeStateError
+from repro.errors import CompiledFallbackError, LocaleError, RuntimeStateError
 from repro.runtime.config import RECLAIMER_SCHEMES, RuntimeConfig
 from repro.runtime.runtime import Runtime
 
@@ -468,39 +468,105 @@ class TestPointStateInPlace:
 
 
 class TestAllocPhase:
-    """``run_alloc_phase`` equals the interpreted ``new_obj`` loop it
-    replays: addresses, root clock, AM count and every heap's stats."""
+    """``Runtime.new_objs`` (and the ``run_alloc_phase`` delegate) equals
+    the ``new_obj`` loop it batches: addresses, root clock, comm totals,
+    service-point state, every heap's stats and, traced, every event."""
+
+    MACHINES = [
+        pytest.param(dict(topology=topology, network=network), id=f"{topology}-{network}")
+        for topology in ("flat", "hier:2x2", "dragonfly:4")
+        for network in ("ugni", "none")
+    ]
 
     @staticmethod
-    def _run(phase):
-        rt = Runtime(config=RuntimeConfig(num_locales=8, topology="hier:2x2"))
+    def _loop(rt, targets):
+        return [rt.new_obj(object(), locale=t) for t in targets]
+
+    @staticmethod
+    def _targets(remote_percent, n=200):
+        """Items owned cyclically; ``remote_percent`` of them elsewhere."""
+        rng = random.Random(24 + remote_percent)
+        return [
+            (i + rng.randrange(1, 8)) % 8 if rng.randrange(100) < remote_percent else i % 8
+            for i in range(n)
+        ]
+
+    @staticmethod
+    def _run(place, targets, trace="off", **machine):
+        config = RuntimeConfig.from_topology(locales=8, trace=trace, **machine)
+        rt = Runtime(config=config)
         try:
             for loc in rt.locales:  # a free list to reuse from, LIFO
                 addrs = [loc.heap.alloc(i) for i in range(6)]
                 for a in addrs[1::2]:
                     loc.heap.free(a.offset)
-            rng = random.Random(24)
-            targets = [
-                rng.randrange(1, 8) if rng.random() < 0.5 else 0 for _ in range(200)
-            ]
+            net = rt.network
 
             def main():
-                return phase(rt, targets), rt._own_context().now
+                rt._own_context().now = 1e-7  # a nonzero float base
+                return place(rt, targets), rt._own_context().now
 
             addrs, now = rt.run(main)
-            stats = [loc.heap.snapshot_stats() for loc in rt.locales]
-            return addrs, now, rt.comm_totals()["am"], stats
+            points = [
+                (p.next_free, p.idle_bank, p.busy_time, p.served)
+                for p in (*net.nic, *net.progress, *net.uplinks.values())
+            ]
+            return (
+                addrs,
+                now,
+                sorted(rt.comm_totals().items()),
+                points,
+                [loc.heap.snapshot_stats() for loc in rt.locales],
+                rt._tracer.events() if rt._tracer is not None else None,
+            )
         finally:
             rt.close()
 
-    def test_matches_interpreted_new_obj_loop(self):
-        def interpreted(rt, targets):
-            return [rt.new_obj(object(), locale=t) for t in targets]
+    @pytest.mark.parametrize("machine", MACHINES)
+    @pytest.mark.parametrize("remote_percent", [0, 50, 100])
+    def test_matches_interpreted_new_obj_loop(self, machine, remote_percent):
+        targets = self._targets(remote_percent)
+        batched = self._run(Runtime.new_objs, targets, **machine)
+        assert batched == self._run(self._loop, targets, **machine)
+        assert self._run(run_alloc_phase, targets, **machine) == batched
+        assert any(s.reuses for s in batched[4])
+        if remote_percent and machine["topology"] == "flat":
+            assert dict(batched[2])["am"] > 0  # non-coherent homes paid AMs
 
-        replayed = self._run(run_alloc_phase)
-        assert replayed == self._run(interpreted)
-        assert replayed[2] > 0  # the non-coherent homes paid AMs
-        assert any(s.reuses for s in replayed[3])
+    @pytest.mark.parametrize("machine", MACHINES[::2])
+    def test_full_trace_events_match_new_obj_loop(self, machine):
+        targets = self._targets(50, n=40)
+        batched = self._run(Runtime.new_objs, targets, trace="full", **machine)
+        assert batched[5]  # the tracer recorded the allocations
+        assert batched == self._run(self._loop, targets, trace="full", **machine)
+
+    def test_outside_a_task_allocates_without_charges(self):
+        targets = self._targets(50, n=40)
+        results = []
+        for place in (Runtime.new_objs, self._loop):
+            rt = Runtime(num_locales=8)
+            addrs = place(rt, targets)  # no task of this runtime: no charge
+            results.append((addrs, sorted(rt.comm_totals().items())))
+            assert all(rt.is_live(a) for a in addrs)
+            rt.close()
+        assert results[0] == results[1]
+        assert not any(v for _, v in results[0][1])
+
+    @pytest.mark.parametrize("bad", [8, -1, 1.0, "1", True, None])
+    def test_bad_locale_raises_before_any_charge_or_allocation(self, bad):
+        rt = Runtime(num_locales=8)
+        try:
+            def main():
+                ctx = rt._own_context()
+                with pytest.raises(LocaleError):
+                    rt.new_objs([1, 2, bad, 3])
+                return ctx.now
+
+            assert rt.run(main) == 0.0
+            assert not any(rt.comm_totals().values())
+            assert all(loc.heap.snapshot_stats().allocations == 0 for loc in rt.locales)
+        finally:
+            rt.close()
 
 
 class TestEbrReplayCells:

@@ -307,6 +307,39 @@ print([table.owner_locale(w) for w in words + [w.encode() for w in words]])
 runpy.run_path({example!r}, run_name="__main__")
 """
 
+#: Prints the bucket owner of tuple and frozenset keys with ``str`` and
+#: ``bytes`` inside, whose builtin hashes are salted per process.
+_COMPOSITE_PROBE = """
+from repro import Runtime
+from repro.core import EpochManager
+from repro.structures import InterlockedHashTable
+
+rt = Runtime(num_locales=4)
+table = InterlockedHashTable(rt, buckets=64, reclaimer=EpochManager(rt))
+words = "pgas locale epoch atomic pointer rdma nic chapel limbo token".split()
+keys = [(w, 1) for w in words]
+keys += [(1, (w.encode(), 2.5)) for w in words]
+keys += [frozenset({w, w.upper(), 3}) for w in words]
+print([table.owner_locale(k) for k in keys])
+"""
+
+
+def _run_probe(script, seed):
+    """Run ``script`` in a fresh interpreter under ``PYTHONHASHSEED=seed``."""
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=180,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
 
 class TestStableHash:
     def test_int_keys_keep_the_builtin_hash(self):
@@ -324,20 +357,24 @@ class TestStableHash:
         script = _PLACEMENT_PROBE.format(
             example=str(_ROOT / "examples" / "distributed_word_count.py")
         )
-        outputs = []
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")])
-            )
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=180,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
+        outputs = [_run_probe(script, seed) for seed in ("1", "2")]
         assert "ms virtual" in outputs[0]
         assert outputs[0] == outputs[1]
+
+    def test_composite_keys_with_text_hash_canonically(self):
+        """Equal tuples and frozensets hash equal, a frozenset's hash does
+        not depend on its iteration order, and a composite without text
+        keeps the builtin hash."""
+        assert _stable_hash(("a", 1)) == _stable_hash(("a", 1.0))
+        assert _stable_hash(("a", 1)) != _stable_hash(("a", 2))
+        assert _stable_hash(("a", "b")) != _stable_hash(("b", "a"))
+        assert _stable_hash(frozenset("abc")) == _stable_hash(frozenset("cba"))
+        assert _stable_hash(("a",)) != _stable_hash(frozenset("a"))
+        assert 0 <= _stable_hash((1, (b"x", frozenset({"y"})))) < 1 << 63
+        for key in ((1, (2, 3)), frozenset({1, 2}), (), frozenset()):
+            assert _stable_hash(key) == hash(key) & ((1 << 63) - 1)
+
+    def test_composite_key_placement_does_not_depend_on_the_hash_seed(self):
+        outputs = [_run_probe(_COMPOSITE_PROBE, seed) for seed in ("1", "2", "3")]
+        assert outputs[0].startswith("[")
+        assert outputs[0] == outputs[1] == outputs[2]

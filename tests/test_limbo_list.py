@@ -83,7 +83,7 @@ class TestLimboListSequential:
     def test_push_then_collect(self, limbo):
         for i in range(10):
             limbo.push(A(i))
-        got = limbo.collect()
+        got = limbo.drain()
         # LIFO order: last pushed first.
         assert got == [A(i) for i in reversed(range(10))]
 
@@ -96,7 +96,7 @@ class TestLimboListSequential:
     def test_drain_recycles_nodes(self, limbo, pool):
         for i in range(8):
             limbo.push(A(i))
-        list(limbo.drain())
+        limbo.drain()
         # All 8 nodes back in the pool.
         assert pool.drain_count() == 8
         # The next 8 pushes allocate nothing new.
@@ -119,10 +119,10 @@ class TestLimboListSequential:
 
     def test_interleaved_push_collect_phases(self, limbo):
         limbo.push(A(0))
-        assert limbo.collect() == [A(0)]
+        assert limbo.drain() == [A(0)]
         limbo.push(A(1))
         limbo.push(A(2))
-        assert limbo.collect() == [A(2), A(1)]
+        assert limbo.drain() == [A(2), A(1)]
 
 
 class TestLimboListConcurrent:
@@ -137,7 +137,7 @@ class TestLimboListConcurrent:
                 limbo.push((wid, i))
 
         rt.run(lambda: rt.forall(range(T), worker, tasks_per_locale=T))
-        got = limbo.collect()
+        got = limbo.drain()
         assert len(got) == N * T
         assert set(got) == {(w, i) for w in range(T) for i in range(N)}
 
@@ -151,7 +151,7 @@ class TestLimboListConcurrent:
                 limbo.push((wid, i))
 
         rt.run(lambda: rt.forall(range(4), worker, tasks_per_locale=4))
-        got = limbo.collect()
+        got = limbo.drain()
         for wid in range(4):
             seq = [i for (w, i) in got if w == wid]
             assert seq == sorted(seq, reverse=True)

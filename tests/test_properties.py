@@ -8,7 +8,7 @@ limbo list is a permutation-preserving buffer.
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from repro.memory import (
     ADDRESS_MASK,
@@ -18,7 +18,8 @@ from repro.memory import (
     compress,
     decompress,
 )
-from repro.runtime import Runtime
+from repro.runtime import Runtime, RuntimeConfig
+from repro.runtime.clock import ServicePoint
 
 # Offsets are nonzero (0 is nil) and 48-bit bounded.
 offsets = st.integers(min_value=1, max_value=ADDRESS_MASK)
@@ -175,6 +176,109 @@ class TestAtomicArithmeticProperties:
         assert w.peek() == ((dlo, dhi) if ok else (lo, hi))
 
 
+def _serve_branch(point: ServicePoint, arrival: float, service: float) -> str:
+    """Which branch of ``ServicePoint.serve_locked`` a request takes."""
+    if arrival >= point.next_free:
+        return "idle"
+    return "banked" if point.idle_bank >= service else "saturated"
+
+
+def _point_state(point: ServicePoint) -> tuple:
+    return (point.next_free, point.idle_bank, point.busy_time, point.served)
+
+
+def _drive_inline_serve(requests):
+    """Send ``(arrival, service)`` requests through a cell's ``_enter``
+    and the same requests through ``serve_locked`` on a fresh point.
+
+    Each request swaps in a one-step plan with no latency and no home
+    point, so the cell's line sees exactly ``(arrival, service)`` with the
+    task clock at ``arrival``.  Returns both clock sequences, both
+    points' states and the branches the requests took.
+    """
+    rt = _rt()
+    cell = rt.atomic_uint()
+    ref = ServicePoint()
+    _, _, narrow, diags, rows, line = cell._hot
+    diag_index = narrow[cell._plan.dist[0]][0]
+    got, want, branches = [], [], []
+
+    def main():
+        ctx = rt._own_context()
+        for arrival, service in requests:
+            step = (diag_index, 0.0, None, 0.0, service)
+            cell._hot = (rt, (0,), (step,), diags, rows, line)
+            ctx.now = arrival
+            cell._enter(False)
+            got.append(ctx.now)
+            branches.append(_serve_branch(ref, arrival, service))
+            want.append(ref.serve_locked(arrival, service))
+
+    rt.run(main)
+    return got, want, _point_state(line), _point_state(ref), branches
+
+
+class TestInlineServeProperties:
+    """``ChargedWord._enter`` runs ``serve_locked``'s recurrence inline."""
+
+    _THREE_BRANCHES = [
+        (0.0, 1e-7), (5e-7, 1e-7), (2e-7, 1e-7), (2e-7, 5e-7), (3e-7, 1e-7)
+    ]
+
+    @settings(deadline=None)
+    @given(
+        requests=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1e-5),
+                st.floats(min_value=0.0, max_value=1e-6),
+            ),
+            max_size=60,
+        )
+    )
+    @example(requests=_THREE_BRANCHES)
+    def test_inline_serve_equals_serve_locked(self, requests):
+        got, want, line, ref, branches = _drive_inline_serve(requests)
+        for branch in set(branches):
+            event(branch)
+        assert got == want  # every task clock, bit for bit
+        assert line == ref  # next_free, idle_bank, busy_time, served
+
+    def test_the_example_reaches_every_branch(self):
+        *_, branches = _drive_inline_serve(self._THREE_BRANCHES)
+        assert set(branches) == {"idle", "banked", "saturated"}
+
+    def test_hot_cell_is_traced_and_untraced_alike(self):
+        """A contended cell charged from every locale: tracing ``full``
+        (the line calls ``serve_locked``) and ``off`` (inline) give the
+        same clocks, line, points and comm totals."""
+
+        def run(trace):
+            rt = Runtime(config=RuntimeConfig(num_locales=4, trace=trace))
+            hot = rt.atomic_uint()
+            clocks = []
+
+            def body(i):
+                hot.fetch_add(1)
+                clocks.append(rt._own_context().now)
+
+            def main():
+                with rt.timed() as t:
+                    rt.forall(range(200), body)
+                return t.elapsed
+
+            elapsed = rt.run(main)
+            net = rt.network
+            points = [_point_state(p) for p in (*net.nic, *net.progress)]
+            out = (elapsed, clocks, _point_state(hot.line), points,
+                   sorted(rt.comm_totals().items()))
+            rt.close()
+            return out
+
+        off = run("off")
+        assert off[2][3] == 200  # the line served every op
+        assert off == run("full")
+
+
 class TestLimboListProperties:
     @given(vals=st.lists(st.integers(), max_size=80))
     def test_collect_is_reversed_pushes(self, vals):
@@ -185,7 +289,7 @@ class TestLimboListProperties:
         lst = LimboList(rt, 0, pool)
         for v in vals:
             lst.push(v)
-        assert lst.collect() == list(reversed(vals))
+        assert lst.drain() == list(reversed(vals))
 
     @given(
         batches=st.lists(st.lists(st.integers(), max_size=20), max_size=8)
@@ -199,7 +303,7 @@ class TestLimboListProperties:
         for batch in batches:
             for v in batch:
                 lst.push(v)
-            assert lst.collect() == list(reversed(batch))
+            assert lst.drain() == list(reversed(batch))
         assert lst.pop_all() is None
 
 
