@@ -34,7 +34,19 @@ NIC pipeline and the cache line are service points in virtual time, and
 a runtime and everything it owns are used by one thread
 (docs/ENGINE.md, "One thread per runtime").  Tasks switch only between
 whole operations, never between ``_enter``'s charge and the caller's
-commit, so a charge-and-commit is indivisible.
+commit, so a charge-and-commit is indivisible.  The epoch manager's
+owner-only words (a token's slot, its instance's epoch, the limbo and
+node-pool heads) are charged in place on the retire path:
+``word._enter(False)`` and then the commit on ``word._value``, exactly
+the body of the op method minus its frame.
+
+A cell line keeps only its recurrence
+-------------------------------------
+The line's ``next_free`` and ``idle_bank`` decide every finish time; its
+``busy_time`` and ``served`` feed no report, so ``_enter``'s inline serve
+does not update them (a traced line still goes through ``serve_locked``,
+which does).  The NIC, progress-thread and uplink points on a route keep
+all four fields: ``RuntimeSnapshot`` and the aggregation stats read them.
 
 Operations charge costs only while the owning runtime runs a task: the
 charge reads that runtime's ``_ctx`` slot, which is ``None`` outside its
@@ -84,17 +96,15 @@ class ChargedWord:
         line._tracer = getattr(runtime, "_full_tracer", None)
         network = runtime.network
         self._plan = network.cell_plan(home, opt_out)
-        diags = network.diags
         #: Hot-path bundle: one attribute load + UNPACK_SEQUENCE hands
         #: ``_enter`` everything it needs (runtime for its running task,
-        #: the distance row, narrow steps, the diagnostics and their
-        #: matrix, and the line).
+        #: the distance row, narrow steps, the diagnostics matrix, and the
+        #: line).
         self._hot = (
             runtime,
             self._plan.dist,
             self._plan.narrow,
-            diags,
-            diags._rows,
+            network.diags._rows,
             line,
         )
 
@@ -111,7 +121,7 @@ class ChargedWord:
         inline, float op for float op; a traced line calls
         ``serve_locked`` itself, so the trace hook stays in one place.
         """
-        rt, dist, narrow, diags, rows, line = self._hot
+        rt, dist, narrow, rows, line = self._hot
         ctx = rt._ctx
         if ctx is None:
             return
@@ -119,8 +129,7 @@ class ChargedWord:
         diag_index, latency, outer, point_service, service = (
             self._plan[2] if wide else narrow  # _plan[2] is plan.wide
         )[dist[locale]]
-        if diags._enabled:
-            rows[locale][diag_index] += 1
+        rows[locale][diag_index] += 1
         t = ctx.now + latency
         if outer is not None:
             t = outer(t, point_service)
@@ -128,8 +137,8 @@ class ChargedWord:
             ctx.now = line.serve_locked(t, service)
             return
         # Inlined serve_locked — keep in sync with ServicePoint.serve_locked.
-        line.busy_time += service
-        line.served += 1
+        # The line keeps only its recurrence (next_free, idle_bank): no
+        # report reads a cell line's busy_time or served.
         next_free = line.next_free
         if t >= next_free:
             line.idle_bank += t - next_free

@@ -354,15 +354,28 @@ def _place_objects(
     fix the window's float base and hence ``elapsed`` to the ulp.
     """
     nloc = rt.num_locales
-    # Same bit stream as randrange, minus the wrapper (opstream).
-    randbelow = fast_randbelow(random.Random(rt.config.seed ^ 0x9E3779B9))
+    # The draws are randrange(100) and randrange(nloc - 1) with
+    # ``Random._randbelow``'s body written out, as ``mix_column`` does:
+    # ``getrandbits(k)`` redrawn while ``>= n``, so the bit stream is the
+    # same without a Python frame per draw.
+    getrandbits = random.Random(rt.config.seed ^ 0x9E3779B9).getrandbits
+    others = nloc - 1
+    k_others = others.bit_length()
     targets: List[int] = []
+    append = targets.append
     for i in items:
         owner = i % nloc
-        if nloc > 1 and randbelow(100) < remote_percent:
-            targets.append((owner + 1 + randbelow(nloc - 1)) % nloc)
-        else:
-            targets.append(owner)
+        if nloc > 1:
+            r = getrandbits(7)  # k = (100).bit_length()
+            while r >= 100:
+                r = getrandbits(7)
+            if r < remote_percent:
+                r = getrandbits(k_others)
+                while r >= others:
+                    r = getrandbits(k_others)
+                append((owner + 1 + r) % nloc)
+                continue
+        append(owner)
     return rt.new_objs(targets)
 
 

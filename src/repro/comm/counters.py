@@ -16,9 +16,9 @@ Implementation: the counters are one ``[locale][op-index]`` matrix, so
 recording is a plain list increment with no string comparison (op names
 are resolved to integer indices once, at route-compilation or record
 time).  A runtime is used by one thread (docs/ENGINE.md, "One thread per
-runtime"), so the matrix needs no lock and counts are exact.  ``stop()``
-makes recording free for excluded setup/teardown phases (a single
-attribute check).
+runtime"), so the matrix needs no lock and counts are exact.  Counting is
+always on: to leave a phase out, read the totals before and after it, or
+``reset()`` before it.
 """
 
 from __future__ import annotations
@@ -56,13 +56,14 @@ _KEYS: Tuple[str, ...] = CommOp.ALL + ("bulk_bytes",)
 class CommDiagnostics:
     """Per-locale operation counters for a runtime.
 
-    Counting can be paused/resumed (``stop()`` / ``start()``) so benchmarks
-    can exclude setup and teardown, mirroring Chapel's
-    ``startCommDiagnostics`` / ``stopCommDiagnostics``.
+    Unlike Chapel's ``startCommDiagnostics`` / ``stopCommDiagnostics``,
+    counting cannot be paused: every charge path increments the matrix
+    unconditionally, and a measured window is the difference of two
+    readings (or a ``reset()`` at its start, as ``Runtime.reset_measurements``
+    does).
     """
 
     def __init__(self, num_locales: int) -> None:
-        self._enabled = True
         #: The ``[locale][counter]`` matrix.  Cells and the compiled
         #: replay increment it directly; it is zeroed in place, never
         #: replaced, so their references stay valid.
@@ -83,14 +84,6 @@ class CommDiagnostics:
             raise ValueError(f"unknown comm op {op!r}") from None
 
     # -- control ---------------------------------------------------------
-    def start(self) -> None:
-        """Enable counting (the default)."""
-        self._enabled = True
-
-    def stop(self) -> None:
-        """Disable counting; records made while stopped are dropped."""
-        self._enabled = False
-
     def reset(self) -> None:
         """Zero all counters on all locales (in place)."""
         for row in self._rows:
@@ -100,12 +93,8 @@ class CommDiagnostics:
     def record(self, locale: int, op: str, nbytes: int = 0) -> None:
         """Attribute one operation of class ``op`` to ``locale``.
 
-        ``nbytes`` is only meaningful for ``CommOp.BULK``.  The enabled
-        check comes first so a stopped diagnostics object costs one
-        attribute read per operation — nothing is resolved.
+        ``nbytes`` is only meaningful for ``CommOp.BULK``.
         """
-        if not self._enabled:
-            return
         idx = self.op_index(op)
         row = self._rows[locale]
         row[idx] += 1
@@ -118,15 +107,13 @@ class CommDiagnostics:
         ``ChargedWord._enter`` skips this call and increments the matrix
         directly.
         """
-        if self._enabled:
-            self._rows[locale][index] += 1
+        self._rows[locale][index] += 1
 
     def record_bulk(self, locale: int, nbytes: int) -> None:
         """Hot-path record of one BULK transfer of ``nbytes``."""
-        if self._enabled:
-            row = self._rows[locale]
-            row[_BULK_INDEX] += 1
-            row[_BULK_BYTES_INDEX] += nbytes
+        row = self._rows[locale]
+        row[_BULK_INDEX] += 1
+        row[_BULK_BYTES_INDEX] += nbytes
 
     # -- queries -----------------------------------------------------------
     def per_locale(self) -> List[Dict[str, int]]:

@@ -768,8 +768,7 @@ class NetworkModel:
                 n_am += 1
             now += alloc_latency
         ctx.now = now
-        if n_am and self.diags._enabled:
-            self.diags._rows[lid][_AM] += n_am
+        self.diags._rows[lid][_AM] += n_am
 
     def free(self, ctx: "TaskContext", home: int) -> None:
         """Charge freeing one object on ``home`` (non-coherent => RPC)."""

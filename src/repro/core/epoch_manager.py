@@ -600,12 +600,14 @@ class EpochManager(ManagerCore, PrivatizedObject):
             aggregator = rt.network.aggregator
             # Per-group batch counters, folded into the per-class crossing
             # facts after the join (commutative adds, so the result is
-            # order-independent).
+            # order-independent).  A closed window batches nothing, and
+            # bulk_gather ignores the counters then: none are built.
             gcounters: List[BatchCounters] = []
+            aggregating = aggregator.active
 
             def gather_group(rep: int) -> None:
                 ctx = rt._ctx
-                counters = BatchCounters()
+                counters = BatchCounters() if aggregating else None
                 for lid in members[rep]:
                     mine: List[int] = []
                     transfers: List[tuple] = []
@@ -620,7 +622,7 @@ class EpochManager(ManagerCore, PrivatizedObject):
                         # The free itself: the group's own locales are
                         # coherent or intra-node peers — no uplink.
                         freed_total[lid] = rt.free_bulk(lid, mine)
-                if counters.batches:
+                if counters is not None and counters.batches:
                     self._counters.inc("scan_batches", counters.batches)
                     self._counters.inc("uplink_crossings", counters.crossings)
                     gcounters.append(counters)

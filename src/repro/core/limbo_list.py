@@ -65,26 +65,40 @@ class NodePool:
         self.allocated = 0
 
     def get(self, val: Any) -> LimboNode:
-        """Pop a recycled node (or allocate one) and fill it with ``val``."""
+        """Pop a recycled node (or allocate one) and fill it with ``val``.
+
+        The head is charged in place (``_enter``, then the commit of
+        ``read`` / ``compare_and_swap`` on ``_value``): only this
+        locale's retire path and drains touch it.
+        """
+        head = self._head
         while True:
-            node = self._head.read()
+            head._enter(False)
+            node = head._value
             if node is None:
                 fresh = LimboNode()
                 fresh.val = val
                 self.allocated += 1
                 return fresh
-            if self._head.compare_and_swap(node, node.next):
+            head._enter(False)
+            if head._value is node:
+                head._value = node.next
                 node.val = val
                 node.next = None
                 return node
 
     def put(self, node: LimboNode) -> None:
-        """Return a drained node to the pool (lock-free push)."""
+        """Return a drained node to the pool (lock-free push; the head is
+        charged in place, as in :meth:`get`)."""
         node.val = None
+        head = self._head
         while True:
-            head = self._head.read()
-            node.next = head
-            if self._head.compare_and_swap(head, node):
+            head._enter(False)
+            old = head._value
+            node.next = old
+            head._enter(False)
+            if head._value is old:
+                head._value = node
                 return
 
     def drain_count(self) -> int:
@@ -135,8 +149,11 @@ class LimboList:
             node.val = val
         else:
             node = self._pool.get(val)
-        old = self._head.exchange(node)
-        node.next = old
+        # In place: old = self._head.exchange(node).
+        head = self._head
+        head._enter(False)
+        node.next = head._value
+        head._value = node
 
     def pop_all(self) -> Optional[LimboNode]:
         """Detach and return the whole chain (one exchange).
@@ -146,7 +163,12 @@ class LimboList:
         this by only draining lists two epochs old.  ``clear()`` relies on
         its stronger "no other thread is interacting" precondition.
         """
-        return self._head.exchange(None)
+        # In place: return self._head.exchange(None).
+        head = self._head
+        head._enter(False)
+        node = head._value
+        head._value = None
+        return node
 
     def drain(self) -> List[Any]:
         """Pop everything and return the values, newest first, recycling

@@ -178,12 +178,17 @@ class Token:
         tr = self._full_tracer
         if tr is not None:
             tr.guard("pin", "ebr", ctx.now)
+        # Owner-only words, charged in place: each charge-then-commit is
+        # the op method's body minus its frame (atomics/cell.py).
         inst_epoch = self._inst_epoch
         my_epoch = self.local_epoch
-        epoch = inst_epoch.read()
+        inst_epoch._enter(False)
+        epoch = inst_epoch._value
         while True:
-            my_epoch.write(epoch)
-            current = inst_epoch.read()
+            my_epoch._enter(False)
+            my_epoch._value = epoch
+            inst_epoch._enter(False)
+            current = inst_epoch._value
             if current == epoch:
                 return
             epoch = current
@@ -193,7 +198,9 @@ class Token:
         ctx = self._rt._ctx
         if ctx is None or not self._registered or ctx.locale_id not in self._home_locales:
             self._check_usable()
-        self.local_epoch.write(0)
+        my_epoch = self.local_epoch
+        my_epoch._enter(False)  # in place: local_epoch.write(0)
+        my_epoch._value = 0
 
     def defer_delete(self, addr: GlobalAddress) -> None:
         """Defer reclamation of ``addr`` to the *current* (locale) epoch.
@@ -216,9 +223,14 @@ class Token:
         ctx = self._rt._ctx
         if ctx is None or not self._registered or ctx.locale_id not in self._home_locales:
             ctx = self._check_usable()
-        if self.local_epoch.read() == 0:
+        # In place, as in pin: local_epoch.read(), then _inst_epoch.read().
+        my_epoch = self.local_epoch
+        my_epoch._enter(False)
+        if my_epoch._value == 0:
             raise TokenStateError("defer_delete requires a pinned token")
-        epoch = self._inst_epoch.read()
+        inst_epoch = self._inst_epoch
+        inst_epoch._enter(False)
+        epoch = inst_epoch._value
         self._limbo_lists[epoch - 1].push(addr)
         if self._track_ages:
             # Limbo-age fact: min-fold the retire timestamp into the

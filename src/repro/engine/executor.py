@@ -33,8 +33,11 @@ A runtime is used by one thread (docs/ENGINE.md, "One thread per
 runtime") and a task runs to completion, so nothing else touches the
 service points, cells, limbo chains or token epoch slots while a replay
 body runs; it mutates them directly and keeps no private copy of that
-state.  Every serve updates the point's ``busy_time`` and ``served`` in
-task order too, so they match the interpreted schedule bit for bit.
+state.  Every serve of a NIC, progress-thread or uplink point updates its
+``busy_time`` and ``served`` in task order too, so they match the
+interpreted schedule bit for bit.  A cell's line keeps only its
+recurrence (``next_free``, ``idle_bank``), as ``ChargedWord._enter``'s
+inline serve does: no report reads a line's ``busy_time`` or ``served``.
 """
 
 from __future__ import annotations
@@ -168,9 +171,7 @@ def run_uniform_atomic_phase(
         )
         dist_rows.append(net.distance_row(home))
     locale_plans: List[Optional[list]] = [None] * nloc
-    diags = net.diags
-    record = diags._enabled
-    rows = diags._rows
+    rows = net.diags._rows
     columns: Optional[List[list]] = None
 
     def replay(task_items: Sequence[int]) -> None:
@@ -249,10 +250,9 @@ def run_uniform_atomic_phase(
                         f = floor
                     ln.next_free = now = f
         ctx.now = now
-        if record:
-            counts = rows[locale]
-            for ci, n in Counter(column).items():
-                counts[plans[ci][5]] += n
+        counts = rows[locale]
+        for ci, n in Counter(column).items():
+            counts[plans[ci][5]] += n
 
     rt._forall_tasks(range(total_tasks), replay, tpl)
 
@@ -317,7 +317,6 @@ def _ebr_replay_task(
     tk_plan: tuple,
     now: float,
     counts: List[int],
-    record: bool,
 ) -> float:
     """Replay one task's EBR pin / [defer_delete] / unpin items from ``now``.
 
@@ -337,7 +336,8 @@ def _ebr_replay_task(
     charge (latency, line pass) is written out at every site, and each
     pin/unpin line serve inlines the idle branch of
     ``ServicePoint.serve_locked`` (``arrival >= next_free``: bank the gap,
-    advance ``next_free``) — the same float ops in the same order —
+    advance ``next_free``) — the same float ops in the same order, and,
+    like ``ChargedWord._enter``, only the line's recurrence —
     calling ``serve_locked`` only when the line is queued.
     """
     lm_head, pool, ie_plan, lm_plan, pl_plan = target
@@ -352,8 +352,6 @@ def _ebr_replay_task(
         # idle branches inline ServicePoint.serve_locked — keep in sync.
         t = now + ie_lat
         if t >= ie_ln.next_free:
-            ie_ln.busy_time += ie_ls
-            ie_ln.served += 1
             ie_ln.idle_bank += t - ie_ln.next_free
             now = t + ie_ls
             ie_ln.next_free = now
@@ -361,8 +359,6 @@ def _ebr_replay_task(
             now = ie_ln.serve_locked(t, ie_ls)
         t = now + tk_lat
         if t >= tk_ln.next_free:
-            tk_ln.busy_time += tk_ls
-            tk_ln.served += 1
             tk_ln.idle_bank += t - tk_ln.next_free
             now = t + tk_ls
             tk_ln.next_free = now
@@ -370,23 +366,19 @@ def _ebr_replay_task(
             now = tk_ln.serve_locked(t, tk_ls)
         t = now + ie_lat
         if t >= ie_ln.next_free:
-            ie_ln.busy_time += ie_ls
-            ie_ln.served += 1
             ie_ln.idle_bank += t - ie_ln.next_free
             now = t + ie_ls
             ie_ln.next_free = now
         else:
             now = ie_ln.serve_locked(t, ie_ls)
-        if record:
-            counts[ie_di] += 2
-            counts[tk_di] += 2  # pin write + unpin write
+        counts[ie_di] += 2
+        counts[tk_di] += 2  # pin write + unpin write
         if is_write[item]:
             # defer_delete(): pinned check + epoch read ...
             now = tk_ln.serve_locked(now + tk_lat, tk_ls)
             now = ie_ln.serve_locked(now + ie_lat, ie_ls)
-            if record:
-                counts[tk_di] += 1
-                counts[ie_di] += 1
+            counts[tk_di] += 1
+            counts[ie_di] += 1
             # ... then limbo push: pool get + head exchange.
             if pool is not None:
                 now = pl_ln.serve_locked(now + pl_lat, pl_ls)
@@ -394,28 +386,23 @@ def _ebr_replay_task(
                 if node is None:
                     node = LimboNode()
                     pool.allocated += 1
-                    if record:
-                        counts[pl_di] += 1
+                    counts[pl_di] += 1
                 else:
                     # Non-empty pool: the pop CAS is a second
                     # charge on the pool head.
                     now = pl_ln.serve_locked(now + pl_lat, pl_ls)
                     pl_head._value = node.next
-                    if record:
-                        counts[pl_di] += 2
+                    counts[pl_di] += 2
             else:
                 node = LimboNode()
             node.val = objs[item]
             now = lm_ln.serve_locked(now + lm_lat, lm_ls)
             node.next = lm_head._value
             lm_head._value = node
-            if record:
-                counts[lm_di] += 1
+            counts[lm_di] += 1
         # unpin(): token write (diag counted with pin above).
         t = now + tk_lat
         if t >= tk_ln.next_free:
-            tk_ln.busy_time += tk_ls
-            tk_ln.served += 1
             tk_ln.idle_bank += t - tk_ln.next_free
             now = t + tk_ls
             tk_ln.next_free = now
@@ -445,9 +432,7 @@ def run_ebr_epoch_phase(
     tokens_per_locale]``) and the manager instance that token leases.
     """
     net = rt.network
-    diags = net.diags
-    record = diags._enabled
-    rows = diags._rows
+    rows = net.diags._rows
 
     def replay(task_items: Sequence[int]) -> None:
         ctx = rt._ctx
@@ -457,7 +442,7 @@ def run_ebr_epoch_phase(
             task_items, is_write, objs,
             _instance_target(net, tok, locale),
             _cpu_plan(net, tok.local_epoch, locale),
-            ctx.now, rows[locale], record,
+            ctx.now, rows[locale],
         )
 
     rt._forall_tasks(items, replay, tokens_per_locale)
@@ -554,9 +539,7 @@ def run_epoch_workload_phase(
     state an interpreted phase leaves.
     """
     net = rt.network
-    diags = net.diags
-    record = diags._enabled
-    rows = diags._rows
+    rows = net.diags._rows
     is_write = [delete] * num_objects
 
     def replay(task_items: Sequence[int]) -> None:
@@ -567,7 +550,7 @@ def run_epoch_workload_phase(
             task_items, is_write, objs,
             _instance_target(net, tok, lid),
             _cpu_plan(net, tok.local_epoch, lid),
-            ctx.now, rows[lid], record,
+            ctx.now, rows[lid],
         )
         tok.unregister()
 

@@ -62,8 +62,11 @@ def fast_randbelow(rng) -> Callable[[int], int]:
     directly consumes the identical bit stream (so the op sequence — and
     therefore virtual time and comm counts — is unchanged) at a fraction
     of the call cost.  The interpreted workload bodies draw through this
-    one helper; :func:`mix_column` writes its body out per op, and the
-    tests pin both against ``randrange`` / ``_randbelow``.
+    one helper; the loops that draw per item in bulk write its body out
+    instead (``getrandbits(k)`` redrawn while ``>= n``) — :func:`mix_column`
+    per op, and ``repro.bench.workloads._place_objects`` per placed
+    object — and the tests pin all three against ``randrange`` /
+    ``_randbelow``.
     """
     return rng._randbelow
 

@@ -12,7 +12,7 @@ RuntimeConfig` — a machine-style knob that is deliberately NOT an axis,
 like ``engine``):
 
 * ``off`` — no recorder is installed anywhere.  Hot paths pay at most one
-  ``is None`` attribute check (the ``CommDiagnostics.stop()`` pattern).
+  ``is None`` attribute check.
 * ``spans`` — root-driven events only: ``forall``/``coforall``/``timed``
   spans, policy decisions with the facts they saw, and reclaimer
   scan/advance/drain summaries.  These are all emitted from sequential

@@ -15,12 +15,14 @@ hit path is pinned against its cold path.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.atomics.integer import AtomicUInt64
 from repro.bench import scenarios
 from repro.bench.workloads import (
+    _place_objects,
     run_atomic_mix,
     run_epoch_mixed,
     run_epoch_workload,
@@ -920,6 +922,33 @@ class TestColumnLowerings:
         assert [draw(17) for _ in range(200)] == [
             b.randrange(17) for _ in range(200)
         ]
+
+    @pytest.mark.parametrize("remote_percent", [0, 50, 100])
+    @pytest.mark.parametrize("nloc", [1, 2, 5, 64])
+    def test_placement_draws_match_randrange(self, nloc, remote_percent):
+        """``_place_objects`` writes ``_randbelow`` out; its targets are
+        those of the ``randrange`` loop it replaced."""
+        seed, n = 0xC0FFEE, 300
+        machine = SimpleNamespace(
+            num_locales=nloc, config=SimpleNamespace(seed=seed), new_objs=list
+        )
+        rng = random.Random(seed ^ 0x9E3779B9)
+        want = []
+        for i in range(n):
+            owner = i % nloc
+            if nloc > 1 and rng.randrange(100) < remote_percent:
+                want.append((owner + 1 + rng.randrange(nloc - 1)) % nloc)
+            else:
+                want.append(owner)
+        got = _place_objects(machine, range(n), remote_percent)
+        assert got == want
+        remote = sum(t != i % nloc for i, t in enumerate(got))
+        if nloc == 1 or remote_percent == 0:
+            assert remote == 0
+        elif remote_percent == 100:
+            assert remote == n
+        else:
+            assert 0 < remote < n
 
 
 class TestEngineAxis:

@@ -73,7 +73,7 @@ class TestOneThreadPerRuntime:
     def test_counters_are_one_matrix_and_one_row(self):
         diags = CommDiagnostics(3)
         assert len(diags._rows) == 3
-        assert vars(diags).keys() == {"_enabled", "_rows"}
+        assert vars(diags).keys() == {"_rows"}
         assert EpochManagerStats.__slots__ == ("_row",)
 
 
