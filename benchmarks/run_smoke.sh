@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Smoke gate: tier-1 suite, benchmark smoke run, scenario checks under
-# both engines.
+# both engines, reachability census.
 #
 # Run from the repo root:
 #
@@ -20,7 +20,9 @@
 # writes scenario_report.json; the ``compiled-strict`` run writes
 # scenario_report_compiled.json — the registry is fully lowered, so any
 # interpreter fallback is a regression and fails the gate outright, as
-# does a repeat that differs from the first.
+# does a repeat that differs from the first.  The reachability census
+# (benchmarks/census.py) last fails on any src/ function that no user
+# path calls and its allowlist does not name.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,6 +44,10 @@ echo
 echo "== scenario baselines under compiled-strict (zero fallbacks) =="
 python -m repro.bench scenarios --all --repeats 2 --engine compiled-strict \
   --out scenario_report_compiled.json
+
+echo
+echo "== reachability census (every src/ function has a user path or a reason) =="
+python3 benchmarks/census.py
 
 echo
 echo "smoke gate OK — see e2e_smoke.json, scenario_report.json and"

@@ -47,8 +47,6 @@ from .core import (
     EpochManager,
     GlobalAtomicObject,
     LimboList,
-    LocalAtomicObject,
-    LocalEpochManager,
     Token,
 )
 from .errors import (
@@ -97,9 +95,7 @@ __all__ = [
     "ABA",
     "AtomicObject",
     "GlobalAtomicObject",
-    "LocalAtomicObject",
     "EpochManager",
-    "LocalEpochManager",
     "LimboList",
     "Token",
     # reclaim

@@ -18,12 +18,9 @@ Charge, then commit
 -------------------
 Every simulated atomic — the integer cells
 (:class:`~repro.atomics.integer.AtomicUInt64`, ``AtomicInt64``,
-``AtomicBool``), :class:`~repro.atomics.ref.AtomicRef`,
-:class:`~repro.atomics.wide.AtomicWide128`, and the pointer cell
-:class:`~repro.core.atomic_object.AtomicObject` (whose
-:class:`~repro.core.local_atomic_object.LocalAtomicObject` subclass
-inherits every operation and only selects the opted-out plan) — derives
-from :class:`ChargedWord` and shares the memoised
+``AtomicBool``), :class:`~repro.atomics.ref.AtomicRef` and the pointer
+cell :class:`~repro.core.atomic_object.AtomicObject` — derives from
+:class:`ChargedWord` and shares the memoised
 :class:`~repro.comm.routes.CellPlan` of its ``(home, opt_out)``
 (``NetworkModel.cell_plan``).  An op calls :meth:`ChargedWord._enter`,
 the one charge body, which reserves the route's home-level point (if
@@ -156,17 +153,13 @@ class ChargedWord:
             finish = floor
         line.next_free = ctx.now = finish
 
-    def reset_measurements(self) -> None:
-        """Zero the cell's contention bookkeeping (between bench trials)."""
-        self.line.reset()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(home={self.home}, name={self.name!r})"
 
 
 class AtomicCell(ChargedWord):
-    """Base of the integer, flag, reference and 128-bit cells, whose home
-    is passed as a locale id (the pointer cells take ``locale=`` instead)."""
+    """Base of the integer, flag and reference cells, whose home is
+    passed as a locale id (the pointer cell takes ``locale=`` instead)."""
 
     __slots__ = ()
 

@@ -11,9 +11,11 @@ compressed pointer op costs exactly what an ``AtomicUInt64`` op costs.
 
 Semantics follow Chapel's ``atomic`` type closely:
 
-* ``read`` / ``write`` / ``exchange`` / ``compareAndSwap`` (spelled
-  ``compare_and_swap``, returning ``bool``) / ``compareExchange``
-  (returning the observed value too) / ``fetch_add`` & friends;
+* ``read`` / ``write`` / ``compareAndSwap`` (spelled
+  ``compare_and_swap``, returning ``bool``) / ``fetchAdd`` (``fetch_add``,
+  ``add``, ``sub``) on the integers, ``exchange`` on the signed one, and
+  ``testAndSet`` / ``clear`` on the flag — the operations the simulated
+  library and its workloads use;
 * integer arithmetic wraps modulo 2**64, with :class:`AtomicInt64`
   interpreting the word as two's-complement signed.
 
@@ -24,7 +26,7 @@ the NIC price even locally (network atomics are not coherent); under
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING
 
 from .cell import AtomicCell
 
@@ -95,14 +97,6 @@ class AtomicUInt64(AtomicCell):
         self._value = _to_word(value)
 
     # -- read-modify-write -------------------------------------------------
-    def exchange(self, value: int) -> int:
-        """Atomically store ``value`` and return the previous value."""
-        value &= _MASK64
-        self._enter(False)
-        old = self._value
-        self._value = value
-        return old
-
     def compare_and_swap(self, expected: int, desired: int) -> bool:
         """CAS: store ``desired`` iff the value equals ``expected``.
 
@@ -116,16 +110,6 @@ class AtomicUInt64(AtomicCell):
             self._value = desired
         return ok
 
-    def compare_exchange(self, expected: int, desired: int) -> Tuple[bool, int]:
-        """CAS returning ``(success, observed_value)``."""
-        expected &= _MASK64
-        self._enter(False)
-        observed = self._value
-        if observed == expected:
-            self._value = desired & _MASK64
-            return True, observed
-        return False, observed
-
     def fetch_add(self, delta: int) -> int:
         """Atomically add ``delta`` (mod 2**64); return the previous value."""
         self._enter(False)
@@ -137,34 +121,9 @@ class AtomicUInt64(AtomicCell):
         """Atomically add ``delta`` (result discarded)."""
         self.fetch_add(delta)
 
-    def fetch_sub(self, delta: int) -> int:
-        """Atomically subtract ``delta``; return the previous value."""
-        return self.fetch_add(-delta)
-
     def sub(self, delta: int) -> None:
         """Atomically subtract ``delta`` (result discarded)."""
         self.fetch_add(-delta)
-
-    def fetch_or(self, bits: int) -> int:
-        """Atomic bitwise OR; returns the previous value."""
-        self._enter(False)
-        old = self._value
-        self._value = (old | bits) & _MASK64
-        return old
-
-    def fetch_and(self, bits: int) -> int:
-        """Atomic bitwise AND; returns the previous value."""
-        self._enter(False)
-        old = self._value
-        self._value = (old & bits) & _MASK64
-        return old
-
-    def fetch_xor(self, bits: int) -> int:
-        """Atomic bitwise XOR; returns the previous value."""
-        self._enter(False)
-        old = self._value
-        self._value = (old ^ bits) & _MASK64
-        return old
 
 
 class AtomicInt64(AtomicUInt64):
@@ -194,29 +153,12 @@ class AtomicInt64(AtomicUInt64):
         self._value = value
         return old - _TWO64 if old & _SIGN_BIT else old
 
-    def compare_exchange(self, expected: int, desired: int) -> Tuple[bool, int]:
-        """CAS returning ``(success, observed)`` with signed ``observed``."""
-        ok, observed = super().compare_exchange(expected, desired)
-        return ok, _to_signed(observed)
-
-    # fetch_sub/sub need no override: the base class routes them through
-    # this signed fetch_add.
+    # sub needs no override: the base class routes it through this
+    # signed fetch_add.
 
     def fetch_add(self, delta: int) -> int:
         """Wrapping atomic add, returning the previous signed value."""
         return _to_signed(super().fetch_add(delta))
-
-    def fetch_or(self, bits: int) -> int:
-        """Atomic bitwise OR, returning the previous signed value."""
-        return _to_signed(super().fetch_or(bits))
-
-    def fetch_and(self, bits: int) -> int:
-        """Atomic bitwise AND, returning the previous signed value."""
-        return _to_signed(super().fetch_and(bits))
-
-    def fetch_xor(self, bits: int) -> int:
-        """Atomic bitwise XOR, returning the previous signed value."""
-        return _to_signed(super().fetch_xor(bits))
 
 
 class AtomicBool(AtomicCell):
@@ -239,12 +181,6 @@ class AtomicBool(AtomicCell):
     ) -> None:
         super().__init__(runtime, home, name, opt_out=opt_out)
         self._value = bool(initial)
-
-    def read(self) -> bool:
-        """Atomically load the flag."""
-        self._enter(False)
-        value = self._value
-        return value
 
     def write(self, value: bool) -> None:
         """Atomically store the flag."""
@@ -275,13 +211,3 @@ class AtomicBool(AtomicCell):
     def clear(self) -> None:
         """Reset the flag to ``False``."""
         self.write(False)
-
-    def compare_and_swap(self, expected: bool, desired: bool) -> bool:
-        """CAS on the flag; returns success."""
-        expected = bool(expected)
-        desired = bool(desired)
-        self._enter(False)
-        ok = self._value == expected
-        if ok:
-            self._value = desired
-        return ok

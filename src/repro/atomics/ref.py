@@ -18,7 +18,7 @@ earns its keep.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Tuple
+from typing import TYPE_CHECKING, Any
 
 from .cell import AtomicCell
 
@@ -54,21 +54,9 @@ class AtomicRef(AtomicCell):
         value = self._value
         return value
 
-    def write(self, value: Any) -> None:
-        """Atomically store ``value``."""
-        self._enter(False)
-        self._value = value
-
     def peek(self) -> Any:
         """Cost-free load (tests only)."""
         return self._value
-
-    def exchange(self, value: Any) -> Any:
-        """Atomically store ``value``; return the previous reference."""
-        self._enter(False)
-        old = self._value
-        self._value = value
-        return old
 
     def compare_and_swap(self, expected: Any, desired: Any) -> bool:
         """Identity CAS: store ``desired`` iff the cell holds ``expected``."""
@@ -77,12 +65,3 @@ class AtomicRef(AtomicCell):
         if ok:
             self._value = desired
         return ok
-
-    def compare_exchange(self, expected: Any, desired: Any) -> Tuple[bool, Any]:
-        """Identity CAS returning ``(success, observed)``."""
-        self._enter(False)
-        observed = self._value
-        ok = observed is expected
-        if ok:
-            self._value = desired
-        return ok, observed

@@ -2,22 +2,20 @@
 
 * :class:`~repro.baselines.spinlock.SpinLock` — cost-modelled test-and-set
   lock.
-* :class:`~repro.baselines.locked_structures.LockedStack` /
-  :class:`~repro.baselines.locked_structures.LockedQueue` /
+* :class:`~repro.baselines.locked_structures.LockedQueue` /
   :class:`~repro.baselines.locked_structures.LockedMap` — single-lock
-  structures; also the sequential oracles in differential tests.
+  structures the examples compare against.
 * :class:`~repro.baselines.global_lock_reclaimer.GlobalLockReclaimer` —
-  a blocking, hot-counter reclamation scheme the EpochManager is ablated
-  against.
+  the read-side hot-counter baseline the EpochManager's privatized
+  pin/unpin is ablated against.
 """
 
 from .global_lock_reclaimer import GlobalLockReclaimer, ReclaimerGuard
-from .locked_structures import LockedMap, LockedQueue, LockedStack
+from .locked_structures import LockedMap, LockedQueue
 from .spinlock import SpinLock
 
 __all__ = [
     "SpinLock",
-    "LockedStack",
     "LockedQueue",
     "LockedMap",
     "GlobalLockReclaimer",

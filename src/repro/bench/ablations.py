@@ -12,8 +12,8 @@ design arguments, one mechanism at a time:
 * **scatter** — bulk per-locale deallocation vs one RPC per dead object;
 * **election** — the FCFS ``testAndSet`` election vs letting every caller
   run the global scan;
-* **reclaimers** — EpochManager vs the blocking hot-counter baseline
-  (GlobalLockReclaimer);
+* **reclaimers** — EpochManager's privatized pin/unpin vs the read-side
+  hot-counter baseline (GlobalLockReclaimer);
 * **epoch cycle** — the paper's 3-epoch cycle vs a 4-epoch cycle that
   holds objects one extra advance.
 """
@@ -227,11 +227,11 @@ def ablation_reclaimers(
     locales: Sequence[int] = (1, 2, 4, 8, 16),
     ops_per_task: int = 1 << 10,
 ) -> Panel:
-    """EpochManager vs blocking hot-counter reclaimer (pin/unpin costs).
+    """EpochManager vs the read-side hot-counter baseline (pin/unpin costs).
 
     The guard interface is identical; only the coordination differs:
     privatized local epochs vs one global reader counter everyone
-    increments remotely.
+    increments remotely.  Only the read side is measured.
     """
     panel = Panel(
         title="Ablation: reclamation scheme, read-mostly (ugni) — time (s)",

@@ -23,7 +23,7 @@ always on: to leave a phase out, read the totals before and after it, or
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["CommOp", "CommDiagnostics"]
 
@@ -120,33 +120,10 @@ class CommDiagnostics:
         """Snapshot of counters for each locale, in locale order."""
         return [dict(zip(_KEYS, row)) for row in self._rows]
 
-    def total(self, op: str) -> int:
-        """Total count of one operation class across locales.
-
-        ``op`` may be any :class:`CommOp` name or ``"bulk_bytes"``.
-        """
-        if op == "bulk_bytes":
-            idx = _BULK_BYTES_INDEX
-        else:
-            idx = self.op_index(op)
-        return sum(row[idx] for row in self._rows)
-
     def totals(self) -> Dict[str, int]:
         """Totals of every operation class across locales."""
         rows = self._rows
         return {key: sum(row[i] for row in rows) for i, key in enumerate(_KEYS)}
-
-    def remote_ops(self) -> int:
-        """Total operations that actually crossed the network."""
-        t = self.totals()
-        return t["get"] + t["put"] + t["amo"] + t["am"] + t["fork"] + t["bulk"]
-
-    def iter_nonzero(self) -> Iterator[Tuple[int, str, int]]:
-        """Yield ``(locale, op, count)`` for every nonzero counter."""
-        for loc, d in enumerate(self.per_locale()):
-            for op, count in d.items():
-                if count:
-                    yield loc, op, count
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CommDiagnostics(totals={self.totals()})"

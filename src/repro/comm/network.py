@@ -184,8 +184,8 @@ class NetworkModel:
         Cells fetch this once at construction; the hot paths index it by
         the issuing locale id — the only per-operation topology cost.
         This is the one row cache: it lives with the runtime, and builds
-        each row once with :meth:`Topology.build_distance_row
-        <repro.comm.topology.Topology.build_distance_row>`.  The topology
+        each row once with the topology's closed-form
+        ``build_distance_row``.  The topology
         itself caches nothing — it belongs to the config, which a
         scenario spec keeps for as long as it lives.
         """
@@ -665,29 +665,6 @@ class NetworkModel:
         if tr is not None:
             tr.op("return", t0, ctx.now, dclass, origin)
 
-    def am_roundtrip(self, ctx: "TaskContext", target: int) -> None:
-        """Charge a generic RPC to ``target`` (request + response)."""
-        row = self._dist_rows[target]
-        if row is None:
-            row = self.distance_row(target)
-        lid = ctx.locale_id
-        dclass = row[lid]
-        tr = self._tracer
-        t0 = ctx.now if tr is not None else 0.0
-        table = self._ctrl_tables[target]
-        if table is None:
-            table = self._ctrl_routes(target)
-        ctrl = table[dclass]
-        if ctrl is None:
-            # Self or coherent peer: a direct call over shared memory.
-            ctx.now += self._cpu_load_latency
-        else:
-            self.diags.record_index(lid, _AM)
-            point, cc = ctrl
-            ctx.now = point.serve_locked(ctx.now + 2.0 * cc.am_latency, cc.am_service)
-        if tr is not None:
-            tr.op("am", t0, ctx.now, dclass, target)
-
     def _rpc_then_local(
         self,
         ctx: "TaskContext",
@@ -700,8 +677,7 @@ class NetworkModel:
         """An AM round trip to a non-coherent ``home`` (when ``rpc``), then
         ``local`` seconds of allocator work — the body of :meth:`alloc`,
         :meth:`free` and :meth:`bulk_free`.  Traces an ``am`` event for the
-        round trip inside one enclosing ``kind`` event, exactly as calling
-        :meth:`am_roundtrip` first would."""
+        round trip inside one enclosing ``kind`` event."""
         row = self._dist_rows[home]
         if row is None:
             row = self.distance_row(home)

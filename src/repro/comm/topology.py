@@ -115,8 +115,14 @@ class Topology:
     """Partition of locale pairs into distance classes (base class).
 
     Subclasses define :attr:`classes` (class 0 MUST be the ``"local"``
-    self class) and :meth:`distance`.  Everything else — distance rows,
-    uplink grouping, coherence domains — has generic defaults.
+    self class), :meth:`distance` and ``build_distance_row(dst)``: the
+    tuple of ``distance(src, dst)`` for every ``src``, in closed form
+    (fill with the farthest class, slice-assign the nearer ranges, then
+    the self entry).  Hot paths index the row by issuing locale; they
+    read it from :meth:`NetworkModel.distance_row
+    <repro.comm.network.NetworkModel.distance_row>`, which caches it per
+    runtime.  Uplink grouping and coherence domains have generic
+    defaults.
     """
 
     #: Registry key / canonical spec prefix ("flat", "hier", "dragonfly").
@@ -135,21 +141,6 @@ class Topology:
         """Distance-class index of an operation issued by ``src`` against
         memory homed on ``dst``.  Pure: depends only on the two ids."""
         raise NotImplementedError
-
-    def build_distance_row(self, dst: int) -> Tuple[int, ...]:
-        """``distance(src, dst)`` for every ``src``.
-
-        The generic builder calls :meth:`distance` once per pair; the
-        built-in topologies override it with a closed form (fill with
-        the farthest class, slice-assign the nearer ranges, then the
-        self entry) that makes the same tuple in O(locales) list ops.
-        Hot paths index the row by issuing locale; they read it from
-        :meth:`NetworkModel.distance_row
-        <repro.comm.network.NetworkModel.distance_row>`, which caches it
-        per runtime.
-        """
-        distance = self.distance
-        return tuple(distance(src, dst) for src in range(self.num_locales))
 
     # -- contention & coherence grouping --------------------------------
     def uplink_group(self, locale: int) -> int:
@@ -172,16 +163,8 @@ class Topology:
         """The canonical string spec that re-creates this topology."""
         return self.kind
 
-    def class_names(self) -> List[str]:
-        """Distance-class names in index order (diagnostics/CLI)."""
-        return [c.name for c in self.classes]
-
-    def describe(self) -> str:
-        """One human-readable line (CLI listings, reports)."""
-        return f"{self.spec()} over {self.num_locales} locales"
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}({self.describe()!r})"
+        return f"{type(self).__name__}({self.spec()!r}, num_locales={self.num_locales})"
 
 
 def _fill_block(row: List[int], dst: int, size: int, cls: int) -> None:
@@ -310,14 +293,6 @@ class HierarchicalTopology(Topology):
             base += f"@{self.uplink_scale:g}"
         return base
 
-    def describe(self) -> str:
-        nodes = -(-self.num_locales // self.node_size)  # ceil div
-        return (
-            f"{self.spec()}: {nodes} node(s) x {self.sockets_per_node}"
-            f" socket(s) x {self.locales_per_socket} locale(s),"
-            f" {self.num_locales} locales total"
-        )
-
 
 class DragonflyTopology(Topology):
     """Electrical groups joined by degraded all-to-all optical links.
@@ -376,13 +351,6 @@ class DragonflyTopology(Topology):
         if self.global_scale != 4.0:
             base += f"@{self.global_scale:g}"
         return base
-
-    def describe(self) -> str:
-        groups = -(-self.num_locales // self.group_size)
-        return (
-            f"{self.spec()}: {groups} group(s) x {self.group_size}"
-            f" locale(s), {self.num_locales} locales total"
-        )
 
 
 # ---------------------------------------------------------------------------

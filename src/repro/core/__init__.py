@@ -3,13 +3,10 @@
 * :class:`~repro.core.atomic_object.AtomicObject` (alias
   ``GlobalAtomicObject``) — atomics on wide pointers via pointer
   compression, with DCAS fallback and the descriptor-table extension.
-* :class:`~repro.core.local_atomic_object.LocalAtomicObject` — the
-  shared-memory-only variant.
 * :class:`~repro.core.aba.ABA` — the (value, counter) snapshot defeating
   the ABA problem.
-* :class:`~repro.core.epoch_manager.EpochManager` /
-  :class:`~repro.core.local_epoch_manager.LocalEpochManager` — epoch-based
-  reclamation for distributed / shared memory.
+* :class:`~repro.core.epoch_manager.EpochManager` — epoch-based
+  reclamation for distributed memory.
 * :class:`~repro.core.limbo_list.LimboList` — the wait-free deferred-free
   list (paper Listing 2).
 * :class:`~repro.core.token.Token` — per-task registration handles.
@@ -19,8 +16,6 @@ from .aba import ABA
 from .atomic_object import AtomicObject, DescriptorTable, GlobalAtomicObject
 from .epoch_manager import EpochManager, EpochManagerStats
 from .limbo_list import LimboList, LimboNode, NodePool
-from .local_atomic_object import LocalAtomicObject
-from .local_epoch_manager import LocalEpochManager
 from .privatization import PrivatizedObject, UnprivatizedProxy
 from .token import Token, TokenAllocatedList, TokenFreeList
 
@@ -28,10 +23,8 @@ __all__ = [
     "ABA",
     "AtomicObject",
     "GlobalAtomicObject",
-    "LocalAtomicObject",
     "DescriptorTable",
     "EpochManager",
-    "LocalEpochManager",
     "EpochManagerStats",
     "LimboList",
     "LimboNode",

@@ -10,8 +10,8 @@ monotonically increasing counter and update both with a double-word CAS:
 address recycling cannot rewind the counter, so the stale CAS fails.
 
 :class:`ABA` is the immutable snapshot type returned by the ``*ABA``
-operation variants of :class:`~repro.core.atomic_object.AtomicObject` and
-:class:`~repro.core.local_atomic_object.LocalAtomicObject`.  Like the
+operation variants of :class:`~repro.core.atomic_object.AtomicObject`.
+Like the
 Chapel original (which uses the ``forwarding`` decorator), it is designed
 to be used "as if it were the value it wraps": equality, hashing, truth
 value and attribute forwarding all delegate sensibly.

@@ -125,9 +125,8 @@ class AtomicObject(ChargedWord):
     :class:`~repro.atomics.cell.ChargedWord` machinery and then commits,
     exactly like an integer cell on the same home.  Plain operations take
     the narrow route unless the mode is ``dcas``; the ``*_aba`` variants
-    always take the wide (DCAS) route.  The narrow route opts out of
-    network atomics only in the ``"local"`` mode of the
-    :class:`~repro.core.local_atomic_object.LocalAtomicObject` subclass.
+    always take the wide (DCAS) route.  The cell never opts out of
+    network atomics: a pointer cell is shared across locales.
     """
 
     __slots__ = (
@@ -139,9 +138,6 @@ class AtomicObject(ChargedWord):
         "_descriptors",
         "_desc_of_current",
     )
-
-    #: Modes this class accepts (``"auto"`` resolves to one of them).
-    _MODES = ("compressed", "dcas", "descriptor")
 
     def __init__(
         self,
@@ -156,7 +152,7 @@ class AtomicObject(ChargedWord):
         compressible = runtime.num_locales < MAX_COMPRESSIBLE_LOCALES
         if mode == "auto":
             mode = "compressed" if compressible else "dcas"
-        if mode not in self._MODES:
+        if mode not in ("compressed", "dcas", "descriptor"):
             raise ValueError(f"unknown {type(self).__name__} mode {mode!r}")
         # A runtime too large for compression must use dcas/descriptor —
         # matching the paper's fallback rule.
@@ -166,9 +162,7 @@ class AtomicObject(ChargedWord):
                 " use mode='dcas' or mode='descriptor'"
             )
         home = runtime.locale(locale).id
-        local = mode == "local"
-        line = f"{'localatomic' if local else 'atomicobject'}@{home}"
-        super().__init__(runtime, home, name, name or line, local)
+        super().__init__(runtime, home, name, name or f"atomicobject@{home}", False)
         self.mode = mode
         self.aba_protection = bool(aba_protection)
         #: Plain ops pay the wide price only when the word is a full wide
@@ -252,20 +246,6 @@ class AtomicObject(ChargedWord):
             self._addr = desired
             self._desc_of_current = desc
         return ok
-
-    def compare_exchange(
-        self, expected: GlobalAddress, desired: GlobalAddress
-    ) -> Tuple[bool, GlobalAddress]:
-        """CAS returning ``(success, observed_pointer)``."""
-        desired = self._validate(desired)
-        desc = self._register(desired)
-        self._enter(self._dcas)
-        observed = self._addr
-        ok = observed == expected
-        if ok:
-            self._addr = desired
-            self._desc_of_current = desc
-        return ok, observed
 
     # ------------------------------------------------------------------
     # ABA-protected (128-bit) operations

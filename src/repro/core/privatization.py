@@ -87,16 +87,6 @@ class PrivatizedObject:
         #: The record-wrapped id; the only state a handle needs.
         self._pid = runtime.register_privatized(instances)
 
-    @property
-    def runtime(self) -> "Runtime":
-        """The owning runtime."""
-        return self._rt
-
-    @property
-    def pid(self) -> int:
-        """The privatization id (a small integer, copied by value)."""
-        return self._pid
-
     def get_privatized_instance(self, locale_id: "int | None" = None) -> Any:
         """Resolve the instance local to the calling task (zero cost).
 

@@ -16,7 +16,6 @@ from .compression import (
     LOCALE_BITS,
     MAX_COMPRESSIBLE_LOCALES,
     compress,
-    compressible,
     decompress,
 )
 from .heap import Heap, HeapStats
@@ -27,7 +26,6 @@ __all__ = [
     "is_nil",
     "compress",
     "decompress",
-    "compressible",
     "LOCALE_BITS",
     "ADDRESS_BITS",
     "ADDRESS_MASK",

@@ -35,7 +35,6 @@ __all__ = [
     "COMPRESSED_NIL",
     "compress",
     "decompress",
-    "compressible",
 ]
 
 #: Bits of locality information packed into the pointer's upper bits.
@@ -48,11 +47,6 @@ MAX_COMPRESSIBLE_LOCALES = 1 << LOCALE_BITS
 ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
 #: The compressed representation of the nil wide pointer.
 COMPRESSED_NIL = 0
-
-
-def compressible(addr: GlobalAddress) -> bool:
-    """True when ``addr`` fits the 16+48 packed representation."""
-    return 0 <= addr.locale < MAX_COMPRESSIBLE_LOCALES and 0 <= addr.offset <= ADDRESS_MASK
 
 
 def compress(addr: GlobalAddress) -> int:

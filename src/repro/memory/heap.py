@@ -62,11 +62,10 @@ class Heap:
     """The simulated memory of one locale.
 
     State is flat: the live map ``offset -> payload`` (live slots only),
-    the LIFO free list, a sparse ``offset -> generation`` map written only
-    when an address is recycled (absent means 0), the next fresh offset,
-    and plain int counters.  ``frees`` is ``allocations - live``, and
-    ``peak_live`` is folded in before every free (live only rises on
-    alloc), so :attr:`stats` builds its :class:`HeapStats` on demand.
+    the LIFO free list, the next fresh offset, and plain int counters.
+    ``frees`` is ``allocations - live``, and ``peak_live`` is folded in
+    before every free (live only rises on alloc), so :attr:`stats` builds
+    its :class:`HeapStats` on demand.
 
     Parameters
     ----------
@@ -90,7 +89,6 @@ class Heap:
         self.alignment = alignment
         self._live: Dict[int, Any] = {}  # offset -> payload, live slots only
         self._free: List[int] = []  # LIFO free list of offsets
-        self._gen: Dict[int, int] = {}  # offset -> generation, recycled only
         self._base = self._next = ((base + alignment - 1) // alignment) * alignment
         self._allocations = self._reuses = self._peak_live = 0
 
@@ -105,7 +103,6 @@ class Heap:
         """
         if self._free:
             offset = self._free.pop()
-            self._gen[offset] = self._gen.get(offset, 0) + 1
             self._reuses += 1
         else:
             offset = self._next
@@ -126,15 +123,13 @@ class Heap:
         """
         if n < 0:
             raise ValueError("alloc_many needs n >= 0")
-        free, gen, align = self._free, self._gen, self.alignment
+        free, align = self._free, self.alignment
         reused = free[: -n - 1 : -1]  # the last n frees, newest first
         start = self._next
         stop = start + (n - len(reused)) * align
         if stop > ADDRESS_MASK:
             raise self._exhausted()
         del free[len(free) - len(reused) :]
-        for offset in reused:
-            gen[offset] = gen.get(offset, 0) + 1
         offsets = reused + list(range(start, stop, align))
         self._next = stop
         # iter(object, None) yields a fresh object() per address.
@@ -174,26 +169,6 @@ class Heap:
             return self._live[offset]
         except KeyError:
             raise self._not_live(offset) from None
-
-    def store(self, offset: int, payload: Any) -> None:
-        """Replace the payload at a live ``offset`` (a remote PUT target)."""
-        if offset not in self._live:
-            raise self._not_live(offset)
-        self._live[offset] = payload
-
-    def is_live(self, offset: int) -> bool:
-        """True when ``offset`` names a currently-allocated slot."""
-        return offset in self._live
-
-    def generation(self, offset: int) -> int:
-        """How many times this address has been recycled (0 = never).
-
-        Exposed for tests that must *witness* an ABA (same address, new
-        object) rather than infer it.
-        """
-        if not self._issued(offset):
-            raise self._not_live(offset)
-        return self._gen.get(offset, 0)
 
     def free(self, offset: int) -> None:
         """Free the slot at ``offset``; its address becomes reusable.

@@ -239,13 +239,10 @@ class TraceRecorder:
         merged.sort(key=lambda ev: (ev["t"], ev["loc"], ev["seq"]))
         return merged
 
-    def event_count(self) -> int:
-        return sum(len(buf) for buf in self._buffers)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"TraceRecorder(detail={self.detail!r},"
-            f" events={self.event_count()})"
+            f" events={sum(len(buf) for buf in self._buffers)})"
         )
 
 

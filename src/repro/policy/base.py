@@ -84,11 +84,6 @@ class EpochFacts:
         return max(self.pending) if self.pending else 0
 
     @property
-    def total_pending(self) -> int:
-        """Pending objects across all units."""
-        return sum(self.pending)
-
-    @property
     def oldest_age(self) -> Optional[float]:
         """Age (seconds on the virtual clock) of the oldest pending
         retirement, or ``None`` when not tracked / nothing pending."""

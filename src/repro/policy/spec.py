@@ -85,11 +85,6 @@ class PolicySpec:
         self.make_window_policy(1)
 
     # ------------------------------------------------------------------
-    @property
-    def is_default(self) -> bool:
-        """True for the bit-identical default (fixed epochs, static window)."""
-        return self.epoch_kind == "fixed" and self.window_kind == "static"
-
     def spec(self) -> str:
         """The canonical spec string (parses back to an equal spec)."""
         parts = []

@@ -31,8 +31,6 @@ neither needs a lock.
 
 from __future__ import annotations
 
-from typing import Optional
-
 __all__ = ["ServicePoint"]
 
 
@@ -61,9 +59,12 @@ class ServicePoint:
     scheduler) is approximated.
 
     The accumulated ``busy_time`` and ``served`` counters are exposed for
-    diagnostics: utilization of the global-epoch locale's progress thread is
-    one of the quantities the paper reasons about when justifying the
-    first-come-first-served election.
+    diagnostics (``RuntimeSnapshot``, the aggregation stats) on the NIC,
+    progress-thread and uplink points: load on the global-epoch locale's
+    progress thread is one of the quantities the paper reasons about when
+    justifying the first-come-first-served election.  A cell's line keeps
+    only its recurrence (``next_free``, ``idle_bank``); its counters move
+    only when it is traced.
     """
 
     __slots__ = (
@@ -137,13 +138,6 @@ class ServicePoint:
         self.idle_bank = 0.0
         self.busy_time = 0.0
         self.served = 0
-
-    def utilization(self, horizon: Optional[float] = None) -> float:
-        """Fraction of ``horizon`` (or of ``next_free``) spent busy."""
-        span = horizon if horizon is not None else self.next_free
-        if span <= 0.0:
-            return 0.0
-        return min(1.0, self.busy_time / span)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

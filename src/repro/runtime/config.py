@@ -22,7 +22,7 @@ back from the result instead of parsing them again.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..comm.aggregation import AggregationSpec, parse_aggregation
@@ -256,10 +256,6 @@ class RuntimeConfig:
             _parse("aggregation", parse_aggregation, self.aggregation),
         )
         set_(self, "_policy", _parse("policy", parse_policy, self.policy))
-
-    def with_(self, **overrides) -> "RuntimeConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **overrides)
 
     def resolved_topology(self) -> Topology:
         """The :class:`~repro.comm.topology.Topology` instance this config

@@ -41,24 +41,6 @@ class RuntimeSnapshot:
         """Locale whose progress thread accumulated the most busy time."""
         return max(range(len(self.progress_busy)), key=self.progress_busy.__getitem__)
 
-    @property
-    def total_live_objects(self) -> int:
-        """Live allocations across every locale heap."""
-        return sum(h["live"] for h in self.heap_stats)
-
-    def imbalance(self) -> float:
-        """Max/mean ratio of progress-thread busy time (1.0 = balanced).
-
-        The election-flag ablation uses this: without the FCFS election,
-        the global-epoch home locale's progress thread shows a large
-        imbalance under dense ``tryReclaim``.
-        """
-        if not self.progress_busy:
-            return 1.0
-        mean = sum(self.progress_busy) / len(self.progress_busy)
-        if mean == 0.0:
-            return 1.0
-        return max(self.progress_busy) / mean
 
 
 def snapshot(runtime: "Runtime") -> RuntimeSnapshot:

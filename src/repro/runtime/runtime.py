@@ -64,12 +64,10 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
     TypeVar,
 )
 
-from ..atomics.integer import AtomicBool, AtomicInt64, AtomicUInt64
-from ..atomics.wide import AtomicWide128
+from ..atomics.integer import AtomicInt64
 from ..comm.counters import CommDiagnostics, CommOp
 from ..errors import LocaleError, NoTaskContextError, RuntimeStateError
 from ..memory.address import GlobalAddress, is_nil
@@ -182,26 +180,6 @@ class Runtime:
         """Number of simulated locales."""
         return self.config.num_locales
 
-    @property
-    def topology(self):
-        """The interconnect :class:`~repro.comm.topology.Topology`."""
-        return self.network.topology
-
-    @property
-    def aggregation(self):
-        """The :class:`~repro.comm.aggregation.AggregationSpec` in force."""
-        return self.network.aggregation
-
-    def locale_distance(self, src: int, dst: int) -> int:
-        """Distance-class index between two locales (0 = same locale).
-
-        Smaller is closer; the class's meaning (coherent / NIC / uplink)
-        is topology-specific — see ``rt.topology.classes``.
-        """
-        self.locale(src)
-        self.locale(dst)
-        return self.network.topology.distance(src, dst)
-
     def locale(self, locale_id: int) -> Locale:
         """Return the :class:`Locale` with the given id (validated: an
         ``int``, not a ``bool``, in range)."""
@@ -310,27 +288,10 @@ class Runtime:
     # ------------------------------------------------------------------
     # atomics factories
     # ------------------------------------------------------------------
-    def atomic_uint(self, initial: int = 0, *, locale: int = 0, name: str = "") -> AtomicUInt64:
-        """Create an unsigned 64-bit atomic living on ``locale``."""
-        self.locale(locale)
-        return AtomicUInt64(self, locale, initial, name)
-
     def atomic_int(self, initial: int = 0, *, locale: int = 0, name: str = "") -> AtomicInt64:
         """Create a signed 64-bit atomic (Chapel ``atomic int``)."""
         self.locale(locale)
         return AtomicInt64(self, locale, initial, name)
-
-    def atomic_bool(self, initial: bool = False, *, locale: int = 0, name: str = "") -> AtomicBool:
-        """Create an atomic boolean flag living on ``locale``."""
-        self.locale(locale)
-        return AtomicBool(self, locale, initial, name)
-
-    def atomic_wide(
-        self, initial: Tuple[int, int] = (0, 0), *, locale: int = 0, name: str = ""
-    ) -> AtomicWide128:
-        """Create a 128-bit double-word atomic (DCAS target)."""
-        self.locale(locale)
-        return AtomicWide128(self, locale, initial, name)
 
     # ------------------------------------------------------------------
     # global memory operations
@@ -396,16 +357,6 @@ class Runtime:
             self.network.read(ctx, addr.locale, nbytes=64)
         return heap.load(addr.offset)
 
-    def put(self, addr: GlobalAddress, payload: Any) -> None:
-        """Replace the object at ``addr`` (a PUT when remote)."""
-        if is_nil(addr):
-            raise LocaleError("put to nil GlobalAddress")
-        heap = self.locale(addr.locale).heap
-        ctx = self._ctx
-        if ctx is not None:
-            self.network.write(ctx, addr.locale, nbytes=64)
-        heap.store(addr.offset, payload)
-
     def free(self, addr: GlobalAddress) -> None:
         """Free the allocation at ``addr`` (remote free = RPC)."""
         if is_nil(addr):
@@ -433,12 +384,6 @@ class Runtime:
         if ctx is not None:
             self.network.bulk_free(ctx, locale_id, len(offs), rpc=rpc)
         return heap.free_bulk(offs)
-
-    def is_live(self, addr: GlobalAddress) -> bool:
-        """Liveness check (no cost; testing / assertions)."""
-        if is_nil(addr):
-            return False
-        return self.locale(addr.locale).heap.is_live(addr.offset)
 
     # ------------------------------------------------------------------
     # execution constructs

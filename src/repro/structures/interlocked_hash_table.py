@@ -20,14 +20,13 @@ building blocks make natural:
 
 Copy-on-write buckets trade write bandwidth (O(bucket) copy) for wait-free
 reads, the appropriate point on the spectrum for the read-mostly workloads
-(hash-table lookups) the paper's Figure 7 discussion motivates.  A
-quiescent ``resize()`` doubles the bucket array when load grows.
+(hash-table lookups) the paper's Figure 7 discussion motivates.
 """
 
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from ..core.atomic_object import AtomicObject
 from ..core.token import Token
@@ -140,11 +139,6 @@ class InterlockedHashTable:
         ]
 
     # ------------------------------------------------------------------
-    @property
-    def bucket_count(self) -> int:
-        """Current number of buckets."""
-        return self._nbuckets
-
     def _bucket_of(self, h: int) -> int:
         return h & (self._nbuckets - 1)
 
@@ -204,15 +198,6 @@ class InterlockedHashTable:
             if eh == h and ek == key:
                 return ev
         return default
-
-    def contains(
-        self,
-        key: Any,
-        guard: Optional[Token] = None,
-    ) -> bool:
-        """Membership test (wait-free)."""
-        sentinel = object()
-        return self.get(key, sentinel, guard=guard) is not sentinel
 
     # ------------------------------------------------------------------
     # writes (lock-free RCU on the bucket)
@@ -320,52 +305,6 @@ class InterlockedHashTable:
 
         _, new_value = self._publish(header, mutate, guard)
         return new_value
-
-    # ------------------------------------------------------------------
-    # quiescent operations
-    # ------------------------------------------------------------------
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        """Yield all pairs (quiescent snapshot; not linearizable)."""
-        for header in self._headers:
-            addr = header.peek()
-            if is_nil(addr):
-                continue
-            snap = self._rt.locale(addr.locale).heap.load(addr.offset)
-            for _, k, v in snap.entries:
-                yield k, v
-
-    def size(self) -> int:
-        """Count entries (quiescent)."""
-        return sum(1 for _ in self.items())
-
-    def resize(self, new_buckets: int) -> None:
-        """Quiescent rehash into ``new_buckets`` (power of two) buckets.
-
-        Contract: no concurrent operations (same as ``EpochManager.clear``).
-        Old snapshots are freed immediately — safe under the contract.
-        """
-        rt = self._rt
-        pairs = list(self.items())
-        for header in self._headers:
-            addr = header.peek()
-            if not is_nil(addr):
-                rt.free(addr)
-        n = 1
-        while n < max(1, new_buckets):
-            n <<= 1
-        self._nbuckets = n
-        self._headers = [
-            AtomicObject(
-                rt,
-                locale=b % rt.num_locales,
-                initial=NIL,
-                aba_protection=self.aba_protection,
-                name=f"bucket{b}",
-            )
-            for b in range(n)
-        ]
-        for k, v in pairs:
-            self.put(k, v)
 
     def destroy(self) -> None:
         """Free all snapshots (and the owned reclaimer, when applicable)."""

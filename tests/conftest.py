@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import UseAfterFreeError
+from repro.memory import is_nil
 from repro.runtime import Runtime
 
 
@@ -41,6 +43,29 @@ def rt_both(request) -> Runtime:
 def rt1() -> Runtime:
     """Single-locale machine (shared-memory scenarios)."""
     return Runtime(num_locales=1, network="none", tasks_per_locale=4)
+
+
+def is_live(rt: Runtime, addr) -> bool:
+    """True while ``addr`` names a live allocation (charges nothing)."""
+    if is_nil(addr):
+        return False
+    try:
+        rt.locale(addr.locale).heap.load(addr.offset)
+    except UseAfterFreeError:
+        return False
+    return True
+
+
+def table_items(table) -> list:
+    """Every (key, value) entry of an ``InterlockedHashTable``'s bucket
+    snapshots, duplicates included (quiescent; charges nothing)."""
+    items = []
+    for header in table._headers:
+        addr = header.peek()
+        if not is_nil(addr):
+            snap = table._rt.locale(addr.locale).heap.load(addr.offset)
+            items.extend((k, v) for _, k, v in snap.entries)
+    return items
 
 
 def run_in_task(rt: Runtime, fn, *args):

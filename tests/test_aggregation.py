@@ -87,7 +87,7 @@ class TestSpecValidation:
         )
         rt = Runtime(config=cfg)
         try:
-            assert rt.aggregation.window == 4
+            assert rt.network.aggregation.window == 4
             assert rt.network.aggregator.active
         finally:
             rt.close()
@@ -95,7 +95,7 @@ class TestSpecValidation:
     def test_flat_machine_is_never_active(self):
         rt = Runtime(config=RuntimeConfig(num_locales=4, aggregation=16))
         try:
-            assert rt.aggregation.window == 16
+            assert rt.network.aggregation.window == 16
             # No shared uplinks anywhere on a flat machine: the
             # aggregator is inert by construction.
             assert not rt.network.aggregator.active
@@ -361,7 +361,7 @@ class TestRaggedShapes:
     def test_partial_node_uplink_grouping(self):
         rt = _hier_runtime(4, topology="hier:2x3")
         try:
-            topo = rt.topology
+            topo = rt.network.topology
             # hier:2x3 over 8 locales: node 0 holds 0-5, node 1 only 6-7
             # (a partial node whose single socket is itself partial).
             assert [topo.uplink_group(lid) for lid in range(8)] == [0] * 6 + [1] * 2

@@ -1,12 +1,13 @@
-"""Tests for AtomicObject / LocalAtomicObject / ABA wrapper / descriptors."""
+"""Tests for AtomicObject / ABA wrapper / descriptors."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import ABA, AtomicObject, GlobalAtomicObject, LocalAtomicObject
+from repro.atomics import AtomicRef, AtomicUInt64
+from repro.core import ABA, AtomicObject, GlobalAtomicObject
 from repro.core.atomic_object import DescriptorTable
-from repro.errors import LocaleError, RuntimeStateError
+from repro.errors import RuntimeStateError
 from repro.memory import NIL, GlobalAddress
 from repro.runtime import Runtime
 
@@ -78,8 +79,6 @@ class TestAtomicObjectModes:
             assert obj.exchange(b) == a
             assert obj.compare_and_swap(b, a)
             assert not obj.compare_and_swap(b, a)
-            ok, seen = obj.compare_exchange(a, b)
-            assert ok and seen == a
 
         rt.run(main)
 
@@ -252,45 +251,14 @@ class TestDescriptorTable:
         assert rt.run(main) == 0
 
 
-class TestLocalAtomicObject:
-    def test_basic_ops(self, rt):
-        obj = LocalAtomicObject(rt, locale=1)
-        a = _addr(rt, 1)
-
-        def main():
-            obj.write(a)
-            assert obj.read() == a
-            assert obj.exchange(NIL) == a
-            assert obj.compare_and_swap(NIL, a)
-
-        rt.run(main)
-
-    def test_rejects_remote_objects(self, rt):
-        obj = LocalAtomicObject(rt, locale=1)
-        remote = _addr(rt, 2)
-        with pytest.raises(LocaleError):
-            obj.write(remote)
-
-    def test_nil_is_always_acceptable(self, rt):
-        obj = LocalAtomicObject(rt, locale=1)
-        obj.write(NIL)
-        assert obj.peek() == NIL
-
-    def test_aba_variants(self, rt):
-        obj = LocalAtomicObject(rt, locale=0)
-        a = _addr(rt, 0)
-
-        def main():
-            snap = obj.read_aba()
-            assert obj.compare_and_swap_aba(snap, a)
-            assert not obj.compare_and_swap_aba(snap, NIL)  # counter moved
-
-        rt.run(main)
+class TestOptedOutNarrowRoute:
+    """The narrow route with network atomics opted out (the plan
+    ``cell_plan(home, True)``), as the locale-private cells take it."""
 
     def test_opts_out_of_network_atomics(self):
-        """LocalAtomicObject pays CPU prices even under ugni."""
+        """An opted-out cell pays CPU prices even under ugni."""
         rt = Runtime(num_locales=1, network="ugni")
-        local = LocalAtomicObject(rt, locale=0)
+        local = AtomicRef(rt, 0)
         netw = AtomicObject(rt, locale=0)
 
         def cost(fn):
@@ -303,31 +271,23 @@ class TestLocalAtomicObject:
 
         assert cost(netw.read) > 5 * cost(local.read)
 
-    def test_disabled_aba_raises(self, rt):
-        obj = LocalAtomicObject(rt, aba_protection=False)
-        with pytest.raises(RuntimeStateError):
-            obj.read_aba()
-        with pytest.raises(RuntimeStateError, match="this LocalAtomicObject"):
-            obj.write_aba(NIL)
-
     def test_narrow_cpu_route_at_2_16_locales(self):
-        """Same-locale pointers need no compression: where AtomicObject
-        falls back to DCAS, LocalAtomicObject keeps the narrow opted-out
-        CPU route — same price and counters as on a one-locale machine."""
+        """Where AtomicObject falls back to DCAS, an opted-out word keeps
+        the narrow CPU route — same price and counters as on a one-locale
+        machine."""
 
         def run(num_locales):
             rt = Runtime(num_locales=num_locales, network="ugni")
             try:
-                obj = LocalAtomicObject(rt, locale=0)
-                a = _addr(rt, 0)
-                assert obj.mode == "local" and obj._plan is rt.network.cell_plan(0, True)
+                word = AtomicUInt64(rt, 0, opt_out=True)
+                assert word._plan is rt.network.cell_plan(0, True)
 
                 def main():
                     with rt.timed() as t:
-                        obj.write(a)
-                        assert obj.exchange(a) == a
-                        assert obj.compare_and_swap(a, NIL)
-                        assert obj.read() == NIL
+                        word.write(3)
+                        assert word.fetch_add(1) == 3
+                        assert word.compare_and_swap(4, 0)
+                        assert word.read() == 0
                     return t.elapsed
 
                 return rt.run(main), rt.network.diags.totals(), AtomicObject(rt).mode

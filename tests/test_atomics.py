@@ -1,9 +1,12 @@
-"""Unit tests for the primitive atomics: integers, bools, DCAS, refs."""
+"""Unit tests for the primitive atomics: integers, bools, refs."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.atomics import AtomicBool, AtomicUInt64
+from repro.core import ABA, AtomicObject
+from repro.memory import NIL
 from repro.runtime import Runtime
 
 
@@ -14,56 +17,35 @@ def rt():
 
 class TestAtomicUInt64:
     def test_read_write(self, rt):
-        a = rt.atomic_uint(7)
+        a = AtomicUInt64(rt, 0, 7)
         assert a.read() == 7
         a.write(9)
         assert a.read() == 9
 
     def test_wraps_to_64_bits(self, rt):
-        a = rt.atomic_uint((1 << 64) - 1)
+        a = AtomicUInt64(rt, 0, (1 << 64) - 1)
         a.add(1)
         assert a.read() == 0
 
-    def test_exchange_returns_old(self, rt):
-        a = rt.atomic_uint(1)
-        assert a.exchange(2) == 1
-        assert a.read() == 2
-
     def test_cas_success_and_failure(self, rt):
-        a = rt.atomic_uint(5)
+        a = AtomicUInt64(rt, 0, 5)
         assert a.compare_and_swap(5, 6)
         assert not a.compare_and_swap(5, 7)
         assert a.read() == 6
 
-    def test_compare_exchange_reports_observed(self, rt):
-        a = rt.atomic_uint(5)
-        ok, seen = a.compare_exchange(4, 9)
-        assert not ok and seen == 5
-        ok, seen = a.compare_exchange(5, 9)
-        assert ok and seen == 5
-
     def test_fetch_add_sub(self, rt):
-        a = rt.atomic_uint(10)
+        a = AtomicUInt64(rt, 0, 10)
         assert a.fetch_add(3) == 10
-        assert a.fetch_sub(5) == 13
+        a.sub(5)
         assert a.read() == 8
 
-    def test_bitwise_ops(self, rt):
-        a = rt.atomic_uint(0b1100)
-        assert a.fetch_or(0b0011) == 0b1100
-        assert a.read() == 0b1111
-        assert a.fetch_and(0b1010) == 0b1111
-        assert a.read() == 0b1010
-        assert a.fetch_xor(0b1111) == 0b1010
-        assert a.read() == 0b0101
-
     def test_peek_poke_do_not_charge(self, rt):
-        a = rt.atomic_uint(0)
+        a = AtomicUInt64(rt, 0, 0)
         a.poke(42)
         assert a.peek() == 42
 
     def test_concurrent_fetch_add_is_atomic(self, rt):
-        a = rt.atomic_uint(0)
+        a = AtomicUInt64(rt, 0, 0)
         N, T = 500, 8
 
         def worker(_):
@@ -96,32 +78,17 @@ class TestAtomicInt64:
         a = rt.atomic_int(-7)
         assert a.exchange(7) == -7
 
-    def test_compare_exchange_signed_observed(self, rt):
-        a = rt.atomic_int(-3)
-        ok, seen = a.compare_exchange(0, 1)
-        assert not ok and seen == -3
-
     @pytest.mark.parametrize(
         "op",
         [
             lambda a: a.read(),
             lambda a: a.exchange(1),
-            lambda a: a.compare_exchange(0, 1)[1],
             lambda a: a.fetch_add(1),
-            lambda a: a.fetch_sub(1),
-            lambda a: a.fetch_or(0),
-            lambda a: a.fetch_and(-1),
-            lambda a: a.fetch_xor(0),
         ],
         ids=[
             "read",
             "exchange",
-            "compare_exchange",
             "fetch_add",
-            "fetch_sub",
-            "fetch_or",
-            "fetch_and",
-            "fetch_xor",
         ],
     )
     def test_ops_return_previous_value_signed(self, rt, op):
@@ -131,25 +98,20 @@ class TestAtomicInt64:
 
 class TestAtomicBool:
     def test_test_and_set_returns_previous(self, rt):
-        f = rt.atomic_bool(False)
+        f = AtomicBool(rt, 0, False)
         assert f.test_and_set() is False  # caller won
         assert f.test_and_set() is True  # already held
         f.clear()
         assert f.test_and_set() is False
 
-    def test_read_write_exchange(self, rt):
-        f = rt.atomic_bool(True)
-        assert f.read() is True
+    def test_write_exchange(self, rt):
+        f = AtomicBool(rt, 0, True)
         assert f.exchange(False) is True
-        assert f.read() is False
-
-    def test_cas(self, rt):
-        f = rt.atomic_bool(False)
-        assert f.compare_and_swap(False, True)
-        assert not f.compare_and_swap(False, True)
+        f.write(True)
+        assert f.peek() is True
 
     def test_only_one_thread_wins_test_and_set(self, rt):
-        f = rt.atomic_bool(False)
+        f = AtomicBool(rt, 0, False)
         wins = []
 
         def worker(_):
@@ -158,40 +120,6 @@ class TestAtomicBool:
 
         rt.run(lambda: rt.forall(range(8), worker, tasks_per_locale=8))
         assert len(wins) == 1
-
-
-class TestAtomicWide128:
-    def test_read_write_pairs(self, rt):
-        w = rt.atomic_wide((1, 2))
-        assert w.read() == (1, 2)
-        w.write((3, 4))
-        assert w.read() == (3, 4)
-
-    def test_halves_truncate_to_64_bits(self, rt):
-        w = rt.atomic_wide((1 << 65, 1 << 64))
-        assert w.read() == (0, 0)
-
-    def test_exchange(self, rt):
-        w = rt.atomic_wide((1, 1))
-        assert w.exchange((2, 2)) == (1, 1)
-
-    def test_dcas_checks_both_halves(self, rt):
-        w = rt.atomic_wide((10, 0))
-        assert not w.compare_and_swap((10, 1), (11, 2))  # counter mismatch
-        assert not w.compare_and_swap((9, 0), (11, 2))  # value mismatch
-        assert w.compare_and_swap((10, 0), (11, 1))
-        assert w.read() == (11, 1)
-
-    def test_compare_exchange_reports_pair(self, rt):
-        w = rt.atomic_wide((1, 2))
-        ok, seen = w.compare_exchange((0, 0), (5, 5))
-        assert not ok and seen == (1, 2)
-
-    def test_bump_exchange_lo_increments_counter(self, rt):
-        w = rt.atomic_wide((5, 7))
-        old = w.bump_exchange_lo(9)
-        assert old == (5, 7)
-        assert w.read() == (9, 8)
 
 
 class TestAtomicRef:
@@ -212,15 +140,6 @@ class TestAtomicRef:
         r = AtomicRef(rt, 0, a)
         assert a == b
         assert not r.compare_and_swap(b, None)
-
-    def test_exchange_and_none(self, rt):
-        from repro.atomics import AtomicRef
-
-        r = AtomicRef(rt, 0, None)
-        tok = object()
-        assert r.exchange(tok) is None
-        assert r.exchange(None) is tok
-
 
 class TestCellHomeValidation:
     """A cell's home is checked before its plan is memoised, so a bad home
@@ -273,8 +192,8 @@ class TestChargingOutsideTasks:
         a = rt.atomic_int(1)
         assert a.read() == 1
         a.fetch_add(1)
-        w = rt.atomic_wide((0, 0))
-        w.compare_and_swap((0, 0), (1, 1))
+        w = AtomicObject(rt, mode="dcas")
+        assert w.compare_and_swap(NIL, NIL)
 
     def test_charging_happens_inside_tasks(self, rt):
         a = rt.atomic_int(0, locale=1)
@@ -286,3 +205,114 @@ class TestChargingOutsideTasks:
 
         elapsed = rt.run(main)
         assert elapsed > 0.0
+
+
+def _cells(rt, home):
+    """One cell of each kind on ``home``, with values the ops below expect."""
+    from repro.atomics import AtomicInt64, AtomicRef
+
+    return {
+        "uint": AtomicUInt64(rt, home, 5),
+        "int": AtomicInt64(rt, home, -5),
+        "bool": AtomicBool(rt, home),
+        "ref": AtomicRef(rt, home),
+        "uint-opted": AtomicUInt64(rt, home, 5, opt_out=True),
+        "object": AtomicObject(rt, locale=home, mode="compressed"),
+        "object-dcas": AtomicObject(rt, locale=home, mode="dcas"),
+    }
+
+
+#: (cell, op, route) for every operation the cells keep.  ``narrow`` is
+#: the 64-bit network-atomic route, ``wide`` the 128-bit DCAS route and
+#: ``opted`` the narrow route with network atomics opted out.
+_OPS = [
+    ("uint", lambda c: c.read(), "narrow"),
+    ("uint", lambda c: c.write(1), "narrow"),
+    ("uint", lambda c: c.compare_and_swap(5, 6), "narrow"),
+    ("uint", lambda c: c.fetch_add(1), "narrow"),
+    ("uint", lambda c: c.add(1), "narrow"),
+    ("uint", lambda c: c.sub(1), "narrow"),
+    ("int", lambda c: c.read(), "narrow"),
+    ("int", lambda c: c.exchange(1), "narrow"),
+    ("int", lambda c: c.fetch_add(1), "narrow"),
+    ("int", lambda c: c.sub(1), "narrow"),
+    ("bool", lambda c: c.write(True), "narrow"),
+    ("bool", lambda c: c.exchange(True), "narrow"),
+    ("bool", lambda c: c.test_and_set(), "narrow"),
+    ("bool", lambda c: c.clear(), "narrow"),
+    ("object", lambda c: c.read(), "narrow"),
+    ("object", lambda c: c.write(NIL), "narrow"),
+    ("object", lambda c: c.exchange(NIL), "narrow"),
+    ("object", lambda c: c.compare_and_swap(NIL, NIL), "narrow"),
+    ("object-dcas", lambda c: c.read(), "wide"),
+    ("object-dcas", lambda c: c.write(NIL), "wide"),
+    ("object-dcas", lambda c: c.exchange(NIL), "wide"),
+    ("object-dcas", lambda c: c.compare_and_swap(NIL, NIL), "wide"),
+    ("object", lambda c: c.read_aba(), "wide"),
+    ("object", lambda c: c.write_aba(NIL), "wide"),
+    ("object", lambda c: c.exchange_aba(NIL), "wide"),
+    ("object", lambda c: c.compare_and_swap_aba(ABA(NIL, 0), NIL), "wide"),
+    ("ref", lambda c: c.read(), "opted"),
+    ("ref", lambda c: c.compare_and_swap(None, None), "opted"),
+    ("uint-opted", lambda c: c.read(), "opted"),
+    ("uint-opted", lambda c: c.compare_and_swap(5, 6), "opted"),
+]
+_OP_IDS = [
+    "uint.read", "uint.write", "uint.compare_and_swap", "uint.fetch_add",
+    "uint.add", "uint.sub",
+    "int.read", "int.exchange", "int.fetch_add", "int.sub",
+    "bool.write", "bool.exchange", "bool.test_and_set", "bool.clear",
+    "object.read", "object.write", "object.exchange", "object.compare_and_swap",
+    "dcas.read", "dcas.write", "dcas.exchange", "dcas.compare_and_swap",
+    "object.read_aba", "object.write_aba", "object.exchange_aba",
+    "object.compare_and_swap_aba",
+    "ref.read", "ref.compare_and_swap",
+    "uint_opted.read", "uint_opted.compare_and_swap",
+]
+#: The reference op of each route: every op on the route costs what it does.
+_ROUTE_REFERENCE = {
+    "narrow": ("uint", lambda c: c.read()),
+    "wide": ("object-dcas", lambda c: c.read()),
+    "opted": ("ref", lambda c: c.read()),
+}
+#: The one counter an op of each route bumps, on its home (0) and from
+#: another locale (1), under ugni.
+_ROUTE_COUNTER = {
+    "narrow": {0: "local_amo", 1: "amo"},
+    "wide": {0: "local_amo", 1: "am"},
+    "opted": {0: "local_amo", 1: "am"},
+}
+
+
+class TestOneChargePerOp:
+    """Every op the cells keep charges exactly one op of its route, at
+    the route's price, wherever the cell lives."""
+
+    @staticmethod
+    def _measure(home, cell, op):
+        rt = Runtime(num_locales=2, network="ugni")
+        try:
+            target = _cells(rt, home)[cell]
+
+            def main():
+                rt.reset_measurements()
+                with rt.timed() as t:
+                    op(target)
+                return t.elapsed, {k: v for k, v in rt.comm_totals().items() if v}
+
+            return rt.run(main)
+        finally:
+            rt.close()
+
+    @pytest.mark.parametrize("home", [0, 1], ids=["local", "remote"])
+    @pytest.mark.parametrize("cell,op,route", _OPS, ids=_OP_IDS)
+    def test_op_charges_one_op_of_its_route(self, home, cell, op, route):
+        elapsed, counted = self._measure(home, cell, op)
+        assert counted == {_ROUTE_COUNTER[route][home]: 1}
+        assert elapsed == self._measure(home, *_ROUTE_REFERENCE[route])[0]
+        assert elapsed > 0.0
+
+    @pytest.mark.parametrize("cell", ["uint", "int", "bool", "ref", "object"])
+    def test_peek_charges_nothing(self, cell):
+        elapsed, counted = self._measure(1, cell, lambda c: c.peek())
+        assert counted == {} and elapsed == 0.0

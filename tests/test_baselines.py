@@ -1,18 +1,10 @@
-"""Tests for the lock-based baselines and the blocking reclaimer."""
+"""Tests for the lock-based baselines and the hot-counter read side."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
-from repro.baselines import (
-    GlobalLockReclaimer,
-    LockedMap,
-    LockedQueue,
-    LockedStack,
-    SpinLock,
-)
+from repro.baselines import GlobalLockReclaimer, LockedMap, LockedQueue, SpinLock
 from repro.errors import EmptyStructureError
 from repro.runtime import Runtime
 
@@ -80,53 +72,6 @@ class TestSpinLock:
         assert cost(remote) > cost(local)
 
 
-class TestLockedStack:
-    def test_lifo(self, rt):
-        def main():
-            st = LockedStack(rt)
-            for i in range(5):
-                st.push(i)
-            assert [st.pop() for _ in range(5)] == [4, 3, 2, 1, 0]
-
-        rt.run(main)
-
-    def test_empty_pop_raises(self, rt):
-        def main():
-            with pytest.raises(EmptyStructureError):
-                LockedStack(rt).pop()
-            assert LockedStack(rt).try_pop() is None
-
-        rt.run(main)
-
-    def test_peek_len(self, rt):
-        def main():
-            st = LockedStack(rt)
-            assert st.peek() is None
-            st.push("x")
-            assert st.peek() == "x"
-            assert len(st) == 1
-
-        rt.run(main)
-
-    def test_concurrent_conservation(self, rt):
-        def main():
-            st = LockedStack(rt)
-            rt.forall(range(200), st.push)
-            popped = []
-            lock = threading.Lock()
-
-            def popper(i):
-                v = st.try_pop()
-                if v is not None:
-                    with lock:
-                        popped.append(v)
-
-            rt.forall(range(200), popper)
-            assert sorted(popped) == list(range(200))
-
-        rt.run(main)
-
-
 class TestLockedQueue:
     def test_fifo(self, rt):
         def main():
@@ -156,25 +101,13 @@ class TestLockedQueue:
 
 
 class TestLockedMap:
-    def test_crud(self, rt):
+    def test_get_and_update(self, rt):
         def main():
             m = LockedMap(rt)
-            assert m.put("a", 1)
-            assert not m.put("a", 2)
-            assert m.get("a") == 2
-            assert m.contains("a")
-            assert m.remove("a")
-            assert not m.remove("a")
-            assert m.get("a", "dflt") == "dflt"
-
-        rt.run(main)
-
-    def test_update_and_items(self, rt):
-        def main():
-            m = LockedMap(rt)
+            assert m.get("n", "dflt") == "dflt"
             assert m.update("n", lambda v: v + 5, default=0) == 5
-            m.put("x", 1)
-            assert dict(m.items()) == {"n": 5, "x": 1}
+            assert m.update("x", lambda v: 1) == 1
+            assert m.get("n") == 5
             assert len(m) == 2
 
         rt.run(main)
@@ -198,40 +131,11 @@ class TestGlobalLockReclaimer:
             glr = GlobalLockReclaimer(rt)
             guard = glr.register()
             guard.pin()
-            addr = rt.new_obj("x")
-            guard.defer_delete(addr)
+            assert glr.readers.peek() == 1
             guard.unpin()
-            assert guard.try_reclaim()
-            assert not rt.is_live(addr)
+            assert glr.readers.peek() == 0
             guard.unregister()
-
-        rt.run(main)
-
-    def test_reclaim_blocked_by_active_reader(self, rt):
-        def main():
-            glr = GlobalLockReclaimer(rt, spin_limit=4)
-            g1, g2 = glr.register(), glr.register()
-            g1.pin()
-            addr = rt.new_obj("x")
-            g2.defer_delete(addr)
-            assert not g2.try_reclaim()  # blocked: a reader is active
-            assert rt.is_live(addr)
-            g1.unpin()
-            assert g2.try_reclaim()
-            assert not rt.is_live(addr)
-
-        rt.run(main)
-
-    def test_clear_ignores_readers(self, rt):
-        def main():
-            glr = GlobalLockReclaimer(rt)
-            g = glr.register()
-            g.pin()
-            addr = rt.new_obj("x")
-            g.defer_delete(addr)
-            assert glr.clear() == 1
-            assert not rt.is_live(addr)
-            g.unpin()
+            assert not guard.needs_protect
 
         rt.run(main)
 

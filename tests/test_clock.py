@@ -94,17 +94,3 @@ class TestServicePoint:
         assert p.busy_time == 0.0
         assert p.served == 0
         assert p.idle_bank == 0.0
-
-    def test_utilization_bounded_by_one(self):
-        p = ServicePoint("t")
-        for _ in range(10):
-            p.serve_locked(0.0, 1.0)
-        assert p.utilization() == pytest.approx(1.0)
-
-    def test_utilization_with_horizon(self):
-        p = ServicePoint("t")
-        p.serve_locked(0.0, 1.0)
-        assert p.utilization(horizon=4.0) == pytest.approx(0.25)
-
-    def test_utilization_of_fresh_server_is_zero(self):
-        assert ServicePoint("t").utilization() == 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.comm.costs import DEFAULT_COSTS
@@ -90,7 +92,7 @@ class TestRuntimeConfig:
 
     def test_with_creates_modified_copy(self):
         cfg = RuntimeConfig()
-        cfg2 = cfg.with_(num_locales=8)
+        cfg2 = replace(cfg, num_locales=8)
         assert cfg2.num_locales == 8
         assert cfg.num_locales == 4
 

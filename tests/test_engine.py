@@ -23,15 +23,9 @@ import threading
 
 import pytest
 
-from repro.atomics import (
-    AtomicBool,
-    AtomicInt64,
-    AtomicRef,
-    AtomicUInt64,
-    AtomicWide128,
-)
+from repro.atomics import AtomicBool, AtomicInt64, AtomicRef, AtomicUInt64
 from repro.comm.counters import CommDiagnostics, CommOp
-from repro.core import ABA, AtomicObject, LocalAtomicObject
+from repro.core import ABA, AtomicObject
 from repro.core.epoch_manager import EpochManagerStats
 from repro.memory import NIL
 from repro.runtime import Runtime, RuntimeConfig, ServicePoint
@@ -303,8 +297,6 @@ class TestCommDiagnostics:
             diags.record(0, "teleport")
         with pytest.raises(ValueError):
             CommDiagnostics.op_index("teleport")
-        with pytest.raises(ValueError):
-            diags.total("teleport")
 
     def test_bulk_bytes_accumulate(self):
         diags = CommDiagnostics(1)
@@ -360,7 +352,7 @@ class TestRoutePrecompilation:
 
 
 # ---------------------------------------------------------------------------
-# Control-plane charges (AMs, forks, allocations)
+# Control-plane charges (forks, returns, allocations and their AMs)
 # ---------------------------------------------------------------------------
 
 
@@ -392,11 +384,6 @@ def _reference_ctrl(net, ctx, op, home, count=0, rpc=True):
             message(CommOp.FORK, ctrl[1].task_spawn_remote)
         else:
             message(CommOp.AM, ctrl[1].am_latency)
-    elif op == "am":
-        if ctrl is None:
-            ctx.now += costs.cpu_load_latency
-        else:
-            message(CommOp.AM, 2.0 * ctrl[1].am_latency)
     else:
         if rpc and ctrl is not None:
             message(CommOp.AM, 2.0 * ctrl[1].am_latency)
@@ -415,8 +402,6 @@ def _one_step_ctrl(net, ctx, op, home, count=0, rpc=True):
         net.free(ctx, home)
     elif op == "bulk_free":
         net.bulk_free(ctx, home, count, rpc=rpc)
-    elif op == "am":
-        net.am_roundtrip(ctx, home)
     elif op == "fork":
         net.remote_fork(ctx, home)
     else:
@@ -428,7 +413,6 @@ _CTRL_OPS = (
     ("free", {}),
     ("bulk_free", {"count": 5}),
     ("bulk_free", {"count": 3, "rpc": False}),
-    ("am", {}),
     ("fork", {}),
     ("return", {}),
 )
@@ -495,13 +479,13 @@ _MACHINES = [
 ]
 _MACHINE_IDS = ["flat-ugni", "flat-none", "hier-2x2", "dragonfly-2"]
 
-#: Plain pointer ops and their ABA variants, shared by both object types.
+#: Plain pointer ops (wide in ``dcas`` mode) and their ABA variants
+#: (always wide: the DCAS route).
 _PTR_OPS = (
     lambda c: c.read(),
     lambda c: c.write(NIL),
     lambda c: c.exchange(NIL),
     lambda c: c.compare_and_swap(NIL, NIL),
-    lambda c: c.compare_exchange(NIL, NIL),
 )
 _ABA_OPS = (
     lambda c: c.read_aba(),
@@ -511,42 +495,24 @@ _ABA_OPS = (
 )
 _REF_OPS = (
     lambda c: c.read(),
-    lambda c: c.write(None),
-    lambda c: c.exchange(None),
     lambda c: c.compare_and_swap(None, None),
-    lambda c: c.compare_exchange(None, None),
 )
 _BOOL_OPS = (
-    lambda c: c.read(),
     lambda c: c.write(True),
     lambda c: c.exchange(False),
     lambda c: c.test_and_set(),
     lambda c: c.clear(),
-    lambda c: c.compare_and_swap(False, True),
-)
-_WIDE_OPS = (
-    lambda c: c.read(),
-    lambda c: c.write((1, 2)),
-    lambda c: c.exchange((0, 0)),
-    lambda c: c.compare_and_swap((0, 0), (3, 4)),
-    lambda c: c.compare_exchange((3, 4), (0, 0)),
-    lambda c: c.bump_exchange_lo(5),
 )
 _UINT_OPS = (
     lambda c: c.read(),
     lambda c: c.write(4),
-    lambda c: c.exchange(6),
     lambda c: c.compare_and_swap(c.peek(), 7),  # succeeds
     lambda c: c.compare_and_swap(c.peek() + 1, 0),  # fails
     lambda c: c.fetch_add(3),
     lambda c: c.add(1),
-    lambda c: c.fetch_sub(2),
     lambda c: c.sub(1),
-    lambda c: c.fetch_or(6),
-    lambda c: c.fetch_and(5),
-    lambda c: c.fetch_xor(1),
-    lambda c: c.compare_exchange(4, 9),
 )
+_INT_OPS = _UINT_OPS + (lambda c: c.exchange(6),)
 
 
 def _atomic_cases(rt, home):
@@ -558,19 +524,15 @@ def _atomic_cases(rt, home):
         obj = AtomicObject(rt, locale=home, mode=mode)
         cases += [(obj, op, mode == "dcas", False) for op in _PTR_OPS]
         cases += [(obj, op, True, False) for op in _ABA_OPS]
-    local = LocalAtomicObject(rt, locale=home)
-    cases += [(local, op, False, True) for op in _PTR_OPS]
-    cases += [(local, op, True, True) for op in _ABA_OPS]
     for opt_out in (False, True):
-        for make, ops, wide in (
-            (AtomicRef, _REF_OPS, False),
-            (AtomicBool, _BOOL_OPS, False),
-            (AtomicWide128, _WIDE_OPS, True),
-            (AtomicUInt64, _UINT_OPS, False),
-            (AtomicInt64, _UINT_OPS, False),
+        for make, ops in (
+            (AtomicRef, _REF_OPS),
+            (AtomicBool, _BOOL_OPS),
+            (AtomicUInt64, _UINT_OPS),
+            (AtomicInt64, _INT_OPS),
         ):
             cell = make(rt, home, opt_out=opt_out)
-            cases += [(cell, op, wide, opt_out) for op in ops]
+            cases += [(cell, op, False, opt_out) for op in ops]
     return cases
 
 
@@ -629,8 +591,8 @@ class TestFusedAtomicCharges:
                 assert AtomicUInt64(rt, home)._plan is plain
                 assert AtomicBool(rt, home)._plan is plain
                 assert AtomicObject(rt, locale=home)._plan is plain
+                assert AtomicObject(rt, locale=home, mode="dcas")._plan is plain
                 assert AtomicRef(rt, home)._plan is opted
-                assert LocalAtomicObject(rt, locale=home)._plan is opted
-                assert AtomicWide128(rt, home, opt_out=True)._plan is opted
+                assert AtomicUInt64(rt, home, opt_out=True)._plan is opted
         finally:
             rt.close()

@@ -36,6 +36,7 @@ from repro.engine.opstream import fast_randbelow, mix_column, zipf_column
 from repro.errors import CompiledFallbackError, LocaleError, RuntimeStateError
 from repro.runtime.config import RECLAIMER_SCHEMES, RuntimeConfig
 from repro.runtime.runtime import Runtime
+from conftest import is_live
 
 
 def _fingerprint(result):
@@ -549,7 +550,7 @@ class TestAllocPhase:
             rt = Runtime(num_locales=8)
             addrs = place(rt, targets)  # no task of this runtime: no charge
             results.append((addrs, sorted(rt.comm_totals().items())))
-            assert all(rt.is_live(a) for a in addrs)
+            assert all(is_live(rt, a) for a in addrs)
             rt.close()
         assert results[0] == results[1]
         assert not any(v for _, v in results[0][1])

@@ -8,6 +8,7 @@ import pytest
 from repro.core import EpochManager
 from repro.errors import EpochManagerError, TokenStateError
 from repro.runtime import Runtime
+from conftest import is_live
 
 
 @pytest.fixture
@@ -202,9 +203,9 @@ class TestReclamation:
             tok.defer_delete(addr)
             tok.unpin()
             assert em.try_reclaim()  # advance 1: still live
-            assert rt.is_live(addr)
+            assert is_live(rt, addr)
             assert em.try_reclaim()  # advance 2: now reclaimed
-            assert not rt.is_live(addr)
+            assert not is_live(rt, addr)
 
         rt.run(main)
 
@@ -219,7 +220,7 @@ class TestReclamation:
             tok.unpin()
             freed = em.clear()
             assert freed == 10
-            assert all(not rt.is_live(a) for a in addrs)
+            assert all(not is_live(rt, a) for a in addrs)
             assert em.pending_count() == 0
 
         rt.run(main)
@@ -236,7 +237,7 @@ class TestReclamation:
             tok.unpin()
             rt.reset_measurements()
             em.clear()
-            assert all(not rt.is_live(a) for a in addrs)
+            assert all(not is_live(rt, a) for a in addrs)
             # Scatter uses bulk transfers, not per-object RPCs.
             totals = rt.comm_totals()
             assert totals["bulk"] >= 1
@@ -359,7 +360,7 @@ class TestLifecycle:
                 tok.defer_delete(a)
             tok.unpin()
             em.clear()
-            assert all(not rt.is_live(a) for a in addrs)
+            assert all(not is_live(rt, a) for a in addrs)
 
         rt.run(main)
 
@@ -390,7 +391,7 @@ class TestConcurrentWorkload:
 
             rt.forall(range(600), body, task_init=St)
             em.clear()
-            assert all(not rt.is_live(a) for a in objs)
+            assert all(not is_live(rt, a) for a in objs)
             assert em.stats()["objects_reclaimed"] == 600
 
         rt.run(main)
@@ -431,11 +432,11 @@ class TestEpochCycleExtension:
             tok.defer_delete(addr)
             tok.unpin()
             assert em.try_reclaim()  # -> 2
-            assert rt.is_live(addr)
+            assert is_live(rt, addr)
             assert em.try_reclaim()  # -> 3: would free under cycle=3
-            assert rt.is_live(addr)
+            assert is_live(rt, addr)
             assert em.try_reclaim()  # -> 4: now quiesced one extra epoch
-            assert not rt.is_live(addr)
+            assert not is_live(rt, addr)
             for _ in range(4):
                 em.try_reclaim()
                 seen.append(em.current_epoch())

@@ -33,6 +33,7 @@ from repro.structures import (
     LockFreeQueue,
     LockFreeStack,
 )
+from conftest import is_live
 
 
 @pytest.fixture
@@ -162,7 +163,7 @@ class TestEpochSafetyInvariant:
             # must have been deferred at least 1 full advance ago.
             now = em.stats()["advances"]
             for addr, at in defer_epoch.items():
-                if not rt.is_live(addr):
+                if not is_live(rt, addr):
                     assert now - at >= 1, (
                         f"object freed in the same advance window it was"
                         f" deferred (deferred@{at}, now {now})"
@@ -191,13 +192,13 @@ class TestEpochSafetyInvariant:
             # The blocker is now stale; nothing may be reclaimed.
             for _ in range(5):
                 em.try_reclaim()
-            assert all(rt.is_live(a) for a in addrs)
+            assert all(is_live(rt, a) for a in addrs)
 
             blocker.unpin()
             em.try_reclaim()
             em.try_reclaim()
             em.try_reclaim()
-            assert any(not rt.is_live(a) for a in addrs)
+            assert any(not is_live(rt, a) for a in addrs)
             em.clear()
 
         rt.run(main)

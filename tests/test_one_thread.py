@@ -22,7 +22,7 @@ import pytest
 
 import repro
 import repro.runtime.context as context_module
-from repro.baselines import LockedStack, SpinLock
+from repro.baselines import LockedQueue, SpinLock
 from repro.comm.counters import CommDiagnostics
 from repro.comm.routes import CellPlan
 from repro.core import AtomicObject
@@ -32,6 +32,7 @@ from repro.reclaim import RECLAIMER_SCHEMES, make_reclaimer
 from repro.runtime import Runtime
 from repro.runtime.clock import ServicePoint
 from repro.structures import RCUArray
+from conftest import is_live
 
 _SRC = pathlib.Path(repro.__file__).parent
 
@@ -112,8 +113,6 @@ class TestForeignTaskContext:
 
         def body():
             assert b.deref(addr) == "x"
-            b.put(addr, "y")
-            assert b.deref(addr) == "y"
             fresh = b.new_obj("z", locale=0)
             b.free(fresh)
             batch = [b.new_obj(i, locale=0) for i in range(3)]
@@ -181,11 +180,11 @@ class TestForeignTaskContext:
     # The locked baselines and RCUArray charge their own runtime's running
     # task only: from a foreign task they keep their semantics and charge
     # nothing to anyone.
-    def test_locked_stack_push_charges_nothing(self, locale):
+    def test_locked_queue_enqueue_charges_nothing(self, locale):
         a, b = _machines()
-        stack = LockedStack(b)
-        _charges_nothing(a, b, locale, lambda: stack.push(7))
-        assert b.run(stack.pop) == 7
+        queue = LockedQueue(b)
+        _charges_nothing(a, b, locale, lambda: queue.enqueue(7))
+        assert b.run(queue.dequeue) == 7
 
     def test_spinlock_acquire_release_charges_nothing(self, locale):
         a, b = _machines()
@@ -283,7 +282,7 @@ def test_reclaimer_entry_points_refuse_a_foreign_task(locale, scheme, op_name):
     }[op_name]
     _fails_like_no_task(a, b, locale, op)
     assert guard.is_pinned
-    assert b.is_live(addr)
+    assert is_live(b, addr)
 
 
 class TestRuntimeTaskSlot:

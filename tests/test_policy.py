@@ -61,7 +61,6 @@ class TestSpecParsing:
             spec = parse_policy(raw)
             assert spec == PolicySpec()
             assert spec.spec() == "fixed"
-            assert spec.is_default
 
     def test_round_trip_is_canonical(self):
         for raw in (

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from hypothesis import event, example, given, settings, strategies as st
 
+from repro.atomics import AtomicUInt64
+from repro.core import ABA, AtomicObject
 from repro.memory import (
     ADDRESS_MASK,
     MAX_COMPRESSIBLE_LOCALES,
@@ -20,6 +22,7 @@ from repro.memory import (
 )
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.clock import ServicePoint
+from conftest import table_items
 
 # Offsets are nonzero (0 is nil) and 48-bit bounded.
 offsets = st.integers(min_value=1, max_value=ADDRESS_MASK)
@@ -73,7 +76,7 @@ class TestHeapProperties:
                 frees += 1
         assert h.live_count == allocs - frees == len(live)
         for a in live:
-            assert h.is_live(a.offset)
+            h.load(a.offset)  # raises unless live
 
     @given(n=st.integers(min_value=1, max_value=60))
     def test_distinct_live_addresses(self, n):
@@ -122,18 +125,16 @@ class TestHeapProperties:
         batch = batch_heap.alloc_many(n)
         singles = [single_heap.alloc(object()) for _ in range(n)]
         assert batch == singles
-        assert [batch_heap.generation(a.offset) for a in batch] == [
-            single_heap.generation(a.offset) for a in singles
-        ]
         assert batch_heap.snapshot_stats() == single_heap.snapshot_stats()
-        assert all(batch_heap.is_live(a.offset) for a in batch)
+        for a in batch:
+            batch_heap.load(a.offset)  # raises unless live
 
 
 class TestAtomicArithmeticProperties:
     @given(start=words64, deltas=st.lists(words64, max_size=20))
     def test_uint_fetch_add_is_mod_2_64(self, start, deltas):
         rt = _rt()
-        a = rt.atomic_uint(start)
+        a = AtomicUInt64(rt, 0, start)
         expect = start
         for d in deltas:
             assert a.fetch_add(d) == expect
@@ -150,30 +151,34 @@ class TestAtomicArithmeticProperties:
             expect = (expect + d + (1 << 63)) % (1 << 64) - (1 << 63)
         assert a.peek() == expect
 
-    @given(v=words64, w=words64)
+    @given(v=ints64, w=ints64)
     def test_exchange_returns_previous(self, v, w):
         rt = _rt()
-        a = rt.atomic_uint(v)
+        a = rt.atomic_int(v)
         assert a.exchange(w) == v
         assert a.exchange(v) == w
 
     @given(v=words64, exp=words64, des=words64)
     def test_cas_succeeds_iff_expected_matches(self, v, exp, des):
         rt = _rt()
-        a = rt.atomic_uint(v)
+        a = AtomicUInt64(rt, 0, v)
         ok = a.compare_and_swap(exp, des)
         assert ok == (v == exp)
         assert a.peek() == (des if ok else v)
 
     @given(
-        lo=words64, hi=words64, elo=words64, ehi=words64, dlo=words64, dhi=words64
+        count=st.integers(0, 3), ecount=st.integers(0, 3), same=st.booleans()
     )
-    def test_dcas_succeeds_iff_both_halves_match(self, lo, hi, elo, ehi, dlo, dhi):
+    def test_dcas_succeeds_iff_pointer_and_counter_match(self, count, ecount, same):
         rt = _rt()
-        w = rt.atomic_wide((lo, hi))
-        ok = w.compare_and_swap((elo, ehi), (dlo, dhi))
-        assert ok == ((lo, hi) == (elo, ehi))
-        assert w.peek() == ((dlo, dhi) if ok else (lo, hi))
+        heap = rt.locale(0).heap
+        a, b = heap.alloc("a"), heap.alloc("b")
+        w = AtomicObject(rt, mode="dcas", initial=a)
+        for _ in range(count):
+            w.write_aba(a)  # the counter reaches ``count``
+        ok = w.compare_and_swap_aba(ABA(a if same else b, ecount), b)
+        assert ok == (same and count == ecount)
+        assert w.read_aba() == ABA(b if ok else a, count + ok)
 
 
 def _serve_branch(point: ServicePoint, arrival: float, service: float) -> str:
@@ -197,7 +202,7 @@ def _drive_inline_serve(requests):
     points' states and the branches the requests took.
     """
     rt = _rt()
-    cell = rt.atomic_uint()
+    cell = AtomicUInt64(rt, 0)
     ref = ServicePoint()
     _, _, narrow, rows, line = cell._hot
     diag_index = narrow[cell._plan.dist[0]][0]
@@ -255,7 +260,7 @@ class TestInlineServeProperties:
 
         def run(trace):
             rt = Runtime(config=RuntimeConfig(num_locales=4, trace=trace))
-            hot = rt.atomic_uint()
+            hot = AtomicUInt64(rt, 0)
             clocks = []
 
             def body(i):
@@ -440,6 +445,8 @@ class TestHashTableProperties:
                     model.pop(k, None)
                 else:
                     assert t.get(k, "missing") == model.get(k, "missing")
-            assert dict(t.items()) == model
+            items = table_items(t)
+            assert len(items) == len(model)  # no duplicate keys
+            assert dict(items) == model
 
         rt.run(main)

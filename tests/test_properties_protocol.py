@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import EpochManager
 from repro.runtime import Runtime
 from repro.runtime.clock import ServicePoint
+from conftest import is_live
 
 
 class TestServicePointProperties:
@@ -176,7 +177,7 @@ class TestEpochProtocolProperty:
                 for i in (0, 1):
                     if toks[i].is_pinned:
                         for addr in pinned_since_defer[i]:
-                            assert rt.is_live(addr), (
+                            assert is_live(rt, addr), (
                                 f"object freed while token {i} stayed pinned"
                             )
             # Liveness-ish tail: quiesce and confirm progress resumes.
@@ -209,7 +210,7 @@ class TestEpochProtocolProperty:
             em.try_reclaim()
             em.try_reclaim()
             em.clear()
-            assert all(not rt.is_live(a) for a in addrs)
+            assert all(not is_live(rt, a) for a in addrs)
             assert em.stats()["objects_reclaimed"] == n
 
         rt.run(main)

@@ -35,6 +35,7 @@ from repro.reclaim import (
     make_reclaimer,
 )
 from repro.runtime import Runtime, RuntimeConfig
+from conftest import is_live
 
 SCHEMES = list(RECLAIMER_SCHEMES)
 
@@ -82,7 +83,7 @@ class TestGuardProtocolConformance:
             guard.unpin()
             assert rec.pending_count() <= 20  # hp may have auto-scanned
             _reclaim_hard(rec)
-            assert all(not rt.is_live(a) for a in addrs)
+            assert all(not is_live(rt, a) for a in addrs)
             assert rec.pending_count() == 0
             stats = rec.stats()
             assert stats["retired"] == 20
@@ -173,7 +174,7 @@ class TestGuardProtocolConformance:
             guard.unpin()
             guard.unregister()
             assert rec.clear() == 5
-            assert all(not rt.is_live(a) for a in addrs)
+            assert all(not is_live(rt, a) for a in addrs)
             rec.destroy()
 
         rt.run(main)
@@ -227,10 +228,10 @@ class TestGuardProtocolConformance:
             worker.unpin()
             for _ in range(4):
                 rec.try_reclaim()
-            assert rt.is_live(addr)
+            assert is_live(rt, addr)
             blocker.unpin()
             _reclaim_hard(rec)
-            assert not rt.is_live(addr)
+            assert not is_live(rt, addr)
             rec.destroy()
 
         rt.run(main)
@@ -316,11 +317,11 @@ class TestHazardPointers:
             rec.try_reclaim()
             # Only the hazarded address survives: per-address protection,
             # not whole-region (the HP/EBR distinction).
-            assert rt.is_live(protected)
-            assert not rt.is_live(bystander)
+            assert is_live(rt, protected)
+            assert not is_live(rt, bystander)
             reader.unpin()  # clears the slot
             rec.try_reclaim()
-            assert not rt.is_live(protected)
+            assert not is_live(rt, protected)
             rec.destroy()
 
         rt.run(main)
@@ -496,12 +497,12 @@ class TestQSBR:
             a.quiesce()
             # b has not quiesced since the retirement: blocked.
             rec.try_reclaim()
-            assert rt.is_live(addr)
+            assert is_live(rt, addr)
             b.quiesce()
             a.quiesce()
             rec.try_reclaim()
             rec.try_reclaim()
-            assert not rt.is_live(addr)
+            assert not is_live(rt, addr)
             rec.destroy()
 
         rt.run(main)
@@ -529,10 +530,10 @@ class TestQSBR:
             stuck.defer_delete(addr)
             rec.phase_boundary()  # marks `fine` quiescent, skips `stuck`
             rec.try_reclaim()
-            assert rt.is_live(addr)  # the pinned guard blocks its garbage
+            assert is_live(rt, addr)  # the pinned guard blocks its garbage
             stuck.unpin()
             _reclaim_hard(rec)
-            assert not rt.is_live(addr)
+            assert not is_live(rt, addr)
             rec.destroy()
 
         rt.run(main)
@@ -562,7 +563,7 @@ class TestIntervalReclamation:
             old = rt.new_obj("old")
             worker.defer_delete(old)
             assert rec.try_reclaim()  # era 1 -> 2; old held (worker born 1)
-            assert rt.is_live(old)
+            assert is_live(rt, old)
             # The staller pins at era 2 and never moves again.
             staller.pin()
             worker.unpin()
@@ -572,14 +573,14 @@ class TestIntervalReclamation:
             worker.defer_delete(new)
             worker.unpin()
             assert rec.try_reclaim()  # era 2 -> 3, despite the stall
-            assert not rt.is_live(old)  # pre-birth garbage drained
-            assert rt.is_live(new)  # post-birth garbage held
+            assert not is_live(rt, old)  # pre-birth garbage drained
+            assert is_live(rt, new)  # post-birth garbage held
             for _ in range(3):
                 rec.try_reclaim()
-            assert rt.is_live(new)  # held indefinitely while pinned
+            assert is_live(rt, new)  # held indefinitely while pinned
             staller.unpin()
             rec.try_reclaim()
-            assert not rt.is_live(new)
+            assert not is_live(rt, new)
             rec.destroy()
 
         rt.run(main)
@@ -599,7 +600,7 @@ class TestIntervalReclamation:
             worker.unpin()
             for _ in range(5):
                 em.try_reclaim()
-            assert rt.is_live(addr)  # EBR: frozen behind the stale pin
+            assert is_live(rt, addr)  # EBR: frozen behind the stale pin
             stuck.unpin()
             em.destroy()
 

@@ -257,7 +257,7 @@ class TestCoforallLocales:
 
         assert rt.run(main) == 0.0
         assert hits == []
-        assert rt.network.diags.total("fork") == 0
+        assert rt.comm_totals()["fork"] == 0
 
     def test_parent_clock_absorbs_slowest_child(self, rt):
         def main():
@@ -317,7 +317,6 @@ class TestTimedAndDiagnostics:
         assert len(s.nic_busy) == rt.num_locales
         assert len(s.heap_stats) == rt.num_locales
         assert s.comm_totals["amo"] == 1
-        assert s.imbalance() >= 1.0 or s.imbalance() == 1.0
 
 
 class TestGlobalMemoryLocaleValidation:
@@ -325,7 +324,6 @@ class TestGlobalMemoryLocaleValidation:
 
     CALLS = {
         "deref": lambda rt, lid: rt.deref(GlobalAddress(lid, 0x1000)),
-        "put": lambda rt, lid: rt.put(GlobalAddress(lid, 0x1000), "x"),
         "free": lambda rt, lid: rt.free(GlobalAddress(lid, 0x1000)),
         "free_bulk": lambda rt, lid: rt.free_bulk(lid, [0x1000, 0x1010]),
     }
@@ -391,7 +389,7 @@ class TestPrivatizationRegistry:
             return t.elapsed
 
         assert rt.run(main) == 0.0
-        assert rt.network.diags.remote_ops() == 0
+        assert not any(rt.comm_totals().values())
 
     def test_drop_privatized(self, rt):
         pid = rt.register_privatized(list(range(rt.num_locales)))

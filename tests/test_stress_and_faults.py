@@ -16,6 +16,7 @@ from repro.core import AtomicObject, EpochManager
 from repro.errors import DoubleFreeError, MemoryError_
 from repro.runtime import Runtime
 from repro.structures import InterlockedHashTable, LockFreeQueue, LockFreeStack
+from conftest import is_live, table_items
 
 
 @pytest.fixture
@@ -103,7 +104,8 @@ class TestHotContention:
 
             rt.forall(range(600), body, task_init=em.register)
             # Table must still be internally consistent.
-            items = dict(t.items())
+            items = dict(table_items(t))
+            assert len(items) == len(table_items(t))  # no duplicate keys
             for k in items:
                 assert t.get(k) == items[k]
             em.clear()
@@ -179,7 +181,7 @@ class TestFailureInjection:
             # The zombie (now stale) pins the epoch forever...
             for _ in range(4):
                 assert not em.try_reclaim()
-            assert rt.is_live(addr)
+            assert is_live(rt, addr)
             # ...but other tasks' operations still complete (no blocking),
             # and an operator clear() can reclaim after quiescing.
             zombie.unregister()

@@ -12,6 +12,8 @@ privatization helpers, and the scenario-layer threading
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.comm.costs import (
@@ -42,7 +44,7 @@ from repro.runtime.runtime import Runtime
 class TestDistanceLadders:
     def test_flat_is_two_classes(self):
         topo = FlatTopology(8)
-        assert topo.class_names() == ["self", "remote"]
+        assert [c.name for c in topo.classes] == ["self", "remote"]
         assert topo.distance(3, 3) == 0
         assert topo.distance(3, 4) == 1
         assert topo.distance(0, 7) == 1
@@ -53,7 +55,7 @@ class TestDistanceLadders:
         topo = HierarchicalTopology(
             8, sockets_per_node=2, locales_per_socket=2
         )
-        assert topo.class_names() == ["self", "socket", "node", "uplink"]
+        assert [c.name for c in topo.classes] == ["self", "socket", "node", "uplink"]
         assert topo.distance(0, 0) == 0
         assert topo.distance(0, 1) == 1  # same socket
         assert topo.distance(0, 2) == 2  # same node, other socket
@@ -73,7 +75,7 @@ class TestDistanceLadders:
 
     def test_dragonfly_ladder(self):
         topo = DragonflyTopology(8, group_size=4)
-        assert topo.class_names() == ["self", "group", "global"]
+        assert [c.name for c in topo.classes] == ["self", "group", "global"]
         assert topo.distance(0, 0) == 0
         assert topo.distance(0, 3) == 1
         assert topo.distance(0, 4) == 2
@@ -207,7 +209,7 @@ class TestParseTopology:
         cfg = RuntimeConfig(num_locales=8, topology="hier:2x2")
         assert cfg.resolved_topology().spec() == "hier:2x2"
         # replace() re-resolves
-        cfg2 = cfg.with_(topology="dragonfly:4")
+        cfg2 = replace(cfg, topology="dragonfly:4")
         assert cfg2.resolved_topology().spec() == "dragonfly:4"
         with pytest.raises(ValueError):
             RuntimeConfig(num_locales=8, topology="nope")
@@ -468,17 +470,6 @@ class TestTopologyPricing:
         finally:
             rt.close()
 
-    def test_locale_distance_helper(self):
-        rt = Runtime(config=RuntimeConfig(num_locales=8, topology="hier:2x2"))
-        try:
-            assert rt.locale_distance(0, 1) == 1
-            assert rt.locale_distance(0, 4) == 3
-            assert rt.topology.spec() == "hier:2x2"
-            with pytest.raises(Exception):
-                rt.locale_distance(0, 99)
-        finally:
-            rt.close()
-
 
 # ---------------------------------------------------------------------------
 # Locality-aware privatization
@@ -597,7 +588,7 @@ class TestScenarioThreading:
                 assert sorted(p) == list(range(8))
             assert ring == [1, 2, 3, 4, 5, 6, 7, 0]
             assert near == [1, 0, 3, 2, 5, 4, 7, 6]
-            topo = rt.topology
+            topo = rt.network.topology
             # near pairs are coherent; far pairs all cross nodes
             assert all(topo.distance(i, near[i]) == 1 for i in range(8))
             assert all(topo.distance(i, far[i]) == 3 for i in range(8))
@@ -623,7 +614,7 @@ class TestScenarioThreading:
         rt = Runtime(config=RuntimeConfig(num_locales=8, topology="hier:2x1"))
         try:
             near = _churn_partners(rt, 8, "near")
-            topo = rt.topology
+            topo = rt.network.topology
             assert sorted(near) == list(range(8))
             # node size is 2, so the best possible pairing stays
             # same-node (class 2 — there is no coherent class occupied).

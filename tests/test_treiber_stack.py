@@ -9,6 +9,7 @@ import pytest
 from repro.core import EpochManager
 from repro.errors import EmptyStructureError
 from repro.structures import LockFreeStack
+from conftest import is_live
 
 
 @pytest.fixture
@@ -100,9 +101,9 @@ class TestReclamationIntegration:
             tok.pin()
             assert st.pop(tok) == "v"
             tok.unpin()
-            assert rt.is_live(addr)  # deferred, not freed
+            assert is_live(rt, addr)  # deferred, not freed
             em.clear()
-            assert not rt.is_live(addr)
+            assert not is_live(rt, addr)
 
         rt.run(main)
 
@@ -111,7 +112,7 @@ class TestReclamationIntegration:
             st = LockFreeStack(rt)
             addr = st.push("v")
             st.pop()
-            assert rt.is_live(addr)  # leak is the safe default
+            assert is_live(rt, addr)  # leak is the safe default
 
         rt.run(main)
 
@@ -120,7 +121,7 @@ class TestReclamationIntegration:
             st = LockFreeStack(rt, unsafe_free=True)
             addr = st.push("v")
             st.pop()
-            assert not rt.is_live(addr)
+            assert not is_live(rt, addr)
 
         rt.run(main)
 
