@@ -20,9 +20,10 @@
 # writes scenario_report.json; the ``compiled-strict`` run writes
 # scenario_report_compiled.json — the registry is fully lowered, so any
 # interpreter fallback is a regression and fails the gate outright, as
-# does a repeat that differs from the first.  The reachability census
-# (benchmarks/census.py) last fails on any src/ function that no user
-# path calls and its allowlist does not name.
+# does a repeat that differs from the first.  The reachability and
+# parameter census (benchmarks/census.py) last fails on any src/
+# function that no user path calls, or any setting that no user path
+# sets, that its allowlists do not name; its report goes to census.txt.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -46,9 +47,9 @@ python -m repro.bench scenarios --all --repeats 2 --engine compiled-strict \
   --out scenario_report_compiled.json
 
 echo
-echo "== reachability census (every src/ function has a user path or a reason) =="
-python3 benchmarks/census.py
+echo "== census (every src/ function and setting has a user path or a reason) =="
+python3 benchmarks/census.py | tee census.txt
 
 echo
-echo "smoke gate OK — see e2e_smoke.json, scenario_report.json and"
-echo "scenario_report_compiled.json"
+echo "smoke gate OK — see e2e_smoke.json, scenario_report.json,"
+echo "scenario_report_compiled.json and census.txt"

@@ -46,7 +46,7 @@ def pin_unpin_is_local() -> None:
 def by_reference_is_comm_bound() -> None:
     """2) a by-reference handle pays a GET per resolution."""
     instances = [object() for _ in range(rt.num_locales)]
-    proxy = UnprivatizedProxy(rt, instances, owner=0)
+    proxy = UnprivatizedProxy(rt, instances)
     priv = PrivatizedObject(rt, instances)
 
     rt.reset_measurements()

@@ -39,13 +39,10 @@ class AtomicRef(AtomicCell):
         home: int,
         initial: Any = None,
         name: str = "",
-        *,
-        opt_out: bool = True,
     ) -> None:
-        # opt_out defaults True: AtomicRef is used for locale-private
-        # metadata, exactly the variables the paper opts out of network
-        # atomics for.
-        super().__init__(runtime, home, name, opt_out=opt_out)
+        # Always opted out: AtomicRef is used for locale-private metadata,
+        # exactly the variables the paper opts out of network atomics for.
+        super().__init__(runtime, home, name, opt_out=True)
         self._value = initial
 
     def read(self) -> Any:

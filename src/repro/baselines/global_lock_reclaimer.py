@@ -51,10 +51,9 @@ class GlobalLockReclaimer:
     """Read-side hot-counter baseline: every pin and unpin is one atomic
     on the same cell."""
 
-    def __init__(self, runtime: "Runtime", *, home: int = 0) -> None:
-        self.home = runtime.locale(home).id
-        #: The single hot cell every task on every locale hits.
-        self.readers = AtomicInt64(runtime, self.home, 0, name="glr.readers")
+    def __init__(self, runtime: "Runtime") -> None:
+        #: The single hot cell every task on every locale hits (locale 0).
+        self.readers = AtomicInt64(runtime, 0, 0, name="glr.readers")
 
     def register(self) -> ReclaimerGuard:
         """Interface parity with ``EpochManager.register``."""

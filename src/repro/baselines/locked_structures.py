@@ -3,9 +3,10 @@
 These are the synchronized counterparts the non-blocking structures are
 measured against.  Each guards plain Python storage with one
 :class:`~repro.baselines.spinlock.SpinLock` whose flag lives on the
-structure's home locale; every operation additionally charges the data
-access itself (a GET/PUT against the home locale when called remotely), so
-the baselines pay realistic PGAS prices, not just lock overhead.
+structure's home locale, locale 0; every operation additionally charges
+the data access itself (a GET/PUT against the home locale when called
+remotely), so the baselines pay realistic PGAS prices, not just lock
+overhead.
 
 The examples run them next to their non-blocking counterparts
 (``producer_consumer_queue.py``, ``distributed_word_count.py``).
@@ -28,27 +29,27 @@ __all__ = ["LockedQueue", "LockedMap"]
 class _LockedBase:
     """Shared home-locale bookkeeping and data-access charging."""
 
-    def __init__(self, runtime: "Runtime", locale: int, name: str) -> None:
+    def __init__(self, runtime: "Runtime", name: str) -> None:
         self._rt = runtime
-        self.home = runtime.locale(locale).id
-        self.lock = SpinLock(runtime, locale=self.home, name=f"{name}.lock")
+        self.home = 0
+        self.lock = SpinLock(runtime, name=f"{name}.lock")
 
-    def _charge_data(self, nbytes: int = 64, write: bool = False) -> None:
-        """Charge the payload access that the lock protects."""
+    def _charge_data(self, write: bool = False) -> None:
+        """Charge the 64-byte payload access that the lock protects."""
         ctx = self._rt._ctx
         if ctx is None:
             return
         if write:
-            self._rt.network.write(ctx, self.home, nbytes=nbytes)
+            self._rt.network.write(ctx, self.home, nbytes=64)
         else:
-            self._rt.network.read(ctx, self.home, nbytes=nbytes)
+            self._rt.network.read(ctx, self.home, nbytes=64)
 
 
 class LockedQueue(_LockedBase):
     """A FIFO queue under one global spinlock."""
 
-    def __init__(self, runtime: "Runtime", *, locale: int = 0, name: str = "lqueue") -> None:
-        super().__init__(runtime, locale, name)
+    def __init__(self, runtime: "Runtime", *, name: str = "lqueue") -> None:
+        super().__init__(runtime, name)
         self._items: deque = deque()
 
     def enqueue(self, value: Any) -> None:
@@ -80,8 +81,8 @@ class LockedQueue(_LockedBase):
 class LockedMap(_LockedBase):
     """A hash map under one global spinlock (the hash-table baseline)."""
 
-    def __init__(self, runtime: "Runtime", *, locale: int = 0, name: str = "lmap") -> None:
-        super().__init__(runtime, locale, name)
+    def __init__(self, runtime: "Runtime", *, name: str = "lmap") -> None:
+        super().__init__(runtime, name)
         self._data: Dict[Any, Any] = {}
 
     def get(self, key: Any, default: Any = None) -> Any:

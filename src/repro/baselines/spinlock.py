@@ -36,11 +36,14 @@ class SpinLock:
     holders.  This is what caps a locked structure's throughput at
     ``1 / mean-hold-time`` regardless of task count, the ceiling the
     non-blocking structures exist to break.
+
+    The flag lives on locale 0: a task on any other locale pays remote
+    atomics for each attempt.
     """
 
-    def __init__(self, runtime: "Runtime", *, locale: int = 0, name: str = "lock") -> None:
+    def __init__(self, runtime: "Runtime", *, name: str = "lock") -> None:
         self._rt = runtime
-        self.home = runtime.locale(locale).id
+        self.home = 0
         self._flag = AtomicBool(runtime, self.home, False, name=name)
         #: Serializes critical-section durations in virtual time.
         from ..runtime.clock import ServicePoint

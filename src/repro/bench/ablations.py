@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 
-def _runtime(nloc: int, network: str, tpl: int = 1) -> Runtime:
-    return Runtime(num_locales=nloc, network=network, tasks_per_locale=tpl)
+def _runtime(nloc: int, network: str) -> Runtime:
+    return Runtime(num_locales=nloc, network=network, tasks_per_locale=1)
 
 
 def ablation_compression(
@@ -126,7 +126,7 @@ def ablation_privatization(
 
                     handle = PrivatizedObject(rt, instances)
                 else:
-                    handle = UnprivatizedProxy(rt, instances, owner=0)
+                    handle = UnprivatizedProxy(rt, instances)
 
                 def body(i: int) -> None:
                     for _ in range(ops_per_task):

@@ -29,7 +29,7 @@ class Panel:
     title: str
     xlabel: str
     xs: List[int] = field(default_factory=list)
-    series: List[Series] = field(default_factory=list)
+    series: List[Series] = field(default_factory=list, init=False)
 
     def add(self, name: str, values: Sequence[float]) -> None:
         """Attach a series (must align with ``xs``)."""

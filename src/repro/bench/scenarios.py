@@ -834,7 +834,6 @@ def _builtin(
     description: str,
     topology: Dict[str, Any],
     workload: Dict[str, Any],
-    measure: Optional[Dict[str, Any]] = None,
 ) -> None:
     register_scenario(
         ScenarioSpec(
@@ -842,7 +841,6 @@ def _builtin(
             description=description,
             topology=TopologySpec.from_dict(topology),
             workload=WorkloadSpec.from_dict(workload),
-            measure=MeasureSpec.from_dict(measure or {}),
         )
     )
 

@@ -328,8 +328,8 @@ def run_atomic_mix(
 
         rt.reset_measurements()
         with rt.timed() as t:
-            # owner_of is omitted: the default cyclic distribution is
-            # exactly idx % num_locales, without a per-item callback.
+            # forall's cyclic distribution places task idx on
+            # idx % num_locales.
             rt.forall(range(ntasks), body, tasks_per_locale=tasks_per_locale)
         return result(t)
 
@@ -479,7 +479,7 @@ def run_epoch_workload(
                     delete=delete,
                 )
             else:
-                # owner_of omitted: default cyclic distribution == idx % nloc.
+                # forall's cyclic distribution: object idx on idx % nloc.
                 rt.forall(
                     range(num_objects),
                     body,
@@ -629,7 +629,6 @@ def run_epoch_mixed(
     remote_percent: int = 0,
     rounds: int = 1,
     reclaim_between_rounds: bool = True,
-    manager_kwargs: Optional[Dict[str, Any]] = None,
 ) -> WorkloadResult:
     """Mixed pin/deferDelete traffic: a read-write ratio over Listing 5.
 
@@ -659,7 +658,7 @@ def run_epoch_mixed(
     ]
 
     def main() -> WorkloadResult:
-        em = _reclaimer_for(rt, manager_kwargs)
+        em = _reclaimer_for(rt)
 
         # Every scheme's pin/defer/unpin round has a fixed charge stream
         # (no mid-phase epoch/era/interval advances — reclamation is

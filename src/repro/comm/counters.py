@@ -90,16 +90,11 @@ class CommDiagnostics:
             row[:] = [0] * _NUM_COUNTERS
 
     # -- recording (called by the network layer) --------------------------
-    def record(self, locale: int, op: str, nbytes: int = 0) -> None:
-        """Attribute one operation of class ``op`` to ``locale``.
-
-        ``nbytes`` is only meaningful for ``CommOp.BULK``.
-        """
-        idx = self.op_index(op)
-        row = self._rows[locale]
-        row[idx] += 1
-        if idx == _BULK_INDEX:
-            row[_BULK_BYTES_INDEX] += nbytes
+    def record(self, locale: int, op: str) -> None:
+        """Attribute one operation of class ``op`` to ``locale``
+        (a ``CommOp.BULK`` transfer and its bytes go through
+        :meth:`record_bulk`)."""
+        self._rows[locale][self.op_index(op)] += 1
 
     def record_index(self, locale: int, index: int) -> None:
         """Hot-path record by precompiled index (see comm.routes).

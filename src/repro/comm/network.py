@@ -40,8 +40,9 @@ still a CPU ``CMPXCHG16B`` — coherence is exactly what a wide CAS needs.
 
 Because every input to a routing decision is fixed at construction time,
 the table above is *precompiled*: each home locale gets a per-distance-
-class :class:`~repro.comm.routes.AtomicRoute` table (rows: narrow/wide x
-plain/opt-out; columns: distance classes) plus one
+class :class:`~repro.comm.routes.AtomicRoute` table (rows: narrow-plain,
+narrow-opt-out and wide — a DCAS ignores opt-out; columns: distance
+classes) plus one
 :class:`~repro.comm.routes.DataRoute` per (transfer class, distance
 class), built lazily on first use and cached for the runtime's life.
 Under the flat topology the class rows hold the legacy 8-entry (wide,
@@ -236,12 +237,13 @@ class NetworkModel:
     ) -> Tuple[Tuple[AtomicRoute, ...], ...]:
         """The per-distance-class atomic route table for ``home``.
 
-        Four rows — ``[narrow-plain, narrow-opt-out, wide-plain,
-        wide-opt-out]`` (row index ``(2 if wide else 0) | (1 if opt_out
-        else 0)``) — each a tuple with one :class:`AtomicRoute` per
-        distance class, class 0 being the home locale itself.  Cells
-        fetch the rows for their own ``opt_out`` once at construction and
-        index them with their home's distance row.
+        Three rows — ``[narrow-plain, narrow-opt-out, wide]`` (row index
+        ``2 if wide else (1 if opt_out else 0)``; a wide DCAS is never a
+        NIC op, so it ignores opt_out) — each a tuple with one
+        :class:`AtomicRoute` per distance class, class 0 being the home
+        locale itself.  Cells fetch the rows for their own ``opt_out``
+        once at construction and index them with their home's distance
+        row.
         """
         table = self._class_tables[home]
         if table is None:
@@ -337,8 +339,7 @@ class NetworkModel:
                 )
             )
         # ``wide`` ignores opt_out entirely (a DCAS is never a NIC op).
-        wide_row = tuple(wide)
-        return (tuple(narrow_plain), tuple(narrow_opt), wide_row, wide_row)
+        return (tuple(narrow_plain), tuple(narrow_opt), tuple(wide))
 
     def cell_plan(self, home: int, opt_out: bool) -> CellPlan:
         """The fused charge plan of every atomic on ``home`` with this
@@ -374,10 +375,11 @@ class NetworkModel:
                 for route in routes
             )
 
+        # Only AtomicObject charges the wide route, and it never opts out.
         return CellPlan(
             self.distance_row(home),
             steps(rows[1] if opt_out else rows[0]),
-            steps(rows[3] if opt_out else rows[2]),
+            None if opt_out else steps(rows[2]),
         )
 
     def _compile_legacy_atomic_table(self, home: int) -> Tuple[AtomicRoute, ...]:
@@ -531,7 +533,7 @@ class NetworkModel:
         not physics.
         """
         rows = self.atomic_class_routes(home)
-        row = rows[(2 if wide else 0) | (1 if opt_out else 0)]
+        row = rows[2 if wide else (1 if opt_out else 0)]
         self.charge_atomic(
             ctx, line, row[self.distance_row(home)[ctx.locale_id]]
         )

@@ -14,7 +14,9 @@ This module defines the two flavours of precompiled route:
   :mod:`repro.comm.topology`; under the default two-class
   :class:`~repro.comm.topology.FlatTopology` this collapses to the
   legacy 8-entry (wide, opt_out, local) cube laid out by
-  :func:`atomic_route_index`, entry for entry.  Cells share their home's
+  :func:`atomic_route_index`, entry for entry.  A wide (DCAS) route
+  ignores opt_out, so a home compiles three rows: narrow-plain,
+  narrow-opt-out and wide.  Cells share their home's
   table through one memoised :class:`CellPlan` per (home, opt_out)
   (``NetworkModel.cell_plan``), and the hot path reduces to one
   distance-row index.
@@ -93,12 +95,13 @@ class CellPlan(NamedTuple):
     ``(diag_index, latency, outer, point_service, line_service)``, where
     ``outer`` is the home-level point's ``serve_locked``, or ``None`` for
     pure-CPU routes.  ``dist`` is the home's distance row (source locale
-    -> class index).
+    -> class index).  ``wide`` is ``None`` on an opted-out plan: the one
+    wide user, ``AtomicObject``, never opts out.
     """
 
     dist: Tuple[int, ...]
     narrow: Tuple[tuple, ...]
-    wide: Tuple[tuple, ...]
+    wide: Optional[Tuple[tuple, ...]]
 
 
 class DataRoute:

@@ -224,30 +224,22 @@ class EpochManager(ManagerCore, PrivatizedObject):
         Ablation hook: when False, reclamation frees each dead object
         individually from the draining locale (remote objects then cost a
         round trip *each* instead of riding one bulk transfer).
-    home:
-        Locale holding the global epoch object (defaults to the creating
-        task's locale, locale 0 outside a task).
     epoch_cycle:
         Number of epochs in the cycle (and limbo lists per locale).  The
         paper's design — and the default — is 3; ``4`` holds objects one
         extra advance, closing the mid-advance stale-locale-cache window
         (see :data:`EPOCH_CYCLE`) at the cost of extra memory residency.
-    policy:
-        Epoch-advance policy (docs/POLICY.md): a policy spec accepted by
-        :func:`repro.policy.parse_policy`, or ``None`` (the default) to
-        use the runtime's configured policy axis.  Non-``fixed`` policies
-        gate ``try_reclaim`` on virtual-time facts *before* the election,
-        so a deferred attempt costs zero virtual time.
-    share_coherent:
-        Socket-shared mode (docs/AGGREGATION.md): one privatized instance
-        per CPU-coherence domain (via :func:`~repro.core.privatization.
-        replicate_coherent`) instead of per locale — socket siblings share
-        limbo lists and the locale-epoch cache, trading a little line
-        contention for fewer instances to scan and drain (fewer uplink
-        crossings).  ``None`` (the default) resolves automatically: on
-        when the runtime's aggregation window is open *and* the topology
-        has multi-locale coherence domains, off otherwise — so flat /
-        aggregation-off machines keep the exact legacy layout.
+
+    The global epoch object lives on the creating task's locale (locale 0
+    outside a task).  The epoch-advance policy is the runtime's
+    ``RuntimeConfig.policy`` (docs/POLICY.md).  The instance layout
+    follows the machine (docs/AGGREGATION.md): when the aggregation
+    window is open *and* the topology has multi-locale CPU-coherence
+    domains, socket siblings share one privatized instance (via
+    :func:`~repro.core.privatization.replicate_coherent`) — limbo lists
+    and the locale-epoch cache — trading a little line contention for
+    fewer instances to scan and drain; otherwise every locale keeps its
+    own instance, the exact legacy layout.
     """
 
     scheme = "ebr"
@@ -259,10 +251,7 @@ class EpochManager(ManagerCore, PrivatizedObject):
         *,
         use_election: bool = True,
         use_scatter: bool = True,
-        home: Optional[int] = None,
         epoch_cycle: int = EPOCH_CYCLE,
-        policy: "Optional[object]" = None,
-        share_coherent: Optional[bool] = None,
     ) -> None:
         from .privatization import coherence_domains
 
@@ -270,26 +259,23 @@ class EpochManager(ManagerCore, PrivatizedObject):
             raise ValueError(
                 "epoch_cycle must be >= 3 (two full advances of quiescence)"
             )
-        if home is None:
-            ctx = runtime._ctx
-            home = ctx.locale_id if ctx is not None else 0
+        ctx = runtime._ctx
+        home = ctx.locale_id if ctx is not None else 0
         self.epoch_cycle = int(epoch_cycle)
         # Policy and tracer hooks first: token construction reads them.
-        ManagerCore.__init__(self, runtime, policy=policy)
-        self.global_epoch = _GlobalEpoch(runtime, runtime.locale(home).id)
+        ManagerCore.__init__(self, runtime)
+        self.global_epoch = _GlobalEpoch(runtime, home)
         self.use_election = bool(use_election)
         self.use_scatter = bool(use_scatter)
         self._counters = EpochManagerStats()
         domains = coherence_domains(runtime)
-        multi_locale_domains = len(set(domains)) < runtime.num_locales
-        if share_coherent is None:
-            share_coherent = (
-                runtime.network.aggregator.spec.enabled and multi_locale_domains
-            )
-        #: True when instances are shared per coherence domain (a domain
-        #: of one locale shares nothing, so sharing degenerates to the
-        #: legacy layout and is reported off).
-        self.share_coherent = bool(share_coherent) and multi_locale_domains
+        #: True when instances are shared per coherence domain: the
+        #: aggregation window is open and some domain holds more than one
+        #: locale (a domain of one locale shares nothing).
+        self.share_coherent = (
+            runtime.network.aggregator.spec.enabled
+            and len(set(domains)) < runtime.num_locales
+        )
         if self.share_coherent:
             members: Dict[int, List[int]] = {}
             for lid, dom in enumerate(domains):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict
 
 from ..errors import ReclaimerError
-from ..policy import EpochFacts, parse_policy
+from ..policy import EpochFacts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.runtime import Runtime
@@ -41,18 +41,13 @@ class ManagerCore:
     #: Raised by :meth:`_check_alive` after ``destroy()``.
     _destroyed_error = ReclaimerError
 
-    def __init__(self, runtime: "Runtime", *, policy: Any = None) -> None:
+    def __init__(self, runtime: "Runtime") -> None:
         self._rt = runtime
         self._destroyed = False
         # The epoch-advance policy (docs/POLICY.md): gates root-driven
-        # reclaim attempts on virtual-time facts.  ``None`` resolves the
-        # runtime's configured policy axis.
-        policy_spec = (
-            runtime.config.resolved_policy()
-            if policy is None
-            else parse_policy(policy)
-        )
-        self.policy = policy_spec.make_epoch_policy()
+        # reclaim attempts on virtual-time facts.  It is the epoch half of
+        # the runtime's configured policy axis, ``RuntimeConfig.policy``.
+        self.policy = runtime.config.resolved_policy().make_epoch_policy()
         self._track_pins = self.policy.wants_pin_times
         # Flight-recorder hooks (docs/OBSERVABILITY.md): the spans-level
         # recorder carries policy decisions and root-driven reclaim

@@ -112,23 +112,21 @@ class UnprivatizedProxy:
 
     Models what the paper's Section II-C says happens *without*
     record-wrapping/privatization: every access first fetches the object's
-    metadata from its owner locale (one GET), making the object
-    communication-bound.  Exists purely as the baseline for the
+    metadata from its owner locale, locale 0 (one GET), making the
+    object communication-bound.  Exists purely as the baseline for the
     privatization ablation.
     """
 
-    def __init__(self, runtime: "Runtime", instances: Sequence[Any], owner: int = 0) -> None:
+    def __init__(self, runtime: "Runtime", instances: Sequence[Any]) -> None:
         self._rt = runtime
         self._instances: List[Any] = list(instances)
-        #: Locale holding the canonical metadata.
-        self.owner = owner
 
     def get_privatized_instance(self, locale_id: "int | None" = None) -> Any:
         """Resolve the per-locale instance *after* a metadata round trip."""
         ctx = self._rt._ctx
         if ctx is not None:
             # The metadata fetch a by-reference handle performs.
-            self._rt.network.read(ctx, self.owner, nbytes=32)
+            self._rt.network.read(ctx, 0, nbytes=32)
             lid = locale_id if locale_id is not None else ctx.locale_id
         else:
             lid = locale_id if locale_id is not None else 0

@@ -31,12 +31,14 @@ from typing import Any, Callable, Hashable, Tuple
 
 __all__ = ["CompilationCache", "COLUMN_CACHE"]
 
+#: Entries a cache keeps before it evicts the least recently used.
+_MAX_ENTRIES = 256
+
 
 class CompilationCache:
     """A small thread-safe LRU mapping column keys to built artifacts."""
 
-    def __init__(self, max_entries: int = 256) -> None:
-        self._max_entries = max_entries
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._hits = 0
@@ -64,7 +66,7 @@ class CompilationCache:
             self._misses += 1
             self._entries[key] = value
             self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
+            while len(self._entries) > _MAX_ENTRIES:
                 self._entries.popitem(last=False)
         return value
 

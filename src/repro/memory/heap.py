@@ -11,8 +11,8 @@ for Python payload objects.  Two properties matter for the reproduction:
 
 * **Precise hazard detection.**  An address is live exactly while it is a
   key of the heap's live map, and every address ever issued lies on the
-  aligned range ``[base, next)``.  Loading through a stale address raises
-  :class:`~repro.errors.UseAfterFreeError`; freeing twice raises
+  aligned range ``[HEAP_BASE, next)``.  Loading through a stale address
+  raises :class:`~repro.errors.UseAfterFreeError`; freeing twice raises
   :class:`~repro.errors.DoubleFreeError`.  On real hardware these are
   silent corruption; here they are deterministic test signals, which is
   how we *prove* the EpochManager makes reclamation safe.
@@ -32,7 +32,15 @@ from ..errors import DoubleFreeError, HeapExhaustedError, InvalidAddressError, U
 from .address import GlobalAddress
 from .compression import ADDRESS_MASK
 
-__all__ = ["Heap", "HeapStats"]
+__all__ = ["HEAP_ALIGNMENT", "HEAP_BASE", "Heap", "HeapStats"]
+
+#: First address every heap hands out: nonzero, so the compressed ``nil``
+#: (offset 0) can never alias an allocation.
+HEAP_BASE = 0x1000
+#: Allocation alignment in bytes: the low four bits of every address are
+#: zero, so a structure may steal them for tag bits (the Harris list's
+#: deletion mark does).
+HEAP_ALIGNMENT = 16
 
 #: ``_tuple_new(GlobalAddress, (locale, offset))`` skips the named tuple's Python ``__new__``.
 _tuple_new = tuple.__new__
@@ -67,29 +75,16 @@ class Heap:
     before every free (live only rises on alloc), so :attr:`stats` builds
     its :class:`HeapStats` on demand.
 
-    Parameters
-    ----------
-    locale_id:
-        Owning locale (recorded into issued :class:`GlobalAddress`es).
-    base:
-        First address handed out; must be nonzero so ``nil`` (offset 0) can
-        never alias an allocation.
-    alignment:
-        Power-of-two allocation alignment.  Guarantees the low bits of every
-        address are zero, so data structures may steal them for tag bits
-        (the Harris list's deletion mark does).
+    ``locale_id`` is the owning locale, recorded into every issued
+    :class:`GlobalAddress`.  Fresh addresses start at :data:`HEAP_BASE`
+    and step by :data:`HEAP_ALIGNMENT`.
     """
 
-    def __init__(self, locale_id: int, *, base: int = 0x1000, alignment: int = 16) -> None:
-        if base <= 0:
-            raise ValueError("heap base must be positive (offset 0 is nil)")
-        if alignment < 2 or alignment & (alignment - 1):
-            raise ValueError("alignment must be a power of two >= 2")
+    def __init__(self, locale_id: int) -> None:
         self.locale_id = locale_id
-        self.alignment = alignment
         self._live: Dict[int, Any] = {}  # offset -> payload, live slots only
         self._free: List[int] = []  # LIFO free list of offsets
-        self._base = self._next = ((base + alignment - 1) // alignment) * alignment
+        self._next = HEAP_BASE
         self._allocations = self._reuses = self._peak_live = 0
 
     # ------------------------------------------------------------------
@@ -106,9 +101,9 @@ class Heap:
             self._reuses += 1
         else:
             offset = self._next
-            if offset + self.alignment > ADDRESS_MASK:
+            if offset + HEAP_ALIGNMENT > ADDRESS_MASK:
                 raise self._exhausted()
-            self._next = offset + self.alignment
+            self._next = offset + HEAP_ALIGNMENT
         self._live[offset] = payload
         self._allocations += 1
         return _tuple_new(GlobalAddress, (self.locale_id, offset))
@@ -123,14 +118,14 @@ class Heap:
         """
         if n < 0:
             raise ValueError("alloc_many needs n >= 0")
-        free, align = self._free, self.alignment
+        free = self._free
         reused = free[: -n - 1 : -1]  # the last n frees, newest first
         start = self._next
-        stop = start + (n - len(reused)) * align
+        stop = start + (n - len(reused)) * HEAP_ALIGNMENT
         if stop > ADDRESS_MASK:
             raise self._exhausted()
         del free[len(free) - len(reused) :]
-        offsets = reused + list(range(start, stop, align))
+        offsets = reused + list(range(start, stop, HEAP_ALIGNMENT))
         self._next = stop
         # iter(object, None) yields a fresh object() per address.
         self._live.update(zip(offsets, iter(object, None)))
@@ -148,7 +143,7 @@ class Heap:
     # ------------------------------------------------------------------
     def _issued(self, offset: int) -> bool:
         """True when ``offset`` was ever handed out (error paths only)."""
-        return self._base <= offset < self._next and not offset & (self.alignment - 1)
+        return HEAP_BASE <= offset < self._next and not offset & (HEAP_ALIGNMENT - 1)
 
     def _not_live(self, offset: int, freeing: bool = False) -> Exception:
         """The error for touching (or ``freeing``) the non-live ``offset``."""

@@ -104,23 +104,16 @@ class _IBRGuard(GuardBase):
 class IntervalReclaimer(ReclaimerBase):
     """Interval-based reclamation manager.
 
-    Parameters
-    ----------
-    runtime:
-        The simulated machine.
-    home:
-        Locale holding the global era (defaults to the creating task's
-        locale, locale 0 outside a task) — mirrors ``EpochManager``.
+    The global era lives on the creating task's locale (locale 0
+    outside a task), as ``EpochManager``'s global epoch does.
     """
 
     scheme = "ibr"
 
-    def __init__(self, runtime: "Runtime", *, home: Optional[int] = None) -> None:
+    def __init__(self, runtime: "Runtime") -> None:
         super().__init__(runtime)
-        if home is None:
-            ctx = runtime._ctx
-            home = ctx.locale_id if ctx is not None else 0
-        self.home = runtime.locale(home).id
+        ctx = runtime._ctx
+        self.home = ctx.locale_id if ctx is not None else 0
         #: The authoritative era (a true network atomic, like EBR's
         #: global epoch: remote locales read and CAS it during reclaim).
         self._era = AtomicUInt64(

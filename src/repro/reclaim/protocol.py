@@ -284,8 +284,8 @@ class ReclaimerBase(ManagerCore, PrivatizedObject):
     drops: a finished reclaimer is not cyclic garbage.
     """
 
-    def __init__(self, runtime: "Runtime", *, policy: Any = None) -> None:
-        ManagerCore.__init__(self, runtime, policy=policy)
+    def __init__(self, runtime: "Runtime") -> None:
+        ManagerCore.__init__(self, runtime)
         PrivatizedObject.__init__(
             self, runtime, [[] for _ in range(runtime.num_locales)]
         )

@@ -116,6 +116,9 @@ class RuntimeConfig:
     :meth:`resolved_policy`.  A rejected field raises ``ValueError``
     whose message starts with the field's name (``"aggregation: ..."``;
     ``num_locales < 1`` raises :class:`~repro.errors.LocaleError`).
+    The heap layout is not a field: every locale's heap starts at
+    :data:`~repro.memory.heap.HEAP_BASE` and aligns to
+    :data:`~repro.memory.heap.HEAP_ALIGNMENT`.
 
     Parameters
     ----------
@@ -142,14 +145,6 @@ class RuntimeConfig:
         Accepted and validated (``None`` or an integer >= 1) but has no
         effect: every task runs on the thread that joins it, from the
         runtime's run queue (see :mod:`repro.runtime.tasking`).
-    heap_base:
-        First virtual address each per-locale heap hands out. Nonzero so
-        that the compressed representation of ``nil`` (0) can never collide
-        with a real allocation.
-    heap_alignment:
-        Allocation alignment in bytes. Must be a power of two >= 2; the low
-        ``log2(alignment)`` bits of every address are guaranteed zero, which
-        the Harris list uses for its logical-deletion mark bit.
     topology:
         Interconnect shape: a spec string (``"flat"`` — the default and
         the legacy behaviour — ``"hier:2x2"``, ``"dragonfly:4"``), a
@@ -203,8 +198,6 @@ class RuntimeConfig:
     costs: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
     tasks_per_locale: int = 2
     seed: int = 0xC0FFEE
-    heap_base: int = 0x1000
-    heap_alignment: int = 16
     worker_pool_size: Optional[int] = None
     reclaimer: str = "ebr"
     topology: Any = "flat"
@@ -228,13 +221,6 @@ class RuntimeConfig:
         ):
             raise ValueError(
                 f"worker_pool_size must be an integer >= 1, got {pool!r}"
-            )
-        if self.heap_alignment < 2 or (
-            self.heap_alignment & (self.heap_alignment - 1)
-        ):
-            raise ValueError(
-                f"heap_alignment must be a power of two >= 2, got"
-                f" {self.heap_alignment}"
             )
         # Every machine field is parsed exactly once, here.  network and
         # trace are normalized in place; the parsed topology, aggregation

@@ -88,12 +88,10 @@ class Locale:
 
     __slots__ = ("id", "name", "heap")
 
-    def __init__(self, locale_id: int, config: RuntimeConfig) -> None:
+    def __init__(self, locale_id: int) -> None:
         self.id = locale_id
         self.name = f"locale{locale_id}"
-        self.heap = Heap(
-            locale_id, base=config.heap_base, alignment=config.heap_alignment
-        )
+        self.heap = Heap(locale_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Locale(id={self.id})"
@@ -122,21 +120,15 @@ class Runtime:
         num_locales: int = 4,
         network: "NetworkType | str" = NetworkType.UGNI,
         *,
-        costs=None,
         tasks_per_locale: int = 2,
-        seed: int = 0xC0FFEE,
         config: Optional[RuntimeConfig] = None,
     ) -> None:
         if config is None:
-            kwargs: Dict[str, Any] = dict(
+            config = RuntimeConfig(
                 num_locales=num_locales,
                 network=NetworkType.parse(network),
                 tasks_per_locale=tasks_per_locale,
-                seed=seed,
             )
-            if costs is not None:
-                kwargs["costs"] = costs
-            config = RuntimeConfig(**kwargs)
         # Imported here (not at module top) to break the package import
         # cycle runtime.runtime -> comm.network -> runtime.clock.
         from ..comm.network import NetworkModel
@@ -164,7 +156,7 @@ class Runtime:
                 self.network.install_tracer(tracer)
         #: The simulated nodes.
         self.locales: List[Locale] = [
-            Locale(i, config) for i in range(config.num_locales)
+            Locale(i) for i in range(config.num_locales)
         ]
         self._task_ids = itertools.count(1)
         #: The privatized-object table; None once the runtime is closed.
@@ -471,13 +463,11 @@ class Runtime:
         items: Iterable[T],
         task_body: Callable[[Sequence[T]], None],
         tasks_per_locale: Optional[int] = None,
-        owner_of: Optional[Callable[[T, int], int]] = None,
     ) -> None:
         """The task level of :meth:`forall`: one ``task_body(my_items)``
         per worker task.
 
-        Splits ``items`` across locales (cyclically by index, or by
-        ``owner_of``), spawns ``min(tasks_per_locale, chunk length)``
+        Splits ``items`` across locales cyclically by index, spawns ``min(tasks_per_locale, chunk length)``
         tasks per locale — task ``w`` of ``n`` gets ``chunk[w::n]``, a
         range when ``items`` is one — at ``now`` plus the spawn-tree
         overhead, joins them and emits the one ``forall`` span.  Tasks are spawned locale by locale, so their
@@ -498,17 +488,8 @@ class Runtime:
         tr = self._tracer
         t0 = ctx.now if tr is not None else 0.0
 
-        if owner_of is None:
-            # Cyclic distribution: locale l owns items l, l + nloc, ...
-            per_locale = [data[lid::nloc] for lid in range(nloc)]
-        else:
-            per_locale = [[] for _ in range(nloc)]
-            for idx, item in enumerate(data):
-                owner = owner_of(item, idx)
-                if 0 <= owner < nloc:
-                    per_locale[owner].append(item)
-                else:
-                    per_locale[self.locale(owner).id].append(item)
+        # Cyclic distribution: locale l owns items l, l + nloc, ...
+        per_locale = [data[lid::nloc] for lid in range(nloc)]
 
         total_tasks = sum(min(tpl, len(chunk)) for chunk in per_locale)
         if total_tasks == 0:
@@ -541,9 +522,10 @@ class Runtime:
         *,
         task_init: Optional[Callable[[], Any]] = None,
         tasks_per_locale: Optional[int] = None,
-        owner_of: Optional[Callable[[T, int], int]] = None,
     ) -> None:
-        """Parallel loop over ``items`` distributed cyclically by index.
+        """Parallel loop over ``items`` distributed cyclically by index:
+        locale ``index % num_locales`` owns each item (a Cyclic
+        distribution).
 
         Parameters
         ----------
@@ -561,9 +543,6 @@ class Runtime:
         tasks_per_locale:
             Worker tasks per locale, an integer >= 1; ``None`` (the
             default) takes the runtime config's.
-        owner_of:
-            Optional override mapping ``(item, index) -> locale id``;
-            defaults to ``index % num_locales`` (a Cyclic distribution).
         """
 
         def worker(my_items: Sequence[T]) -> None:
@@ -580,7 +559,7 @@ class Runtime:
                 if callable(close):
                     close()
 
-        self._forall_tasks(items, worker, tasks_per_locale, owner_of)
+        self._forall_tasks(items, worker, tasks_per_locale)
 
     # ------------------------------------------------------------------
     # measurement

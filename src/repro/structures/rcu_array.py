@@ -71,8 +71,8 @@ class RCUArray:
         Elements per block; blocks are placed round-robin over locales.
     fill:
         Default element value.
-    locale:
-        Home locale of the root pointer.
+
+    The root pointer lives on locale 0.
     """
 
     def __init__(
@@ -82,14 +82,13 @@ class RCUArray:
         *,
         block_size: int = 64,
         fill: Any = None,
-        locale: int = 0,
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self._rt = runtime
         self.block_size = block_size
         self.fill = fill
-        self.home = runtime.locale(locale).id
+        self.home = 0
         blocks = self._make_blocks(length)
         desc = _Descriptor(length, blocks, block_size)
         desc_addr = runtime.locale(self.home).heap.alloc(desc)

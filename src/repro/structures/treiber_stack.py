@@ -51,9 +51,9 @@ class StackNode:
 
     __slots__ = ("value", "next")
 
-    def __init__(self, value: Any, next_: GlobalAddress = NIL) -> None:
+    def __init__(self, value: Any) -> None:
         self.value = value
-        self.next = next_
+        self.next = NIL
 
 
 class LockFreeStack:

@@ -329,27 +329,29 @@ class TestSocketSharedAccounting:
         finally:
             rt.close()
 
-    def test_share_coherent_off_without_aggregation(self):
-        rt = _hier_runtime(1)
-        try:
-            def main():
-                em = EpochManager(rt)
-                assert not em.share_coherent
-                assert em._instance_lids == tuple(range(8))
-                # The legacy shape: one single-locale group per locale.
-                assert not em._aggregated
-                assert em._plan == tuple((lid, (lid,), (lid,)) for lid in range(8))
-                # Explicit opt-in works even with the window closed.
-                shared = EpochManager(rt, share_coherent=True)
-                assert shared.share_coherent
-                assert shared._aggregated
-                assert shared._plan == ((0, (0, 2), (0, 1, 2, 3)), (4, (4, 6), (4, 5, 6, 7)))
-                em.destroy()
-                shared.destroy()
+    def test_share_coherent_follows_the_window(self):
+        # The machine decides the layout: the same hier:2x2 shape shares
+        # per socket only when its aggregation window is open.
+        def layout(window):
+            rt = _hier_runtime(window)
+            try:
+                def main():
+                    em = EpochManager(rt)
+                    facts = (em.share_coherent, em._aggregated, em._instance_lids, em._plan)
+                    em.destroy()
+                    return facts
 
-            rt.run(main)
-        finally:
-            rt.close()
+                return rt.run(main)
+            finally:
+                rt.close()
+
+        # The legacy shape: one single-locale group per locale.
+        assert layout(1) == (
+            False, False, tuple(range(8)), tuple((lid, (lid,), (lid,)) for lid in range(8))
+        )
+        assert layout(4) == (
+            True, True, (0, 2, 4, 6), ((0, (0, 2), (0, 1, 2, 3)), (4, (4, 6), (4, 5, 6, 7)))
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -56,20 +56,22 @@ class TestSpinLock:
         assert elapsed >= 256 * c.cpu_atomic_latency
 
     def test_remote_lock_costs_more(self):
+        """The lock lives on locale 0: taking it from locale 1 is remote."""
         rt = Runtime(num_locales=2, network="ugni")
-        local = SpinLock(rt, locale=0)
-        remote = SpinLock(rt, locale=1)
+        lock = SpinLock(rt)
 
-        def cost(lock):
-            def main():
-                with rt.timed() as t:
-                    lock.acquire()
-                    lock.release()
-                return t.elapsed
+        def main():
+            costs = []
+            for locale in (0, 1):
+                with rt.on(locale):
+                    with rt.timed() as t:
+                        lock.acquire()
+                        lock.release()
+                costs.append(t.elapsed)
+            return costs
 
-            return rt.run(main)
-
-        assert cost(remote) > cost(local)
+        local, remote = rt.run(main)
+        assert remote > local
 
 
 class TestLockedQueue:
@@ -142,7 +144,7 @@ class TestGlobalLockReclaimer:
     def test_pin_costs_grow_remote(self):
         """Every pin is a remote atomic: the design flaw being ablated."""
         rt = Runtime(num_locales=4, network="ugni")
-        glr = GlobalLockReclaimer(rt, home=0)
+        glr = GlobalLockReclaimer(rt)
 
         def main():
             g = glr.register()

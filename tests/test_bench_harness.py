@@ -88,7 +88,7 @@ class TestAtomicMixWorkload:
 
     def test_deterministic_given_seed(self):
         def once():
-            rt = Runtime(num_locales=2, network="ugni", seed=42)
+            rt = Runtime(config=RuntimeConfig(num_locales=2, network="ugni", seed=42))
             return run_atomic_mix(rt, cell="atomic_int", ops_per_task=64).elapsed
 
         assert once() == once()

@@ -82,14 +82,6 @@ class TestRuntimeConfig:
         with pytest.raises(ValueError):
             RuntimeConfig(tasks_per_locale=0)
 
-    def test_rejects_non_power_of_two_alignment(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(heap_alignment=12)
-
-    def test_rejects_alignment_below_two(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(heap_alignment=1)
-
     def test_with_creates_modified_copy(self):
         cfg = RuntimeConfig()
         cfg2 = replace(cfg, num_locales=8)

@@ -300,8 +300,8 @@ class TestCommDiagnostics:
 
     def test_bulk_bytes_accumulate(self):
         diags = CommDiagnostics(1)
-        diags.record(0, CommOp.BULK, nbytes=100)
-        diags.record(0, CommOp.BULK, nbytes=28)
+        diags.record_bulk(0, 100)
+        diags.record_bulk(0, 28)
         t = diags.totals()
         assert t["bulk"] == 2 and t["bulk_bytes"] == 128
 
@@ -524,9 +524,10 @@ def _atomic_cases(rt, home):
         obj = AtomicObject(rt, locale=home, mode=mode)
         cases += [(obj, op, mode == "dcas", False) for op in _PTR_OPS]
         cases += [(obj, op, True, False) for op in _ABA_OPS]
+    # An AtomicRef is always opted out.
+    cases += [(AtomicRef(rt, home), op, False, True) for op in _REF_OPS]
     for opt_out in (False, True):
         for make, ops in (
-            (AtomicRef, _REF_OPS),
             (AtomicBool, _BOOL_OPS),
             (AtomicUInt64, _UINT_OPS),
             (AtomicInt64, _INT_OPS),

@@ -12,6 +12,7 @@ from repro.errors import (
     TooManyLocalesError,
     UseAfterFreeError,
 )
+from repro.memory.heap import HEAP_ALIGNMENT, HEAP_BASE
 from repro.memory import (
     ADDRESS_MASK,
     COMPRESSED_NIL,
@@ -88,9 +89,9 @@ class TestHeap:
         assert a.offset >= 0x1000
 
     def test_offsets_are_aligned(self):
-        h = Heap(0, alignment=16)
+        h = Heap(0)
         for _ in range(10):
-            assert h.alloc("x").offset % 16 == 0
+            assert h.alloc("x").offset % HEAP_ALIGNMENT == 0
 
     def test_load_returns_payload(self):
         h = Heap(0)
@@ -210,7 +211,8 @@ class TestHeap:
             h.alloc_many(-1)
 
     def test_alloc_many_exhaustion_allocates_nothing(self):
-        h = Heap(0, base=ADDRESS_MASK - 64)  # room for three fresh slots
+        h = Heap(0)
+        h._next = ADDRESS_MASK + 1 - 64  # room for three fresh slots
         with pytest.raises(HeapExhaustedError):
             h.alloc_many(4)
         assert h.stats.allocations == 0
@@ -247,9 +249,15 @@ class TestHeap:
         assert ref() is None
 
     def test_base_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Heap(0, base=0)
+        # The compressed nil is offset 0: no allocation may start there.
+        assert HEAP_BASE > 0
+        assert Heap(0).alloc("x").offset == HEAP_BASE
 
     def test_alignment_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            Heap(0, alignment=3)
+        # A power of two of at least 2 leaves the low bit free for tags
+        # such as the Harris list's deletion mark.
+        assert HEAP_ALIGNMENT >= 2
+        assert HEAP_ALIGNMENT & (HEAP_ALIGNMENT - 1) == 0
+        h = Heap(0)
+        offsets = [h.alloc(i).offset for i in range(4)]
+        assert [b - a for a, b in zip(offsets, offsets[1:])] == [HEAP_ALIGNMENT] * 3

@@ -188,7 +188,7 @@ class TestForeignTaskContext:
 
     def test_spinlock_acquire_release_charges_nothing(self, locale):
         a, b = _machines()
-        lock = SpinLock(b, locale=0)
+        lock = SpinLock(b)
 
         def body():
             lock.acquire()

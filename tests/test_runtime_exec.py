@@ -117,19 +117,6 @@ class TestForall:
         for i, loc in owners.items():
             assert loc == i % rt.num_locales
 
-    def test_owner_of_override(self, rt):
-        owners = set()
-        lock = threading.Lock()
-
-        def body(i):
-            with lock:
-                owners.add(rt.here())
-
-        rt.run(
-            lambda: rt.forall(range(20), body, owner_of=lambda item, idx: 1)
-        )
-        assert owners == {1}
-
     def test_task_init_runs_once_per_task_on_task_locale(self, rt):
         created = []
         lock = threading.Lock()

@@ -300,8 +300,9 @@ def _route_facts(route):
 class TestFlatTableExactness:
     @pytest.mark.parametrize("network", ["ugni", "none"])
     def test_flat_class_compile_equals_legacy_compile(self, network):
-        # Flat class rows, indexed (wide << 1) | opt_out with class 0 =
-        # local and class 1 = remote, are the legacy 8-entry cube.
+        # Flat class rows (narrow-plain, narrow-opt-out, wide) with class
+        # 0 = local and class 1 = remote are the legacy 8-entry cube; the
+        # cube's wide entries ignore opt_out, so both match the wide row.
         rt = Runtime(num_locales=4, network=network)
         try:
             for home in range(4):
@@ -310,7 +311,7 @@ class TestFlatTableExactness:
                 assert len(legacy) == 8
                 for wide in (False, True):
                     for opt_out in (False, True):
-                        row = rows[(wide << 1) | opt_out]
+                        row = rows[2 if wide else int(opt_out)]
                         assert len(row) == 2
                         for local, got in ((True, row[0]), (False, row[1])):
                             idx = atomic_route_index(wide, opt_out, local)
@@ -333,10 +334,8 @@ class TestFlatTableExactness:
         rt = Runtime(config=RuntimeConfig(num_locales=8, topology="hier:2x2"))
         try:
             rows = rt.network.atomic_class_routes(0)
-            assert len(rows) == 4  # narrow/wide x plain/opt-out
+            assert len(rows) == 3  # narrow-plain, narrow-opt-out, wide
             assert all(len(row) == 4 for row in rows)  # one per class
-            # wide rows ignore opt_out
-            assert rows[2] is rows[3]
         finally:
             rt.close()
 
