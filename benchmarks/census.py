@@ -126,8 +126,6 @@ ALLOWLIST: Dict[str, str] = {
         "keeps decide() total for the fixed policy, which managers skip",
     "repro.policy.window:StaticWindowPolicy.spec": "the window policy's spec round trip",
     "repro.policy.window:AdaptiveWindowPolicy.spec": "the window policy's spec round trip",
-    "repro.policy.base:EpochFacts.oldest_age":
-        "documented fact for custom policies (docs/POLICY.md)",
     "repro.core.token:Token.is_pinned": _GUARD,
     "repro.core.token:Token.is_registered": _GUARD,
     "repro.core.token:Token.protect": _GUARD,
@@ -190,7 +188,6 @@ PARAM_ALLOWLIST: Dict[str, str] = {
     "repro.bench.ablations:ablation_scatter(locales)": _CLAIMS,
     "repro.engine.coverage:compiled_plan(reclaim_every)": _DERIVED,
     "repro.engine.coverage:compiled_plan(trace)": _DERIVED,
-    "repro.engine.coverage:compiled_plan(wants_retire_times)": _DERIVED,
     "repro.engine.executor:run_uniform_atomic_phase(route_row)":
         "derived: the wide row for the [workload] cell atomic_object_aba",
     "repro.atomics.integer:AtomicBool.__init__(initial)": _API,

@@ -39,11 +39,13 @@ the body of the op method minus its frame.
 
 A cell line keeps only its recurrence
 -------------------------------------
-The line's ``next_free`` and ``idle_bank`` decide every finish time; its
-``busy_time`` and ``served`` feed no report, so ``_enter``'s inline serve
-does not update them (a traced line still goes through ``serve_locked``,
-which does).  The NIC, progress-thread and uplink points on a route keep
-all four fields: ``RuntimeSnapshot`` and the aggregation stats read them.
+The line's ``next_free`` and ``idle_bank`` decide every finish time.
+Only the NIC, progress-thread and uplink points on a route keep
+``busy_time`` and ``served``: ``RuntimeSnapshot`` and the aggregation
+stats read them.  A line's two counters are unspecified: ``_enter``'s
+inline serve does not update them, while a traced line and the compiled
+EBR replay's queued and deferral charges go through ``serve_locked``,
+which does.  No report reads them.
 
 Operations charge costs only while the owning runtime runs a task: the
 charge reads that runtime's ``_ctx`` slot, which is ``None`` outside its

@@ -67,6 +67,7 @@ from typing import (
     Tuple,
 )
 
+from ..comm.costs import is_finite_number
 from ..engine import compiled_plan, engine_summary
 from ..errors import ReproError
 from ..obs import MetricsRegistry
@@ -74,6 +75,7 @@ from ..runtime.config import RECLAIMER_SCHEMES, RuntimeConfig
 from ..runtime.runtime import Runtime
 from .workloads import (
     WorkloadResult,
+    check_params,
     run_atomic_mix,
     run_epoch_mixed,
     run_epoch_workload,
@@ -367,6 +369,11 @@ class WorkloadSpec:
                 f"workload kind {self.kind!r} does not accept parameter(s)"
                 f" {bad}; allowed parameters are {sorted(allowed)}"
             )
+        for name, value in params:
+            try:
+                check_params(**{name: value})
+            except ValueError as exc:
+                raise ScenarioError(f"workload.{name}: {exc}") from None
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "WorkloadSpec":
@@ -400,13 +407,9 @@ class MeasureSpec:
     repeats: int = 1
 
     def __post_init__(self) -> None:
-        if (
-            not isinstance(self.ops_scale, (int, float))
-            or isinstance(self.ops_scale, bool)
-            or self.ops_scale <= 0
-        ):
+        if not is_finite_number(self.ops_scale) or self.ops_scale <= 0:
             raise ScenarioError(
-                f"measure.ops_scale must be a positive number, got"
+                f"measure.ops_scale must be a finite positive number, got"
                 f" {self.ops_scale!r}"
             )
         if not isinstance(self.repeats, int) or self.repeats < 1:
@@ -581,7 +584,6 @@ def compiled_coverage(spec: ScenarioSpec) -> str:
         tasks_per_locale=topo.tasks_per_locale,
         reclaim_every=params.get("reclaim_every"),
         wants_pin_times=policy.wants_pin_times,
-        wants_retire_times=policy.wants_retire_times,
     )
     return tier
 

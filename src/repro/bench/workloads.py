@@ -29,8 +29,9 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..comm.costs import is_finite_number
 from ..core.atomic_object import AtomicObject
 from ..engine import (
     compiled_plan,
@@ -51,6 +52,7 @@ from ..runtime.runtime import Runtime
 
 __all__ = [
     "WorkloadResult",
+    "check_params",
     "run_atomic_mix",
     "run_epoch_workload",
     "run_epoch_mixed",
@@ -77,18 +79,13 @@ def _phase_tier(rt: Runtime, kind: str, **shape: Any) -> str:
     return note_phase(rt, kind, tier, reason)
 
 
-def _policy_wants(rt: Runtime) -> Dict[str, bool]:
-    """The resolved policy's fact appetites, as ``compiled_plan`` kwargs.
-
-    A pin- or retire-time-tracking policy (grace — docs/POLICY.md) reads
-    virtual-time facts the columnar replay never records (it charges pins
-    without calling ``pin()``), so those shapes take the serial tier.
+def _wants_pin_times(rt: Runtime) -> bool:
+    """True when the resolved policy reads pin times (grace —
+    docs/POLICY.md): the columnar replay charges pins without calling
+    ``pin()``, so it never records them, and those shapes take the serial
+    tier.
     """
-    policy = rt.config.resolved_policy().make_epoch_policy()
-    return {
-        "wants_pin_times": policy.wants_pin_times,
-        "wants_retire_times": policy.wants_retire_times,
-    }
+    return rt.config.resolved_policy().make_epoch_policy().wants_pin_times
 
 
 def _reclaimer_for(rt: Runtime, manager_kwargs: Optional[Dict[str, Any]] = None):
@@ -109,6 +106,65 @@ def _reclaimer_for(rt: Runtime, manager_kwargs: Optional[Dict[str, Any]] = None)
             f" reclaimer={scheme!r}"
         )
     return make_reclaimer(rt, scheme, **(manager_kwargs or {}))
+
+
+_Check = Tuple[Callable[[Any], bool], str]
+
+
+def _is_count(value: Any) -> bool:
+    """An integer >= 1 that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _optional(check: _Check) -> _Check:
+    accepts, what = check
+    return (lambda v: v is None or accepts(v), what)
+
+
+def _one_of(*choices: str) -> _Check:
+    return (lambda v: v in choices, f"one of {list(choices)}")
+
+
+_COUNT: _Check = (_is_count, "an integer >= 1")
+_FLAG: _Check = (lambda v: isinstance(v, bool), "true or false")
+_PERCENT: _Check = (
+    lambda v: is_finite_number(v) and 0 <= v <= 100,
+    "within [0, 100]",
+)
+
+#: The one range check of each generator parameter that has one: name ->
+#: (accepts the value?, what the value must be).  The generators run it on
+#: entry, and a scenario's ``[workload]`` table runs it when the spec is
+#: built, so a bad value fails before anything runs.
+_PARAM_CHECKS: Dict[str, _Check] = {
+    "ops_per_task": _COUNT,
+    "items_per_task": _COUNT,
+    "ops_per_slot": _COUNT,
+    "rounds": _COUNT,
+    "num_cells": _optional(_COUNT),
+    "reclaim_every": _optional(_COUNT),
+    "delete": _FLAG,
+    "cleanup_at_end": _FLAG,
+    "reclaim_between_rounds": _FLAG,
+    "zipf_exponent": _optional(
+        (lambda v: is_finite_number(v) and v > 0, "a finite number > 0")
+    ),
+    "remote_percent": _PERCENT,
+    "write_percent": _PERCENT,
+    "cell": _one_of("atomic_int", "atomic_object", "atomic_object_aba"),
+    "structure": _one_of("queue", "stack"),
+    "pairing": _one_of("ring", "near", "far"),
+}
+
+
+def check_params(**params: Any) -> None:
+    """Raise ``ValueError`` naming the first parameter whose value is out
+    of its range (:data:`_PARAM_CHECKS`); parameters without a check pass.
+    Each generator passes its own arguments (``**locals()`` on entry)."""
+    for name, value in params.items():
+        check = _PARAM_CHECKS.get(name)
+        if check is not None and not check[0](value):
+            raise ValueError(f"{name} must be {check[1]}, got {value!r}")
 
 
 @dataclass
@@ -161,21 +217,16 @@ def run_atomic_mix(
     contended resource; under ``none`` it is the progress thread serving
     active messages, which saturates far sooner.
     """
-    if cell not in ("atomic_int", "atomic_object", "atomic_object_aba"):
-        raise ValueError(f"unknown atomic-mix cell kind {cell!r}")
+    check_params(**locals())
     nloc = rt.num_locales
     ntasks = nloc * tasks_per_locale
     ncells = num_cells if num_cells is not None else max(64, 2 * ntasks)
-    if ncells < 1:
-        raise ValueError(f"num_cells must be >= 1, got {ncells}")
     extra: Dict[str, Any] = {}
     if zipf_exponent is None:
         kind = "atomic_mix"
         column_fn = mix_column_fn(ops_per_task, ncells)
         column_key: tuple = ("mix", ops_per_task, ncells)
     else:
-        if zipf_exponent <= 0:
-            raise ValueError(f"zipf_exponent must be > 0, got {zipf_exponent}")
         # Truncated-Zipf cumulative weights over cell ranks; one
         # rng.random() draw + bisect per op keeps the stream deterministic
         # per task.
@@ -425,8 +476,7 @@ def run_epoch_workload(
         Include ``manager.clear()`` in the timed region (Figure 6's
         "reclamation only performed at end" and general teardown).
     """
-    if not (0 <= remote_percent <= 100):
-        raise ValueError("remote_percent must be within [0, 100]")
+    check_params(**locals())
     nloc = rt.num_locales
     ntasks = nloc * tasks_per_locale
     num_objects = ntasks * ops_per_task
@@ -440,14 +490,14 @@ def run_epoch_workload(
         # register/unregister run for real on the replayed task clocks.
         # ``reclaim_every`` (scan elections, which the replay does not
         # model) and >1 task per locale (in-forall token registration)
-        # fall back; other schemes and a pin/retire-time-tracking policy
-        # take the serial tier (the real bodies, exact facts).
+        # fall back; other schemes and a pin-time-tracking policy take
+        # the serial tier (the real bodies, exact facts).
         tier = _phase_tier(
             rt,
             "epoch",
             tasks_per_locale=tasks_per_locale,
             reclaim_every=reclaim_every,
-            **_policy_wants(rt),
+            wants_pin_times=_wants_pin_times(rt),
         )
 
         # Pre-allocate the objects *outside* the timed region (the paper
@@ -640,12 +690,7 @@ def run_epoch_mixed(
     without the order-dependent election races a concurrent in-loop
     ``tryReclaim`` would introduce.
     """
-    if not (0 <= write_percent <= 100):
-        raise ValueError("write_percent must be within [0, 100]")
-    if not (0 <= remote_percent <= 100):
-        raise ValueError("remote_percent must be within [0, 100]")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    check_params(**locals())
     _check_phased_reclaim(tasks_per_locale, rounds, reclaim_between_rounds)
     nloc = rt.num_locales
     ntasks = nloc * tasks_per_locale
@@ -665,14 +710,16 @@ def run_epoch_mixed(
         # root-driven between rounds).  EBR rounds replay against the
         # token/limbo/pool cells and HP rounds against the guard buffers
         # (threshold scans run real — see repro.engine.executor); QSBR
-        # and IBR rounds take the serial tier.  So does a pin- or
-        # retire-time-tracking policy (grace — docs/POLICY.md): the
-        # columnar replay charges pins without calling ``pin()``, so the
-        # virtual-time facts the policy's decisions read would be missing;
-        # the serial tier runs the real bodies and records them exactly.  Full-detail
-        # tracing stays the documented interpreter fallback
-        # (docs/OBSERVABILITY.md): no tier emits per-op events.
-        tier = _phase_tier(rt, "epoch_mixed", **_policy_wants(rt))
+        # and IBR rounds take the serial tier.  So does a pin-time-tracking
+        # policy (grace — docs/POLICY.md): the columnar replay charges pins
+        # without calling ``pin()``, so the pin times the policy's
+        # decisions read would be missing; the serial tier runs the real
+        # bodies and records them exactly.  Full-detail tracing stays the
+        # documented interpreter fallback (docs/OBSERVABILITY.md): no tier
+        # emits per-op events.
+        tier = _phase_tier(
+            rt, "epoch_mixed", wants_pin_times=_wants_pin_times(rt)
+        )
 
         alloc_idx = [i for i in range(num_items) if is_write[i]]
         objs: List[GlobalAddress] = [NIL] * num_items
@@ -771,11 +818,6 @@ def _churn_partners(rt: Runtime, ntasks: int, pairing: str) -> List[int]:
     """
     if pairing == "ring":
         return [(i + 1) % ntasks for i in range(ntasks)]
-    if pairing not in ("near", "far"):
-        raise ValueError(
-            f"unknown churn pairing {pairing!r}; expected one of"
-            f" ['far', 'near', 'ring']"
-        )
     nloc = rt.num_locales
     topo = rt.network.topology
 
@@ -830,13 +872,10 @@ def run_producer_consumer(
     time: churn comes from allocation / retirement / address reuse, not
     from order-dependent CAS races.
     """
+    check_params(**locals())
     from ..structures.msqueue import LockFreeQueue
     from ..structures.treiber_stack import LockFreeStack
 
-    if structure not in ("queue", "stack"):
-        raise ValueError(f"unknown churn structure {structure!r}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
     _check_phased_reclaim(tasks_per_locale, rounds, reclaim_between_rounds)
     nloc = rt.num_locales
     ntasks = nloc * tasks_per_locale
@@ -944,12 +983,11 @@ def run_multi_structure(
     "many structures, one reclamation domain" deployment shape the paper
     argues for.  Epochs advance from the root between rounds.
     """
+    check_params(**locals())
     from ..structures.interlocked_hash_table import InterlockedHashTable
     from ..structures.msqueue import LockFreeQueue
     from ..structures.treiber_stack import LockFreeStack
 
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
     _check_phased_reclaim(tasks_per_locale, rounds, reclaim_between_rounds)
     nloc = rt.num_locales
     ntasks = nloc * tasks_per_locale

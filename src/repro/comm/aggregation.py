@@ -145,22 +145,15 @@ def parse_aggregation(spec: Any) -> AggregationSpec:
 class BatchCounters:
     """Mutable tally of aggregated work (fed into reclaimer stats)."""
 
-    __slots__ = ("batches", "crossings", "by_class")
+    __slots__ = ("batches",)
 
     def __init__(self) -> None:
-        #: Aggregated messages issued (one per window-sized batch).
+        #: Aggregated messages issued (one per window-sized batch), each
+        #: one shared-uplink traversal.
         self.batches = 0
-        #: Shared-uplink traversals paid (== batches for aggregated ops;
-        #: callers may add traversals from other sources, e.g. domain-
-        #: ordered spawn trees).
-        self.crossings = 0
-        #: Uplink traversals per distance class — the "per-distance-class
-        #: crossing counts" policy fact (docs/POLICY.md): batches know
-        #: their class at charge time, so the tally is free.
-        self.by_class: Dict[int, int] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"BatchCounters(batches={self.batches}, crossings={self.crossings})"
+        return f"BatchCounters(batches={self.batches})"
 
 
 class UplinkAggregator:
@@ -288,9 +281,6 @@ class UplinkAggregator:
             )
         if counters is not None:
             counters.batches += 1
-            counters.crossings += 1
-            by_class = counters.by_class
-            by_class[dclass] = by_class.get(dclass, 0) + 1
         tr = net._tracer
         if tr is not None:
             tr.batch(finish, dclass, group, count, finish - service - t)

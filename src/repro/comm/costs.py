@@ -27,6 +27,7 @@ All times are in **seconds** of virtual time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
@@ -38,6 +39,7 @@ __all__ = [
     "WAN_COSTS",
     "COST_PROFILES",
     "resolve_cost_model",
+    "is_finite_number",
 ]
 
 #: One nanosecond, for readability of the constants below.
@@ -225,7 +227,8 @@ def resolve_cost_model(
     fields (:data:`NETWORK_FIELDS`), which is how a topology's distance
     classes derive their link calibration from one base model; and
     ``overrides`` (a mapping or ``(field, value)`` pairs) then replaces
-    individual fields with real numbers.  Anything else raises
+    individual fields with finite numbers >= 0; the scales must be finite
+    and > 0.  Anything else raises
     ``ValueError`` listing the valid choices, prefixed with the
     declarative field at fault (``cost_profile``, ``cost_scale``,
     ``class_scale``, ``cost_overrides``) — this is the validation surface
@@ -242,9 +245,10 @@ def resolve_cost_model(
         ("cost_scale", "cost scale", scale),
         ("class_scale", "class scale", class_scale),
     ):
-        if not _is_real(factor) or factor <= 0:
+        if not is_finite_number(factor) or factor <= 0:
             raise ValueError(
-                f"{name}: {label} must be a positive number, got {factor!r}"
+                f"{name}: {label} must be a finite positive number, got"
+                f" {factor!r}"
             )
     if scale != 1.0:
         model = model.scaled(scale)
@@ -265,15 +269,18 @@ def resolve_cost_model(
                 f" fields are {sorted(CostModel.__dataclass_fields__)}"
             )
         for key, value in overrides.items():
-            if not _is_real(value):
+            if not is_finite_number(value) or value < 0:
                 raise ValueError(
-                    f"cost_overrides: {key} must be a real number, got"
-                    f" {value!r}"
+                    f"cost_overrides: {key} must be a finite number >= 0,"
+                    f" got {value!r}"
                 )
         model = model.with_overrides(**overrides)
     return model
 
 
-def _is_real(value: Any) -> bool:
-    """True for an int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def is_finite_number(value: Any) -> bool:
+    """True for an int, or a finite float, that is not a bool: the one
+    number test of every machine and measurement setting."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)

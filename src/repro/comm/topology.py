@@ -49,6 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Tuple
 
+from .costs import is_finite_number
+
 __all__ = [
     "DistanceClass",
     "Topology",
@@ -100,14 +102,10 @@ class DistanceClass:
                 f"unknown distance-class transport {self.transport!r};"
                 f" expected one of {list(_TRANSPORTS)}"
             )
-        if (
-            not isinstance(self.scale, (int, float))
-            or isinstance(self.scale, bool)
-            or self.scale <= 0
-        ):
+        if not is_finite_number(self.scale) or self.scale <= 0:
             raise ValueError(
-                f"distance-class scale must be a positive number, got"
-                f" {self.scale!r}"
+                f"distance-class scale must be a finite positive number,"
+                f" got {self.scale!r}"
             )
 
 

@@ -135,7 +135,6 @@ class _EpochManagerInstance:
         self.manager = manager
         self.runtime = runtime
         self.locale_id = locale_id
-        self.cycle = cycle
         #: Locales served by this instance: just ``locale_id`` in the
         #: per-locale (legacy) layout, the whole CPU-coherence domain in
         #: the socket-shared mode (docs/AGGREGATION.md).  Tokens may be
@@ -146,7 +145,6 @@ class _EpochManagerInstance:
             else frozenset(home_locales)
         )
         shared = len(self.home_locales) > 1
-        self.shared = shared
         #: Locale-private cache of the global epoch (opted out of network
         #: atomics: only local tasks and locally-running reclaim code read it).
         self.locale_epoch = AtomicUInt64(
@@ -170,10 +168,6 @@ class _EpochManagerInstance:
         self.free_tokens = TokenFreeList(runtime, locale_id)
         self.allocated_tokens = TokenAllocatedList(runtime, locale_id)
         self._token_seq = 0
-        #: Oldest retire virtual time per limbo slot (None = empty),
-        #: maintained only while the manager tracks limbo ages
-        #: (``EpochManager._track_ages``); cleared when the slot drains.
-        self.slot_retire_vt: List[Optional[float]] = [None] * cycle
 
     def take_token(self) -> Token:
         """Pop a recycled token (lock-free) or create a fresh one and
@@ -344,15 +338,12 @@ class EpochManager(ManagerCore, PrivatizedObject):
         net = self._rt.network
         src = self._rt._own_context().locale_id
         classes = net.topology.classes
-        crossed = [
-            dclass
-            for dclass in (net.distance_row(rep)[src] for rep, _i, _a in self._plan)
-            if classes[dclass].shared_uplink
-        ]
+        crossed = sum(
+            classes[net.distance_row(rep)[src]].shared_uplink
+            for rep, _i, _a in self._plan
+        )
         if crossed:
-            self._counters.inc("uplink_crossings", len(crossed))
-            # Per-class facts: folded by the reclaiming task after joins.
-            self._fold_crossings((dclass, 1) for dclass in crossed)
+            self._counters.inc("uplink_crossings", crossed)
 
     # ------------------------------------------------------------------
     # registration
@@ -427,13 +418,10 @@ class EpochManager(ManagerCore, PrivatizedObject):
 
     def _fact_folds(self):
         """Per-instance limbo counts; the last pin max-folds the tokens'
-        records and the oldest retire min-folds the per-slot timestamps,
-        each kept only while a policy (or full tracing) wants it."""
+        records, kept only while a pin-tracking policy is installed."""
         want_pins = self._track_pins
-        want_ages = self._track_ages
         pending = []
         last_pin: Optional[float] = None
-        oldest: Optional[float] = None
         for lid in self._instance_lids:
             inst: _EpochManagerInstance = self.get_privatized_instance(lid)
             pending.append(inst.limbo_count())
@@ -442,11 +430,7 @@ class EpochManager(ManagerCore, PrivatizedObject):
                     t = token._last_pin_vt
                     if t is not None and (last_pin is None or t > last_pin):
                         last_pin = t
-            if want_ages:
-                for t_r in inst.slot_retire_vt:
-                    if t_r is not None and (oldest is None or t_r < oldest):
-                        oldest = t_r
-        return tuple(pending), last_pin, oldest
+        return tuple(pending), last_pin
 
     def _coforall_instances(self, fn) -> None:
         """Run ``fn(instance locale)`` over every scan/drain unit: one
@@ -540,9 +524,6 @@ class EpochManager(ManagerCore, PrivatizedObject):
             for idx in indices:
                 for addr in inst_l.limbo_lists[idx].drain():
                     scatter.setdefault(addr.locale, []).append(addr.offset)
-            if self._track_ages:
-                for idx in indices:
-                    inst_l.slot_retire_vt[idx] = None
             tr = self._full
             if tr is not None:
                 # Unit+slot drain record: the metrics registry matches it
@@ -584,11 +565,8 @@ class EpochManager(ManagerCore, PrivatizedObject):
 
             members = {rep: all_lids for rep, _i, all_lids in self._plan}
             aggregator = rt.network.aggregator
-            # Per-group batch counters, folded into the per-class crossing
-            # facts after the join (commutative adds, so the result is
-            # order-independent).  A closed window batches nothing, and
-            # bulk_gather ignores the counters then: none are built.
-            gcounters: List[BatchCounters] = []
+            # A closed window batches nothing, and bulk_gather ignores the
+            # counters then: none are built.
             aggregating = aggregator.active
 
             def gather_group(rep: int) -> None:
@@ -609,15 +587,13 @@ class EpochManager(ManagerCore, PrivatizedObject):
                         # coherent or intra-node peers — no uplink.
                         freed_total[lid] = rt.free_bulk(lid, mine)
                 if counters is not None and counters.batches:
+                    # Each batch is one shared-uplink traversal.
                     self._counters.inc("scan_batches", counters.batches)
-                    self._counters.inc("uplink_crossings", counters.crossings)
-                    gcounters.append(counters)
+                    self._counters.inc("uplink_crossings", counters.batches)
 
             rt.coforall_locales(gather_group, locales=list(members))
             if self._aggregated:
                 self._note_traversal()
-            for counters in gcounters:
-                self._fold_crossings(counters.by_class.items())
 
         return sum(freed_total)
 

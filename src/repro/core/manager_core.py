@@ -4,9 +4,8 @@ The paper's :class:`~repro.core.epoch_manager.EpochManager` and the
 list-based schemes' :class:`~repro.reclaim.protocol.ReclaimerBase` are
 peers behind one guard protocol.  What they have in common lives here:
 policy and tracer setup, the root-driven policy gate and its
-:class:`~repro.policy.EpochFacts`, the per-distance-class crossing fold,
-the ``clear`` epilogue, peak-pending sampling and the normalized
-``stats()``.
+:class:`~repro.policy.EpochFacts`, the ``clear`` epilogue, peak-pending
+sampling and the normalized ``stats()``.
 
 The core defines no protocol entry point (``register`` / ``try_reclaim``
 / ``clear`` / ...): each scheme class defines its own, so host-time
@@ -30,8 +29,8 @@ class ManagerCore:
     """Policy, tracing and accounting shared by every reclaimer.
 
     A scheme supplies ``pending_count()``; ``_fact_folds()``, returning
-    ``(pending per scan unit, last pin, oldest retire)`` for the policy
-    facts; and ``_counts()``, its counters including
+    ``(pending per scan unit, last pin)`` for the policy facts; and
+    ``_counts()``, its counters including
     ``reclaim_attempts``, ``objects_reclaimed``, ``reclaims``,
     ``scan_batches`` and ``uplink_crossings``.
     """
@@ -55,15 +54,6 @@ class ManagerCore:
         # limbo-age records.  Both are None when tracing is off.
         self._tracer = getattr(runtime, "_tracer", None)
         self._full = getattr(runtime, "_full_tracer", None)
-        #: Retire timestamps are recorded only when the policy consumes
-        #: limbo ages or full tracing is on — the stock policies pay zero
-        #: per-retire work.
-        self._track_ages = (
-            self.policy.wants_retire_times or self._full is not None
-        )
-        #: Shared-uplink crossings folded per distance class — the
-        #: :attr:`~repro.policy.EpochFacts.crossings` policy input.
-        self._crossings_by_class: Dict[int, int] = {}
         self._peak_pending = 0
 
     def _check_alive(self) -> None:
@@ -105,18 +95,12 @@ class ManagerCore:
     def _policy_facts(self) -> EpochFacts:
         """Cost-free facts snapshot; every fold is order-independent, so
         it is deterministic at the root-driven decision points."""
-        pending, last_pin, oldest = self._fact_folds()
-        cbc = self._crossings_by_class
-        crossings = (
-            tuple(cbc.get(i, 0) for i in range(max(cbc) + 1)) if cbc else ()
-        )
+        pending, last_pin = self._fact_folds()
         ctx = self._rt._ctx
         return EpochFacts(
             now=ctx.now if ctx is not None else 0.0,
             pending=pending,
             last_pin=last_pin,
-            crossings=crossings,
-            oldest_retire=oldest,
         )
 
     def _policy_tick(self) -> None:
@@ -141,15 +125,6 @@ class ManagerCore:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def _fold_crossings(self, by_class) -> None:
-        """Fold ``(distance class, crossings)`` pairs into the policy's
-        per-class facts; only classes with a shared uplink count."""
-        classes = self._rt.network.topology.classes
-        fold = self._crossings_by_class
-        for dclass, n in by_class:
-            if classes[dclass].shared_uplink:
-                fold[dclass] = fold.get(dclass, 0) + n
-
     def _note_pending(self) -> None:
         """Sample pending garbage into the peak counter (cost-free)."""
         pending = self.pending_count()

@@ -60,7 +60,6 @@ class Token:
         "_home_locales",
         "_inst_epoch",
         "_limbo_lists",
-        "_slot_retire_vt",
         "local_epoch",
         "token_id",
         "_registered",
@@ -68,7 +67,6 @@ class Token:
         "_alloc_next",
         "_track_pins",
         "_last_pin_vt",
-        "_track_ages",
         "_full_tracer",
     )
 
@@ -99,10 +97,8 @@ class Token:
         #: Cached reference to the instance's locale-epoch cell (pin reads
         #: it up to twice per call; skip the two-attribute chain).
         self._inst_epoch = inst.locale_epoch
-        #: The instance's limbo lists and oldest-retire slots, written by
-        #: ``defer_delete``.
+        #: The instance's limbo lists, written by ``defer_delete``.
         self._limbo_lists = inst.limbo_lists
-        self._slot_retire_vt = inst.slot_retire_vt
         self._registered = True
         self._free_next: Optional["Token"] = None  # free-list link
         self._alloc_next: Optional["Token"] = None  # allocated-list link
@@ -113,10 +109,6 @@ class Token:
         #: Virtual time of this token's most recent pin (owner-written;
         #: max-folded by the root at policy decision points).
         self._last_pin_vt: Optional[float] = None
-        #: Limbo-age tracking (docs/POLICY.md, docs/OBSERVABILITY.md):
-        #: gated like ``_track_pins`` on one cached bool, so the stock
-        #: policies with tracing off pay a single branch per retire.
-        self._track_ages = inst.manager._track_ages
         #: Full-detail flight recorder, or None (docs/OBSERVABILITY.md).
         self._full_tracer = inst.manager._full
 
@@ -232,27 +224,17 @@ class Token:
         inst_epoch._enter(False)
         epoch = inst_epoch._value
         self._limbo_lists[epoch - 1].push(addr)
-        if self._track_ages:
-            # Limbo-age fact: min-fold the retire timestamp into the
-            # instance's per-slot array (socket siblings may retire into
-            # one shared instance).
-            now = ctx.now
-            slot = epoch - 1
-            retire_vt = self._slot_retire_vt
-            cur = retire_vt[slot]
-            if cur is None or now < cur:
-                retire_vt[slot] = now
-            tr = self._full_tracer
-            if tr is not None:
-                # Unit+slot tag: the metrics registry pairs this with the
-                # matching drain event to recover the exact limbo age.
-                tr.guard(
-                    "retire",
-                    "ebr",
-                    now,
-                    unit=tr.unit_id(self._limbo_lists),
-                    slot=slot,
-                )
+        tr = self._full_tracer
+        if tr is not None:
+            # Unit+slot tag: the metrics registry pairs this with the
+            # matching drain event to recover the exact limbo age.
+            tr.guard(
+                "retire",
+                "ebr",
+                ctx.now,
+                unit=tr.unit_id(self._limbo_lists),
+                slot=epoch - 1,
+            )
 
     # Chapel-style alias.
     deferDelete = defer_delete
@@ -329,8 +311,6 @@ class TokenAllocatedList:
 
     def __init__(self, runtime: "Runtime", home: int) -> None:
         self._head = AtomicRef(runtime, home, None, name=f"tokenalloc@{home}")
-        #: Total tokens ever allocated on this locale (diagnostic).
-        self.count = 0
 
     def push(self, token: Token) -> None:
         """Link a newly-created token (never removed afterwards)."""
@@ -338,7 +318,6 @@ class TokenAllocatedList:
             head = self._head.read()
             token._alloc_next = head
             if self._head.compare_and_swap(head, token):
-                self.count += 1
                 return
 
     def __iter__(self) -> Iterator[Token]:

@@ -58,7 +58,6 @@ def compiled_plan(
     tasks_per_locale: int = 1,
     reclaim_every: Optional[int] = None,
     wants_pin_times: bool = False,
-    wants_retire_times: bool = False,
 ) -> Tuple[str, Optional[str]]:
     """Decide the execution tier for one workload phase shape.
 
@@ -96,14 +95,10 @@ def compiled_plan(
                 " in real-arrival order",
             )
     if kind in _COLUMNAR_SCHEMES:
-        # The columnar replay never calls pin()/defer_delete(), so the
-        # virtual-time facts a tracking policy reads would be missing; the
-        # serial tier runs the real bodies and records them exactly.
-        if (
-            wants_pin_times
-            or wants_retire_times
-            or reclaimer not in _COLUMNAR_SCHEMES[kind]
-        ):
+        # The columnar replay never calls pin(), so the pin times a
+        # tracking policy reads would be missing; the serial tier runs the
+        # real bodies and records them exactly.
+        if wants_pin_times or reclaimer not in _COLUMNAR_SCHEMES[kind]:
             return ("serial", None)
         return ("columnar", None)
     if kind in ("churn", "multi_structure"):

@@ -35,9 +35,11 @@ service points, cells, limbo chains or token epoch slots while a replay
 body runs; it mutates them directly and keeps no private copy of that
 state.  Every serve of a NIC, progress-thread or uplink point updates its
 ``busy_time`` and ``served`` in task order too, so they match the
-interpreted schedule bit for bit.  A cell's line keeps only its
-recurrence (``next_free``, ``idle_bank``), as ``ChargedWord._enter``'s
-inline serve does: no report reads a line's ``busy_time`` or ``served``.
+interpreted schedule bit for bit.  Only those points keep counters.  A
+cell line's recurrence (``next_free``, ``idle_bank``) matches too; its
+``busy_time`` and ``served`` are unspecified (the EBR replay's queued
+and deferral charges call ``serve_locked`` on lines, the inline passes
+do not) and no report reads them.
 """
 
 from __future__ import annotations

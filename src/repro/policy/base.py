@@ -53,7 +53,9 @@ class EpochFacts:
     """One cost-free snapshot of reclamation state on the virtual clock.
 
     Built by the manager at a root-driven decision point; every field is
-    a virtual-time fact (the fact discipline above).
+    a virtual-time fact (the fact discipline above) that some built-in
+    epoch policy reads, and nothing is recorded to feed a fact no policy
+    reads.
     """
 
     #: The deciding task's virtual clock, seconds.
@@ -66,30 +68,11 @@ class EpochFacts:
     #: Virtual timestamp of the most recent ``pin()`` across all guards,
     #: or ``None`` when pins are not being tracked / none happened.
     last_pin: Optional[float] = None
-    #: Shared-uplink traversals per distance class accumulated by this
-    #: scheme's aggregated scan traffic (index = class index; empty when
-    #: aggregation never batched anything).  ROADMAP's "per-distance-class
-    #: crossing counts" policy input.
-    crossings: Tuple[int, ...] = ()
-    #: Virtual timestamp of the *oldest* still-pending retirement, or
-    #: ``None`` when ages are not being tracked / nothing is pending.
-    #: Tracked only when the installed policy sets ``wants_retire_times``
-    #: (or full-detail tracing is on), so the default path adds zero
-    #: per-retire work.
-    oldest_retire: Optional[float] = None
 
     @property
     def max_pending(self) -> int:
         """The largest per-unit pending count (the threshold input)."""
         return max(self.pending) if self.pending else 0
-
-    @property
-    def oldest_age(self) -> Optional[float]:
-        """Age (seconds on the virtual clock) of the oldest pending
-        retirement, or ``None`` when not tracked / nothing pending."""
-        if self.oldest_retire is None:
-            return None
-        return self.now - self.oldest_retire
 
     def as_dict(self) -> dict:
         """JSON-able snapshot, recorded with each traced policy decision
@@ -98,8 +81,6 @@ class EpochFacts:
             "now": self.now,
             "pending": list(self.pending),
             "last_pin": self.last_pin,
-            "crossings": list(self.crossings),
-            "oldest_retire": self.oldest_retire,
         }
 
 
@@ -139,11 +120,6 @@ class EpochPolicyBase(PolicyBase):
     #: record pin timestamps only when a tracking policy is installed, so
     #: the other policies add zero per-pin work.
     wants_pin_times = False
-    #: True when the policy consumes :attr:`EpochFacts.oldest_retire`
-    #: (limbo ages); schemes record retire timestamps only when a
-    #: tracking policy is installed or full-detail tracing is on, so the
-    #: stock policies add zero per-retire work.
-    wants_retire_times = False
 
     def __init__(self) -> None:
         #: Decisions that allowed the advance attempt to proceed.

@@ -191,7 +191,7 @@ class HazardPointerReclaimer(ReclaimerBase):
         words = self._rt.network.aggregator.read_cells(
             self._rt._own_context("hazard scan"), cells, counters
         )
-        self._note_batches(counters)
+        self._scan_batches += counters.batches
         return {word for word in words if word != COMPRESSED_NIL}
 
     def _scan(self, guards: List[_HPGuard], *, global_sample: bool = False) -> int:

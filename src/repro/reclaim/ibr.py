@@ -167,7 +167,7 @@ class IntervalReclaimer(ReclaimerBase):
         births = aggregator.read_cells(
             ctx, [guard.birth for guard in guards], counters  # type: ignore[attr-defined]
         )
-        self._note_batches(counters)
+        self._scan_batches += counters.batches
         min_birth: Optional[int] = None
         for b in births:
             if b and (min_birth is None or b < min_birth):

@@ -197,18 +197,17 @@ class GuardBase:
             raise TokenStateError("defer_delete requires a pinned guard")
         self._charge_local_load(ctx)
         rec = self._rec
-        if rec._track_ages:
-            # Limbo-age tracking (an age-reading policy or full tracing):
-            # the entry carries its retire timestamp as a third element.
-            # Every consumer indexes entries, so both shapes coexist.
-            now = ctx.now
-            entry: Tuple = (addr, self._retire_tag(), now)
-        else:
-            entry = (addr, self._retire_tag())
-        self._retired.append(entry)
         tr = rec._full
         if tr is not None:
+            # Full tracing: the entry carries its retire timestamp as a
+            # third element, for the limbo-age histogram of its free
+            # event.  Every consumer indexes entries, so both shapes
+            # coexist.
+            now = ctx.now
+            self._retired.append((addr, self._retire_tag(), now))
             tr.guard("retire", rec.scheme, now)
+        else:
+            self._retired.append((addr, self._retire_tag()))
         self._after_retire()
 
     # Chapel-style alias, matching Token.
@@ -299,11 +298,10 @@ class ReclaimerBase(ManagerCore, PrivatizedObject):
         self._reclaim_attempts = 0
         self._reclaims = 0
         # Uplink-aggregation diagnostics (docs/AGGREGATION.md): batched
-        # messages issued and shared-uplink traversals paid by this
-        # scheme's scan/free paths.  Zero with aggregation off or on a
+        # messages issued by this scheme's scan/free paths, each one
+        # shared-uplink traversal.  Zero with aggregation off or on a
         # flat machine.
         self._scan_batches = 0
-        self._uplink_crossings = 0
 
     # ------------------------------------------------------------------
     def register(self) -> GuardBase:
@@ -361,9 +359,7 @@ class ReclaimerBase(ManagerCore, PrivatizedObject):
         """
         per_locale: Dict[int, int] = {}
         last_pin: "float | None" = None
-        oldest: "float | None" = None
         want_pins = self._track_pins
-        want_ages = self._track_ages
         for guard in self._registered_guards():
             per_locale[guard.locale_id] = per_locale.get(
                 guard.locale_id, 0
@@ -372,19 +368,11 @@ class ReclaimerBase(ManagerCore, PrivatizedObject):
                 t = guard._last_pin_vt
                 if t is not None and (last_pin is None or t > last_pin):
                     last_pin = t
-            if want_ages:
-                for entry in guard._retired:
-                    if len(entry) > 2 and (oldest is None or entry[2] < oldest):
-                        oldest = entry[2]
         pending = [per_locale[lid] for lid in sorted(per_locale)]
         orphans = len(self._orphans)
-        if want_ages:
-            for entry in self._orphans:
-                if len(entry) > 2 and (oldest is None or entry[2] < oldest):
-                    oldest = entry[2]
         if orphans:
             pending.append(orphans)
-        return tuple(pending), last_pin, oldest
+        return tuple(pending), last_pin
 
     def _drain_retired(self, guards: List["GuardBase"], keep) -> int:
         """Drain ``guards``' buffers plus the orphans and free the rest.
@@ -426,7 +414,8 @@ class ReclaimerBase(ManagerCore, PrivatizedObject):
     def _emit_free_event(self, tr, entries, freed: int) -> None:
         """Full-detail ``reclaim free`` event with the limbo-age histogram
         of the freed entries (docs/OBSERVABILITY.md).  Ages exist exactly
-        when the entries carry retire timestamps (``_track_ages``)."""
+        when the entries carry retire timestamps: those retired while full
+        tracing was on."""
         from ..obs import age_bucket
 
         ctx = self._rt._ctx
@@ -503,16 +492,9 @@ class ReclaimerBase(ManagerCore, PrivatizedObject):
             freed = self._rt.network.aggregator.free_grouped(
                 self._rt, ctx, by_locale, counters
             )
-            self._note_batches(counters)
+            self._scan_batches += counters.batches
         self._freed += freed
         return freed
-
-    def _note_batches(self, counters: BatchCounters) -> None:
-        """Fold one aggregated operation's tallies into the stats."""
-        if counters.batches:
-            self._scan_batches += counters.batches
-            self._uplink_crossings += counters.crossings
-            self._fold_crossings(counters.by_class.items())
 
     # ------------------------------------------------------------------
     # introspection
@@ -529,7 +511,7 @@ class ReclaimerBase(ManagerCore, PrivatizedObject):
             "objects_reclaimed": self._freed,
             "reclaims": self._reclaims,
             "scan_batches": self._scan_batches,
-            "uplink_crossings": self._uplink_crossings,
+            "uplink_crossings": self._scan_batches,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

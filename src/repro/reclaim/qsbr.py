@@ -127,7 +127,7 @@ class QSBRReclaimer(ReclaimerBase):
             [(guard.seen, interval) for guard in guards],  # type: ignore[attr-defined]
             counters,
         )
-        self._note_batches(counters)
+        self._scan_batches += counters.batches
 
     def try_reclaim(self) -> bool:
         """Free everything retired before the minimum quiescent interval.
@@ -152,7 +152,7 @@ class QSBRReclaimer(ReclaimerBase):
         seen = self._rt.network.aggregator.read_cells(
             ctx, [guard.seen for guard in guards], counters  # type: ignore[attr-defined]
         )
-        self._note_batches(counters)
+        self._scan_batches += counters.batches
         for s in seen:
             if s < min_seen:
                 min_seen = s

@@ -62,9 +62,11 @@ class ServicePoint:
     diagnostics (``RuntimeSnapshot``, the aggregation stats) on the NIC,
     progress-thread and uplink points: load on the global-epoch locale's
     progress thread is one of the quantities the paper reasons about when
-    justifying the first-come-first-served election.  A cell's line keeps
-    only its recurrence (``next_free``, ``idle_bank``); its counters move
-    only when it is traced.
+    justifying the first-come-first-served election.  Only those points
+    keep counters.  A cell's line is defined by its recurrence
+    (``next_free``, ``idle_bank``) alone; its ``busy_time`` and ``served``
+    are unspecified (some charge paths call :meth:`serve_locked` on it,
+    the inline serve does not) and no report reads them.
     """
 
     __slots__ = (

@@ -225,15 +225,9 @@ def _ref_defer_delete(self, addr):
         raise TokenStateError("defer_delete requires a pinned token")
     epoch = self._inst_epoch.read()
     self._limbo_lists[epoch - 1].push(addr)
-    if self._track_ages:
-        now = ctx.now
-        slot = epoch - 1
-        cur = self._slot_retire_vt[slot]
-        if cur is None or now < cur:
-            self._slot_retire_vt[slot] = now
-        tr = self._full_tracer
-        if tr is not None:
-            tr.guard("retire", "ebr", now, unit=tr.unit_id(self._limbo_lists), slot=slot)
+    tr = self._full_tracer
+    if tr is not None:
+        tr.guard("retire", "ebr", ctx.now, unit=tr.unit_id(self._limbo_lists), slot=epoch - 1)
 
 
 def _ref_get(self, val):

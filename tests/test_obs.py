@@ -14,20 +14,19 @@ Five layers, mirroring the subsystem's contract (docs/OBSERVABILITY.md):
 * **non-interference** — ``--trace full`` leaves virtual results exactly
   equal to the shipped trace-off baselines, and the metrics registry /
   report plumbing (``extra.obs``) survives ``_jsonable`` round-trips;
-* **policy facts** — the satellite: per-distance-class crossings and
-  limbo-age facts reach ``EpochFacts``, where a ``threshold`` policy can
-  read them (no new policy behaviour).
+* **policy facts** — every ``EpochFacts`` field has a built-in policy
+  that reads it, and traced policy decisions carry exactly those facts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 from repro.bench.scenarios import get_scenario, load_baselines, run_scenario
-from repro.core import EpochManager
 from repro.obs import (
     TRACE_DETAILS,
     MetricsRegistry,
@@ -39,7 +38,7 @@ from repro.obs import (
     to_jsonl,
     write_trace,
 )
-from repro.policy import EpochFacts, ThresholdEpochPolicy
+from repro.policy import EPOCH_POLICIES, EpochFacts, parse_policy
 from repro.runtime import Runtime
 from repro.runtime.config import RuntimeConfig
 
@@ -298,86 +297,35 @@ class TestNonInterference:
 
 
 # ----------------------------------------------------------------------
-# policy facts (the EpochFacts satellite)
+# policy facts
 # ----------------------------------------------------------------------
-class _RecordingThreshold(ThresholdEpochPolicy):
-    """A stock threshold policy that remembers the facts it decided on."""
-
-    def __init__(self, n):
-        super().__init__(n)
-        self.seen = []
-
-    def decide(self, facts):
-        self.seen.append(facts)
-        return super().decide(facts)
-
-
 class TestEpochFacts:
     def test_facts_fields_default_and_round_trip(self):
-        facts = EpochFacts(now=1.0, pending=(3, 4), last_pin=None)
-        assert facts.crossings == ()
-        assert facts.oldest_retire is None
-        assert facts.oldest_age is None
-        rich = EpochFacts(
-            now=2.0,
-            pending=(1,),
-            last_pin=None,
-            crossings=(0, 0, 0, 5),
-            oldest_retire=0.5,
-        )
-        assert rich.oldest_age == 1.5
-        d = rich.as_dict()
-        assert d["crossings"] == [0, 0, 0, 5]
-        assert d["oldest_retire"] == 0.5
+        facts = EpochFacts(now=1.0, pending=(3, 4))
+        assert facts.last_pin is None
+        assert facts.max_pending == 4
+        assert EpochFacts(now=0.0, pending=()).max_pending == 0
+        d = EpochFacts(now=2.0, pending=(1,), last_pin=0.5).as_dict()
+        assert d == {"now": 2.0, "pending": [1], "last_pin": 0.5}
         assert json.loads(json.dumps(d)) == d
 
-    def test_threshold_policy_reads_crossings_and_ages(self):
-        """End to end: uplink crossings and limbo ages reach the facts a
-        stock threshold policy decides on — same decisions, richer view."""
+    def test_every_field_has_a_builtin_reader(self):
+        """Each fact is read by some built-in epoch policy: a fact that no
+        policy consults is bookkeeping without a reader."""
+        fields = {f.name for f in dataclasses.fields(EpochFacts)}
+        read = set()
 
-        cfg = RuntimeConfig(
-            num_locales=8,
-            topology="hier:2x2",
-            aggregation=4,
-            trace="full",  # installs age tracking without a policy ask
-        )
-        rt = Runtime(config=cfg)
-        policy = _RecordingThreshold(1)  # pending >= 1 always advances
+        class Probe(EpochFacts):
+            def __getattribute__(self, name):
+                if name in fields:
+                    read.add(name)
+                return super().__getattribute__(name)
 
-        def main():
-            em = EpochManager(rt)
-            em.policy = policy
-            with em.register() as tok:
-                t_pin = None
-                for _round in range(2):
-                    tok.pin()
-                    if t_pin is None:
-                        t_pin = rt._own_context().now
-                    for lid in range(rt.num_locales):
-                        tok.defer_delete(rt.new_obj(lid, locale=lid))
-                    tok.unpin()
-                    assert em.try_reclaim()
-            em.destroy()
-            return t_pin
-
-        t_pin = rt.run(main)
-        assert len(policy.seen) == 2, "the policy gate did not run twice"
-        first, second = policy.seen
-        # Limbo-age facts: the oldest outstanding retire is the very first
-        # one (EBR frees two advances later, so it is still pending), and
-        # it happened after the round-1 pin but before the decision.
-        assert first.oldest_retire is not None
-        assert t_pin < first.oldest_retire < first.now
-        assert second.oldest_retire == first.oldest_retire
-        assert second.oldest_age == second.now - second.oldest_retire
-        assert second.oldest_age > 0.0
-        assert sum(first.pending) == rt.num_locales
-        # The first advance's domain-ordered scan and remote drains ride
-        # the shared node uplinks, so the second decision sees per-class
-        # crossing counts (the batched class is the last one).
-        assert first.crossings == ()
-        assert second.crossings and second.crossings[-1] > 0
-        assert second.as_dict()["crossings"] == list(second.crossings)
+        for kind in EPOCH_POLICIES:
+            for last_pin in (None, 0.5):
+                policy = parse_policy(kind).make_epoch_policy()
+                policy.decide(Probe(now=1.0, pending=(2, 3), last_pin=last_pin))
+        assert read == fields, f"facts no policy reads: {sorted(fields - read)}"
 
     def test_policy_decisions_land_in_trace(self):
         run = _traced("policy-sweep-hier-threshold", detail="spans",
@@ -388,9 +336,7 @@ class TestEpochFacts:
             assert ev["policy"] == "threshold"
             assert ev["decision"] in ("advance", "defer")
             facts = ev["facts"]
-            assert set(facts) >= {
-                "now", "pending", "last_pin", "crossings", "oldest_retire"
-            }
+            assert set(facts) == {"now", "pending", "last_pin"}
         reg = MetricsRegistry.from_events(run.trace_events, "spans")
         assert reg.policy["deferrals"] == sum(
             1 for e in decisions if e["decision"] == "defer"

@@ -144,6 +144,11 @@ class TestSpecParsing:
             ("cost_overrides", {"am_latency": "x"}),
             ("cost_overrides", {"am_latency": True}),
             ("cost_overrides", 5),
+            ("cost_overrides", {"am_latency": float("nan")}),
+            ("cost_overrides", {"am_latency": float("inf")}),
+            ("cost_overrides", {"am_latency": -1.0}),
+            ("cost_scale", float("nan")),
+            ("topology", "hier:2x2@inf"),
         ],
     )
     def test_malformed_field_types_rejected_by_field(self, field, value):
@@ -159,7 +164,14 @@ class TestSpecParsing:
             ("topology", "torus"),
             ("cost_profile", "turbo"),
             ("cost_scale", -1.0),
+            ("cost_scale", float("nan")),
+            ("cost_scale", float("inf")),
+            ("topology", "hier:2x2@nan"),
+            ("topology", "hier:2x2@inf"),
+            ("topology", "dragonfly:4@nan"),
             ("cost_overrides", {"warp_latency": 1e-6}),
+            ("cost_overrides", {"am_latency": float("inf")}),
+            ("cost_overrides", {"am_latency": -1.0}),
             ("reclaimer", "rc"),
             ("aggregation", 0),
             ("engine", "jit"),
@@ -490,6 +502,21 @@ class TestCli:
             (["--spec", "GARBLED"], "cannot load scenario TOML"),
             (["--run", "hotspot-zipf", "--policy", "never"], "topology.policy"),
             (["--run", "hotspot-zipf", "--ops-scale", "-1"], "measure.ops_scale"),
+            (["--run", "hotspot-zipf", "--ops-scale", "nan"], "measure.ops_scale"),
+            (["--run", "hotspot-zipf", "--ops-scale", "inf"], "measure.ops_scale"),
+            (["--run", "hotspot-zipf", "--cost-scale", "nan"], "topology.cost_scale"),
+            (["--run", "hotspot-zipf", "--cost-scale", "inf"], "topology.cost_scale"),
+            (["--run", "topo-hier-ragged", "--topology", "hier:2x2@nan"],
+             "topology.topology"),
+            (["--run", "topo-dragonfly-churn", "--topology", "dragonfly:4@nan"],
+             "topology.topology"),
+            (["--spec", "AM_INF"], "topology.cost_overrides"),
+            (["--spec", "AM_NEG"], "topology.cost_overrides"),
+            (["--spec", "ZIPF"], "workload.zipf_exponent"),
+            (["--spec", "WRITE"], "workload.write_percent"),
+            (["--spec", "HEAP"], "workload.structure"),
+            (["--spec", "OPS"], "workload.ops_per_task"),
+            (["--spec", "EVERY"], "workload.reclaim_every"),
         ],
     )
     def test_spec_errors_exit_2_with_one_error_line(
@@ -501,15 +528,27 @@ class TestCli:
 
         if sys.version_info < (3, 11) and "--spec" in argv:
             pytest.skip("tomllib requires Python 3.11+")
+        specs = {
+            "BAD": ("locales = 0", 'kind = "epoch"'),
+            "AM_INF": ('network = "none"\ncost_overrides = { am_latency = inf }',
+                       'kind = "epoch"'),
+            "AM_NEG": ("cost_overrides = { am_latency = -1.0 }", 'kind = "epoch"'),
+            "ZIPF": ("", 'kind = "atomic_hotspot"\nzipf_exponent = -1.0'),
+            "WRITE": ("", 'kind = "epoch_mixed"\nwrite_percent = 150'),
+            "HEAP": ("", 'kind = "churn"\nstructure = "heap"'),
+            "OPS": ("", 'kind = "epoch"\nops_per_task = -5'),
+            "EVERY": ("", 'kind = "epoch"\nreclaim_every = 0'),
+        }
         files = {
             "MISSING": tmp_path / "missing.toml",
-            "BAD": tmp_path / "bad.toml",
             "GARBLED": tmp_path / "garbled.toml",
         }
-        files["BAD"].write_text(
-            '[scenario]\nname = "x"\n[topology]\nlocales = 0\n'
-            '[workload]\nkind = "epoch"\n'
-        )
+        for key, (topology, workload) in specs.items():
+            files[key] = tmp_path / f"{key.lower()}.toml"
+            files[key].write_text(
+                f'[scenario]\nname = "x"\n[topology]\n{topology}\n'
+                f"[workload]\n{workload}\n"
+            )
         files["GARBLED"].write_text("[scenario\n")
         argv = [str(files.get(a, a)) for a in argv]
         rc = main(["scenarios", *argv, "--out", str(tmp_path / "r.json")])
