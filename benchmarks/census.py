@@ -17,8 +17,9 @@ must be called by at least one user path, or carry a one-line reason in
   ``--trace-out``), under each ``--reclaimer`` override, and under the
   ``--cost-profile``, ``--cost-scale``, ``--topology``, ``--aggregation``
   and ``--policy`` overrides (the overrides at a reduced ``--ops-scale``);
-* ``scenarios --list`` (with and without ``--filter``) and ``--spec``
-  with a TOML file;
+* ``scenarios --list`` (with and without ``--filter``), ``--spec``
+  with a TOML file, and ``--spec`` with an ``epoch`` workload that
+  reclaims from its guards under each list-based ``--reclaimer``;
 * ``trace NAME --out`` to Chrome JSON and to JSONL;
 * ``--figure all --ops 16 --max-locales 4 --json``, and figures 3b, 6
   and 7 with ``--tasks-per-locale 2``;
@@ -27,7 +28,12 @@ must be called by at least one user path, or carry a one-line reason in
 * the six programs under ``examples/``.
 
 The census prints every unreached function outside the allowlist and
-exits 1 if there is any.  It also exits 1 if an allowlisted name no
+exits 1 if there is any.  A class-body alias (``tryReclaim =
+try_reclaim``) is the same function object as its target, so a call
+through either name reaches both; the census therefore flags every
+``name = method`` binding in a class body whose right-hand side is a
+method of that class, unless :data:`ALLOWLIST` names it: one operation
+gets one name.  It also exits 1 if an allowlisted name no
 longer exists or is now reached, so the allowlist cannot rot.  Special
 methods (``__repr__`` and the like) count as reached: Python calls them,
 not a user path.
@@ -128,14 +134,9 @@ ALLOWLIST: Dict[str, str] = {
     "repro.policy.window:AdaptiveWindowPolicy.spec": "the window policy's spec round trip",
     "repro.core.token:Token.is_pinned": _GUARD,
     "repro.core.token:Token.is_registered": _GUARD,
-    "repro.core.token:Token.protect": _GUARD,
     "repro.reclaim.protocol:GuardBase.close": _GUARD,
     "repro.reclaim.protocol:GuardBase.is_pinned": _GUARD,
     "repro.reclaim.protocol:GuardBase.is_registered": _GUARD,
-    "repro.reclaim.protocol:GuardBase.protect": _GUARD,
-    "repro.reclaim.protocol:GuardBase.try_reclaim": _GUARD,
-    "repro.reclaim.hp:_HPGuard.clear_protection": _GUARD,
-    "repro.reclaim.hp:_HPGuard.try_reclaim": _GUARD,
     "repro.reclaim.qsbr:_QSBRGuard.quiesce": _GUARD,
     "repro.reclaim.protocol:ReclaimerBase._make_guard": _INTERFACE,
     "repro.reclaim.protocol:ReclaimerBase.destroy": _TEARDOWN,
@@ -158,23 +159,18 @@ ALLOWLIST: Dict[str, str] = {
 #: Census name of a defaulted parameter (``module:qualname(param)``) or
 #: dataclass field (``module:Class.field``) -> why it stays although no
 #: user path sets it to anything but its default.
-_GRAMMAR = "a value of the spec grammar (docs/TOPOLOGY.md, docs/POLICY.md) a spec may set"
+_GRAMMAR = ("spelled out, at its default, by {}: a canonical spec that"
+            " benchmarks/scenario_baselines.json records")
 _TABLE = "fed by a [workload] or [topology] table field a scenario spec may set"
 _CLAIMS = "the paper-claim checks (benchmarks/bench_*.py) pass it"
 _DERIVED = "derived from the workload and the machine, not a setting"
 _API = "a structure's API value (name, initial, default or guard)"
 _PLACE = "places a root task on a locale; the tests place it remote"
 PARAM_ALLOWLIST: Dict[str, str] = {
-    "repro.comm.costs:resolve_cost_model(class_scale)": _GRAMMAR,
-    "repro.comm.topology:DragonflyTopology.__init__(global_scale)": _GRAMMAR,
-    "repro.comm.topology:HierarchicalTopology.__init__(sockets_per_node)": _GRAMMAR,
-    "repro.comm.topology:HierarchicalTopology.__init__(uplink_scale)": _GRAMMAR,
-    "repro.policy.epoch:DecayEpochPolicy.__init__(curve)": _GRAMMAR,
-    "repro.policy.epoch:DecayEpochPolicy.__init__(horizon)": _GRAMMAR,
-    "repro.policy.spec:PolicySpec.decay_curve": _GRAMMAR,
-    "repro.policy.spec:PolicySpec.decay_horizon": _GRAMMAR,
-    "repro.policy.spec:PolicySpec.window_hi": _GRAMMAR,
-    "repro.policy.spec:PolicySpec.window_lo": _GRAMMAR,
+    "repro.comm.topology:HierarchicalTopology.__init__(sockets_per_node)":
+        _GRAMMAR.format("topology 'hier:2x2'"),
+    "repro.policy.spec:PolicySpec.window_hi": _GRAMMAR.format("policy 'adaptive:2..64'"),
+    "repro.policy.spec:PolicySpec.window_lo": _GRAMMAR.format("policy 'adaptive:2..64'"),
     "repro.bench.workloads:run_multi_structure(hash_buckets)": _TABLE,
     "repro.bench.workloads:run_multi_structure(reclaim_between_rounds)": _TABLE,
     "repro.bench.workloads:run_multi_structure(tasks_per_locale)": _TABLE,
@@ -247,6 +243,9 @@ ParamTable = Dict[Key, List[Tuple[str, str]]]
 #: (module, class qualname) of a dataclass -> its defaulted fields as
 #: (field, census name) pairs.
 FieldTable = Dict[Tuple[str, str], List[Tuple[str, str]]]
+#: (census name ``module:Class.alias``, the method it names) of every
+#: class-body alias.
+AliasTable = List[Tuple[str, str]]
 
 
 def _is_dataclass_decorator(node: ast.expr) -> bool:
@@ -268,15 +267,18 @@ def _field_default(value: ast.expr) -> bool:
     return "default" in keywords or "default_factory" in keywords
 
 
-def definitions() -> Tuple[FunctionTable, ParamTable, FieldTable]:
+def definitions() -> Tuple[FunctionTable, ParamTable, FieldTable, AliasTable]:
     """One walk over the source of ``src/repro``: every function, method
     and nested function (census name ``module:qualname``), its defaulted
-    parameters (``module:qualname(param)``), and every dataclass field
-    with a default (``module:Class.field``).  Lambdas and comprehensions
-    are no functions here."""
+    parameters (``module:qualname(param)``), every dataclass field with a
+    default (``module:Class.field``), and every class-body alias
+    (``module:Class.alias`` for ``alias = method``, where ``method`` is
+    defined in the same class body).  Lambdas and comprehensions are no
+    functions here."""
     functions: FunctionTable = {}
     params: ParamTable = {}
     fields: FieldTable = {}
+    aliases: AliasTable = []
 
     def walk(node: ast.AST, module: str, prefix: str, filename: str) -> None:
         for child in ast.iter_child_nodes(node):
@@ -304,6 +306,14 @@ def definitions() -> Tuple[FunctionTable, ParamTable, FieldTable]:
                         and "ClassVar" not in ast.unparse(stmt.annotation)]
                     if found:
                         fields[(module, qualname)] = found
+                methods = {stmt.name for stmt in child.body
+                           if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
+                aliases.extend(
+                    (f"{module}:{qualname}.{target.id}", stmt.value.id)
+                    for stmt in child.body
+                    if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Name)
+                    and stmt.value.id in methods
+                    for target in stmt.targets if isinstance(target, ast.Name))
                 walk(child, module, qualname + ".", filename)
             else:
                 walk(child, module, prefix, filename)
@@ -311,7 +321,13 @@ def definitions() -> Tuple[FunctionTable, ParamTable, FieldTable]:
     for path in sorted(PACKAGE.rglob("*.py")):
         filename = str(path)
         walk(ast.parse(path.read_text(), filename), _module_name(path), "", filename)
-    return functions, params, fields
+    return functions, params, fields, aliases
+
+
+def unlisted_aliases(aliases: AliasTable) -> List[str]:
+    """The class-body aliases :data:`ALLOWLIST` does not name, as
+    ``module:Class.alias = method``."""
+    return sorted(f"{name} = {target}" for name, target in aliases if name not in ALLOWLIST)
 
 
 def parameter_names(params: ParamTable, fields: FieldTable) -> List[str]:
@@ -348,6 +364,23 @@ ops_per_task = 64
 repeats = 2
 """
 
+#: An ``epoch`` workload whose tasks reclaim through their own guards
+#: (``reclaim_every``): run under each list-based ``--reclaimer``, it is
+#: the user path of guard-level ``try_reclaim``.
+GUARD_RECLAIM_TOML = """\
+[scenario]
+name = "census-guard-reclaim"
+description = "guard-level try_reclaim for the reachability census"
+
+[topology]
+locales = 4
+
+[workload]
+kind = "epoch"
+ops_per_task = 64
+reclaim_every = 8
+"""
+
 
 def _benchmark_jobs() -> None:
     """Build the job list of every workload of the repository benchmark
@@ -382,6 +415,8 @@ def user_paths(tmp: Path) -> Iterator[Tuple[str, Callable[[], object]]]:
     shutil.copyfile(DEFAULT_BASELINES, baselines)
     spec = tmp / "census_spec.toml"
     spec.write_text(SPEC_TOML)
+    guard_spec = tmp / "census_guard_reclaim.toml"
+    guard_spec.write_text(GUARD_RECLAIM_TOML)
     small = ("--ops-scale", "0.25")
 
     # --update-baselines verifies against the (copied) baselines first.
@@ -400,6 +435,10 @@ def user_paths(tmp: Path) -> Iterator[Tuple[str, Callable[[], object]]]:
     yield cli("scenarios", "--list")
     yield cli("scenarios", "--list", "--filter", "hier")
     yield cli("scenarios", "--spec", str(spec), "--out", out)
+    for scheme in RECLAIMER_SCHEMES:
+        if scheme != "ebr":
+            yield cli("scenarios", "--spec", str(guard_spec), "--reclaimer", scheme,
+                      "--out", out)
     yield cli("trace", "stack-churn", "--ops-scale", "0.25", "--out", str(tmp / "t.json"))
     yield cli("trace", "topo-dragonfly-agg-ebr-w16", "--detail", "spans", "--repeats", "2",
               "--out", str(tmp / "t.jsonl"))
@@ -583,7 +622,7 @@ def main(argv: "List[str] | None" = None) -> int:
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(SRC))
-    defined, param_table, fields = definitions()
+    defined, param_table, fields, aliases = definitions()
     params = ParamWatch(param_table, fields)
     started = time.perf_counter()
     called = census(args.verbose, params)
@@ -603,8 +642,10 @@ def main(argv: "List[str] | None" = None) -> int:
             covered[entry].append((name, span))
         else:
             findings.append((name, span))
-    missing = missing_entries([name for name, _ in defined.values()])
-    stale = sorted(entry for entry in ALLOWLIST if entry not in missing and not covered[entry])
+    alias_names = {name for name, _ in aliases}
+    missing = missing_entries([name for name, _ in defined.values()] + sorted(alias_names))
+    stale = sorted(entry for entry in ALLOWLIST
+                   if entry not in missing and entry not in alias_names and not covered[entry])
 
     print(f"{len(defined)} functions in src/repro; {len(unreached)} unreached by any user path")
     print(f"allowlisted ({sum(map(len, covered.values()))}):")
@@ -615,6 +656,10 @@ def main(argv: "List[str] | None" = None) -> int:
         f"UNREACHED, not allowlisted ({len(findings)},"
         f" {sum(span for _, span in findings)} lines)",
         [f"{name} ({span} lines)" for name, span in findings])
+    listed_aliases = unlisted_aliases(aliases)
+    status |= _failures(
+        f"CLASS-BODY ALIAS, a second name for one method ({len(listed_aliases)})",
+        listed_aliases)
     status |= _failures(f"allowlisted but not defined ({len(missing)})", missing)
     status |= _failures(f"allowlisted but reached ({len(stale)})", stale)
 

@@ -44,7 +44,9 @@ class ReclaimerGuard:
     def unregister(self) -> None:
         """No-op (no per-task state to release)."""
 
-    close = unregister
+    def close(self) -> None:
+        """Alias for :meth:`unregister`; hooks ``forall`` task cleanup."""
+        self.unregister()
 
 
 class GlobalLockReclaimer:

@@ -166,7 +166,7 @@ def scenario_main(argv: "Sequence[str] | None" = None) -> int:
         metavar="WINDOW",
         default=None,
         help="override the uplink message-aggregation window of every"
-        " selected scenario (an integer; 1 or 'off' disables — see"
+        " selected scenario (an integer; 1 disables — see"
         " docs/AGGREGATION.md; baseline verdicts become 'incomparable'"
         " when it differs from the recorded one)",
     )

@@ -65,9 +65,10 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
-from ..comm.costs import is_finite_number
+from ..comm.costs import is_finite_number, resolve_cost_model
 from ..engine import compiled_plan, engine_summary
 from ..errors import ReproError
 from ..obs import MetricsRegistry
@@ -172,14 +173,18 @@ class TopologySpec:
     is never part of a baseline's identity and ``as_dict`` omits it when
     off.
 
-    The fields are exactly the keywords of
-    :meth:`RuntimeConfig.from_topology`, and that config is the only
-    parser: construction builds it once (checking only that ``locales``
-    and ``tasks_per_locale`` are positive integers first), raises
-    :class:`ScenarioError` (``"topology.<field>: ..."``) for any field it
-    rejects, copies the canonical ``network`` / ``topology`` /
+    Each axis takes its spec string (``aggregation`` also an int, or its
+    decimal string as ``--aggregation`` passes it).  The cost model is
+    named by ``cost_profile`` (see :data:`repro.comm.costs.COST_PROFILES`)
+    and adjusted with a uniform ``cost_scale`` and per-field
+    ``cost_overrides`` (a mapping or ``(field, value)`` pairs), so a TOML
+    file can describe the whole machine.  The :class:`RuntimeConfig` is
+    the only parser: construction builds it once (checking only that
+    ``locales`` and ``tasks_per_locale`` are positive integers first),
+    raises :class:`ScenarioError` (``"topology.<field>: ..."``) for any
+    field it rejects, copies the canonical ``network`` / ``topology`` /
     ``aggregation`` / ``policy`` / ``trace`` specs back — so baselines
-    compare ``"hier"`` and ``"hier:2x2"``, or ``"off"`` and ``1``, as the
+    compare ``"hier"`` and ``"hier:2x2"``, or ``"8"`` and ``8``, as the
     same machine — and keeps the config for :meth:`runtime_config`.
     """
 
@@ -193,9 +198,9 @@ class TopologySpec:
     seed: int = 0xC0FFEE
     worker_pool_size: Optional[int] = None
     reclaimer: str = "ebr"
-    aggregation: Any = 1
+    aggregation: Union[int, str] = 1
     engine: str = "interpreted"
-    policy: Any = "fixed"
+    policy: str = "fixed"
     trace: str = "off"
 
     def __post_init__(self) -> None:
@@ -212,8 +217,23 @@ class TopologySpec:
                 self, "cost_overrides", tuple(sorted(self.cost_overrides.items()))
             )
         try:
-            config = RuntimeConfig.from_topology(
-                **{f.name: getattr(self, f.name) for f in fields(self)}
+            config = RuntimeConfig(
+                num_locales=self.locales,
+                network=self.network,
+                costs=resolve_cost_model(
+                    self.cost_profile,
+                    scale=self.cost_scale,
+                    overrides=self.cost_overrides,
+                ),
+                tasks_per_locale=self.tasks_per_locale,
+                seed=self.seed,
+                worker_pool_size=self.worker_pool_size,
+                reclaimer=self.reclaimer,
+                topology=self.topology,
+                aggregation=self.aggregation,
+                engine=self.engine,
+                policy=self.policy,
+                trace=self.trace,
             )
         except ValueError as exc:
             raise ScenarioError(f"topology.{exc}") from None

@@ -141,6 +141,7 @@ _PARAM_CHECKS: Dict[str, _Check] = {
     "items_per_task": _COUNT,
     "ops_per_slot": _COUNT,
     "rounds": _COUNT,
+    "hash_buckets": _COUNT,
     "num_cells": _optional(_COUNT),
     "reclaim_every": _optional(_COUNT),
     "delete": _FLAG,
@@ -1010,7 +1011,7 @@ def run_multi_structure(
         ]
 
         bank = _TokenBank(rt, em, tasks_per_locale)
-        key_space = max(1, hash_buckets * 2)
+        key_space = hash_buckets * 2
 
         def body(slot: int, st: "_TokenSlot") -> None:
             tok = st.tok

@@ -98,46 +98,24 @@ class AggregationSpec:
         return self.window
 
 
-def parse_aggregation(spec: Any) -> AggregationSpec:
-    """Build an :class:`AggregationSpec` from a declarative spec.
+def parse_aggregation(spec: "int | str") -> AggregationSpec:
+    """Build an :class:`AggregationSpec` from its spec: an integer window
+    or its decimal string (``"8"``, what ``--aggregation`` passes).
 
-    Accepts an :class:`AggregationSpec` (passed through), ``None`` or
-    ``"off"`` (disabled), an integer window, a string integer (``"8"``),
-    or a mapping ``{"window": 8}``.  Anything else — including ``0``,
-    negatives, booleans, and floats — raises ``ValueError``; this is the
+    Anything else — including ``0``, negatives, booleans, floats and
+    ``None`` — raises ``ValueError`` naming the accepted form; this is the
     validation surface :class:`~repro.runtime.config.RuntimeConfig` and
     the scenario specs lean on.
     """
-    if isinstance(spec, AggregationSpec):
-        return spec
-    if spec is None:
-        return AggregationSpec(1)
-    if isinstance(spec, Mapping):
-        doc = dict(spec)
-        window = doc.pop("window", None)
-        if doc:
-            raise ValueError(
-                f"unknown aggregation key(s) {sorted(doc)}; the only"
-                f" accepted key is 'window'"
-            )
-        if window is None:
-            raise ValueError("aggregation mapping requires a 'window' key")
-        return parse_aggregation(window)
     if isinstance(spec, str):
-        text = spec.strip().lower()
-        if text == "off":
-            return AggregationSpec(1)
         try:
-            return AggregationSpec(int(text))
+            spec = int(spec)
         except ValueError:
-            raise ValueError(
-                f"aggregation spec must be 'off', an integer window, or a"
-                f" {{'window': N}} mapping, got {spec!r}"
-            ) from None
+            pass  # still a string: rejected below
     if isinstance(spec, bool) or not isinstance(spec, int):
         raise ValueError(
-            f"aggregation spec must be 'off', an integer window, or a"
-            f" {{'window': N}} mapping, got {spec!r}"
+            f"aggregation spec must be an integer window >= 1 (1 disables"
+            f" aggregation) or its decimal string, got {spec!r}"
         )
     return AggregationSpec(spec)
 

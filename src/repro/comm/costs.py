@@ -216,23 +216,21 @@ def resolve_cost_model(
     profile: str = "default",
     *,
     scale: float = 1.0,
-    class_scale: float = 1.0,
     overrides: "Optional[Mapping[str, float] | Iterable[Tuple[str, float]]]" = None,
 ) -> CostModel:
     """Build a :class:`CostModel` from a named profile + adjustments.
 
     ``profile`` picks a base from :data:`COST_PROFILES`; ``scale``
-    multiplies every constant uniformly; ``class_scale`` is the
-    per-distance-class axis — it multiplies only the network-facing
-    fields (:data:`NETWORK_FIELDS`), which is how a topology's distance
-    classes derive their link calibration from one base model; and
+    multiplies every constant uniformly and must be finite and > 0;
     ``overrides`` (a mapping or ``(field, value)`` pairs) then replaces
-    individual fields with finite numbers >= 0; the scales must be finite
-    and > 0.  Anything else raises
+    individual fields with finite numbers >= 0.  Anything else raises
     ``ValueError`` listing the valid choices, prefixed with the
     declarative field at fault (``cost_profile``, ``cost_scale``,
-    ``class_scale``, ``cost_overrides``) — this is the validation surface
-    :meth:`repro.runtime.config.RuntimeConfig.from_topology` leans on.
+    ``cost_overrides``) — this is how
+    :class:`~repro.bench.scenarios.TopologySpec` builds the machine's
+    costs from its ``cost_profile`` / ``cost_scale`` / ``cost_overrides``
+    fields.  A topology's distance classes scale the network-facing
+    fields of the result themselves (:meth:`CostModel.network_scaled`).
     """
     try:
         model = COST_PROFILES[profile]
@@ -241,19 +239,13 @@ def resolve_cost_model(
             f"cost_profile: unknown cost profile {profile!r}; expected one"
             f" of {sorted(COST_PROFILES)}"
         ) from None
-    for name, label, factor in (
-        ("cost_scale", "cost scale", scale),
-        ("class_scale", "class scale", class_scale),
-    ):
-        if not is_finite_number(factor) or factor <= 0:
-            raise ValueError(
-                f"{name}: {label} must be a finite positive number, got"
-                f" {factor!r}"
-            )
+    if not is_finite_number(scale) or scale <= 0:
+        raise ValueError(
+            f"cost_scale: cost scale must be a finite positive number, got"
+            f" {scale!r}"
+        )
     if scale != 1.0:
         model = model.scaled(scale)
-    if class_scale != 1.0:
-        model = model.network_scaled(class_scale)
     if overrides:
         try:
             overrides = dict(overrides)

@@ -47,7 +47,7 @@ topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .costs import is_finite_number
 
@@ -75,6 +75,9 @@ __all__ = [
 #:   (demotes to ``"am"`` under ``none``);
 #: * ``"am"``       — always an active-message round trip.
 _TRANSPORTS = ("local", "coherent", "remote", "nic", "am")
+
+#: Network-cost scale of the dragonfly's inter-group (optical) class.
+GLOBAL_SCALE = 4.0
 
 
 @dataclass(frozen=True)
@@ -217,10 +220,9 @@ class HierarchicalTopology(Topology):
                                  target node's **shared uplink** point
     ====  ========  ===========  ==========================================
 
-    ``uplink_scale`` degrades the cross-node network constants (1.0 =
-    same wire speed, just AM-priced and funnelled through one pipe).
-    The last node may be partial when the shape does not divide
-    ``num_locales``.
+    The uplink class keeps the base network constants (same wire speed,
+    just AM-priced and funnelled through one pipe).  The last node may be
+    partial when the shape does not divide ``num_locales``.
     """
 
     kind = "hier"
@@ -231,7 +233,6 @@ class HierarchicalTopology(Topology):
         *,
         sockets_per_node: int = 2,
         locales_per_socket: int = 2,
-        uplink_scale: float = 1.0,
     ) -> None:
         super().__init__(num_locales)
         for label, v in (
@@ -245,14 +246,11 @@ class HierarchicalTopology(Topology):
         self.sockets_per_node = sockets_per_node
         self.locales_per_socket = locales_per_socket
         self.node_size = sockets_per_node * locales_per_socket
-        self.uplink_scale = uplink_scale
         self.classes = (
             DistanceClass("self", "local"),
             DistanceClass("socket", "coherent"),
             DistanceClass("node", "nic"),
-            DistanceClass(
-                "uplink", "am", scale=uplink_scale, shared_uplink=True
-            ),
+            DistanceClass("uplink", "am", shared_uplink=True),
         )
 
     def socket_of(self, locale: int) -> int:
@@ -286,43 +284,32 @@ class HierarchicalTopology(Topology):
         return self.socket_of(locale)
 
     def spec(self) -> str:
-        base = f"hier:{self.sockets_per_node}x{self.locales_per_socket}"
-        if self.uplink_scale != 1.0:
-            base += f"@{self.uplink_scale:g}"
-        return base
+        return f"hier:{self.sockets_per_node}x{self.locales_per_socket}"
 
 
 class DragonflyTopology(Topology):
     """Electrical groups joined by degraded all-to-all optical links.
 
     ``group_size`` consecutive locales form a group; intra-group traffic
-    rides the normal remote fabric, inter-group traffic pays
-    ``global_scale``-degraded network costs and serializes through the
-    target group's shared optical uplink — the XC-50's dragonfly in
-    miniature.
+    rides the normal remote fabric, inter-group traffic pays network costs
+    degraded by :data:`GLOBAL_SCALE` and serializes through the target
+    group's shared optical uplink — the XC-50's dragonfly in miniature.
     """
 
     kind = "dragonfly"
 
-    def __init__(
-        self,
-        num_locales: int,
-        *,
-        group_size: int = 4,
-        global_scale: float = 4.0,
-    ) -> None:
+    def __init__(self, num_locales: int, *, group_size: int = 4) -> None:
         super().__init__(num_locales)
         if not isinstance(group_size, int) or group_size < 1:
             raise ValueError(
                 f"group_size must be a positive integer, got {group_size!r}"
             )
         self.group_size = group_size
-        self.global_scale = global_scale
         self.classes = (
             DistanceClass("self", "local"),
             DistanceClass("group", "remote"),
             DistanceClass(
-                "global", "remote", scale=global_scale, shared_uplink=True
+                "global", "remote", scale=GLOBAL_SCALE, shared_uplink=True
             ),
         )
 
@@ -345,29 +332,12 @@ class DragonflyTopology(Topology):
         return self.group_of(locale)
 
     def spec(self) -> str:
-        base = f"dragonfly:{self.group_size}"
-        if self.global_scale != 4.0:
-            base += f"@{self.global_scale:g}"
-        return base
+        return f"dragonfly:{self.group_size}"
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
-
-
-def _split_scale(arg: str, what: str) -> "Tuple[str, float | None]":
-    """Split an optional ``@<scale>`` suffix off a shape string."""
-    shape, sep, scale_text = arg.partition("@")
-    if not sep:
-        return shape, None
-    try:
-        scale = float(scale_text)
-    except ValueError:
-        raise ValueError(
-            f"{what} scale suffix must be a number, got {scale_text!r}"
-        ) from None
-    return shape, scale
 
 
 def _build_flat(num_locales: int, arg: "str | None") -> FlatTopology:
@@ -379,41 +349,29 @@ def _build_flat(num_locales: int, arg: "str | None") -> FlatTopology:
 def _build_hier(num_locales: int, arg: "str | None") -> HierarchicalTopology:
     if arg is None:
         return HierarchicalTopology(num_locales)
-    shape, scale = _split_scale(arg, "hier uplink")
-    parts = shape.split("x")
-    if len(parts) != 2:
+    try:
+        sockets, per_socket = (int(part) for part in arg.split("x"))
+    except ValueError:
         raise ValueError(
             f"hier shape must be '<sockets_per_node>x<locales_per_socket>'"
-            f" with an optional '@<uplink_scale>' (e.g. 'hier:2x2',"
-            f" 'hier:2x2@1.5'), got {arg!r}"
-        )
-    try:
-        sockets, per_socket = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"hier shape components must be integers, got {arg!r}") from None
-    kwargs = {} if scale is None else {"uplink_scale": scale}
+            f" (e.g. 'hier:2x2'), got {arg!r}"
+        ) from None
     return HierarchicalTopology(
-        num_locales,
-        sockets_per_node=sockets,
-        locales_per_socket=per_socket,
-        **kwargs,
+        num_locales, sockets_per_node=sockets, locales_per_socket=per_socket
     )
 
 
 def _build_dragonfly(num_locales: int, arg: "str | None") -> DragonflyTopology:
     if arg is None:
         return DragonflyTopology(num_locales)
-    shape, scale = _split_scale(arg, "dragonfly global")
     try:
-        group_size = int(shape)
+        group_size = int(arg)
     except ValueError:
         raise ValueError(
-            f"dragonfly shape must be '<group_size>' with an optional"
-            f" '@<global_scale>' (e.g. 'dragonfly:4', 'dragonfly:4@8'),"
+            f"dragonfly shape must be '<group_size>' (e.g. 'dragonfly:4'),"
             f" got {arg!r}"
         ) from None
-    kwargs = {} if scale is None else {"global_scale": scale}
-    return DragonflyTopology(num_locales, group_size=group_size, **kwargs)
+    return DragonflyTopology(num_locales, group_size=group_size)
 
 
 #: Registered topology kinds, mapping name -> builder(num_locales, shape-arg).
@@ -429,53 +387,19 @@ def topology_names() -> List[str]:
     return sorted(TOPOLOGY_KINDS)
 
 
-def parse_topology(spec: Any, num_locales: int) -> Topology:
-    """Build a :class:`Topology` from a declarative spec.
+def parse_topology(spec: str, num_locales: int) -> Topology:
+    """Build a :class:`Topology` from its spec string: ``"flat"``,
+    ``"hier"``, ``"hier:2x2"``, ``"dragonfly"`` or ``"dragonfly:4"``.
 
-    Accepts a :class:`Topology` instance (validated against
-    ``num_locales`` and passed through), a string spec
-    (``"flat"``, ``"hier"``, ``"hier:2x2"``, ``"dragonfly"``,
-    ``"dragonfly:4"``), or a mapping with a ``kind`` key plus the
-    corresponding constructor keywords (``{"kind": "hier",
-    "sockets_per_node": 2, "locales_per_socket": 2}``).  Unknown kinds
-    raise ``ValueError`` listing the valid names — this is the validation
-    surface :class:`~repro.runtime.config.RuntimeConfig` and the scenario
-    specs lean on.
+    Anything else raises ``ValueError`` naming the accepted form;
+    unknown kinds list the valid names.  This is the validation surface
+    :class:`~repro.runtime.config.RuntimeConfig` and the scenario specs
+    lean on.
     """
-    if isinstance(spec, Topology):
-        if spec.num_locales != num_locales:
-            raise ValueError(
-                f"topology was built for {spec.num_locales} locales but the"
-                f" runtime has {num_locales}"
-            )
-        return spec
-    if isinstance(spec, Mapping):
-        doc = dict(spec)
-        kind = doc.pop("kind", None)
-        if kind not in TOPOLOGY_KINDS:
-            raise ValueError(
-                f"unknown topology kind {kind!r}; expected one of"
-                f" {topology_names()}"
-            )
-        if kind == "flat":
-            if doc:
-                raise ValueError(
-                    f"topology kind 'flat' takes no parameters, got"
-                    f" {sorted(doc)}"
-                )
-            return FlatTopology(num_locales)
-        cls = HierarchicalTopology if kind == "hier" else DragonflyTopology
-        try:
-            return cls(num_locales, **doc)
-        except TypeError:
-            raise ValueError(
-                f"invalid parameters {sorted(doc)} for topology kind"
-                f" {kind!r}"
-            ) from None
     if not isinstance(spec, str):
         raise ValueError(
-            f"topology spec must be a string, mapping, or Topology, got"
-            f" {type(spec).__name__}"
+            f"topology spec must be a string such as 'flat', 'hier:2x2' or"
+            f" 'dragonfly:4', got {spec!r}"
         )
     kind, sep, arg = spec.partition(":")
     kind = kind.strip().lower()

@@ -55,11 +55,8 @@ class ABA(Generic[T]):
         return self._count
 
     def get_object(self) -> T:
-        """Paper-spelling accessor (Listing 1's ``oldHead.getObject()``)."""
+        """The wrapped value (Listing 1's ``oldHead.getObject()``)."""
         return self._value
-
-    # Chapel-style alias.
-    getObject = get_object
 
     # -- value semantics -----------------------------------------------------
     def __eq__(self, other: object) -> bool:

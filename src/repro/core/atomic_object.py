@@ -300,13 +300,6 @@ class AtomicObject(ChargedWord):
             self._count = count + 1
         return ok
 
-    # Chapel-style aliases (paper Listing 1 spellings).
-    readABA = read_aba
-    writeABA = write_aba
-    exchangeABA = exchange_aba
-    compareAndSwapABA = compare_and_swap_aba
-    compareAndSwap = compare_and_swap
-
     # ------------------------------------------------------------------
     def peek(self) -> GlobalAddress:
         """Cost-free load (tests only)."""

@@ -380,8 +380,6 @@ class EpochManager(ManagerCore, PrivatizedObject):
         self._note_pending()
         return self._try_reclaim()
 
-    tryReclaim = try_reclaim
-
     def _try_reclaim(self) -> bool:
         """The Listing 4 attempt itself (policy gate, election, scan)."""
         self._check_alive()

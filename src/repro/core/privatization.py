@@ -95,9 +95,6 @@ class PrivatizedObject:
         """
         return self._rt.privatized_instance(self._pid, locale_id)
 
-    # Chapel-style alias (Listing 4 spelling).
-    getPrivatizedInstance = get_privatized_instance
-
     def _instances(self) -> List[Any]:
         """Every locale's instance, in locale order (zero cost)."""
         return self._rt._privatized[self._pid]

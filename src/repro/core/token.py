@@ -45,8 +45,8 @@ class Token:
     Tokens are the EBR implementation of the scheme-generic *guard
     protocol* (:mod:`repro.reclaim`): any structure or workload written
     against a guard accepts a token unchanged.  Epoch-based protection is
-    region-based, so :meth:`protect` is a free no-op and
-    ``needs_protect`` is False — structures skip their hazard-pointer
+    region-based, so a token has no ``protect`` and ``needs_protect`` is
+    False — structures skip their hazard-pointer publication and
     validation reads entirely on the EBR path.
     """
 
@@ -236,20 +236,11 @@ class Token:
                 slot=epoch - 1,
             )
 
-    # Chapel-style alias.
-    deferDelete = defer_delete
-
-    def protect(self, addr: GlobalAddress, slot: int = 0) -> GlobalAddress:
-        """Guard-protocol no-op: epochs protect whole pinned regions."""
-        return addr
-
     def try_reclaim(self) -> bool:
         """Attempt a global epoch advance (the manager's attempt without
         its handle-level peak-pending sample)."""
         self._check_usable()
         return self._manager._try_reclaim()
-
-    tryReclaim = try_reclaim
 
     # ------------------------------------------------------------------
     def unregister(self) -> None:

@@ -48,14 +48,11 @@ __all__ = ["TRACE_DETAILS", "parse_trace", "age_bucket", "TraceRecorder"]
 TRACE_DETAILS = ("off", "spans", "full")
 
 
-def parse_trace(value: Any) -> str:
-    """Validate and normalize a trace-detail spec (the shared axis-error
-    idiom: unknown values list the valid names)."""
-    if value is None:
-        return "off"
-    text = str(value).strip().lower()
-    if text == "":
-        return "off"
+def parse_trace(value: str) -> str:
+    """Validate and normalize a trace-detail spec, one of
+    :data:`TRACE_DETAILS` (the shared axis-error idiom: anything else
+    lists the valid names)."""
+    text = value.strip().lower() if isinstance(value, str) else value
     if text not in TRACE_DETAILS:
         raise ValueError(
             f"unknown trace detail {value!r}; expected one of"

@@ -34,7 +34,6 @@ See docs/POLICY.md for the protocol, the per-policy semantics, and the
 """
 
 from .base import (
-    DECAY_CURVES,
     EpochFacts,
     EpochPolicyBase,
     PolicyBase,
@@ -59,7 +58,6 @@ __all__ = [
     "EpochPolicyBase",
     "WindowPolicyBase",
     "EpochFacts",
-    "DECAY_CURVES",
     "EPOCH_POLICIES",
     "WINDOW_POLICIES",
     "FixedEpochPolicy",

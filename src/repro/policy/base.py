@@ -37,15 +37,7 @@ __all__ = [
     "EpochPolicyBase",
     "WindowPolicyBase",
     "EpochFacts",
-    "DECAY_CURVES",
 ]
-
-
-#: Decay-curve shapes accepted by the ``decay`` epoch policy, mapping the
-#: normalized deferral progress ``t in [0, 1]`` to a threshold fraction in
-#: ``[0, 1]`` (1 = the full threshold, 0 = advance unconditionally).  All
-#: three reach 0 at ``t >= 1``, so a decay policy can never defer forever.
-DECAY_CURVES = ("linear", "exponential", "step")
 
 
 @dataclass(frozen=True)
@@ -105,7 +97,7 @@ class EpochPolicyBase(PolicyBase):
 
     Subclasses implement :meth:`_should_advance`; the base class keeps the
     decision counters and the deferral streak (``decisions since the last
-    allowed advance``) that the decay curve consumes.  All state mutates
+    allowed advance``) that the decay policy consumes.  All state mutates
     only inside :meth:`decide`, which the managers call at root-driven
     reclaim points — sequential under the workload discipline, so the
     counters are deterministic.

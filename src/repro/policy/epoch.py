@@ -14,7 +14,7 @@ entire election/scan/drain pipeline and costs zero virtual time.
 
 from __future__ import annotations
 
-from .base import DECAY_CURVES, EpochFacts, EpochPolicyBase
+from .base import EpochFacts, EpochPolicyBase
 
 __all__ = [
     "EPOCH_POLICIES",
@@ -69,57 +69,34 @@ class ThresholdEpochPolicy(EpochPolicyBase):
 
 
 class DecayEpochPolicy(ThresholdEpochPolicy):
-    """A threshold that decays along the deferral streak.
+    """A threshold that decays linearly along the deferral streak.
 
-    The effective threshold at each decision is ``n * curve(streak /
-    horizon)`` where ``streak`` counts deferrals since the last allowed
-    advance and ``curve`` maps ``[0, 1] -> [1, 0]``:
-
-    * ``linear`` — ``1 - t``;
-    * ``exponential`` — ``2**(-4t)``, clipped to 0 at ``t >= 1``;
-    * ``step`` — ``1`` below ``t = 1``, then ``0``.
-
-    Every curve reaches 0 at the horizon, so a decay policy defers at
-    most ``horizon`` consecutive times — backlog below the threshold
-    still reclaims eventually, without any randomness (the
-    probability-free replacement for sampled expiry).
+    The effective threshold at each decision is ``n * (1 - streak /
+    horizon)``, where ``streak`` counts deferrals since the last allowed
+    advance and the horizon is :attr:`HORIZON`.  It reaches 0 at the
+    horizon, so a decay policy defers at most ``HORIZON`` consecutive
+    times — backlog below the threshold still reclaims eventually,
+    without any randomness (the probability-free replacement for sampled
+    expiry).
     """
 
     kind = "decay"
-
-    def __init__(self, n: int, curve: str = "linear", horizon: int = 8) -> None:
-        super().__init__(n)
-        if curve not in DECAY_CURVES:
-            raise ValueError(
-                f"unknown decay curve {curve!r}; expected one of"
-                f" {list(DECAY_CURVES)}"
-            )
-        if horizon < 1:
-            raise ValueError(f"decay horizon must be >= 1, got {horizon}")
-        self.curve = curve
-        self.horizon = int(horizon)
+    #: Deferrals after which the effective threshold reaches 0.
+    HORIZON = 8
 
     def effective_threshold(self) -> int:
         """The decayed threshold at the current deferral streak."""
-        t = self.streak / self.horizon
+        t = self.streak / self.HORIZON
         if t >= 1.0:
             return 0
-        if self.curve == "linear":
-            frac = 1.0 - t
-        elif self.curve == "exponential":
-            frac = 2.0 ** (-4.0 * t)
-        else:  # step
-            frac = 1.0
-        return int(self.n * frac)
+        return int(self.n * (1.0 - t))
 
     def _should_advance(self, facts: EpochFacts) -> bool:
         eff = self.effective_threshold()
         return eff <= 0 or facts.max_pending >= eff
 
     def spec(self) -> str:
-        if self.curve == "linear" and self.horizon == 8:
-            return f"decay:{self.n}"
-        return f"decay:{self.n}:{self.curve}:{self.horizon}"
+        return f"decay:{self.n}"
 
 
 class GraceEpochPolicy(EpochPolicyBase):

@@ -4,7 +4,7 @@ One spec names both policy halves, joined by ``+``::
 
     "fixed"                          # defaults: fixed epochs, static window
     "threshold:64"                   # epoch half only (window stays static)
-    "decay:64:exponential:8"         # decay curve and horizon knobs
+    "decay:64"                       # a threshold decaying along deferrals
     "grace:0.0001"                   # virtual-seconds grace period
     "adaptive:4..64"                 # window half only (epochs stay fixed)
     "threshold:64+adaptive:4..64"    # both halves
@@ -20,7 +20,7 @@ contract, shared with ``parse_topology`` / ``parse_aggregation``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 from .epoch import (
     EPOCH_POLICIES,
@@ -42,7 +42,6 @@ __all__ = ["PolicySpec", "parse_policy"]
 #: Default knobs for bare policy kinds (``"threshold"`` == ``"threshold:64"``).
 _DEFAULT_THRESHOLD = 64
 _DEFAULT_GRACE = 1e-4
-_DEFAULT_HORIZON = 8
 _DEFAULT_ADAPTIVE = (2, 64)
 
 
@@ -60,9 +59,6 @@ class PolicySpec:
     #: threshold/decay: the retired-count threshold N; grace: the grace
     #: period in virtual seconds; fixed: None.
     epoch_param: Optional[float] = None
-    #: decay only: curve name and deferral horizon.
-    decay_curve: str = "linear"
-    decay_horizon: int = _DEFAULT_HORIZON
     window_kind: str = "static"
     window_lo: int = field(default=_DEFAULT_ADAPTIVE[0])
     window_hi: int = field(default=_DEFAULT_ADAPTIVE[1])
@@ -88,16 +84,8 @@ class PolicySpec:
     def spec(self) -> str:
         """The canonical spec string (parses back to an equal spec)."""
         parts = []
-        if self.epoch_kind == "threshold":
-            parts.append(f"threshold:{int(self.epoch_param)}")
-        elif self.epoch_kind == "decay":
-            if self.decay_curve == "linear" and self.decay_horizon == _DEFAULT_HORIZON:
-                parts.append(f"decay:{int(self.epoch_param)}")
-            else:
-                parts.append(
-                    f"decay:{int(self.epoch_param)}:{self.decay_curve}"
-                    f":{self.decay_horizon}"
-                )
+        if self.epoch_kind in ("threshold", "decay"):
+            parts.append(f"{self.epoch_kind}:{int(self.epoch_param)}")
         elif self.epoch_kind == "grace":
             parts.append(f"grace:{self.epoch_param:g}")
         if self.window_kind == "adaptive":
@@ -115,9 +103,7 @@ class PolicySpec:
         if kind == "threshold":
             return ThresholdEpochPolicy(int(self.epoch_param))
         if kind == "decay":
-            return DecayEpochPolicy(
-                int(self.epoch_param), self.decay_curve, self.decay_horizon
-            )
+            return DecayEpochPolicy(int(self.epoch_param))
         return GraceEpochPolicy(float(self.epoch_param))
 
     def make_window_policy(self, window: int) -> WindowPolicyBase:
@@ -127,48 +113,32 @@ class PolicySpec:
         return AdaptiveWindowPolicy(window, self.window_lo, self.window_hi)
 
 
-def _parse_epoch_half(text: str, original: Any) -> dict:
-    """Parse one ``kind[:knob...]`` epoch half into PolicySpec kwargs."""
-    parts = text.split(":")
-    kind = parts[0]
-    knobs = parts[1:]
+def _parse_epoch_half(text: str, original: str) -> dict:
+    """Parse one ``kind[:knob]`` epoch half into PolicySpec kwargs."""
+    kind, sep, knob = text.partition(":")
     try:
         if kind == "fixed":
-            if knobs:
+            if sep:
                 raise ValueError("'fixed' takes no parameters")
             return {"epoch_kind": "fixed"}
-        if kind == "threshold":
-            if len(knobs) > 1:
-                raise ValueError("'threshold' takes at most one parameter")
-            n = int(knobs[0]) if knobs else _DEFAULT_THRESHOLD
-            return {"epoch_kind": "threshold", "epoch_param": n}
-        if kind == "decay":
-            if len(knobs) > 3:
-                raise ValueError(
-                    "'decay' takes at most three parameters (n, curve,"
-                    " horizon)"
-                )
-            n = int(knobs[0]) if knobs else _DEFAULT_THRESHOLD
-            curve = knobs[1] if len(knobs) > 1 else "linear"
-            horizon = int(knobs[2]) if len(knobs) > 2 else _DEFAULT_HORIZON
-            return {
-                "epoch_kind": "decay",
-                "epoch_param": n,
-                "decay_curve": curve,
-                "decay_horizon": horizon,
-            }
-        # grace
-        if len(knobs) > 1:
-            raise ValueError("'grace' takes at most one parameter")
-        g = float(knobs[0]) if knobs else _DEFAULT_GRACE
-        return {"epoch_kind": "grace", "epoch_param": g}
+        if ":" in knob:
+            raise ValueError(
+                f"{kind!r} takes at most one parameter (e.g. '{kind}:"
+                f"{_DEFAULT_GRACE if kind == 'grace' else _DEFAULT_THRESHOLD}')"
+            )
+        if kind == "grace":
+            g = float(knob) if sep else _DEFAULT_GRACE
+            return {"epoch_kind": "grace", "epoch_param": g}
+        # threshold / decay
+        n = int(knob) if sep else _DEFAULT_THRESHOLD
+        return {"epoch_kind": kind, "epoch_param": n}
     except ValueError as exc:
         raise ValueError(
             f"bad policy spec {original!r}: {exc}"
         ) from None
 
 
-def _parse_window_half(text: str, original: Any) -> dict:
+def _parse_window_half(text: str, original: str) -> dict:
     """Parse one ``static`` / ``adaptive:lo..hi`` window half."""
     parts = text.split(":")
     kind = parts[0]
@@ -197,45 +167,22 @@ def _parse_window_half(text: str, original: Any) -> dict:
         ) from None
 
 
-def parse_policy(spec: Any) -> PolicySpec:
-    """Build a :class:`PolicySpec` from a declarative spec.
+def parse_policy(spec: str) -> PolicySpec:
+    """Build a :class:`PolicySpec` from its spec string (see the module
+    docstring; ``"fixed"`` is the fixed/static default).
 
-    Accepts a :class:`PolicySpec` (passed through), ``None`` /
-    ``"default"`` (the fixed/static default), a spec string (see the
-    module docstring), or a mapping with ``epoch`` / ``window`` keys each
-    holding a half-spec string.  Anything else raises ``ValueError``
-    listing the valid policy names — the shared machine-axis error idiom.
+    Anything else raises ``ValueError``: a non-string names the accepted
+    form, an unknown half lists the valid policy names — the shared
+    machine-axis error idiom.
     """
-    if isinstance(spec, PolicySpec):
-        return spec
-    if spec is None:
-        return PolicySpec()
-    if isinstance(spec, Mapping):
-        doc = dict(spec)
-        epoch = doc.pop("epoch", None)
-        window = doc.pop("window", None)
-        if doc:
-            raise ValueError(
-                f"unknown policy key(s) {sorted(doc)}; accepted keys are"
-                f" 'epoch' and 'window'"
-            )
-        kwargs: dict = {}
-        if epoch is not None:
-            kwargs.update(_parse_epoch_half(str(epoch).strip().lower(), spec))
-        if window is not None:
-            kwargs.update(_parse_window_half(str(window).strip().lower(), spec))
-        return PolicySpec(**kwargs)
     if not isinstance(spec, str):
         raise ValueError(
-            f"policy spec must be a string, mapping, or PolicySpec, got"
-            f" {spec!r}"
+            f"policy spec must be a string such as 'fixed' or"
+            f" 'threshold:64+adaptive:2..64', got {spec!r}"
         )
-    text = spec.strip().lower()
-    if text in ("", "default"):
-        return PolicySpec()
-    kwargs = {}
+    kwargs: dict = {}
     seen_epoch = seen_window = False
-    for half in text.split("+"):
+    for half in spec.strip().lower().split("+"):
         half = half.strip()
         kind = half.split(":", 1)[0]
         if kind in EPOCH_POLICIES:

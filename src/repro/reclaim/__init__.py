@@ -8,7 +8,7 @@ comparative harness instead, a peer of three other schemes:
 * :class:`EBRReclaimer` — the paper's EBR: another name for
   ``EpochManager`` itself, which ``make_reclaimer(rt, "ebr")`` returns;
 * :class:`HazardPointerReclaimer` — per-task hazard slots, bounded
-  unreclaimed garbage, per-pointer ``protect``/``clear`` costs;
+  unreclaimed garbage, per-pointer ``protect`` costs;
 * :class:`QSBRReclaimer` — quiescent-state-based, the cheapest read side,
   explicit quiescent points at ``forall`` phase boundaries;
 * :class:`IntervalReclaimer` — birth-era/retire-era interval tagging:

@@ -6,7 +6,8 @@ Michael's hazard pointers, mapped onto the simulated PGAS machine:
   words on the guard's locale holding compressed wide pointers (0 =
   empty).  They are opted out of network atomics (the owner publishes
   with plain CPU atomics — the cheap store+fence of real HP), so
-  ``protect``/``clear`` cost one local CPU atomic each through the
+  ``protect`` and the clearing ``unpin`` cost one local CPU atomic per
+  slot through the
   precompiled routes in :mod:`repro.comm.routes`; a *remote* scanner
   reading them pays the active-message price, which is precisely HP's
   distributed-memory weakness the cross-scheme scenarios expose;
@@ -14,7 +15,7 @@ Michael's hazard pointers, mapped onto the simulated PGAS machine:
   callers must re-validate their source pointer afterwards (the
   structures in :mod:`repro.structures` do this when
   ``guard.needs_protect`` is set — the standard HP protect/validate
-  handshake);
+  handshake).  HP's guards are the only ones with a ``protect``;
 * ``defer_delete`` appends to a guard-local retired buffer; when the
   buffer reaches ``scan_threshold`` the guard **scans**: it reads every
   registered guard's slots, frees the retired objects no slot protects
@@ -88,13 +89,6 @@ class _HPGuard(GuardBase):
         self._occupied[slot] = word != COMPRESSED_NIL
         return addr
 
-    def clear_protection(self, slot: int = 0) -> None:
-        """Drop the hazard in ``slot`` (one local atomic store)."""
-        self._check_usable()
-        if self._occupied[slot]:
-            self.slots[slot].write(COMPRESSED_NIL)
-            self._occupied[slot] = False
-
     def unpin(self) -> None:
         """Leave the region: clear every occupied slot, then unpin."""
         self._check_usable()
@@ -121,10 +115,6 @@ class _HPGuard(GuardBase):
         self._check_usable()
         rec: "HazardPointerReclaimer" = self._rec  # type: ignore[assignment]
         return rec._scan([self]) > 0
-
-    # Re-bind the Chapel-style alias to the override (the inherited name
-    # would still point at GuardBase.try_reclaim — the manager-wide scan).
-    tryReclaim = try_reclaim
 
 
 class HazardPointerReclaimer(ReclaimerBase):
@@ -245,8 +235,6 @@ class HazardPointerReclaimer(ReclaimerBase):
             tr.reclaim("scan", self.scheme, ctx.now, freed=freed)
         self._policy_tick()
         return freed > 0
-
-    tryReclaim = try_reclaim
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

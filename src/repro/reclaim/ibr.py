@@ -189,8 +189,6 @@ class IntervalReclaimer(ReclaimerBase):
         self._policy_tick()
         return True
 
-    tryReclaim = try_reclaim
-
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         out = super().stats()

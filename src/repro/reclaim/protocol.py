@@ -7,8 +7,8 @@ scheme presents the same lifecycle::
     rec   = make_reclaimer(rt, "hp")       # or "ebr" / "qsbr" / "ibr"
     guard = rec.register()                 # per-task, on the task's locale
     guard.pin()                            # enter a protected region
-    addr  = guard.protect(addr)            # announce a pointer (HP only;
-                                           # a free no-op elsewhere)
+    if guard.needs_protect:                # HP only: the method exists
+        addr = guard.protect(addr)         # where the flag is true
     guard.defer_delete(addr)               # retire a logically-removed obj
     guard.unpin()                          # leave the region
     rec.phase_boundary()                   # quiescent point (forall join)
@@ -89,7 +89,8 @@ class GuardBase:
     """
 
     #: True when the scheme requires per-pointer ``protect`` announcements
-    #: (hazard pointers).  Structures consult this flag so the EBR path
+    #: (hazard pointers), whose guards are the only ones with a
+    #: ``protect`` method.  Structures consult this flag so the EBR path
     #: carries zero additional virtual cost.
     needs_protect = False
 
@@ -180,16 +181,6 @@ class GuardBase:
         self._check_usable()
         self._pinned = False
 
-    def protect(self, addr: GlobalAddress, slot: int = 0) -> GlobalAddress:
-        """Announce intent to dereference ``addr`` (no-op by default).
-
-        Hazard-pointer guards override this with a real (charged) slot
-        publication; every other scheme's region-based protection makes it
-        free, which is exactly the read-side cost difference the
-        cross-scheme scenarios measure.  Returns ``addr`` for chaining.
-        """
-        return addr
-
     def defer_delete(self, addr: GlobalAddress) -> None:
         """Retire a logically-removed object for deferred reclamation."""
         ctx = self._check_usable()
@@ -210,9 +201,6 @@ class GuardBase:
             self._retired.append((addr, self._retire_tag()))
         self._after_retire()
 
-    # Chapel-style alias, matching Token.
-    deferDelete = defer_delete
-
     def _retire_tag(self) -> int:
         """The scheme-specific tag stored with a retired address."""
         return 0
@@ -224,8 +212,6 @@ class GuardBase:
         """Attempt reclamation (defers to the manager by default)."""
         self._check_usable()
         return self._rec.try_reclaim()
-
-    tryReclaim = try_reclaim
 
     # ------------------------------------------------------------------
     def unregister(self) -> None:
@@ -344,8 +330,6 @@ class ReclaimerBase(ManagerCore, PrivatizedObject):
     def try_reclaim(self) -> bool:
         """Attempt to free retired objects; never blocks."""
         raise NotImplementedError
-
-    tryReclaim = try_reclaim
 
     # ------------------------------------------------------------------
     # policy facts (docs/POLICY.md)

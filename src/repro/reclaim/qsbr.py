@@ -173,8 +173,6 @@ class QSBRReclaimer(ReclaimerBase):
         self._policy_tick()
         return freed > 0
 
-    tryReclaim = try_reclaim
-
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         out = super().stats()

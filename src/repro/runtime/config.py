@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from ..comm.aggregation import AggregationSpec, parse_aggregation
-from ..comm.costs import CostModel, DEFAULT_COSTS, resolve_cost_model
+from ..comm.costs import CostModel, DEFAULT_COSTS
 from ..comm.topology import Topology, parse_topology
 from ..errors import LocaleError
 from ..obs.recorder import parse_trace
@@ -146,9 +146,8 @@ class RuntimeConfig:
         effect: every task runs on the thread that joins it, from the
         runtime's run queue (see :mod:`repro.runtime.tasking`).
     topology:
-        Interconnect shape: a spec string (``"flat"`` — the default and
-        the legacy behaviour — ``"hier:2x2"``, ``"dragonfly:4"``), a
-        mapping, or a :class:`~repro.comm.topology.Topology` instance.
+        Interconnect shape, as a spec string: ``"flat"`` (the default and
+        the legacy behaviour), ``"hier:2x2"`` or ``"dragonfly:4"``.
         Determines the distance class — and therefore the cost route and
         contention point — of every (source, home) locale pair.  See
         docs/TOPOLOGY.md.
@@ -156,11 +155,10 @@ class RuntimeConfig:
         Message-aggregation window (see :mod:`repro.comm.aggregation` and
         docs/AGGREGATION.md): the maximum number of same-uplink-group
         operations one traversal may carry on the reclamation scan paths.
-        ``1`` (the default) or ``"off"`` disables aggregation — every
-        path then runs the legacy one-message-per-op shape, bit-identical
-        to the pre-aggregation engine.  Accepts an int, a string spec, a
-        ``{"window": N}`` mapping, or an
-        :class:`~repro.comm.aggregation.AggregationSpec`.
+        An integer window or its decimal string (``"8"``, as
+        ``--aggregation`` passes it).  ``1`` (the default) disables
+        aggregation — every path then runs the legacy one-message-per-op
+        shape, bit-identical to the pre-aggregation engine.
     engine:
         Workload execution engine (see :data:`ENGINES` and
         docs/ENGINE.md): ``"interpreted"`` (the default) runs op streams
@@ -184,13 +182,11 @@ class RuntimeConfig:
         Virtual-time policy axis (see :mod:`repro.policy` and
         docs/POLICY.md): one spec string naming an epoch-advance policy
         half (``"fixed"`` — the default, today's cadence —
-        ``"threshold:N"``, ``"decay:N[:curve[:horizon]]"``,
-        ``"grace:T"``) and/or an aggregation-window policy half
-        (``"static"`` — the default — ``"adaptive:lo..hi"``) joined by
-        ``+``.  The default ``"fixed"`` (fixed epochs, static window) is
-        bit-identical to the pre-policy engine.  Accepts a spec string,
-        a ``{"epoch": ..., "window": ...}`` mapping, or a
-        :class:`~repro.policy.PolicySpec`.
+        ``"threshold:N"``, ``"decay:N"``, ``"grace:T"``) and/or an
+        aggregation-window policy half (``"static"`` — the default —
+        ``"adaptive:lo..hi"``) joined by ``+``.  The default ``"fixed"``
+        (fixed epochs, static window) is bit-identical to the pre-policy
+        engine.
     """
 
     num_locales: int = 4
@@ -200,10 +196,10 @@ class RuntimeConfig:
     seed: int = 0xC0FFEE
     worker_pool_size: Optional[int] = None
     reclaimer: str = "ebr"
-    topology: Any = "flat"
-    aggregation: Any = 1
+    topology: str = "flat"
+    aggregation: Union[int, str] = 1
     engine: str = "interpreted"
-    policy: Any = "fixed"
+    policy: str = "fixed"
     trace: str = "off"
 
     def __post_init__(self) -> None:
@@ -244,69 +240,19 @@ class RuntimeConfig:
         set_(self, "_policy", _parse("policy", parse_policy, self.policy))
 
     def resolved_topology(self) -> Topology:
-        """The :class:`~repro.comm.topology.Topology` instance this config
-        describes (``topology`` may be a string spec, mapping, or object;
-        see :func:`repro.comm.topology.parse_topology`)."""
+        """The :class:`~repro.comm.topology.Topology` instance the
+        ``topology`` spec describes."""
         return self._topology
 
     def resolved_aggregation(self) -> AggregationSpec:
         """The validated :class:`~repro.comm.aggregation.AggregationSpec`
-        this config describes (``aggregation`` may be an int, string,
-        mapping, or spec object)."""
+        the ``aggregation`` spec describes."""
         return self._aggregation
 
     def resolved_policy(self) -> PolicySpec:
-        """The validated :class:`~repro.policy.PolicySpec` this config
-        describes (``policy`` may be a spec string, mapping, or object)."""
+        """The validated :class:`~repro.policy.PolicySpec` the ``policy``
+        spec describes."""
         return self._policy
-
-    @classmethod
-    def from_topology(
-        cls,
-        *,
-        locales: int,
-        network: "NetworkType | str" = NetworkType.UGNI,
-        cost_profile: str = "default",
-        cost_scale: float = 1.0,
-        cost_overrides: Any = None,
-        tasks_per_locale: int = 1,
-        seed: int = 0xC0FFEE,
-        worker_pool_size: Optional[int] = None,
-        reclaimer: str = "ebr",
-        topology: Any = "flat",
-        aggregation: Any = 1,
-        engine: str = "interpreted",
-        policy: Any = "fixed",
-        trace: str = "off",
-    ) -> "RuntimeConfig":
-        """Build a config from declarative topology primitives.
-
-        This is the constructor the scenario engine
-        (:mod:`repro.bench.scenarios`) uses, and its keywords are exactly
-        :class:`~repro.bench.scenarios.TopologySpec`'s fields: the cost
-        model is named by *profile* (see
-        :data:`repro.comm.costs.COST_PROFILES`) and adjusted with a
-        uniform ``cost_scale`` and per-field ``cost_overrides`` (a mapping
-        or ``(field, value)`` pairs) instead of being passed as an object,
-        so a TOML file can describe the whole machine.  Every
-        ``ValueError`` starts with the name of the keyword at fault.
-        """
-        return cls(
-            num_locales=locales,
-            network=network,
-            costs=resolve_cost_model(
-                cost_profile, scale=cost_scale, overrides=cost_overrides
-            ),
-            tasks_per_locale=tasks_per_locale,
-            seed=seed,
-            worker_pool_size=worker_pool_size,
-            reclaimer=reclaimer,
-            topology=topology,
-            aggregation=aggregation,
-            engine=engine,
-            policy=policy,
-            trace=trace,
-        )
 
     @property
     def uses_network_atomics(self) -> bool:

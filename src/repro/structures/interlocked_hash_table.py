@@ -93,8 +93,8 @@ class InterlockedHashTable:
     runtime:
         The simulated machine.
     buckets:
-        Number of buckets (rounded up to a power of two); distributed
-        cyclically over locales.
+        Number of buckets, >= 1 (rounded up to a power of two);
+        distributed cyclically over locales.
     reclaimer:
         Optional shared reclaimer from :mod:`repro.reclaim` (any scheme).
         When omitted the table asks
@@ -114,9 +114,11 @@ class InterlockedHashTable:
         reclaimer=None,
         aba_protection: bool = True,
     ) -> None:
+        if buckets < 1:
+            raise ValueError(f"buckets must be >= 1, got {buckets!r}")
         self._rt = runtime
         n = 1
-        while n < max(1, buckets):
+        while n < buckets:
             n <<= 1
         self._nbuckets = n
         self._owns_reclaimer = reclaimer is None

@@ -40,9 +40,9 @@ BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "scenario_basel
 
 def _hier_runtime(window: int, *, topology: str = "hier:2x2", **kw) -> Runtime:
     return Runtime(
-        config=RuntimeConfig.from_topology(
+        config=scenarios.TopologySpec(
             locales=8, topology=topology, aggregation=window, **kw
-        )
+        ).runtime_config()
     )
 
 
@@ -53,14 +53,9 @@ def _hier_runtime(window: int, *, topology: str = "hier:2x2", **kw) -> Runtime:
 
 class TestSpecValidation:
     def test_parse_accepted_forms(self):
-        assert parse_aggregation(None).window == 1
-        assert parse_aggregation("off").window == 1
         assert parse_aggregation(1).window == 1
         assert parse_aggregation(8).window == 8
         assert parse_aggregation("8").window == 8
-        assert parse_aggregation({"window": 4}).window == 4
-        spec = AggregationSpec(4)
-        assert parse_aggregation(spec) is spec
         assert not AggregationSpec(1).enabled
         assert AggregationSpec(2).enabled
 
@@ -71,20 +66,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             parse_aggregation(bad)
 
-    def test_mapping_rejects_extra_keys(self):
-        with pytest.raises(ValueError, match="unknown aggregation key"):
-            parse_aggregation({"window": 4, "flush": "eager"})
-
     def test_runtime_config_validates_eagerly(self):
         with pytest.raises(ValueError, match="aggregation window"):
             RuntimeConfig(num_locales=4, aggregation=0)
         cfg = RuntimeConfig(num_locales=4, aggregation="8")
         assert cfg.resolved_aggregation().window == 8
 
-    def test_from_topology_threads_the_window(self):
-        cfg = RuntimeConfig.from_topology(
+    def test_topology_spec_threads_the_window(self):
+        cfg = scenarios.TopologySpec(
             locales=8, topology="hier:2x2", aggregation=4
-        )
+        ).runtime_config()
         rt = Runtime(config=cfg)
         try:
             assert rt.network.aggregation.window == 4
@@ -103,8 +94,6 @@ class TestSpecValidation:
             rt.close()
 
     def test_topology_spec_normalizes_and_rejects(self):
-        spec = scenarios.TopologySpec(aggregation="off")
-        assert spec.aggregation == 1
         spec = scenarios.TopologySpec(aggregation="8")
         assert spec.aggregation == 8
         assert spec.as_dict()["aggregation"] == 8

@@ -27,7 +27,6 @@ class TestABAWrapper:
         assert a.value == GlobalAddress(1, 16)
         assert a.count == 7
         assert a.get_object() == GlobalAddress(1, 16)
-        assert a.getObject() == GlobalAddress(1, 16)
 
     def test_equality_includes_counter(self):
         x = GlobalAddress(0, 32)
@@ -175,17 +174,6 @@ class TestAtomicObjectABAOps:
             obj.read_aba()
         with pytest.raises(RuntimeStateError):
             obj.write_aba(NIL)
-
-    def test_chapel_spelling_aliases(self, rt):
-        obj = AtomicObject(rt)
-        a = _addr(rt)
-
-        def main():
-            snap = obj.readABA()
-            assert obj.compareAndSwapABA(snap, a)
-            assert obj.readABA().getObject() == a
-
-        rt.run(main)
 
 
 class TestAtomicObjectCosts:

@@ -496,7 +496,9 @@ class TestAllocPhase:
 
     @staticmethod
     def _run(place, targets, trace="off", **machine):
-        config = RuntimeConfig.from_topology(locales=8, trace=trace, **machine)
+        config = scenarios.TopologySpec(
+            locales=8, trace=trace, **machine
+        ).runtime_config()
         rt = Runtime(config=config)
         try:
             for loc in rt.locales:  # a free list to reuse from, LIFO
@@ -592,7 +594,9 @@ class TestEbrReplayCells:
 
     @staticmethod
     def _config(engine="interpreted", **machine):
-        return RuntimeConfig.from_topology(locales=8, engine=engine, **machine)
+        return scenarios.TopologySpec(
+            locales=8, engine=engine, **machine
+        ).runtime_config()
 
     @pytest.mark.parametrize("machine", MACHINES)
     def test_replay_cells_are_cpu_only(self, machine):

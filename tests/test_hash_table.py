@@ -95,6 +95,11 @@ class TestMapSemantics:
         t = InterlockedHashTable(rt, buckets=20, reclaimer=em)
         assert len(t._headers) == 32
 
+    @pytest.mark.parametrize("buckets", [0, -4])
+    def test_bucket_count_below_one_rejected(self, rt, em, buckets):
+        with pytest.raises(ValueError, match="buckets must be >= 1"):
+            InterlockedHashTable(rt, buckets=buckets, reclaimer=em)
+
     def test_buckets_distributed_cyclically(self, rt, em):
         t = InterlockedHashTable(rt, buckets=16, reclaimer=em)
         homes = {h.home for h in t._headers}

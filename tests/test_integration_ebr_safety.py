@@ -293,7 +293,8 @@ class TestCrossSchemeSafety:
             tau2 = rec.register()
             tau1.pin()
             tau1_addr = st.head.read()
-            tau1.protect(tau1_addr)  # no-op outside HP
+            if tau1.needs_protect:  # HP only
+                tau1.protect(tau1_addr)
             tau2.pin()
             assert st.pop(tau2) == "victim"  # deferred, NOT freed
             tau2.unpin()

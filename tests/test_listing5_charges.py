@@ -23,6 +23,7 @@ import pytest
 
 from repro.atomics import AtomicBool, AtomicInt64, AtomicRef, AtomicUInt64
 from repro.atomics.cell import ChargedWord
+from repro.bench.scenarios import TopologySpec
 from repro.bench.workloads import _place_objects, _TaskState, run_epoch_workload
 from repro.core import AtomicObject, EpochManager
 from repro.core.limbo_list import LimboList, LimboNode, NodePool
@@ -315,7 +316,7 @@ def _point(p, full):
 def _drive_listing5(machine, remote_percent, trace):
     """Listing 5 with two tasks per locale, a ``tryReclaim`` every fifth
     item, and ``clear`` at the end; returns everything observable."""
-    config = RuntimeConfig.from_topology(locales=8, trace=trace, **machine)
+    config = TopologySpec(locales=8, trace=trace, **machine).runtime_config()
     with Runtime(config=config) as rt:
         em = EpochManager(rt)
         clocks = []

@@ -68,8 +68,7 @@ def _traced(name, *, detail="full", engine=None, pool=None, ops_scale=0.25,
 # ----------------------------------------------------------------------
 class TestRecorder:
     def test_parse_trace_normalizes(self):
-        assert parse_trace(None) == "off"
-        assert parse_trace("") == "off"
+        assert parse_trace("off") == "off"
         assert parse_trace(" FULL ") == "full"
         assert parse_trace("spans") == "spans"
         with pytest.raises(ValueError) as exc:

@@ -57,7 +57,7 @@ def _facts(pending=(), now=0.0, last_pin=None) -> EpochFacts:
 # ----------------------------------------------------------------------
 class TestSpecParsing:
     def test_default_spellings_normalize_to_fixed(self):
-        for raw in (None, "", "default", "fixed", "static", "fixed+static"):
+        for raw in ("fixed", "static", "fixed+static"):
             spec = parse_policy(raw)
             assert spec == PolicySpec()
             assert spec.spec() == "fixed"
@@ -66,7 +66,6 @@ class TestSpecParsing:
         for raw in (
             "threshold:64",
             "decay:128",
-            "decay:128:exponential:4",
             "grace:0.0001",
             "adaptive:4..64",
             "threshold:64+adaptive:4..64",
@@ -84,18 +83,10 @@ class TestSpecParsing:
         assert parse_policy("threshold") == parse_policy("threshold:64")
         assert parse_policy("grace") == parse_policy("grace:0.0001")
         assert parse_policy("adaptive") == parse_policy("adaptive:2..64")
-        assert parse_policy("decay") == parse_policy("decay:64:linear:8")
+        assert parse_policy("decay") == parse_policy("decay:64")
 
-    def test_mapping_form(self):
-        spec = parse_policy({"epoch": "threshold:32", "window": "adaptive:4..8"})
-        assert spec.spec() == "threshold:32+adaptive:4..8"
-        with pytest.raises(ValueError, match="accepted keys"):
-            parse_policy({"epcoh": "threshold:32"})
-
-    def test_passthrough_and_type_errors(self):
-        spec = PolicySpec(epoch_kind="threshold", epoch_param=9)
-        assert parse_policy(spec) is spec
-        with pytest.raises(ValueError, match="string, mapping, or PolicySpec"):
+    def test_non_string_rejected(self):
+        with pytest.raises(ValueError, match="must be a string such as 'fixed'"):
             parse_policy(3.14)
 
     def test_unknown_kind_lists_valid_names(self):
@@ -116,8 +107,7 @@ class TestSpecParsing:
             "threshold:0",  # n >= 1
             "threshold:1:2",  # too many knobs
             "grace:0",  # grace > 0
-            "decay:64:sigmoid",  # unknown curve
-            "decay:64:linear:0",  # horizon >= 1
+            "decay:64:linear",  # decay takes one knob
             "adaptive:64..2",  # lo <= hi
             "adaptive:0..4",  # lo >= 1
             "adaptive:16",  # range must be lo..hi
@@ -153,26 +143,19 @@ class TestEpochPolicies:
         assert pol.streak == 0
 
     def test_decay_linear_reaches_zero_at_horizon(self):
-        pol = DecayEpochPolicy(100, "linear", 4)
-        # Effective thresholds along the streak: 100, 75, 50, 25 — the
-        # pending count of 30 first crosses at the fourth decision.
-        decisions = [pol.decide(_facts(pending=(30,))) for _ in range(4)]
-        assert decisions == [False, False, False, True]
+        pol = DecayEpochPolicy(80)
+        # Effective thresholds along the streak: 80, 70, 60, 50, 40, 30 —
+        # the pending count of 30 first crosses at the sixth decision.
+        decisions = [pol.decide(_facts(pending=(30,))) for _ in range(6)]
+        assert decisions == [False] * 5 + [True]
         assert pol.streak == 0  # the advance reset the decay
 
     def test_decay_never_defers_past_horizon(self):
-        pol = DecayEpochPolicy(10**9, "step", 3)
-        decisions = [pol.decide(_facts(pending=(0,))) for _ in range(8)]
-        # step holds the full threshold until t >= 1, then forces advance.
-        assert decisions == [False, False, False, True, False, False, False, True]
-
-    def test_decay_exponential_curve_shape(self):
-        pol = DecayEpochPolicy(100, "exponential", 8)
-        assert pol.effective_threshold() == 100
-        pol.streak = 2  # t = 0.25 -> 2**-1
-        assert pol.effective_threshold() == 50
-        pol.streak = 8
-        assert pol.effective_threshold() == 0
+        pol = DecayEpochPolicy(10**9)
+        horizon = DecayEpochPolicy.HORIZON
+        decisions = [pol.decide(_facts(pending=(0,))) for _ in range(2 * horizon + 2)]
+        # The threshold stays positive until t >= 1, then forces advance.
+        assert decisions == ([False] * horizon + [True]) * 2
 
     def test_grace_holds_epoch_open(self):
         pol = GraceEpochPolicy(1e-3)
@@ -184,8 +167,8 @@ class TestEpochPolicies:
     def test_decisions_are_pure_functions_of_facts(self):
         """Two instances fed the same fact sequence decide identically."""
         seq = [(i * 7 % 13,) for i in range(20)]
-        a = DecayEpochPolicy(8, "linear", 4)
-        b = DecayEpochPolicy(8, "linear", 4)
+        a = DecayEpochPolicy(8)
+        b = DecayEpochPolicy(8)
         da = [a.decide(_facts(pending=p)) for p in seq]
         db = [b.decide(_facts(pending=p)) for p in seq]
         assert da == db
@@ -317,10 +300,6 @@ class TestMachineAxes:
         assert topo.spec() == "hier:2x2"
         assert topo.num_locales == 8
         assert TopologySpec(locales=8, topology="hier").topology == "hier:2x2"
-        with pytest.raises(ValueError, match="^topology: .*built for 8"):
-            RuntimeConfig(num_locales=4, topology=topo)
-        with pytest.raises(ScenarioError, match="topology.topology: .*built for 8"):
-            TopologySpec(locales=4, topology=topo)
 
     def test_policy_axis_parses_through_parse_policy(self):
         pol = RuntimeConfig(policy="grace:0.001").resolved_policy()

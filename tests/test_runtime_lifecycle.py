@@ -16,10 +16,15 @@ import gc
 
 import pytest
 
-from repro.bench.scenarios import iter_scenarios, run_scenario, scenario_names
+from repro.bench.scenarios import (
+    TopologySpec,
+    iter_scenarios,
+    run_scenario,
+    scenario_names,
+)
 from repro.errors import RuntimeStateError
 from repro.reclaim import make_reclaimer
-from repro.runtime import Runtime, RuntimeConfig
+from repro.runtime import Runtime
 from conftest import is_live
 
 #: Small enough that all 42 scenarios run in about a second per trace level.
@@ -67,7 +72,7 @@ def test_a_finished_scenario_leaves_no_garbage(name, trace, no_cyclic_gc):
 
 @pytest.mark.parametrize("machine", sorted(_MACHINES))
 def test_a_bare_runtime_leaves_no_garbage(machine, no_cyclic_gc):
-    config = RuntimeConfig.from_topology(**_MACHINES[machine])
+    config = TopologySpec(**_MACHINES[machine]).runtime_config()
     with Runtime(config=config):
         pass
     assert no_cyclic_gc() == 0
@@ -81,9 +86,9 @@ def test_a_runtime_with_live_structures_leaves_no_garbage(
 ):
     """Guards and tokens still registered, objects still retired and
     allocated when the block ends: ``close()`` alone frees them."""
-    config = RuntimeConfig.from_topology(
+    config = TopologySpec(
         **_MACHINES[machine], reclaimer=scheme, trace=trace
-    )
+    ).runtime_config()
     with Runtime(config=config) as rt:
 
         def main():
@@ -134,7 +139,7 @@ class TestClosedRuntime:
             rt.run(lambda: None)
 
     def test_what_run_scenario_reads_survives_close(self):
-        config = RuntimeConfig.from_topology(locales=2, trace="spans")
+        config = TopologySpec(locales=2, trace="spans").runtime_config()
         with Runtime(config=config) as rt:
             rt.run(lambda: rt.coforall_locales(lambda lid: None))
             totals = rt.comm_totals()

@@ -32,6 +32,44 @@ from repro.bench.scenarios import (
     run_scenario_grid,
     scenario_names,
 )
+from repro.comm.aggregation import AggregationSpec
+from repro.comm.topology import FlatTopology
+from repro.policy import PolicySpec
+from repro.runtime.config import RuntimeConfig
+
+#: Machine-axis spellings that no longer parse (docs/SCENARIOS.md,
+#: "Removed spellings"): (field, value, the value as a TOML ``[topology]``
+#: entry writes it, or None where TOML cannot express it).
+_REMOVED_SPELLINGS = [
+    pytest.param(
+        "topology",
+        {"kind": "hier", "sockets_per_node": 2, "locales_per_socket": 2},
+        '{ kind = "hier", sockets_per_node = 2, locales_per_socket = 2 }',
+        id="topology-mapping",
+    ),
+    pytest.param("aggregation", {"window": 4}, "{ window = 4 }", id="aggregation-mapping"),
+    pytest.param(
+        "policy",
+        {"epoch": "threshold:32", "window": "adaptive:4..8"},
+        '{ epoch = "threshold:32", window = "adaptive:4..8" }',
+        id="policy-mapping",
+    ),
+    pytest.param("topology", FlatTopology(8), None, id="topology-instance"),
+    pytest.param("aggregation", AggregationSpec(4), None, id="aggregation-instance"),
+    pytest.param("policy", PolicySpec(), None, id="policy-instance"),
+    pytest.param("aggregation", None, None, id="aggregation-None"),
+    pytest.param("policy", None, None, id="policy-None"),
+    pytest.param("trace", None, None, id="trace-None"),
+    pytest.param("aggregation", "off", '"off"', id="aggregation-off"),
+    pytest.param("policy", "default", '"default"', id="policy-default"),
+    pytest.param("policy", "", '""', id="policy-empty"),
+    pytest.param("trace", "", '""', id="trace-empty"),
+    pytest.param("topology", "hier:2x2@2", '"hier:2x2@2"', id="hier-scale"),
+    pytest.param("topology", "dragonfly:4@8", '"dragonfly:4@8"', id="dragonfly-scale"),
+    pytest.param(
+        "policy", "decay:64:exponential:4", '"decay:64:exponential:4"', id="decay-curve"
+    ),
+]
 
 #: A tiny-but-real document used by the parsing tests.
 DOC = {
@@ -183,8 +221,16 @@ class TestSpecParsing:
         with pytest.raises(ScenarioError, match=f"^topology.{field}: "):
             TopologySpec(**{field: value})
 
+    @pytest.mark.parametrize("field, value, toml", _REMOVED_SPELLINGS)
+    def test_removed_spellings_name_their_field(self, field, value, toml):
+        """Each axis takes one spelling; the old ones fail naming the field."""
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            RuntimeConfig(num_locales=8, **{field: value})
+        with pytest.raises(ScenarioError, match=f"^topology.{field}: "):
+            TopologySpec(locales=8, **{field: value})
+
     def test_runtime_config_is_parsed_once_and_kept(self):
-        topo = TopologySpec(locales=8, topology="hier", policy="default")
+        topo = TopologySpec(locales=8, topology="hier", policy="fixed")
         cfg = topo.runtime_config()
         assert cfg is topo.runtime_config()
         assert cfg.resolved_topology().spec() == topo.topology == "hier:2x2"
@@ -517,6 +563,7 @@ class TestCli:
             (["--spec", "HEAP"], "workload.structure"),
             (["--spec", "OPS"], "workload.ops_per_task"),
             (["--spec", "EVERY"], "workload.reclaim_every"),
+            (["--spec", "BUCKETS"], "workload.hash_buckets"),
         ],
     )
     def test_spec_errors_exit_2_with_one_error_line(
@@ -538,6 +585,7 @@ class TestCli:
             "HEAP": ("", 'kind = "churn"\nstructure = "heap"'),
             "OPS": ("", 'kind = "epoch"\nops_per_task = -5'),
             "EVERY": ("", 'kind = "epoch"\nreclaim_every = 0'),
+            "BUCKETS": ("", 'kind = "multi_structure"\nhash_buckets = 0'),
         }
         files = {
             "MISSING": tmp_path / "missing.toml",
@@ -556,6 +604,26 @@ class TestCli:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1 and out[0].startswith("error: ")
         assert needle.replace("MISSING", "missing.toml") in out[0]
+
+    @pytest.mark.parametrize(
+        "field, value, toml", [p for p in _REMOVED_SPELLINGS if p.values[2] is not None]
+    )
+    def test_removed_spellings_exit_2_through_spec(
+        self, tmp_path, capsys, field, value, toml
+    ):
+        from repro.bench.__main__ import main
+
+        if sys.version_info < (3, 11):
+            pytest.skip("tomllib requires Python 3.11+")
+        path = tmp_path / "removed.toml"
+        path.write_text(
+            f'[scenario]\nname = "x"\n[topology]\n{field} = {toml}\n'
+            f'[workload]\nkind = "epoch"\n'
+        )
+        rc = main(["scenarios", "--spec", str(path), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1 and out[0].startswith(f"error: topology.{field}: ")
 
     def test_run_writes_report(self, tmp_path, capsys):
         from repro.bench.__main__ import main

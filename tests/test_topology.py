@@ -2,7 +2,7 @@
 
 Covers the distance-class ladder of each built-in topology, spec parsing
 and its error surface, the per-class cost resolution
-(``resolve_cost_model``'s ``class_scale`` axis, ``network_scaled``), the
+(``resolve_cost_model``, ``network_scaled``), the
 flat-table precompilation exactness guarantee (per-class compile ≡ legacy
 branchy compile, entry by entry), the runtime-level cost ordering
 (coherent < NIC < uplink), shared-uplink contention, locality-aware
@@ -32,6 +32,7 @@ from repro.comm.topology import (
     parse_topology,
     topology_names,
 )
+from repro.bench.scenarios import TopologySpec
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.runtime import Runtime
 
@@ -150,21 +151,6 @@ class TestParseTopology:
             assert type(again) is type(topo)
             assert again.spec() == topo.spec()
 
-    def test_spec_round_trips_scales(self):
-        hier = HierarchicalTopology(8, uplink_scale=1.5)
-        assert hier.spec() == "hier:2x2@1.5"
-        again = parse_topology(hier.spec(), 8)
-        assert again.uplink_scale == 1.5
-        dfly = DragonflyTopology(8, global_scale=8.0)
-        assert dfly.spec() == "dragonfly:4@8"
-        assert parse_topology(dfly.spec(), 8).global_scale == 8.0
-        # mapping form with a non-default scale round-trips via spec()
-        m = parse_topology({"kind": "dragonfly", "group_size": 2,
-                            "global_scale": 2.0}, 8)
-        assert parse_topology(m.spec(), 8).global_scale == 2.0
-        with pytest.raises(ValueError):
-            parse_topology("hier:2x2@fast", 8)
-
     def test_unknown_kind_lists_valid_names(self):
         with pytest.raises(ValueError) as exc:
             parse_topology("torus", 8)
@@ -183,24 +169,6 @@ class TestParseTopology:
         with pytest.raises(ValueError):
             parse_topology("flat:4", 8)
 
-    def test_mapping_form(self):
-        topo = parse_topology(
-            {"kind": "hier", "sockets_per_node": 1, "locales_per_socket": 4}, 8
-        )
-        assert topo.spec() == "hier:1x4"
-        with pytest.raises(ValueError):
-            parse_topology({"kind": "mesh"}, 8)
-        with pytest.raises(ValueError):
-            parse_topology({"kind": "flat", "extra": 1}, 8)
-        with pytest.raises(ValueError):
-            parse_topology({"kind": "hier", "bogus": 1}, 8)
-
-    def test_instance_passthrough_validates_locales(self):
-        topo = FlatTopology(8)
-        assert parse_topology(topo, 8) is topo
-        with pytest.raises(ValueError):
-            parse_topology(topo, 4)
-
     def test_non_spec_rejected(self):
         with pytest.raises(ValueError):
             parse_topology(42, 8)
@@ -214,8 +182,8 @@ class TestParseTopology:
         with pytest.raises(ValueError):
             RuntimeConfig(num_locales=8, topology="nope")
 
-    def test_from_topology_learns_shape(self):
-        cfg = RuntimeConfig.from_topology(locales=8, topology="hier:2x2")
+    def test_topology_spec_learns_shape(self):
+        cfg = TopologySpec(locales=8, topology="hier:2x2").runtime_config()
         topo = cfg.resolved_topology()
         assert isinstance(topo, HierarchicalTopology)
         assert topo.node_size == 4
@@ -242,11 +210,6 @@ class TestCostLayerEdges:
         with pytest.raises(ValueError):
             resolve_cost_model("default", scale=scale)
 
-    @pytest.mark.parametrize("scale", [0, -2, "x", False])
-    def test_non_positive_class_scale_rejected(self, scale):
-        with pytest.raises(ValueError):
-            resolve_cost_model("default", class_scale=scale)
-
     def test_scaled_returns_new_frozen_instance(self):
         before = DEFAULT_COSTS.am_latency
         scaled = DEFAULT_COSTS.scaled(2.0)
@@ -271,15 +234,6 @@ class TestCostLayerEdges:
 
     def test_degraded_profile_is_network_scaled_8x(self):
         assert DEGRADED_COSTS == DEFAULT_COSTS.network_scaled(8.0)
-
-    def test_class_scale_axis(self):
-        model = resolve_cost_model("default", class_scale=4.0)
-        assert model.am_latency == 4 * DEFAULT_COSTS.am_latency
-        assert model.cpu_atomic_latency == DEFAULT_COSTS.cpu_atomic_latency
-        # uniform scale then class scale compose
-        both = resolve_cost_model("default", scale=2.0, class_scale=4.0)
-        assert both.am_latency == 8 * DEFAULT_COSTS.am_latency
-        assert both.cpu_atomic_latency == 2 * DEFAULT_COSTS.cpu_atomic_latency
 
 
 # ---------------------------------------------------------------------------
