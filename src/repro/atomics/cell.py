@@ -35,7 +35,9 @@ commit, so a charge-and-commit is indivisible.  The epoch manager's
 owner-only words (a token's slot, its instance's epoch, the limbo and
 node-pool heads) are charged in place on the retire path:
 ``word._enter(False)`` and then the commit on ``word._value``, exactly
-the body of the op method minus its frame.
+the body of the op method minus its frame.  A drain returns its nodes to
+the pool as one :meth:`ChargedWord._charge_run`: the pushes' charges back
+to back, then one commit of the relinked chain.
 
 A cell line keeps only its recurrence
 -------------------------------------
@@ -154,6 +156,52 @@ class ChargedWord:
         if finish < floor:
             finish = floor
         line.next_free = ctx.now = finish
+
+    def _charge_run(self, n: int) -> None:
+        """Charge ``n`` narrow ops back to back, exactly as ``n`` calls of
+        ``_enter(False)`` would, from one frame.
+
+        The caller commits after the run; it is legal only where no other
+        task can touch the word between the ``n`` charges (docs/ENGINE.md,
+        "One thread per runtime").  The diagnostics row takes ``n`` in one
+        add and the line runs ``_enter``'s inline recurrence ``n`` times,
+        float op for float op.  A traced line, or a route through a
+        home-level point, makes the ``n`` ``_enter`` calls instead, so
+        trace events and point state stay those of single charges.
+        """
+        rt, dist, narrow, rows, line = self._hot
+        ctx = rt._ctx
+        if ctx is None:
+            return
+        locale = ctx.locale_id
+        diag_index, latency, outer, _point_service, service = narrow[dist[locale]]
+        if outer is not None or line._tracer is not None:
+            for _ in range(n):
+                self._enter(False)
+            return
+        rows[locale][diag_index] += n
+        # _enter's inlined serve, n times over locals — keep in sync.
+        now = ctx.now
+        next_free = line.next_free
+        bank = line.idle_bank
+        for _ in range(n):
+            t = now + latency
+            if t >= next_free:
+                bank += t - next_free
+                next_free = now = t + service
+            elif bank >= service:
+                bank = bank - service
+                now = t + service
+            else:
+                finish = next_free + (service - bank)
+                bank = 0.0
+                floor = t + service
+                if finish < floor:
+                    finish = floor
+                next_free = now = finish
+        line.next_free = next_free
+        line.idle_bank = bank
+        ctx.now = now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(home={self.home}, name={self.name!r})"

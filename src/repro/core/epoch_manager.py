@@ -43,6 +43,7 @@ never blocks other tasks' operations.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..atomics.integer import AtomicBool, AtomicUInt64
@@ -302,6 +303,11 @@ class EpochManager(ManagerCore, PrivatizedObject):
             self.share_coherent or runtime.network.aggregator.active
         )
         self._plan = self._build_plan()
+        #: The plan's representatives (the coforall locales, ascending) and
+        #: each group's instance locales and locales, by representative.
+        self._plan_reps = tuple(rep for rep, _i, _a in self._plan)
+        self._plan_instances = {rep: inst for rep, inst, _a in self._plan}
+        self._plan_members = {rep: all_lids for rep, _i, all_lids in self._plan}
 
     # ------------------------------------------------------------------
     # uplink-aware traversal plan
@@ -317,6 +323,11 @@ class EpochManager(ManagerCore, PrivatizedObject):
         group's instances over the intra-node fabric.  Otherwise one
         single-locale group per locale: the exact legacy
         one-task-per-locale shape.
+
+        Every topology's uplink groups are consecutive locale ranges
+        (``locale // size``), so walking the plan visits the instances in
+        ascending locale order; the drain → inbox → gather pipeline of
+        :meth:`_drain_and_free` relies on it.
         """
         rt = self._rt
         if not self._aggregated:
@@ -340,7 +351,7 @@ class EpochManager(ManagerCore, PrivatizedObject):
         classes = net.topology.classes
         crossed = sum(
             classes[net.distance_row(rep)[src]].shared_uplink
-            for rep, _i, _a in self._plan
+            for rep in self._plan_reps
         )
         if crossed:
             self._counters.inc("uplink_crossings", crossed)
@@ -434,13 +445,13 @@ class EpochManager(ManagerCore, PrivatizedObject):
         """Run ``fn(instance locale)`` over every scan/drain unit: one
         task per plan group (:meth:`_build_plan`), walking the group's
         instances in order."""
-        members = {rep: inst_lids for rep, inst_lids, _all in self._plan}
+        instances = self._plan_instances
 
         def run_group(rep: int) -> None:
-            for lid in members[rep]:
+            for lid in instances[rep]:
                 fn(lid)
 
-        self._rt.coforall_locales(run_group, locales=list(members))
+        self._rt.coforall_locales(run_group, locales=self._plan_reps)
         if self._aggregated:
             self._note_traversal()
 
@@ -501,27 +512,31 @@ class EpochManager(ManagerCore, PrivatizedObject):
     ) -> int:
         """Drain the given limbo-list indices on every locale and free.
 
-        Phase A (per locale): refresh the cached epoch, pop the chains,
-        group dead addresses by owning locale (the scatter list).
-        Phase B (per locale): gather everything destined here — one bulk
-        transfer per source locale — and free it as one batch.
+        Phase A (per instance, ascending): refresh the cached epoch, pop
+        the chains, group dead addresses by owning locale (the scatter
+        list) and file each target's share into that target's inbox.
+        Phase B (per locale): gather the inbox — one bulk transfer per
+        source locale — and free it as one batch.
         """
         rt = self._rt
         freed_total = [0] * rt.num_locales
-        # Per-call scatter staging (indexed by draining locale).  Staged in
-        # the reclaim call rather than on the instances so that concurrent
-        # reclaims (possible only in the no-election ablation) can never
-        # observe each other's half-built scatter lists.
-        staged: List[Dict[int, List[int]]] = [dict() for _ in range(rt.num_locales)]
+        # Per-call inboxes, indexed by target locale: ``(source, offsets)``
+        # in drain order.  Drains run in ascending source order (see
+        # _build_plan), so each inbox is already in source order.  Built
+        # per call rather than on the instances so that concurrent reclaims
+        # (possible only in the no-election ablation) can never observe
+        # each other's half-built scatter lists.
+        inbox: List[List[tuple]] = [[] for _ in range(rt.num_locales)]
 
         def drain_locale(lid: int) -> None:
             inst_l: _EpochManagerInstance = self.get_privatized_instance(lid)
             if new_epoch is not None:
                 inst_l.locale_epoch.write(new_epoch)
-            scatter: Dict[int, List[int]] = {}
+            scatter: Dict[int, List[int]] = defaultdict(list)
+            lists = inst_l.limbo_lists
             for idx in indices:
-                for addr in inst_l.limbo_lists[idx].drain():
-                    scatter.setdefault(addr.locale, []).append(addr.offset)
+                for locale, offset in lists[idx].drain():
+                    scatter[locale].append(offset)
             tr = self._full
             if tr is not None:
                 # Unit+slot drain record: the metrics registry matches it
@@ -535,12 +550,13 @@ class EpochManager(ManagerCore, PrivatizedObject):
                     "drain",
                     "ebr",
                     rt._ctx.now,
-                    unit=tr.unit_id(inst_l.limbo_lists),
+                    unit=tr.unit_id(lists),
                     slots=sorted(indices),
                     count=sum(len(v) for v in scatter.values()),
                 )
             if self.use_scatter:
-                staged[lid] = scatter
+                for target, offsets in scatter.items():
+                    inbox[target].append((lid, offsets))
             else:
                 # Ablation: free each object directly; remote ones pay a
                 # full round trip apiece.
@@ -554,14 +570,14 @@ class EpochManager(ManagerCore, PrivatizedObject):
         self._coforall_instances(drain_locale)
 
         if self.use_scatter:
-            # One task per plan group pulls the scatter entries for every
-            # locale in its group.  Aggregated, sources behind a shared
-            # uplink coalesce — the address lists of one source node ride
-            # one window-sized bulk batch instead of one transfer per
-            # source locale; otherwise each source is one bulk transfer.
+            # One task per plan group gathers the inbox of every locale in
+            # its group.  Aggregated, sources behind a shared uplink
+            # coalesce — the address lists of one source node ride one
+            # window-sized bulk batch instead of one transfer per source
+            # locale; otherwise each source is one bulk transfer.
             from ..comm.aggregation import BatchCounters
 
-            members = {rep: all_lids for rep, _i, all_lids in self._plan}
+            members = self._plan_members
             aggregator = rt.network.aggregator
             # A closed window batches nothing, and bulk_gather ignores the
             # counters then: none are built.
@@ -571,25 +587,24 @@ class EpochManager(ManagerCore, PrivatizedObject):
                 ctx = rt._ctx
                 counters = BatchCounters() if aggregating else None
                 for lid in members[rep]:
+                    box = inbox[lid]
+                    if not box:
+                        continue
+                    aggregator.bulk_gather(
+                        ctx, [(src, 8 * len(offs)) for src, offs in box], counters
+                    )
                     mine: List[int] = []
-                    transfers: List[tuple] = []
-                    for src in range(rt.num_locales):
-                        batch = staged[src].get(lid)
-                        if batch:
-                            transfers.append((src, 8 * len(batch)))
-                            mine.extend(batch)
-                    if transfers:
-                        aggregator.bulk_gather(ctx, transfers, counters)
-                    if mine:
-                        # The free itself: the group's own locales are
-                        # coherent or intra-node peers — no uplink.
-                        freed_total[lid] = rt.free_bulk(lid, mine)
+                    for _src, offs in box:
+                        mine.extend(offs)
+                    # The free itself: the group's own locales are
+                    # coherent or intra-node peers — no uplink.
+                    freed_total[lid] = rt.free_bulk(lid, mine)
                 if counters is not None and counters.batches:
                     # Each batch is one shared-uplink traversal.
                     self._counters.inc("scan_batches", counters.batches)
                     self._counters.inc("uplink_crossings", counters.batches)
 
-            rt.coforall_locales(gather_group, locales=list(members))
+            rt.coforall_locales(gather_group, locales=self._plan_reps)
             if self._aggregated:
                 self._note_traversal()
 

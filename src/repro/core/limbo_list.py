@@ -57,6 +57,8 @@ class NodePool:
     Shared by all three limbo lists of one locale's epoch-manager instance,
     so the steady-state allocation rate of the reclamation machinery itself
     is zero — deferring a deletion allocates nothing once the pool is warm.
+    Retire-path pushes take nodes with :meth:`get`; drains fill the pool
+    (:meth:`LimboList.drain` relinks its whole chain onto the head).
     """
 
     def __init__(self, runtime: "Runtime", home: int) -> None:
@@ -86,20 +88,6 @@ class NodePool:
                 node.val = val
                 node.next = None
                 return node
-
-    def put(self, node: LimboNode) -> None:
-        """Return a drained node to the pool (lock-free push; the head is
-        charged in place, as in :meth:`get`)."""
-        node.val = None
-        head = self._head
-        while True:
-            head._enter(False)
-            old = head._value
-            node.next = old
-            head._enter(False)
-            if head._value is old:
-                head._value = node
-                return
 
     def drain_count(self) -> int:
         """Number of nodes currently pooled (O(n); tests only)."""
@@ -185,11 +173,22 @@ class LimboList:
                 vals.append(node.val)
                 node = node.next
             return vals
+        # Each node goes back as one lock-free push: a read and a CAS of
+        # the pool head that cannot fail, since only this instance's retire
+        # path and drains touch it and tasks switch only between whole
+        # operations.  So the pushes are the 2n charges back to back and
+        # one commit of the chain relinked onto the head in order.
+        head = pool._head
+        top = head._value
         while node is not None:
             nxt = node.next
             vals.append(node.val)
-            pool.put(node)
+            node.val = None
+            node.next = top
+            top = node
             node = nxt
+        head._value = top
+        head._charge_run(2 * len(vals))
         return vals
 
     def is_empty_snapshot(self) -> bool:

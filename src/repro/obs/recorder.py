@@ -85,8 +85,8 @@ class TraceRecorder:
     """
 
     def __init__(self, runtime: "Runtime", detail: str) -> None:
-        detail = parse_trace(detail)
-        if detail == "off":
+        # ``detail`` is the runtime's parsed ``config.trace``.
+        if detail not in ("spans", "full"):
             raise ValueError("TraceRecorder requires detail 'spans' or 'full'")
         self.detail = detail
         #: True at the ``full`` detail level (per-op event emission).

@@ -79,6 +79,10 @@ from .tasking import TaskGroup, WorkerPool, spawn_tree_overhead
 T = TypeVar("T")
 
 _FORK_INDEX = CommDiagnostics.op_index(CommOp.FORK)
+#: A cached coforall price skips validation only for ids of exact type
+#: ``int``: a bool or a float equal to a priced id is validated (and
+#: refused) like a new one.
+_INT_ONLY = frozenset((int,))
 
 __all__ = ["Locale", "Runtime", "Timer"]
 
@@ -126,7 +130,7 @@ class Runtime:
         if config is None:
             config = RuntimeConfig(
                 num_locales=num_locales,
-                network=NetworkType.parse(network),
+                network=network,
                 tasks_per_locale=tasks_per_locale,
             )
         # Imported here (not at module top) to break the package import
@@ -163,6 +167,10 @@ class Runtime:
         self._privatized: Optional[List[Any]] = []
         #: Spawned tasks not yet started, drained by joins (see tasking).
         self._run_queue = WorkerPool()
+        #: ``coforall_locales`` prices by ``(source locale, locale ids)``:
+        #: the spawn-tree overhead and the FORK count (the machine never
+        #: changes, so neither does a price).
+        self._coforall_prices: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # identity helpers
@@ -427,36 +435,42 @@ class Runtime:
         exactly this construct.
         """
         ctx = self._own_context("coforall_locales")
-        if locales is None:
-            ids = list(range(self.num_locales))
-        else:
-            ids = list(locales)
-            # Validate before pricing: the spawn tree indexes per-locale
-            # route rows, where a negative id would silently alias.
-            for lid in ids:
-                self.locale(lid)
-        costs = self.config.costs
+        src = ctx.locale_id
+        ids = tuple(range(self.num_locales)) if locales is None else tuple(locales)
+        key = (src, ids)
+        price = self._coforall_prices.get(key)
+        if price is None or not _INT_ONLY.issuperset(map(type, ids)):
+            price = self._price_coforall(src, ids)
+            self._coforall_prices[key] = price
+        overhead, forks = price
         tr = self._tracer
         t0 = ctx.now if tr is not None else 0.0
-        net = self.network
-        src = ctx.locale_id
-        # Per-hop spawn cost reflects the worst distance class the
-        # broadcast tree spans (flat: exactly task_spawn_remote).
-        overhead = spawn_tree_overhead(
-            len(ids), net.spawn_broadcast_cost(src, ids)
-        )
+        if forks:
+            self.network.diags._rows[src][_FORK_INDEX] += forks
         start = ctx.now + overhead
         group = TaskGroup(self)
         for lid in ids:
-            if not net.is_coherent(src, lid):
-                # Coherent peers are spawned over shared memory — no
-                # message, so (like every coherent-class charge) nothing
-                # is recorded in comm diags.
-                net.diags.record_index(src, _FORK_INDEX)
             group.spawn(body, (lid,), locale_id=lid, start_time=start)
-        ctx.resume(group.join(), costs.task_join)
+        ctx.resume(group.join(), self.config.costs.task_join)
         if tr is not None:
             tr.span("coforall", t0, ctx.now, tasks=len(ids))
+
+    def _price_coforall(self, src: int, ids: Sequence[int]) -> tuple:
+        """``(spawn-tree overhead, FORK count)`` of a ``coforall_locales``
+        from ``src`` over ``ids``, after validating every id."""
+        # Validate before pricing: the spawn tree indexes per-locale route
+        # rows, where a negative id would silently alias.
+        for lid in ids:
+            self.locale(lid)
+        net = self.network
+        # Per-hop spawn cost reflects the worst distance class the
+        # broadcast tree spans (flat: exactly task_spawn_remote).
+        overhead = spawn_tree_overhead(len(ids), net.spawn_broadcast_cost(src, ids))
+        # Coherent peers are spawned over shared memory — no message, so
+        # (like every coherent-class charge) nothing is recorded in comm
+        # diags.
+        forks = sum(not net.is_coherent(src, lid) for lid in ids)
+        return overhead, forks
 
     def _forall_tasks(
         self,

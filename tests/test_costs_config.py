@@ -92,3 +92,48 @@ class TestRuntimeConfig:
         cfg = RuntimeConfig()
         with pytest.raises(Exception):
             cfg.num_locales = 8  # type: ignore[misc]
+
+
+class TestOneParsePerAxis:
+    """``RuntimeConfig`` is the machine's one parser: building a runtime,
+    from keywords or from a config, parses the network and the trace
+    detail exactly once each."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        import repro.obs.recorder as recorder_mod
+        import repro.runtime.config as config_mod
+
+        counts = {"network": 0, "trace": 0}
+        parse_network = NetworkType.parse.__func__
+        parse_trace = config_mod.parse_trace
+
+        def counted_network(cls, value):
+            counts["network"] += 1
+            return parse_network(cls, value)
+
+        def counted_trace(value):
+            counts["trace"] += 1
+            return parse_trace(value)
+
+        monkeypatch.setattr(NetworkType, "parse", classmethod(counted_network))
+        monkeypatch.setattr(config_mod, "parse_trace", counted_trace)
+        monkeypatch.setattr(recorder_mod, "parse_trace", counted_trace)
+        return counts
+
+    def test_keyword_runtime_parses_each_axis_once(self, parses):
+        from repro.runtime import Runtime
+
+        with Runtime(num_locales=2, network="none") as rt:
+            assert rt.config.network is NetworkType.NONE
+        assert parses == {"network": 1, "trace": 1}
+
+    @pytest.mark.parametrize("trace", ["off", "spans", "full"])
+    def test_config_runtime_parses_each_axis_once(self, parses, trace):
+        from repro.runtime import Runtime
+
+        config = RuntimeConfig(num_locales=2, network="ugni", trace=trace.upper())
+        with Runtime(config=config) as rt:
+            assert rt.config.trace == trace
+            assert (rt._tracer is None) == (trace == "off")
+        assert parses == {"network": 1, "trace": 1}

@@ -35,48 +35,51 @@ class TestNodePool:
         assert node.next is None
         assert pool.allocated == 1
 
-    def test_put_then_get_recycles(self, pool):
-        node = pool.get("a")
-        pool.put(node)
+    def test_drained_node_is_recycled(self, pool, limbo):
+        limbo.push(A(0))
+        node = limbo._head.peek()
+        limbo.drain()
         again = pool.get("b")
         assert again is node
         assert again.val == "b"
         assert pool.allocated == 1  # no second allocation
 
-    def test_recycled_node_is_clean(self, pool):
-        n1 = pool.get("a")
-        n2 = pool.get("b")
-        n1.next = n2  # simulate chain linkage
-        pool.put(n1)
+    def test_recycled_node_is_clean(self, pool, limbo):
+        limbo.push(A(0))
+        limbo.push(A(1))  # the second node links to the first
+        limbo.drain()
         got = pool.get("c")
         assert got.next is None  # stale link scrubbed
+        assert pool._head.peek().val is None  # drained values dropped
 
-    def test_drain_count(self, pool):
-        nodes = [pool.get(i) for i in range(5)]
-        for n in nodes:
-            pool.put(n)
+    def test_drain_count(self, pool, limbo):
+        for i in range(5):
+            limbo.push(A(i))
+        limbo.drain()
         assert pool.drain_count() == 5
 
-    def test_concurrent_get_put_conserves_nodes(self, rt, pool):
-        """No node is ever handed to two owners at once."""
+    def test_concurrent_get_and_drain_conserve_nodes(self, rt, pool):
+        """No node is ever handed to two owners at once: every task's
+        list drains exactly the values it pushed, through one pool."""
         errors = []
 
         def worker(wid):
+            mine = LimboList(rt, 0, pool)
             try:
-                mine = []
+                pushed = []
                 for i in range(200):
-                    n = pool.get((wid, i))
-                    assert n.val == (wid, i)  # nobody else overwrote it
-                    mine.append(n)
-                    if len(mine) >= 4:
-                        pool.put(mine.pop(0))
-                for n in mine:
-                    pool.put(n)
+                    mine.push((wid, i))
+                    pushed.append((wid, i))
+                    if len(pushed) >= 4:
+                        assert mine.drain() == pushed[::-1]
+                        pushed = []
+                assert mine.drain() == pushed[::-1]
             except AssertionError as exc:  # pragma: no cover
                 errors.append(exc)
 
         rt.run(lambda: rt.forall(range(8), worker, tasks_per_locale=8))
         assert not errors
+        assert pool.drain_count() == pool.allocated
 
 
 class TestLimboListSequential:

@@ -9,7 +9,8 @@ methods (atomics/cell.py).  These tests pin what that must not change:
   ``tryReclaim`` elections run mid-phase), recorded before the words
   were charged in place;
 * a call census: a Listing 5 item enters no cell op method and makes a
-  fixed number of ``_enter`` charges;
+  fixed number of charges (an ``_enter`` call is one, a
+  ``_charge_run(n)`` call is ``n``);
 * a differential run against a reference spelled with the cells' public
   methods, on several machines: equal task clocks, comm totals, EBR word
   lines, NIC/progress/uplink points, manager stats and ``full`` traces.
@@ -124,10 +125,13 @@ def _op_codes():
 
 
 class _Census:
-    """Counts ``_enter`` calls and cell op-method calls while active."""
+    """Counts charges and cell op-method calls while active: an
+    ``_enter`` frame is one charge, a ``_charge_run`` frame its ``n``
+    (whose fallback ``_enter`` calls are not counted again)."""
 
     def __init__(self):
         self.enter_code = ChargedWord._enter.__code__
+        self.run_code = ChargedWord._charge_run.__code__
         self.op_codes = _op_codes()
         self.enters = 0
         self.ops = []
@@ -136,7 +140,10 @@ class _Census:
         if event == "call":
             code = frame.f_code
             if code is self.enter_code:
-                self.enters += 1
+                if frame.f_back.f_code is not self.run_code:
+                    self.enters += 1
+            elif code is self.run_code:
+                self.enters += frame.f_locals["n"]
             elif code in self.op_codes:
                 self.ops.append(code.co_name)
 
@@ -154,7 +161,8 @@ class TestInPlaceCensus:
         """Per item: 3 pin charges, 2 epoch reads, the pool get (one read
         when the pool is empty, read + CAS when it is not), the limbo
         exchange and 1 unpin charge; ``clear`` charges one exchange per
-        limbo list and a read + CAS per node it returns to the pool."""
+        limbo list and a read + CAS per node it returns to the pool (one
+        ``_charge_run`` per drained list)."""
         census = _Census()
         with Runtime(num_locales=2, network="ugni") as rt:
             em = EpochManager(rt)
@@ -283,7 +291,7 @@ def _ref_drain(self):
         nxt = node.next
         vals.append(node.val)
         if self._pool is not None:
-            self._pool.put(node)
+            _ref_put(self._pool, node)
         node = nxt
     return vals
 
@@ -293,7 +301,6 @@ _REFERENCE = [
     (Token, "unpin", _ref_unpin),
     (Token, "defer_delete", _ref_defer_delete),
     (NodePool, "get", _ref_get),
-    (NodePool, "put", _ref_put),
     (LimboList, "push", _ref_push),
     (LimboList, "pop_all", _ref_pop_all),
     (LimboList, "drain", _ref_drain),

@@ -8,6 +8,7 @@ limbo list is a permutation-preserving buffer.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from repro.atomics import AtomicUInt64
@@ -286,6 +287,105 @@ class TestInlineServeProperties:
         full, full_served = run("full")
         assert (off_served, full_served) == (0, 200)  # traced: every op served
         assert off == full
+
+
+def _run_twice(state, point, latency, service, n):
+    """Charge ``n`` narrow ops on a cell in state ``(now, next_free,
+    idle_bank)`` twice, on two fresh runtimes: as one ``_charge_run(n)``
+    and as ``n`` calls of ``_enter(False)``.  ``point`` is ``None`` (no
+    home-level point on the route) or a point's ``(next_free, idle_bank,
+    service)``.  Returns each side's task clock, line recurrence, point
+    state and diagnostics rows."""
+    now, next_free, idle_bank = state
+    sides = []
+    for charge in (
+        lambda cell: cell._charge_run(n),
+        lambda cell: [cell._enter(False) for _ in range(n)],
+    ):
+        rt = _rt()
+        cell = AtomicUInt64(rt, 0)
+        _, _, narrow, rows, line = cell._hot
+        outer, point_service, home = None, 0.0, ServicePoint()
+        if point is not None:
+            home.next_free, home.idle_bank, point_service = point
+            outer = home.serve_locked
+        step = (narrow[cell._plan.dist[0]][0], latency, outer, point_service, service)
+        cell._hot = (rt, (0,), (step,), rows, line)
+        line.next_free, line.idle_bank = next_free, idle_bank
+
+        def main():
+            ctx = rt._own_context()
+            ctx.now = now
+            charge(cell)
+            return ctx.now
+
+        clock = rt.run(main)
+        sides.append((clock, line.next_free, line.idle_bank, _point_state(home),
+                      rt.network.diags.per_locale()))
+    return sides
+
+
+class TestChargeRunProperties:
+    """``ChargedWord._charge_run(n)`` is ``n`` ``_enter(False)`` calls."""
+
+    times = st.floats(min_value=0.0, max_value=1e-5)
+    steps = st.floats(min_value=0.0, max_value=1e-6)
+
+    @settings(deadline=None)
+    @given(
+        state=st.tuples(times, times, steps),
+        point=st.none() | st.tuples(times, steps, steps),
+        latency=steps,
+        service=steps,
+        n=st.integers(min_value=0, max_value=8),
+    )
+    # Idle (the arrival is past next_free), banked (queued, the bank
+    # covers the service) and saturated (queued, the bank runs dry).
+    @example(state=(5e-6, 1e-6, 0.0), point=None, latency=1e-7, service=2e-7, n=3)
+    @example(state=(0.0, 5e-6, 1e-6), point=None, latency=1e-7, service=2e-7, n=4)
+    @example(state=(0.0, 5e-6, 1e-7), point=None, latency=1e-7, service=2e-7, n=8)
+    @example(state=(0.0, 5e-6, 1e-7), point=(2e-6, 0.0, 3e-7), latency=1e-7,
+             service=2e-7, n=8)
+    def test_run_equals_single_charges(self, state, point, latency, service, n):
+        run, single = _run_twice(state, point, latency, service, n)
+        assert run == single  # bit for bit
+
+    @pytest.mark.parametrize("trace, home", [("full", 0), ("off", 1), ("full", 1)])
+    def test_traced_and_routed_runs_equal_single_charges(self, trace, home):
+        """A traced line, or a route through the home's NIC (every word
+        under ``ugni`` here), makes ``n`` ``_enter`` calls: the same serve
+        events, clocks, lines and points."""
+
+        def run(charge):
+            rt = Runtime(config=RuntimeConfig(num_locales=2, trace=trace))
+            cell = AtomicUInt64(rt, home)
+
+            def main():
+                for n in (0, 1, 3, 8):
+                    charge(cell, n)
+                return rt._own_context().now
+
+            clock = rt.run(main)
+            net = rt.network
+            points = [_point_state(p) for p in (*net.nic, *net.progress)]
+            events = rt._tracer.events() if rt._tracer is not None else None
+            return (clock, cell.line.next_free, cell.line.idle_bank, points,
+                    net.diags.per_locale(), events)
+
+        got = run(lambda cell, n: cell._charge_run(n))
+        want = run(lambda cell, n: [cell._enter(False) for _ in range(n)])
+        assert got == want
+        assert sum(p[3] for p in got[3]) == 12  # each charge passed the NIC
+        if trace == "full":
+            # One NIC and one line serve event per charge.
+            assert [e["kind"] for e in got[5]] == ["serve"] * 24
+
+    def test_no_op_outside_a_task(self):
+        rt = _rt()
+        cell = AtomicUInt64(rt, 0)
+        before = (_point_state(cell.line), rt.network.diags.per_locale())
+        cell._charge_run(5)
+        assert (_point_state(cell.line), rt.network.diags.per_locale()) == before
 
 
 class TestLimboListProperties:

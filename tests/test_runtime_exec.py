@@ -246,6 +246,27 @@ class TestCoforallLocales:
         assert hits == []
         assert rt.comm_totals()["fork"] == 0
 
+    def test_a_priced_coforall_charges_alike_and_still_validates(self, rt):
+        """A repeat of a ``(source, ids)`` pair reuses its price: the
+        same spawn overhead and FORK count.  An equal bool or float id is
+        still refused."""
+
+        def main():
+            ctx = rt._own_context()
+            spans = []
+            for _ in range(2):
+                before = ctx.now
+                rt.coforall_locales(lambda lid: None, locales=[1, 3])
+                spans.append(ctx.now - before)
+            for bad in (True, 1.0):
+                with pytest.raises(LocaleError):
+                    rt.coforall_locales(lambda lid: None, locales=[bad, 3])
+            return spans
+
+        first, second = rt.run(main)
+        assert first == second > 0.0
+        assert rt.comm_totals()["fork"] == 4
+
     def test_parent_clock_absorbs_slowest_child(self, rt):
         def main():
             def body(lid):
